@@ -23,7 +23,7 @@ from pathlib import Path
 from . import certified, pipeline
 from .certified import CountMismatchError
 from .council import council_game, parse_populations
-from .enumeration import CatalogFormatError, weighted_certificate
+from .enumeration import CatalogFormatError, certificate_game
 from .games import (
     BoolCombo,
     GameParseError,
@@ -34,10 +34,9 @@ from .games import (
     game_to_text,
     parse_game,
 )
-from .geometry import Metric, VectorFormatError, count_distinct, distance, omega
+from .geometry import Metric, count_distinct, distance
 from .indices import KINDS, decimal_str, pbi_dp, power_vector, ssi_dp
 from .inverse import (
-    InverseMode,
     InverseResult,
     Target,
     beta_target,
@@ -153,7 +152,7 @@ def _long_ok(args) -> bool:
 def _require_big(args) -> Path:
     """The 8-voter tier: reuse cache files, else build behind the flag."""
     cache = _cache_dir(args)
-    if pipeline.big_files_present(cache):
+    if pipeline.tier_present(pipeline.BIG_N, cache):
         return cache
     if not _long_ok(args):
         raise _UsageError(
@@ -169,6 +168,14 @@ def _require_big(args) -> Path:
 
     pipeline.build_big_tables(cache, workers=args.threads, progress=progress)
     return cache
+
+
+def _tier(args, n: int) -> Path:
+    """Cache directory holding the n-voter tier, built when missing
+    (at 8 voters only behind the long-running opt-in)."""
+    if n == pipeline.BIG_N:
+        return _require_big(args)
+    return pipeline.ensure_tier(n, _cache_dir(args), args.threads)
 
 
 def _pick_kinds(args) -> tuple[str, ...]:
@@ -303,10 +310,7 @@ def cmd_tables(args) -> int:
             if n <= 7:
                 cat = pipeline.ensure_catalog(klass, n, cache, workers=args.threads)
                 games = len(cat)
-                got = {}
-                for kind in kinds:
-                    pipeline.ensure_vectors(cat, kind, cache)
-                    got[kind] = count_distinct(cat, kind)
+                got = {kind: count_distinct(cat, kind) for kind in kinds}
             else:
                 # certified during the streamed build that produced the cache
                 games = (
@@ -367,11 +371,7 @@ def cmd_enumerate(args) -> int:
     cat = pipeline.ensure_catalog(klass, n, cache, workers=args.threads)
     rep.results.update({"class": klass, "n": n, "count": len(cat)})
     if klass == "sg4":
-        certs = (
-            cat.certificates
-            if cat.certificates is not None
-            else [cat.certificate(i) for i in range(len(cat))]
-        )
+        certs = cat.certificates
         weighted = sum(c is not None for c in certs)
         if weighted != certified.SIMPLE_4_WEIGHTED:
             raise CountMismatchError("weighted sg4", certified.SIMPLE_4_WEIGHTED, weighted)
@@ -422,44 +422,26 @@ def cmd_enumerate(args) -> int:
 
 def _gap_reports(args, n=None, kinds=None, metrics=None):
     """(kind, metric) -> GapReport, plus a nearest-game resolver."""
-    cache = _cache_dir(args)
     n = args.n if n is None else n
     kinds = kinds if kinds is not None else _pick_kinds(args)
     metrics = metrics if metrics is not None else _pick_metrics(args)
-    if n == 8:
-        _require_big(args)
+    cache = _tier(args, n)
 
-        def progress(kind, done, total):
-            if done % (64 * 65536) < 65536 or done == total:
-                print(f"\r  scanned {done}/{total} {kind} vectors", end="", file=sys.stderr)
-                if done == total:
-                    print(file=sys.stderr)
+    def progress(kind, done, total):
+        if done % (64 * 65536) < 65536 or done == total:
+            print(f"\r  scanned {done}/{total} {kind} vectors", end="", file=sys.stderr)
+            if done == total:
+                print(file=sys.stderr)
 
-        reports = pipeline.omega_big(cache, kinds, metrics, progress=progress)
-
-        def nearest_game(report):
-            if report.nearest_index is None:
-                return None
-            path = pipeline.catalog_path(cache, "wg", 8)
-            g = pipeline.fetch_catalog_games(path, [report.nearest_index])[report.nearest_index]
-            return weighted_certificate(g)
-
-        return reports, nearest_game
-
-    cg = pipeline.ensure_catalog("cg", n, cache, workers=args.threads)
-    reports = {}
-    wg_cats = {}
-    for kind in kinds:
-        pipeline.ensure_vectors(cg, kind, cache)
-        wg_cat, store = pipeline.ensure_store("wg", n, kind, cache, args.threads)
-        wg_cats[kind] = wg_cat
-        for metric in metrics:
-            reports[kind, metric.value] = omega(cg, store, metric)
+    reports = pipeline.omega_tier(
+        n, cache, kinds, metrics, progress=progress if n == pipeline.BIG_N else None
+    )
+    certificates = pipeline.load_certificates(n, cache)
 
     def nearest_game(report):
         if report.nearest_index is None:
             return None
-        return wg_cats[report.kind].certificate(report.nearest_index)
+        return certificate_game(certificates[report.nearest_index])
 
     return reports, nearest_game
 
@@ -557,7 +539,6 @@ def _render_inverse(rep: _Report, res: InverseResult, label: str) -> dict:
 
 
 def cmd_inverse(args) -> int:
-    cache = _cache_dir(args)
     metric = _single_metric(args)
     rep = _Report(_config(args, target=args.target))
 
@@ -626,12 +607,8 @@ def cmd_inverse(args) -> int:
     if mode == "exact":
         if target.n > 8:
             raise _UsageError("exact minimization needs the full catalog; 8 voters is the cap")
-        if target.n == 8:
-            _require_big(args)
-            res = _exact_big(target, metric, cache)
-        else:
-            cat, store = pipeline.ensure_store("wg", target.n, target.kind, cache, args.threads)
-            res = inverse_exact(target, metric, cat, store)
+        store, certificates = pipeline.weighted_store(target.n, target.kind, _tier(args, target.n))
+        res = inverse_exact(target, metric, store, certificates)
     else:
         res = inverse_heuristic(
             target,
@@ -654,24 +631,6 @@ def _inverse_json(res: InverseResult) -> dict:
         "evaluations": res.evaluations,
         "seed": res.seed,
     }
-
-
-def _exact_big(target: Target, metric: Metric, cache) -> InverseResult:
-    store = pipeline.load_big_store(cache, target.kind)
-    nums, den = target.common_ints()
-    hit = store.nearest(nums, den, metric)
-    rep_idx = int(store.reps[hit.index])
-    path = pipeline.catalog_path(cache, "wg", pipeline.BIG_N)
-    game = pipeline.fetch_catalog_games(path, [rep_idx])[rep_idx]
-    cert = weighted_certificate(game)
-    return InverseResult(
-        mode=InverseMode.EXACT_MIN,
-        target=target,
-        metric=metric,
-        game=cert,
-        vector=store.vector(hit.index),
-        distance=hit.dist,
-    )
 
 
 def cmd_eu(args) -> int:
@@ -795,7 +754,7 @@ def main(argv=None) -> int:
     except GameParseError as exc:
         print(f"votekit: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (_UsageError, CatalogFormatError, VectorFormatError) as exc:
+    except (_UsageError, CatalogFormatError) as exc:
         print(f"votekit: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, OSError) as exc:

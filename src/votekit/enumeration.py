@@ -10,9 +10,9 @@ otherwise.  The empty coalition is pinned to 0 and the grand coalition
 to 1, which keeps the labelling a simple game.
 
 Enumerated counts are checked against certified values before anything
-downstream may consume them.  n = 7 fits comfortably in memory; n = 8
-(16.2 million games) is streamed in chunks and takes hours, so it sits
-behind explicit opt-in at the CLI.
+downstream may consume them.  Games are produced in chunks; the tier
+builder in votekit.pipeline streams them to disk for every n <= 8
+(16.2 million games and hours of CPU time at n = 8).
 """
 
 from __future__ import annotations
@@ -31,57 +31,26 @@ from .games import (
     _lower_neighbors,
     _upper_neighbors,
     canonical_table,
-    dominates,
     is_weighted,
     sorted_complete_representation,
 )
-from .indices import batch_ssi_numerators, batch_swing_counts
 
 __all__ = [
-    "ShiftPoset",
     "GameCatalog",
-    "enumerate_complete",
-    "enumerate_weighted",
+    "certificate_game",
     "enumerate_simple4",
-    "weighted_certificate",
     "iter_complete_chunks",
     "classify_weighted_chunk",
     "check_certified_count",
-    "write_catalog",
     "read_catalog",
+    "read_catalog_header",
     "CatalogWriter",
     "iter_catalog_masks",
     "CatalogFormatError",
 ]
 
-MAX_CATALOG_VOTERS = 7
 MAX_ENUMERATION_VOTERS = 8
 DEFAULT_CHUNK = 16384
-
-
-class ShiftPoset:
-    """The shift order on coalitions of n voters.
-
-    S <= T when T arises from S by adding members or trading a member for
-    a stronger one.  Complete simple games are exactly its up-sets.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self._lowers = _lower_neighbors(n)
-        self._uppers = _upper_neighbors(n)
-
-    def dominates(self, a: int, b: int) -> bool:
-        return dominates(a, b, self.n)
-
-    def lower_neighbors(self, mask: int) -> tuple[int, ...]:
-        return self._lowers[mask]
-
-    def upper_neighbors(self, mask: int) -> tuple[int, ...]:
-        return self._uppers[mask]
-
-    def linear_extension(self) -> tuple[int, ...]:
-        return _linear_extension(self.n)
 
 
 def _iter_labelings(order: Sequence[int], lowers: Sequence[Sequence[int]]) -> Iterator[bytearray]:
@@ -208,21 +177,22 @@ def check_certified_count(klass: str, n: int, count: int) -> None:
 
 
 class GameCatalog:
-    """An in-memory catalog of games of one class, with their tables.
+    """An in-memory catalog of games of one class.
 
     klass is "cg" (complete), "wg" (weighted, stored by their complete
-    form plus a certificate), or "sg4" (all simple games on 4 voters).
-    Power data attaches lazily per index kind and is cached.
+    form) or "sg4" (all simple games on 4 voters).  power maps an index
+    kind to (numerators, denominators) with one row per game.
+    certificates holds, for wg, one (quota, weights...) integer row per
+    game and, for sg4, a WeightedGame or None per game.
     """
 
-    def __init__(self, klass: str, n: int, games: list, tables: np.ndarray):
+    def __init__(self, klass: str, n: int, games: list, certificates=None):
         self.klass = klass
         self.n = n
         self.games = games
-        self.tables = tables
+        self.power: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.certificates = certificates
         self.weighted_flags: np.ndarray | None = None
-        self.certificates: list | None = None
-        self._power: dict[str, tuple[np.ndarray, object]] = {}
 
     def __len__(self) -> int:
         return len(self.games)
@@ -230,78 +200,20 @@ class GameCatalog:
     def __iter__(self):
         return iter(self.games)
 
-    def classify_weighted(self, workers: int = 1) -> None:
-        """Attach weightedness flags and certificates to every game."""
-        if self.weighted_flags is not None:
-            return
-        smw = [g.shift_minimal for g in self.games]
-        sml = shift_maximal_losing_families(self.tables, self.n)
-        if workers > 1:
-            results = _parallel_classify(self.n, smw, sml, workers)
-        else:
-            results = classify_weighted_chunk(self.n, smw, sml)
-        self.weighted_flags = np.array([r is not None for r in results], dtype=bool)
-        self.certificates = [
-            None if r is None else WeightedGame(r[0], r[1]) for r in results
-        ]
+    def power_data(self, kind: str):
+        """(numerators, denominators) for all games, one row each."""
+        if kind not in self.power:
+            raise ValueError(f"no {kind!r} vectors loaded for this {self.klass} catalog")
+        return self.power[kind]
 
-    def weighted_subset(self, workers: int = 1) -> "GameCatalog":
-        """The weighted games, as their own catalog with certificates."""
-        self.classify_weighted(workers)
-        idx = np.nonzero(self.weighted_flags)[0]
-        sub = GameCatalog(
-            "wg",
-            self.n,
-            [self.games[i] for i in idx],
-            self.tables[idx],
-        )
-        sub.weighted_flags = np.ones(len(idx), dtype=bool)
-        sub.certificates = [self.certificates[i] for i in idx]
-        if self.klass == "cg":
-            check_certified_count("wg", self.n, len(sub))
-        return sub
+    def certificate(self, i: int) -> WeightedGame:
+        """Stored weighted representation of game i of a wg catalog."""
+        return certificate_game(self.certificates[i])
 
-    def power_data(self, kind: str, chunk: int = DEFAULT_CHUNK):
-        """(numerators, denominator(s)) for all games: ssi shares one
-        denominator n!, pbi has one total per game."""
-        if kind not in self._power:
-            nums = np.empty((len(self), self.n), dtype=np.int64)
-            if kind == "ssi":
-                den = 1
-                for start in range(0, len(self), chunk):
-                    block, den = batch_ssi_numerators(self.tables[start : start + chunk])
-                    nums[start : start + block.shape[0]] = block
-                self._power[kind] = (nums, den)
-            elif kind == "pbi":
-                totals = np.empty(len(self), dtype=np.int64)
-                for start in range(0, len(self), chunk):
-                    block = batch_swing_counts(self.tables[start : start + chunk])
-                    nums[start : start + block.shape[0]] = block
-                    totals[start : start + block.shape[0]] = block.sum(axis=1)
-                self._power[kind] = (nums, totals)
-            else:
-                raise ValueError(f"unknown index kind {kind!r}")
-        return self._power[kind]
 
-    def attach_power(self, kind: str, nums: np.ndarray, dens) -> None:
-        """Install precomputed index data (e.g. reloaded from disk)."""
-        if nums.shape != (len(self), self.n):
-            raise ValueError(
-                f"power data shape {nums.shape} does not match catalog "
-                f"({len(self)}, {self.n})"
-            )
-        self._power[kind] = (nums, dens)
-
-    def certificate(self, i: int) -> WeightedGame | None:
-        """Weighted representation of game i, computing it if not stored."""
-        if self.certificates is not None and self.certificates[i] is not None:
-            return self.certificates[i]
-        g = self.games[i]
-        if isinstance(g, CompleteGame):
-            sml = shift_maximal_losing_families(self.tables[i : i + 1], self.n)[0]
-            r = sorted_complete_representation(self.n, g.shift_minimal, sml)
-            return None if r is None else WeightedGame(r[0], r[1])
-        return is_weighted(g)
+def certificate_game(row) -> WeightedGame:
+    """The weighted game of one stored (quota, weights...) row."""
+    return WeightedGame(int(row[0]), [int(w) for w in row[1:]])
 
 
 def _parallel_classify(n, smw, sml, workers):
@@ -317,44 +229,6 @@ def _parallel_classify(n, smw, sml, workers):
         for f in futures:
             out.extend(f.result())
     return out
-
-
-def enumerate_complete(
-    n: int,
-    classify: bool = False,
-    workers: int = 1,
-    progress: Callable[[int], None] | None = None,
-) -> GameCatalog:
-    """Catalog of all complete simple games with n voters (n <= 7).
-
-    The count is certified before the catalog is returned.  For n = 8 use
-    iter_complete_chunks and the streaming helpers instead.
-    """
-    if not 1 <= n <= MAX_CATALOG_VOTERS:
-        raise ValueError(
-            f"in-memory catalogs support 1..{MAX_CATALOG_VOTERS} voters; "
-            f"n = 8 is stream-only, larger n is out of range"
-        )
-    chunks = list(iter_complete_chunks(n, progress=progress))
-    tables = np.concatenate(chunks, axis=0) if len(chunks) > 1 else chunks[0]
-    check_certified_count("cg", n, tables.shape[0])
-    games = [
-        CompleteGame(n, masks, validate=False)
-        for masks in shift_minimal_families(tables, n)
-    ]
-    cat = GameCatalog("cg", n, games, tables)
-    if classify:
-        cat.classify_weighted(workers)
-    return cat
-
-
-def enumerate_weighted(
-    n: int, complete: GameCatalog | None = None, workers: int = 1
-) -> GameCatalog:
-    """Catalog of all weighted games with n voters (n <= 7), certified."""
-    if complete is None:
-        complete = enumerate_complete(n)
-    return complete.weighted_subset(workers)
 
 
 def enumerate_simple4() -> GameCatalog:
@@ -378,10 +252,9 @@ def enumerate_simple4() -> GameCatalog:
     tables = sorted(seen)
     check_certified_count("sg4", 4, len(tables))
     games = [ExplicitGame(n, t, validate=False) for t in tables]
-    cat = GameCatalog("sg4", n, games, np.array([g.np_table for g in games]))
     certs = [is_weighted(g) for g in games]
+    cat = GameCatalog("sg4", n, games, certificates=certs)
     cat.weighted_flags = np.array([c is not None for c in certs], dtype=bool)
-    cat.certificates = certs
     if int(cat.weighted_flags.sum()) != certified.SIMPLE_4_WEIGHTED:
         raise certified.CountMismatchError(
             "weighted sg4", certified.SIMPLE_4_WEIGHTED, int(cat.weighted_flags.sum())
@@ -390,16 +263,15 @@ def enumerate_simple4() -> GameCatalog:
 
 
 # ---------------------------------------------------------------------------
-# Binary catalog cache
+# Binary catalog file
 #
 # Layout (little-endian): magic "VKCAT1", u8 class tag, u8 n, u64 game
 # count, then per game a u16 coalition count followed by that many u32
-# coalition masks (shift-minimal winning for cg/wg, inclusion-minimal
-# winning for sg4).
+# shift-minimal winning coalition masks.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"VKCAT1"
-_CLASS_TAGS = {"cg": 0, "wg": 1, "sg4": 2}
+_CLASS_TAGS = {"cg": 0, "wg": 1}
 _TAG_CLASSES = {v: k for k, v in _CLASS_TAGS.items()}
 _HEADER = struct.Struct("<6sBBQ")
 
@@ -437,17 +309,6 @@ class CatalogWriter:
         return self.count
 
 
-def write_catalog(path, catalog: GameCatalog) -> None:
-    w = CatalogWriter(path, catalog.klass, catalog.n)
-    if catalog.klass == "sg4":
-        from .games import _minimal_winning
-
-        w.add_many([_minimal_winning(g) for g in catalog.games])
-    else:
-        w.add_many([g.shift_minimal for g in catalog.games])
-    w.close()
-
-
 def _read_header(fh, path):
     raw = fh.read(_HEADER.size)
     if len(raw) != _HEADER.size:
@@ -460,6 +321,12 @@ def _read_header(fh, path):
     if not 1 <= n <= MAX_ENUMERATION_VOTERS:
         raise CatalogFormatError(f"{path}: unsupported voter count {n}")
     return _TAG_CLASSES[tag], n, count
+
+
+def read_catalog_header(path) -> tuple[str, int, int]:
+    """(klass, n, game count) from a catalog file's header."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
 
 
 def iter_catalog_masks(path, chunk_size: int = DEFAULT_CHUNK):
@@ -497,44 +364,8 @@ def iter_catalog_masks(path, chunk_size: int = DEFAULT_CHUNK):
 
 
 def read_catalog(path) -> GameCatalog:
-    """Load a cached catalog (n <= 7), re-checking the certified count."""
+    """Load a catalog file's games, re-checking the certified count."""
     (klass, n, count), chunks = iter_catalog_masks(path)
-    if n > MAX_CATALOG_VOTERS:
-        for _ in chunks:
-            pass
-        raise CatalogFormatError(f"{path}: n = {n} catalogs must be streamed")
-    families: list[tuple[int, ...]] = []
-    for block in chunks:
-        families.extend(block)
-    if len(families) != count:
-        raise CatalogFormatError(f"{path}: header promises {count} games, found {len(families)}")
-    check_certified_count(klass, n, count)
-    if klass == "sg4":
-        from .games import _explicit_from_minimal_winning
-
-        games = [_explicit_from_minimal_winning(n, masks) for masks in families]
-        tables = np.array([g.np_table for g in games])
-        cat = GameCatalog(klass, n, games, tables)
-        return cat
-    games = [CompleteGame(n, masks, validate=False) for masks in families]
-    tables = np.empty((count, 1 << n), dtype=np.uint8)
-    for i, g in enumerate(games):
-        tables[i] = _unpack_table(g)
-    cat = GameCatalog(klass, n, games, tables)
-    if klass == "wg":
-        cat.weighted_flags = np.ones(count, dtype=bool)
-    return cat
-
-
-def _unpack_table(g: CompleteGame) -> np.ndarray:
-    size = 1 << g.n
-    raw = g.winning_bitset().to_bytes(max(1, size // 8), "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:size]
-
-
-def weighted_certificate(g: CompleteGame) -> WeightedGame | None:
-    """[q; w] witness for a lone complete game, None when there is none."""
-    tables = _unpack_table(g)[None, :]
-    sml = shift_maximal_losing_families(tables, g.n)[0]
-    r = sorted_complete_representation(g.n, g.shift_minimal, sml)
-    return None if r is None else WeightedGame(r[0], r[1])
+    games = [CompleteGame(n, masks, validate=False) for block in chunks for masks in block]
+    check_certified_count(klass, n, len(games))
+    return GameCatalog(klass, n, games)

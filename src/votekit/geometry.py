@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import math
-import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -34,11 +33,6 @@ __all__ = [
     "omega",
     "GapTracker",
     "GapReport",
-    "write_vectors",
-    "VectorWriter",
-    "read_vectors",
-    "iter_vector_chunks",
-    "VectorFormatError",
 ]
 
 PBI_KEY_SCALE = 1 << 20
@@ -412,126 +406,3 @@ def omega(cg_catalog, wg_store: VectorStore, metric: Metric) -> GapReport:
     nums, dens = cg_catalog.power_data(wg_store.kind)
     tracker.update(nums, dens, cg_catalog.games)
     return tracker.report(cg_catalog.n)
-
-
-# ---------------------------------------------------------------------------
-# Binary vector cache
-#
-# Layout (little-endian): magic "VKVEC1", u8 kind tag (0 = ssi, 1 = pbi),
-# u8 n, u64 vector count, then per vector n signed 64-bit numerators and
-# one unsigned 64-bit denominator.  Rows are per-game, aligned with the
-# catalog they were computed from.
-# ---------------------------------------------------------------------------
-
-_VEC_MAGIC = b"VKVEC1"
-_VEC_HEADER = struct.Struct("<6sBBQ")
-_KIND_TAGS = {"ssi": 0, "pbi": 1}
-_TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
-
-
-class VectorFormatError(ValueError):
-    pass
-
-
-def _vec_dtype(n: int):
-    return np.dtype([("nums", "<i8", (n,)), ("den", "<u8")])
-
-
-def write_vectors(path, kind: str, nums: np.ndarray, dens) -> None:
-    count, n = nums.shape
-    rec = np.empty(count, dtype=_vec_dtype(n))
-    rec["nums"] = nums
-    if np.isscalar(dens) or getattr(dens, "ndim", 1) == 0:
-        rec["den"] = int(dens)
-    else:
-        rec["den"] = dens
-    with open(path, "wb") as fh:
-        fh.write(_VEC_HEADER.pack(_VEC_MAGIC, _KIND_TAGS[kind], n, count))
-        rec.tofile(fh)
-
-
-class VectorWriter:
-    """Incremental vector-file writer; the count is patched on close so a
-    crashed run leaves an obviously truncated file (count > payload)."""
-
-    def __init__(self, path, kind: str, n: int):
-        self.path = path
-        self.kind = kind
-        self.n = n
-        self.count = 0
-        self._dtype = _vec_dtype(n)
-        self._fh = open(path, "wb")
-        self._fh.write(_VEC_HEADER.pack(_VEC_MAGIC, _KIND_TAGS[kind], n, 0))
-
-    def add(self, nums: np.ndarray, dens) -> None:
-        rows = len(nums)
-        if rows == 0:
-            return
-        rec = np.empty(rows, dtype=self._dtype)
-        rec["nums"] = nums
-        if np.isscalar(dens) or getattr(dens, "ndim", 1) == 0:
-            rec["den"] = int(dens)
-        else:
-            rec["den"] = dens
-        rec.tofile(self._fh)
-        self.count += rows
-
-    def close(self) -> None:
-        if self._fh is None:
-            return
-        self._fh.seek(8)
-        self._fh.write(struct.pack("<Q", self.count))
-        self._fh.close()
-        self._fh = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-
-
-def iter_vector_chunks(path, chunk_size: int = 65536):
-    """Header plus streamed (nums, dens) blocks from a vector file."""
-    fh = open(path, "rb")
-    try:
-        raw = fh.read(_VEC_HEADER.size)
-        if len(raw) != _VEC_HEADER.size:
-            raise VectorFormatError(f"{path}: truncated header")
-        magic, tag, n, count = _VEC_HEADER.unpack(raw)
-        if magic != _VEC_MAGIC:
-            raise VectorFormatError(f"{path}: bad magic {magic!r}")
-        if tag not in _TAG_KINDS:
-            raise VectorFormatError(f"{path}: unknown kind tag {tag}")
-    except Exception:
-        fh.close()
-        raise
-
-    def chunks():
-        try:
-            dtype = _vec_dtype(n)
-            remaining = count
-            while remaining:
-                take = min(chunk_size, remaining)
-                rec = np.fromfile(fh, dtype=dtype, count=take)
-                if len(rec) != take:
-                    raise VectorFormatError(f"{path}: truncated vector block")
-                remaining -= take
-                yield rec["nums"], rec["den"].astype(np.int64)
-        finally:
-            fh.close()
-
-    return (_TAG_KINDS[tag], n, count), chunks()
-
-
-def read_vectors(path) -> tuple[str, np.ndarray, np.ndarray]:
-    (kind, n, count), chunks = iter_vector_chunks(path)
-    nums = np.empty((count, n), dtype=np.int64)
-    dens = np.empty(count, dtype=np.int64)
-    at = 0
-    for block_nums, block_dens in chunks:
-        k = len(block_dens)
-        nums[at : at + k] = block_nums
-        dens[at : at + k] = block_dens
-        at += k
-    return kind, nums, dens

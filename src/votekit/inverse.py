@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .games import Game, WeightedGame, add_null_voters
-from .geometry import Metric, VectorStore, build_store, distance
+from .geometry import Metric, VectorStore, distance
 from .indices import PowerVector, decimal_str, power_vector, _factorials
 
 __all__ = [
@@ -146,26 +146,38 @@ class InverseResult:
         return decimal_str(self.distance)
 
 
-def inverse_exact(target: Target, metric: Metric, catalog, store: VectorStore | None = None) -> InverseResult:
+def inverse_exact(target: Target, metric: Metric, store: VectorStore, certificates) -> InverseResult:
     """True closest weighted game from a full catalog.
 
-    catalog must be a weighted-game catalog whose n matches the target;
-    pass a prebuilt store to skip rebuilding it.
+    store holds the deduplicated vectors of every weighted game with the
+    target's voter count, and certificates[i] is the (quota, weights...)
+    row of the game that store.reps points at.  Catalog games list their
+    voters strongest-first, so the target is searched sorted the same
+    way: by the rearrangement inequality, pairing both vectors in sorted
+    order minimises L1 and Linf distance over all relabellings.  The
+    game's weights and its vector are then mapped back to the target's
+    voter order, which leaves the distance unchanged.
     """
-    if catalog.n != target.n:
-        raise ValueError(f"catalog has {catalog.n} voters, target has {target.n}")
-    if store is None:
-        store = build_store(catalog, target.kind)
-    qnums, qden = target.common_ints()
+    n = target.n
+    if store.n != n:
+        raise ValueError(f"store has {store.n} voters, target has {n}")
+    order = sorted(range(n), key=lambda i: -target.values[i])
+    ranked = Target(target.kind, tuple(target.values[i] for i in order))
+    qnums, qden = ranked.common_ints()
     res = store.nearest(qnums, qden, metric)
-    rep = int(store.reps[res.index])
-    game = catalog.certificate(rep)
+    row = certificates[int(store.reps[res.index])]
+    found = store.vector(res.index)
+    weights = [0] * n
+    nums = [0] * n
+    for rank, voter in enumerate(order):
+        weights[voter] = int(row[1 + rank])
+        nums[voter] = found.nums[rank]
     return InverseResult(
         mode=InverseMode.EXACT_MIN,
         target=target,
         metric=metric,
-        game=game,
-        vector=store.vector(res.index),
+        game=WeightedGame(int(row[0]), weights),
+        vector=PowerVector(found.kind, nums, found.den),
         distance=res.dist,
         evaluations=len(store),
     )
@@ -424,14 +436,15 @@ def padded_target_search(
     *,
     budget: int = 800,
     seed: int = 0,
-    catalog=None,
     store: VectorStore | None = None,
+    certificates=None,
 ) -> PaddedSearchReport:
     """Pad each base game with null voters up to n, then approximate its
     power vector by a weighted game.
 
     Every resulting distance is achievable, so the largest of them lower
-    bounds the worst-case gap at n; with a catalog the per-target answers
+    bounds the worst-case gap at n; with the weighted store and
+    certificates of n voters (see inverse_exact) the per-target answers
     are exact minima, otherwise heuristic upper bounds of those minima.
     """
     if not bases:
@@ -443,10 +456,10 @@ def padded_target_search(
             raise ValueError(f"base game has {base.n} voters, more than the target {n}")
         padded = add_null_voters(base, pad)
         target = Target.from_vector(power_vector(padded, kind))
-        if catalog is not None:
-            results.append(inverse_exact(target, metric, catalog, store))
+        if store is not None:
+            results.append(inverse_exact(target, metric, store, certificates))
         else:
             results.append(inverse_heuristic(target, metric, budget=budget, seed=seed))
     bound = max(r.distance for r in results)
-    mode = InverseMode.EXACT_MIN if catalog is not None else InverseMode.HEURISTIC_UPPER_BOUND
+    mode = InverseMode.EXACT_MIN if store is not None else InverseMode.HEURISTIC_UPPER_BOUND
     return PaddedSearchReport(kind=kind, metric=metric, n=n, mode=mode, results=results, bound=bound)

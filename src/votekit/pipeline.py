@@ -1,15 +1,26 @@
-"""Disk-cache orchestration for catalogs and per-game index vectors.
+"""Disk cache of catalog tiers.
 
-Catalogs up to 7 voters are built in memory and cached as single files.
-The 8-voter tier never fits comfortably in memory, so one streaming pass
-writes both catalogs (complete and weighted) and all four vector files,
-certifying every count before the files are moved into place.  Gap
-computations at 8 voters then stream the cached vectors.
+A tier holds what is known about the complete games with n voters,
+1 <= n <= 8, as seven files written by one streamed pass:
+
+* cg{n}.cat and wg{n}.cat: the complete and the weighted games (VKCAT1);
+* {cg,wg}{n}.{ssi,pbi}.npy: one (numerators..., denominator) int64 row
+  per game, aligned with its catalog;
+* wg{n}.cert.npy: one (quota, weights...) int64 row per weighted game,
+  checked against the game's winning table before it is written.
+
+Every count is certified before any file is moved into place, so a tier
+is only ever installed whole.  Tiers below 8 voters are built on first
+use and rebuilt when a file is missing or unreadable; the 8-voter tier
+takes hours and is built only by build_big_tables.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import tempfile
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -25,29 +36,16 @@ from .enumeration import (
     _parallel_classify,
     check_certified_count,
     classify_weighted_chunk,
-    enumerate_complete,
     enumerate_simple4,
     iter_catalog_masks,
     iter_complete_chunks,
     read_catalog,
+    read_catalog_header,
     shift_maximal_losing_families,
     shift_minimal_families,
-    write_catalog,
 )
 from .games import CompleteGame
-from .geometry import (
-    GapReport,
-    GapTracker,
-    Metric,
-    VectorFormatError,
-    VectorStore,
-    VectorWriter,
-    _reduced_rows,
-    iter_vector_chunks,
-    read_vectors,
-    store_from_rows,
-    write_vectors,
-)
+from .geometry import GapReport, GapTracker, Metric, VectorStore, _reduced_rows, store_from_rows
 from .indices import KINDS, batch_ssi_numerators, batch_swing_counts
 
 __all__ = [
@@ -55,17 +53,26 @@ __all__ = [
     "default_cache_dir",
     "catalog_path",
     "vector_path",
+    "certificate_path",
+    "tier_present",
+    "build_tier",
+    "build_big_tables",
+    "ensure_tier",
     "ensure_catalog",
     "ensure_vectors",
     "ensure_store",
-    "big_files_present",
-    "build_big_tables",
-    "load_big_store",
-    "omega_big",
+    "weighted_store",
+    "load_certificates",
+    "omega_tier",
     "fetch_catalog_games",
 ]
 
 BIG_N = 8
+_CLASSES = ("cg", "wg")
+# Rows per streamed block of a vector file; bounds memory at 8 voters.
+_SCAN = 1 << 16
+# Certificates per block of the check; its int64 product stays near 2 MB.
+_CERT_BLOCK = 1024
 
 
 def default_cache_dir() -> Path:
@@ -84,68 +91,140 @@ def catalog_path(cache_dir, klass: str, n: int) -> Path:
 
 
 def vector_path(cache_dir, klass: str, n: int, kind: str) -> Path:
-    return Path(cache_dir) / f"{klass}{n}.{kind}.vec"
+    return Path(cache_dir) / f"{klass}{n}.{kind}.npy"
 
 
-def ensure_catalog(
-    klass: str,
-    n: int,
-    cache_dir=None,
-    workers: int = 1,
-    progress: Callable[[int], None] | None = None,
-) -> GameCatalog:
-    """Load a catalog from cache, building and caching it on a miss.
+def certificate_path(cache_dir, n: int) -> Path:
+    return Path(cache_dir) / f"wg{n}.cert.npy"
 
-    A cache file that fails to parse or certify is discarded and rebuilt.
-    A fresh build that fails certification raises CountMismatchError.
+
+def _tier_paths(cache_dir, n: int) -> dict[str, Path]:
+    out = {f"{klass}.cat": catalog_path(cache_dir, klass, n) for klass in _CLASSES}
+    for klass in _CLASSES:
+        for kind in KINDS:
+            out[f"{klass}.{kind}"] = vector_path(cache_dir, klass, n, kind)
+    out["wg.cert"] = certificate_path(cache_dir, n)
+    return out
+
+
+def tier_present(n: int, cache_dir=None) -> bool:
+    return all(p.exists() for p in _tier_paths(_resolve(cache_dir), n).values())
+
+
+def _certified_count(klass: str, n: int) -> int:
+    counts = certified.COMPLETE_COUNTS if klass == "cg" else certified.WEIGHTED_COUNTS
+    return counts[n]
+
+
+# ---------------------------------------------------------------------------
+# Reading tier files
+# ---------------------------------------------------------------------------
+
+
+def _read_rows(path: Path, rows: int, cols: int) -> np.ndarray:
+    """A tier .npy file, memory-mapped, as an int64 matrix of the expected shape."""
+    try:
+        arr = np.load(path, mmap_mode="r")
+    except (ValueError, EOFError) as exc:
+        raise CatalogFormatError(f"{path}: {exc}") from None
+    if arr.dtype != np.int64 or arr.shape != (rows, cols):
+        raise CatalogFormatError(
+            f"{path}: expected int64 rows of shape {(rows, cols)}, found {arr.dtype} {arr.shape}"
+        )
+    return arr
+
+
+def _load_vectors(cache_dir, klass: str, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """(numerators, denominators) of a vector file, every row checked:
+    numerators sum to their denominator, which is n! for ssi."""
+    path = vector_path(cache_dir, klass, n, kind)
+    rows = _read_rows(path, _certified_count(klass, n), n + 1)
+    for start in range(0, len(rows), _SCAN):
+        block = rows[start : start + _SCAN]
+        dens = block[:, n]
+        ok = np.array_equal(block[:, :n].sum(axis=1), dens)
+        if kind == "ssi":
+            ok = ok and bool((dens == math.factorial(n)).all())
+        if not ok:
+            raise CatalogFormatError(f"{path}: rows are not {kind} vectors")
+    return rows[:, :n], rows[:, n]
+
+
+def load_certificates(n: int, cache_dir=None) -> np.ndarray:
+    """The (quota, weights...) rows of the n-voter weighted games."""
+    path = certificate_path(_resolve(cache_dir), n)
+    return _read_rows(path, _certified_count("wg", n), n + 1)
+
+
+def _check_tier(n: int, cache_dir: Path) -> None:
+    """Raise unless every tier file is present with its certified shape."""
+    for klass in _CLASSES:
+        path = catalog_path(cache_dir, klass, n)
+        header = read_catalog_header(path)
+        if header != (klass, n, _certified_count(klass, n)):
+            raise CatalogFormatError(f"{path}: header {header} is not the certified {klass}{n} catalog")
+        for kind in KINDS:
+            _load_vectors(cache_dir, klass, n, kind)
+    load_certificates(n, cache_dir)
+
+
+def _load_tier(n: int, cache_dir, workers: int, load: Callable[[Path], object]):
+    """load(cache_dir) once every file of the n-voter tier checks out.
+
+    Below 8 voters a missing or unreadable file rebuilds the whole tier
+    first.
     """
     cache_dir = _resolve(cache_dir)
-    path = catalog_path(cache_dir, klass, n)
-    if path.exists():
-        try:
-            return read_catalog(path)
-        except (CatalogFormatError, CountMismatchError, OSError):
-            path.unlink(missing_ok=True)
+
+    def checked():
+        _check_tier(n, cache_dir)
+        return load(cache_dir)
+
+    if n == BIG_N:
+        return checked()
+    try:
+        return checked()
+    except (CatalogFormatError, CountMismatchError, OSError):
+        build_tier(n, cache_dir, workers)
+    return checked()
+
+
+def ensure_tier(n: int, cache_dir=None, workers: int = 1) -> Path:
+    """The cache directory, holding a checked n-voter tier."""
+    return _load_tier(n, cache_dir, workers, lambda cache: cache)
+
+
+def ensure_catalog(klass: str, n: int, cache_dir=None, workers: int = 1) -> GameCatalog:
+    """A cg or wg catalog with its vectors (and, for wg, certificates)
+    loaded from its tier.
+
+    The 4-voter simple-game catalog ("sg4") takes hundredths of a second
+    to enumerate and is not cached.
+    """
     if klass == "sg4":
         if n != 4:
             raise ValueError("the simple-game catalog is only built for 4 voters")
-        cat = enumerate_simple4()
-    elif klass == "cg":
-        cat = enumerate_complete(n, progress=progress)
-    elif klass == "wg":
-        base = ensure_catalog("cg", n, cache_dir, workers, progress)
-        cat = base.weighted_subset(workers)
-    else:
+        return enumerate_simple4()
+    if klass not in _CLASSES:
         raise ValueError(f"unknown catalog class {klass!r}")
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    tmp = Path(str(path) + ".tmp")
-    write_catalog(tmp, cat)
-    os.replace(tmp, path)
-    return cat
+
+    def load(cache: Path) -> GameCatalog:
+        cat = read_catalog(catalog_path(cache, klass, n))
+        cat.power = {kind: _load_vectors(cache, klass, n, kind) for kind in KINDS}
+        if klass == "wg":
+            cat.certificates = load_certificates(n, cache)
+        return cat
+
+    return _load_tier(n, cache_dir, workers, load)
 
 
 def ensure_vectors(catalog: GameCatalog, kind: str, cache_dir=None):
-    """Per-game index vectors for a catalog, cached on disk.
+    """(numerators, denominators) per game of a catalog.
 
-    Installs the data on the catalog and returns (numerators, dens).
+    ensure_catalog loads a tier's vectors with its catalog, so nothing is
+    read here and cache_dir goes unused.
     """
-    cache_dir = _resolve(cache_dir)
-    path = vector_path(cache_dir, catalog.klass, catalog.n, kind)
-    if path.exists():
-        try:
-            got_kind, nums, dens = read_vectors(path)
-            if got_kind == kind and nums.shape == (len(catalog), catalog.n):
-                catalog.attach_power(kind, nums, dens)
-                return nums, dens
-        except (VectorFormatError, OSError):
-            pass
-        path.unlink(missing_ok=True)
-    nums, dens = catalog.power_data(kind)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    tmp = Path(str(path) + ".tmp")
-    write_vectors(tmp, kind, nums, dens)
-    os.replace(tmp, path)
-    return nums, dens
+    return catalog.power_data(kind)
 
 
 def ensure_store(
@@ -153,12 +232,20 @@ def ensure_store(
 ) -> tuple[GameCatalog, VectorStore]:
     """Catalog plus deduplicated nearest-neighbour store, via the cache."""
     cat = ensure_catalog(klass, n, cache_dir, workers)
-    nums, dens = ensure_vectors(cat, kind, cache_dir)
+    nums, dens = cat.power_data(kind)
     return cat, store_from_rows(kind, n, nums, dens)
 
 
+def weighted_store(n: int, kind: str, cache_dir=None) -> tuple[VectorStore, np.ndarray]:
+    """The deduplicated weighted-game vectors of a tier on disk, plus the
+    certificate rows that the store's reps index."""
+    cache_dir = _resolve(cache_dir)
+    nums, dens = _load_vectors(cache_dir, "wg", n, kind)
+    return store_from_rows(kind, n, nums, dens), load_certificates(n, cache_dir)
+
+
 # ---------------------------------------------------------------------------
-# The 8-voter tier: streamed build, certified, then streamed queries
+# Building a tier: one streamed pass, certified, then installed
 # ---------------------------------------------------------------------------
 
 
@@ -195,19 +282,127 @@ class _UniqueAccumulator:
         return 0 if self.base is None else len(self.base)
 
 
-def _big_paths(cache_dir) -> list[Path]:
-    out = [catalog_path(cache_dir, klass, BIG_N) for klass in ("cg", "wg")]
-    out += [
-        vector_path(cache_dir, klass, BIG_N, kind)
-        for klass in ("cg", "wg")
-        for kind in KINDS
-    ]
-    return out
+def _check_certificates(n: int, certs: np.ndarray, tables: np.ndarray, widx: list[int]) -> None:
+    """Raise unless each [q; w] row wins on exactly the coalitions its
+    game's table marks winning.  Coalition weights come from one product
+    with the coalition-membership matrix per block."""
+    members = (np.arange(1 << n, dtype=np.int64)[None, :] >> np.arange(n)[:, None]) & 1
+    for start in range(0, len(certs), _CERT_BLOCK):
+        block = certs[start : start + _CERT_BLOCK]
+        wins = block[:, 1:] @ members >= block[:, :1]
+        want = tables[widx[start : start + _CERT_BLOCK]].astype(bool)
+        bad = int(np.count_nonzero((wins != want).any(axis=1)))
+        if bad:
+            raise CountMismatchError(
+                f"wg({n}) certificates reproducing their games", len(block), len(block) - bad
+            )
 
 
-def big_files_present(cache_dir=None) -> bool:
+def _write_chunk(n, tables, workers, cats, files, accs) -> None:
+    """Classify one chunk of complete games and append it to every file.
+    Kept apart so that the chunk's arrays are freed before the next one."""
+    smw = shift_minimal_families(tables, n)
+    sml = shift_maximal_losing_families(tables, n)
+    ssi_nums, ssi_den = batch_ssi_numerators(tables)
+    pbi_nums = batch_swing_counts(tables)
+    vectors = {
+        "ssi": np.column_stack([ssi_nums, np.full(len(tables), ssi_den, dtype=np.int64)]),
+        "pbi": np.column_stack([pbi_nums, pbi_nums.sum(axis=1)]),
+    }
+    if workers > 1:
+        results = _parallel_classify(n, smw, sml, workers)
+    else:
+        results = classify_weighted_chunk(n, smw, sml)
+    widx = [i for i, r in enumerate(results) if r is not None]
+    certs = np.array(
+        [(r[0], *r[1]) for r in results if r is not None], dtype=np.int64
+    ).reshape(-1, n + 1)
+    _check_certificates(n, certs, tables, widx)
+
+    cats["cg"].add_many(smw)
+    cats["wg"].add_many([smw[i] for i in widx])
+    for kind, rows in vectors.items():
+        for klass, part in (("cg", rows), ("wg", rows[widx])):
+            part.astype("<i8", copy=False).tofile(files[f"{klass}.{kind}"])
+            accs[f"{klass}.{kind}"].add(_reduced_rows(part[:, :n], part[:, n])[0])
+    certs.astype("<i8", copy=False).tofile(files["wg.cert"])
+
+
+def _write_tier(n, tmps, workers, progress, chunk_size) -> dict[str, int]:
+    """Stream every complete game with n voters into the temp files."""
+    expected = {klass: _certified_count(klass, n) for klass in _CLASSES}
+    total = expected["cg"]
+    vector_keys = [f"{klass}.{kind}" for klass in _CLASSES for kind in KINDS]
+    accs = {key: _UniqueAccumulator() for key in vector_keys}
+    with ExitStack() as stack:
+        cats = {}
+        for klass in _CLASSES:
+            cats[klass] = CatalogWriter(tmps[f"{klass}.cat"], klass, n)
+            stack.callback(cats[klass].close)
+        files = {}
+        for key in [*vector_keys, "wg.cert"]:
+            files[key] = stack.enter_context(open(tmps[key], "wb"))
+            shape = (expected[key.partition(".")[0]], n + 1)
+            np.lib.format.write_array_header_1_0(
+                files[key], {"descr": "<i8", "fortran_order": False, "shape": shape}
+            )
+        done = 0
+        for tables in iter_complete_chunks(n, chunk_size):
+            _write_chunk(n, tables, workers, cats, files, accs)
+            done += tables.shape[0]
+            if progress is not None:
+                progress(done, total)
+        counts = {klass: cats[klass].count for klass in _CLASSES}
+
+    for klass in _CLASSES:
+        check_certified_count(klass, n, counts[klass])
+    for key, acc in accs.items():
+        klass, kind = key.split(".")
+        got = acc.count()
+        counts[key] = got
+        want = certified.DISTINCT_VECTOR_COUNTS[klass, kind].get(n)
+        if want is not None and got != want:
+            raise CountMismatchError(f"distinct {kind} vectors over {klass} ({n} voters)", want, got)
+    return counts
+
+
+def build_tier(
+    n: int,
+    cache_dir=None,
+    workers: int = 1,
+    progress: Callable[[int, int], None] | None = None,
+    chunk_size: int = DEFAULT_CHUNK,
+) -> dict[str, int]:
+    """Enumerate the complete games with n voters once, writing the tier.
+
+    Classifies every game, checks every certificate against its game,
+    certifies game counts and distinct-vector counts against the frozen
+    values, and only then moves the files into place.  progress(done,
+    total) is called after every chunk.  Files are written under unique
+    temporary names in cache_dir, so concurrent builds do not collide;
+    any exception, one raised from progress included, removes them all.
+
+    Returns the certified counts by label.
+    """
+    if not 1 <= n <= BIG_N:
+        raise ValueError(f"tiers exist for 1..{BIG_N} voters, got {n}")
     cache_dir = _resolve(cache_dir)
-    return all(p.exists() for p in _big_paths(cache_dir))
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    finals = _tier_paths(cache_dir, n)
+    tmps: dict[str, Path] = {}
+    try:
+        for key, final in finals.items():
+            fd, name = tempfile.mkstemp(prefix=final.name + ".", suffix=".tmp", dir=cache_dir)
+            os.close(fd)
+            tmps[key] = Path(name)
+        counts = _write_tier(n, tmps, workers, progress, chunk_size)
+        for key, tmp in tmps.items():
+            os.replace(tmp, finals[key])
+    except BaseException:
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
+        raise
+    return counts
 
 
 def build_big_tables(
@@ -216,96 +411,13 @@ def build_big_tables(
     progress: Callable[[int, int], None] | None = None,
     chunk_size: int = DEFAULT_CHUNK,
 ) -> dict[str, int]:
-    """Enumerate the 8-voter complete games once, writing everything.
-
-    Produces cg8/wg8 catalogs and the four vector files, certifies game
-    counts and distinct-vector counts against the frozen values, and only
-    then moves the files into place.  This takes hours of CPU time.
-
-    Returns the certified counts by label.
-    """
-    cache_dir = _resolve(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    total = certified.COMPLETE_COUNTS[BIG_N]
-    finals = _big_paths(cache_dir)
-    tmps = [Path(str(p) + ".tmp") for p in finals]
-    cg_cat = CatalogWriter(tmps[0], "cg", BIG_N)
-    wg_cat = CatalogWriter(tmps[1], "wg", BIG_N)
-    vecw = {
-        ("cg", "ssi"): VectorWriter(tmps[2], "ssi", BIG_N),
-        ("cg", "pbi"): VectorWriter(tmps[3], "pbi", BIG_N),
-        ("wg", "ssi"): VectorWriter(tmps[4], "ssi", BIG_N),
-        ("wg", "pbi"): VectorWriter(tmps[5], "pbi", BIG_N),
-    }
-    accs = {key: _UniqueAccumulator() for key in vecw}
-    done = 0
-    try:
-        for tables in iter_complete_chunks(BIG_N, chunk_size):
-            smw = shift_minimal_families(tables, BIG_N)
-            sml = shift_maximal_losing_families(tables, BIG_N)
-            ssi_nums, ssi_den = batch_ssi_numerators(tables)
-            pbi_nums = batch_swing_counts(tables)
-            pbi_totals = pbi_nums.sum(axis=1)
-
-            cg_cat.add_many(smw)
-            vecw["cg", "ssi"].add(ssi_nums, ssi_den)
-            vecw["cg", "pbi"].add(pbi_nums, pbi_totals)
-            accs["cg", "ssi"].add(_reduced_rows(ssi_nums, ssi_den)[0])
-            accs["cg", "pbi"].add(_reduced_rows(pbi_nums, pbi_totals)[0])
-
-            if workers > 1:
-                results = _parallel_classify(BIG_N, smw, sml, workers)
-            else:
-                results = classify_weighted_chunk(BIG_N, smw, sml)
-            widx = [i for i, r in enumerate(results) if r is not None]
-            wg_cat.add_many([smw[i] for i in widx])
-            vecw["wg", "ssi"].add(ssi_nums[widx], ssi_den)
-            vecw["wg", "pbi"].add(pbi_nums[widx], pbi_totals[widx])
-            accs["wg", "ssi"].add(_reduced_rows(ssi_nums[widx], ssi_den)[0])
-            accs["wg", "pbi"].add(_reduced_rows(pbi_nums[widx], pbi_totals[widx])[0])
-
-            done += tables.shape[0]
-            if progress is not None:
-                progress(done, total)
-
-        counts = {"cg": cg_cat.count, "wg": wg_cat.count}
-        check_certified_count("cg", BIG_N, counts["cg"])
-        check_certified_count("wg", BIG_N, counts["wg"])
-        for (klass, kind), acc in accs.items():
-            got = acc.count()
-            expected = certified.DISTINCT_VECTOR_COUNTS[klass, kind][BIG_N]
-            counts[f"{klass}.{kind}"] = got
-            if got != expected:
-                raise CountMismatchError(
-                    f"distinct {kind} vectors over {klass} ({BIG_N} voters)",
-                    expected,
-                    got,
-                )
-    except BaseException:
-        cg_cat.close()
-        wg_cat.close()
-        for w in vecw.values():
-            w.close()
-        for tmp in tmps:
-            tmp.unlink(missing_ok=True)
-        raise
-    cg_cat.close()
-    wg_cat.close()
-    for w in vecw.values():
-        w.close()
-    for tmp, final in zip(tmps, finals):
-        os.replace(tmp, final)
-    return counts
+    """The 8-voter tier; hours of CPU time.  See build_tier."""
+    return build_tier(BIG_N, cache_dir, workers, progress, chunk_size)
 
 
-def load_big_store(cache_dir, kind: str) -> VectorStore:
-    """Weighted-game vector store at 8 voters, from the cached file."""
-    cache_dir = _resolve(cache_dir)
-    path = vector_path(cache_dir, "wg", BIG_N, kind)
-    got_kind, nums, dens = read_vectors(path)
-    if got_kind != kind or nums.shape != (certified.WEIGHTED_COUNTS[BIG_N], BIG_N):
-        raise VectorFormatError(f"{path}: not the certified wg{BIG_N} {kind} data")
-    return store_from_rows(kind, BIG_N, nums, dens)
+# ---------------------------------------------------------------------------
+# Streamed queries
+# ---------------------------------------------------------------------------
 
 
 class _NoGames:
@@ -337,41 +449,39 @@ def fetch_catalog_games(path, indices: Iterable[int]) -> dict[int, CompleteGame]
     return out
 
 
-def omega_big(
+def omega_tier(
+    n: int,
     cache_dir=None,
     kinds: Iterable[str] = KINDS,
     metrics: Iterable = (Metric.L1, Metric.LINF),
     progress: Callable[[str, int, int], None] | None = None,
 ) -> dict[tuple[str, str], GapReport]:
-    """Gap reports at 8 voters, streamed from the cached vector files.
+    """Gap reports at n voters, streamed from the tier's vector files.
 
-    Requires the files from build_big_tables.  Returns one report per
-    (index kind, metric) pair, attaining games included.
+    Returns one report per (index kind, metric) pair, attaining games
+    included; nearest_index is a row of the weighted catalog.
     """
     cache_dir = _resolve(cache_dir)
     metrics = [Metric.parse(m) if not isinstance(m, Metric) else m for m in metrics]
     reports: dict[tuple[str, str], GapReport] = {}
     for kind in kinds:
-        store = load_big_store(cache_dir, kind)
+        store, _ = weighted_store(n, kind, cache_dir)
         trackers = {metric: GapTracker(store, metric) for metric in metrics}
-        (_, _, count), chunks = iter_vector_chunks(
-            vector_path(cache_dir, "cg", BIG_N, kind)
-        )
-        offset = 0
-        none_games = _NoGames()
-        for nums, dens in chunks:
+        nums, dens = _load_vectors(cache_dir, "cg", n, kind)
+        count = len(nums)
+        for start in range(0, count, _SCAN):
+            stop = min(start + _SCAN, count)
             for tracker in trackers.values():
-                tracker.update(nums, dens, none_games, offset=offset)
-            offset += len(nums)
+                tracker.update(nums[start:stop], dens[start:stop], _NoGames(), offset=start)
             if progress is not None:
-                progress(kind, offset, count)
+                progress(kind, stop, count)
         needed = {
             idx for tracker in trackers.values() for idx, _, _ in tracker.attaining
         }
-        games = fetch_catalog_games(catalog_path(cache_dir, "cg", BIG_N), needed)
+        games = fetch_catalog_games(catalog_path(cache_dir, "cg", n), needed)
         for metric, tracker in trackers.items():
             tracker.attaining = [
                 (idx, games[idx], vec) for idx, _, vec in tracker.attaining
             ]
-            reports[kind, metric.value] = tracker.report(BIG_N)
+            reports[kind, metric.value] = tracker.report(n)
     return reports

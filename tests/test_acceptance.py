@@ -186,9 +186,8 @@ def test_criterion_4_table_two(criterion, catalogs, vectors, stores):
         # ... because every non-weighted complete game's vector is also
         # hit by some weighted game.  Check all 60 at n = 6, both kinds.
         cg6 = catalogs("cg", 6)
-        if cg6.weighted_flags is None:
-            cg6.classify_weighted()
-        nonweighted = np.nonzero(~cg6.weighted_flags)[0]
+        weighted = {g.shift_minimal for g in catalogs("wg", 6)}
+        nonweighted = [i for i, g in enumerate(cg6) if g.shift_minimal not in weighted]
         assert len(nonweighted) == 1171 - 1111 == 60
         for kind in ("ssi", "pbi"):
             nums, dens = vectors("cg", 6, kind)
@@ -233,8 +232,8 @@ def test_criterion_6_gaps_at_eight(criterion, cache_dir):
     from votekit.pipeline import (
         build_big_tables,
         catalog_path,
-        load_big_store,
-        omega_big,
+        omega_tier,
+        weighted_store,
     )
 
     with criterion("6 gaps at n=8") as info:
@@ -248,7 +247,7 @@ def test_criterion_6_gaps_at_eight(criterion, cache_dir):
         big = None
         for c in candidates:
             try:
-                load_big_store(c, "ssi")
+                weighted_store(8, "ssi", c)
                 big = c
                 break
             except Exception:
@@ -274,10 +273,10 @@ def test_criterion_6_gaps_at_eight(criterion, cache_dir):
             chunks.close()
 
         for kind in ("ssi", "pbi"):
-            store = load_big_store(big, kind)
+            store, _ = weighted_store(8, kind, big)
             assert len(store) == DISTINCT_VECTOR_COUNTS[("wg", kind)][8]
 
-        reports = omega_big(big, kinds=("ssi", "pbi"), metrics=(Metric.L1, Metric.LINF))
+        reports = omega_tier(8, big, kinds=("ssi", "pbi"), metrics=(Metric.L1, Metric.LINF))
         for (kind, metric), rep in reports.items():
             assert rep.decimal == OMEGA_DECIMALS[(8, kind, metric)]
             assert rep.attaining, "a positive gap needs attaining games"

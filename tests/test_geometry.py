@@ -5,20 +5,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from votekit.enumeration import CatalogFormatError
 from votekit.geometry import (
     GapTracker,
     Metric,
-    VectorFormatError,
-    VectorWriter,
     build_store,
     count_distinct,
     distance,
     omega,
-    read_vectors,
     store_from_rows,
-    write_vectors,
 )
-from votekit.indices import PowerVector, ssi
+from votekit.indices import PowerVector, pbi, ssi
+from votekit.pipeline import build_tier, vector_path
 
 from oracles import linear_nearest, store_rows
 
@@ -136,40 +134,50 @@ def test_gap_tracker_chunks_match_one_shot():
     assert b.worst_vector is not None and b.nearest_vector is not None
 
 
-def test_vector_io_round_trip(tmp_path):
-    nums = np.array([[2, 1, 0], [1, 1, 1]], dtype=np.int64)
-    path = tmp_path / "toy.vec"
-    write_vectors(path, "ssi", nums, 3)
-    kind, back_nums, back_dens = read_vectors(path)
-    assert kind == "ssi"
-    assert np.array_equal(back_nums, nums)
-    assert np.array_equal(np.broadcast_to(back_dens, (2,)), np.array([3, 3]))
+def test_vector_io_round_trip(tmp_path, catalogs):
+    """Vector files are plain .npy matrices: numerators, then the
+    denominator, one row per catalog game."""
+    build_tier(4, tmp_path)
+    for klass in ("cg", "wg"):
+        cat = catalogs(klass, 4)
+        for kind in ("ssi", "pbi"):
+            rows = np.load(vector_path(tmp_path, klass, 4, kind))
+            nums, dens = cat.power_data(kind)
+            assert rows.dtype == np.int64 and rows.shape == (len(cat), 5)
+            assert np.array_equal(rows[:, :4], nums) and np.array_equal(rows[:, 4], dens)
+            for i, g in enumerate(cat):
+                assert PowerVector(kind, rows[i, :4], rows[i, 4]) == (ssi(g) if kind == "ssi" else pbi(g))
 
 
 def test_vector_writer_streams_like_one_shot(tmp_path):
-    nums = np.array([[2, 1, 0], [1, 1, 1], [3, 0, 0]], dtype=np.int64)
-    dens = np.array([3, 3, 3], dtype=np.int64)
-    a, b = tmp_path / "a.vec", tmp_path / "b.vec"
-    write_vectors(a, "pbi", nums, dens)
-    with VectorWriter(b, "pbi", 3) as w:
-        w.add(nums[:1], dens[:1])
-        w.add(nums[1:], dens[1:])
-    assert a.read_bytes() == b.read_bytes()
+    """Rows appended chunk by chunk under a header written up front give
+    the same bytes as saving the whole matrix at once."""
+    build_tier(5, tmp_path / "streamed", chunk_size=16)
+    build_tier(5, tmp_path / "whole")
+    for kind in ("ssi", "pbi"):
+        streamed = vector_path(tmp_path / "streamed", "cg", 5, kind)
+        np.save(tmp_path / "one.npy", np.load(streamed))
+        assert streamed.read_bytes() == (tmp_path / "one.npy").read_bytes()
+        assert streamed.read_bytes() == vector_path(tmp_path / "whole", "cg", 5, kind).read_bytes()
 
 
 def test_vector_io_detects_corruption(tmp_path):
-    nums = np.array([[2, 1, 0]], dtype=np.int64)
-    path = tmp_path / "bad.vec"
-    write_vectors(path, "ssi", nums, 3)
-    raw = bytearray(path.read_bytes())
-    raw[0] ^= 0xFF
-    path.write_bytes(bytes(raw))
-    with pytest.raises(VectorFormatError):
-        read_vectors(path)
-    write_vectors(path, "ssi", nums, 3)
-    path.write_bytes(path.read_bytes()[:-3])
-    with pytest.raises(VectorFormatError):
-        read_vectors(path)
+    from votekit.pipeline import _load_vectors
+
+    build_tier(3, tmp_path)
+    path = vector_path(tmp_path, "cg", 3, "ssi")
+    good = path.read_bytes()
+    for bad in (b"garbage", good[:-3], b""):
+        path.write_bytes(bad)
+        with pytest.raises(CatalogFormatError):
+            _load_vectors(tmp_path, "cg", 3, "ssi")
+    rows = np.load(vector_path(tmp_path, "cg", 3, "pbi"))
+    np.save(path, rows)  # right shape, but pbi rows: denominators other than 3! = 6
+    with pytest.raises(CatalogFormatError, match="not ssi vectors"):
+        _load_vectors(tmp_path, "cg", 3, "ssi")
+    path.write_bytes(good)
+    nums, dens = _load_vectors(tmp_path, "cg", 3, "ssi")
+    assert nums.shape == (8, 3) and set(dens.tolist()) == {6}
 
 
 def test_build_store_from_catalog(catalogs):

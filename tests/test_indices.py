@@ -107,8 +107,9 @@ def test_power_vector_dispatch():
 
 def test_batch_paths_match_scalar(catalogs):
     cat = catalogs("cg", 5)
-    swings = batch_swing_counts(cat.tables)
-    nums, den = batch_ssi_numerators(cat.tables)
+    tables = np.array([to_explicit(g).np_table for g in cat])
+    swings = batch_swing_counts(tables)
+    nums, den = batch_ssi_numerators(tables)
     for i, g in enumerate(cat):
         assert tuple(int(x) for x in swings[i]) == swing_counts(g).counts
         expect = ssi(g).fractions()

@@ -1,31 +1,47 @@
-"""Cache orchestration: rebuild behaviour and the streamed big-tier build.
+"""Cache orchestration: the streamed tier build and rebuild behaviour.
 
-The streaming builder is aimed at the 8-voter tier, but nothing in it
-depends on the width beyond the BIG_N constant.  Retargeting it at 6
-voters runs the whole pass (enumeration, classification, vector files,
-count certification, atomic installs, streamed gap queries) in seconds
-against fully known counts.
+build_tier is the only builder of cg/wg catalogs for every n <= 8.  At 6
+voters the whole pass (enumeration, classification, certificate checks,
+vector files, count certification, atomic installs, streamed gap
+queries) runs in seconds against fully known counts.
 """
+
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from votekit import certified, pipeline
 from votekit.certified import CountMismatchError
 from votekit.enumeration import CatalogFormatError, read_catalog
-from votekit.geometry import _reduced_rows, read_vectors, write_vectors
+from votekit.games import WeightedGame, shift_minimal_winning, sort_by_desirability, to_explicit
 from votekit.pipeline import (
     _UniqueAccumulator,
-    big_files_present,
-    build_big_tables,
+    build_tier,
     catalog_path,
+    certificate_path,
     ensure_catalog,
     ensure_vectors,
     fetch_catalog_games,
-    load_big_store,
-    omega_big,
+    load_certificates,
+    omega_tier,
+    tier_present,
     vector_path,
+    weighted_store,
 )
+
+from oracles import pbi_swings_by_subsets, ssi_by_permutations
+
+
+def tier_files(cache, n):
+    return sorted(p.name for p in pipeline._tier_paths(cache, n).values())
 
 
 def test_unique_accumulator_counts_distinct_rows():
@@ -49,37 +65,43 @@ def test_ensure_catalog_rejects_unknown_class(tmp_path):
 def test_ensure_catalog_sg4_requires_four_voters(tmp_path):
     with pytest.raises(ValueError, match="4 voters"):
         ensure_catalog("sg4", 5, tmp_path)
+    assert len(ensure_catalog("sg4", 4, tmp_path)) == certified.SIMPLE_4_TOTAL
+    assert list(tmp_path.iterdir()) == []  # sg4 is never cached
 
 
-def test_ensure_vectors_discards_wrong_kind_cache(tmp_path, catalogs):
-    cat = catalogs("wg", 3)
+def test_ensure_vectors_discards_wrong_kind_cache(tmp_path):
+    build_tier(3, tmp_path)
     path = vector_path(tmp_path, "wg", 3, "ssi")
-    pbi_nums, pbi_dens = cat.power_data("pbi")
-    write_vectors(path, "pbi", pbi_nums, pbi_dens)
+    path.write_bytes(vector_path(tmp_path, "wg", 3, "pbi").read_bytes())
 
-    nums, den = ensure_vectors(cat, "ssi", cache_dir=tmp_path)
-    got_kind, disk_nums, _ = read_vectors(path)
-    assert got_kind == "ssi"
-    assert np.array_equal(disk_nums, nums)
-    assert den == 6
+    cat = ensure_catalog("wg", 3, tmp_path)
+    nums, dens = ensure_vectors(cat, "ssi", tmp_path)
+    assert np.array_equal(np.load(path)[:, :3], nums)
+    assert set(dens.tolist()) == {6}
 
 
-def test_ensure_vectors_discards_wrong_shape_cache(tmp_path, catalogs):
-    cat = catalogs("wg", 3)
-    path = vector_path(tmp_path, "wg", 3, "ssi")
-    good_nums, good_den = cat.power_data("ssi")
-    write_vectors(path, "ssi", good_nums[:2], good_den)  # truncated row count
+def test_ensure_vectors_discards_wrong_shape_cache(tmp_path):
+    """A truncated, wrong-shape or missing tier file rebuilds the tier."""
+    build_tier(4, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    vec = vector_path(tmp_path, "cg", 4, "pbi")
+    damages = [
+        (vec, lambda p: p.write_bytes(p.read_bytes()[:-5])),
+        (vec, lambda p: np.save(p, np.load(p)[:-1])),
+        (certificate_path(tmp_path, 4), lambda p: p.unlink()),
+        (catalog_path(tmp_path, "wg", 4), lambda p: p.write_bytes(p.read_bytes()[:-3])),
+    ]
+    for victim, damage in damages:
+        damage(victim)
+        cat = ensure_catalog("cg" if victim.suffix == ".npy" else "wg", 4, tmp_path)
+        assert cat.power_data("pbi")[0].shape == (len(cat), 4)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
-    nums, _ = ensure_vectors(cat, "ssi", cache_dir=tmp_path)
-    assert nums.shape == (len(cat), 3)
-    _, disk_nums, _ = read_vectors(path)
-    assert disk_nums.shape == (len(cat), 3)
 
-
-def test_big_build_retargeted_at_six_voters(tmp_path, monkeypatch, catalogs, vectors):
-    monkeypatch.setattr(pipeline, "BIG_N", 6)
+def test_build_tier_six_voters(tmp_path):
     seen = []
-    counts = build_big_tables(
+    counts = build_tier(
+        6,
         cache_dir=tmp_path,
         chunk_size=256,
         progress=lambda done, total: seen.append((done, total)),
@@ -93,32 +115,37 @@ def test_big_build_retargeted_at_six_voters(tmp_path, monkeypatch, catalogs, vec
         "wg.ssi": 536,
         "wg.pbi": 555,
     }
-    assert big_files_present(tmp_path)
-    assert not list(tmp_path.glob("*.tmp"))
+    assert tier_present(6, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == tier_files(tmp_path, 6)
     assert seen[-1] == (1171, 1171)
-    assert [d for d, _ in seen] == sorted({d for d, _ in seen})
+    assert [d for d, _ in seen] == list(range(256, 1171, 256)) + [1171]
 
-    # the streamed catalogs hold exactly the games the in-memory path builds
-    for klass in ("cg", "wg"):
-        cat = read_catalog(catalog_path(tmp_path, klass, 6))
-        reference = catalogs(klass, 6)
-        assert (cat.klass, cat.n, len(cat)) == (klass, 6, len(reference))
-        assert {g.shift_minimal for g in cat} == {g.shift_minimal for g in reference}
+    # catalogs and vector files hold the certified counts, one row per game
+    cg, wg = ensure_catalog("cg", 6, tmp_path), ensure_catalog("wg", 6, tmp_path)
+    assert (len(cg), len(wg)) == (1171, 1111)
+    assert {g.shift_minimal for g in wg} <= {g.shift_minimal for g in cg}
+    for cat in (cg, wg):
+        assert len({g.shift_minimal for g in cat}) == len(cat)
 
-    # vector files agree with the in-memory computation, order aside
-    for klass in ("cg", "wg"):
-        for kind in ("ssi", "pbi"):
-            _, nums, dens = read_vectors(vector_path(tmp_path, klass, 6, kind))
-            ref_nums, ref_dens = vectors(klass, 6, kind)
-            got = np.unique(_reduced_rows(nums, dens)[0], axis=0)
-            want = np.unique(_reduced_rows(ref_nums, ref_dens)[0], axis=0)
-            assert np.array_equal(got, want)
+    # sampled rows agree with brute-force power indices, and sampled
+    # certificates reproduce their games
+    rng = random.Random(6)
+    for cat in (cg, wg):
+        (ssi_nums, ssi_dens), (pbi_nums, pbi_dens) = cat.power_data("ssi"), cat.power_data("pbi")
+        for i in rng.sample(range(len(cat)), 12):
+            g = cat.games[i]
+            got = tuple(Fraction(int(x), int(ssi_dens[i])) for x in ssi_nums[i])
+            assert got == ssi_by_permutations(g)
+            assert (tuple(pbi_nums[i].tolist()), int(pbi_dens[i])) == pbi_swings_by_subsets(g)
+    for i in rng.sample(range(len(wg)), 50):
+        assert to_explicit(wg.certificate(i)).table == to_explicit(wg.games[i]).table
 
     for kind, distinct in (("ssi", 536), ("pbi", 555)):
-        assert len(load_big_store(tmp_path, kind)) == distinct
+        store, certs = weighted_store(6, kind, tmp_path)
+        assert len(store) == distinct and certs.shape == (1111, 7)
 
     # at 6 voters every complete game's vector is realized weighted
-    reports = omega_big(tmp_path)
+    reports = omega_tier(6, tmp_path)
     assert set(reports) == {(k, m) for k in ("ssi", "pbi") for m in ("l1", "linf")}
     for rep in reports.values():
         assert rep.n == 6
@@ -132,17 +159,65 @@ def test_big_build_retargeted_at_six_voters(tmp_path, monkeypatch, catalogs, vec
     ["games", "vectors"],
 )
 def test_big_build_mismatch_removes_partial_files(tmp_path, monkeypatch, inject):
-    monkeypatch.setattr(pipeline, "BIG_N", 6)
     if inject == "games":
         monkeypatch.setitem(certified.WEIGHTED_COUNTS, 6, 1110)
     else:
         monkeypatch.setitem(certified.DISTINCT_VECTOR_COUNTS[("cg", "pbi")], 6, 1)
 
     with pytest.raises(CountMismatchError) as err:
-        build_big_tables(cache_dir=tmp_path)
+        build_tier(6, cache_dir=tmp_path)
     assert err.value.got in (1111, 555)
-    assert not big_files_present(tmp_path)
+    assert not tier_present(6, tmp_path)
     assert list(tmp_path.glob("*")) == []
+
+
+def test_wrong_certificate_stops_the_build(tmp_path, monkeypatch):
+    real = pipeline.classify_weighted_chunk
+
+    def perturbed(n, smw, sml):
+        results = real(n, smw, sml)
+        for i, r in enumerate(results):
+            if r is not None and r[1][-1] < r[0]:
+                q, w = r
+                results[i] = (q, w[:-1] + (w[-1] + q,))  # the weakest voter now wins alone
+                break
+        return results
+
+    monkeypatch.setattr(pipeline, "classify_weighted_chunk", perturbed)
+    with pytest.raises(CountMismatchError, match="certificates"):
+        build_tier(5, cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_aborted_build_leaves_no_file(tmp_path):
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def progress(done, total):
+        seen.append(done)
+        if done >= 512:
+            raise Stop
+
+    with pytest.raises(Stop):
+        build_tier(6, cache_dir=tmp_path, progress=progress, chunk_size=256)
+    assert seen == [256, 512]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_concurrent_builds_share_a_directory(tmp_path):
+    code = "import sys; from votekit.pipeline import build_tier; build_tier(5, sys.argv[1])"
+    src = Path(pipeline.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    procs = [
+        subprocess.Popen([sys.executable, "-c", code, str(tmp_path)], env=env) for _ in range(2)
+    ]
+    for p in procs:
+        assert p.wait(timeout=120) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == tier_files(tmp_path, 5)
+    pipeline._check_tier(5, tmp_path)
+    assert len(read_catalog(catalog_path(tmp_path, "wg", 5))) == 117
 
 
 def test_fetch_catalog_games_selected_indices(tmp_path):
@@ -166,9 +241,26 @@ def test_fetch_catalog_games_missing_index(tmp_path):
         fetch_catalog_games(path, [3, 25])
 
 
-def test_big_files_present_requires_all_six(tmp_path, monkeypatch):
-    monkeypatch.setattr(pipeline, "BIG_N", 6)
-    build_big_tables(cache_dir=tmp_path)
-    assert big_files_present(tmp_path)
-    vector_path(tmp_path, "wg", 6, "pbi").unlink()
-    assert not big_files_present(tmp_path)
+def test_tier_present_requires_every_file(tmp_path):
+    build_tier(6, cache_dir=tmp_path)
+    assert tier_present(6, tmp_path)
+    for path in pipeline._tier_paths(tmp_path, 6).values():
+        saved = path.read_bytes()
+        path.unlink()
+        assert not tier_present(6, tmp_path)
+        path.write_bytes(saved)
+    assert tier_present(6, tmp_path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 9), min_size=1, max_size=6).filter(any),
+    st.integers(1, 60),
+)
+def test_stored_certificate_reproduces_a_random_weighted_game(cache_dir, weights, quota):
+    g = WeightedGame(min(quota, sum(weights)), weights)
+    complete = shift_minimal_winning(sort_by_desirability(g)[0])
+    shapes = [h.shift_minimal for h in ensure_catalog("wg", g.n, cache_dir)]
+    row = load_certificates(g.n, cache_dir)[shapes.index(complete.shift_minimal)]
+    stored = WeightedGame(int(row[0]), row[1:].tolist())
+    assert to_explicit(stored).table == to_explicit(complete).table
