@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import certified, pipeline
@@ -34,7 +33,7 @@ from .games import (
     game_to_text,
     parse_game,
 )
-from .geometry import Metric, count_distinct, distance
+from .geometry import Metric, distance
 from .indices import KINDS, decimal_str, pbi_dp, power_vector, ssi_dp
 from .inverse import (
     InverseResult,
@@ -308,9 +307,7 @@ def cmd_tables(args) -> int:
     for klass in klasses:
         for n in ns:
             if n <= 7:
-                cat = pipeline.ensure_catalog(klass, n, cache, workers=args.threads)
-                games = len(cat)
-                got = {kind: count_distinct(cat, kind) for kind in kinds}
+                games, got = pipeline.tier_counts(klass, n, kinds, cache, workers=args.threads)
             else:
                 # certified during the streamed build that produced the cache
                 games = (

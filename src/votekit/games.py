@@ -433,15 +433,6 @@ class BoolCombo:
             return 1 if all(p.value(mask) for p in self.parts) else 0
         return 1 if any(p.value(mask) for p in self.parts) else 0
 
-    def leaves(self) -> list[WeightedGame]:
-        out = []
-        for p in self.parts:
-            if isinstance(p, WeightedGame):
-                out.append(p)
-            else:
-                out.extend(p.leaves())
-        return out
-
     def __eq__(self, other):
         return isinstance(other, BoolCombo) and self.op == other.op and self.parts == other.parts
 

@@ -1,13 +1,17 @@
 """Exact geometry over power vectors.
 
 Power vectors live on the rational simplex; distances are Manhattan (L1)
-or Chebyshev (L-infinity).  Nearest-neighbor search uses a k-d tree over
-integer keys: Shapley-Shubik vectors are integer numerators over n!, so
-their keys are exact; Banzhaf vectors are keyed by 2**20-scaled floors,
-and every bound carries a slack of one key unit per inexact side so the
-tree can only over-visit, never wrongly prune.  Final comparisons are
-exact integer cross-multiplications; ties go to the lexicographically
-smallest vector, so results are deterministic.
+or Chebyshev (L-infinity).  Vectors are handled as reduced integer rows
+(numerators..., denominator), deduplicated by one lexicographic sort
+(unique_rows).  Gap queries first answer exact hits in bulk: a query row
+already in the weighted store is at distance 0, found by a binary search
+over the store's sorted rows.  Only the misses go to the nearest-neighbour
+search, a k-d tree over integer keys: Shapley-Shubik vectors are integer
+numerators over n!, so their keys are exact; Banzhaf vectors are keyed by
+2**20-scaled floors, and every bound carries a slack of one key unit per
+inexact side so the tree can only over-visit, never wrongly prune.  Final
+comparisons are exact integer cross-multiplications; ties go to the
+lexicographically smallest vector, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ __all__ = [
     "NearestResult",
     "build_store",
     "store_from_rows",
+    "unique_rows",
     "count_distinct",
+    "count_distinct_rows",
     "omega",
     "GapTracker",
     "GapReport",
@@ -83,15 +89,39 @@ def _reduced_rows(nums: np.ndarray, dens) -> tuple[np.ndarray, np.ndarray]:
     return rows // g[:, None], dcol
 
 
-class _KDNode:
-    __slots__ = ("lo", "hi", "left", "right", "idx")
+def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(uniq, first, inverse) of an int matrix: its distinct rows in
+    lexicographic order, the index of the first row equal to each, and
+    for each row the position of its distinct row.  So uniq is
+    rows[first], and rows is uniq[inverse]."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    # lexsort is stable, so each run of equal rows opens with its first row.
+    return ranked[new], order[new], inverse
 
-    def __init__(self, lo, hi, left=None, right=None, idx=None):
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per int64 row, ordered as the rows are
+    lexicographically: with the sign bit flipped and the bytes stored
+    big-endian, comparing keys byte by byte compares the rows numerically."""
+    flipped = np.ascontiguousarray(rows, dtype=np.int64).view(np.uint64) ^ np.uint64(1 << 63)
+    return np.ascontiguousarray(flipped.astype(">u8")).view(f"V{8 * rows.shape[1]}").ravel()
+
+
+class _KDNode:
+    __slots__ = ("lo", "hi", "left", "right", "idx", "pts")
+
+    def __init__(self, lo, hi, left=None, right=None, idx=None, pts=None):
         self.lo = lo
         self.hi = hi
         self.left = left
         self.right = right
         self.idx = idx
+        self.pts = pts
 
 
 class _Abort(Exception):
@@ -110,7 +140,8 @@ class NearestResult:
 class VectorStore:
     """Deduplicated power vectors of one kind, searchable exactly.
 
-    rows are reduced (numerators..., denominator) per vector; reps maps
+    rows are reduced (numerators..., denominator) per vector, distinct
+    and in lexicographic order, as store_from_rows makes them; reps maps
     each stored vector back to the first catalog index attaining it.
     """
 
@@ -123,14 +154,14 @@ class VectorStore:
             # Reduced denominators all divide n!, so numerators rescale to
             # exact keys on the n! grid.
             self.scale = math.factorial(n)
-            self.keys = rows[:, :n] * (self.scale // rows[:, n : n + 1])
+            keys = rows[:, :n] * (self.scale // rows[:, n : n + 1])
             self.point_slack = 0
         else:
             self.scale = PBI_KEY_SCALE
-            self.keys = (rows[:, :n] * self.scale) // rows[:, n : n + 1]
+            keys = (rows[:, :n] * self.scale) // rows[:, n : n + 1]
             self.point_slack = 1
-        self._root = self._build(np.arange(len(rows), dtype=np.int64)) if len(rows) else None
-        self._hash: dict[tuple, int] | None = None
+        self._root = self._build(keys) if len(rows) else None
+        self._sorted_keys: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -141,32 +172,71 @@ class VectorStore:
 
     # -- construction -----------------------------------------------------
 
-    def _build(self, idx: np.ndarray) -> _KDNode:
-        pts = self.keys[idx]
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        # Bounds as plain tuples: the search touches them in tight loops.
-        if len(idx) <= _LEAF_SIZE or np.array_equal(lo, hi):
-            return _KDNode(tuple(int(x) for x in lo), tuple(int(x) for x in hi), idx=idx)
-        axis = int(np.argmax(hi - lo))
-        order = np.argsort(pts[:, axis], kind="stable")
-        half = len(idx) // 2
-        return _KDNode(
-            tuple(int(x) for x in lo),
-            tuple(int(x) for x in hi),
-            left=self._build(idx[order[:half]]),
-            right=self._build(idx[order[half:]]),
-        )
+    def _build(self, keys: np.ndarray) -> _KDNode:
+        """Median splits along the widest axis, one tree level at a time.
+
+        Each node's points sit in one contiguous block of a permuted copy
+        of keys, so one reduceat per level bounds every block, a split is
+        one argpartition of its block, and a leaf keeps its block as a view.
+        """
+        count = len(keys)
+        pts = keys.copy()
+        perm = np.arange(count, dtype=np.int64)
+        starts = np.zeros(1, dtype=np.int64)
+        stops = np.full(1, count, dtype=np.int64)
+        levels = []
+        while len(starts):
+            # reduceat over [start, stop) pairs; the odd results are discarded.
+            cuts = np.stack([starts, stops], axis=1).ravel()
+            cuts = cuts[cuts < count]
+            lo = np.minimum.reduceat(pts, cuts)[::2]
+            hi = np.maximum.reduceat(pts, cuts)[::2]
+            split = (stops - starts > _LEAF_SIZE) & (lo != hi).any(axis=1)
+            mids = starts + (stops - starts) // 2
+            axes = np.argmax(hi - lo, axis=1)
+            for a, b, m, axis in zip(
+                starts[split].tolist(), stops[split].tolist(), mids[split].tolist(), axes[split].tolist()
+            ):
+                block = pts[a:b]
+                order = np.argpartition(block[:, axis], m - a)
+                block[:] = block[order]
+                perm[a:b] = perm[a:b][order]
+            # Bounds as plain tuples: the search touches them in tight loops.
+            levels.append((starts.tolist(), stops.tolist(), lo.tolist(), hi.tolist(), split.tolist()))
+            starts = np.stack([starts[split], mids[split]], axis=1).ravel()
+            stops = np.stack([mids[split], stops[split]], axis=1).ravel()
+        below: list[_KDNode] = []
+        for starts, stops, lo, hi, split in reversed(levels):
+            kids = iter(below)
+            below = [
+                _KDNode(tuple(low), tuple(high), left=next(kids), right=next(kids))
+                if inner
+                else _KDNode(tuple(low), tuple(high), idx=perm[a:b], pts=pts[a:b])
+                for a, b, low, high, inner in zip(starts, stops, lo, hi, split)
+            ]
+        return below[0]
 
     # -- membership --------------------------------------------------------
 
+    def find_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Store index of each reduced (numerators..., denominator) row,
+        or -1 where the store does not hold it; one binary search per row
+        over the store's sorted rows."""
+        if not len(self.rows):
+            return np.full(len(rows), -1, dtype=np.int64)
+        if self._sorted_keys is None:
+            self._sorted_keys = _row_keys(self.rows)
+        keys = _row_keys(rows)
+        pos = np.searchsorted(self._sorted_keys, keys)
+        pos[pos == len(self.rows)] = 0
+        return np.where(self._sorted_keys[pos] == keys, pos, -1)
+
     def index_of(self, nums: Sequence[int], den: int) -> int | None:
         """Store index of this exact vector, or None."""
-        if self._hash is None:
-            self._hash = {tuple(int(x) for x in row): i for i, row in enumerate(self.rows)}
         g = math.gcd(int(den), *(int(x) for x in nums))
-        key = tuple(int(x) // g for x in nums) + (int(den) // g,)
-        return self._hash.get(key)
+        row = np.array([[int(x) // g for x in nums] + [int(den) // g]], dtype=np.int64)
+        i = int(self.find_rows(row)[0])
+        return i if i >= 0 else None
 
     # -- search ------------------------------------------------------------
 
@@ -266,8 +336,7 @@ class VectorStore:
 
         def visit(node: _KDNode):
             if node.idx is not None:
-                pts = self.keys[node.idx]
-                d = np.abs(pts - qkeys)
+                d = np.abs(node.pts - qkeys)
                 kd = d.sum(axis=1) if metric is Metric.L1 else d.max(axis=1)
                 for pos in np.argsort(kd, kind="stable"):
                     k = int(kd[pos])
@@ -299,10 +368,8 @@ def store_from_rows(kind: str, n: int, nums: np.ndarray, dens) -> VectorStore:
     """Dedup per-game vector rows into a searchable store; reps point back
     at the first row attaining each vector."""
     rows, _ = _reduced_rows(nums, dens)
-    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-    reps = np.full(len(uniq), len(rows), dtype=np.int64)
-    np.minimum.at(reps, inverse, np.arange(len(rows), dtype=np.int64))
-    return VectorStore(kind, n, uniq, reps)
+    uniq, first, _ = unique_rows(rows)
+    return VectorStore(kind, n, uniq, first)
 
 
 def build_store(catalog, kind: str) -> VectorStore:
@@ -311,11 +378,15 @@ def build_store(catalog, kind: str) -> VectorStore:
     return store_from_rows(kind, catalog.n, nums, dens)
 
 
+def count_distinct_rows(nums: np.ndarray, dens) -> int:
+    """Number of distinct vectors among the rows nums / dens."""
+    rows, _ = _reduced_rows(nums, dens)
+    return len(unique_rows(rows)[0])
+
+
 def count_distinct(catalog, kind: str) -> int:
     """Number of distinct power vectors attained over the catalog."""
-    nums, dens = catalog.power_data(kind)
-    rows, _ = _reduced_rows(nums, dens)
-    return len(np.unique(rows, axis=0))
+    return count_distinct_rows(*catalog.power_data(kind))
 
 
 @dataclass
@@ -340,9 +411,11 @@ class GapReport:
 class GapTracker:
     """Running maximum of min-distances to a weighted store.
 
-    Feed catalog data in chunks; queries abandon early once they fall
-    strictly below the running maximum, which cannot affect the final
-    value or the attaining set (ties never abort).
+    Feed catalog data in chunks.  Query vectors the store holds are at
+    distance 0 and are set aside in bulk; the rest are searched one by
+    one, abandoned early once they fall strictly below the running
+    maximum, which cannot affect the final value or the attaining set
+    (ties never abort).
     """
 
     def __init__(self, wg_store: VectorStore, metric: Metric):
@@ -358,14 +431,14 @@ class GapTracker:
         """games[i] must describe row i; offset shifts reported indices."""
         n = self.store.n
         rows, _ = _reduced_rows(nums, dens)
-        uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-        for u in range(len(uniq)):
-            qnums = [int(x) for x in uniq[u, :n]]
+        uniq, _, inverse = unique_rows(rows)
+        for u in np.flatnonzero(self.store.find_rows(uniq) < 0).tolist():
+            qnums = uniq[u, :n].tolist()
             qden = int(uniq[u, n])
             res = self.store.nearest(
                 qnums, qden, self.metric, stop_below=self.best if self.best > 0 else None
             )
-            if res.aborted or res.dist < self.best or res.dist == 0:
+            if res.aborted or res.dist < self.best:
                 continue
             vec = PowerVector(self.store.kind, qnums, qden)
             members = [

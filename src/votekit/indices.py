@@ -26,7 +26,6 @@ import numpy as np
 
 from .games import (
     BoolCombo,
-    ExplicitGame,
     Game,
     WeightedGame,
     to_explicit,

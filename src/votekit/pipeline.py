@@ -45,7 +45,15 @@ from .enumeration import (
     shift_minimal_families,
 )
 from .games import CompleteGame
-from .geometry import GapReport, GapTracker, Metric, VectorStore, _reduced_rows, store_from_rows
+from .geometry import (
+    GapReport,
+    GapTracker,
+    Metric,
+    VectorStore,
+    _reduced_rows,
+    count_distinct_rows,
+    store_from_rows,
+)
 from .indices import KINDS, batch_ssi_numerators, batch_swing_counts
 
 __all__ = [
@@ -58,6 +66,7 @@ __all__ = [
     "build_tier",
     "build_big_tables",
     "ensure_tier",
+    "tier_counts",
     "ensure_catalog",
     "ensure_vectors",
     "ensure_store",
@@ -192,6 +201,23 @@ def _load_tier(n: int, cache_dir, workers: int, load: Callable[[Path], object]):
 def ensure_tier(n: int, cache_dir=None, workers: int = 1) -> Path:
     """The cache directory, holding a checked n-voter tier."""
     return _load_tier(n, cache_dir, workers, lambda cache: cache)
+
+
+def tier_counts(
+    klass: str, n: int, kinds: Iterable[str] = KINDS, cache_dir=None, workers: int = 1
+) -> tuple[int, dict[str, int]]:
+    """(games, distinct vectors per index kind) of the cg or wg games of a
+    checked n-voter tier, read from its vector files; no game is loaded.
+
+    The game count is the catalog header's, which the tier check holds
+    to the certified count.
+    """
+
+    def load(cache: Path) -> tuple[int, dict[str, int]]:
+        distinct = {kind: count_distinct_rows(*_load_vectors(cache, klass, n, kind)) for kind in kinds}
+        return _certified_count(klass, n), distinct
+
+    return _load_tier(n, cache_dir, workers, load)
 
 
 def ensure_catalog(klass: str, n: int, cache_dir=None, workers: int = 1) -> GameCatalog:

@@ -4,16 +4,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from votekit.enumeration import CatalogFormatError
 from votekit.geometry import (
     GapTracker,
     Metric,
+    _reduced_rows,
     build_store,
     count_distinct,
     distance,
     omega,
     store_from_rows,
+    unique_rows,
 )
 from votekit.indices import PowerVector, pbi, ssi
 from votekit.pipeline import build_tier, vector_path
@@ -132,6 +136,97 @@ def test_gap_tracker_chunks_match_one_shot():
     assert [x[0] for x in a.attaining] == [x[0] for x in b.attaining] == [1, 2, 3]
     assert [x[1] for x in b.attaining] == ["g1", "g2", "g3"]
     assert b.worst_vector is not None and b.nearest_vector is not None
+
+
+@st.composite
+def _simplex_vector(draw, den):
+    """(numerators, denominator) of a 3-voter vector summing to den."""
+    d = draw(den)
+    a = draw(st.integers(0, d))
+    b = draw(st.integers(0, d - a))
+    return (a, b, d - a - b), d
+
+
+@st.composite
+def _gap_case(draw):
+    """A small store plus queries mixing exact hits (some unreduced),
+    misses and repeats, and cut points splitting the queries into chunks."""
+    kind = draw(st.sampled_from(["ssi", "pbi"]))
+    den = st.just(6) if kind == "ssi" else st.integers(1, 8)
+    vec = _simplex_vector(den)
+    stored = draw(st.lists(vec, min_size=1, max_size=8))
+    hit = st.sampled_from(stored).flatmap(
+        lambda v: st.integers(1, 3).map(lambda k: (tuple(k * x for x in v[0]), k * v[1]))
+    )
+    queries = draw(st.lists(st.one_of(hit, vec), min_size=1, max_size=16))
+    queries += draw(st.lists(st.sampled_from(queries), max_size=4))
+    cuts = sorted(set(draw(st.lists(st.integers(0, len(queries)), max_size=3))))
+    metric = draw(st.sampled_from([Metric.L1, Metric.LINF]))
+    return kind, stored, queries, cuts, metric
+
+
+def _reduced(nums, den):
+    g = np.gcd.reduce([*nums, den])
+    return tuple(int(x) // g for x in nums) + (int(den) // g,)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gap_case())
+def test_gap_tracker_matches_brute_force_max_min(case):
+    """Bulk hits plus tree searches give a brute-force max-min, whether
+    the queries arrive at once or in chunks with offsets."""
+    kind, stored, queries, cuts, metric = case
+    l1 = metric is Metric.L1
+    store = store_from_rows(
+        kind, 3, np.array([v[0] for v in stored]), np.array([v[1] for v in stored])
+    )
+    rows = store_rows(store)
+    dists = [linear_nearest(rows, q, d, l1)[0] for q, d in queries]
+    best = max(dists)
+    qnums = np.array([q for q, _ in queries], dtype=np.int64)
+    qdens = np.array([d for _, d in queries], dtype=np.int64)
+    games = [f"g{i}" for i in range(len(queries))]
+
+    bounds = [0, *cuts, len(queries)]
+    for chunks in ([(0, len(queries))], list(zip(bounds, bounds[1:]))):
+        tracker = GapTracker(store, metric)
+        for a, b in chunks:
+            tracker.update(qnums[a:b], qdens[a:b], games[a:b], offset=a)
+        rep = tracker.report(3)
+        assert rep.omega == best
+        if best == 0:
+            assert rep.attaining == [] and rep.nearest_vector is None
+            continue
+        want = [i for i, d in enumerate(dists) if d == best]
+        assert [idx for idx, _, _ in rep.attaining] == want
+        assert [game for _, game, _ in rep.attaining] == [games[i] for i in want]
+        # The worst vector is the lexicographically first attaining one of
+        # the first chunk that holds any; its nearest weighted vector is
+        # the lexicographically smallest at distance omega.
+        worst = next(
+            min(_reduced(*queries[i]) for i in range(a, b) if dists[i] == best)
+            for a, b in chunks
+            if any(dists[i] == best for i in range(a, b))
+        )
+        assert rep.worst_vector.key() == worst
+        _, hits = linear_nearest(rows, worst[:-1], worst[-1], l1)
+        near = min(hits, key=lambda i: tuple(Fraction(x, rows[i][1]) for x in rows[i][0]))
+        assert rep.nearest_vector.key() == rows[near][0] + (rows[near][1],)
+        first = next(j for j, v in enumerate(stored) if _reduced(*v) == rep.nearest_vector.key())
+        assert rep.nearest_index == first
+
+
+@pytest.mark.parametrize("kind", ["ssi", "pbi"])
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_unique_rows_matches_numpy_unique(vectors, n, kind):
+    rows, _ = _reduced_rows(*vectors("wg", n, kind))
+    uniq, first, inverse = unique_rows(rows)
+    want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+    reps = np.full(len(want), len(rows), dtype=np.int64)
+    np.minimum.at(reps, want_inverse.ravel(), np.arange(len(rows)))
+    assert np.array_equal(uniq, want)
+    assert np.array_equal(first, reps)
+    assert np.array_equal(inverse, want_inverse.ravel())
 
 
 def test_vector_io_round_trip(tmp_path, catalogs):

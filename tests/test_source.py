@@ -1,0 +1,80 @@
+"""Static checks over the package source, standing in for a linter."""
+
+import ast
+from pathlib import Path
+
+import votekit
+
+PACKAGE = Path(votekit.__file__).resolve().parent
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module's imports, with their line numbers."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _annotation_names(node) -> set[str]:
+    """Names inside an annotation, quoted forward references included."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                names |= _annotation_names(ast.parse(sub.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            used |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+    return used
+
+
+def _dunder_all(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _reexports() -> dict[str, set[str]]:
+    """Module name -> names that the package __init__ imports from it."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    out: dict[str, set[str]] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            out.setdefault(node.module, set()).update(a.asname or a.name for a in node.names)
+    return out
+
+
+def test_every_import_is_used():
+    reexports = _reexports()
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = _used(tree) | _dunder_all(tree) | reexports.get(path.stem, set())
+        for name, line in _imported(tree).items():
+            if name not in used:
+                unused.append(f"{path.name}:{line}: {name}")
+    assert unused == []
