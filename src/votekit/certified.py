@@ -15,6 +15,7 @@ from __future__ import annotations
 __all__ = [
     "COMPLETE_COUNTS",
     "WEIGHTED_COUNTS",
+    "GAME_COUNTS",
     "DOCUMENTED_COUNTS",
     "DISTINCT_VECTOR_COUNTS",
     "WEIGHTED_3_REPRESENTATIONS",
@@ -84,6 +85,14 @@ SIMPLE_4_NONWEIGHTED_MINWIN = (
     ((1, 2), (1, 4), (3, 4)),
     ((1, 2), (1, 4), (2, 3), (3, 4)),
 )
+
+# Game counts by catalog class and voter count: the one lookup behind
+# every certified-count check.
+GAME_COUNTS = {
+    "cg": COMPLETE_COUNTS,
+    "wg": WEIGHTED_COUNTS,
+    "sg4": {4: SIMPLE_4_TOTAL},
+}
 
 # Worst-case gap between a complete game's power vector and its best
 # weighted approximation, as 7-place decimal renderings of exact rationals.

@@ -17,13 +17,15 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import certified, pipeline
 from .certified import CountMismatchError
 from .council import council_game, parse_populations
-from .enumeration import CatalogFormatError, certificate_game
+from .enumeration import CatalogFormatError, certificate_game, enumerate_simple4
 from .games import (
+    MAX_EXPLICIT_VOTERS,
     BoolCombo,
     GameParseError,
     WeightedGame,
@@ -36,6 +38,7 @@ from .games import (
 from .geometry import Metric, distance
 from .indices import KINDS, decimal_str, pbi_dp, power_vector, ssi_dp
 from .inverse import (
+    MAX_HEURISTIC_VOTERS,
     InverseResult,
     Target,
     beta_target,
@@ -61,6 +64,33 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 class _UsageError(Exception):
     """Input problems detected after argparse is done."""
+
+
+@contextmanager
+def _input_errors():
+    """Report a ValueError or OSError raised in the block as a usage
+    error.  Blocks hold only the reading of the user's own input (files,
+    argument values, game sizes); anywhere else these exceptions are bugs
+    and propagate."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise _UsageError(str(exc)) from exc
+
+
+def _at_least(low: int):
+    """An argparse type: integers from low up."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +168,10 @@ def _vec_json(v) -> dict:
 
 def _cache_dir(args) -> Path:
     if getattr(args, "cache_dir", None):
-        return Path(args.cache_dir)
+        path = Path(args.cache_dir)
+        if path.exists() and not path.is_dir():
+            raise _UsageError(f"--cache-dir {path} is not a directory")
+        return path
     return pipeline.default_cache_dir()
 
 
@@ -188,22 +221,24 @@ def _pick_metrics(args) -> tuple[Metric, ...]:
 
 
 def _parse_n_range(text: str) -> range:
-    if ".." in text:
-        a, _, b = text.partition("..")
-        lo, hi = int(a), int(b)
-    else:
-        lo = hi = int(text)
+    a, dots, b = text.partition("..")
+    try:
+        lo, hi = int(a), int(b if dots else a)
+    except ValueError:
+        raise _UsageError(f"bad voter range {text!r}") from None
     if lo < 1 or hi < lo:
-        raise ValueError(f"bad voter range {text!r}")
+        raise _UsageError(f"bad voter range {text!r}")
     return range(lo, hi + 1)
 
 
 def _auto_vector(g, kind: str, state_cap: int):
     """Weighted games and combinations stay in weight space; everything
-    else goes through the explicit table."""
-    if isinstance(g, (WeightedGame, BoolCombo)):
-        return ssi_dp(g, state_cap) if kind == "ssi" else pbi_dp(g, state_cap)
-    return power_vector(g, kind)
+    else goes through the explicit table.  A game too large for its path,
+    or a weight space above --state-cap, is a usage error."""
+    with _input_errors():
+        if isinstance(g, (WeightedGame, BoolCombo)):
+            return ssi_dp(g, state_cap) if kind == "ssi" else pbi_dp(g, state_cap)
+        return power_vector(g, kind)
 
 
 def _parse_coalition(text: str, n: int) -> int:
@@ -297,24 +332,22 @@ def cmd_tables(args) -> int:
     klasses = ("cg", "wg") if args.klass == "both" else (args.klass,)
     kinds = _pick_kinds(args)
     cache = _cache_dir(args)
-    if ns.stop - 1 > 8:
-        raise _UsageError("enumeration stops at 8 voters; larger tiers are documented only")
-    if 8 in ns:
+    if ns.stop - 1 > pipeline.BIG_N:
+        raise _UsageError(
+            f"enumeration stops at {pipeline.BIG_N} voters; larger tiers are documented only"
+        )
+    if pipeline.BIG_N in ns:
         _require_big(args)
     rep = _Report(_config(args, klass=args.klass))
     rows = []
     out = []
     for klass in klasses:
         for n in ns:
-            if n <= 7:
+            if n < pipeline.BIG_N:
                 games, got = pipeline.tier_counts(klass, n, kinds, cache, workers=args.threads)
             else:
                 # certified during the streamed build that produced the cache
-                games = (
-                    certified.COMPLETE_COUNTS[n]
-                    if klass == "cg"
-                    else certified.WEIGHTED_COUNTS[n]
-                )
+                games = certified.GAME_COUNTS[klass][n]
                 got = {k: certified.DISTINCT_VECTOR_COUNTS[klass, k][n] for k in kinds}
             for kind in kinds:
                 expected = certified.DISTINCT_VECTOR_COUNTS.get((klass, kind), {}).get(n)
@@ -344,75 +377,68 @@ def cmd_enumerate(args) -> int:
         raise _UsageError("--n is required")
     if klass == "sg4" and n != 4:
         raise _UsageError("the simple-game catalog exists for 4 voters only")
-    if n > 8:
+    if n < 1:
+        raise _UsageError(f"--n must be at least 1, got {n}")
+    if n > pipeline.BIG_N:
         doc = ", ".join(
             f"{certified.DOCUMENTED_COUNTS[k, m]} {k}({m})"
             for (k, m) in sorted(certified.DOCUMENTED_COUNTS)
         )
         raise _UsageError(
-            f"enumeration stops at 8 voters; documented counts beyond that: {doc}"
+            f"enumeration stops at {pipeline.BIG_N} voters; documented counts beyond that: {doc}"
         )
-    cache = _cache_dir(args)
     rep = _Report(_config(args, klass=klass))
-    if n == 8:
-        if klass not in ("cg", "wg"):
-            raise _UsageError("the 8-voter tier holds complete and weighted games only")
+    if n == pipeline.BIG_N:
         if args.list:
             raise _UsageError("listing millions of games is not supported; use the cache files")
         _require_big(args)
-        count = certified.COMPLETE_COUNTS[8] if klass == "cg" else certified.WEIGHTED_COUNTS[8]
-        rep.section("catalog", ["class", "n", "games"], [[klass, 8, count]])
-        rep.results.update({"class": klass, "n": 8, "count": count})
+        count = certified.GAME_COUNTS[klass][n]
+        rep.section("catalog", ["class", "n", "games"], [[klass, n, count]])
+        rep.results.update({"class": klass, "n": n, "count": count})
         rep.emit(args.format)
         return EXIT_OK
-    cat = pipeline.ensure_catalog(klass, n, cache, workers=args.threads)
-    rep.results.update({"class": klass, "n": n, "count": len(cat)})
     if klass == "sg4":
-        certs = cat.certificates
-        weighted = sum(c is not None for c in certs)
-        if weighted != certified.SIMPLE_4_WEIGHTED:
-            raise CountMismatchError("weighted sg4", certified.SIMPLE_4_WEIGHTED, weighted)
+        pairs = enumerate_simple4()
+        weighted = sum(w is not None for _, w in pairs)
+        rep.results.update({"class": klass, "n": n, "count": len(pairs)})
         rep.section(
             "catalog",
             ["class", "n", "games", "weighted", "not weighted"],
-            [[klass, n, len(cat), weighted, len(cat) - weighted]],
+            [[klass, n, len(pairs), weighted, len(pairs) - weighted]],
         )
         rep.results["weighted"] = weighted
         if args.list:
-            rows = [
-                [
-                    i,
-                    game_to_text(g),
-                    game_to_text(certs[i]) if certs[i] is not None else "-",
-                ]
-                for i, g in enumerate(cat.games)
-            ]
-            rep.section("games", ["#", "game", "weighted form"], rows)
-            rep.results["games"] = [
-                {
-                    "game": game_to_text(g),
-                    "weighted": certs[i] is not None,
-                    "representation": game_to_text(certs[i]) if certs[i] else None,
-                }
-                for i, g in enumerate(cat.games)
-            ]
-    else:
-        rep.section("catalog", ["class", "n", "games"], [[klass, n, len(cat)]])
-        if args.list:
             rows = []
             out = []
-            for i, g in enumerate(cat.games):
+            for i, (g, w) in enumerate(pairs):
                 text = game_to_text(g)
-                if klass == "wg":
-                    cert = cat.certificate(i)
-                    rows.append([i, game_to_text(cert), text])
-                    out.append({"game": text, "representation": game_to_text(cert)})
-                else:
-                    rows.append([i, text])
-                    out.append({"game": text})
-            headers = ["#", "representation", "game"] if klass == "wg" else ["#", "game"]
-            rep.section("games", headers, rows)
+                form = game_to_text(w) if w is not None else None
+                rows.append([i, text, form or "-"])
+                out.append({"game": text, "weighted": w is not None, "representation": form})
+            rep.section("games", ["#", "game", "weighted form"], rows)
             rep.results["games"] = out
+        rep.emit(args.format)
+        return EXIT_OK
+    cache = _cache_dir(args)
+    games = pipeline.load_games(klass, n, cache, workers=args.threads)
+    rep.results.update({"class": klass, "n": n, "count": len(games)})
+    rep.section("catalog", ["class", "n", "games"], [[klass, n, len(games)]])
+    if args.list:
+        certificates = pipeline.load_certificates(n, cache) if klass == "wg" else None
+        rows = []
+        out = []
+        for i, g in enumerate(games):
+            text = game_to_text(g)
+            if certificates is not None:
+                form = game_to_text(certificate_game(certificates[i]))
+                rows.append([i, form, text])
+                out.append({"game": text, "representation": form})
+            else:
+                rows.append([i, text])
+                out.append({"game": text})
+        headers = ["#", "representation", "game"] if klass == "wg" else ["#", "game"]
+        rep.section("games", headers, rows)
+        rep.results["games"] = out
     rep.emit(args.format)
     return EXIT_OK
 
@@ -444,8 +470,8 @@ def _gap_reports(args, n=None, kinds=None, metrics=None):
 
 
 def cmd_omega(args) -> int:
-    if args.n > 8:
-        raise _UsageError("gap computation is certified through 8 voters only")
+    if not 1 <= args.n <= pipeline.BIG_N:
+        raise _UsageError(f"gap computation is certified for 1..{pipeline.BIG_N} voters only")
     rep = _Report(_config(args))
     reports, nearest_game = _gap_reports(args)
     gap_rows = []
@@ -541,8 +567,8 @@ def cmd_inverse(args) -> int:
 
     if args.target == "padded":
         kind = _single_kind(args)
-        if args.n is None or args.n < 8:
-            raise _UsageError("--target padded needs --n of at least 8")
+        if args.n is None or not 8 <= args.n <= MAX_EXPLICIT_VOTERS:
+            raise _UsageError(f"--target padded needs --n from 8 to {MAX_EXPLICIT_VOTERS}")
         reports, _ = _gap_reports(args, n=7, kinds=(kind,), metrics=(metric,))
         base_report = reports[kind, metric.value]
         bases = [g for _, g, _ in base_report.attaining]
@@ -580,19 +606,18 @@ def cmd_inverse(args) -> int:
         return EXIT_OK
 
     if args.target == "beta":
-        if args.n is None:
-            raise _UsageError("--target beta needs --n")
+        if args.n is None or args.n < 1:
+            raise _UsageError("--target beta needs a positive --n")
         target = beta_target(args.n, _single_kind(args))
     elif args.target == "eu":
         if not args.populations:
             raise _UsageError("--target eu needs --populations FILE")
-        pops = parse_populations(Path(args.populations).read_text())
-        game = council_game([p for _, p in pops], args.quantize)
+        _, game = _council(args)
         vec = _auto_vector(game, _single_kind(args), args.state_cap)
         target = Target.from_vector(vec)
     else:
-        text = Path(args.target).read_text()
-        target = parse_target_file(text, normalize=args.normalize)
+        with _input_errors():
+            target = parse_target_file(Path(args.target).read_text(), normalize=args.normalize)
         if args.index != "both" and args.index != target.kind:
             raise _UsageError(
                 f"target file declares index={target.kind}, but --index {args.index} was given"
@@ -600,13 +625,17 @@ def cmd_inverse(args) -> int:
 
     mode = args.mode
     if mode == "auto":
-        mode = "exact" if target.n <= 7 else "heuristic"
+        mode = "exact" if target.n < pipeline.BIG_N else "heuristic"
     if mode == "exact":
-        if target.n > 8:
-            raise _UsageError("exact minimization needs the full catalog; 8 voters is the cap")
+        if target.n > pipeline.BIG_N:
+            raise _UsageError(
+                f"exact minimization needs the full catalog; {pipeline.BIG_N} voters is the cap"
+            )
         store, certificates = pipeline.weighted_store(target.n, target.kind, _tier(args, target.n))
         res = inverse_exact(target, metric, store, certificates)
     else:
+        if target.n > MAX_HEURISTIC_VOTERS:
+            raise _UsageError(f"heuristic search supports up to {MAX_HEURISTIC_VOTERS} voters")
         res = inverse_heuristic(
             target,
             metric,
@@ -630,9 +659,16 @@ def _inverse_json(res: InverseResult) -> dict:
     }
 
 
+def _council(args):
+    """(name, population) pairs of the populations file, and their
+    council game under --quantize."""
+    with _input_errors():
+        pops = parse_populations(Path(args.populations).read_text())
+        return pops, council_game([p for _, p in pops], args.quantize)
+
+
 def cmd_eu(args) -> int:
-    pops = parse_populations(Path(args.populations).read_text())
-    game = council_game([p for _, p in pops], args.quantize)
+    pops, game = _council(args)
     shares = game.parts[0].parts[1].weights
     kinds = _pick_kinds(args)
     vecs = {k: _auto_vector(game, k, args.state_cap) for k in kinds}
@@ -685,7 +721,7 @@ def build_parser() -> _ArgumentParser:
     q.add_argument("--ssi", action="store_true", help="Shapley-Shubik only")
     q.add_argument("--pbi", action="store_true", help="Penrose-Banzhaf only")
     q.add_argument("--state-cap", type=int, default=10**6, help="weight-space size limit")
-    q.add_argument("--places", type=int, default=7, help="decimal places")
+    q.add_argument("--places", type=_at_least(0), default=7, help="decimal places")
     q.set_defaults(func=cmd_index)
 
     q = sub.add_parser("eval", parents=[fmt], help="evaluate coalitions in a game")
@@ -721,8 +757,10 @@ def build_parser() -> _ArgumentParser:
     q.add_argument("--index", choices=("ssi", "pbi", "both"), default="both")
     q.add_argument("--metric", choices=("l1", "linf", "both"), default="l1")
     q.add_argument("--mode", choices=("auto", "exact", "heuristic"), default="auto")
-    q.add_argument("--budget", type=int, default=800, help="heuristic evaluation budget")
-    q.add_argument("--weight-total", type=int, default=100, help="starting weight total for the heuristic")
+    q.add_argument("--budget", type=_at_least(1), default=800, help="heuristic evaluation budget")
+    q.add_argument(
+        "--weight-total", type=_at_least(1), default=100, help="starting weight total for the heuristic"
+    )
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--normalize", action="store_true", help="rescale file targets to sum to 1")
     q.add_argument("--populations", default=None, help="population file for --target eu")
@@ -752,9 +790,6 @@ def main(argv=None) -> int:
         print(f"votekit: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (_UsageError, CatalogFormatError) as exc:
-        print(f"votekit: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
         print(f"votekit: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,7 +12,10 @@ to 1, which keeps the labelling a simple game.
 Enumerated counts are checked against certified values before anything
 downstream may consume them.  Games are produced in chunks; the tier
 builder in votekit.pipeline streams them to disk for every n <= 8
-(16.2 million games and hours of CPU time at n = 8).
+(16.2 million games and hours of CPU time at n = 8), and the tier
+loaders read them back through read_catalog and certificate_game.  The
+28 simple games on 4 voters are enumerated on request by
+enumerate_simple4, which is not cached.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .games import (
     CompleteGame,
     ExplicitGame,
     WeightedGame,
+    _family_lists,
     _linear_extension,
     _lower_neighbors,
     _upper_neighbors,
@@ -36,7 +40,7 @@ from .games import (
 )
 
 __all__ = [
-    "GameCatalog",
+    "BIG_N",
     "certificate_game",
     "enumerate_simple4",
     "iter_complete_chunks",
@@ -49,7 +53,8 @@ __all__ = [
     "CatalogFormatError",
 ]
 
-MAX_ENUMERATION_VOTERS = 8
+# The most voters enumerated; that tier takes hours and is built on request.
+BIG_N = 8
 DEFAULT_CHUNK = 16384
 
 
@@ -96,8 +101,8 @@ def iter_complete_chunks(
 ) -> Iterator[np.ndarray]:
     """Outcome tables of all complete games with n voters, strongest voter
     first, in chunks of shape (games, 2**n)."""
-    if not 1 <= n <= MAX_ENUMERATION_VOTERS:
-        raise ValueError(f"enumeration supports 1..{MAX_ENUMERATION_VOTERS} voters, got {n}")
+    if not 1 <= n <= BIG_N:
+        raise ValueError(f"enumeration supports 1..{BIG_N} voters, got {n}")
     size = 1 << n
     order = _linear_extension(n)
     lowers = _lower_neighbors(n)
@@ -120,32 +125,6 @@ def iter_complete_chunks(
             progress(done)
 
 
-def _family_lists(
-    tables: np.ndarray, neighbors: Sequence[Sequence[int]], minimal_winning: bool
-) -> list[tuple[int, ...]]:
-    """Per game: the winning coalitions whose one-step weakenings all lose
-    (minimal_winning=True), or the losing ones whose one-step
-    strengthenings all win."""
-    t = tables.astype(bool)
-    if minimal_winning:
-        keep = t.copy()
-        for m, nb in enumerate(neighbors):
-            col = keep[:, m]
-            for f in nb:
-                col &= ~t[:, f]
-            keep[:, m] = col
-    else:
-        keep = ~t
-        for m, nb in enumerate(neighbors):
-            col = keep[:, m]
-            for u in nb:
-                col &= t[:, u]
-            keep[:, m] = col
-    rows, cols = np.nonzero(keep)
-    bounds = np.searchsorted(rows, np.arange(tables.shape[0] + 1))
-    return [tuple(int(c) for c in cols[bounds[g] : bounds[g + 1]]) for g in range(tables.shape[0])]
-
-
 def shift_minimal_families(tables: np.ndarray, n: int) -> list[tuple[int, ...]]:
     return _family_lists(tables, _lower_neighbors(n), True)
 
@@ -165,50 +144,9 @@ def classify_weighted_chunk(
 
 
 def check_certified_count(klass: str, n: int, count: int) -> None:
-    expected = None
-    if klass == "cg":
-        expected = certified.COMPLETE_COUNTS.get(n)
-    elif klass == "wg":
-        expected = certified.WEIGHTED_COUNTS.get(n)
-    elif klass == "sg4":
-        expected = certified.SIMPLE_4_TOTAL if n == 4 else None
+    expected = certified.GAME_COUNTS.get(klass, {}).get(n)
     if expected is not None and count != expected:
         raise certified.CountMismatchError(f"{klass}({n})", expected, count)
-
-
-class GameCatalog:
-    """An in-memory catalog of games of one class.
-
-    klass is "cg" (complete), "wg" (weighted, stored by their complete
-    form) or "sg4" (all simple games on 4 voters).  power maps an index
-    kind to (numerators, denominators) with one row per game.
-    certificates holds, for wg, one (quota, weights...) integer row per
-    game and, for sg4, a WeightedGame or None per game.
-    """
-
-    def __init__(self, klass: str, n: int, games: list, certificates=None):
-        self.klass = klass
-        self.n = n
-        self.games = games
-        self.power: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self.certificates = certificates
-        self.weighted_flags: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.games)
-
-    def __iter__(self):
-        return iter(self.games)
-
-    def power_data(self, kind: str):
-        """(numerators, denominators) for all games, one row each."""
-        if kind not in self.power:
-            raise ValueError(f"no {kind!r} vectors loaded for this {self.klass} catalog")
-        return self.power[kind]
-
-    def certificate(self, i: int) -> WeightedGame:
-        """Stored weighted representation of game i of a wg catalog."""
-        return certificate_game(self.certificates[i])
 
 
 def certificate_game(row) -> WeightedGame:
@@ -231,8 +169,9 @@ def _parallel_classify(n, smw, sml, workers):
     return out
 
 
-def enumerate_simple4() -> GameCatalog:
-    """All 28 simple games on 4 voters up to isomorphism.
+def enumerate_simple4() -> list[tuple[ExplicitGame, WeightedGame | None]]:
+    """All 28 simple games on 4 voters up to isomorphism, each with its
+    weighted representation or None.
 
     Walks monotone labellings of the inclusion lattice (one-step weakening
     = drop one member) and dedups by the minimal table over voter
@@ -252,14 +191,11 @@ def enumerate_simple4() -> GameCatalog:
     tables = sorted(seen)
     check_certified_count("sg4", 4, len(tables))
     games = [ExplicitGame(n, t, validate=False) for t in tables]
-    certs = [is_weighted(g) for g in games]
-    cat = GameCatalog("sg4", n, games, certificates=certs)
-    cat.weighted_flags = np.array([c is not None for c in certs], dtype=bool)
-    if int(cat.weighted_flags.sum()) != certified.SIMPLE_4_WEIGHTED:
-        raise certified.CountMismatchError(
-            "weighted sg4", certified.SIMPLE_4_WEIGHTED, int(cat.weighted_flags.sum())
-        )
-    return cat
+    pairs = [(g, is_weighted(g)) for g in games]
+    weighted = sum(rep is not None for _, rep in pairs)
+    if weighted != certified.SIMPLE_4_WEIGHTED:
+        raise certified.CountMismatchError("weighted sg4", certified.SIMPLE_4_WEIGHTED, weighted)
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +254,7 @@ def _read_header(fh, path):
         raise CatalogFormatError(f"{path}: bad magic {magic!r}")
     if tag not in _TAG_CLASSES:
         raise CatalogFormatError(f"{path}: unknown class tag {tag}")
-    if not 1 <= n <= MAX_ENUMERATION_VOTERS:
+    if not 1 <= n <= BIG_N:
         raise CatalogFormatError(f"{path}: unsupported voter count {n}")
     return _TAG_CLASSES[tag], n, count
 
@@ -363,9 +299,9 @@ def iter_catalog_masks(path, chunk_size: int = DEFAULT_CHUNK):
     return (klass, n, count), chunks()
 
 
-def read_catalog(path) -> GameCatalog:
+def read_catalog(path) -> list[CompleteGame]:
     """Load a catalog file's games, re-checking the certified count."""
     (klass, n, count), chunks = iter_catalog_masks(path)
     games = [CompleteGame(n, masks, validate=False) for block in chunks for masks in block]
     check_certified_count(klass, n, len(games))
-    return GameCatalog(klass, n, games)
+    return games

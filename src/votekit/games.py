@@ -175,6 +175,33 @@ def _upper_neighbors(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(_upper_neighbors_of(m, n)) for m in range(1 << n))
 
 
+def _family_lists(
+    tables: np.ndarray, neighbors: Sequence[Sequence[int]], minimal_winning: bool
+) -> list[tuple[int, ...]]:
+    """Per game (row of tables): the winning coalitions whose one-step
+    weakenings all lose (minimal_winning=True, neighbors the lower
+    neighbours), or the losing ones whose one-step strengthenings all win
+    (neighbors the upper neighbours)."""
+    t = tables.astype(bool)
+    if minimal_winning:
+        keep = t.copy()
+        for m, nb in enumerate(neighbors):
+            col = keep[:, m]
+            for f in nb:
+                col &= ~t[:, f]
+            keep[:, m] = col
+    else:
+        keep = ~t
+        for m, nb in enumerate(neighbors):
+            col = keep[:, m]
+            for u in nb:
+                col &= t[:, u]
+            keep[:, m] = col
+    rows, cols = np.nonzero(keep)
+    bounds = np.searchsorted(rows, np.arange(tables.shape[0] + 1))
+    return [tuple(int(c) for c in cols[bounds[g] : bounds[g + 1]]) for g in range(tables.shape[0])]
+
+
 @lru_cache(maxsize=None)
 def _dominator_bitsets(n: int) -> tuple[int, ...]:
     """For each mask m, a 2**n-bit integer whose bit S is set when S
@@ -555,7 +582,10 @@ class _Parser:
             self.take(",")
             members.append(self.integer())
         self.take("}")
-        return coalition_mask(members)
+        try:
+            return coalition_mask(members)
+        except ValueError as exc:
+            self.error(str(exc))
 
     def literal(self) -> Game:
         self.take("n")
@@ -812,13 +842,7 @@ def shift_minimal_winning(g: Game) -> CompleteGame:
     """
     e = to_explicit(g)
     t = e.np_table
-    lowers = _lower_neighbors(e.n)
-    masks = []
-    for m in range(1 << e.n):
-        if not t[m]:
-            continue
-        if all(not t[f] for f in lowers[m]):
-            masks.append(m)
+    masks = _family_lists(t[None, :], _lower_neighbors(e.n), True)[0]
     cg = CompleteGame(e.n, masks, validate=False)
     if cg.winning_bitset() != int.from_bytes(
         np.packbits(t, bitorder="little").tobytes(), "little"
@@ -831,11 +855,7 @@ def shift_maximal_losing(g: Game) -> tuple[Coalition, ...]:
     """Losing coalitions of a sorted complete game whose every one-step
     strengthening wins."""
     e = to_explicit(g)
-    t = e.np_table
-    uppers = _upper_neighbors(e.n)
-    return tuple(
-        m for m in range(1 << e.n) if not t[m] and all(t[u] for u in uppers[m])
-    )
+    return _family_lists(e.np_table[None, :], _upper_neighbors(e.n), False)[0]
 
 
 def add_null_voters(g: Game, k: int) -> Game:

@@ -31,12 +31,9 @@ __all__ = [
     "distance",
     "VectorStore",
     "NearestResult",
-    "build_store",
     "store_from_rows",
     "unique_rows",
-    "count_distinct",
     "count_distinct_rows",
-    "omega",
     "GapTracker",
     "GapReport",
 ]
@@ -372,29 +369,20 @@ def store_from_rows(kind: str, n: int, nums: np.ndarray, dens) -> VectorStore:
     return VectorStore(kind, n, uniq, first)
 
 
-def build_store(catalog, kind: str) -> VectorStore:
-    """Dedup a catalog's power vectors into a searchable store."""
-    nums, dens = catalog.power_data(kind)
-    return store_from_rows(kind, catalog.n, nums, dens)
-
-
 def count_distinct_rows(nums: np.ndarray, dens) -> int:
     """Number of distinct vectors among the rows nums / dens."""
     rows, _ = _reduced_rows(nums, dens)
     return len(unique_rows(rows)[0])
 
 
-def count_distinct(catalog, kind: str) -> int:
-    """Number of distinct power vectors attained over the catalog."""
-    return count_distinct_rows(*catalog.power_data(kind))
-
-
 @dataclass
 class GapReport:
     """Worst-case gap between a class of games and the weighted store.
 
-    attaining holds one (catalog index, game, power vector) triple per
-    game whose nearest weighted vector sits exactly at the gap.
+    attaining holds one (catalog index, power vector) pair per game whose
+    nearest weighted vector sits exactly at the gap, as GapTracker.report
+    returns it; pipeline.omega_tier attaches each game, making the pairs
+    (catalog index, game, power vector) triples.
     """
 
     n: int
@@ -422,13 +410,13 @@ class GapTracker:
         self.store = wg_store
         self.metric = metric
         self.best = Fraction(0)
-        self.attaining: list = []  # (global index, game)
+        self.attaining: list = []  # (global index, vector)
         self.worst_vector: PowerVector | None = None
         self.nearest_index: int | None = None
         self.nearest_vector: PowerVector | None = None
 
-    def update(self, nums: np.ndarray, dens, games: Sequence, offset: int = 0) -> None:
-        """games[i] must describe row i; offset shifts reported indices."""
+    def update(self, nums: np.ndarray, dens, offset: int = 0) -> None:
+        """Row i is reported as index offset + i."""
         n = self.store.n
         rows, _ = _reduced_rows(nums, dens)
         uniq, _, inverse = unique_rows(rows)
@@ -441,9 +429,7 @@ class GapTracker:
             if res.aborted or res.dist < self.best:
                 continue
             vec = PowerVector(self.store.kind, qnums, qden)
-            members = [
-                (offset + int(g), games[int(g)], vec) for g in np.nonzero(inverse == u)[0]
-            ]
+            members = [(offset + int(g), vec) for g in np.nonzero(inverse == u)[0]]
             if res.dist > self.best:
                 self.best = res.dist
                 self.attaining = members
@@ -467,15 +453,3 @@ class GapTracker:
             nearest_index=self.nearest_index,
         )
 
-
-def omega(cg_catalog, wg_store: VectorStore, metric: Metric) -> GapReport:
-    """Largest distance from any complete game's power vector to the
-    nearest weighted one, with every attaining game reported.
-
-    A zero gap (every vector matched exactly) reports an empty attaining
-    list.
-    """
-    tracker = GapTracker(wg_store, metric)
-    nums, dens = cg_catalog.power_data(wg_store.kind)
-    tracker.update(nums, dens, cg_catalog.games)
-    return tracker.report(cg_catalog.n)

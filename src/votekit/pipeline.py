@@ -13,6 +13,14 @@ Every count is certified before any file is moved into place, so a tier
 is only ever installed whole.  Tiers below 8 voters are built on first
 use and rebuilt when a file is missing or unreadable; the 8-voter tier
 takes hours and is built only by build_big_tables.
+
+Each datum of a tier has one loader.  ensure_tier (the directory),
+load_games (the games of one class) and tier_counts (game and
+distinct-vector counts) check every tier file first, building the tier
+when needed.  weighted_store (the weighted vectors, deduplicated for
+search, with their certificate rows), load_certificates and omega_tier
+(gap reports streamed from the vector files) read a tier that
+ensure_tier has checked; each still checks the rows it reads.
 """
 
 from __future__ import annotations
@@ -29,14 +37,13 @@ import numpy as np
 from . import certified
 from .certified import CountMismatchError
 from .enumeration import (
+    BIG_N,
     DEFAULT_CHUNK,
     CatalogFormatError,
     CatalogWriter,
-    GameCatalog,
     _parallel_classify,
     check_certified_count,
     classify_weighted_chunk,
-    enumerate_simple4,
     iter_catalog_masks,
     iter_complete_chunks,
     read_catalog,
@@ -67,16 +74,13 @@ __all__ = [
     "build_big_tables",
     "ensure_tier",
     "tier_counts",
-    "ensure_catalog",
-    "ensure_vectors",
-    "ensure_store",
+    "load_games",
     "weighted_store",
     "load_certificates",
     "omega_tier",
     "fetch_catalog_games",
 ]
 
-BIG_N = 8
 _CLASSES = ("cg", "wg")
 # Rows per streamed block of a vector file; bounds memory at 8 voters.
 _SCAN = 1 << 16
@@ -120,11 +124,6 @@ def tier_present(n: int, cache_dir=None) -> bool:
     return all(p.exists() for p in _tier_paths(_resolve(cache_dir), n).values())
 
 
-def _certified_count(klass: str, n: int) -> int:
-    counts = certified.COMPLETE_COUNTS if klass == "cg" else certified.WEIGHTED_COUNTS
-    return counts[n]
-
-
 # ---------------------------------------------------------------------------
 # Reading tier files
 # ---------------------------------------------------------------------------
@@ -147,7 +146,7 @@ def _load_vectors(cache_dir, klass: str, n: int, kind: str) -> tuple[np.ndarray,
     """(numerators, denominators) of a vector file, every row checked:
     numerators sum to their denominator, which is n! for ssi."""
     path = vector_path(cache_dir, klass, n, kind)
-    rows = _read_rows(path, _certified_count(klass, n), n + 1)
+    rows = _read_rows(path, certified.GAME_COUNTS[klass][n], n + 1)
     for start in range(0, len(rows), _SCAN):
         block = rows[start : start + _SCAN]
         dens = block[:, n]
@@ -162,7 +161,7 @@ def _load_vectors(cache_dir, klass: str, n: int, kind: str) -> tuple[np.ndarray,
 def load_certificates(n: int, cache_dir=None) -> np.ndarray:
     """The (quota, weights...) rows of the n-voter weighted games."""
     path = certificate_path(_resolve(cache_dir), n)
-    return _read_rows(path, _certified_count("wg", n), n + 1)
+    return _read_rows(path, certified.GAME_COUNTS["wg"][n], n + 1)
 
 
 def _check_tier(n: int, cache_dir: Path) -> None:
@@ -170,7 +169,7 @@ def _check_tier(n: int, cache_dir: Path) -> None:
     for klass in _CLASSES:
         path = catalog_path(cache_dir, klass, n)
         header = read_catalog_header(path)
-        if header != (klass, n, _certified_count(klass, n)):
+        if header != (klass, n, certified.GAME_COUNTS[klass][n]):
             raise CatalogFormatError(f"{path}: header {header} is not the certified {klass}{n} catalog")
         for kind in KINDS:
             _load_vectors(cache_dir, klass, n, kind)
@@ -215,51 +214,16 @@ def tier_counts(
 
     def load(cache: Path) -> tuple[int, dict[str, int]]:
         distinct = {kind: count_distinct_rows(*_load_vectors(cache, klass, n, kind)) for kind in kinds}
-        return _certified_count(klass, n), distinct
+        return certified.GAME_COUNTS[klass][n], distinct
 
     return _load_tier(n, cache_dir, workers, load)
 
 
-def ensure_catalog(klass: str, n: int, cache_dir=None, workers: int = 1) -> GameCatalog:
-    """A cg or wg catalog with its vectors (and, for wg, certificates)
-    loaded from its tier.
-
-    The 4-voter simple-game catalog ("sg4") takes hundredths of a second
-    to enumerate and is not cached.
-    """
-    if klass == "sg4":
-        if n != 4:
-            raise ValueError("the simple-game catalog is only built for 4 voters")
-        return enumerate_simple4()
+def load_games(klass: str, n: int, cache_dir=None, workers: int = 1) -> list[CompleteGame]:
+    """The cg or wg games of a checked n-voter tier, in catalog order."""
     if klass not in _CLASSES:
         raise ValueError(f"unknown catalog class {klass!r}")
-
-    def load(cache: Path) -> GameCatalog:
-        cat = read_catalog(catalog_path(cache, klass, n))
-        cat.power = {kind: _load_vectors(cache, klass, n, kind) for kind in KINDS}
-        if klass == "wg":
-            cat.certificates = load_certificates(n, cache)
-        return cat
-
-    return _load_tier(n, cache_dir, workers, load)
-
-
-def ensure_vectors(catalog: GameCatalog, kind: str, cache_dir=None):
-    """(numerators, denominators) per game of a catalog.
-
-    ensure_catalog loads a tier's vectors with its catalog, so nothing is
-    read here and cache_dir goes unused.
-    """
-    return catalog.power_data(kind)
-
-
-def ensure_store(
-    klass: str, n: int, kind: str, cache_dir=None, workers: int = 1
-) -> tuple[GameCatalog, VectorStore]:
-    """Catalog plus deduplicated nearest-neighbour store, via the cache."""
-    cat = ensure_catalog(klass, n, cache_dir, workers)
-    nums, dens = cat.power_data(kind)
-    return cat, store_from_rows(kind, n, nums, dens)
+    return _load_tier(n, cache_dir, workers, lambda cache: read_catalog(catalog_path(cache, klass, n)))
 
 
 def weighted_store(n: int, kind: str, cache_dir=None) -> tuple[VectorStore, np.ndarray]:
@@ -356,7 +320,7 @@ def _write_chunk(n, tables, workers, cats, files, accs) -> None:
 
 def _write_tier(n, tmps, workers, progress, chunk_size) -> dict[str, int]:
     """Stream every complete game with n voters into the temp files."""
-    expected = {klass: _certified_count(klass, n) for klass in _CLASSES}
+    expected = {klass: certified.GAME_COUNTS[klass][n] for klass in _CLASSES}
     total = expected["cg"]
     vector_keys = [f"{klass}.{kind}" for klass in _CLASSES for kind in KINDS]
     accs = {key: _UniqueAccumulator() for key in vector_keys}
@@ -446,13 +410,6 @@ def build_big_tables(
 # ---------------------------------------------------------------------------
 
 
-class _NoGames:
-    """Row-aligned placeholder; attaining games get resolved afterwards."""
-
-    def __getitem__(self, i):
-        return None
-
-
 def fetch_catalog_games(path, indices: Iterable[int]) -> dict[int, CompleteGame]:
     """Selected games out of a catalog file, in one sequential scan."""
     want = {int(i) for i in indices}
@@ -498,16 +455,13 @@ def omega_tier(
         for start in range(0, count, _SCAN):
             stop = min(start + _SCAN, count)
             for tracker in trackers.values():
-                tracker.update(nums[start:stop], dens[start:stop], _NoGames(), offset=start)
+                tracker.update(nums[start:stop], dens[start:stop], offset=start)
             if progress is not None:
                 progress(kind, stop, count)
-        needed = {
-            idx for tracker in trackers.values() for idx, _, _ in tracker.attaining
-        }
+        kind_reports = {metric: tracker.report(n) for metric, tracker in trackers.items()}
+        needed = {idx for rep in kind_reports.values() for idx, _ in rep.attaining}
         games = fetch_catalog_games(catalog_path(cache_dir, "cg", n), needed)
-        for metric, tracker in trackers.items():
-            tracker.attaining = [
-                (idx, games[idx], vec) for idx, _, vec in tracker.attaining
-            ]
-            reports[kind, metric.value] = tracker.report(n)
+        for metric, rep in kind_reports.items():
+            rep.attaining = [(idx, games[idx], vec) for idx, vec in rep.attaining]
+            reports[kind, metric.value] = rep
     return reports

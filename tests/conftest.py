@@ -11,8 +11,13 @@ import os
 
 import pytest
 
-from votekit.pipeline import ensure_catalog, ensure_store, ensure_vectors
-
+from votekit.pipeline import (
+    _load_vectors,
+    ensure_tier,
+    load_certificates,
+    load_games,
+    weighted_store,
+)
 
 def pytest_configure(config):
     config.acceptance_lines = []
@@ -58,39 +63,36 @@ def _isolated_cache_env(cache_dir):
     mp.undo()
 
 
-@pytest.fixture(scope="session")
-def catalogs(cache_dir):
-    """Factory: (klass, n) -> GameCatalog, memoized for the session."""
+def _memoized(load):
     loaded = {}
 
-    def get(klass: str, n: int):
-        key = (klass, n)
+    def get(*key):
         if key not in loaded:
-            loaded[key] = ensure_catalog(klass, n, cache_dir)
+            loaded[key] = load(*key)
         return loaded[key]
 
     return get
 
 
 @pytest.fixture(scope="session")
-def vectors(cache_dir, catalogs):
-    """Factory: (klass, n, kind) -> (nums, dens) arrays, cached on disk."""
+def catalogs(cache_dir):
+    """Factory: (klass, n) -> the catalog's games, memoized for the session."""
+    return _memoized(lambda klass, n: load_games(klass, n, cache_dir))
 
-    def get(klass: str, n: int, kind: str):
-        return ensure_vectors(catalogs(klass, n), kind, cache_dir)
 
-    return get
+@pytest.fixture(scope="session")
+def vectors(cache_dir):
+    """Factory: (klass, n, kind) -> (nums, dens) arrays, one row per game."""
+    return _memoized(lambda klass, n, kind: _load_vectors(ensure_tier(n, cache_dir), klass, n, kind))
+
+
+@pytest.fixture(scope="session")
+def certificates(cache_dir):
+    """Factory: n -> the (quota, weights...) row of every weighted game."""
+    return _memoized(lambda n: load_certificates(n, ensure_tier(n, cache_dir)))
 
 
 @pytest.fixture(scope="session")
 def stores(cache_dir):
-    """Factory: (klass, n, kind) -> (catalog, VectorStore), memoized."""
-    loaded = {}
-
-    def get(klass: str, n: int, kind: str):
-        key = (klass, n, kind)
-        if key not in loaded:
-            loaded[key] = ensure_store(klass, n, kind, cache_dir)
-        return loaded[key]
-
-    return get
+    """Factory: (n, kind) -> (weighted VectorStore, certificate rows), memoized."""
+    return _memoized(lambda n, kind: weighted_store(n, kind, ensure_tier(n, cache_dir)))

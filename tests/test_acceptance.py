@@ -38,7 +38,7 @@ from votekit.certified import (
     WEIGHTED_3_REPRESENTATIONS,
     WEIGHTED_COUNTS,
 )
-from votekit.enumeration import enumerate_simple4
+from votekit.enumeration import certificate_game, enumerate_simple4
 from votekit.games import (
     add_null_voters,
     canonical_table,
@@ -47,9 +47,10 @@ from votekit.games import (
     parse_game,
     to_explicit,
 )
-from votekit.geometry import Metric, count_distinct, distance, omega
+from votekit.geometry import Metric, count_distinct_rows, distance
 from votekit.indices import PowerVector, decimal_str, pbi, pbi_dp, ssi, ssi_dp, swing_counts_dp
 from votekit.inverse import InverseMode, Target, inverse_exact, padded_target_search
+from votekit.pipeline import ensure_tier, omega_tier
 
 from oracles import (
     linear_nearest,
@@ -83,8 +84,9 @@ def criterion(request):
 
 
 @pytest.fixture(scope="session")
-def omega7(catalogs, vectors, stores):
-    """All four gap reports at n = 7, shared by criteria 5 and 9.
+def omega7(cache_dir):
+    """All four gap reports at n = 7, keyed (kind, metric name), shared by
+    criteria 5 and 9.
 
     Lazy so the first criterion that needs them pays for the computation
     inside its own timed block.
@@ -93,12 +95,7 @@ def omega7(catalogs, vectors, stores):
 
     def get():
         if not out:
-            cat = catalogs("cg", 7)
-            for kind in ("ssi", "pbi"):
-                vectors("cg", 7, kind)
-                _, store = stores("wg", 7, kind)
-                for metric in (Metric.L1, Metric.LINF):
-                    out[(kind, metric)] = omega(cat, store, metric)
+            out.update(omega_tier(7, ensure_tier(7, cache_dir)))
         return out
 
     return get
@@ -121,24 +118,20 @@ def test_criterion_1_worked_examples(criterion):
     # runtime budget: < 1 s
 
 
-def test_criterion_2_small_catalogs(criterion, catalogs):
+def test_criterion_2_small_catalogs(criterion, catalogs, certificates):
     """#WG(3) = 8 with the stated list; SG(4) = 28/25/3 with the stated
     non-weighted minimal-winning families up to isomorphism."""
     with criterion("2 small catalogs") as info:
         t0 = time.perf_counter()
         wg3 = catalogs("wg", 3)
         assert len(wg3) == 8
-        reps = {game_to_text(wg3.certificate(i)) for i in range(len(wg3))}
+        reps = {game_to_text(certificate_game(row)) for row in certificates(3)}
         assert reps == set(WEIGHTED_3_REPRESENTATIONS)
 
         sg4 = enumerate_simple4()
         assert len(sg4) == SIMPLE_4_TOTAL == 28
-        assert int(sg4.weighted_flags.sum()) == SIMPLE_4_WEIGHTED == 25
-        got = {
-            canonical_table(sg4.games[i]).table
-            for i in range(len(sg4))
-            if not sg4.weighted_flags[i]
-        }
+        assert sum(w is not None for _, w in sg4) == SIMPLE_4_WEIGHTED == 25
+        got = {canonical_table(g).table for g, w in sg4 if w is None}
         want = set()
         for fams in SIMPLE_4_NONWEIGHTED_MINWIN:
             sets = ",".join("{" + ",".join(map(str, f)) + "}" for f in fams)
@@ -149,15 +142,14 @@ def test_criterion_2_small_catalogs(criterion, catalogs):
         info["detail"] = "8 weighted(3); 28/25/3 simple(4)"
 
 
-def test_criterion_3_table_one(criterion, catalogs, vectors):
+def test_criterion_3_table_one(criterion, vectors):
     """Distinct weighted-game power vectors for n = 3..7, both indices."""
     with criterion("3 table of weighted vectors") as info:
         t0 = time.perf_counter()
         got = {}
         for kind in ("ssi", "pbi"):
             for n in range(3, 8):
-                vectors("wg", n, kind)
-                got[(kind, n)] = count_distinct(catalogs("wg", n), kind)
+                got[(kind, n)] = count_distinct_rows(*vectors("wg", n, kind))
                 assert got[(kind, n)] == DISTINCT_VECTOR_COUNTS[("wg", kind)][n]
         elapsed = time.perf_counter() - t0
         assert elapsed < 120.0, f"{elapsed:.1f}s exceeds the 2 min budget"
@@ -173,8 +165,8 @@ def test_criterion_4_table_two(criterion, catalogs, vectors, stores):
         t0 = time.perf_counter()
         for kind in ("ssi", "pbi"):
             for n in range(3, 8):
-                vectors("cg", n, kind)
-                assert count_distinct(catalogs("cg", n), kind) == DISTINCT_VECTOR_COUNTS[("cg", kind)][n]
+                got = count_distinct_rows(*vectors("cg", n, kind))
+                assert got == DISTINCT_VECTOR_COUNTS[("cg", kind)][n]
         assert len(catalogs("cg", 6)) == COMPLETE_COUNTS[6] == 1171
         assert len(catalogs("wg", 6)) == WEIGHTED_COUNTS[6] == 1111
 
@@ -192,7 +184,7 @@ def test_criterion_4_table_two(criterion, catalogs, vectors, stores):
         for kind in ("ssi", "pbi"):
             nums, dens = vectors("cg", 6, kind)
             dens = np.broadcast_to(np.asarray(dens, dtype=np.int64), (len(nums),))
-            _, store = stores("wg", 6, kind)
+            store, _ = stores(6, kind)
             for i in nonweighted:
                 v = PowerVector(kind, [int(x) for x in nums[i]], int(dens[i]))
                 key = v.key()
@@ -209,10 +201,10 @@ def test_criterion_5_gaps_at_seven(criterion, omega7):
         reports = omega7()
         decimals = {}
         for (kind, metric), rep in reports.items():
-            decimals[(kind, metric.value)] = rep.decimal
-            assert rep.decimal == OMEGA_DECIMALS[(7, kind, metric.value)]
+            decimals[(kind, metric)] = rep.decimal
+            assert rep.decimal == OMEGA_DECIMALS[(7, kind, metric)]
         for (n, kind, metric), fams in OMEGA_WITNESSES.items():
-            rep = reports[(kind, Metric.parse(metric))]
+            rep = reports[(kind, metric)]
             attained = {g.shift_minimal for _, g, _ in rep.attaining}
             assert _witness_masks(fams) in attained
         elapsed = time.perf_counter() - t0
@@ -229,12 +221,7 @@ def test_criterion_6_gaps_at_eight(criterion, cache_dir):
     import os
     from pathlib import Path
 
-    from votekit.pipeline import (
-        build_big_tables,
-        catalog_path,
-        omega_tier,
-        weighted_store,
-    )
+    from votekit.pipeline import build_big_tables, catalog_path, weighted_store
 
     with criterion("6 gaps at n=8") as info:
         # Prefer a cache that already holds the n = 8 tier: the isolated
@@ -307,7 +294,7 @@ def test_criterion_7_padding_workflow(criterion):
         info["detail"] = f"4-sig match; stated game at {decimal_str(d)}"
 
 
-def test_criterion_8_property_suites(criterion, catalogs, vectors, stores):
+def test_criterion_8_property_suites(criterion, catalogs, vectors, stores, certificates):
     """Always-on property checks standing in for the results this
     artifact cannot certify: index axioms over all complete games n <= 6,
     DP-vs-direct equivalence, search-vs-scan equivalence, and text
@@ -337,9 +324,8 @@ def test_criterion_8_property_suites(criterion, catalogs, vectors, stores):
                     checked += 1
 
         # DP against direct enumeration: all weighted games at n = 6 ...
-        wg6 = catalogs("wg", 6)
-        for i in range(len(wg6)):
-            rep = wg6.certificate(i)
+        for row in certificates(6):
+            rep = certificate_game(row)
             assert ssi_dp(rep) == ssi(rep)
             assert pbi_dp(rep) == pbi(rep)
         # ... and 1000 seeded random and/or combinations.
@@ -353,7 +339,7 @@ def test_criterion_8_property_suites(criterion, catalogs, vectors, stores):
 
         # Tree search equals linear scan on every n = 6 query.
         for kind in ("ssi", "pbi"):
-            _, store = stores("wg", 6, kind)
+            store, _ = stores(6, kind)
             rows = store_rows(store)
             qnums, qdens = vectors("cg", 6, kind)
             qdens = np.broadcast_to(np.asarray(qdens, dtype=np.int64), (len(qnums),))
@@ -382,7 +368,7 @@ def test_criterion_9_heuristic_references(criterion, omega7):
         outcomes = []
         misses = []
         for kind, tol in (("ssi", Fraction(1, 10**4)), ("pbi", Fraction(5, 10**5))):
-            bases = [g for _, g, _ in omega7()[(kind, Metric.L1)].attaining]
+            bases = [g for _, g, _ in omega7()[(kind, "l1")].attaining]
             assert bases, "the n=7 gap must have attaining games"
             for n in (9, 10, 11):
                 rep = padded_target_search(bases, n, Metric.L1, kind)

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from votekit import certified
+from votekit import certified, pipeline
 from votekit.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
-from votekit.games import evaluate, parse_game
+from votekit.games import evaluate, game_to_text, parse_game, to_explicit
 
 
 def run(capsys, *argv):
@@ -85,6 +85,38 @@ def test_enumerate_simple4(capsys):
     data = run_json(capsys, "enumerate", "--class", "sg4")
     assert data["results"]["count"] == 28
     assert data["results"]["weighted"] == 25
+
+
+def test_enumerate_simple4_list(capsys, tmp_path):
+    """28 games, 25 with a representation that wins exactly where its
+    game does; nothing is cached."""
+    data = run_json(capsys, "enumerate", "--class", "sg4", "--list", "--cache-dir", str(tmp_path))
+    games = data["results"]["games"]
+    assert len(games) == 28
+    forms = [(e["game"], e["representation"]) for e in games if e["weighted"]]
+    assert len(forms) == 25
+    assert all(e["representation"] is None for e in games if not e["weighted"])
+    for game, form in forms:
+        assert to_explicit(parse_game(form)).table == to_explicit(parse_game(game)).table
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_enumerate_simple4_needs_four_voters(capsys):
+    code, _, err = run(capsys, "enumerate", "--class", "sg4", "--n", "5")
+    assert code == EXIT_USAGE
+    assert "4 voters" in err
+
+
+def test_enumerate_weighted_six_list(capsys, catalogs):
+    """1,111 games in catalog order, each [q;w] winning exactly where its
+    shift-minimal game does."""
+    data = run_json(capsys, "enumerate", "--class", "wg", "--n", "6", "--list")
+    games = data["results"]["games"]
+    assert [e["game"] for e in games] == [game_to_text(g) for g in catalogs("wg", 6)]
+    assert len(games) == certified.WEIGHTED_COUNTS[6] == 1111
+    for e in games:
+        assert e["game"].startswith("n=6; shiftminwin=")
+        assert to_explicit(parse_game(e["representation"])).table == to_explicit(parse_game(e["game"])).table
 
 
 def test_enumerate_eight_needs_opt_in(capsys):
@@ -186,6 +218,39 @@ def test_config_echo_includes_run_fields(capsys):
     assert cfg["n"] == 4
     assert "cache_dir" in cfg and "threads" in cfg
     assert isinstance(data["timing"]["seconds"], float)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tables", "--n", "three"],
+        ["tables", "--n", "5..3"],
+        ["omega", "--n", "0"],
+        ["enumerate", "--class", "cg", "--n", "0"],
+        ["inverse", "--target", "no-such-target.txt"],
+        ["inverse", "--target", "beta", "--n", "9", "--index", "ssi", "--budget", "0"],
+        ["index", "[3;2,1,1]", "--places", "-2"],
+        ["inverse", "--target", "beta", "--n", "65", "--index", "ssi"],
+        ["index", "[50;1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20]", "--state-cap", "10"],
+        ["index", "n=3; minwin={0,1}"],
+        ["tables", "--n", "3", "--cache-dir", __file__],
+    ],
+)
+def test_input_errors_exit_one(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert "Traceback" not in err
+
+
+def test_internal_errors_are_not_usage_errors(capsys, monkeypatch):
+    """A ValueError from inside the library is a bug: it propagates."""
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(pipeline, "omega_tier", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["omega", "--n", "4"])
 
 
 def test_unknown_arguments_exit_one(capsys):

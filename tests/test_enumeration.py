@@ -1,5 +1,6 @@
 """Catalogs of complete, weighted, and 4-voter simple games."""
 
+import numpy as np
 import pytest
 
 from votekit.certified import (
@@ -14,11 +15,14 @@ from votekit.certified import (
 from votekit.enumeration import (
     CatalogFormatError,
     CatalogWriter,
+    certificate_game,
     check_certified_count,
     enumerate_simple4,
     iter_catalog_masks,
     iter_complete_chunks,
     read_catalog,
+    shift_maximal_losing_families,
+    shift_minimal_families,
 )
 from votekit.games import (
     DesirabilityOutcome,
@@ -31,6 +35,8 @@ from votekit.games import (
     game_to_text,
     is_weighted,
     parse_game,
+    shift_maximal_losing,
+    shift_minimal_winning,
     to_explicit,
 )
 from votekit.pipeline import build_tier
@@ -76,24 +82,24 @@ def test_shift_poset_dominance():
         assert all(dominates(u, m, 4) for u in _upper_neighbors(4)[m])
 
 
-def test_weighted_three_voter_list(catalogs):
-    cat = catalogs("wg", 3)
-    reps = {game_to_text(cat.certificate(i)) for i in range(len(cat))}
+def test_weighted_three_voter_list(certificates):
+    reps = {game_to_text(certificate_game(row)) for row in certificates(3)}
     assert reps == set(WEIGHTED_3_REPRESENTATIONS)
 
 
-def test_weighted_catalog_certificates_are_sound(catalogs):
-    cat = catalogs("wg", 4)
-    for i, g in enumerate(cat):
-        rep = cat.certificate(i)
+def test_weighted_catalog_certificates_are_sound(catalogs, certificates):
+    for g, row in zip(catalogs("wg", 4), certificates(4), strict=True):
+        rep = certificate_game(row)
         assert to_explicit(rep).table == to_explicit(g).table
 
 
-def test_weighted_certificate_function(catalogs):
+def test_weighted_certificate_function(catalogs, certificates):
     """Stored certificates agree with the general weightedness test: a
     complete game has one exactly when it is in the weighted catalog."""
-    wg = catalogs("wg", 6)
-    stored = {g.shift_minimal: wg.certificate(i) for i, g in enumerate(wg)}
+    stored = {
+        g.shift_minimal: certificate_game(row)
+        for g, row in zip(catalogs("wg", 6), certificates(6), strict=True)
+    }
     cat = catalogs("cg", 6)
     for g in list(cat)[::61]:
         rep = stored.get(g.shift_minimal)
@@ -103,14 +109,13 @@ def test_weighted_certificate_function(catalogs):
 
 
 def test_simple4_catalog():
-    cat = enumerate_simple4()
-    assert len(cat) == SIMPLE_4_TOTAL
-    assert int(cat.weighted_flags.sum()) == SIMPLE_4_WEIGHTED
-    nonweighted = {
-        canonical_table(cat.games[i]).table
-        for i in range(len(cat))
-        if not cat.weighted_flags[i]
-    }
+    pairs = enumerate_simple4()
+    assert len(pairs) == SIMPLE_4_TOTAL
+    assert sum(w is not None for _, w in pairs) == SIMPLE_4_WEIGHTED
+    for g, w in pairs:
+        if w is not None:
+            assert to_explicit(w).table == g.table
+    nonweighted = {canonical_table(g).table for g, w in pairs if w is None}
     expected = set()
     for fams in SIMPLE_4_NONWEIGHTED_MINWIN:
         sets = ",".join("{" + ",".join(map(str, f)) + "}" for f in fams)
@@ -135,19 +140,19 @@ def test_check_certified_count():
     check_certified_count("cg", 12, 999)  # nothing certified: no opinion
 
 
-def save_catalog(path, cat):
-    w = CatalogWriter(path, cat.klass, cat.n)
-    w.add_many([g.shift_minimal for g in cat])
+def save_catalog(path, klass, n, games):
+    w = CatalogWriter(path, klass, n)
+    w.add_many([g.shift_minimal for g in games])
     w.close()
 
 
 def test_catalog_io_round_trip(tmp_path, catalogs):
     cat = catalogs("cg", 4)
     path = tmp_path / "cg4.cat"
-    save_catalog(path, cat)
+    save_catalog(path, "cg", 4, cat)
     back = read_catalog(path)
-    assert back.klass == "cg" and back.n == 4
-    assert [g.shift_minimal for g in back] == [g.shift_minimal for g in cat]
+    assert all(g.n == 4 for g in back)
+    assert back == cat
     (klass, nn, count), chunks = iter_catalog_masks(path)
     assert (klass, nn, count) == ("cg", 4, len(cat))
     families = [fam for chunk in chunks for fam in chunk]
@@ -157,13 +162,13 @@ def test_catalog_io_round_trip(tmp_path, catalogs):
 def test_catalog_io_detects_corruption(tmp_path, catalogs):
     cat = catalogs("cg", 4)
     path = tmp_path / "cg4.cat"
-    save_catalog(path, cat)
+    save_catalog(path, "cg", 4, cat)
     raw = bytearray(path.read_bytes())
     raw[:2] = b"XX"
     path.write_bytes(bytes(raw))
     with pytest.raises(CatalogFormatError):
         read_catalog(path)
-    save_catalog(path, cat)
+    save_catalog(path, "cg", 4, cat)
     path.write_bytes(path.read_bytes()[:-5])  # truncated tail
     with pytest.raises(CatalogFormatError):
         read_catalog(path)
@@ -176,3 +181,16 @@ def test_enumerate_weighted_derives_from_complete(catalogs):
     position = {g.shift_minimal: i for i, g in enumerate(cg)}
     picked = [position[g.shift_minimal] for g in wg]
     assert picked == sorted(picked)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_scalar_family_extractors_match_the_batch(catalogs, n):
+    """shift_minimal_winning and shift_maximal_losing on one game agree
+    with the batch extractors over every complete game's table."""
+    games = catalogs("cg", n)
+    tables = np.array([to_explicit(g).np_table for g in games])
+    smw = shift_minimal_families(tables, n)
+    sml = shift_maximal_losing_families(tables, n)
+    for g, w, l in zip(games, smw, sml, strict=True):
+        assert shift_minimal_winning(g).shift_minimal == w == g.shift_minimal
+        assert shift_maximal_losing(g) == l

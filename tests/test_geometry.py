@@ -12,15 +12,13 @@ from votekit.geometry import (
     GapTracker,
     Metric,
     _reduced_rows,
-    build_store,
-    count_distinct,
+    count_distinct_rows,
     distance,
-    omega,
     store_from_rows,
     unique_rows,
 )
 from votekit.indices import PowerVector, pbi, ssi
-from votekit.pipeline import build_tier, vector_path
+from votekit.pipeline import build_tier, ensure_tier, omega_tier, vector_path
 
 from oracles import linear_nearest, store_rows
 
@@ -85,7 +83,7 @@ def test_nearest_stop_below_abort_is_flagged():
 @pytest.mark.parametrize("kind", ["ssi", "pbi"])
 @pytest.mark.parametrize("metric", [Metric.L1, Metric.LINF])
 def test_nearest_matches_linear_scan(stores, vectors, kind, metric):
-    _, store = stores("wg", 5, kind)
+    store, _ = stores(5, kind)
     rows = store_rows(store)
     qnums, qdens = vectors("cg", 5, kind)
     qdens = np.broadcast_to(np.asarray(qdens, dtype=np.int64), (len(qnums),))
@@ -98,21 +96,19 @@ def test_nearest_matches_linear_scan(stores, vectors, kind, metric):
         assert res.index in hits
 
 
-def test_count_distinct_matches_set_of_fractions(catalogs, vectors):
-    cat = catalogs("cg", 4)
+def test_count_distinct_matches_set_of_fractions(vectors):
     nums, dens = vectors("cg", 4, "pbi")
     dens = np.broadcast_to(np.asarray(dens, dtype=np.int64), (len(nums),))
     seen = {
         tuple(Fraction(int(a), int(dens[i])) for a in nums[i]) for i in range(len(nums))
     }
-    assert count_distinct(cat, "pbi") == len(seen)
+    assert count_distinct_rows(nums, dens) == len(seen)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
-def test_gap_is_zero_through_six_voters(catalogs, stores, n):
-    cat = catalogs("cg", n)
-    _, store = stores("wg", n, "ssi")
-    rep = omega(cat, store, Metric.L1)
+def test_gap_is_zero_through_six_voters(cache_dir, n):
+    reports = omega_tier(n, ensure_tier(n, cache_dir), kinds=("ssi",), metrics=(Metric.L1,))
+    rep = reports["ssi", "l1"]
     assert rep.omega == 0 and rep.decimal == "0.0000000"
     assert rep.attaining == []
 
@@ -123,18 +119,17 @@ def test_gap_tracker_chunks_match_one_shot():
         [[2, 1, 0], [4, 1, 1], [5, 1, 0], [3, 3, 0]], dtype=np.int64
     )
     qdens = np.array([3, 6, 6, 6], dtype=np.int64)
-    games = ["g0", "g1", "g2", "g3"]
 
     whole = GapTracker(store, Metric.L1)
-    whole.update(qnums, qdens, games)
+    whole.update(qnums, qdens)
     chunked = GapTracker(store, Metric.L1)
-    chunked.update(qnums[:2], qdens[:2], games[:2])
-    chunked.update(qnums[2:], qdens[2:], games[2:], offset=2)
+    chunked.update(qnums[:2], qdens[:2])
+    chunked.update(qnums[2:], qdens[2:], offset=2)
 
     a, b = whole.report(3), chunked.report(3)
     assert a.omega == b.omega == Fraction(1, 3)
     assert [x[0] for x in a.attaining] == [x[0] for x in b.attaining] == [1, 2, 3]
-    assert [x[1] for x in b.attaining] == ["g1", "g2", "g3"]
+    assert [x[1].key() for x in b.attaining] == [(4, 1, 1, 6), (5, 1, 0, 6), (1, 1, 0, 2)]
     assert b.worst_vector is not None and b.nearest_vector is not None
 
 
@@ -185,21 +180,20 @@ def test_gap_tracker_matches_brute_force_max_min(case):
     best = max(dists)
     qnums = np.array([q for q, _ in queries], dtype=np.int64)
     qdens = np.array([d for _, d in queries], dtype=np.int64)
-    games = [f"g{i}" for i in range(len(queries))]
 
     bounds = [0, *cuts, len(queries)]
     for chunks in ([(0, len(queries))], list(zip(bounds, bounds[1:]))):
         tracker = GapTracker(store, metric)
         for a, b in chunks:
-            tracker.update(qnums[a:b], qdens[a:b], games[a:b], offset=a)
+            tracker.update(qnums[a:b], qdens[a:b], offset=a)
         rep = tracker.report(3)
         assert rep.omega == best
         if best == 0:
             assert rep.attaining == [] and rep.nearest_vector is None
             continue
         want = [i for i, d in enumerate(dists) if d == best]
-        assert [idx for idx, _, _ in rep.attaining] == want
-        assert [game for _, game, _ in rep.attaining] == [games[i] for i in want]
+        assert [idx for idx, _ in rep.attaining] == want
+        assert [vec.key() for _, vec in rep.attaining] == [_reduced(*queries[i]) for i in want]
         # The worst vector is the lexicographically first attaining one of
         # the first chunk that holds any; its nearest weighted vector is
         # the lexicographically smallest at distance omega.
@@ -229,18 +223,18 @@ def test_unique_rows_matches_numpy_unique(vectors, n, kind):
     assert np.array_equal(inverse, want_inverse.ravel())
 
 
-def test_vector_io_round_trip(tmp_path, catalogs):
+def test_vector_io_round_trip(tmp_path, catalogs, vectors):
     """Vector files are plain .npy matrices: numerators, then the
     denominator, one row per catalog game."""
     build_tier(4, tmp_path)
     for klass in ("cg", "wg"):
-        cat = catalogs(klass, 4)
+        games = catalogs(klass, 4)
         for kind in ("ssi", "pbi"):
             rows = np.load(vector_path(tmp_path, klass, 4, kind))
-            nums, dens = cat.power_data(kind)
-            assert rows.dtype == np.int64 and rows.shape == (len(cat), 5)
+            nums, dens = vectors(klass, 4, kind)
+            assert rows.dtype == np.int64 and rows.shape == (len(games), 5)
             assert np.array_equal(rows[:, :4], nums) and np.array_equal(rows[:, 4], dens)
-            for i, g in enumerate(cat):
+            for i, g in enumerate(games):
                 assert PowerVector(kind, rows[i, :4], rows[i, 4]) == (ssi(g) if kind == "ssi" else pbi(g))
 
 
@@ -275,11 +269,10 @@ def test_vector_io_detects_corruption(tmp_path):
     assert nums.shape == (8, 3) and set(dens.tolist()) == {6}
 
 
-def test_build_store_from_catalog(catalogs):
-    cat = catalogs("wg", 4)
-    store = build_store(cat, "ssi")
-    assert len(store) == count_distinct(cat, "ssi")
-    for g in list(cat)[::5]:
+def test_weighted_store_from_catalog(catalogs, vectors, stores):
+    store, _ = stores(4, "ssi")
+    assert len(store) == count_distinct_rows(*vectors("wg", 4, "ssi"))
+    for g in catalogs("wg", 4)[::5]:
         v = ssi(g)
         i = store.index_of(v.key()[:-1], v.key()[-1])
         assert i is not None

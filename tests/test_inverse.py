@@ -73,9 +73,9 @@ def test_beta_target_shape():
 
 
 def test_inverse_exact_hits_stored_vector(stores):
-    cat, store = stores("wg", 4, "ssi")
+    store, certs = stores(4, "ssi")
     target = Target.from_vector(ssi(parse_game("[3;3,2,1,1]")))
-    res = inverse_exact(target, Metric.L1, store, cat.certificates)
+    res = inverse_exact(target, Metric.L1, store, certs)
     assert res.mode is InverseMode.EXACT_MIN
     assert res.distance == 0
     assert ssi_dp(res.game).fractions() == target.values
@@ -83,17 +83,17 @@ def test_inverse_exact_hits_stored_vector(stores):
 
 @pytest.mark.parametrize("metric", [Metric.L1, Metric.LINF])
 def test_inverse_exact_matches_linear_scan(stores, metric):
-    cat, store = stores("wg", 4, "ssi")
+    store, certs = stores(4, "ssi")
     rows = store_rows(store)
     target = Target("ssi", (Fraction(1, 2), Fraction(1, 5), Fraction(1, 5), Fraction(1, 10)))
-    res = inverse_exact(target, metric, store, cat.certificates)
+    res = inverse_exact(target, metric, store, certs)
     qnums, qden = target.common_ints()
     dist, hits = linear_nearest(rows, qnums, qden, metric is Metric.L1)
     assert res.distance == dist
     assert distance(res.vector.fractions(), target.values, metric) == dist
     # relabelling the voters relabels the answer, at the same distance
     shuffled = Target("ssi", tuple(target.values[i] for i in (3, 1, 0, 2)))
-    moved = inverse_exact(shuffled, metric, store, cat.certificates)
+    moved = inverse_exact(shuffled, metric, store, certs)
     assert moved.distance == dist
     assert moved.vector.fractions() == tuple(res.vector.fractions()[i] for i in (3, 1, 0, 2))
     assert ssi_dp(moved.game) == moved.vector
@@ -102,10 +102,10 @@ def test_inverse_exact_matches_linear_scan(stores, metric):
 def test_inverse_exact_relabels_voters(stores):
     """The best game for a target whose strongest voter is not listed
     first: searched sorted, answered in the target's own voter order."""
-    cat, store = stores("wg", 7, "ssi")
+    store, certs = stores(7, "ssi")
     values = (Fraction(1, 10), Fraction(3, 10), Fraction(1, 5)) + (Fraction(1, 10),) * 4
     target = Target("ssi", values)
-    res = inverse_exact(target, Metric.L1, store, cat.certificates)
+    res = inverse_exact(target, Metric.L1, store, certs)
     assert res.distance == Fraction(1, 15)
     assert game_to_text(res.game) == "[10;2,5,3,2,2,2,2]"
     assert ssi_dp(res.game) == res.vector
@@ -147,8 +147,8 @@ def test_inverse_result_distance_is_honest():
 
 def test_padded_search_exact_against_catalog(stores):
     base = parse_game("[3;2,1,1]")
-    cat, store = stores("wg", 5, "ssi")
-    rep = padded_target_search([base], 5, Metric.L1, "ssi", store=store, certificates=cat.certificates)
+    store, certs = stores(5, "ssi")
+    rep = padded_target_search([base], 5, Metric.L1, "ssi", store=store, certificates=certs)
     assert rep.mode is InverseMode.EXACT_MIN
     # A weighted base stays weighted after padding, so the gap is zero.
     assert rep.bound == 0

@@ -20,17 +20,18 @@ from hypothesis import strategies as st
 
 from votekit import certified, pipeline
 from votekit.certified import CountMismatchError
-from votekit.enumeration import CatalogFormatError, read_catalog
+from votekit.enumeration import CatalogFormatError, certificate_game, read_catalog
 from votekit.games import WeightedGame, shift_minimal_winning, sort_by_desirability, to_explicit
 from votekit.pipeline import (
+    _load_vectors,
     _UniqueAccumulator,
     build_tier,
     catalog_path,
     certificate_path,
-    ensure_catalog,
-    ensure_vectors,
+    ensure_tier,
     fetch_catalog_games,
     load_certificates,
+    load_games,
     omega_tier,
     tier_present,
     vector_path,
@@ -57,16 +58,11 @@ def test_unique_accumulator_counts_distinct_rows():
     assert acc.count() == 5
 
 
-def test_ensure_catalog_rejects_unknown_class(tmp_path):
-    with pytest.raises(ValueError, match="catalog class"):
-        ensure_catalog("xx", 3, tmp_path)
-
-
-def test_ensure_catalog_sg4_requires_four_voters(tmp_path):
-    with pytest.raises(ValueError, match="4 voters"):
-        ensure_catalog("sg4", 5, tmp_path)
-    assert len(ensure_catalog("sg4", 4, tmp_path)) == certified.SIMPLE_4_TOTAL
-    assert list(tmp_path.iterdir()) == []  # sg4 is never cached
+def test_load_games_rejects_unknown_class(tmp_path):
+    for klass in ("xx", "sg4"):
+        with pytest.raises(ValueError, match="catalog class"):
+            load_games(klass, 4, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ensure_vectors_discards_wrong_kind_cache(tmp_path):
@@ -74,8 +70,7 @@ def test_ensure_vectors_discards_wrong_kind_cache(tmp_path):
     path = vector_path(tmp_path, "wg", 3, "ssi")
     path.write_bytes(vector_path(tmp_path, "wg", 3, "pbi").read_bytes())
 
-    cat = ensure_catalog("wg", 3, tmp_path)
-    nums, dens = ensure_vectors(cat, "ssi", tmp_path)
+    nums, dens = _load_vectors(ensure_tier(3, tmp_path), "wg", 3, "ssi")
     assert np.array_equal(np.load(path)[:, :3], nums)
     assert set(dens.tolist()) == {6}
 
@@ -93,8 +88,9 @@ def test_ensure_vectors_discards_wrong_shape_cache(tmp_path):
     ]
     for victim, damage in damages:
         damage(victim)
-        cat = ensure_catalog("cg" if victim.suffix == ".npy" else "wg", 4, tmp_path)
-        assert cat.power_data("pbi")[0].shape == (len(cat), 4)
+        klass = "cg" if victim.suffix == ".npy" else "wg"
+        games = load_games(klass, 4, tmp_path)
+        assert _load_vectors(tmp_path, klass, 4, "pbi")[0].shape == (len(games), 4)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
@@ -121,24 +117,26 @@ def test_build_tier_six_voters(tmp_path):
     assert [d for d, _ in seen] == list(range(256, 1171, 256)) + [1171]
 
     # catalogs and vector files hold the certified counts, one row per game
-    cg, wg = ensure_catalog("cg", 6, tmp_path), ensure_catalog("wg", 6, tmp_path)
+    cg, wg = load_games("cg", 6, tmp_path), load_games("wg", 6, tmp_path)
     assert (len(cg), len(wg)) == (1171, 1111)
     assert {g.shift_minimal for g in wg} <= {g.shift_minimal for g in cg}
-    for cat in (cg, wg):
-        assert len({g.shift_minimal for g in cat}) == len(cat)
+    for games in (cg, wg):
+        assert len({g.shift_minimal for g in games}) == len(games)
 
     # sampled rows agree with brute-force power indices, and sampled
     # certificates reproduce their games
     rng = random.Random(6)
-    for cat in (cg, wg):
-        (ssi_nums, ssi_dens), (pbi_nums, pbi_dens) = cat.power_data("ssi"), cat.power_data("pbi")
-        for i in rng.sample(range(len(cat)), 12):
-            g = cat.games[i]
+    for klass, games in (("cg", cg), ("wg", wg)):
+        ssi_nums, ssi_dens = _load_vectors(tmp_path, klass, 6, "ssi")
+        pbi_nums, pbi_dens = _load_vectors(tmp_path, klass, 6, "pbi")
+        for i in rng.sample(range(len(games)), 12):
+            g = games[i]
             got = tuple(Fraction(int(x), int(ssi_dens[i])) for x in ssi_nums[i])
             assert got == ssi_by_permutations(g)
             assert (tuple(pbi_nums[i].tolist()), int(pbi_dens[i])) == pbi_swings_by_subsets(g)
+    certs = load_certificates(6, tmp_path)
     for i in rng.sample(range(len(wg)), 50):
-        assert to_explicit(wg.certificate(i)).table == to_explicit(wg.games[i]).table
+        assert to_explicit(certificate_game(certs[i])).table == to_explicit(wg[i]).table
 
     for kind, distinct in (("ssi", 536), ("pbi", 555)):
         store, certs = weighted_store(6, kind, tmp_path)
@@ -221,21 +219,21 @@ def test_concurrent_builds_share_a_directory(tmp_path):
 
 
 def test_fetch_catalog_games_selected_indices(tmp_path):
-    cat = ensure_catalog("cg", 5, tmp_path)
+    games = load_games("cg", 5, tmp_path)
     path = catalog_path(tmp_path, "cg", 5)
 
     picked = fetch_catalog_games(path, [116, 0, 33])
     assert set(picked) == {0, 33, 116}
     for i, g in picked.items():
-        assert g == cat.games[i]
+        assert g == games[i]
 
     assert fetch_catalog_games(path, []) == {}
     # early exit once everything requested has been seen
-    assert fetch_catalog_games(path, [0])[0] == cat.games[0]
+    assert fetch_catalog_games(path, [0])[0] == games[0]
 
 
 def test_fetch_catalog_games_missing_index(tmp_path):
-    ensure_catalog("cg", 4, tmp_path)
+    ensure_tier(4, tmp_path)
     path = catalog_path(tmp_path, "cg", 4)
     with pytest.raises(CatalogFormatError, match="no game at index 25"):
         fetch_catalog_games(path, [3, 25])
@@ -260,7 +258,7 @@ def test_tier_present_requires_every_file(tmp_path):
 def test_stored_certificate_reproduces_a_random_weighted_game(cache_dir, weights, quota):
     g = WeightedGame(min(quota, sum(weights)), weights)
     complete = shift_minimal_winning(sort_by_desirability(g)[0])
-    shapes = [h.shift_minimal for h in ensure_catalog("wg", g.n, cache_dir)]
+    shapes = [h.shift_minimal for h in load_games("wg", g.n, cache_dir)]
     row = load_certificates(g.n, cache_dir)[shapes.index(complete.shift_minimal)]
     stored = WeightedGame(int(row[0]), row[1:].tolist())
     assert to_explicit(stored).table == to_explicit(complete).table
