@@ -21,22 +21,23 @@ enumerate_simple4, which is not cached.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import certified
+from .exactlp import solve_block
 from .games import (
     CompleteGame,
     ExplicitGame,
     WeightedGame,
-    _family_lists,
+    _family_masks,
     _linear_extension,
     _lower_neighbors,
     _upper_neighbors,
     canonical_table,
     is_weighted,
-    sorted_complete_representation,
 )
 
 __all__ = [
@@ -56,6 +57,9 @@ __all__ = [
 # The most voters enumerated; that tier takes hours and is built on request.
 BIG_N = 8
 DEFAULT_CHUNK = 16384
+# Weightedness systems solved in lockstep; at 8 voters the block's
+# tableau is about 1.6 MB.
+LP_BLOCK = 512
 
 
 def _iter_labelings(order: Sequence[int], lowers: Sequence[Sequence[int]]) -> Iterator[bytearray]:
@@ -125,22 +129,81 @@ def iter_complete_chunks(
             progress(done)
 
 
-def shift_minimal_families(tables: np.ndarray, n: int) -> list[tuple[int, ...]]:
-    return _family_lists(tables, _lower_neighbors(n), True)
+def shift_minimal_families(tables: np.ndarray, n: int) -> np.ndarray:
+    """Each game's shift-minimal winning coalitions, as a (games, 2**n)
+    boolean matrix."""
+    return _family_masks(tables, _lower_neighbors(n), True)
 
 
-def shift_maximal_losing_families(tables: np.ndarray, n: int) -> list[tuple[int, ...]]:
-    return _family_lists(tables, _upper_neighbors(n), False)
+def shift_maximal_losing_families(tables: np.ndarray, n: int) -> np.ndarray:
+    """Each game's shift-maximal losing coalitions, as a (games, 2**n)
+    boolean matrix."""
+    return _family_masks(tables, _upper_neighbors(n), False)
+
+
+@lru_cache(maxsize=None)
+def _prefix_counts(n: int) -> np.ndarray:
+    """Row m: how many of the strongest 1, 2, ..., n voters coalition m holds."""
+    members = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    return np.cumsum(members, axis=1)
+
+
+def _classify_block(n: int, win: np.ndarray, lose: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # sorted_complete_representation's system for every game, row for row:
+    # the shift-minimal winning rows, then the shift-maximal losing ones,
+    # each family in ascending mask order, over (weight differences, quota).
+    games = len(win)
+    n_win = win.sum(axis=1)
+    rows = int((n_win + lose.sum(axis=1)).max(initial=0))
+    coeffs = np.zeros((games, rows, n + 1), dtype=np.int64)
+    rhs = np.zeros((games, rows), dtype=np.int64)
+    for family, sign, offset in ((win, 1, np.zeros_like(n_win)), (lose, -1, n_win)):
+        g, mask = np.nonzero(family)
+        pos = np.arange(len(g)) - np.searchsorted(g, g) + offset[g]
+        coeffs[g, pos, :n] = sign * _prefix_counts(n)[mask]
+        coeffs[g, pos, n] = -sign
+        if sign < 0:
+            rhs[g, pos] = 1
+    feasible, nums, dens = solve_block(coeffs, rhs)
+
+    # games._integerize, then the quota and gcd step, in integers: scale
+    # x = nums / dens by the lcm of its reduced denominators, take suffix
+    # sums of the differences as weights, tighten the quota to the lightest
+    # shift-minimal winning coalition and divide out the common gcd.
+    nums, dens = nums[feasible], dens[feasible, None]
+    scale = np.lcm.reduce(dens // np.gcd(nums, dens), axis=1)
+    diffs = (nums // (dens[:, 0] // scale)[:, None])[:, :n]
+    weights = np.cumsum(diffs[:, ::-1], axis=1)[:, ::-1]
+    coalition = diffs @ _prefix_counts(n).T  # every coalition's weight
+    quota = np.where(win[feasible], coalition, coalition[:, -1:]).min(axis=1)
+    certs = np.column_stack([quota, weights])
+    certs = certs // np.gcd.reduce(certs, axis=1)[:, None]
+    return feasible, certs.astype(np.int64, copy=False)
 
 
 def classify_weighted_chunk(
-    n: int,
-    smw: Sequence[tuple[int, ...]],
-    sml: Sequence[tuple[int, ...]],
-) -> list[tuple[int, tuple[int, ...]] | None]:
-    """Weighted representations (quota, weights) per game, None where the
-    game is not weighted."""
-    return [sorted_complete_representation(n, w, l) for w, l in zip(smw, sml)]
+    n: int, win: np.ndarray, lose: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which games of a chunk are weighted, and their certificates.
+
+    win and lose are the chunk's shift-minimal winning and shift-maximal
+    losing families (shift_minimal_families, shift_maximal_losing_families).
+    Returns a boolean flag per game and one (quota, weights...) int64 row
+    per weighted game, in chunk order: for each game exactly what
+    games.sorted_complete_representation returns, with the systems solved
+    LP_BLOCK at a time by exactlp.solve_block, whose answers do not depend
+    on the other systems of a block.
+    """
+    weighted = np.zeros(len(win), dtype=bool)
+    certs = np.zeros((len(win), n + 1), dtype=np.int64)
+    # Blocks of games with similar row counts carry less padding.
+    order = np.argsort(win.sum(axis=1) + lose.sum(axis=1), kind="stable")
+    for start in range(0, len(win), LP_BLOCK):
+        games = order[start : start + LP_BLOCK]
+        flags, rows = _classify_block(n, win[games], lose[games])
+        weighted[games] = flags
+        certs[games[flags]] = rows
+    return weighted, certs[weighted]
 
 
 def check_certified_count(klass: str, n: int, count: int) -> None:
@@ -152,21 +215,6 @@ def check_certified_count(klass: str, n: int, count: int) -> None:
 def certificate_game(row) -> WeightedGame:
     """The weighted game of one stored (quota, weights...) row."""
     return WeightedGame(int(row[0]), [int(w) for w in row[1:]])
-
-
-def _parallel_classify(n, smw, sml, workers):
-    from concurrent.futures import ProcessPoolExecutor
-
-    blocks = max(1, len(smw) // (workers * 4))
-    spans = [(i, min(i + blocks, len(smw))) for i in range(0, len(smw), blocks)]
-    out: list = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(classify_weighted_chunk, n, smw[a:b], sml[a:b]) for a, b in spans
-        ]
-        for f in futures:
-            out.extend(f.result())
-    return out
 
 
 def enumerate_simple4() -> list[tuple[ExplicitGame, WeightedGame | None]]:

@@ -1,11 +1,32 @@
-"""Exact feasibility for small rational linear systems.
+"""Exact feasibility for small rational linear systems, many at a time.
 
-Phase-one simplex over an all-integer tableau.  Pivots use the
-fraction-free update new = (new * pivot - row * col) / old_pivot, whose
-division is exact, so entries remain integers of modest size and floats
-never appear.  Bland's smallest-index rule (and never re-entering an
-artificial column) guarantees termination.  Systems here are tiny: a few
-dozen rows over at most a dozen variables.
+Phase-one simplex over all-integer tableaux, run on a block of systems
+in lockstep.  A block is a numpy array of shape (systems, rows + 1,
+columns + 1): one tableau per system, its last row the objective (the
+sum of the artificial-carrying rows) and its last column the right-hand
+side.  Systems with fewer rows are padded with zero rows, which stay zero
+and never leave the basis.
+
+* Fraction-free pivots (Bareiss, Edmonds; the scheme of Avis's lrs): an
+  entry becomes (entry * pivot - row * col) / previous pivot, a division
+  that is always exact, so entries stay integers and floats never
+  appear.  x is read off as basic right-hand side over the last pivot.
+* A condensed tableau: only nonbasic columns are stored.  A pivot swaps
+  the entering and leaving variables' labels; when an artificial leaves,
+  its column is zeroed and never enters again, since artificials never
+  re-enter and their entries are never read.
+* Bland's rule, per system exactly as a one-system solver would apply
+  it: the entering variable is the smallest-index improving one, and the
+  leaving row minimises the ratio by exact cross-multiplication, ties
+  going to the smallest basis index, scanned row by row.  Every system
+  therefore makes the same pivots and reaches the same vertex whatever
+  block it is solved in; finished systems drop out of the block.
+* An exact overflow guard: before each pivot every entry must satisfy
+  |entry| < 2**31, so each product fits int64.  A block that fails the
+  check continues with the same code in dtype=object (Python integers).
+
+The systems come from weightedness tests: a few dozen rows over at most
+a dozen variables.  solve_nonneg_geq solves one system as a block of one.
 """
 
 from __future__ import annotations
@@ -13,7 +34,125 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-__all__ = ["solve_nonneg_geq"]
+import numpy as np
+
+__all__ = ["solve_nonneg_geq", "solve_block"]
+
+# Entries below this bound in absolute value multiply without overflowing int64.
+_GUARD = 1 << 31
+
+
+def _fits(*arrays: np.ndarray) -> bool:
+    return all(a.size == 0 or (int(a.max()) < _GUARD and int(a.min()) > -_GUARD) for a in arrays)
+
+
+def solve_block(
+    coeffs: np.ndarray, rhs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Find x >= 0 with A x >= b for every system of a block.
+
+    coeffs has shape (systems, rows, variables) and rhs shape (systems,
+    rows), both integer with rhs >= 0; all-zero rows with rhs 0 pad the
+    shorter systems.  Returns (feasible, nums, dens): per system whether
+    it is feasible and, when it is, the point x = nums / dens (integer
+    arrays, int64 unless the block outgrew the overflow guard).
+    """
+    coeffs = np.asarray(coeffs)
+    rhs = np.asarray(rhs)
+    systems, m, v = coeffs.shape
+    art = rhs > 0
+    k = int(art.sum(axis=1).max(initial=0))
+    width = v + k  # nonbasic columns; the right-hand side is column `width`
+    dtype = np.int64 if _fits(coeffs, rhs) else object
+
+    # Rows with b > 0 read A x - s + a = b with the artificial a basic;
+    # rows with b = 0 read -A x + s = 0 with the slack s basic.
+    tab = np.zeros((systems, m + 1, width + 1), dtype=dtype)
+    tab[:, :m, :v] = np.where(art[:, :, None], coeffs, -coeffs)
+    tab[:, :m, width] = rhs
+    # The surplus of the j-th artificial row is nonbasic in column v + j.
+    sys_idx, row_idx = np.nonzero(art)
+    slot = np.cumsum(art, axis=1) - 1
+    tab[sys_idx, row_idx, v + slot[sys_idx, row_idx]] = -1
+    tab[:, m] = (tab[:, :m] * art[:, :, None]).sum(axis=1)
+
+    # Variable numbering as in the one-system layout: x is 0..v-1, row i's
+    # slack is v + i, and artificials come after every slack.  Labels at
+    # or above `enterable` never enter: artificials and unused columns.
+    enterable = v + m
+    labels = np.full((systems, width), v + 2 * m, dtype=np.int64)
+    labels[:, :v] = np.arange(v)
+    labels[sys_idx, v + slot[sys_idx, row_idx]] = v + row_idx
+    basis = np.where(art, v + m, v) + np.arange(m)
+    delta = np.ones(systems, dtype=dtype)
+
+    feasible = np.zeros(systems, dtype=bool)
+    nums = np.zeros((systems, v), dtype=dtype)
+    dens = np.ones(systems, dtype=dtype)
+    live = np.arange(systems)  # original index of each system still in the block
+    while live.size:
+        obj = tab[:, m]
+        cand = np.where(obj[:, :width] > 0, labels, enterable)
+        solved = obj[:, width] == 0
+        stuck = cand.min(axis=1, initial=enterable) >= enterable  # optimum > 0: infeasible
+        done = solved | stuck
+        if done.any():
+            if solved.any():
+                if tab.dtype == object and nums.dtype != object:
+                    nums, dens = nums.astype(object), dens.astype(object)
+                s_idx, r_idx = np.nonzero(solved[:, None] & (basis < v))
+                feasible[live[solved]] = True
+                nums[live[s_idx], basis[s_idx, r_idx]] = tab[s_idx, r_idx, width]
+                dens[live[solved]] = delta[solved]
+            keep = ~done
+            tab, labels, basis, delta, live, cand = (
+                a[keep] for a in (tab, labels, basis, delta, live, cand)
+            )
+            if not live.size:
+                break
+        col = cand.argmin(axis=1)
+        if tab.dtype != object and not _fits(tab):
+            tab, delta = tab.astype(object), delta.astype(object)
+
+        # Leaving row: minimum ratio, ties by the smallest basis index.  The
+        # initial best ratio, 1/0, loses to the first row with a positive entry.
+        here = np.arange(live.size)
+        t_col = tab[here, :m, col]
+        t_rhs = tab[:, :m, width]
+        row = np.full(live.size, -1)
+        best_t = np.zeros(live.size, dtype=tab.dtype)
+        best_rhs = np.ones(live.size, dtype=tab.dtype)
+        best_basis = np.zeros(live.size, dtype=np.int64)
+        for i in range(m):
+            t = t_col[:, i]
+            r = t_rhs[:, i]
+            lhs = r * best_t
+            rhs_v = best_rhs * t
+            take = (t > 0) & ((lhs < rhs_v) | ((lhs == rhs_v) & (basis[:, i] < best_basis)))
+            np.copyto(row, i, where=take)
+            np.copyto(best_t, t, where=take)
+            np.copyto(best_rhs, r, where=take)
+            np.copyto(best_basis, basis[:, i], where=take)
+        if (row < 0).any():
+            # Unbounded reduction of a nonnegative objective cannot happen.
+            raise RuntimeError("phase-one ratio test failed")
+
+        pivot = best_t
+        prow = tab[here, row].copy()
+        pcol = tab[here, :, col].copy()
+        tab *= pivot[:, None, None]
+        tab -= pcol[:, :, None] * prow[:, None, :]
+        tab //= delta[:, None, None]
+        tab[here, row] = prow
+        tab[here, :, col] = -pcol
+        tab[here, row, col] = delta
+        delta = pivot
+        leaving = basis[here, row]
+        basis[here, row] = labels[here, col]
+        labels[here, col] = leaving
+        gone = leaving >= enterable
+        tab[here[gone], :, col[gone]] = 0  # an artificial left: drop its column
+    return feasible, nums, dens
 
 
 def solve_nonneg_geq(
@@ -24,89 +163,17 @@ def solve_nonneg_geq(
     rows is a list of (coefficients, b) with integer entries and b >= 0.
     Returns one feasible point as exact fractions.
     """
-    m = len(rows)
-    if m == 0:
-        return [Fraction(0)] * num_vars
-
-    art_rows = [i for i, (_, b) in enumerate(rows) if b > 0]
-    num_art = len(art_rows)
-    # Columns: x (num_vars), surplus/slack per row (m), artificials, rhs.
-    width = num_vars + m + num_art + 1
-    rhs = width - 1
-    tab: list[list[int]] = []
-    basis: list[int] = []
-    art_col = {}
-    for k, i in enumerate(art_rows):
-        art_col[i] = num_vars + m + k
-
-    for i, (coeffs, b) in enumerate(rows):
+    for coeffs, b in rows:
         if len(coeffs) != num_vars:
             raise ValueError("coefficient row has the wrong length")
         if b < 0:
             raise ValueError("right-hand sides must be nonnegative")
-        row = [0] * width
-        if b > 0:
-            # A x - s + a = b, artificial basic.
-            row[:num_vars] = [int(c) for c in coeffs]
-            row[num_vars + i] = -1
-            row[art_col[i]] = 1
-            row[rhs] = b
-            basis.append(art_col[i])
-        else:
-            # -A x + s = 0, slack basic.
-            row[:num_vars] = [-int(c) for c in coeffs]
-            row[num_vars + i] = 1
-            basis.append(num_vars + i)
-        tab.append(row)
-
-    # Objective: minimize the artificial sum.  Its row is the sum of the
-    # artificial-carrying rows, pivoted along with the rest.
-    obj = [0] * width
-    for i in art_rows:
-        for j in range(width):
-            obj[j] += tab[i][j]
-    tab.append(obj)
-
-    delta = 1
-    enterable = num_vars + m  # x and slack columns; artificials never re-enter
-    while tab[m][rhs] != 0:
-        # Entering: smallest improving column (Bland).
-        col = -1
-        for j in range(enterable):
-            if tab[m][j] > 0 and j not in basis:
-                col = j
-                break
-        if col < 0:
-            return None  # optimum > 0: infeasible
-        # Leaving: minimum ratio, ties by smallest basis index (Bland).
-        row = -1
-        for i in range(m):
-            t = tab[i][col]
-            if t <= 0:
-                continue
-            if row < 0:
-                row = i
-                continue
-            lhs = tab[i][rhs] * tab[row][col]
-            rhs_v = tab[row][rhs] * t
-            if lhs < rhs_v or (lhs == rhs_v and basis[i] < basis[row]):
-                row = i
-        if row < 0:
-            # Unbounded reduction of a nonnegative objective cannot happen.
-            raise RuntimeError("phase-one ratio test failed")
-        pivot = tab[row][col]
-        prow = tab[row]
-        for i in range(m + 1):
-            if i == row:
-                continue
-            ti = tab[i]
-            f = ti[col]
-            tab[i] = [(ti[j] * pivot - f * prow[j]) // delta for j in range(width)]
-        delta = pivot
-        basis[row] = col
-
-    x = [Fraction(0)] * num_vars
-    for i, b in enumerate(basis):
-        if b < num_vars:
-            x[b] = Fraction(tab[i][rhs], delta)
-    return x
+    m = len(rows)
+    coeffs = np.array([[int(c) for c in r] for r, _ in rows], dtype=object).reshape(1, m, num_vars)
+    rhs = np.array([int(b) for _, b in rows], dtype=object).reshape(1, m)
+    if _fits(coeffs, rhs):
+        coeffs, rhs = coeffs.astype(np.int64), rhs.astype(np.int64)
+    feasible, nums, dens = solve_block(coeffs, rhs)
+    if not feasible[0]:
+        return None
+    return [Fraction(int(x), int(dens[0])) for x in nums[0]]

@@ -175,31 +175,36 @@ def _upper_neighbors(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(_upper_neighbors_of(m, n)) for m in range(1 << n))
 
 
-def _family_lists(
+def _family_masks(
     tables: np.ndarray, neighbors: Sequence[Sequence[int]], minimal_winning: bool
-) -> list[tuple[int, ...]]:
-    """Per game (row of tables): the winning coalitions whose one-step
-    weakenings all lose (minimal_winning=True, neighbors the lower
-    neighbours), or the losing ones whose one-step strengthenings all win
-    (neighbors the upper neighbours)."""
-    t = tables.astype(bool)
+) -> np.ndarray:
+    """Per game (row of tables), a boolean row over coalitions marking the
+    winning coalitions whose one-step weakenings all lose
+    (minimal_winning=True, neighbors the lower neighbours), or the losing
+    ones whose one-step strengthenings all win (neighbors the upper
+    neighbours)."""
+    # Coalition-major, so that each coalition's outcomes are contiguous.
+    t = np.ascontiguousarray(tables.T, dtype=bool)
     if minimal_winning:
         keep = t.copy()
         for m, nb in enumerate(neighbors):
-            col = keep[:, m]
+            row = keep[m]
             for f in nb:
-                col &= ~t[:, f]
-            keep[:, m] = col
+                row &= ~t[f]
     else:
         keep = ~t
         for m, nb in enumerate(neighbors):
-            col = keep[:, m]
+            row = keep[m]
             for u in nb:
-                col &= t[:, u]
-            keep[:, m] = col
+                row &= t[u]
+    return keep.T
+
+
+def _mask_lists(keep: np.ndarray) -> list[tuple[int, ...]]:
+    """The marked coalitions of each row of a boolean matrix, ascending."""
     rows, cols = np.nonzero(keep)
-    bounds = np.searchsorted(rows, np.arange(tables.shape[0] + 1))
-    return [tuple(int(c) for c in cols[bounds[g] : bounds[g + 1]]) for g in range(tables.shape[0])]
+    bounds = np.searchsorted(rows, np.arange(keep.shape[0] + 1))
+    return [tuple(int(c) for c in cols[bounds[g] : bounds[g + 1]]) for g in range(keep.shape[0])]
 
 
 @lru_cache(maxsize=None)
@@ -842,7 +847,7 @@ def shift_minimal_winning(g: Game) -> CompleteGame:
     """
     e = to_explicit(g)
     t = e.np_table
-    masks = _family_lists(t[None, :], _lower_neighbors(e.n), True)[0]
+    masks = _mask_lists(_family_masks(t[None, :], _lower_neighbors(e.n), True))[0]
     cg = CompleteGame(e.n, masks, validate=False)
     if cg.winning_bitset() != int.from_bytes(
         np.packbits(t, bitorder="little").tobytes(), "little"
@@ -855,7 +860,7 @@ def shift_maximal_losing(g: Game) -> tuple[Coalition, ...]:
     """Losing coalitions of a sorted complete game whose every one-step
     strengthening wins."""
     e = to_explicit(g)
-    return _family_lists(e.np_table[None, :], _upper_neighbors(e.n), False)[0]
+    return _mask_lists(_family_masks(e.np_table[None, :], _upper_neighbors(e.n), False))[0]
 
 
 def add_null_voters(g: Game, k: int) -> Game:

@@ -41,7 +41,6 @@ from .enumeration import (
     DEFAULT_CHUNK,
     CatalogFormatError,
     CatalogWriter,
-    _parallel_classify,
     check_certified_count,
     classify_weighted_chunk,
     iter_catalog_masks,
@@ -51,7 +50,7 @@ from .enumeration import (
     shift_maximal_losing_families,
     shift_minimal_families,
 )
-from .games import CompleteGame
+from .games import CompleteGame, _mask_lists
 from .geometry import (
     GapReport,
     GapTracker,
@@ -288,27 +287,37 @@ def _check_certificates(n: int, certs: np.ndarray, tables: np.ndarray, widx: lis
             )
 
 
-def _write_chunk(n, tables, workers, cats, files, accs) -> None:
+def _classify(n, win, lose, pool, workers):
+    """classify_weighted_chunk over the chunk, split across the pool's
+    workers when there is a pool."""
+    if pool is None:
+        return classify_weighted_chunk(n, win, lose)
+    step = max(1, -(-len(win) // workers))
+    futures = [
+        pool.submit(classify_weighted_chunk, n, win[a : a + step], lose[a : a + step])
+        for a in range(0, len(win), step)
+    ]
+    parts = [f.result() for f in futures]
+    return np.concatenate([f for f, _ in parts]), np.concatenate([c for _, c in parts])
+
+
+def _write_chunk(n, tables, pool, workers, cats, files, accs) -> None:
     """Classify one chunk of complete games and append it to every file.
     Kept apart so that the chunk's arrays are freed before the next one."""
-    smw = shift_minimal_families(tables, n)
-    sml = shift_maximal_losing_families(tables, n)
     ssi_nums, ssi_den = batch_ssi_numerators(tables)
     pbi_nums = batch_swing_counts(tables)
     vectors = {
         "ssi": np.column_stack([ssi_nums, np.full(len(tables), ssi_den, dtype=np.int64)]),
         "pbi": np.column_stack([pbi_nums, pbi_nums.sum(axis=1)]),
     }
-    if workers > 1:
-        results = _parallel_classify(n, smw, sml, workers)
-    else:
-        results = classify_weighted_chunk(n, smw, sml)
-    widx = [i for i, r in enumerate(results) if r is not None]
-    certs = np.array(
-        [(r[0], *r[1]) for r in results if r is not None], dtype=np.int64
-    ).reshape(-1, n + 1)
+    # The family matrices come after the index kernels' temporaries are
+    # gone, and the losing one is dropped once classified, to bound memory.
+    win = shift_minimal_families(tables, n)
+    weighted, certs = _classify(n, win, shift_maximal_losing_families(tables, n), pool, workers)
+    widx = np.flatnonzero(weighted)
     _check_certificates(n, certs, tables, widx)
 
+    smw = _mask_lists(win)
     cats["cg"].add_many(smw)
     cats["wg"].add_many([smw[i] for i in widx])
     for kind, rows in vectors.items():
@@ -319,12 +328,20 @@ def _write_chunk(n, tables, workers, cats, files, accs) -> None:
 
 
 def _write_tier(n, tmps, workers, progress, chunk_size) -> dict[str, int]:
-    """Stream every complete game with n voters into the temp files."""
+    """Stream every complete game with n voters into the temp files.
+    With workers > 1, one process pool classifies every chunk."""
     expected = {klass: certified.GAME_COUNTS[klass][n] for klass in _CLASSES}
     total = expected["cg"]
     vector_keys = [f"{klass}.{kind}" for klass in _CLASSES for kind in KINDS]
     accs = {key: _UniqueAccumulator() for key in vector_keys}
     with ExitStack() as stack:
+        pool = None
+        if workers > 1:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            spawn = multiprocessing.get_context("spawn")
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers, mp_context=spawn))
         cats = {}
         for klass in _CLASSES:
             cats[klass] = CatalogWriter(tmps[f"{klass}.cat"], klass, n)
@@ -338,7 +355,7 @@ def _write_tier(n, tmps, workers, progress, chunk_size) -> dict[str, int]:
             )
         done = 0
         for tables in iter_complete_chunks(n, chunk_size):
-            _write_chunk(n, tables, workers, cats, files, accs)
+            _write_chunk(n, tables, pool, workers, cats, files, accs)
             done += tables.shape[0]
             if progress is not None:
                 progress(done, total)

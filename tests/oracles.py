@@ -114,3 +114,86 @@ def random_boolcombo(rng, n: int) -> BoolCombo:
     else:
         parts = [leaves[0], BoolCombo(other, leaves[1:])]
     return BoolCombo(op, parts)
+
+
+def feasible_by_fourier_motzkin(num_vars: int, rows) -> bool:
+    """Whether some x >= 0 has A x >= b, by eliminating one variable at a
+    time.
+
+    rows is a list of (coefficients, b) meaning sum c_j x_j >= b.  A pair
+    of rows whose coefficients on the eliminated variable have opposite
+    signs combines, with positive multipliers, into one row without it;
+    the system is feasible iff no row ends as 0 >= b with b > 0.
+    """
+    system = {(tuple(Fraction(c) for c in coeffs), Fraction(b)) for coeffs, b in rows}
+    system |= {(tuple(Fraction(int(j == k)) for j in range(num_vars)), Fraction(0)) for k in range(num_vars)}
+    for k in range(num_vars):
+        pos = [r for r in system if r[0][k] > 0]
+        neg = [r for r in system if r[0][k] < 0]
+        kept = {r for r in system if r[0][k] == 0}
+        for cp, bp in pos:
+            for cn, bn in neg:
+                sp, sn = -cn[k], cp[k]
+                coeffs = tuple(sp * a + sn * c for a, c in zip(cp, cn))
+                kept.add((coeffs, sp * bp + sn * bn))
+        # Scale each row so its largest coefficient is 1; duplicates merge.
+        system = set()
+        for coeffs, b in kept:
+            top = max((abs(c) for c in coeffs), default=0)
+            system.add((coeffs, b) if top == 0 else (tuple(c / top for c in coeffs), b / top))
+    return all(b <= 0 for _, b in system)
+
+
+def simplex_one_system(num_vars: int, rows) -> list[Fraction] | None:
+    """Phase-one simplex on one full integer tableau, the reference for
+    exactlp's block solver: the same Bland rule and fraction-free pivots,
+    with every column stored (artificials included) and plain Python
+    loops, so it must reach the same vertex."""
+    m = len(rows)
+    art_rows = [i for i, (_, b) in enumerate(rows) if b > 0]
+    width = num_vars + m + len(art_rows) + 1
+    rhs = width - 1
+    tab, basis = [], []
+    for i, (coeffs, b) in enumerate(rows):
+        row = [0] * width
+        if b > 0:
+            row[:num_vars] = list(coeffs)
+            row[num_vars + i] = -1
+            art = num_vars + m + art_rows.index(i)
+            row[art], row[rhs] = 1, b
+            basis.append(art)
+        else:
+            row[:num_vars] = [-c for c in coeffs]
+            row[num_vars + i] = 1
+            basis.append(num_vars + i)
+        tab.append(row)
+    tab.append([sum(tab[i][j] for i in art_rows) for j in range(width)])
+    delta = 1
+    while tab[m][rhs] != 0:
+        entering = [j for j in range(num_vars + m) if tab[m][j] > 0 and j not in basis]
+        if not entering:
+            return None
+        col = entering[0]
+        row = -1
+        for i in range(m):
+            t = tab[i][col]
+            if t <= 0:
+                continue
+            if row < 0:
+                row = i
+                continue
+            lhs, rhs_v = tab[i][rhs] * tab[row][col], tab[row][rhs] * t
+            if lhs < rhs_v or (lhs == rhs_v and basis[i] < basis[row]):
+                row = i
+        pivot, prow = tab[row][col], tab[row]
+        for i in range(m + 1):
+            if i != row:
+                f = tab[i][col]
+                tab[i] = [(tab[i][j] * pivot - f * prow[j]) // delta for j in range(width)]
+        delta = pivot
+        basis[row] = col
+    x = [Fraction(0)] * num_vars
+    for i, b in enumerate(basis):
+        if b < num_vars:
+            x[b] = Fraction(tab[i][rhs], delta)
+    return x

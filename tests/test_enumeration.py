@@ -28,6 +28,7 @@ from votekit.games import (
     DesirabilityOutcome,
     _linear_extension,
     _lower_neighbors,
+    _mask_lists,
     _upper_neighbors,
     canonical_table,
     desirability,
@@ -189,8 +190,8 @@ def test_scalar_family_extractors_match_the_batch(catalogs, n):
     with the batch extractors over every complete game's table."""
     games = catalogs("cg", n)
     tables = np.array([to_explicit(g).np_table for g in games])
-    smw = shift_minimal_families(tables, n)
-    sml = shift_maximal_losing_families(tables, n)
+    smw = _mask_lists(shift_minimal_families(tables, n))
+    sml = _mask_lists(shift_maximal_losing_families(tables, n))
     for g, w, l in zip(games, smw, sml, strict=True):
         assert shift_minimal_winning(g).shift_minimal == w == g.shift_minimal
         assert shift_maximal_losing(g) == l

@@ -1,10 +1,21 @@
 """Exact rational feasibility solving and weightedness certificates."""
 
+import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import feasible_by_fourier_motzkin, simplex_one_system
 
-from votekit.exactlp import solve_nonneg_geq
+from votekit.enumeration import (
+    classify_weighted_chunk,
+    iter_complete_chunks,
+    shift_maximal_losing_families,
+    shift_minimal_families,
+)
+from votekit.exactlp import solve_block, solve_nonneg_geq
 from votekit.games import (
     is_weighted,
     parse_game,
@@ -78,15 +89,125 @@ def test_every_five_voter_complete_game_is_weighted(catalogs):
 
 
 def test_sorted_representation_agrees_with_general_solver(catalogs):
-    """The difference-space shortcut must match the generic LP verdict."""
-    cat = catalogs("cg", 6)
-    for g in list(cat)[::37]:
+    """The difference-space shortcut must match the generic LP verdict,
+    and the chunk classifier must return the shortcut's certificates."""
+    games = list(catalogs("cg", 6))[::7]
+    tables = np.array([to_explicit(g).np_table for g in games])
+    weighted, certs = classify_weighted_chunk(
+        6, shift_minimal_families(tables, 6), shift_maximal_losing_families(tables, 6)
+    )
+    assert 0 < weighted.sum() < len(games)
+    chunk_certs = iter(certs.tolist())
+    for g, flag in zip(games, weighted, strict=True):
         sml = shift_maximal_losing(g)
         r = sorted_complete_representation(g.n, g.shift_minimal, sml)
         general = is_weighted(g)
-        assert (r is None) == (general is None)
+        assert (r is None) == (general is None) == (not flag)
         if r is not None:
             q, w = r
+            assert [q, *w] == next(chunk_certs)
             assert all(w[i] >= w[i + 1] for i in range(len(w) - 1))
             rep = parse_game(f"[{q};{','.join(str(x) for x in w)}]")
             assert to_explicit(rep).table == to_explicit(g).table
+
+
+def _systems(num_vars):
+    row = st.tuples(st.lists(st.integers(-3, 3), min_size=num_vars, max_size=num_vars), st.integers(0, 3))
+    return st.lists(row, max_size=6)
+
+
+def _block(num_vars, systems):
+    """coeffs and rhs arrays of a block, shorter systems padded with zero rows."""
+    rows = max((len(s) for s in systems), default=0)
+    coeffs = np.zeros((len(systems), rows, num_vars), dtype=np.int64)
+    rhs = np.zeros((len(systems), rows), dtype=np.int64)
+    for k, system in enumerate(systems):
+        for i, (c, b) in enumerate(system):
+            coeffs[k, i], rhs[k, i] = c, b
+    return coeffs, rhs
+
+
+def _answers(num_vars, systems):
+    feasible, nums, dens = solve_block(*_block(num_vars, systems))
+    return [
+        [Fraction(int(x), int(d)) for x in row] if ok else None
+        for ok, row, d in zip(feasible, nums, dens)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda v: st.tuples(st.just(v), _systems(v))))
+def test_solution_is_feasible_and_none_means_infeasible(case):
+    num_vars, rows = case
+    x = solve_nonneg_geq(num_vars, rows)
+    assert (x is not None) == feasible_by_fourier_motzkin(num_vars, rows)
+    if x is not None:
+        check(num_vars, rows)
+    # The condensed block tableau pivots like the full one-system tableau.
+    assert x == simplex_one_system(num_vars, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4)
+    .flatmap(lambda v: st.tuples(st.just(v), st.lists(_systems(v), min_size=1, max_size=8)))
+    .flatmap(lambda c: st.tuples(st.just(c[0]), st.permutations(c[1])))
+)
+def test_block_answers_match_solving_alone(case):
+    """Padding and the other systems of a block never change an answer."""
+    num_vars, systems = case
+    assert _answers(num_vars, systems) == [solve_nonneg_geq(num_vars, s) for s in systems]
+
+
+def test_overflow_guard_continues_in_python_integers():
+    """Entries near 2**20 fit int64 at the start but not after a pivot, so
+    the block continues in Python integers, with the same answer alone and
+    beside a small system."""
+    big = 1 << 20
+    rows = [
+        ([big + 1, big - 1, 3], big),
+        ([big - 3, 5, big + 7], big // 2),
+        ([7, big + 11, big - 13], big + 1),
+    ]
+    small = [([1, -1, 0], 1), ([0, 2, -1], 1)]
+    feasible, nums, dens = solve_block(*_block(3, [rows]))
+    assert nums.dtype == object
+    assert feasible_by_fourier_motzkin(3, rows)
+    x = check(3, rows)
+    assert max(v.denominator for v in x) >= 1 << 31
+    assert _answers(3, [small, rows]) == [solve_nonneg_geq(3, small), x]
+    assert x == simplex_one_system(3, rows)
+    huge = [([c << 40 for c in coeffs], b << 40) for coeffs, b in rows]
+    assert solve_nonneg_geq(3, huge) == x
+
+
+# sha256 of each wg{n}.cert.npy's (quota, weights...) rows as little-endian
+# int64, as the scalar solver wrote them; any change to the pivot rule or to
+# the integer post-processing shows here.
+CERTIFICATE_DIGESTS = {
+    3: "be5860e4e3be9f530dea0238e380e3aa7e76dd7dab996cdeec5cbfe79accc662",
+    4: "f0e21e1c7a45490e95a3c0ba06372f95e985a7fcb93daffc8c2b1f5deb6e7c44",
+    5: "b391e842835c1b1fa61c64fc601efe90380596ea33b334267f956f18f99e6f8a",
+    6: "7a5cf3a0181be7c943a89c1308f20f1629e72c66effe450b74ff0875a3c4ec15",
+    7: "95744c8587c9cd316b64722c289cec5c00a3b80338f1a1e16675afbb90cb300d",
+}
+
+
+def _digest(rows) -> str:
+    return hashlib.sha256(np.ascontiguousarray(rows, dtype="<i8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(CERTIFICATE_DIGESTS))
+def test_certificates_are_pinned(certificates, n):
+    assert _digest(certificates(n)) == CERTIFICATE_DIGESTS[n]
+
+
+def test_first_eight_voter_chunk_classifies_to_pinned_certificates():
+    """The first 4,096 games with 8 voters are all weighted; their
+    certificates are the scalar solver's."""
+    tables = next(iter_complete_chunks(8, 4096))
+    weighted, certs = classify_weighted_chunk(
+        8, shift_minimal_families(tables, 8), shift_maximal_losing_families(tables, 8)
+    )
+    assert weighted.all()
+    assert _digest(certs) == "d7141a919377576c90b0fbd55753181c1c5253c274d6d045986bdc290066fccf"

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+from concurrent import futures
 from fractions import Fraction
 from pathlib import Path
 
@@ -152,6 +153,24 @@ def test_build_tier_six_voters(tmp_path):
         assert rep.attaining == []
 
 
+def test_pooled_build_matches_one_worker(tmp_path, cache_dir, monkeypatch):
+    """workers=2 classifies every chunk in one process pool and writes the
+    same bytes as the one-worker build of the session cache."""
+    opened = []
+
+    class CountedPool(futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", CountedPool)
+    build_tier(6, cache_dir=tmp_path, workers=2, chunk_size=256)
+    assert opened == [2]
+    one_worker = pipeline._tier_paths(ensure_tier(6, cache_dir), 6)
+    for key, path in pipeline._tier_paths(tmp_path, 6).items():
+        assert path.read_bytes() == one_worker[key].read_bytes(), key
+
+
 @pytest.mark.parametrize(
     "inject",
     ["games", "vectors"],
@@ -172,14 +191,13 @@ def test_big_build_mismatch_removes_partial_files(tmp_path, monkeypatch, inject)
 def test_wrong_certificate_stops_the_build(tmp_path, monkeypatch):
     real = pipeline.classify_weighted_chunk
 
-    def perturbed(n, smw, sml):
-        results = real(n, smw, sml)
-        for i, r in enumerate(results):
-            if r is not None and r[1][-1] < r[0]:
-                q, w = r
-                results[i] = (q, w[:-1] + (w[-1] + q,))  # the weakest voter now wins alone
+    def perturbed(n, win, lose):
+        weighted, certs = real(n, win, lose)
+        for row in certs:
+            if row[-1] < row[0]:
+                row[-1] += row[0]  # the weakest voter now wins alone
                 break
-        return results
+        return weighted, certs
 
     monkeypatch.setattr(pipeline, "classify_weighted_chunk", perturbed)
     with pytest.raises(CountMismatchError, match="certificates"):
