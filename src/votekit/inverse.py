@@ -6,11 +6,12 @@ Two modes with very different guarantees:
   nearest-neighbor store, so its answer is the true minimum (EXACT_MIN).
   That is only possible where the catalog exists (n <= 8).
 * inverse_heuristic hill-climbs over integer weight vectors of a fixed
-  total, evaluating every quota of a candidate in one dynamic-programming
-  sweep.  Its answer is an upper bound on the true minimum
-  (HEURISTIC_UPPER_BOUND) and is deterministic for a given seed and
-  budget; a larger budget only extends the evaluation sequence, so it can
-  never return a worse distance.
+  total.  It scores every quota of a candidate in one exact numpy pass,
+  with one swing profile per distinct weight (_QuotaScan), and keeps the
+  smallest quota among the best.  Its answer is an upper bound on the
+  true minimum (HEURISTIC_UPPER_BOUND) and is deterministic for a given
+  seed and budget; a larger budget only extends the evaluation sequence,
+  so it can never return a worse distance.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
 ]
 
 MAX_HEURISTIC_VOTERS = 64
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -202,17 +204,59 @@ def _proportional_start(values: Sequence[Fraction], total: int) -> list[int]:
 
 
 class _QuotaScan:
-    """Per-candidate evaluator: one DP sweep covers every quota at once."""
+    """Per-candidate evaluator: every quota of one weight vector in one
+    exact numpy pass.
+
+    full[k, s] counts the coalitions of size k and weight sum at most s;
+    a forward DP over the voters gives it.  The same counts among the
+    other voters of a voter of weight w follow from the removal recurrence
+
+        below[k, s] = full[k, s] - below[k - 1, s - w],
+
+    which depends only on w.  So it runs once per distinct weight, all of
+    them in lockstep with one gather per coalition size: voters of equal
+    weight share a swing profile, and weight zero gets the empty one.
+
+    A voter of weight w swings at quota t for the coalitions of the others
+    with sum in [t - w, t).  Those with sum below t - w are, with the
+    voter added, the coalitions of all voters that contain it and have
+    sum below t, so the swings of size k number
+
+        below[k, t - 1] + below[k + 1, t - 1] - full[k + 1, t - 1],
+
+    for every size and every quota at once.  Numerators and distances
+    follow for all quotas together; the first (smallest) best quota wins,
+    and only it gets a Fraction and a PowerVector.
+
+    Everything is an exact integer: int64 where a bound on the magnitudes
+    shows that nothing can overflow, Python integers in object arrays
+    otherwise.  No float enters a decision.
+    """
 
     def __init__(self, target: Target, metric: Metric):
         self.target = target
         self.metric = metric
-        self.n = target.n
-        self.tnums, self.tden = target.common_ints()
-        self.fact = _factorials(self.n)
-        n = self.n
-        self.fprod = [self.fact[k] * self.fact[n - 1 - k] for k in range(n)]
-        self.fits_int64 = self.fact[n] <= 2**62
+        self.n = n = target.n
+        tnums, self.tden = target.common_ints()
+        self.tnums = np.array(tnums, dtype=object)
+        self.fact = _factorials(n)
+        # Shapley-Shubik numerators in units of the size weights' gcd: a
+        # numerator sums nonnegative terms up to n! / unit, which fits in
+        # int64 up to n = 42.
+        fprod = [self.fact[k] * self.fact[n - 1 - k] for k in range(n)]
+        self.unit = math.gcd(*fprod)
+        den = self.fact[n] // self.unit
+        self.fprod = np.array(
+            [f // self.unit for f in fprod], dtype=np.int64 if den <= _INT64_MAX else object
+        )
+        # SSI distances over the lcm of den and the target's denominator:
+        # every term is at most that lcm, and an L1 sum at most twice it.
+        self.ssi_den = math.lcm(den, self.tden)
+        self.ssi_scale = self.ssi_den // den
+        self.ssi_goal = np.array(
+            [a * (self.ssi_den // self.tden) for a in tnums],
+            dtype=np.int64 if 2 * self.ssi_den <= _INT64_MAX else object,
+        )[:, None]
 
     def run(self, weights: Sequence[int]):
         """Best quota for these weights: (distance, quota, vector)."""
@@ -220,73 +264,85 @@ class _QuotaScan:
         total = sum(weights)
         if total == 0:
             return None
-        # dp over all voters, then per-voter removal by reverse DP.
-        dp = np.zeros((n + 1, total + 1), dtype=np.int64)
+        width = total + 1
+        # With at most MAX_HEURISTIC_VOTERS = 64 voters, coalition counts
+        # stay below C(64, 32) < 2**63.  Each voter adds the coalitions so
+        # far (sizes up to joined, sums up to reach) shifted by one in size
+        # and w in sum; numpy buffers the overlapping operands, so every
+        # voter joins at most once.
+        dp = np.zeros((n + 1, width), dtype=np.int64)
         dp[0, 0] = 1
-        filled = 0
+        joined = reach = 0
         for w in weights:
-            filled += 1
-            for k in range(filled, 0, -1):
-                dp[k, w:] += dp[k - 1, : total + 1 - w]
-
-        ts = np.arange(1, total + 1)
-        # swing_profiles[i][k][t-1] = number of size-k coalitions of the
-        # others whose sum lands in the swing window of voter i at quota t.
-        per_voter_nums: list[list[int]] = []
-        pbi_rows: list[list[int]] = []
-        for i in range(n):
-            w = weights[i]
-            if w == 0:
-                per_voter_nums.append([0] * total)
-                pbi_rows.append([0] * total)
-                continue
-            wo = np.zeros((n, total + 1), dtype=np.int64)
-            wo[0] = dp[0]
-            for k in range(1, n):
-                wo[k] = dp[k]
-                wo[k, w:] -= wo[k - 1, : total + 1 - w]
-            cum = np.cumsum(wo, axis=1)
-            hi = cum[:, ts - 1]
-            lo_idx = ts - 1 - w
-            lo = np.where(lo_idx >= 0, cum[:, np.maximum(lo_idx, 0)], 0)
-            cnt = hi - lo  # (k, t)
-            if self.fits_int64:
-                nums = np.array(self.fprod, dtype=np.int64) @ cnt
-                per_voter_nums.append([int(x) for x in nums])
-            else:
-                cols = cnt.T.tolist()
-                per_voter_nums.append(
-                    [sum(f * c for f, c in zip(self.fprod, col)) for col in cols]
-                )
-            pbi_rows.append([int(x) for x in cnt.sum(axis=0)])
-
-        b = self.tden
-        a = self.tnums
-        l1 = self.metric is Metric.L1
-        best = None
+            dp[1 : joined + 2, w : reach + w + 1] += dp[: joined + 1, : reach + 1]
+            joined += 1
+            reach += w
+        full = np.cumsum(dp, axis=1)
+        # below[k, j, pad + s]: the counts among the others of a voter of
+        # weight distinct[j].  The pad columns stay zero, so a shift by a
+        # weight reads zeros off the left edge; back holds those shifted
+        # positions in one lane-major row, and row n stays zero.
+        distinct = sorted(set(weights))
+        lane = {w: j for j, w in enumerate(distinct)}
+        pad = distinct[-1]
+        span = pad + width
+        starts = np.array([j * span + pad - w for j, w in enumerate(distinct)])
+        back = starts[:, None] + np.arange(width)
+        below = np.zeros((n + 1, len(distinct), span), dtype=np.int64)
+        below[0, :, pad:] = full[0]
+        for k in range(1, n):
+            np.subtract(full[k], below[k - 1].take(back), out=below[k, :, pad:])
+        # cnt[k, j, t - 1]: swings at size k of weight distinct[j], quota t
+        cnt = below[:-1, :, pad:-1] + below[1:, :, pad:-1] - full[1:, None, :-1]
+        row = [lane[w] for w in weights]
         if self.target.kind == "ssi":
-            den_all = self.fact[n]
-            for t in range(1, total + 1):
-                acc = 0
-                for i in range(n):
-                    d = abs(per_voter_nums[i][t - 1] * b - a[i] * den_all)
-                    acc = acc + d if l1 else max(acc, d)
-                cand = Fraction(acc, den_all * b)
-                if best is None or cand < best[0]:
-                    nums = [per_voter_nums[i][t - 1] for i in range(n)]
-                    best = (cand, t, PowerVector("ssi", nums, den_all))
+            return self._best_ssi(cnt, row)
+        return self._best_pbi(cnt, row)
+
+    def _gaps(self, diff):
+        """Per quota, the L1 or Linf norm of the voters' differences."""
+        diff = np.abs(diff)
+        return diff.sum(axis=0) if self.metric is Metric.L1 else diff.max(axis=0)
+
+    def _best_ssi(self, cnt, row):
+        n, lanes, quotas = cnt.shape
+        if self.fprod.dtype == object:
+            cnt = cnt.astype(object)
+        nums = (self.fprod @ cnt.reshape(n, -1)).reshape(lanes, quotas)[row]
+        if self.ssi_goal.dtype == object:
+            nums = nums.astype(object)
+        acc = self._gaps(nums * self.ssi_scale - self.ssi_goal)
+        # One denominator for every quota: the first smallest numerator wins.
+        best = int(np.argmin(acc))
+        vector = PowerVector("ssi", [x * self.unit for x in nums[:, best].tolist()], self.fact[n])
+        return Fraction(int(acc[best]), self.ssi_den), best + 1, vector
+
+    def _best_pbi(self, cnt, row):
+        n = self.n
+        # A voter swings for at most 2**(n-1) <= 2**63 coalitions, so its
+        # count fits in uint64; the total over n voters may not.
+        if n << (n - 1) > _INT64_MAX:
+            swings = cnt.sum(axis=0, dtype=np.uint64).astype(object)[row]
         else:
-            for t in range(1, total + 1):
-                tot = sum(pbi_rows[i][t - 1] for i in range(n))
-                acc = 0
-                for i in range(n):
-                    d = abs(pbi_rows[i][t - 1] * b - a[i] * tot)
-                    acc = acc + d if l1 else max(acc, d)
-                cand = Fraction(acc, tot * b)
-                if best is None or cand < best[0]:
-                    nums = [pbi_rows[i][t - 1] for i in range(n)]
-                    best = (cand, t, PowerVector("pbi", nums, tot))
-        return best
+            swings = cnt.sum(axis=0)[row]
+        tot = swings.sum(axis=0)
+        # |swings * b - a * tot| <= tot * b per voter, the L1 sum <= 2 tot b.
+        if swings.dtype != object and 2 * int(tot.max()) * self.tden > _INT64_MAX:
+            swings = swings.astype(object)
+            tot = swings.sum(axis=0)
+        acc = self._gaps(swings * self.tden - self.tnums.astype(swings.dtype)[:, None] * tot)
+        # The first smallest acc / tot.  A quota whose floor of acc / tot
+        # is above the least floor has a larger ratio, so only the quotas
+        # at the least floor are compared, by exact cross-multiplication.
+        floors = acc // tot
+        acc, tot = acc.tolist(), tot.tolist()
+        ties = np.flatnonzero(floors == floors.min()).tolist()
+        best = ties[0]
+        for t in ties[1:]:
+            if acc[t] * tot[best] < acc[best] * tot[t]:
+                best = t
+        vector = PowerVector("pbi", swings[:, best].tolist(), tot[best])
+        return Fraction(acc[best], tot[best] * self.tden), best + 1, vector
 
 
 def inverse_heuristic(

@@ -1,12 +1,14 @@
 """Command-line front end: output shapes, exit codes, cache behaviour."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from votekit import certified, pipeline
 from votekit.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from votekit.games import evaluate, game_to_text, parse_game, to_explicit
+from votekit.indices import pbi_dp, ssi_dp
 
 
 def run(capsys, *argv):
@@ -180,6 +182,41 @@ def test_inverse_beta_heuristic_flagged(capsys):
     )
     assert data["results"]["mode"] == "heuristic-upper-bound"
     assert data["config"]["seed"] == 0
+
+
+@pytest.mark.parametrize("index", ["ssi", "pbi"])
+def test_inverse_council_heuristic_is_exact(capsys, tmp_path, index):
+    """27 members, so 27! leaves int64: the found game's exact index and
+    distance, through the CLI."""
+    pops = [
+        83166, 67320, 59641, 47332, 37958, 19328, 17408, 11522, 10718, 10694, 10327, 10295,
+        9770, 8901, 6951, 5823, 5525, 5458, 4964, 4058, 2795, 2096, 1908, 1329, 888, 626, 515,
+    ]
+    f = tmp_path / "pops.csv"
+    f.write_text("".join(f"m{i},{p}\n" for i, p in enumerate(pops)))
+    data = run_json(
+        capsys, "inverse", "--target", "eu", "--populations", str(f), "--quantize", "1000",
+        "--mode", "heuristic", "--budget", "20", "--index", index, "--metric", "l1",
+    )
+    res = data["results"]
+    assert res["mode"] == "heuristic-upper-bound" and res["evaluations"] == 20
+    game = parse_game(res["game"])
+    exact = ssi_dp(game) if index == "ssi" else pbi_dp(game)
+    achieved = exact.fractions()
+    assert [str(v) for v in achieved] == res["vector"]["values"]
+    target = [Fraction(v) for v in res["target"]]
+    assert Fraction(res["distance"]) == sum(abs(a - t) for a, t in zip(achieved, target))
+
+
+def test_inverse_sixty_four_voter_file_target(capsys, tmp_path):
+    f = tmp_path / "target.txt"
+    f.write_text("n=64 index=pbi\n1" + " 0" * 63 + "\n")
+    data = run_json(
+        capsys, "inverse", "--target", str(f), "--mode", "heuristic", "--budget", "20",
+        "--metric", "l1",
+    )
+    assert data["results"]["distance"] == "0"
+    assert pbi_dp(parse_game(data["results"]["game"])).fractions()[0] == 1
 
 
 def test_eu_subcommand(capsys, tmp_path):

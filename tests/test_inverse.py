@@ -1,15 +1,20 @@
 """Inverse problem: exact minimization and the heuristic upper bound."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from votekit.games import add_null_voters, game_to_text, parse_game
+from votekit.council import council_game
+from votekit.games import WeightedGame, add_null_voters, game_to_text, parse_game
 from votekit.geometry import Metric, distance
-from votekit.indices import ssi, ssi_dp
+from votekit.indices import pbi_dp, power_vector, ssi, ssi_dp
 from votekit.inverse import (
     InverseMode,
     Target,
+    _QuotaScan,
     beta_target,
     inverse_exact,
     inverse_heuristic,
@@ -165,3 +170,136 @@ def test_padded_search_heuristic_mode():
         padded_target_search([], 5, Metric.L1, "ssi")
     with pytest.raises(ValueError):
         padded_target_search([base], 2, Metric.L1, "ssi")
+
+
+# Rounded member-state populations in thousands: 27 members, as in the
+# council rule's own setting.
+COUNCIL_27 = [
+    83166, 67320, 59641, 47332, 37958, 19328, 17408, 11522, 10718, 10694, 10327, 10295,
+    9770, 8901, 6951, 5823, 5525, 5458, 4964, 4058, 2795, 2096, 1908, 1329, 888, 626, 515,
+]
+# one of the two games at the n = 7 Shapley-Shubik L1 gap
+PADDED_BASE = "n=7; shiftminwin={1,3,4,7},{1,2,6,7}"
+
+
+def _pinned_target(name):
+    if name.startswith("beta9"):
+        return beta_target(9, name.split("-")[1])
+    if name == "padded11-ssi":
+        padded = add_null_voters(parse_game(PADDED_BASE), 4)
+        return Target.from_vector(power_vector(padded, "ssi"))
+    return Target.from_vector(ssi_dp(council_game(COUNCIL_27, 1000)))
+
+
+# sha256 of "game|distance|evaluations", recorded from the per-voter
+# quota scan that the grouped kernel replaced.
+@pytest.mark.parametrize(
+    "name, metric, budget, seed, digest",
+    [
+        pytest.param(
+            "beta9-ssi", Metric.L1, 300, 0,
+            "dbaca75dcb3a00b595d64330d0c75d8e3acc5a9da46ab687b0107f4ec9218b80",
+            id="beta9-ssi-l1",
+        ),
+        pytest.param(
+            "beta9-ssi", Metric.LINF, 300, 1,
+            "f7761a1f22e1c24842f800f50d249a65a65d992125347e3acfaee3ca625d7208",
+            id="beta9-ssi-linf",
+        ),
+        pytest.param(
+            "beta9-pbi", Metric.L1, 300, 2,
+            "0647f8c92613044560a74109414c93f400ec1b290a316d00765c3230402768d7",
+            id="beta9-pbi-l1",
+        ),
+        pytest.param(
+            "beta9-pbi", Metric.LINF, 300, 3,
+            "27f75619591e938e50b6b6a6a0bab65cff9832e06221fcfa5a3ea28a1e511738",
+            id="beta9-pbi-linf",
+        ),
+        pytest.param(
+            "padded11-ssi", Metric.L1, 300, 5,
+            "25b20387b6827edf4606257b319b2cbd85394c0dc76b765c46c99a8609d84550",
+            id="padded11-ssi-l1",
+        ),
+        pytest.param(
+            "council27-ssi", Metric.L1, 60, 6,
+            "20c43434c2c8c6ce9053f5a35b471c15e4d3706818fd7a11678153d4e790d9eb",
+            id="council27-ssi-l1",
+        ),
+    ],
+)
+def test_search_trajectory_is_pinned(name, metric, budget, seed, digest):
+    res = inverse_heuristic(_pinned_target(name), metric, budget=budget, seed=seed)
+    text = f"{game_to_text(res.game)}|{res.distance}|{res.evaluations}"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+def _scan_by_brute_force(target, metric, weights):
+    """Every quota's game, its index and its distance, one at a time;
+    the smallest distance wins, and the smallest quota among equals."""
+    best = None
+    for quota in range(1, sum(weights) + 1):
+        vec = power_vector(WeightedGame(quota, weights), target.kind)
+        d = distance(vec.fractions(), target.values, metric)
+        if best is None or d < best[0]:
+            best = (d, quota, vec)
+    return best
+
+
+@st.composite
+def _scan_cases(draw):
+    n = draw(st.integers(1, 7))
+    # few distinct values, so that zeros and repeated weights are common
+    palette = draw(st.lists(st.integers(0, 12), min_size=1, max_size=3))
+    weights = draw(st.lists(st.sampled_from(palette + [0]), min_size=n, max_size=n))
+    den = draw(st.sampled_from([1, 7, 60, 2**70 + 1]))
+    cuts = sorted(draw(st.lists(st.integers(0, den), min_size=n - 1, max_size=n - 1)))
+    values = [Fraction(b - a, den) for a, b in zip([0] + cuts, cuts + [den])]
+    kind = draw(st.sampled_from(["ssi", "pbi"]))
+    metric = draw(st.sampled_from([Metric.L1, Metric.LINF]))
+    return Target(kind, tuple(values)), metric, weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scan_cases())
+def test_quota_scan_matches_brute_force(case):
+    target, metric, weights = case
+    got = _QuotaScan(target, metric).run(weights)
+    if sum(weights) == 0:
+        assert got is None
+        return
+    want = _scan_by_brute_force(target, metric, weights)
+    assert got[:2] == want[:2]
+    assert (got[2].kind, got[2].nums, got[2].den) == (want[2].kind, want[2].nums, want[2].den)
+
+
+def _prime_target(n, kind):
+    """Uneven entries over the prime denominator 2**61 - 1: the distances'
+    common denominator leaves int64."""
+    den = 2**61 - 1
+    values = [Fraction(den // (n + i), den) for i in range(n - 1)]
+    return Target(kind, tuple(values + [1 - sum(values)]))
+
+
+# n = 21 is the first count whose n! leaves int64, n = 43 the first whose
+# Shapley-Shubik numerators leave it in units of the size weights' gcd.
+@pytest.mark.parametrize("n", [20, 21, 27, 43])
+@pytest.mark.parametrize("kind", ["ssi", "pbi"])
+@pytest.mark.parametrize("shape", ["beta", "prime"])
+def test_wide_heuristic_results_are_exact(n, kind, shape):
+    target = beta_target(n, kind) if shape == "beta" else _prime_target(n, kind)
+    res = inverse_heuristic(target, Metric.L1, budget=12, seed=n)
+    exact = ssi_dp if kind == "ssi" else pbi_dp
+    assert res.vector == exact(res.game)
+    assert res.distance == distance(res.vector.fractions(), target.values, Metric.L1)
+
+
+@pytest.mark.parametrize("kind", ["ssi", "pbi"])
+def test_sixty_four_voters_do_not_wrap(kind):
+    """One voter of weight 1 and 63 null voters: the lone voter swings in
+    2**63 coalitions, one more than int64 holds."""
+    target = Target(kind, (Fraction(1),) + (Fraction(0),) * 63)
+    res = inverse_heuristic(target, Metric.L1, budget=20, seed=0)
+    exact = ssi_dp if kind == "ssi" else pbi_dp
+    assert res.vector == exact(res.game)
+    assert res.distance == 0
