@@ -12,7 +12,10 @@ Everything is exact: vectors are integer numerators over one denominator.
 Small games go through the full outcome table; weighted games and and/or
 combinations of them have dynamic-programming paths that scale to dozens
 of voters by tracking coalition size plus one weight-sum axis per
-distinct non-uniform leaf.
+distinct non-uniform leaf.  Catalog pipelines take a whole stack of
+monotone tables (n <= 8) at once: in a monotone game each index is linear
+in the outcome table, so each kind is one exact int64 product with a
+cached (2**n, n) coefficient matrix.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .enumeration import BIG_N
 from .games import (
     BoolCombo,
     Game,
@@ -355,44 +359,66 @@ def pbi_dp(g: Union[WeightedGame, BoolCombo], state_cap: int = 10**6) -> PowerVe
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _column_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per voter, the table columns for coalitions without and with them."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    absent = np.empty((n, 1 << (n - 1)), dtype=np.int64)
-    for b in range(n):
-        absent[b] = idx[(idx >> b) & 1 == 0]
-    present = absent | (1 << np.arange(n, dtype=np.int64))[:, None]
-    return absent, present
+# Rows per block of the batch products: a block's int64 copy of its
+# tables stays near 2 MB at 8 voters.
+_BATCH_BLOCK = 1024
 
 
-def batch_swing_counts(tables: np.ndarray) -> np.ndarray:
-    """Swing counts for a stack of outcome tables, shape (G, 2**n) -> (G, n)."""
+@lru_cache(maxsize=None)
+def _batch_coefficients(n: int, kind: str) -> np.ndarray:
+    """The (2**n, n) int64 matrix M with table @ M = the index numerators
+    of a monotone n-voter game.
+
+    With a size weight c(k) for a swing at a coalition of k others,
+    voter b's numerator is the sum over S without b of
+    c(|S|) (v(S + b) - v(S)), since in a monotone game each difference
+    is 1 at a swing and 0 elsewhere.  Regrouped by coalition, v(T) carries
+    c(|T| - 1) if b is in T and -c(|T|) if not.  c is 1 for swing counts
+    and k! (n-1-k)! for Shapley-Shubik numerators over n!.
+    """
+    fact = _factorials(n)
+    if kind == "ssi":
+        c = [fact[k] * fact[n - 1 - k] for k in range(n)]
+    else:
+        c = [1] * n
+    # c[n] = 0 is read only where np.where discards it: at the empty
+    # coalition's c[-1] and the full coalition's c[n].
+    c = np.array(c + [0], dtype=np.int64)
+    sizes = _popcounts(n).astype(np.int64)[:, None]
+    member = (np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1 == 1
+    coef = np.where(member, c[sizes - 1], -c[sizes])
+    coef.flags.writeable = False
+    return coef
+
+
+def _batch_product(tables: np.ndarray, kind: str) -> np.ndarray:
     g_count, size = tables.shape
     n = size.bit_length() - 1
-    absent, present = _column_pairs(n)
+    if size != 1 << n or n > BIG_N:
+        raise ValueError(f"batch kernels take (games, 2**n) tables with n <= {BIG_N}, got width {size}")
+    coef = _batch_coefficients(n, kind)
     out = np.empty((g_count, n), dtype=np.int64)
-    t = tables.astype(bool)
-    for b in range(n):
-        swing = t[:, present[b]] & ~t[:, absent[b]]
-        out[:, b] = swing.sum(axis=1)
+    for start in range(0, g_count, _BATCH_BLOCK):
+        stop = start + _BATCH_BLOCK
+        np.matmul(tables[start:stop].astype(np.int64), coef, out=out[start:stop])
     return out
 
 
+def batch_swing_counts(tables: np.ndarray) -> np.ndarray:
+    """Swing counts for a stack of outcome tables, shape (G, 2**n) -> (G, n).
+
+    Every table must be monotone and 0/1, as every complete game's is; a
+    table that is not monotone gets no meaningful row.  Tables with more
+    than BIG_N voters raise ValueError.
+    """
+    return _batch_product(tables, "pbi")
+
+
 def batch_ssi_numerators(tables: np.ndarray) -> tuple[np.ndarray, int]:
-    """Shapley-Shubik numerators over n! for a stack of tables."""
-    g_count, size = tables.shape
-    n = size.bit_length() - 1
-    fact = _factorials(n)
-    absent, present = _column_pairs(n)
-    pc = _popcounts(n)
-    out = np.empty((g_count, n), dtype=np.int64)
-    t = tables.astype(bool)
-    for b in range(n):
-        weights = np.array([fact[k] * fact[n - 1 - k] for k in pc[absent[b]]], dtype=np.int64)
-        swing = t[:, present[b]] & ~t[:, absent[b]]
-        out[:, b] = swing @ weights
-    return out, fact[n]
+    """Shapley-Shubik numerators over n! for a stack of tables, under the
+    same monotone precondition as batch_swing_counts."""
+    n = tables.shape[1].bit_length() - 1
+    return _batch_product(tables, "ssi"), _factorials(n)[n]
 
 
 # ---------------------------------------------------------------------------

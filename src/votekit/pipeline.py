@@ -29,6 +29,7 @@ import math
 import os
 import tempfile
 from contextlib import ExitStack
+from functools import reduce
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -141,30 +142,57 @@ def _read_rows(path: Path, rows: int, cols: int) -> np.ndarray:
     return arr
 
 
+def _check_blocks(path: Path, rows: np.ndarray, ok: Callable[[np.ndarray], bool], what: str) -> None:
+    """Raise unless ok(block) holds for every block of _SCAN rows."""
+    for start in range(0, len(rows), _SCAN):
+        if not ok(rows[start : start + _SCAN]):
+            raise CatalogFormatError(f"{path}: rows are not {what}")
+
+
 def _load_vectors(cache_dir, klass: str, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """(numerators, denominators) of a vector file, every row checked:
-    numerators sum to their denominator, which is n! for ssi."""
+    numerators are nonnegative and sum to their positive denominator,
+    which is n! for ssi."""
     path = vector_path(cache_dir, klass, n, kind)
     rows = _read_rows(path, certified.GAME_COUNTS[klass][n], n + 1)
-    for start in range(0, len(rows), _SCAN):
-        block = rows[start : start + _SCAN]
+
+    def ok(block: np.ndarray) -> bool:
         dens = block[:, n]
-        ok = np.array_equal(block[:, :n].sum(axis=1), dens)
-        if kind == "ssi":
-            ok = ok and bool((dens == math.factorial(n)).all())
-        if not ok:
-            raise CatalogFormatError(f"{path}: rows are not {kind} vectors")
+        if kind == "ssi" and not (dens == math.factorial(n)).all():
+            return False
+        # einsum sums the short rows several times faster than sum(axis=1).
+        sums = np.einsum("ij->i", block[:, :n])
+        return bool(block.min() >= 0 and (dens > 0).all() and np.array_equal(sums, dens))
+
+    _check_blocks(path, rows, ok, f"{kind} vectors")
     return rows[:, :n], rows[:, n]
 
 
 def load_certificates(n: int, cache_dir=None) -> np.ndarray:
-    """The (quota, weights...) rows of the n-voter weighted games."""
+    """The (quota, weights...) rows of the n-voter weighted games, every
+    row checked as the classifier writes it: quota >= 1, weights >= 0 and
+    non-increasing (strongest voter first), no common factor."""
     path = certificate_path(_resolve(cache_dir), n)
-    return _read_rows(path, certified.GAME_COUNTS["wg"][n], n + 1)
+    rows = _read_rows(path, certified.GAME_COUNTS["wg"][n], n + 1)
+
+    def ok(block: np.ndarray) -> bool:
+        weights = block[:, 1:]
+        # Non-increasing weights are all >= 0 when the last one is; the
+        # gcd runs from the smallest entries, which reach 1 soonest.
+        return bool(
+            (block[:, 0] >= 1).all()
+            and (weights[:, :-1] >= weights[:, 1:]).all()
+            and (weights[:, -1] >= 0).all()
+            and (reduce(np.gcd, block.T[::-1]) == 1).all()
+        )
+
+    _check_blocks(path, rows, ok, "reduced certificates")
+    return rows
 
 
 def _check_tier(n: int, cache_dir: Path) -> None:
-    """Raise unless every tier file is present with its certified shape."""
+    """Raise unless every tier file is present with its certified shape
+    and every vector and certificate row passes its loader's check."""
     for klass in _CLASSES:
         path = catalog_path(cache_dir, klass, n)
         header = read_catalog_header(path)
@@ -310,8 +338,9 @@ def _write_chunk(n, tables, pool, workers, cats, files, accs) -> None:
         "ssi": np.column_stack([ssi_nums, np.full(len(tables), ssi_den, dtype=np.int64)]),
         "pbi": np.column_stack([pbi_nums, pbi_nums.sum(axis=1)]),
     }
-    # The family matrices come after the index kernels' temporaries are
-    # gone, and the losing one is dropped once classified, to bound memory.
+    # The index kernels hold one block's int64 copy of the tables at a
+    # time (about 2 MB); the losing family matrix is dropped once
+    # classified, to bound memory.
     win = shift_minimal_families(tables, n)
     weighted, certs = _classify(n, win, shift_maximal_losing_families(tables, n), pool, workers)
     widx = np.flatnonzero(weighted)

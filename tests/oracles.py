@@ -3,13 +3,17 @@
 Everything here favours obviousness over speed: permutations are walked
 one by one, subsets are enumerated in full, nearest neighbours come from
 a linear scan with exact integer cross-multiplication.  Usable up to
-about 7 voters.
+about 7 voters.  The random games the oracles are fed come from here too,
+as seeded generators and as hypothesis strategies.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
-from votekit.games import BoolCombo, WeightedGame, evaluate, to_explicit
+import numpy as np
+from hypothesis import strategies as st
+
+from votekit.games import BoolCombo, ExplicitGame, WeightedGame, evaluate, to_explicit
 
 
 def ssi_by_permutations(g) -> tuple[Fraction, ...]:
@@ -114,6 +118,37 @@ def random_boolcombo(rng, n: int) -> BoolCombo:
     else:
         parts = [leaves[0], BoolCombo(other, leaves[1:])]
     return BoolCombo(op, parts)
+
+
+@st.composite
+def weighted_games(draw, max_n: int = 10, n: int | None = None, rational: bool = False) -> WeightedGame:
+    """A weighted game with weights in 0..9 (halves, thirds and quarters
+    too when rational) and any positive quota up to the total weight."""
+    n = draw(st.integers(1, max_n)) if n is None else n
+    values = st.fractions(0, 9, max_denominator=4) if rational else st.integers(0, 9)
+    weights = draw(st.lists(values, min_size=n, max_size=n).filter(any))
+    total = sum(weights)
+    quota = draw(st.fractions(0, total, max_denominator=12).filter(lambda q: q > 0))
+    return WeightedGame(quota, weights)
+
+
+@st.composite
+def two_leaf_combos(draw, max_n: int = 10, rational: bool = False) -> BoolCombo:
+    """An and or an or of two weighted games on the same voters."""
+    n = draw(st.integers(1, max_n))
+    op = draw(st.sampled_from(("and", "or")))
+    return BoolCombo(op, [draw(weighted_games(n=n, rational=rational)) for _ in range(2)])
+
+
+@st.composite
+def monotone_games(draw, max_n: int = 8, n: int | None = None) -> ExplicitGame:
+    """The up-closure of a random nonempty set of nonempty coalitions:
+    a monotone simple game, complete or not."""
+    n = draw(st.integers(1, max_n)) if n is None else n
+    gens = np.array(draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=8)))
+    masks = np.arange(1 << n)[:, None]
+    table = ((masks & gens) == gens).any(axis=1)
+    return ExplicitGame(n, table.astype(np.uint8).tobytes())
 
 
 def feasible_by_fourier_motzkin(num_vars: int, rows) -> bool:

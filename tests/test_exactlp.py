@@ -23,6 +23,7 @@ from votekit.games import (
     sorted_complete_representation,
     to_explicit,
 )
+from votekit.indices import batch_ssi_numerators, batch_swing_counts
 
 
 def check(num_vars, rows):
@@ -211,3 +212,15 @@ def test_first_eight_voter_chunk_classifies_to_pinned_certificates():
     )
     assert weighted.all()
     assert _digest(certs) == "d7141a919377576c90b0fbd55753181c1c5253c274d6d045986bdc290066fccf"
+
+
+def test_first_eight_voter_chunk_has_pinned_vector_rows():
+    """The (numerators..., denominator) ssi and pbi rows of the first 4,096
+    games with 8 voters, as the per-voter swing kernels wrote them."""
+    tables = next(iter_complete_chunks(8, 4096))
+    nums, den = batch_ssi_numerators(tables)
+    swings = batch_swing_counts(tables)
+    ssi_rows = np.column_stack([nums, np.full(len(tables), den)])
+    pbi_rows = np.column_stack([swings, swings.sum(axis=1)])
+    assert _digest(ssi_rows) == "5634217a434c0e0bcc7b92630de56cf80a48aa802e8ebbc18b5225ed1449358f"
+    assert _digest(pbi_rows) == "dbda80228f9e3d7361ed3ac6d0bac846e199a05c97d28e470e232aeb1c683e4d"

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from votekit.games import (
     BoolCombo,
@@ -26,7 +28,7 @@ from votekit.games import (
     to_explicit,
 )
 
-from oracles import null_voters_by_table
+from oracles import null_voters_by_table, two_leaf_combos, weighted_games
 
 
 def test_coalition_mask_round_trip():
@@ -107,6 +109,15 @@ def test_text_round_trip(text):
     h = parse_game(game_to_text(g))
     assert to_explicit(g).table == to_explicit(h).table
     assert game_to_text(h) == game_to_text(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(weighted_games(max_n=8, rational=True), two_leaf_combos(max_n=8, rational=True)))
+def test_text_round_trip_on_random_games(g):
+    text = game_to_text(g)
+    h = parse_game(text)
+    assert to_explicit(h).table == to_explicit(g).table
+    assert game_to_text(h) == text
 
 
 def test_evaluate_accepts_masks_and_members():

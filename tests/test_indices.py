@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from votekit.games import BoolCombo, WeightedGame, parse_game, to_explicit
 from votekit.indices import (
+    _BATCH_BLOCK,
     PowerVector,
     batch_ssi_numerators,
     batch_swing_counts,
@@ -21,7 +24,15 @@ from votekit.indices import (
     swing_counts_dp,
 )
 
-from oracles import pbi_swings_by_subsets, random_boolcombo, random_weighted, ssi_by_permutations
+from oracles import (
+    monotone_games,
+    pbi_swings_by_subsets,
+    random_boolcombo,
+    random_weighted,
+    ssi_by_permutations,
+    two_leaf_combos,
+    weighted_games,
+)
 
 
 def test_worked_example_ssi():
@@ -106,15 +117,55 @@ def test_power_vector_dispatch():
 
 
 def test_batch_paths_match_scalar(catalogs):
-    cat = catalogs("cg", 5)
-    tables = np.array([to_explicit(g).np_table for g in cat])
+    # cg6 holds 1,171 games, so its stack spans two row blocks.
+    for n in (5, 6):
+        cat = catalogs("cg", n)
+        tables = np.array([to_explicit(g).np_table for g in cat])
+        swings = batch_swing_counts(tables)
+        nums, den = batch_ssi_numerators(tables)
+        for i, g in enumerate(cat):
+            assert tuple(int(x) for x in swings[i]) == swing_counts(g).counts
+            expect = ssi(g).fractions()
+            got = tuple(Fraction(int(x), den) for x in nums[i])
+            assert got == expect
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_batch_kernels_match_scalar_on_monotone_tables(data):
+    """Random monotone games, complete or not, stacked in a random order
+    into up to three row blocks: every batch row is the scalar answer."""
+    n = data.draw(st.integers(1, 8))
+    games = data.draw(st.lists(monotone_games(n=n), min_size=1, max_size=4))
+    length = data.draw(st.integers(1, 3 * _BATCH_BLOCK))
+    picks = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(len(games), size=length)
+    tables = np.array([g.np_table for g in games])[picks]
     swings = batch_swing_counts(tables)
     nums, den = batch_ssi_numerators(tables)
-    for i, g in enumerate(cat):
-        assert tuple(int(x) for x in swings[i]) == swing_counts(g).counts
-        expect = ssi(g).fractions()
-        got = tuple(Fraction(int(x), den) for x in nums[i])
-        assert got == expect
+    want_swings = [swing_counts(g).counts for g in games]
+    want_ssi = [ssi(g) for g in games]
+    assert den == want_ssi[0].den
+    for row, i in enumerate(picks.tolist()):
+        assert tuple(swings[row].tolist()) == want_swings[i]
+        assert tuple(nums[row].tolist()) == want_ssi[i].nums
+
+
+def test_batch_kernels_refuse_more_than_eight_voters():
+    tables = np.zeros((1, 1 << 9), dtype=np.uint8)
+    tables[0, -1] = 1
+    for kernel in (batch_swing_counts, batch_ssi_numerators):
+        with pytest.raises(ValueError, match="n <= 8"):
+            kernel(tables)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(weighted_games(max_n=10), two_leaf_combos(max_n=10)))
+def test_dp_matches_table_on_random_games(g):
+    """The weight-space DP and the full-table path give the same exact
+    numerators and denominators."""
+    for dp, table in ((ssi_dp, ssi), (pbi_dp, pbi)):
+        got, want = dp(g), table(g)
+        assert (got.nums, got.den) == (want.nums, want.den)
 
 
 @pytest.mark.parametrize(

@@ -95,6 +95,55 @@ def test_ensure_vectors_discards_wrong_shape_cache(tmp_path):
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def _damage_rebuilds(cache, n, victim, damage):
+    """Damage one row of a tier file: the tier check refuses it and the
+    next ensure_tier rebuilds the tier byte for byte."""
+    before = {p.name: p.read_bytes() for p in cache.iterdir()}
+    rows = np.load(victim)
+    damage(rows[3])
+    np.save(victim, rows)
+    with pytest.raises(CatalogFormatError, match="rows are not"):
+        pipeline._check_tier(n, cache)
+    ensure_tier(n, cache)
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} == before
+
+
+def _zero(row):
+    row[:] = 0  # 0 numerators sum to a 0 denominator
+
+
+def _negative(row):
+    row[:2] += (row[1] + 1, -(row[1] + 1))  # still sums to the denominator
+
+
+@pytest.mark.parametrize("damage", [_zero, _negative])
+def test_bad_vector_row_rebuilds_the_tier(tmp_path, damage):
+    build_tier(5, tmp_path)
+    _damage_rebuilds(tmp_path, 5, vector_path(tmp_path, "cg", 5, "pbi"), damage)
+
+
+def _zero_quota(row):
+    row[0] = 0
+
+
+def _negative_weight(row):
+    row[-1] = -1
+
+
+def _increasing(row):
+    row[1:] = row[1:][::-1] + np.arange(len(row) - 1)  # weakest voter first
+
+
+def _common_factor(row):
+    row *= 2
+
+
+@pytest.mark.parametrize("damage", [_zero_quota, _negative_weight, _increasing, _common_factor])
+def test_bad_certificate_row_rebuilds_the_tier(tmp_path, damage):
+    build_tier(5, tmp_path)
+    _damage_rebuilds(tmp_path, 5, certificate_path(tmp_path, 5), damage)
+
+
 def test_build_tier_six_voters(tmp_path):
     seen = []
     counts = build_tier(
