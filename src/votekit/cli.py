@@ -202,12 +202,13 @@ def _require_big(args) -> Path:
     return cache
 
 
-def _tier(args, n: int) -> Path:
-    """Cache directory holding the n-voter tier, built when missing
-    (at 8 voters only behind the long-running opt-in)."""
+def _tier_dir(args, n: int) -> Path:
+    """Cache directory for the n-voter tier.  The tier loaders check it
+    and build a missing tier below 8 voters; the 8-voter tier is built
+    here, behind the long-running opt-in."""
     if n == pipeline.BIG_N:
         return _require_big(args)
-    return pipeline.ensure_tier(n, _cache_dir(args), args.threads)
+    return _cache_dir(args)
 
 
 def _pick_kinds(args) -> tuple[str, ...]:
@@ -444,11 +445,10 @@ def cmd_enumerate(args) -> int:
 
 
 def _gap_reports(args, n=None, kinds=None, metrics=None):
-    """(kind, metric) -> GapReport, plus a nearest-game resolver."""
+    """(kind, metric) -> GapReport, nearest weighted games attached."""
     n = args.n if n is None else n
     kinds = kinds if kinds is not None else _pick_kinds(args)
     metrics = metrics if metrics is not None else _pick_metrics(args)
-    cache = _tier(args, n)
 
     def progress(kind, done, total):
         if done % (64 * 65536) < 65536 or done == total:
@@ -456,24 +456,21 @@ def _gap_reports(args, n=None, kinds=None, metrics=None):
             if done == total:
                 print(file=sys.stderr)
 
-    reports = pipeline.omega_tier(
-        n, cache, kinds, metrics, progress=progress if n == pipeline.BIG_N else None
+    return pipeline.omega_tier(
+        n,
+        _tier_dir(args, n),
+        kinds,
+        metrics,
+        progress=progress if n == pipeline.BIG_N else None,
+        workers=args.threads,
     )
-    certificates = pipeline.load_certificates(n, cache)
-
-    def nearest_game(report):
-        if report.nearest_index is None:
-            return None
-        return certificate_game(certificates[report.nearest_index])
-
-    return reports, nearest_game
 
 
 def cmd_omega(args) -> int:
     if not 1 <= args.n <= pipeline.BIG_N:
         raise _UsageError(f"gap computation is certified for 1..{pipeline.BIG_N} voters only")
     rep = _Report(_config(args))
-    reports, nearest_game = _gap_reports(args)
+    reports = _gap_reports(args)
     gap_rows = []
     witness_rows = []
     out = []
@@ -481,7 +478,7 @@ def cmd_omega(args) -> int:
         gap_rows.append(
             [kind, metric, report.omega, report.decimal, len(report.attaining)]
         )
-        near = nearest_game(report)
+        near = report.nearest_game
         near_text = game_to_text(near) if near is not None else "-"
         entry = {
             "n": report.n,
@@ -569,7 +566,7 @@ def cmd_inverse(args) -> int:
         kind = _single_kind(args)
         if args.n is None or not 8 <= args.n <= MAX_EXPLICIT_VOTERS:
             raise _UsageError(f"--target padded needs --n from 8 to {MAX_EXPLICIT_VOTERS}")
-        reports, _ = _gap_reports(args, n=7, kinds=(kind,), metrics=(metric,))
+        reports = _gap_reports(args, n=7, kinds=(kind,), metrics=(metric,))
         base_report = reports[kind, metric.value]
         bases = [g for _, g, _ in base_report.attaining]
         if not bases:
@@ -631,7 +628,9 @@ def cmd_inverse(args) -> int:
             raise _UsageError(
                 f"exact minimization needs the full catalog; {pipeline.BIG_N} voters is the cap"
             )
-        store, certificates = pipeline.weighted_store(target.n, target.kind, _tier(args, target.n))
+        store, certificates = pipeline.weighted_store(
+            target.n, target.kind, _tier_dir(args, target.n), args.threads
+        )
         res = inverse_exact(target, metric, store, certificates)
     else:
         if target.n > MAX_HEURISTIC_VOTERS:

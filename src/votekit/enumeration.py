@@ -9,20 +9,28 @@ as one of its one-step weakenings is labelled 1, and is a branch point
 otherwise.  The empty coalition is pinned to 0 and the grand coalition
 to 1, which keeps the labelling a simple game.
 
+Games are produced in chunks, and classify_weighted_chunk sorts a
+chunk into weighted and not weighted: a vectorized 2-trade test
+(two_trade_rejects) proves most unweighted games so, and the exact LP,
+the only path that accepts a game, settles the rest in lockstep blocks
+with a certificate per weighted game.
+
 Enumerated counts are checked against certified values before anything
-downstream may consume them.  Games are produced in chunks; the tier
-builder in votekit.pipeline streams them to disk for every n <= 8
-(16.2 million games and hours of CPU time at n = 8), and the tier
-loaders read them back through read_catalog and certificate_game.  The
-28 simple games on 4 voters are enumerated on request by
-enumerate_simple4, which is not cached.
+downstream may consume them.  The tier builder in votekit.pipeline
+streams the chunks to disk for every n <= 8 (16.2 million games at
+n = 8), writing each chunk's VKCAT1 catalog records with one numpy
+encode (CatalogWriter.add_many), and the tier loaders read them back a
+block of the file at a time through read_catalog, catalog_masks_at and
+certificate_game.  The 28 simple games on 4 voters are enumerated on
+request by enumerate_simple4, which is not cached.
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,11 +54,13 @@ __all__ = [
     "enumerate_simple4",
     "iter_complete_chunks",
     "classify_weighted_chunk",
+    "two_trade_rejects",
     "check_certified_count",
     "read_catalog",
     "read_catalog_header",
     "CatalogWriter",
     "iter_catalog_masks",
+    "catalog_masks_at",
     "CatalogFormatError",
 ]
 
@@ -148,6 +158,80 @@ def _prefix_counts(n: int) -> np.ndarray:
     return np.cumsum(members, axis=1)
 
 
+# Prefix counts packed one per int64: field i (bits 7i..7i+5) holds the
+# i-th count, and bit 7i+6 is its guard.  A count is at most 8 and a sum
+# of two at most 16, so fields never carry into each other.
+_FIELD_BITS = 7
+# Games per 2-trade block: at 8 voters a block's pair table is at most
+# 128 x 45 x 45 int64 entries, about 2 MB.  Blocks of 256 games take no
+# less time and, in an n = 8 stream, 2 MB more peak RSS.
+TRADE_BLOCK = 128
+
+
+@lru_cache(maxsize=None)
+def _packed_prefix_counts(n: int) -> tuple[np.ndarray, int, int]:
+    """(packed prefix counts of every coalition, the guard bits, a padding
+    value whose sums with anything exceed every pair of real counts in
+    every field, without reaching the guard bit)."""
+    shifts = _FIELD_BITS * np.arange(n, dtype=np.int64)
+    packed = (_prefix_counts(n).astype(np.int64) << shifts).sum(axis=1)
+    guard = int((np.int64(1 << (_FIELD_BITS - 1)) << shifts).sum())
+    pad = int((np.int64(31) << shifts).sum())
+    return packed, guard, pad
+
+
+def _packed_rows(n: int, family: np.ndarray, fill: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, sizes): row g holds the packed prefix counts of game g's
+    coalitions in ascending mask order, padded with fill, and sizes[g] how
+    many there are."""
+    flat = np.flatnonzero(family)  # row-major: by game, masks ascending
+    g, mask = flat >> n, flat & ((1 << n) - 1)
+    sizes = np.bincount(g, minlength=len(family))
+    rows = np.full((len(family), max(int(sizes.max(initial=0)), 1)), fill, dtype=np.int64)
+    rows[g, np.arange(len(g)) - np.searchsorted(g, g)] = _packed_prefix_counts(n)[0][mask]
+    return rows, sizes
+
+
+def _pair_sums(rows: np.ndarray) -> np.ndarray:
+    """Per row, the sums of every unordered pair of its entries, each entry
+    paired with itself included."""
+    i, j = np.triu_indices(rows.shape[1])
+    return rows[:, i] + rows[:, j]
+
+
+def two_trade_rejects(n: int, win: np.ndarray, lose: np.ndarray) -> np.ndarray:
+    """Games that a 2-trade proves not weighted, as a boolean flag per game.
+
+    win and lose are the shift-minimal winning and shift-maximal losing
+    families.  A game is flagged when two of its shift-minimal winning
+    coalitions S1, S2 and two of its shift-maximal losing ones T1, T2
+    (repeats allowed) have P(S1) + P(S2) <= P(T1) + P(T2) componentwise,
+    P being the prefix counts.  Weights w1 >= ... >= wn >= 0 give every
+    coalition the weight d . P with d >= 0 the weight differences, so then
+    w(S1) + w(S2) <= w(T1) + w(T2) < 2q <= w(S1) + w(S2): no weighted
+    representation exists (Taylor & Zwicker, Proc. AMS 115, 1992).  A flag
+    is therefore never wrong; an unflagged game may still not be weighted.
+    """
+    _, guard, pad = _packed_prefix_counts(n)
+    # Winning padding sums too large to fit under any losing pair; losing
+    # padding is the empty coalition, which loses.
+    low_rows, low_sizes = _packed_rows(n, win, pad)
+    high_rows, high_sizes = _packed_rows(n, lose, 0)
+    rejected = np.zeros(len(win), dtype=bool)
+    # Blocks of games with equal family sizes carry little padding.
+    order = np.lexsort((high_sizes, low_sizes))
+    for start in range(0, len(win), TRADE_BLOCK):
+        games = order[start : start + TRADE_BLOCK]
+        low = _pair_sums(low_rows[games, : low_sizes[games].max()])
+        high = _pair_sums(high_rows[games, : high_sizes[games].max()]) | guard
+        # Fieldwise high >= low exactly when every guard bit survives the
+        # subtraction; no field borrows from the next.
+        diff = high[:, None, :] - low[:, :, None]
+        diff &= guard
+        rejected[games] = (diff == guard).any(axis=(1, 2))
+    return rejected
+
+
 def _classify_block(n: int, win: np.ndarray, lose: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # sorted_complete_representation's system for every game, row for row:
     # the shift-minimal winning rows, then the shift-maximal losing ones,
@@ -190,15 +274,21 @@ def classify_weighted_chunk(
     losing families (shift_minimal_families, shift_maximal_losing_families).
     Returns a boolean flag per game and one (quota, weights...) int64 row
     per weighted game, in chunk order: for each game exactly what
-    games.sorted_complete_representation returns, with the systems solved
-    LP_BLOCK at a time by exactlp.solve_block, whose answers do not depend
-    on the other systems of a block.
+    games.sorted_complete_representation returns.
+
+    Games that two_trade_rejects proves not weighted are settled without
+    an LP; the rest go to exactlp.solve_block, LP_BLOCK systems at a time,
+    whose answers do not depend on the other systems of a block.  Only the
+    LP accepts a game, so the flags and certificates are those of solving
+    every system.
     """
     weighted = np.zeros(len(win), dtype=bool)
     certs = np.zeros((len(win), n + 1), dtype=np.int64)
+    open_games = np.flatnonzero(~two_trade_rejects(n, win, lose))
     # Blocks of games with similar row counts carry less padding.
-    order = np.argsort(win.sum(axis=1) + lose.sum(axis=1), kind="stable")
-    for start in range(0, len(win), LP_BLOCK):
+    sizes = (win.sum(axis=1) + lose.sum(axis=1))[open_games]
+    order = open_games[np.argsort(sizes, kind="stable")]
+    for start in range(0, len(order), LP_BLOCK):
         games = order[start : start + LP_BLOCK]
         flags, rows = _classify_block(n, win[games], lose[games])
         weighted[games] = flags
@@ -250,14 +340,17 @@ def enumerate_simple4() -> list[tuple[ExplicitGame, WeightedGame | None]]:
 # Binary catalog file
 #
 # Layout (little-endian): magic "VKCAT1", u8 class tag, u8 n, u64 game
-# count, then per game a u16 coalition count followed by that many u32
-# shift-minimal winning coalition masks.
+# count, then per game a u16 coalition count k followed by that many u32
+# shift-minimal winning coalition masks, ascending.  A game's record is
+# thus 1 + 2k u16 words: k, then each mask as its low and high half.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"VKCAT1"
 _CLASS_TAGS = {"cg": 0, "wg": 1}
 _TAG_CLASSES = {v: k for k, v in _CLASS_TAGS.items()}
 _HEADER = struct.Struct("<6sBBQ")
+# Bytes read at a time; each block's words are walked as Python lists.
+_READ_BYTES = 1 << 16
 
 
 class CatalogFormatError(ValueError):
@@ -278,13 +371,22 @@ class CatalogWriter:
         self._fh = open(path, "wb")
         self._fh.write(_HEADER.pack(_MAGIC, _CLASS_TAGS[klass], n, 0))
 
-    def add(self, masks: Sequence[int]) -> None:
-        self._fh.write(struct.pack(f"<H{len(masks)}I", len(masks), *masks))
-        self.count += 1
-
-    def add_many(self, families: Sequence[Sequence[int]]) -> None:
-        for masks in families:
-            self.add(masks)
+    def add_many(self, families: np.ndarray) -> None:
+        """Append one record per row of a (games, 2**n) boolean matrix
+        marking each game's shift-minimal winning coalitions."""
+        games, size = families.shape
+        if size != 1 << self.n:
+            raise ValueError(f"expected {1 << self.n} coalitions per game, got {size}")
+        flat = np.flatnonzero(families)  # row-major: by game, masks ascending
+        game = flat >> self.n
+        counts = np.bincount(game, minlength=games)
+        # Game g's record opens after g count words and two words per
+        # earlier mask.  Masks are below 2**8, so every high half is 0.
+        words = np.zeros(games + 2 * len(flat), dtype="<u2")
+        words[np.arange(games) + 2 * (np.cumsum(counts) - counts)] = counts
+        words[game + 1 + 2 * np.arange(len(flat))] = flat & (size - 1)
+        words.tofile(self._fh)
+        self.count += games
 
     def close(self) -> int:
         self._fh.seek(8)
@@ -313,6 +415,43 @@ def read_catalog_header(path) -> tuple[str, int, int]:
         return _read_header(fh, path)
 
 
+def _record_blocks(fh, path, count: int):
+    """The next count game records of a catalog file, a block of the file
+    at a time.
+
+    Yields (block, words, starts): the block's u16 words as an int64
+    array and as a list, and the word offset of each whole record in it.
+    Raises CatalogFormatError when the file ends first.
+    """
+    tail = b""
+    left = count
+    while left > 0:
+        more = fh.read(_READ_BYTES)
+        if not more:
+            raise CatalogFormatError(f"{path}: truncated game record")
+        data = tail + more
+        block = np.frombuffer(data, dtype="<u2", count=len(data) // 2).astype(np.int64)
+        words = block.tolist()
+        starts = []
+        at, end = 0, len(words)
+        while left and at < end:
+            nxt = at + 1 + 2 * words[at]
+            if nxt > end:
+                break
+            starts.append(at)
+            at = nxt
+            left -= 1
+        tail = data[2 * at :]
+        if starts:
+            yield block, words, starts
+
+
+def _decode(block: np.ndarray, words: list, starts: list) -> list[tuple[int, ...]]:
+    """The masks of the records that open at the given word offsets."""
+    joined = (block[:-1] | (block[1:] << 16)).tolist()  # the u32 at every word
+    return [tuple(joined[at + 1 : at + 1 + 2 * words[at] : 2]) for at in starts]
+
+
 def iter_catalog_masks(path, chunk_size: int = DEFAULT_CHUNK):
     """Header plus streamed mask families from a catalog file.
 
@@ -327,24 +466,36 @@ def iter_catalog_masks(path, chunk_size: int = DEFAULT_CHUNK):
 
     def chunks():
         try:
-            remaining = count
-            while remaining:
-                block = []
-                for _ in range(min(chunk_size, remaining)):
-                    raw = fh.read(2)
-                    if len(raw) != 2:
-                        raise CatalogFormatError(f"{path}: truncated game record")
-                    (k,) = struct.unpack("<H", raw)
-                    body = fh.read(4 * k)
-                    if len(body) != 4 * k:
-                        raise CatalogFormatError(f"{path}: truncated game record")
-                    block.append(struct.unpack(f"<{k}I", body))
-                remaining -= len(block)
-                yield block
+            pending: list[tuple[int, ...]] = []
+            for block, words, starts in _record_blocks(fh, path, count):
+                pending += _decode(block, words, starts)
+                whole = len(pending) - len(pending) % chunk_size
+                for start in range(0, whole, chunk_size):
+                    yield pending[start : start + chunk_size]
+                pending = pending[whole:]
+            if pending:
+                yield pending
         finally:
             fh.close()
 
     return (klass, n, count), chunks()
+
+
+def catalog_masks_at(path, indices: Iterable[int]) -> tuple[int, dict[int, tuple[int, ...]]]:
+    """n and the mask families of the games at the given positions of a
+    catalog file, in one sequential scan that stops after the last of
+    them; positions past the end are left out."""
+    want = sorted(set(indices))
+    out: dict[int, tuple[int, ...]] = {}
+    with open(path, "rb") as fh:
+        _, n, count = _read_header(fh, path)
+        stop = min(want[-1] + 1, count) if want else 0
+        pos = 0
+        for block, words, starts in _record_blocks(fh, path, stop):
+            picked = want[bisect_left(want, pos) : bisect_left(want, pos + len(starts))]
+            out.update(zip(picked, _decode(block, words, [starts[i - pos] for i in picked])))
+            pos += len(starts)
+    return n, out
 
 
 def read_catalog(path) -> list[CompleteGame]:

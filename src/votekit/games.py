@@ -197,7 +197,10 @@ def _family_masks(
             row = keep[m]
             for u in nb:
                 row &= t[u]
-    return keep.T
+    # Game-major again, so that each game's row is contiguous; t goes
+    # first, so that two matrices at most are alive at once.
+    del t
+    return np.ascontiguousarray(keep.T)
 
 
 def _mask_lists(keep: np.ndarray) -> list[tuple[int, ...]]:
@@ -331,9 +334,13 @@ class WeightedGame:
         return len(self.weights)
 
     def scaled_ints(self) -> tuple[int, tuple[int, ...]]:
-        """Integer threshold t and weights W with: S wins iff W(S) >= t."""
+        """Integer threshold t and weights W with: S wins iff W(S) >= t.
+
+        Only the weights' denominators scale: W(S) is an integer, so the
+        quota rounds up to t with every outcome kept, and weight sums (the
+        DP's state axes) stay as short as the weights allow."""
         if self._scaled is None:
-            den = math.lcm(self.quota.denominator, *(w.denominator for w in self.weights))
+            den = math.lcm(*(w.denominator for w in self.weights))
             wints = tuple(int(w * den) for w in self.weights)
             self._scaled = (math.ceil(self.quota * den), wints)
         return self._scaled

@@ -382,7 +382,8 @@ class GapReport:
     attaining holds one (catalog index, power vector) pair per game whose
     nearest weighted vector sits exactly at the gap, as GapTracker.report
     returns it; pipeline.omega_tier attaches each game, making the pairs
-    (catalog index, game, power vector) triples.
+    (catalog index, game, power vector) triples, and sets nearest_game to
+    the weighted game at nearest_index.
     """
 
     n: int
@@ -394,6 +395,7 @@ class GapReport:
     worst_vector: PowerVector | None = None
     nearest_vector: PowerVector | None = None
     nearest_index: int | None = None
+    nearest_game: object = None
 
 
 class GapTracker:

@@ -14,13 +14,14 @@ is only ever installed whole.  Tiers below 8 voters are built on first
 use and rebuilt when a file is missing or unreadable; the 8-voter tier
 takes hours and is built only by build_big_tables.
 
-Each datum of a tier has one loader.  ensure_tier (the directory),
-load_games (the games of one class) and tier_counts (game and
-distinct-vector counts) check every tier file first, building the tier
-when needed.  weighted_store (the weighted vectors, deduplicated for
-search, with their certificate rows), load_certificates and omega_tier
-(gap reports streamed from the vector files) read a tier that
-ensure_tier has checked; each still checks the rows it reads.
+Each datum of a tier has one loader, and each loader checks every tier
+file once, building the tier when needed: ensure_tier (the directory),
+load_games (the games of one class), tier_counts (game and
+distinct-vector counts), weighted_store (the weighted vectors,
+deduplicated for search, with their certificate rows) and omega_tier
+(gap reports streamed from the vector files).  What a loader then reads
+of the files the check has passed, it does not check again.
+load_certificates reads and checks the certificate file alone.
 """
 
 from __future__ import annotations
@@ -42,16 +43,17 @@ from .enumeration import (
     DEFAULT_CHUNK,
     CatalogFormatError,
     CatalogWriter,
+    catalog_masks_at,
+    certificate_game,
     check_certified_count,
     classify_weighted_chunk,
-    iter_catalog_masks,
     iter_complete_chunks,
     read_catalog,
     read_catalog_header,
     shift_maximal_losing_families,
     shift_minimal_families,
 )
-from .games import CompleteGame, _mask_lists
+from .games import CompleteGame
 from .geometry import (
     GapReport,
     GapTracker,
@@ -60,6 +62,7 @@ from .geometry import (
     _reduced_rows,
     count_distinct_rows,
     store_from_rows,
+    unique_rows,
 )
 from .indices import KINDS, batch_ssi_numerators, batch_swing_counts
 
@@ -149,12 +152,23 @@ def _check_blocks(path: Path, rows: np.ndarray, ok: Callable[[np.ndarray], bool]
             raise CatalogFormatError(f"{path}: rows are not {what}")
 
 
+def _vector_rows(cache_dir, klass: str, n: int, kind: str) -> np.ndarray:
+    """A vector file's (numerators..., denominator) rows, memory-mapped,
+    with only their shape checked."""
+    return _read_rows(vector_path(cache_dir, klass, n, kind), certified.GAME_COUNTS[klass][n], n + 1)
+
+
+def _certificate_rows(cache_dir, n: int) -> np.ndarray:
+    """The certificate file's rows, memory-mapped, with only their shape
+    checked."""
+    return _read_rows(certificate_path(cache_dir, n), certified.GAME_COUNTS["wg"][n], n + 1)
+
+
 def _load_vectors(cache_dir, klass: str, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """(numerators, denominators) of a vector file, every row checked:
     numerators are nonnegative and sum to their positive denominator,
     which is n! for ssi."""
-    path = vector_path(cache_dir, klass, n, kind)
-    rows = _read_rows(path, certified.GAME_COUNTS[klass][n], n + 1)
+    rows = _vector_rows(cache_dir, klass, n, kind)
 
     def ok(block: np.ndarray) -> bool:
         dens = block[:, n]
@@ -164,7 +178,7 @@ def _load_vectors(cache_dir, klass: str, n: int, kind: str) -> tuple[np.ndarray,
         sums = np.einsum("ij->i", block[:, :n])
         return bool(block.min() >= 0 and (dens > 0).all() and np.array_equal(sums, dens))
 
-    _check_blocks(path, rows, ok, f"{kind} vectors")
+    _check_blocks(vector_path(cache_dir, klass, n, kind), rows, ok, f"{kind} vectors")
     return rows[:, :n], rows[:, n]
 
 
@@ -172,8 +186,8 @@ def load_certificates(n: int, cache_dir=None) -> np.ndarray:
     """The (quota, weights...) rows of the n-voter weighted games, every
     row checked as the classifier writes it: quota >= 1, weights >= 0 and
     non-increasing (strongest voter first), no common factor."""
-    path = certificate_path(_resolve(cache_dir), n)
-    rows = _read_rows(path, certified.GAME_COUNTS["wg"][n], n + 1)
+    cache_dir = _resolve(cache_dir)
+    rows = _certificate_rows(cache_dir, n)
 
     def ok(block: np.ndarray) -> bool:
         weights = block[:, 1:]
@@ -186,7 +200,7 @@ def load_certificates(n: int, cache_dir=None) -> np.ndarray:
             and (reduce(np.gcd, block.T[::-1]) == 1).all()
         )
 
-    _check_blocks(path, rows, ok, "reduced certificates")
+    _check_blocks(certificate_path(cache_dir, n), rows, ok, "reduced certificates")
     return rows
 
 
@@ -207,7 +221,9 @@ def _load_tier(n: int, cache_dir, workers: int, load: Callable[[Path], object]):
     """load(cache_dir) once every file of the n-voter tier checks out.
 
     Below 8 voters a missing or unreadable file rebuilds the whole tier
-    first.
+    first.  load reads the files without checking their rows again; one
+    file at a time is mapped during the check, so that a tier's pages
+    need not all stay resident.
     """
     cache_dir = _resolve(cache_dir)
 
@@ -240,7 +256,10 @@ def tier_counts(
     """
 
     def load(cache: Path) -> tuple[int, dict[str, int]]:
-        distinct = {kind: count_distinct_rows(*_load_vectors(cache, klass, n, kind)) for kind in kinds}
+        distinct = {}
+        for kind in kinds:
+            rows = _vector_rows(cache, klass, n, kind)
+            distinct[kind] = count_distinct_rows(rows[:, :n], rows[:, n])
         return certified.GAME_COUNTS[klass][n], distinct
 
     return _load_tier(n, cache_dir, workers, load)
@@ -253,12 +272,15 @@ def load_games(klass: str, n: int, cache_dir=None, workers: int = 1) -> list[Com
     return _load_tier(n, cache_dir, workers, lambda cache: read_catalog(catalog_path(cache, klass, n)))
 
 
-def weighted_store(n: int, kind: str, cache_dir=None) -> tuple[VectorStore, np.ndarray]:
-    """The deduplicated weighted-game vectors of a tier on disk, plus the
-    certificate rows that the store's reps index."""
-    cache_dir = _resolve(cache_dir)
-    nums, dens = _load_vectors(cache_dir, "wg", n, kind)
-    return store_from_rows(kind, n, nums, dens), load_certificates(n, cache_dir)
+def weighted_store(n: int, kind: str, cache_dir=None, workers: int = 1) -> tuple[VectorStore, np.ndarray]:
+    """The deduplicated weighted-game vectors of a checked n-voter tier,
+    plus the certificate rows that the store's reps index."""
+
+    def load(cache: Path) -> tuple[VectorStore, np.ndarray]:
+        rows = _vector_rows(cache, "wg", n, kind)
+        return store_from_rows(kind, n, rows[:, :n], rows[:, n]), _certificate_rows(cache, n)
+
+    return _load_tier(n, cache_dir, workers, load)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +302,7 @@ class _UniqueAccumulator:
         self.limit = limit
 
     def add(self, rows: np.ndarray) -> None:
-        u = np.unique(rows, axis=0)
+        u = unique_rows(rows)[0]
         self.pending.append(u)
         self.pending_rows += len(u)
         if self.pending_rows >= self.limit:
@@ -290,7 +312,7 @@ class _UniqueAccumulator:
         if not self.pending:
             return
         parts = self.pending if self.base is None else [self.base, *self.pending]
-        self.base = np.unique(np.concatenate(parts, axis=0), axis=0)
+        self.base = unique_rows(np.concatenate(parts, axis=0))[0]
         self.pending = []
         self.pending_rows = 0
 
@@ -346,9 +368,8 @@ def _write_chunk(n, tables, pool, workers, cats, files, accs) -> None:
     widx = np.flatnonzero(weighted)
     _check_certificates(n, certs, tables, widx)
 
-    smw = _mask_lists(win)
-    cats["cg"].add_many(smw)
-    cats["wg"].add_many([smw[i] for i in widx])
+    cats["cg"].add_many(win)
+    cats["wg"].add_many(win[widx])
     for kind, rows in vectors.items():
         for klass, part in (("cg", rows), ("wg", rows[widx])):
             part.astype("<i8", copy=False).tofile(files[f"{klass}.{kind}"])
@@ -459,23 +480,13 @@ def build_big_tables(
 def fetch_catalog_games(path, indices: Iterable[int]) -> dict[int, CompleteGame]:
     """Selected games out of a catalog file, in one sequential scan."""
     want = {int(i) for i in indices}
-    out: dict[int, CompleteGame] = {}
     if not want:
-        return out
-    (_, n, _), chunks = iter_catalog_masks(path)
-    pos = 0
-    for block in chunks:
-        for masks in block:
-            if pos in want:
-                out[pos] = CompleteGame(n, masks, validate=False)
-            pos += 1
-        if len(out) == len(want):
-            break
-    chunks.close()
-    if len(out) != len(want):
-        missing = sorted(want - out.keys())
+        return {}
+    n, families = catalog_masks_at(path, want)
+    if len(families) != len(want):
+        missing = sorted(want - families.keys())
         raise CatalogFormatError(f"{path}: no game at index {missing[0]}")
-    return out
+    return {i: CompleteGame(n, masks, validate=False) for i, masks in families.items()}
 
 
 def omega_tier(
@@ -484,30 +495,40 @@ def omega_tier(
     kinds: Iterable[str] = KINDS,
     metrics: Iterable = (Metric.L1, Metric.LINF),
     progress: Callable[[str, int, int], None] | None = None,
+    workers: int = 1,
 ) -> dict[tuple[str, str], GapReport]:
-    """Gap reports at n voters, streamed from the tier's vector files.
+    """Gap reports at n voters, streamed from the vector files of a
+    checked tier.
 
     Returns one report per (index kind, metric) pair, attaining games
-    included; nearest_index is a row of the weighted catalog.
+    and the nearest weighted game included; nearest_index is a row of the
+    weighted catalog.
     """
-    cache_dir = _resolve(cache_dir)
     metrics = [Metric.parse(m) if not isinstance(m, Metric) else m for m in metrics]
-    reports: dict[tuple[str, str], GapReport] = {}
-    for kind in kinds:
-        store, _ = weighted_store(n, kind, cache_dir)
-        trackers = {metric: GapTracker(store, metric) for metric in metrics}
-        nums, dens = _load_vectors(cache_dir, "cg", n, kind)
-        count = len(nums)
-        for start in range(0, count, _SCAN):
-            stop = min(start + _SCAN, count)
-            for tracker in trackers.values():
-                tracker.update(nums[start:stop], dens[start:stop], offset=start)
-            if progress is not None:
-                progress(kind, stop, count)
-        kind_reports = {metric: tracker.report(n) for metric, tracker in trackers.items()}
-        needed = {idx for rep in kind_reports.values() for idx, _ in rep.attaining}
-        games = fetch_catalog_games(catalog_path(cache_dir, "cg", n), needed)
-        for metric, rep in kind_reports.items():
-            rep.attaining = [(idx, games[idx], vec) for idx, vec in rep.attaining]
-            reports[kind, metric.value] = rep
-    return reports
+
+    def load(cache: Path) -> dict[tuple[str, str], GapReport]:
+        reports: dict[tuple[str, str], GapReport] = {}
+        for kind in kinds:
+            weighted = _vector_rows(cache, "wg", n, kind)
+            store = store_from_rows(kind, n, weighted[:, :n], weighted[:, n])
+            trackers = {metric: GapTracker(store, metric) for metric in metrics}
+            rows = _vector_rows(cache, "cg", n, kind)
+            nums, dens = rows[:, :n], rows[:, n]
+            count = len(nums)
+            for start in range(0, count, _SCAN):
+                stop = min(start + _SCAN, count)
+                for tracker in trackers.values():
+                    tracker.update(nums[start:stop], dens[start:stop], offset=start)
+                if progress is not None:
+                    progress(kind, stop, count)
+            kind_reports = {metric: tracker.report(n) for metric, tracker in trackers.items()}
+            needed = {idx for rep in kind_reports.values() for idx, _ in rep.attaining}
+            games = fetch_catalog_games(catalog_path(cache, "cg", n), needed)
+            for metric, rep in kind_reports.items():
+                rep.attaining = [(idx, games[idx], vec) for idx, vec in rep.attaining]
+                if rep.nearest_index is not None:
+                    rep.nearest_game = certificate_game(_certificate_rows(cache, n)[rep.nearest_index])
+                reports[kind, metric.value] = rep
+        return reports
+
+    return _load_tier(n, cache_dir, workers, load)

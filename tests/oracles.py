@@ -232,3 +232,24 @@ def simplex_one_system(num_vars: int, rows) -> list[Fraction] | None:
         if b < num_vars:
             x[b] = Fraction(tab[i][rhs], delta)
     return x
+
+
+def prefix_counts(n: int, mask: int) -> tuple[int, ...]:
+    """How many of the strongest 1, 2, ..., n voters the coalition holds."""
+    out, held = [], 0
+    for i in range(n):
+        held += (mask >> i) & 1
+        out.append(held)
+    return tuple(out)
+
+
+def two_trade_by_pairs(n: int, win, lose) -> bool:
+    """Whether some two winning coalitions (repeats allowed) have prefix
+    counts summing, componentwise, to at most those of some two losing
+    ones, by walking every pair of pairs."""
+    def sums(family):
+        ps = [prefix_counts(n, m) for m in family]
+        return [tuple(map(sum, zip(a, b))) for i, a in enumerate(ps) for b in ps[i:]]
+
+    highs = sums(lose)
+    return any(all(x <= y for x, y in zip(low, high)) for low in sums(win) for high in highs)

@@ -294,3 +294,35 @@ def test_unknown_arguments_exit_one(capsys):
     assert run(capsys, "bogus")[0] == EXIT_USAGE
     assert run(capsys, "tables", "--class", "wg", "--n", "3", "--frobnicate")[0] == EXIT_USAGE
     assert run(capsys)[0] == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["omega", "--n", "5"],
+        ["inverse", "--target", "TARGET", "--metric", "l1", "--mode", "exact"],
+    ],
+)
+def test_warm_queries_check_the_tier_once(capsys, monkeypatch, tmp_path, argv):
+    """A warm omega or exact inverse reads and checks each tier file once:
+    one tier check, and no second certificate check after it."""
+    target = tmp_path / "target.txt"
+    target.write_text("n=5 index=ssi\n2/5 1/5 1/5 1/10 1/10\n")
+    argv = [str(target) if a == "TARGET" else a for a in argv]
+    run_json(capsys, *argv)  # builds the tier if the cache lacks it
+    calls = []
+
+    def counted(name):
+        real = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_check_tier", "load_certificates"):
+        monkeypatch.setattr(pipeline, name, counted(name))
+    first = run_json(capsys, *argv)
+    assert calls == ["_check_tier", "load_certificates"]
+    assert run_json(capsys, *argv)["results"] == first["results"]

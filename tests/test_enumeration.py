@@ -1,8 +1,13 @@
 """Catalogs of complete, weighted, and 4-voter simple games."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from votekit import enumeration
 from votekit.certified import (
     COMPLETE_COUNTS,
     SIMPLE_4_NONWEIGHTED_MINWIN,
@@ -13,8 +18,12 @@ from votekit.certified import (
     CountMismatchError,
 )
 from votekit.enumeration import (
+    LP_BLOCK,
     CatalogFormatError,
     CatalogWriter,
+    _classify_block,
+    _packed_prefix_counts,
+    catalog_masks_at,
     certificate_game,
     check_certified_count,
     enumerate_simple4,
@@ -23,6 +32,7 @@ from votekit.enumeration import (
     read_catalog,
     shift_maximal_losing_families,
     shift_minimal_families,
+    two_trade_rejects,
 )
 from votekit.games import (
     DesirabilityOutcome,
@@ -41,6 +51,8 @@ from votekit.games import (
     to_explicit,
 )
 from votekit.pipeline import build_tier
+
+from oracles import prefix_counts, two_trade_by_pairs
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -141,9 +153,17 @@ def test_check_certified_count():
     check_certified_count("cg", 12, 999)  # nothing certified: no opinion
 
 
+def family_matrix(n, families):
+    """The (games, 2**n) boolean matrix marking each family's masks."""
+    out = np.zeros((len(families), 1 << n), dtype=bool)
+    for row, masks in zip(out, families):
+        row[list(masks)] = True
+    return out
+
+
 def save_catalog(path, klass, n, games):
     w = CatalogWriter(path, klass, n)
-    w.add_many([g.shift_minimal for g in games])
+    w.add_many(family_matrix(n, [g.shift_minimal for g in games]))
     w.close()
 
 
@@ -195,3 +215,107 @@ def test_scalar_family_extractors_match_the_batch(catalogs, n):
     for g, w, l in zip(games, smw, sml, strict=True):
         assert shift_minimal_winning(g).shift_minimal == w == g.shift_minimal
         assert shift_maximal_losing(g) == l
+
+
+def _families(n, chunk_size=None):
+    """(win, lose) family matrices of every complete game with n voters,
+    or of the first chunk_size of them."""
+    chunks = iter_complete_chunks(n, chunk_size or COMPLETE_COUNTS[n])
+    tables = next(chunks)
+    return shift_minimal_families(tables, n), shift_maximal_losing_families(tables, n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_two_trade_filter_rejects_exactly_the_unweighted_games(n):
+    """Through 7 voters the LP finds no weights for any game the 2-trade
+    filter rejects, and the filter rejects as many games as the certified
+    counts leave unweighted: it rejects exactly the unweighted games."""
+    win, lose = _families(n)
+    rejected = np.flatnonzero(two_trade_rejects(n, win, lose))
+    assert len(rejected) == COMPLETE_COUNTS[n] - WEIGHTED_COUNTS[n]
+    for start in range(0, len(rejected), LP_BLOCK):
+        games = rejected[start : start + LP_BLOCK]
+        feasible, _ = _classify_block(n, win[games], lose[games])
+        assert not feasible.any()
+
+
+def test_two_trade_filter_keeps_the_first_eight_voter_chunk():
+    """The first 4,096 games with 8 voters are all weighted (their
+    certificates are pinned in test_exactlp); the filter rejects none."""
+    assert not two_trade_rejects(8, *_families(8, 4096)).any()
+
+
+@pytest.mark.parametrize("n, block", [(4, 256), (5, 7), (6, 256), (6, 33)])
+def test_two_trade_filter_matches_the_pair_oracle(monkeypatch, n, block):
+    """Every game's flag is the brute-force search over pairs of pairs,
+    whatever the blocks and their padding."""
+    monkeypatch.setattr(enumeration, "TRADE_BLOCK", block)
+    win, lose = _families(n)
+    got = two_trade_rejects(n, win, lose)
+    want = [
+        two_trade_by_pairs(n, np.flatnonzero(w), np.flatnonzero(l)) for w, l in zip(win, lose)
+    ]
+    assert got.tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_prefix_comparison_is_componentwise(data):
+    """The guard-bit test on packed prefix-count pair sums agrees with the
+    plain componentwise <=, and padding never passes it."""
+    n = data.draw(st.integers(1, 8))
+    s1, s2, t1, t2 = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=4, max_size=4))
+    packed, guard, pad = _packed_prefix_counts(n)
+    low = int(packed[s1] + packed[s2])
+    high = int(packed[t1] + packed[t2])
+    plain = all(
+        a + b <= c + d
+        for a, b, c, d in zip(*(prefix_counts(n, m) for m in (s1, s2, t1, t2)))
+    )
+    assert (((high | guard) - low) & guard == guard) == plain
+    for padded in (pad + int(packed[s1]), 2 * pad):
+        assert ((high | guard) - padded) & guard != guard
+
+
+def _struct_catalog(klass, n, families) -> bytes:
+    """A VKCAT1 file encoded one struct record per game."""
+    head = struct.pack("<6sBBQ", b"VKCAT1", {"cg": 0, "wg": 1}[klass], n, len(families))
+    return head + b"".join(struct.pack(f"<H{len(f)}I", len(f), *f) for f in families)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_add_many_writes_the_struct_records(tmp_path, catalogs, n):
+    """The bulk encoder writes byte for byte the per-record struct
+    encoding, on the cg6 catalog and on one 8-voter chunk, in two calls;
+    the block decoder reads the families back."""
+    if n == 6:
+        families = [g.shift_minimal for g in catalogs("cg", 6)]
+        matrix = family_matrix(6, families)
+    else:
+        matrix = _families(8, 4096)[0]
+        families = _mask_lists(matrix)
+    path = tmp_path / "cat"
+    writer = CatalogWriter(path, "cg", n)
+    writer.add_many(matrix[:1000])
+    writer.add_many(matrix[1000:])
+    assert writer.close() == len(families)
+    assert path.read_bytes() == _struct_catalog("cg", n, families)
+    (_, _, count), chunks = iter_catalog_masks(path, chunk_size=333)
+    assert [f for chunk in chunks for f in chunk] == families
+
+
+@pytest.mark.parametrize("read_bytes", [1, 7, 64, 4099])
+def test_catalog_decode_across_read_blocks(tmp_path, monkeypatch, catalogs, read_bytes):
+    """Records that straddle the decoder's read blocks come out whole, and
+    a truncated file still fails at the record it cuts."""
+    monkeypatch.setattr(enumeration, "_READ_BYTES", read_bytes)
+    games = catalogs("cg", 5)
+    path = tmp_path / "cg5.cat"
+    save_catalog(path, "cg", 5, games)
+    (_, _, count), chunks = iter_catalog_masks(path, chunk_size=4)
+    assert [f for chunk in chunks for f in chunk] == [g.shift_minimal for g in games]
+    n, picked = catalog_masks_at(path, [116, 3, 0, 500])
+    assert n == 5 and picked == {i: games[i].shift_minimal for i in (0, 3, 116)}
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(CatalogFormatError, match="truncated game record"):
+        read_catalog(path)

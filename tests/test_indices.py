@@ -187,3 +187,22 @@ def test_decimal_rendering_rounds_half_up():
     assert decimal_str(Fraction(15, 1000), 2) == "0.02"
     assert decimal_str(Fraction(25, 1000), 2) == "0.03"
     assert decimal_str(Fraction(3), 0) == "3"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1/12;0,0,0,0,0,0,0,0,4,9] & [1/12;0,0,0,0,4,9,9,9,9,9]",
+        "[1/12;0,0,0,0,0,8,9] & [1/12;0,6,9,9,9,9,9]",
+    ],
+)
+def test_dp_axes_ignore_the_quota_denominator(text):
+    """Integer weights keep integer weight-sum axes whatever the quota's
+    denominator: scaled by 12, these axes would hold more than the default
+    10**6 cells.  The DP still matches the table."""
+    g = parse_game(text)
+    for leaf in g.parts:
+        assert leaf.scaled_ints() == (1, tuple(int(w) for w in leaf.weights))
+    for dp, table in ((ssi_dp, ssi), (pbi_dp, pbi)):
+        got, want = dp(g), table(g)
+        assert (got.nums, got.den) == (want.nums, want.den)
