@@ -345,7 +345,7 @@ def cmd_tables(args) -> int:
     for klass in klasses:
         for n in ns:
             if n < pipeline.BIG_N:
-                games, got = pipeline.tier_counts(klass, n, kinds, cache, workers=args.threads)
+                games, got = pipeline.tier_counts(klass, n, kinds, cache)
             else:
                 # certified during the streamed build that produced the cache
                 games = certified.GAME_COUNTS[klass][n]
@@ -421,7 +421,7 @@ def cmd_enumerate(args) -> int:
         rep.emit(args.format)
         return EXIT_OK
     cache = _cache_dir(args)
-    games = pipeline.load_games(klass, n, cache, workers=args.threads)
+    games = pipeline.load_games(klass, n, cache)
     rep.results.update({"class": klass, "n": n, "count": len(games)})
     rep.section("catalog", ["class", "n", "games"], [[klass, n, len(games)]])
     if args.list:
@@ -462,7 +462,6 @@ def _gap_reports(args, n=None, kinds=None, metrics=None):
         kinds,
         metrics,
         progress=progress if n == pipeline.BIG_N else None,
-        workers=args.threads,
     )
 
 
@@ -628,9 +627,7 @@ def cmd_inverse(args) -> int:
             raise _UsageError(
                 f"exact minimization needs the full catalog; {pipeline.BIG_N} voters is the cap"
             )
-        store, certificates = pipeline.weighted_store(
-            target.n, target.kind, _tier_dir(args, target.n), args.threads
-        )
+        store, certificates = pipeline.weighted_store(target.n, target.kind, _tier_dir(args, target.n))
         res = inverse_exact(target, metric, store, certificates)
     else:
         if target.n > MAX_HEURISTIC_VOTERS:
@@ -705,7 +702,7 @@ def build_parser() -> _ArgumentParser:
     )
     cachep = argparse.ArgumentParser(add_help=False)
     cachep.add_argument("--cache-dir", default=None, help="cache directory (default: VOTEKIT_CACHE or ~/.cache/votekit)")
-    cachep.add_argument("--threads", type=int, default=1, help="worker processes for classification")
+    cachep.add_argument("--threads", type=_at_least(1), default=1, help="worker processes for the 8-voter build")
     cachep.add_argument(
         "--long-running",
         action="store_true",

@@ -19,10 +19,13 @@ Enumerated counts are checked against certified values before anything
 downstream may consume them.  The tier builder in votekit.pipeline
 streams the chunks to disk for every n <= 8 (16.2 million games at
 n = 8), writing each chunk's VKCAT1 catalog records with one numpy
-encode (CatalogWriter.add_many), and the tier loaders read them back a
-block of the file at a time through read_catalog, catalog_masks_at and
-certificate_game.  The 28 simple games on 4 voters are enumerated on
-request by enumerate_simple4, which is not cached.
+encode (CatalogWriter.add_many).  One block walker reads them back, a
+block of the file at a time, for both catalog readers: read_catalog
+(every game of a file, count certified) and fetch_catalog_games (the
+games at given positions).  read_catalog_header reads the header alone,
+and certificate_game turns a stored certificate row into its weighted
+game.  The 28 simple games on 4 voters are enumerated on request by
+enumerate_simple4, which is not cached.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,13 +62,13 @@ __all__ = [
     "read_catalog",
     "read_catalog_header",
     "CatalogWriter",
-    "iter_catalog_masks",
-    "catalog_masks_at",
+    "fetch_catalog_games",
     "CatalogFormatError",
 ]
 
 # The most voters enumerated; that tier takes hours and is built on request.
 BIG_N = 8
+# Games per enumerated chunk, read as each stream starts.
 DEFAULT_CHUNK = 16384
 # Weightedness systems solved in lockstep; at 8 voters the block's
 # tableau is about 1.6 MB.
@@ -108,35 +111,24 @@ def _iter_labelings(order: Sequence[int], lowers: Sequence[Sequence[int]]) -> It
         t += 1
 
 
-def iter_complete_chunks(
-    n: int,
-    chunk_size: int = DEFAULT_CHUNK,
-    progress: Callable[[int], None] | None = None,
-) -> Iterator[np.ndarray]:
+def iter_complete_chunks(n: int) -> Iterator[np.ndarray]:
     """Outcome tables of all complete games with n voters, strongest voter
-    first, in chunks of shape (games, 2**n)."""
+    first, in chunks of shape (games, 2**n) of DEFAULT_CHUNK games."""
     if not 1 <= n <= BIG_N:
         raise ValueError(f"enumeration supports 1..{BIG_N} voters, got {n}")
     size = 1 << n
     order = _linear_extension(n)
     lowers = _lower_neighbors(n)
-    buf = np.empty((chunk_size, size), dtype=np.uint8)
-    done = 0
+    buf = np.empty((DEFAULT_CHUNK, size), dtype=np.uint8)
     i = 0
     for val in _iter_labelings(order, lowers):
         buf[i] = np.frombuffer(val, dtype=np.uint8)
         i += 1
-        if i == chunk_size:
-            done += i
-            yield buf[:i].copy()
-            if progress is not None:
-                progress(done)
+        if i == len(buf):
+            yield buf.copy()
             i = 0
     if i:
-        done += i
         yield buf[:i].copy()
-        if progress is not None:
-            progress(done)
 
 
 def shift_minimal_families(tables: np.ndarray, n: int) -> np.ndarray:
@@ -452,55 +444,36 @@ def _decode(block: np.ndarray, words: list, starts: list) -> list[tuple[int, ...
     return [tuple(joined[at + 1 : at + 1 + 2 * words[at] : 2]) for at in starts]
 
 
-def iter_catalog_masks(path, chunk_size: int = DEFAULT_CHUNK):
-    """Header plus streamed mask families from a catalog file.
-
-    Returns ((klass, n, count), iterator over lists of mask tuples).
-    """
-    fh = open(path, "rb")
-    try:
-        klass, n, count = _read_header(fh, path)
-    except Exception:
-        fh.close()
-        raise
-
-    def chunks():
-        try:
-            pending: list[tuple[int, ...]] = []
-            for block, words, starts in _record_blocks(fh, path, count):
-                pending += _decode(block, words, starts)
-                whole = len(pending) - len(pending) % chunk_size
-                for start in range(0, whole, chunk_size):
-                    yield pending[start : start + chunk_size]
-                pending = pending[whole:]
-            if pending:
-                yield pending
-        finally:
-            fh.close()
-
-    return (klass, n, count), chunks()
-
-
-def catalog_masks_at(path, indices: Iterable[int]) -> tuple[int, dict[int, tuple[int, ...]]]:
-    """n and the mask families of the games at the given positions of a
-    catalog file, in one sequential scan that stops after the last of
-    them; positions past the end are left out."""
-    want = sorted(set(indices))
-    out: dict[int, tuple[int, ...]] = {}
+def fetch_catalog_games(path, indices: Iterable[int]) -> dict[int, CompleteGame]:
+    """The games at the given positions of a catalog file, in one
+    sequential scan that stops after the last of them.  Raises
+    CatalogFormatError on the first position the file does not hold."""
+    want = sorted({int(i) for i in indices})
+    if not want:
+        return {}
+    out: dict[int, CompleteGame] = {}
     with open(path, "rb") as fh:
         _, n, count = _read_header(fh, path)
-        stop = min(want[-1] + 1, count) if want else 0
+        missing = [i for i in want if not 0 <= i < count]
+        if missing:
+            raise CatalogFormatError(f"{path}: no game at index {missing[0]}")
         pos = 0
-        for block, words, starts in _record_blocks(fh, path, stop):
+        for block, words, starts in _record_blocks(fh, path, want[-1] + 1):
             picked = want[bisect_left(want, pos) : bisect_left(want, pos + len(starts))]
-            out.update(zip(picked, _decode(block, words, [starts[i - pos] for i in picked])))
+            families = _decode(block, words, [starts[i - pos] for i in picked])
+            out.update((i, CompleteGame(n, masks, validate=False)) for i, masks in zip(picked, families))
             pos += len(starts)
-    return n, out
+    return out
 
 
 def read_catalog(path) -> list[CompleteGame]:
     """Load a catalog file's games, re-checking the certified count."""
-    (klass, n, count), chunks = iter_catalog_masks(path)
-    games = [CompleteGame(n, masks, validate=False) for block in chunks for masks in block]
+    with open(path, "rb") as fh:
+        klass, n, count = _read_header(fh, path)
+        games = [
+            CompleteGame(n, masks, validate=False)
+            for block in _record_blocks(fh, path, count)
+            for masks in _decode(*block)
+        ]
     check_certified_count(klass, n, len(games))
     return games

@@ -11,15 +11,19 @@ A tier holds what is known about the complete games with n voters,
 
 Every count is certified before any file is moved into place, so a tier
 is only ever installed whole.  Tiers below 8 voters are built on first
-use and rebuilt when a file is missing or unreadable; the 8-voter tier
-takes hours and is built only by build_big_tables.
+use and rebuilt when a file is missing or unreadable, in the calling
+process; the 8-voter tier takes hours and is built only by
+build_big_tables.  build_tier and build_big_tables are the only calls
+that take a worker count, for a process pool that pays off only at 8
+voters.
 
 Each datum of a tier has one loader, and each loader checks every tier
 file once, building the tier when needed: ensure_tier (the directory),
 load_games (the games of one class), tier_counts (game and
 distinct-vector counts), weighted_store (the weighted vectors,
 deduplicated for search, with their certificate rows) and omega_tier
-(gap reports streamed from the vector files).  What a loader then reads
+(gap reports streamed from the vector files, with their attaining games
+read through enumeration.fetch_catalog_games).  What a loader then reads
 of the files the check has passed, it does not check again.
 load_certificates reads and checks the certificate file alone.
 """
@@ -40,13 +44,12 @@ from . import certified
 from .certified import CountMismatchError
 from .enumeration import (
     BIG_N,
-    DEFAULT_CHUNK,
     CatalogFormatError,
     CatalogWriter,
-    catalog_masks_at,
     certificate_game,
     check_certified_count,
     classify_weighted_chunk,
+    fetch_catalog_games,
     iter_complete_chunks,
     read_catalog,
     read_catalog_header,
@@ -81,7 +84,6 @@ __all__ = [
     "weighted_store",
     "load_certificates",
     "omega_tier",
-    "fetch_catalog_games",
 ]
 
 _CLASSES = ("cg", "wg")
@@ -217,11 +219,12 @@ def _check_tier(n: int, cache_dir: Path) -> None:
     load_certificates(n, cache_dir)
 
 
-def _load_tier(n: int, cache_dir, workers: int, load: Callable[[Path], object]):
+def _load_tier(n: int, cache_dir, load: Callable[[Path], object]):
     """load(cache_dir) once every file of the n-voter tier checks out.
 
     Below 8 voters a missing or unreadable file rebuilds the whole tier
-    first.  load reads the files without checking their rows again; one
+    first, in this process: a process pool pays for itself only at 8
+    voters.  load reads the files without checking their rows again; one
     file at a time is mapped during the check, so that a tier's pages
     need not all stay resident.
     """
@@ -236,17 +239,17 @@ def _load_tier(n: int, cache_dir, workers: int, load: Callable[[Path], object]):
     try:
         return checked()
     except (CatalogFormatError, CountMismatchError, OSError):
-        build_tier(n, cache_dir, workers)
+        build_tier(n, cache_dir)
     return checked()
 
 
-def ensure_tier(n: int, cache_dir=None, workers: int = 1) -> Path:
+def ensure_tier(n: int, cache_dir=None) -> Path:
     """The cache directory, holding a checked n-voter tier."""
-    return _load_tier(n, cache_dir, workers, lambda cache: cache)
+    return _load_tier(n, cache_dir, lambda cache: cache)
 
 
 def tier_counts(
-    klass: str, n: int, kinds: Iterable[str] = KINDS, cache_dir=None, workers: int = 1
+    klass: str, n: int, kinds: Iterable[str] = KINDS, cache_dir=None
 ) -> tuple[int, dict[str, int]]:
     """(games, distinct vectors per index kind) of the cg or wg games of a
     checked n-voter tier, read from its vector files; no game is loaded.
@@ -262,17 +265,17 @@ def tier_counts(
             distinct[kind] = count_distinct_rows(rows[:, :n], rows[:, n])
         return certified.GAME_COUNTS[klass][n], distinct
 
-    return _load_tier(n, cache_dir, workers, load)
+    return _load_tier(n, cache_dir, load)
 
 
-def load_games(klass: str, n: int, cache_dir=None, workers: int = 1) -> list[CompleteGame]:
+def load_games(klass: str, n: int, cache_dir=None) -> list[CompleteGame]:
     """The cg or wg games of a checked n-voter tier, in catalog order."""
     if klass not in _CLASSES:
         raise ValueError(f"unknown catalog class {klass!r}")
-    return _load_tier(n, cache_dir, workers, lambda cache: read_catalog(catalog_path(cache, klass, n)))
+    return _load_tier(n, cache_dir, lambda cache: read_catalog(catalog_path(cache, klass, n)))
 
 
-def weighted_store(n: int, kind: str, cache_dir=None, workers: int = 1) -> tuple[VectorStore, np.ndarray]:
+def weighted_store(n: int, kind: str, cache_dir=None) -> tuple[VectorStore, np.ndarray]:
     """The deduplicated weighted-game vectors of a checked n-voter tier,
     plus the certificate rows that the store's reps index."""
 
@@ -280,7 +283,7 @@ def weighted_store(n: int, kind: str, cache_dir=None, workers: int = 1) -> tuple
         rows = _vector_rows(cache, "wg", n, kind)
         return store_from_rows(kind, n, rows[:, :n], rows[:, n]), _certificate_rows(cache, n)
 
-    return _load_tier(n, cache_dir, workers, load)
+    return _load_tier(n, cache_dir, load)
 
 
 # ---------------------------------------------------------------------------
@@ -288,24 +291,27 @@ def weighted_store(n: int, kind: str, cache_dir=None, workers: int = 1) -> tuple
 # ---------------------------------------------------------------------------
 
 
+# Pending rows per compaction: 144 MiB of 9-column int64 rows at 8 voters.
+_UNIQUE_LIMIT = 1 << 21
+
+
 class _UniqueAccumulator:
     """Distinct rows of a huge matrix, accumulated in bounded memory.
 
     Chunks are deduplicated on arrival and merged into the sorted base
-    whenever the pending pile grows past the limit.
+    whenever the pending pile grows past _UNIQUE_LIMIT rows.
     """
 
-    def __init__(self, limit: int = 1 << 21):
+    def __init__(self):
         self.base: np.ndarray | None = None
         self.pending: list[np.ndarray] = []
         self.pending_rows = 0
-        self.limit = limit
 
     def add(self, rows: np.ndarray) -> None:
         u = unique_rows(rows)[0]
         self.pending.append(u)
         self.pending_rows += len(u)
-        if self.pending_rows >= self.limit:
+        if self.pending_rows >= _UNIQUE_LIMIT:
             self.compact()
 
     def compact(self) -> None:
@@ -377,7 +383,7 @@ def _write_chunk(n, tables, pool, workers, cats, files, accs) -> None:
     certs.astype("<i8", copy=False).tofile(files["wg.cert"])
 
 
-def _write_tier(n, tmps, workers, progress, chunk_size) -> dict[str, int]:
+def _write_tier(n, tmps, workers, progress) -> dict[str, int]:
     """Stream every complete game with n voters into the temp files.
     With workers > 1, one process pool classifies every chunk."""
     expected = {klass: certified.GAME_COUNTS[klass][n] for klass in _CLASSES}
@@ -404,7 +410,7 @@ def _write_tier(n, tmps, workers, progress, chunk_size) -> dict[str, int]:
                 files[key], {"descr": "<i8", "fortran_order": False, "shape": shape}
             )
         done = 0
-        for tables in iter_complete_chunks(n, chunk_size):
+        for tables in iter_complete_chunks(n):
             _write_chunk(n, tables, pool, workers, cats, files, accs)
             done += tables.shape[0]
             if progress is not None:
@@ -428,7 +434,6 @@ def build_tier(
     cache_dir=None,
     workers: int = 1,
     progress: Callable[[int, int], None] | None = None,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> dict[str, int]:
     """Enumerate the complete games with n voters once, writing the tier.
 
@@ -452,7 +457,7 @@ def build_tier(
             fd, name = tempfile.mkstemp(prefix=final.name + ".", suffix=".tmp", dir=cache_dir)
             os.close(fd)
             tmps[key] = Path(name)
-        counts = _write_tier(n, tmps, workers, progress, chunk_size)
+        counts = _write_tier(n, tmps, workers, progress)
         for key, tmp in tmps.items():
             os.replace(tmp, finals[key])
     except BaseException:
@@ -466,27 +471,14 @@ def build_big_tables(
     cache_dir=None,
     workers: int = 1,
     progress: Callable[[int, int], None] | None = None,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> dict[str, int]:
     """The 8-voter tier; hours of CPU time.  See build_tier."""
-    return build_tier(BIG_N, cache_dir, workers, progress, chunk_size)
+    return build_tier(BIG_N, cache_dir, workers, progress)
 
 
 # ---------------------------------------------------------------------------
 # Streamed queries
 # ---------------------------------------------------------------------------
-
-
-def fetch_catalog_games(path, indices: Iterable[int]) -> dict[int, CompleteGame]:
-    """Selected games out of a catalog file, in one sequential scan."""
-    want = {int(i) for i in indices}
-    if not want:
-        return {}
-    n, families = catalog_masks_at(path, want)
-    if len(families) != len(want):
-        missing = sorted(want - families.keys())
-        raise CatalogFormatError(f"{path}: no game at index {missing[0]}")
-    return {i: CompleteGame(n, masks, validate=False) for i, masks in families.items()}
 
 
 def omega_tier(
@@ -495,7 +487,6 @@ def omega_tier(
     kinds: Iterable[str] = KINDS,
     metrics: Iterable = (Metric.L1, Metric.LINF),
     progress: Callable[[str, int, int], None] | None = None,
-    workers: int = 1,
 ) -> dict[tuple[str, str], GapReport]:
     """Gap reports at n voters, streamed from the vector files of a
     checked tier.
@@ -531,4 +522,4 @@ def omega_tier(
                 reports[kind, metric.value] = rep
         return reports
 
-    return _load_tier(n, cache_dir, workers, load)
+    return _load_tier(n, cache_dir, load)

@@ -1,6 +1,7 @@
 """Command-line front end: output shapes, exit codes, cache behaviour."""
 
 import json
+from concurrent import futures
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,24 @@ def test_tables_match_certified_counts(capsys):
     data = run_json(capsys, "tables", "--class", "wg", "--n", "3..6", "--index", "ssi")
     counts = {row["n"]: row["ssi"] for row in data["results"]["rows"]}
     assert counts == {3: 4, 4: 11, 5: 53, 6: 536}
+
+
+def test_cold_tables_open_no_process_pool(capsys, monkeypatch, tmp_path):
+    """--threads sizes only the 8-voter build: the tiers a cold tables run
+    builds below 8 voters are built in this process."""
+    opened = []
+
+    class CountedPool(futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", CountedPool)
+    data = run_json(capsys, "tables", "--n", "3..5", "--threads", "2", "--cache-dir", str(tmp_path))
+    assert opened == []
+    assert data["config"]["threads"] == 2
+    assert all(pipeline.tier_present(n, tmp_path) for n in range(3, 6))
+    assert [row["games"] for row in data["results"]["rows"]] == [8, 25, 117] * 2
 
 
 def test_tables_json_is_stable_across_warm_runs(capsys):
@@ -271,6 +290,8 @@ def test_config_echo_includes_run_fields(capsys):
         ["index", "[50;1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20]", "--state-cap", "10"],
         ["index", "n=3; minwin={0,1}"],
         ["tables", "--n", "3", "--cache-dir", __file__],
+        ["tables", "--n", "3", "--threads", "0"],
+        ["omega", "--n", "4", "--threads", "-4"],
     ],
 )
 def test_input_errors_exit_one(capsys, argv):

@@ -1,6 +1,8 @@
 """Catalogs of complete, weighted, and 4-voter simple games."""
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,13 +25,13 @@ from votekit.enumeration import (
     CatalogWriter,
     _classify_block,
     _packed_prefix_counts,
-    catalog_masks_at,
     certificate_game,
     check_certified_count,
     enumerate_simple4,
-    iter_catalog_masks,
+    fetch_catalog_games,
     iter_complete_chunks,
     read_catalog,
+    read_catalog_header,
     shift_maximal_losing_families,
     shift_minimal_families,
     two_trade_rejects,
@@ -174,10 +176,7 @@ def test_catalog_io_round_trip(tmp_path, catalogs):
     back = read_catalog(path)
     assert all(g.n == 4 for g in back)
     assert back == cat
-    (klass, nn, count), chunks = iter_catalog_masks(path)
-    assert (klass, nn, count) == ("cg", 4, len(cat))
-    families = [fam for chunk in chunks for fam in chunk]
-    assert families == [g.shift_minimal for g in cat]
+    assert read_catalog_header(path) == ("cg", 4, len(cat))
 
 
 def test_catalog_io_detects_corruption(tmp_path, catalogs):
@@ -217,11 +216,13 @@ def test_scalar_family_extractors_match_the_batch(catalogs, n):
         assert shift_maximal_losing(g) == l
 
 
-def _families(n, chunk_size=None):
+def _families(n, games=None):
     """(win, lose) family matrices of every complete game with n voters,
-    or of the first chunk_size of them."""
-    chunks = iter_complete_chunks(n, chunk_size or COMPLETE_COUNTS[n])
-    tables = next(chunks)
+    or of the first games of them, which must fit the first chunk."""
+    if games is None:
+        tables = np.concatenate(list(iter_complete_chunks(n)))
+    else:
+        tables = next(iter_complete_chunks(n))[:games]
     return shift_minimal_families(tables, n), shift_maximal_losing_families(tables, n)
 
 
@@ -300,8 +301,8 @@ def test_add_many_writes_the_struct_records(tmp_path, catalogs, n):
     writer.add_many(matrix[1000:])
     assert writer.close() == len(families)
     assert path.read_bytes() == _struct_catalog("cg", n, families)
-    (_, _, count), chunks = iter_catalog_masks(path, chunk_size=333)
-    assert [f for chunk in chunks for f in chunk] == families
+    back = fetch_catalog_games(path, range(len(families)))
+    assert [back[i].shift_minimal for i in range(len(families))] == families
 
 
 @pytest.mark.parametrize("read_bytes", [1, 7, 64, 4099])
@@ -312,10 +313,50 @@ def test_catalog_decode_across_read_blocks(tmp_path, monkeypatch, catalogs, read
     games = catalogs("cg", 5)
     path = tmp_path / "cg5.cat"
     save_catalog(path, "cg", 5, games)
-    (_, _, count), chunks = iter_catalog_masks(path, chunk_size=4)
-    assert [f for chunk in chunks for f in chunk] == [g.shift_minimal for g in games]
-    n, picked = catalog_masks_at(path, [116, 3, 0, 500])
-    assert n == 5 and picked == {i: games[i].shift_minimal for i in (0, 3, 116)}
+    assert read_catalog(path) == games
+    picked = fetch_catalog_games(path, [116, 3, 0])
+    assert picked == {i: games[i] for i in (0, 3, 116)}
+    with pytest.raises(CatalogFormatError, match="no game at index 500"):
+        fetch_catalog_games(path, [116, 3, 0, 500])
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(CatalogFormatError, match="truncated game record"):
         read_catalog(path)
+
+
+@st.composite
+def _random_families(draw):
+    """(n, family matrix) of random complete games with 1..8 voters: the
+    shift-order up-sets of random nonempty sets of nonempty coalitions."""
+    n = draw(st.integers(1, 8))
+    gens = draw(
+        st.lists(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6), min_size=1, max_size=40)
+    )
+    tables = np.zeros((len(gens), 1 << n), dtype=np.uint8)
+    for row, masks in zip(tables, gens):
+        row[masks] = 1
+    lowers = _lower_neighbors(n)
+    for m in _linear_extension(n):  # weaker coalitions first
+        tables[:, m] |= tables[:, list(lowers[m])].any(axis=1)
+    return n, shift_minimal_families(tables, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_random_families(), st.sampled_from([1, 3, 64, 4099]), st.data())
+def test_catalog_round_trip_on_random_families(families, read_bytes, data):
+    """Random shift-minimal families written by add_many come back whole
+    from fetch_catalog_games at random positions, whatever the read block,
+    and a truncated file still fails at the record it cuts."""
+    n, matrix = families
+    want = _mask_lists(matrix)
+    picks = data.draw(st.sets(st.integers(0, len(want) - 1)))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_READ_BYTES", read_bytes)
+        path = Path(tmp) / "cat"
+        writer = CatalogWriter(path, "cg", n)
+        writer.add_many(matrix)
+        assert writer.close() == len(want)
+        got = fetch_catalog_games(path, picks)
+        assert {i: (g.n, g.shift_minimal) for i, g in got.items()} == {i: (n, want[i]) for i in picks}
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(CatalogFormatError, match="truncated game record"):
+            fetch_catalog_games(path, [len(want) - 1])

@@ -206,7 +206,7 @@ def test_certificates_are_pinned(certificates, n):
 def test_first_eight_voter_chunk_classifies_to_pinned_certificates():
     """The first 4,096 games with 8 voters are all weighted; their
     certificates are the scalar solver's."""
-    tables = next(iter_complete_chunks(8, 4096))
+    tables = next(iter_complete_chunks(8))[:4096]
     weighted, certs = classify_weighted_chunk(
         8, shift_minimal_families(tables, 8), shift_maximal_losing_families(tables, 8)
     )
@@ -217,7 +217,7 @@ def test_first_eight_voter_chunk_classifies_to_pinned_certificates():
 def test_first_eight_voter_chunk_has_pinned_vector_rows():
     """The (numerators..., denominator) ssi and pbi rows of the first 4,096
     games with 8 voters, as the per-voter swing kernels wrote them."""
-    tables = next(iter_complete_chunks(8, 4096))
+    tables = next(iter_complete_chunks(8))[:4096]
     nums, den = batch_ssi_numerators(tables)
     swings = batch_swing_counts(tables)
     ssi_rows = np.column_stack([nums, np.full(len(tables), den)])

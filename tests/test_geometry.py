@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from votekit import enumeration
 from votekit.enumeration import CatalogFormatError
 from votekit.geometry import (
     GapTracker,
@@ -238,10 +239,12 @@ def test_vector_io_round_trip(tmp_path, catalogs, vectors):
                 assert PowerVector(kind, rows[i, :4], rows[i, 4]) == (ssi(g) if kind == "ssi" else pbi(g))
 
 
-def test_vector_writer_streams_like_one_shot(tmp_path):
+def test_vector_writer_streams_like_one_shot(tmp_path, monkeypatch):
     """Rows appended chunk by chunk under a header written up front give
     the same bytes as saving the whole matrix at once."""
-    build_tier(5, tmp_path / "streamed", chunk_size=16)
+    with monkeypatch.context() as mp:
+        mp.setattr(enumeration, "DEFAULT_CHUNK", 16)
+        build_tier(5, tmp_path / "streamed")
     build_tier(5, tmp_path / "whole")
     for kind in ("ssi", "pbi"):
         streamed = vector_path(tmp_path / "streamed", "cg", 5, kind)

@@ -19,9 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votekit import certified, pipeline
+from votekit import certified, enumeration, pipeline
 from votekit.certified import CountMismatchError
-from votekit.enumeration import CatalogFormatError, certificate_game, read_catalog
+from votekit.enumeration import CatalogFormatError, certificate_game, fetch_catalog_games, read_catalog
 from votekit.games import WeightedGame, shift_minimal_winning, sort_by_desirability, to_explicit
 from votekit.pipeline import (
     _load_vectors,
@@ -30,7 +30,6 @@ from votekit.pipeline import (
     catalog_path,
     certificate_path,
     ensure_tier,
-    fetch_catalog_games,
     load_certificates,
     load_games,
     omega_tier,
@@ -46,8 +45,9 @@ def tier_files(cache, n):
     return sorted(p.name for p in pipeline._tier_paths(cache, n).values())
 
 
-def test_unique_accumulator_counts_distinct_rows():
-    acc = _UniqueAccumulator(limit=4)
+def test_unique_accumulator_counts_distinct_rows(monkeypatch):
+    monkeypatch.setattr(pipeline, "_UNIQUE_LIMIT", 4)
+    acc = _UniqueAccumulator()
     acc.add(np.array([[1, 2], [1, 2], [3, 4]], dtype=np.int64))
     acc.add(np.array([[3, 4], [5, 6]], dtype=np.int64))  # forces a compaction
     acc.add(np.array([[1, 2], [7, 8]], dtype=np.int64))
@@ -144,14 +144,10 @@ def test_bad_certificate_row_rebuilds_the_tier(tmp_path, damage):
     _damage_rebuilds(tmp_path, 5, certificate_path(tmp_path, 5), damage)
 
 
-def test_build_tier_six_voters(tmp_path):
+def test_build_tier_six_voters(tmp_path, monkeypatch):
+    monkeypatch.setattr(enumeration, "DEFAULT_CHUNK", 256)
     seen = []
-    counts = build_tier(
-        6,
-        cache_dir=tmp_path,
-        chunk_size=256,
-        progress=lambda done, total: seen.append((done, total)),
-    )
+    counts = build_tier(6, cache_dir=tmp_path, progress=lambda done, total: seen.append((done, total)))
 
     assert counts == {
         "cg": 1171,
@@ -213,7 +209,8 @@ def test_pooled_build_matches_one_worker(tmp_path, cache_dir, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(futures, "ProcessPoolExecutor", CountedPool)
-    build_tier(6, cache_dir=tmp_path, workers=2, chunk_size=256)
+    monkeypatch.setattr(enumeration, "DEFAULT_CHUNK", 256)
+    build_tier(6, cache_dir=tmp_path, workers=2)
     assert opened == [2]
     one_worker = pipeline._tier_paths(ensure_tier(6, cache_dir), 6)
     for key, path in pipeline._tier_paths(tmp_path, 6).items():
@@ -254,7 +251,9 @@ def test_wrong_certificate_stops_the_build(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_aborted_build_leaves_no_file(tmp_path):
+def test_aborted_build_leaves_no_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(enumeration, "DEFAULT_CHUNK", 256)
+
     class Stop(Exception):
         pass
 
@@ -266,7 +265,7 @@ def test_aborted_build_leaves_no_file(tmp_path):
             raise Stop
 
     with pytest.raises(Stop):
-        build_tier(6, cache_dir=tmp_path, progress=progress, chunk_size=256)
+        build_tier(6, cache_dir=tmp_path, progress=progress)
     assert seen == [256, 512]
     assert list(tmp_path.iterdir()) == []
 

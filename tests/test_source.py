@@ -1,6 +1,7 @@
 """Static checks over the package source, standing in for a linter."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import votekit
@@ -77,4 +78,42 @@ def test_every_import_is_used():
         for name, line in _imported(tree).items():
             if name not in used:
                 unused.append(f"{path.name}:{line}: {name}")
+    assert unused == []
+
+
+def _references(node) -> Counter:
+    """How often each name is referenced under node: as a name, as an
+    attribute, as an imported name or inside an annotation."""
+    refs = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            refs.update(alias.name for alias in sub.names)
+        elif isinstance(sub, ast.arg) and sub.annotation is not None:
+            refs.update(_annotation_names(sub.annotation))
+        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and sub.returns is not None:
+            refs.update(_annotation_names(sub.returns))
+        elif isinstance(sub, ast.AnnAssign):
+            refs.update(_annotation_names(sub.annotation))
+    return refs
+
+
+def test_every_private_definition_is_referenced():
+    """A private function, method or class that no module of the package
+    references outside its own definition is dead code."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+                and total[node.name] <= _references(node)[node.name]
+            ):
+                unused.append(f"{name}:{node.lineno}: {node.name}")
     assert unused == []
