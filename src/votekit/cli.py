@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -192,8 +193,11 @@ def _require_big(args) -> Path:
             "pass --long-running (or set VOTEKIT_LONG_RUNNING=1) to build it"
         )
 
+    chunks = itertools.count(1)
+
     def progress(done, total):
-        if done % (64 * 16384) < 16384 or done == total:
+        # Called once per chunk: report every 64th chunk, and the last.
+        if next(chunks) % 64 == 0 or done == total:
             print(f"\r  enumerated {done}/{total} complete games", end="", file=sys.stderr)
             if done == total:
                 print(file=sys.stderr)
@@ -421,11 +425,10 @@ def cmd_enumerate(args) -> int:
         rep.emit(args.format)
         return EXIT_OK
     cache = _cache_dir(args)
-    games = pipeline.load_games(klass, n, cache)
+    games, certificates = pipeline.load_listing(klass, n, cache)
     rep.results.update({"class": klass, "n": n, "count": len(games)})
     rep.section("catalog", ["class", "n", "games"], [[klass, n, len(games)]])
     if args.list:
-        certificates = pipeline.load_certificates(n, cache) if klass == "wg" else None
         rows = []
         out = []
         for i, g in enumerate(games):

@@ -1,17 +1,20 @@
 """Exact geometry over power vectors.
 
 Power vectors live on the rational simplex; distances are Manhattan (L1)
-or Chebyshev (L-infinity).  Vectors are handled as reduced integer rows
-(numerators..., denominator), deduplicated by one lexicographic sort
-(unique_rows).  Gap queries first answer exact hits in bulk: a query row
-already in the weighted store is at distance 0, found by a binary search
-over the store's sorted rows.  Only the misses go to the nearest-neighbour
-search, a k-d tree over integer keys: Shapley-Shubik vectors are integer
-numerators over n!, so their keys are exact; Banzhaf vectors are keyed by
-2**20-scaled floors, and every bound carries a slack of one key unit per
-inexact side so the tree can only over-visit, never wrongly prune.  Final
-comparisons are exact integer cross-multiplications; ties go to the
-lexicographically smallest vector, so results are deterministic.
+or Chebyshev (L-infinity).  Vectors are reduced integer rows (numerators...,
+denominator), deduplicated by one lexicographic sort (unique_rows).  Every
+decision compares integer distances by exact cross-multiplication, in int64
+where a bound on the magnitudes rules out overflow and in Python integers
+otherwise; ties go to the lexicographically smallest vector.
+
+VectorStore.nearest scans every stored row in one vectorized pass.
+GapTracker answers exact hits in bulk by binary search; the misses descend
+together through a flat k-d tree over keys floor(x * scale), exact on the n!
+grid for Shapley-Shubik, 2**20-scaled floors with one key unit of slack per
+inexact side for Banzhaf.  Each miss takes an exact upper bound from its
+leaf; those bounded strictly below the running maximum are dropped, and the
+rest, highest bound first, are searched exactly over the leaves whose key
+box may hold a closer point.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,12 +38,15 @@ __all__ = [
     "store_from_rows",
     "unique_rows",
     "count_distinct_rows",
+    "GapQueries",
     "GapTracker",
     "GapReport",
 ]
 
 PBI_KEY_SCALE = 1 << 20
 _LEAF_SIZE = 32
+_BLOCK = 256  # misses per vectorized leaf-bound pass
+_INT64_MAX = 2**63 - 1
 
 
 class Metric(enum.Enum):
@@ -91,7 +98,7 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lexicographic order, the index of the first row equal to each, and
     for each row the position of its distinct row.  So uniq is
     rows[first], and rows is uniq[inverse]."""
-    order = np.lexsort(rows.T[::-1])
+    order = np.lexsort(_sort_keys(rows)[::-1])
     ranked = rows[order]
     new = np.ones(len(rows), dtype=bool)
     new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
@@ -99,6 +106,22 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     inverse[order] = np.cumsum(new) - 1
     # lexsort is stable, so each run of equal rows opens with its first row.
     return ranked[new], order[new], inverse
+
+
+def _sort_keys(rows: np.ndarray) -> list[np.ndarray]:
+    """Columns ordering an int matrix's rows as they compare, first
+    column first; nonnegative ones are packed as many to an int64 as
+    their bit width allows, so that a lexsort makes fewer passes."""
+    if rows.min(initial=0) < 0:
+        return list(rows.T)
+    bits = max(int(rows.max(initial=0)).bit_length(), 1)
+    keys = []
+    for a in range(0, rows.shape[1], 63 // bits):
+        key = rows[:, a]
+        for col in rows.T[a + 1 : a + 63 // bits]:
+            key = (key << bits) | col
+        keys.append(key)
+    return keys
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -109,29 +132,78 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(flipped.astype(">u8")).view(f"V{8 * rows.shape[1]}").ravel()
 
 
-class _KDNode:
-    __slots__ = ("lo", "hi", "left", "right", "idx", "pts")
-
-    def __init__(self, lo, hi, left=None, right=None, idx=None, pts=None):
-        self.lo = lo
-        self.hi = hi
-        self.left = left
-        self.right = right
-        self.idx = idx
-        self.pts = pts
+def _exact_dtype(bound: int):
+    """int64 when every integer up to bound fits, else Python integers."""
+    return np.int64 if bound <= _INT64_MAX else object
 
 
-class _Abort(Exception):
-    pass
+def _keys(rows: np.ndarray, n: int, scale: int) -> tuple[np.ndarray, np.ndarray]:
+    """floor(x * scale) per coordinate of each (numerators..., denominator)
+    row, as int64, and whether any of a row's keys is inexact."""
+    nums = rows[:, :n].astype(_exact_dtype(int(np.abs(rows).max(initial=0)) * scale)) * scale
+    return (nums // rows[:, n:]).astype(np.int64), (nums % rows[:, n:] != 0).any(axis=1)
 
 
-class NearestResult:
-    __slots__ = ("index", "dist", "aborted")
+def _dists(rows: np.ndarray, q: np.ndarray, n: int, l1: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Exact distances from rows to query rows q, broadcast: the distance
+    is num / (pden * qden), returned as (num, pden)."""
+    diff = np.abs(rows[..., :n] * q[..., n:] - q[..., :n] * rows[..., n:])
+    return (diff.sum(axis=-1) if l1 else diff.max(axis=-1)), rows[..., n]
 
-    def __init__(self, index: int | None, dist: Fraction | None, aborted: bool):
-        self.index = index
-        self.dist = dist
-        self.aborted = aborted
+
+class _Tree:
+    """Median splits along the widest axis, as flat arrays built one level
+    at a time.  A node reference r >= 0 is split r, r < 0 is leaf ~r; a
+    split sends keys below cut on its axis to kids[r, 0], the rest to
+    kids[r, 1].  Leaf l holds the rows perm[start[l]:stop[l]], their keys
+    in the box [lo[l], hi[l]]; position i is in leaf leaf_of[i].  A node's
+    points are one block of a permuted copy of the keys: one reduceat per
+    level bounds every block, and a split is one argpartition of its
+    block.  slack is 1 when some key is inexact."""
+
+    def __init__(self, keys: np.ndarray, slack: int):
+        self.slack = slack
+        count = len(keys)
+        pts = keys.copy()
+        self.perm = np.arange(count, dtype=np.int64)
+        starts = np.zeros(1, dtype=np.int64)
+        stops = np.full(1, count, dtype=np.int64)
+        splits, leaves, kids = [], [], []
+        nsplit = nleaf = 0
+        while len(starts):
+            # reduceat over [start, stop) pairs; the odd results are discarded.
+            cuts = np.stack([starts, stops], axis=1).ravel()
+            cuts = cuts[cuts < count]
+            lo = np.minimum.reduceat(pts, cuts)[::2]
+            hi = np.maximum.reduceat(pts, cuts)[::2]
+            split = (stops - starts > _LEAF_SIZE) & (lo != hi).any(axis=1)
+            mids = (starts + (stops - starts) // 2)[split]
+            axes = np.argmax(hi - lo, axis=1)[split]
+            for a, b, m, axis in zip(starts[split].tolist(), stops[split].tolist(), mids.tolist(), axes.tolist()):
+                order = np.argpartition(pts[a:b, axis], m - a)
+                pts[a:b] = pts[a:b][order]
+                self.perm[a:b] = self.perm[a:b][order]
+            refs = np.where(split, nsplit + np.cumsum(split) - 1, ~(nleaf + np.cumsum(~split) - 1))
+            if nsplit:  # this level's nodes are the last level's splits' children, in order
+                kids.append(refs.reshape(-1, 2))
+            else:
+                self.root = int(refs[0])
+            nsplit, nleaf = nsplit + int(split.sum()), nleaf + int((~split).sum())
+            splits.append((axes, pts[mids, axes]))
+            leaves.append((starts[~split], stops[~split], lo[~split], hi[~split]))
+            starts = np.stack([starts[split], mids], axis=1).ravel()
+            stops = np.stack([mids, stops[split]], axis=1).ravel()
+        self.kids = np.concatenate([np.empty((0, 2), dtype=np.int64), *kids])
+        self.axis, self.cut = (np.concatenate(part) for part in zip(*splits))
+        self.start, self.stop, self.lo, self.hi = (np.concatenate(part) for part in zip(*leaves))
+        by_start = np.argsort(self.start)
+        self.leaf_of = np.repeat(by_start, (self.stop - self.start)[by_start])
+
+
+class NearestResult(NamedTuple):
+    index: int | None
+    dist: Fraction | None
+    aborted: bool
 
 
 class VectorStore:
@@ -147,17 +219,10 @@ class VectorStore:
         self.n = n
         self.rows = rows
         self.reps = reps
-        if kind == "ssi":
-            # Reduced denominators all divide n!, so numerators rescale to
-            # exact keys on the n! grid.
-            self.scale = math.factorial(n)
-            keys = rows[:, :n] * (self.scale // rows[:, n : n + 1])
-            self.point_slack = 0
-        else:
-            self.scale = PBI_KEY_SCALE
-            keys = (rows[:, :n] * self.scale) // rows[:, n : n + 1]
-            self.point_slack = 1
-        self._root = self._build(keys) if len(rows) else None
+        # Reduced Shapley-Shubik denominators all divide n!, so their keys
+        # on the n! grid are exact.
+        self.scale = math.factorial(n) if kind == "ssi" else PBI_KEY_SCALE
+        self.peak = int(np.abs(rows).max(initial=0))
         self._sorted_keys: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -166,54 +231,6 @@ class VectorStore:
     def vector(self, i: int) -> PowerVector:
         r = self.rows[i]
         return PowerVector(self.kind, [int(x) for x in r[: self.n]], int(r[self.n]))
-
-    # -- construction -----------------------------------------------------
-
-    def _build(self, keys: np.ndarray) -> _KDNode:
-        """Median splits along the widest axis, one tree level at a time.
-
-        Each node's points sit in one contiguous block of a permuted copy
-        of keys, so one reduceat per level bounds every block, a split is
-        one argpartition of its block, and a leaf keeps its block as a view.
-        """
-        count = len(keys)
-        pts = keys.copy()
-        perm = np.arange(count, dtype=np.int64)
-        starts = np.zeros(1, dtype=np.int64)
-        stops = np.full(1, count, dtype=np.int64)
-        levels = []
-        while len(starts):
-            # reduceat over [start, stop) pairs; the odd results are discarded.
-            cuts = np.stack([starts, stops], axis=1).ravel()
-            cuts = cuts[cuts < count]
-            lo = np.minimum.reduceat(pts, cuts)[::2]
-            hi = np.maximum.reduceat(pts, cuts)[::2]
-            split = (stops - starts > _LEAF_SIZE) & (lo != hi).any(axis=1)
-            mids = starts + (stops - starts) // 2
-            axes = np.argmax(hi - lo, axis=1)
-            for a, b, m, axis in zip(
-                starts[split].tolist(), stops[split].tolist(), mids[split].tolist(), axes[split].tolist()
-            ):
-                block = pts[a:b]
-                order = np.argpartition(block[:, axis], m - a)
-                block[:] = block[order]
-                perm[a:b] = perm[a:b][order]
-            # Bounds as plain tuples: the search touches them in tight loops.
-            levels.append((starts.tolist(), stops.tolist(), lo.tolist(), hi.tolist(), split.tolist()))
-            starts = np.stack([starts[split], mids[split]], axis=1).ravel()
-            stops = np.stack([mids[split], stops[split]], axis=1).ravel()
-        below: list[_KDNode] = []
-        for starts, stops, lo, hi, split in reversed(levels):
-            kids = iter(below)
-            below = [
-                _KDNode(tuple(low), tuple(high), left=next(kids), right=next(kids))
-                if inner
-                else _KDNode(tuple(low), tuple(high), idx=perm[a:b], pts=pts[a:b])
-                for a, b, low, high, inner in zip(starts, stops, lo, hi, split)
-            ]
-        return below[0]
-
-    # -- membership --------------------------------------------------------
 
     def find_rows(self, rows: np.ndarray) -> np.ndarray:
         """Store index of each reduced (numerators..., denominator) row,
@@ -235,130 +252,59 @@ class VectorStore:
         i = int(self.find_rows(row)[0])
         return i if i >= 0 else None
 
-    # -- search ------------------------------------------------------------
+    @cached_property
+    def _leaves(self) -> _Tree:
+        """The k-d tree over the rows' keys, built on first use."""
+        keys, inexact = _keys(self.rows, self.n, self.scale)
+        return _Tree(keys, int(inexact.any()))
+
+    def _dtype(self, qpeak: int):
+        """Exact dtype for searches with simplex queries of entries up to
+        qpeak: no product they form exceeds n * q * p * max(p, scale)."""
+        return _exact_dtype(self.n * self.peak * qpeak * max(self.peak, self.scale))
+
+    def _closest(self, idx: np.ndarray, q: np.ndarray, l1: bool) -> tuple[list[int], int, int]:
+        """All the stored rows idx nearest to the query row q, and their
+        distance as (numerator, denominator)."""
+        num, pden = _dists(self.rows[idx].astype(q.dtype), q, self.n, l1)
+        # Floors on a grid are monotone in the distances, so the nearest
+        # rows are among those of the smallest floor.
+        floor = num * self.scale // pden
+        k = min(np.flatnonzero(floor == floor.min()).tolist(), key=lambda j: Fraction(int(num[j]), int(pden[j])))
+        return idx[num * pden[k] == num[k] * pden].tolist(), int(num[k]), int(pden[k]) * int(q[self.n])
+
+    def _lex_first(self, tied: list[int]) -> int:
+        return min(tied, key=lambda i: self.vector(i).fractions())
+
+    def _search(self, q: np.ndarray, key: np.ndarray, inexact: bool, bound: tuple[int, int], l1: bool):
+        """_closest() over the leaves whose key box may hold a row within
+        bound = (num, den) of q, as some row must be.  key is q's key row,
+        inexact when a key of q is; each inexact side lets a key distance
+        overstate a true one by up to a key unit per coordinate."""
+        tree = self._leaves
+        slack = (tree.slack + inexact) * (self.n if l1 else 1)
+        gap = np.maximum(tree.lo - key, 0) + np.maximum(key - tree.hi, 0)
+        gap = (gap.sum(axis=1) if l1 else gap.max(axis=1)).astype(q.dtype) - slack
+        hold = gap * bound[1] <= bound[0] * self.scale
+        return self._closest(tree.perm[hold[tree.leaf_of]], q, l1)
 
     def nearest(
-        self,
-        nums: Sequence[int],
-        den: int,
-        metric: Metric,
-        stop_below: Fraction | None = None,
+        self, nums: Sequence[int], den: int, metric: Metric, stop_below: Fraction | None = None
     ) -> NearestResult:
-        """Closest stored vector to nums/den, by exact comparison.
+        """Closest stored vector to nums/den: one exact scan of every row.
 
-        Ties resolve to the lexicographically smallest vector.  When
-        stop_below is given, the search may abandon a query as soon as the
-        running best drops strictly below it; the result is then flagged
-        and its distance is only an upper bound.
+        Ties resolve to the lexicographically smallest vector.  The result
+        is flagged as aborted when stop_below is given and the distance is
+        strictly below it, where a search may give up on a query.
         """
-        if self._root is None:
+        if not len(self.rows):
             raise ValueError("empty store")
-        n = self.n
-        qnums = [int(x) for x in nums]
-        qden = int(den)
-        qkeys = np.array([x * self.scale // qden for x in qnums], dtype=np.int64)
-        exact_query = all(x * self.scale % qden == 0 for x in qnums)
-        sigma = self.point_slack + (0 if exact_query else 1)
-        slack = sigma * (n if metric is Metric.L1 else 1)
-        exact_grid = sigma == 0
-        scale = self.scale
-
-        best_idx = -1
-        best_num = 0
-        best_den = 1
-        stop_num = stop_below.numerator if stop_below is not None else None
-        stop_den = stop_below.denominator if stop_below is not None else 1
-
-        def exact_dist(i: int) -> tuple[int, int]:
-            row = self.rows[i]
-            pden = int(row[n])
-            if metric is Metric.L1:
-                acc = 0
-                for a in range(n):
-                    acc += abs(int(row[a]) * qden - qnums[a] * pden)
-                return acc, pden * qden
-            worst = 0
-            for a in range(n):
-                worst = max(worst, abs(int(row[a]) * qden - qnums[a] * pden))
-            return worst, pden * qden
-
-        def lex_less(i: int, j: int) -> bool:
-            ri, rj = self.rows[i], self.rows[j]
-            di, dj = int(ri[n]), int(rj[n])
-            for a in range(n):
-                lhs = int(ri[a]) * dj
-                rhs = int(rj[a]) * di
-                if lhs != rhs:
-                    return lhs < rhs
-            return False
-
-        def consider(i: int, dnum: int, dden: int):
-            nonlocal best_idx, best_num, best_den
-            if best_idx >= 0:
-                cmp = dnum * best_den - best_num * dden
-                if cmp > 0:
-                    return
-                if cmp == 0:
-                    if lex_less(i, best_idx):
-                        best_idx = i
-                    return
-            best_idx, best_num, best_den = i, dnum, dden
-            if stop_num is not None and best_num * stop_den < stop_num * best_den:
-                raise _Abort
-
-        qk = [int(x) for x in qkeys]
-        l1 = metric is Metric.L1
-
-        def box_gap(node: _KDNode) -> int:
-            lo, hi = node.lo, node.hi
-            acc = 0
-            for a in range(n):
-                q = qk[a]
-                if q < lo[a]:
-                    g = lo[a] - q
-                elif q > hi[a]:
-                    g = q - hi[a]
-                else:
-                    continue
-                if l1:
-                    acc += g
-                elif g > acc:
-                    acc = g
-            return acc
-
-        def prunable(gap: int) -> bool:
-            if best_idx < 0:
-                return False
-            return (gap - slack) * best_den > best_num * scale
-
-        def visit(node: _KDNode):
-            if node.idx is not None:
-                d = np.abs(node.pts - qkeys)
-                kd = d.sum(axis=1) if metric is Metric.L1 else d.max(axis=1)
-                for pos in np.argsort(kd, kind="stable"):
-                    k = int(kd[pos])
-                    if prunable(k):
-                        break
-                    i = int(node.idx[pos])
-                    if exact_grid:
-                        consider(i, k, scale)
-                    else:
-                        consider(i, *exact_dist(i))
-                return
-            children = [node.left, node.right]
-            gaps = [box_gap(c) for c in children]
-            if gaps[1] < gaps[0]:
-                children.reverse()
-                gaps.reverse()
-            for c, gap in zip(children, gaps):
-                if not prunable(gap):
-                    visit(c)
-
-        try:
-            visit(self._root)
-        except _Abort:
-            return NearestResult(best_idx, Fraction(best_num, best_den), True)
-        return NearestResult(best_idx, Fraction(best_num, best_den), False)
+        g = math.gcd(int(den), *(int(x) for x in nums))
+        q = [int(x) // g for x in nums] + [int(den) // g]
+        q = np.array(q, dtype=self._dtype(max(map(abs, q))))
+        tied, num, dist_den = self._closest(np.arange(len(self.rows)), q, metric is Metric.L1)
+        dist = Fraction(num, dist_den)
+        return NearestResult(self._lex_first(tied), dist, stop_below is not None and dist < stop_below)
 
 
 def store_from_rows(kind: str, n: int, nums: np.ndarray, dens) -> VectorStore:
@@ -398,14 +344,28 @@ class GapReport:
     nearest_game: object = None
 
 
+class GapQueries:
+    """A chunk of query rows, deduplicated and hit-tested once for every
+    tracker over the store: rows are the distinct reduced rows the store
+    lacks, in lexicographic order, and chunk row i equals rows[u] when
+    inverse[i] == miss[u]."""
+
+    def __init__(self, store: VectorStore, nums: np.ndarray, dens):
+        uniq, _, self.inverse = unique_rows(_reduced_rows(nums, dens)[0])
+        self.miss = np.flatnonzero(store.find_rows(uniq) < 0)
+        self.rows = uniq[self.miss]
+        if len(self.rows) and not len(store):
+            raise ValueError("empty store")
+
+
 class GapTracker:
     """Running maximum of min-distances to a weighted store.
 
     Feed catalog data in chunks.  Query vectors the store holds are at
-    distance 0 and are set aside in bulk; the rest are searched one by
-    one, abandoned early once they fall strictly below the running
-    maximum, which cannot affect the final value or the attaining set
-    (ties never abort).
+    distance 0 and are set aside in bulk.  Each miss gets an exact upper
+    bound from its leaf; one strictly below the running maximum cannot
+    affect the final value or the attaining set and is dropped (ties
+    never drop), and the rest are searched exactly, highest bound first.
     """
 
     def __init__(self, wg_store: VectorStore, metric: Metric):
@@ -419,27 +379,65 @@ class GapTracker:
 
     def update(self, nums: np.ndarray, dens, offset: int = 0) -> None:
         """Row i is reported as index offset + i."""
-        n = self.store.n
-        rows, _ = _reduced_rows(nums, dens)
-        uniq, _, inverse = unique_rows(rows)
-        for u in np.flatnonzero(self.store.find_rows(uniq) < 0).tolist():
-            qnums = uniq[u, :n].tolist()
-            qden = int(uniq[u, n])
-            res = self.store.nearest(
-                qnums, qden, self.metric, stop_below=self.best if self.best > 0 else None
-            )
-            if res.aborted or res.dist < self.best:
+        self.feed(GapQueries(self.store, nums, dens), offset)
+
+    def feed(self, chunk: GapQueries, offset: int = 0) -> None:
+        """update() for a chunk that GapQueries has prepared."""
+        store, n, rows = self.store, self.store.n, chunk.rows
+        if not len(rows):
+            return
+        l1 = self.metric is Metric.L1
+        keys, inexact = _keys(rows, n, store.scale)
+        q = rows.astype(store._dtype(int(np.abs(rows).max())))
+        top_num, top_den = self.best.numerator, self.best.denominator
+        bounds = [self._leaf_bounds(q[a : a + _BLOCK], keys[a : a + _BLOCK]) for a in range(0, len(q), _BLOCK)]
+        bound_num, bound_den = (np.concatenate(part) for part in zip(*bounds))
+        exact = _exact_dtype(max(int(bound_num.max()), int(bound_den.max())) * max(top_num, top_den))
+        live = np.flatnonzero(bound_num.astype(exact) * top_den >= bound_den.astype(exact) * top_num)
+        # Highest bound first, by the bounds' floors on the key grid: each
+        # search raises the threshold that the next bounds must reach.
+        order = live[np.argsort(-(bound_num[live] * store.scale // bound_den[live]), kind="stable")]
+        top = []
+        for u in order.tolist():
+            bound = int(bound_num[u]), int(bound_den[u])
+            if bound[0] * top_den < top_num * bound[1]:
                 continue
-            vec = PowerVector(self.store.kind, qnums, qden)
-            members = [(offset + int(g), vec) for g in np.nonzero(inverse == u)[0]]
-            if res.dist > self.best:
-                self.best = res.dist
-                self.attaining = members
-                self.worst_vector = vec
-                self.nearest_index = int(self.store.reps[res.index])
-                self.nearest_vector = self.store.vector(res.index)
-            else:
-                self.attaining.extend(members)
+            tied, num, den = store._search(q[u], keys[u], bool(inexact[u]), bound, l1)
+            if num * top_den > top_num * den:
+                top, top_num, top_den = [], num, den
+            if num * top_den == top_num * den:
+                top.append((u, tied))
+        if not top:
+            return
+        top.sort()
+        vecs = {u: PowerVector(store.kind, rows[u, :n].tolist(), int(rows[u, n])) for u, _ in top}
+        members = [(offset + int(g), vecs[u]) for u, _ in top for g in np.flatnonzero(chunk.inverse == chunk.miss[u])]
+        gap = Fraction(top_num, top_den)
+        if gap > self.best:
+            near = store._lex_first(top[0][1])
+            self.best, self.attaining, self.worst_vector = gap, members, vecs[top[0][0]]
+            self.nearest_index, self.nearest_vector = int(store.reps[near]), store.vector(near)
+        else:
+            self.attaining.extend(members)
+
+    def _leaf_bounds(self, q: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact upper bounds (num, den) on the distances from query rows q
+        to the store: the exact distance of a point of the leaf each query
+        descends to, the one whose distance has the smallest floor."""
+        store = self.store
+        tree = store._leaves
+        # Descend to the leaves, one vector step per tree level.
+        node = np.full(len(keys), tree.root, dtype=np.int64)
+        live = np.flatnonzero(node >= 0)
+        while len(live):
+            s = node[live]
+            node[live] = tree.kids[s, (keys[live, tree.axis[s]] >= tree.cut[s]).astype(np.intp)]
+            live = live[node[live] >= 0]
+        first, last = tree.start[~node, None], tree.stop[~node, None] - 1
+        rows = store.rows[tree.perm[np.minimum(first + np.arange(int((last - first).max()) + 1), last)]]
+        num, pden = _dists(rows.astype(q.dtype), q[:, None, :], store.n, self.metric is Metric.L1)
+        pick = np.argmin(num * store.scale // pden, axis=1)[:, None]
+        return np.take_along_axis(num, pick, 1)[:, 0], np.take_along_axis(pden, pick, 1)[:, 0] * q[:, store.n]
 
     def report(self, n: int | None = None) -> GapReport:
         self.attaining.sort(key=lambda pair: pair[0])
@@ -454,4 +452,3 @@ class GapTracker:
             nearest_vector=self.nearest_vector,
             nearest_index=self.nearest_index,
         )
-

@@ -19,7 +19,8 @@ voters.
 
 Each datum of a tier has one loader, and each loader checks every tier
 file once, building the tier when needed: ensure_tier (the directory),
-load_games (the games of one class), tier_counts (game and
+load_games (the games of one class), load_listing (the games with
+their certificate rows), tier_counts (game and
 distinct-vector counts), weighted_store (the weighted vectors,
 deduplicated for search, with their certificate rows) and omega_tier
 (gap reports streamed from the vector files, with their attaining games
@@ -58,6 +59,7 @@ from .enumeration import (
 )
 from .games import CompleteGame
 from .geometry import (
+    GapQueries,
     GapReport,
     GapTracker,
     Metric,
@@ -81,6 +83,7 @@ __all__ = [
     "ensure_tier",
     "tier_counts",
     "load_games",
+    "load_listing",
     "weighted_store",
     "load_certificates",
     "omega_tier",
@@ -270,9 +273,20 @@ def tier_counts(
 
 def load_games(klass: str, n: int, cache_dir=None) -> list[CompleteGame]:
     """The cg or wg games of a checked n-voter tier, in catalog order."""
+    return load_listing(klass, n, cache_dir)[0]
+
+
+def load_listing(klass: str, n: int, cache_dir=None) -> tuple[list[CompleteGame], np.ndarray | None]:
+    """load_games, plus the certificate row of each game for wg (None
+    for cg), from one check of the tier."""
     if klass not in _CLASSES:
         raise ValueError(f"unknown catalog class {klass!r}")
-    return _load_tier(n, cache_dir, lambda cache: read_catalog(catalog_path(cache, klass, n)))
+
+    def load(cache: Path) -> tuple[list[CompleteGame], np.ndarray | None]:
+        games = read_catalog(catalog_path(cache, klass, n))
+        return games, _certificate_rows(cache, n) if klass == "wg" else None
+
+    return _load_tier(n, cache_dir, load)
 
 
 def weighted_store(n: int, kind: str, cache_dir=None) -> tuple[VectorStore, np.ndarray]:
@@ -508,8 +522,9 @@ def omega_tier(
             count = len(nums)
             for start in range(0, count, _SCAN):
                 stop = min(start + _SCAN, count)
+                queries = GapQueries(store, nums[start:stop], dens[start:stop])
                 for tracker in trackers.values():
-                    tracker.update(nums[start:stop], dens[start:stop], offset=start)
+                    tracker.feed(queries, offset=start)
                 if progress is not None:
                     progress(kind, stop, count)
             kind_reports = {metric: tracker.report(n) for metric, tracker in trackers.items()}

@@ -214,6 +214,83 @@ def test_criterion_5_gaps_at_seven(criterion, omega7):
         )
 
 
+# Every field of the four n = 7 gap reports, as the per-query k-d tree
+# search computed them: omega, (catalog index, vector) of every attaining
+# game, the worst vector, and the nearest weighted vector with its
+# catalog index and game.  Vectors are (numerators..., denominator).
+PINNED_GAPS_AT_SEVEN = {
+    ("ssi", "l1"): {
+        "omega": Fraction("1/15"),
+        "attaining": {
+            (211, 78, 43, 43, 15, 15, 15, 420): (1943, 43789),
+        },
+        "worst": (211, 78, 43, 43, 15, 15, 15, 420),
+        "nearest": (2515, (197, 85, 50, 43, 15, 15, 15, 420), "[13;6,4,3,2,1,1,1]"),
+    },
+    ("ssi", "linf"): {
+        "omega": Fraction("1/60"),
+        "attaining": {
+            (208, 75, 47, 47, 19, 12, 12, 420): (1580, 43795),
+            (208, 82, 40, 40, 19, 19, 12, 420): (1903, 43802),
+            (211, 78, 43, 43, 15, 15, 15, 420): (1943, 43789),
+            (151, 88, 53, 53, 25, 25, 25, 420): (1944, 42617),
+            (125, 69, 69, 55, 34, 34, 34, 420): (2708, 33594),
+            (107, 86, 86, 37, 37, 37, 30, 420): (2730, 33182),
+            (113, 78, 78, 43, 36, 36, 36, 420): (2740, 32411),
+            (128, 65, 65, 51, 37, 37, 37, 420): (2816, 33517),
+            (129, 73, 73, 52, 31, 31, 31, 420): (4695, 33593),
+            (20, 13, 13, 6, 6, 6, 6, 70): (4820, 32263),
+            (8, 6, 5, 5, 2, 2, 2, 30): (7482, 31883),
+            (51, 37, 37, 37, 16, 16, 16, 210): (7483, 23694),
+            (14, 11, 11, 11, 5, 4, 4, 60): (7514, 23684),
+            (120, 71, 71, 50, 36, 36, 36, 420): (7999, 23497),
+            (117, 89, 89, 61, 40, 12, 12, 420): (11443, 34599),
+            (158, 81, 53, 53, 25, 25, 25, 420): (13188, 35948),
+            (144, 81, 81, 32, 32, 32, 18, 420): (14816, 32239),
+            (132, 83, 83, 34, 34, 34, 20, 420): (18134, 22067),
+            (135, 79, 79, 37, 37, 37, 16, 420): (18141, 21740),
+            (71, 36, 36, 22, 22, 15, 8, 210): (18517, 21664),
+            (24, 13, 7, 7, 3, 3, 3, 60): (24421, 35947),
+        },
+        "worst": (8, 6, 5, 5, 2, 2, 2, 30),
+        "nearest": (5897, (15, 12, 10, 10, 5, 5, 3, 60), "[20;8,7,6,6,3,3,2]"),
+    },
+    ("pbi", "l1"): {
+        "omega": Fraction("40/667"),
+        "attaining": {
+            (19, 11, 11, 5, 5, 5, 2, 58): (18141, 21740),
+        },
+        "worst": (19, 11, 11, 5, 5, 5, 2, 58),
+        "nearest": (2663, (15, 9, 8, 5, 4, 4, 1, 46), "[24;11,7,6,4,3,3,1]"),
+    },
+    ("pbi", "linf"): {
+        "omega": Fraction("2/115"),
+        "attaining": {
+            (37, 23, 23, 9, 9, 9, 5, 115): (18134, 22067),
+        },
+        "worst": (37, 23, 23, 9, 9, 9, 5, 115),
+        "nearest": (8175, (35, 25, 23, 11, 11, 7, 3, 115), "[20;10,8,7,4,4,2,1]"),
+    },
+}
+
+
+def test_gap_reports_at_seven_are_pinned(omega7):
+    """The n = 7 reports, field by field, so a slip in the search's tie
+    rules (which game attains, which weighted vector is nearest) fails
+    even where omega itself is unchanged."""
+    reports = omega7()
+    assert set(reports) == set(PINNED_GAPS_AT_SEVEN)
+    for key, want in PINNED_GAPS_AT_SEVEN.items():
+        rep = reports[key]
+        assert rep.omega == want["omega"], key
+        attaining = sorted((idx, vec) for vec, indices in want["attaining"].items() for idx in indices)
+        assert [(idx, vec.key()) for idx, _, vec in rep.attaining] == attaining, key
+        assert rep.worst_vector.key() == want["worst"], key
+        index, vector, game = want["nearest"]
+        assert (rep.nearest_index, rep.nearest_vector.key()) == (index, vector), key
+        assert rep.nearest_game == parse_game(game), key
+
+
 @pytest.mark.long_running
 def test_criterion_6_gaps_at_eight(criterion, cache_dir):
     """n = 8: the four gaps, both distinct-vector counts per class, and

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from votekit import certified, pipeline
+from votekit import certified, enumeration, pipeline
 from votekit.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from votekit.games import evaluate, game_to_text, parse_game, to_explicit
 from votekit.indices import pbi_dp, ssi_dp
@@ -144,6 +144,45 @@ def test_enumerate_eight_needs_opt_in(capsys):
     code, _, err = run(capsys, "enumerate", "--class", "cg", "--n", "8")
     assert code == EXIT_USAGE
     assert "long-running" in err
+
+
+def test_big_build_reports_every_64th_chunk(capsys, monkeypatch, tmp_path):
+    """The 8-voter build prints its progress on every 64th chunk and at
+    the end, whatever the chunk size."""
+    monkeypatch.setattr(enumeration, "DEFAULT_CHUNK", 256)
+    chunk = enumeration.DEFAULT_CHUNK
+    total = 200 * chunk + 17
+
+    class Stop(Exception):
+        pass
+
+    def build(cache_dir=None, workers=1, progress=None):
+        for done in [*range(chunk, total, chunk), total]:
+            progress(done, total)
+        raise Stop
+
+    monkeypatch.setattr(pipeline, "build_big_tables", build)
+    with pytest.raises(Stop):
+        main(["enumerate", "--class", "cg", "--n", "8", "--long-running", "--cache-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    shown = [int(part.split()[1].split("/")[0]) for part in err.split("\r") if "enumerated" in part]
+    assert shown == [64 * chunk, 128 * chunk, 192 * chunk, total]
+    assert err.endswith("\n")
+
+
+def test_weighted_listing_checks_certificates_once(capsys, monkeypatch):
+    run_json(capsys, "enumerate", "--class", "wg", "--n", "6")  # builds the tier if the cache lacks it
+    calls = []
+    real = pipeline.load_certificates
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "load_certificates", counted)
+    data = run_json(capsys, "enumerate", "--class", "wg", "--n", "6", "--list")
+    assert len(data["results"]["games"]) == certified.GAME_COUNTS["wg"][6]
+    assert len(calls) == 1
 
 
 def test_enumerate_nine_is_out_of_range(capsys):

@@ -1,5 +1,7 @@
 """Exact vector stores, nearest-neighbour search, and gap tracking."""
 
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from votekit.enumeration import CatalogFormatError
 from votekit.geometry import (
     GapTracker,
     Metric,
+    _keys,
     _reduced_rows,
     count_distinct_rows,
     distance,
@@ -209,6 +212,135 @@ def test_gap_tracker_matches_brute_force_max_min(case):
         assert rep.nearest_vector.key() == rows[near][0] + (rows[near][1],)
         first = next(j for j, v in enumerate(stored) if _reduced(*v) == rep.nearest_vector.key())
         assert rep.nearest_index == first
+
+
+def _random_vector(rng, n: int, den: int, lead: int = 0) -> tuple[tuple[int, ...], int]:
+    """A uniform-ish n-entry simplex vector over den whose first entry is
+    at least lead."""
+    cuts = sorted(rng.randint(0, den - lead) for _ in range(n - 1))
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, den - lead])]
+    parts[0] += lead
+    return tuple(parts), den
+
+
+@st.composite
+def _search_case(draw):
+    """A random store of n-voter vectors, crowded into one corner or not,
+    and queries: scattered ones, exact hits (some unreduced), ones far
+    from every stored vector, and ones over denominators of 2**40 and
+    more.  ssi-like stores sit on the n! grid, so their keys are exact;
+    pbi-like ones and most queries off the grid have inexact keys."""
+    n = draw(st.integers(3, 8))
+    kind = draw(st.sampled_from(["ssi", "pbi"]))
+    metric = draw(st.sampled_from([Metric.L1, Metric.LINF]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    corner = draw(st.booleans())
+
+    def small_den():
+        return math.factorial(n) if kind == "ssi" else rng.randint(1, 60)
+
+    def stored():
+        den = small_den()
+        return _random_vector(rng, n, den, den // 2 if corner else 0)
+
+    store = [stored() for _ in range(draw(st.integers(1, 150)))]
+    # Scattered queries, on the store's grid or not.
+    queries = [
+        _random_vector(rng, n, rng.choice([small_den(), rng.randint(1, 60)])) for _ in range(draw(st.integers(0, 20)))
+    ]
+    for nums, den in rng.sample(store, min(len(store), draw(st.integers(0, 5)))):
+        k = rng.randint(1, 3)
+        queries.append((tuple(k * x for x in nums), k * den))
+    # Far from a cornered store: nothing in the first coordinate.
+    for _ in range(draw(st.integers(0, 5))):
+        nums, den = _random_vector(rng, n - 1, small_den())
+        queries.append(((0, *nums), den))
+    for _ in range(draw(st.integers(0, 5))):
+        queries.append(_random_vector(rng, n, rng.randint(2**40, 2**62)))
+    if not queries:
+        queries.append(stored())
+    queries += rng.sample(queries, min(len(queries), 3))
+    return n, kind, metric, store, queries
+
+
+def _store_of(kind, n, vectors):
+    return store_from_rows(
+        kind, n, np.array([v[0] for v in vectors], dtype=np.int64), np.array([v[1] for v in vectors], dtype=np.int64)
+    )
+
+
+def _lex_smallest(rows, hits):
+    return min(hits, key=lambda i: tuple(Fraction(x, rows[i][1]) for x in rows[i][0]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_search_case(), st.integers(2**64, 2**90))
+def test_nearest_matches_linear_scan_on_random_stores(case, huge):
+    """nearest equals a linear scan, ties to the lexicographically
+    smallest vector, on int64 and on Python-integer denominators."""
+    n, kind, metric, vectors, queries = case
+    store = _store_of(kind, n, vectors)
+    rows = store_rows(store)
+    queries = [*queries, _random_vector(random.Random(huge), n, huge)]
+    for q, d in queries:
+        res = store.nearest(q, d, metric)
+        dist, hits = linear_nearest(rows, q, d, metric is Metric.L1)
+        assert res.dist == dist and not res.aborted
+        assert res.index == _lex_smallest(rows, hits)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_search_case(), st.integers(0, 2**16))
+def test_gap_tracker_matches_linear_scan_on_random_stores(case, cut):
+    """Leaf bounds, drops and the leaf-bounded exact searches give a
+    linear scan's max-min, in one chunk or in two."""
+    n, kind, metric, vectors, queries = case
+    store = _store_of(kind, n, vectors)
+    rows = store_rows(store)
+    l1 = metric is Metric.L1
+    dists = [linear_nearest(rows, q, d, l1)[0] for q, d in queries]
+    best = max(dists)
+    want = [i for i, d in enumerate(dists) if d == best]
+    qnums = np.array([q for q, _ in queries], dtype=np.int64)
+    qdens = np.array([d for _, d in queries], dtype=np.int64)
+    cut %= len(queries) + 1
+    for chunks in ([(0, len(queries))], [(0, cut), (cut, len(queries))]):
+        tracker = GapTracker(store, metric)
+        for a, b in chunks:
+            tracker.update(qnums[a:b], qdens[a:b], offset=a)
+        rep = tracker.report(n)
+        assert rep.omega == best
+        if best == 0:
+            assert rep.attaining == [] and rep.worst_vector is None
+            continue
+        assert [idx for idx, _ in rep.attaining] == want
+        worst = next(
+            min(_reduced(*queries[i]) for i in range(a, b) if dists[i] == best)
+            for a, b in chunks
+            if any(dists[i] == best for i in range(a, b))
+        )
+        assert rep.worst_vector.key() == worst
+        worst = [int(x) for x in worst]
+        near = _lex_smallest(rows, linear_nearest(rows, worst[:-1], worst[-1], l1)[1])
+        assert rep.nearest_vector.key() == rows[near][0] + (rows[near][1],)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_search_case())
+def test_leaf_search_bounded_by_the_nearest_distance_finds_it(case):
+    """Given the exact nearest distance as its bound, the leaf search
+    prunes no leaf that holds a nearest vector, however the keys round."""
+    n, kind, metric, vectors, queries = case
+    store = _store_of(kind, n, vectors)
+    rows = store_rows(store)
+    for nums, den in queries:
+        g = math.gcd(den, *nums)
+        q = np.array([x // g for x in (*nums, den)], dtype=object)
+        keys, inexact = _keys(q[None, :], n, store.scale)
+        dist, hits = linear_nearest(rows, nums, den, metric is Metric.L1)
+        bound = (dist.numerator, dist.denominator)
+        tied, num, dist_den = store._search(q, keys[0], bool(inexact[0]), bound, metric is Metric.L1)
+        assert Fraction(num, dist_den) == dist and sorted(tied) == hits
 
 
 @pytest.mark.parametrize("kind", ["ssi", "pbi"])
