@@ -453,8 +453,11 @@ def _gap_reports(args, n=None, kinds=None, metrics=None):
     kinds = kinds if kinds is not None else _pick_kinds(args)
     metrics = metrics if metrics is not None else _pick_metrics(args)
 
+    blocks = {kind: itertools.count(1) for kind in kinds}
+
     def progress(kind, done, total):
-        if done % (64 * 65536) < 65536 or done == total:
+        # Called once per scanned block: report every 64th block of a kind, and the last.
+        if next(blocks[kind]) % 64 == 0 or done == total:
             print(f"\r  scanned {done}/{total} {kind} vectors", end="", file=sys.stderr)
             if done == total:
                 print(file=sys.stderr)

@@ -7,7 +7,11 @@ the coalition lattice with no deduplication step.  The lattice is walked
 in a fixed linear extension; a coalition's label is forced to 1 as soon
 as one of its one-step weakenings is labelled 1, and is a branch point
 otherwise.  The empty coalition is pinned to 0 and the grand coalition
-to 1, which keeps the labelling a simple game.
+to 1, which keeps the labelling a simple game.  The search advances a
+block of labellings, bit-packed into uint64 words, one position at a
+time: each unforced labelling becomes its 0-child followed by its
+1-child, so games come out in lexicographic order, and a block of more
+than _DFS_BLOCK labellings splits in halves, the later half stacked.
 
 Games are produced in chunks, and classify_weighted_chunk sorts a
 chunk into weighted and not weighted: a vectorized 2-trade test
@@ -24,8 +28,8 @@ block of the file at a time, for both catalog readers: read_catalog
 (every game of a file, count certified) and fetch_catalog_games (the
 games at given positions).  read_catalog_header reads the header alone,
 and certificate_game turns a stored certificate row into its weighted
-game.  The 28 simple games on 4 voters are enumerated on request by
-enumerate_simple4, which is not cached.
+game.  enumerate_simple4 runs the same search over the 4-voter inclusion
+lattice for the 28 simple games on 4 voters, which are not cached.
 """
 
 from __future__ import annotations
@@ -73,42 +77,51 @@ DEFAULT_CHUNK = 16384
 # Weightedness systems solved in lockstep; at 8 voters the block's
 # tableau is about 1.6 MB.
 LP_BLOCK = 512
+# Partial labellings the DFS advances together; a larger block splits in halves.
+_DFS_BLOCK = 2048
+# Labellings unpacked to outcome tables at a time, which bounds the temporary.
+_UNPACK_ROWS = 512
 
 
-def _iter_labelings(order: Sequence[int], lowers: Sequence[Sequence[int]]) -> Iterator[bytearray]:
-    """All monotone labellings with order[0] -> 0 and order[-1] -> 1.
+def _labeling_blocks(order: Sequence[int], lowers: Sequence[Sequence[int]]) -> Iterator[np.ndarray]:
+    """All monotone labellings with order[0] -> 0 and order[-1] -> 1, in
+    depth-first order: lexicographic in the labels along order, 0 first.
 
-    Yields one shared bytearray indexed by coalition mask; callers must
-    copy it before advancing.
+    Yields blocks of whole labellings as (labellings, words) little-endian
+    uint64 arrays, bit m of a row set when coalition m is labelled 1.
     """
     size = len(order)
-    lowers_by_pos = [lowers[m] for m in order]
-    val = bytearray(size)
-    stack: list[int] = []
-    t = 0
-    while True:
-        while t < size:
-            m = order[t]
-            forced = False
-            for f in lowers_by_pos[t]:
-                if val[f]:
-                    forced = True
-                    break
-            if forced:
-                val[m] = 1
-            elif t == size - 1:
-                val[m] = 1  # the grand coalition must win
-            else:
-                val[m] = 0  # covers the empty coalition, never branched
-                if t > 0:
-                    stack.append(t)
-            t += 1
-        yield val
-        if not stack:
-            return
-        t = stack.pop()
-        val[order[t]] = 1
-        t += 1
+    words = (size + 63) >> 6
+    steps = []  # per position: its word and bit, and its lower neighbours' words and bits
+    for m in order:
+        below = np.zeros(words, dtype="<u8")
+        for f in lowers[m]:
+            below[f >> 6] |= np.uint64(1 << (f & 63))
+        cols = np.flatnonzero(below)
+        steps.append((m >> 6, np.uint64(1 << (m & 63)), cols, below[cols]))
+    # A block holds rows that agree before position t, and the stack the
+    # blocks that come after it, the next one on top.  Position 0, the
+    # empty coalition, stays 0.
+    stack = [(np.zeros((1, words), dtype="<u8"), 1)]
+    while stack:
+        rows, start = stack.pop()
+        for t in range(start, size - 1):
+            word, bit, cols, below = steps[t]
+            forced = (rows[:, cols] & below).any(axis=1)
+            if np.count_nonzero(forced) == len(rows):
+                rows[:, word] |= bit
+                continue
+            # An unforced row becomes its 0-child, then its 1-child.
+            reps = 2 - forced
+            rows = np.repeat(rows, reps, axis=0)
+            rows[np.cumsum(reps) - 1, word] |= bit  # each row's last child
+            if len(rows) > _DFS_BLOCK:
+                half = len(rows) >> 1
+                stack.append((rows[half:], t + 1))
+                rows = rows[:half]
+        word, bit, _, _ = steps[-1]
+        rows[:, word] |= bit  # the grand coalition always wins
+        yield rows
 
 
 def iter_complete_chunks(n: int) -> Iterator[np.ndarray]:
@@ -117,18 +130,21 @@ def iter_complete_chunks(n: int) -> Iterator[np.ndarray]:
     if not 1 <= n <= BIG_N:
         raise ValueError(f"enumeration supports 1..{BIG_N} voters, got {n}")
     size = 1 << n
-    order = _linear_extension(n)
-    lowers = _lower_neighbors(n)
-    buf = np.empty((DEFAULT_CHUNK, size), dtype=np.uint8)
+    chunk = DEFAULT_CHUNK
+    buf = np.empty((chunk, size), dtype=np.uint8)
     i = 0
-    for val in _iter_labelings(order, lowers):
-        buf[i] = np.frombuffer(val, dtype=np.uint8)
-        i += 1
-        if i == len(buf):
-            yield buf.copy()
-            i = 0
+    for rows in _labeling_blocks(_linear_extension(n), _lower_neighbors(n)):
+        while len(rows):
+            take = min(len(rows), _UNPACK_ROWS, chunk - i)
+            packed = rows[:take].view(np.uint8)
+            buf[i : i + take] = np.unpackbits(packed, axis=1, count=size, bitorder="little")
+            rows = rows[take:]
+            i += take
+            if i == chunk:
+                yield buf
+                buf, i = np.empty((chunk, size), dtype=np.uint8), 0
     if i:
-        yield buf[:i].copy()
+        yield buf[:i]
 
 
 def shift_minimal_families(tables: np.ndarray, n: int) -> np.ndarray:
@@ -315,9 +331,10 @@ def enumerate_simple4() -> list[tuple[ExplicitGame, WeightedGame | None]]:
         tuple(m & ~(1 << b) for b in range(n) if (m >> b) & 1) for m in range(size)
     ]
     seen: dict[bytes, None] = {}
-    for val in _iter_labelings(order, removals):
-        e = ExplicitGame(n, bytes(val), validate=False)
-        seen.setdefault(canonical_table(e).table, None)
+    for rows in _labeling_blocks(order, removals):
+        for table in np.unpackbits(rows.view(np.uint8), axis=1, count=size, bitorder="little"):
+            e = ExplicitGame(n, table.tobytes(), validate=False)
+            seen.setdefault(canonical_table(e).table, None)
     tables = sorted(seen)
     check_certified_count("sg4", 4, len(tables))
     games = [ExplicitGame(n, t, validate=False) for t in tables]

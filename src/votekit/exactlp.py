@@ -18,9 +18,10 @@ and never leave the basis.
 * Bland's rule, per system exactly as a one-system solver would apply
   it: the entering variable is the smallest-index improving one, and the
   leaving row minimises the ratio by exact cross-multiplication, ties
-  going to the smallest basis index, scanned row by row.  Every system
-  therefore makes the same pivots and reaches the same vertex whatever
-  block it is solved in; finished systems drop out of the block.
+  going to the smallest basis index, found by a pairwise tournament over
+  the rows (_leaving_rows).  Every system therefore makes the same pivots
+  and reaches the same vertex whatever block it is solved in; finished
+  systems drop out of the block.
 * An exact overflow guard: before each pivot every entry must satisfy
   |entry| < 2**31, so each product fits int64.  A block that fails the
   check continues with the same code in dtype=object (Python integers).
@@ -44,6 +45,33 @@ _GUARD = 1 << 31
 
 def _fits(*arrays: np.ndarray) -> bool:
     return all(a.size == 0 or (int(a.max()) < _GUARD and int(a.min()) > -_GUARD) for a in arrays)
+
+
+def _leaving_rows(t: np.ndarray, r: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per system (a row of t, r and basis), the tableau row with t > 0 of
+    least ratio r / t, ties to the smaller basis index, and its entry t
+    (0 when no row has t > 0).
+
+    Basis indices are distinct within a system, so (ratio, basis index)
+    orders the eligible rows strictly, and a pairwise tournament finds the
+    row that a sequential scan finds.  Ineligible rows read 1 / 0, above
+    every eligible ratio; an odd width puts its middle row in two pairs.
+    """
+    m = t.shape[1]
+    bits = m.bit_length()
+    # Keys order by basis index and carry the row in their low bits.  The
+    # tournament reads copies laid out a tableau row at a time.
+    key = (basis << bits | np.arange(m)).T.copy()
+    t, r = t.T.copy(), r.T.copy()
+    ineligible = t <= 0
+    t[ineligible], r[ineligible] = 0, 1
+    while m > 1:
+        h = (m + 1) >> 1
+        lhs, rhs = r[:h] * t[m - h :], r[m - h :] * t[:h]
+        first = (lhs < rhs) | ((lhs == rhs) & (key[:h] < key[m - h :]))
+        t, r, key = (np.where(first, a[:h], a[m - h :]) for a in (t, r, key))
+        m = h
+    return key[0] & ((1 << bits) - 1), t[0]
 
 
 def solve_block(
@@ -114,30 +142,12 @@ def solve_block(
         if tab.dtype != object and not _fits(tab):
             tab, delta = tab.astype(object), delta.astype(object)
 
-        # Leaving row: minimum ratio, ties by the smallest basis index.  The
-        # initial best ratio, 1/0, loses to the first row with a positive entry.
         here = np.arange(live.size)
-        t_col = tab[here, :m, col]
-        t_rhs = tab[:, :m, width]
-        row = np.full(live.size, -1)
-        best_t = np.zeros(live.size, dtype=tab.dtype)
-        best_rhs = np.ones(live.size, dtype=tab.dtype)
-        best_basis = np.zeros(live.size, dtype=np.int64)
-        for i in range(m):
-            t = t_col[:, i]
-            r = t_rhs[:, i]
-            lhs = r * best_t
-            rhs_v = best_rhs * t
-            take = (t > 0) & ((lhs < rhs_v) | ((lhs == rhs_v) & (basis[:, i] < best_basis)))
-            np.copyto(row, i, where=take)
-            np.copyto(best_t, t, where=take)
-            np.copyto(best_rhs, r, where=take)
-            np.copyto(best_basis, basis[:, i], where=take)
-        if (row < 0).any():
+        row, pivot = _leaving_rows(tab[here, :m, col], tab[:, :m, width], basis)
+        if (pivot <= 0).any():
             # Unbounded reduction of a nonnegative objective cannot happen.
             raise RuntimeError("phase-one ratio test failed")
 
-        pivot = best_t
         prow = tab[here, row].copy()
         pcol = tab[here, :, col].copy()
         tab *= pivot[:, None, None]

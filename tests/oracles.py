@@ -253,3 +253,30 @@ def two_trade_by_pairs(n: int, win, lose) -> bool:
 
     highs = sums(lose)
     return any(all(x <= y for x, y in zip(low, high)) for low in sums(win) for high in highs)
+
+
+def labelings_by_dfs(order, lowers):
+    """Every monotone labelling of a lattice with order[0] -> 0 and
+    order[-1] -> 1, as bytes indexed by coalition mask, depth first along
+    the linear extension order: a coalition is forced to 1 when one of
+    its lower neighbours is, and otherwise tried as 0, then as 1."""
+    size = len(order)
+    val = bytearray(size)
+    stack: list[int] = []
+    t = 0
+    while True:
+        while t < size:
+            m = order[t]
+            if any(val[f] for f in lowers[m]) or t == size - 1:
+                val[m] = 1
+            else:
+                val[m] = 0  # covers the empty coalition, never branched
+                if t > 0:
+                    stack.append(t)
+            t += 1
+        yield bytes(val)
+        if not stack:
+            return
+        t = stack.pop()
+        val[order[t]] = 1
+        t += 1

@@ -170,6 +170,32 @@ def test_big_build_reports_every_64th_chunk(capsys, monkeypatch, tmp_path):
     assert err.endswith("\n")
 
 
+def test_omega_at_eight_reports_every_64th_block_per_kind(capsys, monkeypatch, tmp_path):
+    """omega --n 8 prints its progress on every 64th scanned block of each
+    index kind and at the end of each, whatever the block size."""
+    step = 10
+    total = 200 * step + 3
+
+    class Stop(Exception):
+        pass
+
+    def omega_tier(n, cache_dir, kinds, metrics, progress=None):
+        for kind in kinds:
+            for done in [*range(step, total, step), total]:
+                progress(kind, done, total)
+        raise Stop
+
+    monkeypatch.setattr(pipeline, "tier_present", lambda n, cache: n == pipeline.BIG_N)
+    monkeypatch.setattr(pipeline, "omega_tier", omega_tier)
+    with pytest.raises(Stop):
+        main(["omega", "--n", "8", "--cache-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    shown = [part.split()[1:3] for part in err.split("\r") if "scanned" in part]
+    expected = [[f"{done}/{total}", kind] for kind in ("ssi", "pbi") for done in (640, 1280, 1920, total)]
+    assert shown == expected
+    assert err.count("\n") == 2
+
+
 def test_weighted_listing_checks_certificates_once(capsys, monkeypatch):
     run_json(capsys, "enumerate", "--class", "wg", "--n", "6")  # builds the tier if the cache lacks it
     calls = []

@@ -1,7 +1,9 @@
 """Catalogs of complete, weighted, and 4-voter simple games."""
 
+import hashlib
 import struct
 import tempfile
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +56,7 @@ from votekit.games import (
 )
 from votekit.pipeline import build_tier
 
-from oracles import prefix_counts, two_trade_by_pairs
+from oracles import labelings_by_dfs, prefix_counts, two_trade_by_pairs
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -136,6 +138,39 @@ def test_simple4_catalog():
         sets = ",".join("{" + ",".join(map(str, f)) + "}" for f in fams)
         expected.add(canonical_table(parse_game(f"n=4; minwin={sets}")).table)
     assert nonweighted == expected
+
+
+def _dfs_tables(n, games=None):
+    """Outcome tables from the scalar DFS: the first `games` of them, or all."""
+    tables = labelings_by_dfs(_linear_extension(n), _lower_neighbors(n))
+    return np.frombuffer(b"".join(islice(tables, games)), dtype=np.uint8).reshape(-1, 1 << n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_complete_chunks_match_the_scalar_dfs(n):
+    assert np.array_equal(np.concatenate(list(iter_complete_chunks(n))), _dfs_tables(n))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 5000])
+def test_chunk_boundaries_fall_anywhere_in_a_block(monkeypatch, chunk):
+    monkeypatch.setattr(enumeration, "DEFAULT_CHUNK", chunk)
+    chunks = list(islice(iter_complete_chunks(8), 3))
+    assert [len(c) for c in chunks] == [chunk] * 3
+    assert np.array_equal(np.concatenate(chunks), _dfs_tables(8, 3 * chunk))
+
+
+def test_chunks_kept_across_next_are_not_overwritten(monkeypatch):
+    monkeypatch.setattr(enumeration, "DEFAULT_CHUNK", 7)
+    kept = list(iter_complete_chunks(5))
+    assert np.array_equal(np.concatenate(kept), _dfs_tables(5))
+
+
+def test_first_eight_voter_tables_are_pinned():
+    """sha256 of the first 65,536 outcome tables with 8 voters, uint8 and
+    row-major, as the scalar DFS produced them."""
+    chunks = islice(iter_complete_chunks(8), -(-65536 // enumeration.DEFAULT_CHUNK))
+    tables = np.concatenate(list(chunks))[:65536]
+    assert hashlib.sha256(tables.tobytes()).hexdigest() == "f220eadf48b8b9eaa56c8e1605fd89ffc6577b315e16b172c371f98a67a15cfd"
 
 
 def test_enumerate_rejects_out_of_range(tmp_path):

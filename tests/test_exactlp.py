@@ -160,6 +160,28 @@ def test_block_answers_match_solving_alone(case):
     assert _answers(num_vars, systems) == [solve_nonneg_geq(num_vars, s) for s in systems]
 
 
+def _tall_systems(num_vars):
+    """Up to 17 rows with small entries: odd widths, several tournament
+    rounds and ties in the ratio test."""
+    row = st.tuples(st.lists(st.integers(-2, 2), min_size=num_vars, max_size=num_vars), st.integers(0, 2))
+    return st.lists(row, max_size=17)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda v: st.tuples(st.just(v), st.lists(_tall_systems(v), min_size=1, max_size=6))
+    )
+)
+def test_ratio_test_tournament_pivots_like_a_row_scan(case):
+    """The tournament picks the leaving row that the one-system solver's
+    row-by-row scan picks, so every answer is its vertex, in any block."""
+    num_vars, systems = case
+    expected = [simplex_one_system(num_vars, s) for s in systems]
+    assert _answers(num_vars, systems) == expected
+    assert [solve_nonneg_geq(num_vars, s) for s in systems] == expected
+
+
 def test_overflow_guard_continues_in_python_integers():
     """Entries near 2**20 fit int64 at the start but not after a pivot, so
     the block continues in Python integers, with the same answer alone and
