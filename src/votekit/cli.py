@@ -35,6 +35,7 @@ from .games import (
     evaluate,
     game_to_text,
     parse_game,
+    _set_str,
 )
 from .geometry import Metric, distance
 from .indices import KINDS, decimal_str, pbi_dp, power_vector, ssi_dp
@@ -193,17 +194,23 @@ def _require_big(args) -> Path:
             "pass --long-running (or set VOTEKIT_LONG_RUNNING=1) to build it"
         )
 
-    chunks = itertools.count(1)
+    progress = _stderr_progress("enumerated", "complete games")  # called once per chunk
+    pipeline.build_big_tables(cache, workers=args.threads, progress=progress)
+    return cache
+
+
+def _stderr_progress(verb: str, noun: str):
+    """A progress(done, total) callback that reports on stderr at every
+    64th call, and at done == total."""
+    calls = itertools.count(1)
 
     def progress(done, total):
-        # Called once per chunk: report every 64th chunk, and the last.
-        if next(chunks) % 64 == 0 or done == total:
-            print(f"\r  enumerated {done}/{total} complete games", end="", file=sys.stderr)
+        if next(calls) % 64 == 0 or done == total:
+            print(f"\r  {verb} {done}/{total} {noun}", end="", file=sys.stderr)
             if done == total:
                 print(file=sys.stderr)
 
-    pipeline.build_big_tables(cache, workers=args.threads, progress=progress)
-    return cache
+    return progress
 
 
 def _tier_dir(args, n: int) -> Path:
@@ -260,10 +267,6 @@ def _parse_coalition(text: str, n: int) -> int:
         if not 1 <= m <= n:
             raise _UsageError(f"voter {m} is out of range 1..{n}")
     return coalition_mask(members)
-
-
-def _set_text(mask: int) -> str:
-    return "{" + ",".join(str(i) for i in coalition_members(mask)) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +326,7 @@ def cmd_eval(args) -> int:
     for text in args.coalition:
         mask = _parse_coalition(text, g.n)
         win = bool(evaluate(g, mask))
-        rows.append([_set_text(mask), "win" if win else "lose"])
+        rows.append([_set_str(mask), "win" if win else "lose"])
         outcomes.append({"coalition": list(coalition_members(mask)), "win": win})
     rep.section(game_to_text(g), ["coalition", "outcome"], rows)
     rep.results["game"] = game_to_text(g)
@@ -453,14 +456,11 @@ def _gap_reports(args, n=None, kinds=None, metrics=None):
     kinds = kinds if kinds is not None else _pick_kinds(args)
     metrics = metrics if metrics is not None else _pick_metrics(args)
 
-    blocks = {kind: itertools.count(1) for kind in kinds}
+    # Called once per scanned block; each kind counts its own blocks.
+    reporters = {kind: _stderr_progress("scanned", f"{kind} vectors") for kind in kinds}
 
     def progress(kind, done, total):
-        # Called once per scanned block: report every 64th block of a kind, and the last.
-        if next(blocks[kind]) % 64 == 0 or done == total:
-            print(f"\r  scanned {done}/{total} {kind} vectors", end="", file=sys.stderr)
-            if done == total:
-                print(file=sys.stderr)
+        reporters[kind](done, total)
 
     return pipeline.omega_tier(
         n,

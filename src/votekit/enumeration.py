@@ -22,14 +22,16 @@ with a certificate per weighted game.
 Enumerated counts are checked against certified values before anything
 downstream may consume them.  The tier builder in votekit.pipeline
 streams the chunks to disk for every n <= 8 (16.2 million games at
-n = 8), writing each chunk's VKCAT1 catalog records with one numpy
-encode (CatalogWriter.add_many).  One block walker reads them back, a
-block of the file at a time, for both catalog readers: read_catalog
-(every game of a file, count certified) and fetch_catalog_games (the
-games at given positions).  read_catalog_header reads the header alone,
-and certificate_game turns a stored certificate row into its weighted
-game.  enumerate_simple4 runs the same search over the 4-voter inclusion
-lattice for the 28 simple games on 4 voters, which are not cached.
+n = 8).  Two pure functions own the VKCAT1 format on the write side:
+catalog_header encodes a file's header for a known game count, and
+catalog_records a chunk's records, with one numpy encode.  One block
+walker reads them back, a block of the file at a time, for both
+catalog readers: read_catalog (every game of a file, count certified)
+and fetch_catalog_games (the games at given positions).
+read_catalog_header reads the header alone, and certificate_game turns
+a stored certificate row into its weighted game.  enumerate_simple4
+runs the same search over the 4-voter inclusion lattice for the 28
+simple games on 4 voters, which are not cached.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .games import (
     _family_masks,
     _linear_extension,
     _lower_neighbors,
+    _members,
     _upper_neighbors,
     canonical_table,
     is_weighted,
@@ -65,7 +68,8 @@ __all__ = [
     "check_certified_count",
     "read_catalog",
     "read_catalog_header",
-    "CatalogWriter",
+    "catalog_header",
+    "catalog_records",
     "fetch_catalog_games",
     "CatalogFormatError",
 ]
@@ -162,8 +166,7 @@ def shift_maximal_losing_families(tables: np.ndarray, n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _prefix_counts(n: int) -> np.ndarray:
     """Row m: how many of the strongest 1, 2, ..., n voters coalition m holds."""
-    members = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-    return np.cumsum(members, axis=1)
+    return np.cumsum(_members(n), axis=1)
 
 
 # Prefix counts packed one per int64: field i (bits 7i..7i+5) holds the
@@ -241,7 +244,7 @@ def two_trade_rejects(n: int, win: np.ndarray, lose: np.ndarray) -> np.ndarray:
 
 
 def _classify_block(n: int, win: np.ndarray, lose: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # sorted_complete_representation's system for every game, row for row:
+    # The weight-difference system of every game, row for row:
     # the shift-minimal winning rows, then the shift-maximal losing ones,
     # each family in ascending mask order, over (weight differences, quota).
     games = len(win)
@@ -281,8 +284,9 @@ def classify_weighted_chunk(
     win and lose are the chunk's shift-minimal winning and shift-maximal
     losing families (shift_minimal_families, shift_maximal_losing_families).
     Returns a boolean flag per game and one (quota, weights...) int64 row
-    per weighted game, in chunk order: for each game exactly what
-    games.sorted_complete_representation returns.
+    per weighted game, in chunk order: for each game, the reduced
+    (quota, weights) that solving its weight-difference system alone
+    with exactlp.solve_nonneg_geq gives.
 
     Games that two_trade_rejects proves not weighted are settled without
     an LP; the rest go to exactlp.solve_block, LP_BLOCK systems at a time,
@@ -366,42 +370,27 @@ class CatalogFormatError(ValueError):
     pass
 
 
-class CatalogWriter:
-    """Incremental writer so huge catalogs never sit in memory.
+def catalog_header(klass: str, n: int, count: int) -> bytes:
+    """The header of a catalog file of count klass games with n voters."""
+    return _HEADER.pack(_MAGIC, _CLASS_TAGS[klass], n, count)
 
-    The game count is patched into the header on close.
-    """
 
-    def __init__(self, path, klass: str, n: int):
-        self.path = path
-        self.klass = klass
-        self.n = n
-        self.count = 0
-        self._fh = open(path, "wb")
-        self._fh.write(_HEADER.pack(_MAGIC, _CLASS_TAGS[klass], n, 0))
-
-    def add_many(self, families: np.ndarray) -> None:
-        """Append one record per row of a (games, 2**n) boolean matrix
-        marking each game's shift-minimal winning coalitions."""
-        games, size = families.shape
-        if size != 1 << self.n:
-            raise ValueError(f"expected {1 << self.n} coalitions per game, got {size}")
-        flat = np.flatnonzero(families)  # row-major: by game, masks ascending
-        game = flat >> self.n
-        counts = np.bincount(game, minlength=games)
-        # Game g's record opens after g count words and two words per
-        # earlier mask.  Masks are below 2**8, so every high half is 0.
-        words = np.zeros(games + 2 * len(flat), dtype="<u2")
-        words[np.arange(games) + 2 * (np.cumsum(counts) - counts)] = counts
-        words[game + 1 + 2 * np.arange(len(flat))] = flat & (size - 1)
-        words.tofile(self._fh)
-        self.count += games
-
-    def close(self) -> int:
-        self._fh.seek(8)
-        self._fh.write(struct.pack("<Q", self.count))
-        self._fh.close()
-        return self.count
+def catalog_records(n: int, families: np.ndarray) -> np.ndarray:
+    """The records of the rows of a (games, 2**n) boolean matrix marking
+    each game's shift-minimal winning coalitions, as little-endian u16
+    words that follow one another in a catalog file."""
+    games, size = families.shape
+    if size != 1 << n:
+        raise ValueError(f"expected {1 << n} coalitions per game, got {size}")
+    flat = np.flatnonzero(families)  # row-major: by game, masks ascending
+    game = flat >> n
+    counts = np.bincount(game, minlength=games)
+    # Game g's record opens after g count words and two words per
+    # earlier mask.  Masks are below 2**8, so every high half is 0.
+    words = np.zeros(games + 2 * len(flat), dtype="<u2")
+    words[np.arange(games) + 2 * (np.cumsum(counts) - counts)] = counts
+    words[game + 1 + 2 * np.arange(len(flat))] = flat & (size - 1)
+    return words
 
 
 def _read_header(fh, path):

@@ -77,6 +77,15 @@ def coalition_members(mask: Coalition) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _members(n: int) -> np.ndarray:
+    """The coalition-membership matrix, read-only: row m, column i is 1
+    when voter i + 1 is in coalition m."""
+    members = (np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    members.flags.writeable = False
+    return members
+
+
 # ---------------------------------------------------------------------------
 # The shift order on coalitions.
 #
@@ -153,26 +162,15 @@ def _lower_neighbors(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(_lower_neighbors_of(m, n)) for m in range(1 << n))
 
 
-def _upper_neighbors_of(m: Coalition, n: int) -> list[Coalition]:
-    """One-step strengthenings: add a member, or pull a member to the
-    nearest stronger free slot."""
-    nb = []
-    for b in range(n):
-        if (m >> b) & 1:
-            for c in range(b - 1, -1, -1):
-                if not (m >> c) & 1:
-                    nb.append((m & ~(1 << b)) | (1 << c))
-                    break
-        else:
-            nb.append(m | (1 << b))
-    return nb
-
-
 @lru_cache(maxsize=None)
 def _upper_neighbors(n: int) -> tuple[tuple[int, ...], ...]:
-    if n > MAX_SHIFT_TABLE_VOTERS:
-        raise ValueError(f"shift tables support at most {MAX_SHIFT_TABLE_VOTERS} voters")
-    return tuple(tuple(_upper_neighbors_of(m, n)) for m in range(1 << n))
+    """One-step strengthenings: the coalitions whose one-step weakenings
+    include m, for every mask m."""
+    uppers: list[list[int]] = [[] for _ in range(1 << n)]
+    for m, lowers in enumerate(_lower_neighbors(n)):
+        for f in lowers:
+            uppers[f].append(m)
+    return tuple(map(tuple, uppers))
 
 
 def _family_masks(
@@ -927,41 +925,6 @@ def is_weighted(g: Game) -> WeightedGame | None:
     quota = min(sum(w for b, w in enumerate(weights) if (s >> b) & 1) for s in win)
     g_all = math.gcd(quota, *weights)
     return WeightedGame(Fraction(quota // g_all), [Fraction(w // g_all) for w in weights])
-
-
-def sorted_complete_representation(
-    n: int, shift_min_win: Sequence[Coalition], shift_max_lose: Sequence[Coalition]
-) -> tuple[int, tuple[int, ...]] | None:
-    """Integer (quota, weights) for a sorted complete game, or None.
-
-    Works in weight-difference space so the sortedness of the weights is a
-    sign condition, which lets the system carry only the shift-minimal
-    winning and shift-maximal losing constraints.
-    """
-
-    def prefix_counts(mask: Coalition) -> list[int]:
-        out = []
-        c = 0
-        for j in range(n):
-            if (mask >> j) & 1:
-                c += 1
-            out.append(c)
-        return out
-
-    rows = []
-    for s in shift_min_win:
-        rows.append((prefix_counts(s) + [-1], 0))
-    for t in shift_max_lose:
-        rows.append(([-c for c in prefix_counts(t)] + [1], 1))
-    sol = solve_nonneg_geq(n + 1, rows)
-    if sol is None:
-        return None
-    ints = _integerize(sol)
-    diffs = ints[:n]
-    weights = [sum(diffs[i:]) for i in range(n)]
-    quota = min(sum(w for b, w in enumerate(weights) if (s >> b) & 1) for s in shift_min_win)
-    g_all = math.gcd(quota, *weights)
-    return quota // g_all, tuple(w // g_all for w in weights)
 
 
 # ---------------------------------------------------------------------------

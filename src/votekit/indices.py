@@ -32,6 +32,7 @@ from .games import (
     BoolCombo,
     Game,
     WeightedGame,
+    _members,
     to_explicit,
 )
 
@@ -95,9 +96,6 @@ class PowerVector:
 
     def fractions(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.nums)
-
-    def floats(self) -> tuple[float, ...]:
-        return tuple(x / self.den for x in self.nums)
 
     def __getitem__(self, i: int) -> Fraction:
         return Fraction(self.nums[i], self.den)
@@ -385,8 +383,7 @@ def _batch_coefficients(n: int, kind: str) -> np.ndarray:
     # coalition's c[-1] and the full coalition's c[n].
     c = np.array(c + [0], dtype=np.int64)
     sizes = _popcounts(n).astype(np.int64)[:, None]
-    member = (np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1 == 1
-    coef = np.where(member, c[sizes - 1], -c[sizes])
+    coef = np.where(_members(n) == 1, c[sizes - 1], -c[sizes])
     coef.flags.writeable = False
     return coef
 

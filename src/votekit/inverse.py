@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .games import Game, WeightedGame, add_null_voters
-from .geometry import Metric, VectorStore, distance
+from .geometry import Metric, VectorStore, distance, _exact_dtype, _INT64_MAX
 from .indices import PowerVector, decimal_str, power_vector, _factorials
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 MAX_HEURISTIC_VOTERS = 64
-_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -246,16 +245,14 @@ class _QuotaScan:
         fprod = [self.fact[k] * self.fact[n - 1 - k] for k in range(n)]
         self.unit = math.gcd(*fprod)
         den = self.fact[n] // self.unit
-        self.fprod = np.array(
-            [f // self.unit for f in fprod], dtype=np.int64 if den <= _INT64_MAX else object
-        )
+        self.fprod = np.array([f // self.unit for f in fprod], dtype=_exact_dtype(den))
         # SSI distances over the lcm of den and the target's denominator:
         # every term is at most that lcm, and an L1 sum at most twice it.
         self.ssi_den = math.lcm(den, self.tden)
         self.ssi_scale = self.ssi_den // den
         self.ssi_goal = np.array(
             [a * (self.ssi_den // self.tden) for a in tnums],
-            dtype=np.int64 if 2 * self.ssi_den <= _INT64_MAX else object,
+            dtype=_exact_dtype(2 * self.ssi_den),
         )[:, None]
 
     def run(self, weights: Sequence[int]):

@@ -9,11 +9,14 @@ A tier holds what is known about the complete games with n voters,
 * wg{n}.cert.npy: one (quota, weights...) int64 row per weighted game,
   checked against the game's winning table before it is written.
 
-Every count is certified before any file is moved into place, so a tier
-is only ever installed whole.  Tiers below 8 voters are built on first
-use and rebuilt when a file is missing or unreadable, in the calling
-process; the 8-voter tier takes hours and is built only by
-build_big_tables.  build_tier and build_big_tables are the only calls
+All seven files are written the same way: each is opened with its
+header for the certified game count, and every chunk appends its rows
+to each (enumeration.catalog_records for the catalogs, raw int64 rows
+for the .npy files).  Every count is certified before any file is
+moved into place, so a tier is only ever installed whole.  Tiers below
+8 voters are built on first use and rebuilt when a file is missing or
+unreadable, in the calling process; the 8-voter tier takes hours and
+is built only by build_big_tables.  build_tier and build_big_tables are the only calls
 that take a worker count, for a process pool that pays off only at 8
 voters.
 
@@ -46,7 +49,8 @@ from .certified import CountMismatchError
 from .enumeration import (
     BIG_N,
     CatalogFormatError,
-    CatalogWriter,
+    catalog_header,
+    catalog_records,
     certificate_game,
     check_certified_count,
     classify_weighted_chunk,
@@ -57,7 +61,7 @@ from .enumeration import (
     shift_maximal_losing_families,
     shift_minimal_families,
 )
-from .games import CompleteGame
+from .games import CompleteGame, _members
 from .geometry import (
     GapQueries,
     GapReport,
@@ -345,7 +349,7 @@ def _check_certificates(n: int, certs: np.ndarray, tables: np.ndarray, widx: lis
     """Raise unless each [q; w] row wins on exactly the coalitions its
     game's table marks winning.  Coalition weights come from one product
     with the coalition-membership matrix per block."""
-    members = (np.arange(1 << n, dtype=np.int64)[None, :] >> np.arange(n)[:, None]) & 1
+    members = _members(n).T
     for start in range(0, len(certs), _CERT_BLOCK):
         block = certs[start : start + _CERT_BLOCK]
         wins = block[:, 1:] @ members >= block[:, :1]
@@ -371,9 +375,10 @@ def _classify(n, win, lose, pool, workers):
     return np.concatenate([f for f, _ in parts]), np.concatenate([c for _, c in parts])
 
 
-def _write_chunk(n, tables, pool, workers, cats, files, accs) -> None:
-    """Classify one chunk of complete games and append it to every file.
-    Kept apart so that the chunk's arrays are freed before the next one."""
+def _write_chunk(n, tables, pool, workers, files, accs) -> int:
+    """Classify one chunk of complete games and append it to every file;
+    returns how many of them are weighted.  Kept apart so that the
+    chunk's arrays are freed before the next one."""
     ssi_nums, ssi_den = batch_ssi_numerators(tables)
     pbi_nums = batch_swing_counts(tables)
     vectors = {
@@ -388,20 +393,21 @@ def _write_chunk(n, tables, pool, workers, cats, files, accs) -> None:
     widx = np.flatnonzero(weighted)
     _check_certificates(n, certs, tables, widx)
 
-    cats["cg"].add_many(win)
-    cats["wg"].add_many(win[widx])
+    catalog_records(n, win).tofile(files["cg.cat"])
+    catalog_records(n, win[widx]).tofile(files["wg.cat"])
     for kind, rows in vectors.items():
         for klass, part in (("cg", rows), ("wg", rows[widx])):
             part.astype("<i8", copy=False).tofile(files[f"{klass}.{kind}"])
             accs[f"{klass}.{kind}"].add(_reduced_rows(part[:, :n], part[:, n])[0])
     certs.astype("<i8", copy=False).tofile(files["wg.cert"])
+    return len(widx)
 
 
 def _write_tier(n, tmps, workers, progress) -> dict[str, int]:
-    """Stream every complete game with n voters into the temp files.
-    With workers > 1, one process pool classifies every chunk."""
+    """Stream every complete game with n voters into the temp files, each
+    opened with its header for the certified game count.  With
+    workers > 1, one process pool classifies every chunk."""
     expected = {klass: certified.GAME_COUNTS[klass][n] for klass in _CLASSES}
-    total = expected["cg"]
     vector_keys = [f"{klass}.{kind}" for klass in _CLASSES for kind in KINDS]
     accs = {key: _UniqueAccumulator() for key in vector_keys}
     with ExitStack() as stack:
@@ -412,24 +418,21 @@ def _write_tier(n, tmps, workers, progress) -> dict[str, int]:
 
             spawn = multiprocessing.get_context("spawn")
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers, mp_context=spawn))
-        cats = {}
-        for klass in _CLASSES:
-            cats[klass] = CatalogWriter(tmps[f"{klass}.cat"], klass, n)
-            stack.callback(cats[klass].close)
         files = {}
-        for key in [*vector_keys, "wg.cert"]:
-            files[key] = stack.enter_context(open(tmps[key], "wb"))
-            shape = (expected[key.partition(".")[0]], n + 1)
-            np.lib.format.write_array_header_1_0(
-                files[key], {"descr": "<i8", "fortran_order": False, "shape": shape}
-            )
-        done = 0
+        for key, tmp in tmps.items():
+            klass, _, kind = key.partition(".")
+            files[key] = fh = stack.enter_context(open(tmp, "wb"))
+            if kind == "cat":
+                fh.write(catalog_header(klass, n, expected[klass]))
+            else:
+                header = {"descr": "<i8", "fortran_order": False, "shape": (expected[klass], n + 1)}
+                np.lib.format.write_array_header_1_0(fh, header)
+        counts = dict.fromkeys(_CLASSES, 0)
         for tables in iter_complete_chunks(n):
-            _write_chunk(n, tables, pool, workers, cats, files, accs)
-            done += tables.shape[0]
+            counts["wg"] += _write_chunk(n, tables, pool, workers, files, accs)
+            counts["cg"] += len(tables)
             if progress is not None:
-                progress(done, total)
-        counts = {klass: cats[klass].count for klass in _CLASSES}
+                progress(counts["cg"], expected["cg"])
 
     for klass in _CLASSES:
         check_certified_count(klass, n, counts[klass])

@@ -7,13 +7,15 @@ about 7 voters.  The random games the oracles are fed come from here too,
 as seeded generators and as hypothesis strategies.
 """
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 from hypothesis import strategies as st
 
-from votekit.games import BoolCombo, ExplicitGame, WeightedGame, evaluate, to_explicit
+from votekit.exactlp import solve_nonneg_geq
+from votekit.games import BoolCombo, ExplicitGame, WeightedGame, _integerize, evaluate, to_explicit
 
 
 def ssi_by_permutations(g) -> tuple[Fraction, ...]:
@@ -241,6 +243,28 @@ def prefix_counts(n: int, mask: int) -> tuple[int, ...]:
         held += (mask >> i) & 1
         out.append(held)
     return tuple(out)
+
+
+def sorted_complete_representation(
+    n: int, shift_min_win, shift_max_lose
+) -> tuple[int, tuple[int, ...]] | None:
+    """Integer (quota, weights) for a sorted complete game, or None, from
+    one exact LP over its shift-minimal winning and shift-maximal losing
+    coalitions.
+
+    Works in weight-difference space so the sortedness of the weights is a
+    sign condition; the weights are the suffix sums of the differences.
+    """
+    rows = [([*prefix_counts(n, s), -1], 0) for s in shift_min_win]
+    rows += [([-c for c in prefix_counts(n, t)] + [1], 1) for t in shift_max_lose]
+    sol = solve_nonneg_geq(n + 1, rows)
+    if sol is None:
+        return None
+    diffs = _integerize(sol)[:n]
+    weights = [sum(diffs[i:]) for i in range(n)]
+    quota = min(sum(w for b, w in enumerate(weights) if (s >> b) & 1) for s in shift_min_win)
+    g_all = math.gcd(quota, *weights)
+    return quota // g_all, tuple(w // g_all for w in weights)
 
 
 def two_trade_by_pairs(n: int, win, lose) -> bool:

@@ -24,9 +24,10 @@ from votekit.certified import (
 from votekit.enumeration import (
     LP_BLOCK,
     CatalogFormatError,
-    CatalogWriter,
     _classify_block,
     _packed_prefix_counts,
+    catalog_header,
+    catalog_records,
     certificate_game,
     check_certified_count,
     enumerate_simple4,
@@ -78,14 +79,18 @@ def test_catalog_games_are_distinct_and_valid(catalogs):
 
 
 def test_shift_poset_linear_extension():
-    order = _linear_extension(4)
-    assert sorted(order) == list(range(1 << 4))
-    pos = {m: k for k, m in enumerate(order)}
-    lowers, uppers = _lower_neighbors(4), _upper_neighbors(4)
-    for m in order:
-        for f in lowers[m]:
-            assert pos[f] < pos[m]
-            assert m in uppers[f]  # the two neighbour tables mirror each other
+    for n in range(1, 9):
+        order = _linear_extension(n)
+        assert sorted(order) == list(range(1 << n))
+        pos = {m: k for k, m in enumerate(order)}
+        lowers, uppers = _lower_neighbors(n), _upper_neighbors(n)
+        for m in order:
+            # The two neighbour tables mirror each other, in both directions.
+            for f in lowers[m]:
+                assert pos[f] < pos[m]
+                assert m in uppers[f]
+            for u in uppers[m]:
+                assert m in lowers[u]
 
 
 def test_shift_poset_dominance():
@@ -199,9 +204,8 @@ def family_matrix(n, families):
 
 
 def save_catalog(path, klass, n, games):
-    w = CatalogWriter(path, klass, n)
-    w.add_many(family_matrix(n, [g.shift_minimal for g in games]))
-    w.close()
+    records = catalog_records(n, family_matrix(n, [g.shift_minimal for g in games]))
+    path.write_bytes(catalog_header(klass, n, len(games)) + records.tobytes())
 
 
 def test_catalog_io_round_trip(tmp_path, catalogs):
@@ -320,7 +324,7 @@ def _struct_catalog(klass, n, families) -> bytes:
 
 
 @pytest.mark.parametrize("n", [6, 8])
-def test_add_many_writes_the_struct_records(tmp_path, catalogs, n):
+def test_catalog_records_write_the_struct_records(tmp_path, catalogs, n):
     """The bulk encoder writes byte for byte the per-record struct
     encoding, on the cg6 catalog and on one 8-voter chunk, in two calls;
     the block decoder reads the families back."""
@@ -331,13 +335,20 @@ def test_add_many_writes_the_struct_records(tmp_path, catalogs, n):
         matrix = _families(8, 4096)[0]
         families = _mask_lists(matrix)
     path = tmp_path / "cat"
-    writer = CatalogWriter(path, "cg", n)
-    writer.add_many(matrix[:1000])
-    writer.add_many(matrix[1000:])
-    assert writer.close() == len(families)
+    with open(path, "wb") as fh:
+        fh.write(catalog_header("cg", n, len(matrix)))
+        catalog_records(n, matrix[:1000]).tofile(fh)
+        catalog_records(n, matrix[1000:]).tofile(fh)
+    assert read_catalog_header(path) == ("cg", n, len(families))
     assert path.read_bytes() == _struct_catalog("cg", n, families)
     back = fetch_catalog_games(path, range(len(families)))
     assert [back[i].shift_minimal for i in range(len(families))] == families
+
+
+@pytest.mark.parametrize("width", [0, 1 << 5, 1 << 7])
+def test_catalog_records_reject_a_matrix_of_the_wrong_width(width):
+    with pytest.raises(ValueError, match="expected 64 coalitions per game"):
+        catalog_records(6, np.zeros((3, width), dtype=bool))
 
 
 @pytest.mark.parametrize("read_bytes", [1, 7, 64, 4099])
@@ -378,18 +389,17 @@ def _random_families(draw):
 @settings(max_examples=80, deadline=None)
 @given(_random_families(), st.sampled_from([1, 3, 64, 4099]), st.data())
 def test_catalog_round_trip_on_random_families(families, read_bytes, data):
-    """Random shift-minimal families written by add_many come back whole
-    from fetch_catalog_games at random positions, whatever the read block,
-    and a truncated file still fails at the record it cuts."""
+    """Random shift-minimal families written by catalog_records come back
+    whole from fetch_catalog_games at random positions, whatever the read
+    block, and a truncated file still fails at the record it cuts."""
     n, matrix = families
     want = _mask_lists(matrix)
     picks = data.draw(st.sets(st.integers(0, len(want) - 1)))
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumeration, "_READ_BYTES", read_bytes)
         path = Path(tmp) / "cat"
-        writer = CatalogWriter(path, "cg", n)
-        writer.add_many(matrix)
-        assert writer.close() == len(want)
+        path.write_bytes(catalog_header("cg", n, len(matrix)) + catalog_records(n, matrix).tobytes())
+        assert read_catalog_header(path) == ("cg", n, len(want))
         got = fetch_catalog_games(path, picks)
         assert {i: (g.n, g.shift_minimal) for i, g in got.items()} == {i: (n, want[i]) for i in picks}
         path.write_bytes(path.read_bytes()[:-1])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import feasible_by_fourier_motzkin, simplex_one_system
+from oracles import feasible_by_fourier_motzkin, simplex_one_system, sorted_complete_representation
 
 from votekit.enumeration import (
     classify_weighted_chunk,
@@ -20,7 +20,6 @@ from votekit.games import (
     is_weighted,
     parse_game,
     shift_maximal_losing,
-    sorted_complete_representation,
     to_explicit,
 )
 from votekit.indices import batch_ssi_numerators, batch_swing_counts

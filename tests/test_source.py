@@ -7,6 +7,12 @@ from pathlib import Path
 import votekit
 
 PACKAGE = Path(votekit.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+
+
+def _modules(directory: Path) -> dict[str, ast.Module]:
+    """The parsed modules of a directory, by file name."""
+    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(directory.glob("*.py"))}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -101,19 +107,31 @@ def _references(node) -> Counter:
     return refs
 
 
-def test_every_private_definition_is_referenced():
-    """A private function, method or class that no module of the package
-    references outside its own definition is dead code."""
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
-    total = sum((_references(tree) for tree in trees.values()), Counter())
+def _unreferenced(private: bool, referrers: list[ast.Module]) -> list[str]:
+    """The private (or public) functions, methods and classes of the
+    package that no module of referrers references outside their own
+    definition.  Dunder names are neither."""
+    total = sum((_references(tree) for tree in referrers), Counter())
     unused = []
-    for name, tree in trees.items():
+    for name, tree in _modules(PACKAGE).items():
         for node in ast.walk(tree):
             if (
                 isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and node.name.startswith("_")
+                and node.name.startswith("_") == private
                 and not node.name.startswith("__")
                 and total[node.name] <= _references(node)[node.name]
             ):
                 unused.append(f"{name}:{node.lineno}: {node.name}")
-    assert unused == []
+    return unused
+
+
+def test_every_private_definition_is_referenced():
+    """A private function, method or class that no module of the package
+    references outside its own definition is dead code."""
+    assert _unreferenced(True, list(_modules(PACKAGE).values())) == []
+
+
+def test_every_public_definition_is_referenced():
+    """A public function, method or class that no module of the package or
+    of its tests references outside its own definition is dead code."""
+    assert _unreferenced(False, [*_modules(PACKAGE).values(), *_modules(TESTS).values()]) == []
