@@ -22,9 +22,19 @@ and never leave the basis.
   the rows (_leaving_rows).  Every system therefore makes the same pivots
   and reaches the same vertex whatever block it is solved in; finished
   systems drop out of the block.
-* An exact overflow guard: before each pivot every entry must satisfy
-  |entry| < 2**31, so each product fits int64.  A block that fails the
-  check continues with the same code in dtype=object (Python integers).
+* The narrowest exact integer width: before each pivot the block's peak
+  |entry| picks the first rung of _LADDER whose guard it is below (int16
+  below 2**7, int32 below 2**15, int64 below 2**31), so every product and
+  every entry * pivot - row * col fits the rung's width.  A block only
+  moves up; past the last rung it continues in dtype=object (Python
+  integers).
+* Exact division by 2-adic inverses (Jebelean, J. Symbolic Comput. 15,
+  1993): on a fixed-width rung the division by the previous pivot
+  d = 2**s * o (o odd) is folded into the update as a wrapping
+  multiplication by the inverse of o modulo 2**bits, then an arithmetic
+  shift right by s.  The division is exact and the guard keeps every
+  dividend below 2**(bits - 1), so the wrapped product is the true
+  quotient times 2**s.  The object rung keeps floor division.
 
 The systems come from weightedness tests: a few dozen rows over at most
 a dozen variables.  solve_nonneg_geq solves one system as a block of one.
@@ -39,12 +49,33 @@ import numpy as np
 
 __all__ = ["solve_nonneg_geq", "solve_block"]
 
-# Entries below this bound in absolute value multiply without overflowing int64.
-_GUARD = 1 << 31
+# (dtype, guard) rungs: entries below the guard in absolute value keep
+# entry * pivot - row * col below 2**(bits - 1).
+_LADDER = ((np.int16, 1 << 7), (np.int32, 1 << 15), (np.int64, 1 << 31))
+_POWERS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
-def _fits(*arrays: np.ndarray) -> bool:
-    return all(a.size == 0 or (int(a.max()) < _GUARD and int(a.min()) > -_GUARD) for a in arrays)
+def _rung(start: int, *arrays: np.ndarray) -> int:
+    """The first rung from start whose guard exceeds every |entry| of the
+    arrays; len(_LADDER) means dtype=object."""
+    peak = max((max(int(a.max()), -int(a.min())) for a in arrays if a.size), default=0)
+    while start < len(_LADDER) and peak >= _LADDER[start][1]:
+        start += 1
+    return start
+
+
+def _exact_divisor(d: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Per positive divisor d = 2**s * o (o odd), the inverse of o modulo
+    2**bits and s, both as dtype: for every multiple x of d that fits
+    dtype, (x * inverse, wrapping) >> s is x // d."""
+    d = d.astype(np.uint64)
+    low = d & (~d + np.uint64(1))  # the lowest set bit, 2**s
+    odd = d // low
+    # Newton's iteration doubles the correct low bits: 3, 6, ..., 96.
+    inv = odd.copy()
+    for _ in range(5):
+        inv *= np.uint64(2) - odd * inv
+    return inv.astype(dtype), np.searchsorted(_POWERS, low).astype(dtype)
 
 
 def _leaving_rows(t: np.ndarray, r: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -83,7 +114,7 @@ def solve_block(
     rows), both integer with rhs >= 0; all-zero rows with rhs 0 pad the
     shorter systems.  Returns (feasible, nums, dens): per system whether
     it is feasible and, when it is, the point x = nums / dens (integer
-    arrays, int64 unless the block outgrew the overflow guard).
+    arrays, int64 unless the block outgrew the int64 rung).
     """
     coeffs = np.asarray(coeffs)
     rhs = np.asarray(rhs)
@@ -91,7 +122,10 @@ def solve_block(
     art = rhs > 0
     k = int(art.sum(axis=1).max(initial=0))
     width = v + k  # nonbasic columns; the right-hand side is column `width`
-    dtype = np.int64 if _fits(coeffs, rhs) else object
+    # Built in int64 (or object, when the input needs it), narrowed at the
+    # first pivot.
+    rung = _rung(0, coeffs, rhs)
+    dtype = np.int64 if rung < len(_LADDER) else object
 
     # Rows with b > 0 read A x - s + a = b with the artificial a basic;
     # rows with b = 0 read -A x + s = 0 with the slack s basic.
@@ -139,8 +173,11 @@ def solve_block(
             if not live.size:
                 break
         col = cand.argmin(axis=1)
-        if tab.dtype != object and not _fits(tab):
-            tab, delta = tab.astype(object), delta.astype(object)
+        if tab.dtype != object:
+            rung = _rung(rung, tab)
+            dtype = _LADDER[rung][0] if rung < len(_LADDER) else object
+            if tab.dtype != dtype:
+                tab, delta = tab.astype(dtype), delta.astype(dtype)
 
         here = np.arange(live.size)
         row, pivot = _leaving_rows(tab[here, :m, col], tab[:, :m, width], basis)
@@ -150,9 +187,15 @@ def solve_block(
 
         prow = tab[here, row].copy()
         pcol = tab[here, :, col].copy()
-        tab *= pivot[:, None, None]
-        tab -= pcol[:, :, None] * prow[:, None, :]
-        tab //= delta[:, None, None]
+        if tab.dtype == object:
+            tab *= pivot[:, None, None]
+            tab -= pcol[:, :, None] * prow[:, None, :]
+            tab //= delta[:, None, None]
+        else:
+            inv, shift = _exact_divisor(delta, tab.dtype)
+            tab *= (pivot * inv)[:, None, None]
+            tab -= pcol[:, :, None] * (prow * inv[:, None])[:, None, :]
+            tab >>= shift[:, None, None]
         tab[here, row] = prow
         tab[here, :, col] = -pcol
         tab[here, row, col] = delta
@@ -181,8 +224,6 @@ def solve_nonneg_geq(
     m = len(rows)
     coeffs = np.array([[int(c) for c in r] for r, _ in rows], dtype=object).reshape(1, m, num_vars)
     rhs = np.array([int(b) for _, b in rows], dtype=object).reshape(1, m)
-    if _fits(coeffs, rhs):
-        coeffs, rhs = coeffs.astype(np.int64), rhs.astype(np.int64)
     feasible, nums, dens = solve_block(coeffs, rhs)
     if not feasible[0]:
         return None

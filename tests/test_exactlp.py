@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import feasible_by_fourier_motzkin, simplex_one_system, sorted_complete_representation
 
+from votekit import certified, exactlp
 from votekit.enumeration import (
     classify_weighted_chunk,
     iter_complete_chunks,
@@ -203,6 +204,115 @@ def test_overflow_guard_continues_in_python_integers():
     assert solve_nonneg_geq(3, huge) == x
 
 
+def _divisor(guard):
+    """Odd divisors, even ones and powers of two, all below guard."""
+    return st.one_of(
+        st.integers(0, guard // 2 - 1).map(lambda k: 2 * k + 1),
+        st.integers(1, guard // 2 - 1).map(lambda k: 2 * k),
+        st.integers(0, guard.bit_length() - 2).map(lambda s: 1 << s),
+    )
+
+
+@pytest.mark.parametrize("dtype, guard", exactlp._LADDER)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_exact_division_is_floor_division_on_every_rung(dtype, guard, data):
+    """A wrapping multiply by the odd part's 2-adic inverse, then a shift,
+    divides every multiple that fits the rung's width exactly."""
+    top = int(np.iinfo(dtype).max)  # |x| < 2**(bits - 1)
+    pairs = data.draw(
+        st.lists(
+            _divisor(guard).flatmap(
+                lambda d: st.tuples(st.just(d), st.integers(-(top // d), top // d).map(lambda q: q * d))
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    divisors = np.array([d for d, _ in pairs], dtype=dtype)
+    multiples = np.array([x for _, x in pairs], dtype=dtype)
+    inv, shift = exactlp._exact_divisor(divisors, dtype)
+    assert ((multiples * inv) >> shift).tolist() == [x // d for d, x in pairs]
+
+
+def _near(base):
+    """An entry within 3 of 0, base or -base."""
+    return st.tuples(st.sampled_from((0, base, -base)), st.integers(-3, 3)).map(sum)
+
+
+def _systems_near(num_vars, base):
+    row = st.tuples(st.lists(_near(base), min_size=num_vars, max_size=num_vars), st.integers(0, 2))
+    return st.lists(row, max_size=6)
+
+
+@pytest.mark.parametrize("base", [1 << 6, 1 << 14])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_blocks_crossing_rungs_pivot_like_one_system(base, data):
+    """Entries near 2**6 (2**14) start a block on int16 (int32) and outgrow
+    it after a pivot or two; neither the widening nor the rest of the block
+    changes an answer."""
+    num_vars = data.draw(st.integers(1, 4))
+    systems = data.draw(st.lists(_systems_near(num_vars, base), min_size=1, max_size=6))
+    expected = [simplex_one_system(num_vars, s) for s in systems]
+    assert _answers(num_vars, systems) == expected
+    assert [solve_nonneg_geq(num_vars, s) for s in systems] == expected
+
+
+def _recorded_rungs(monkeypatch) -> list[str]:
+    """The dtype of every ratio test that solve_block runs from now on."""
+    seen = []
+    leaving_rows = exactlp._leaving_rows
+
+    def record(t, r, basis):
+        seen.append(t.dtype.name)
+        return leaving_rows(t, r, basis)
+
+    monkeypatch.setattr(exactlp, "_leaving_rows", record)
+    return seen
+
+
+@pytest.mark.parametrize("base, rungs", [(1 << 6, ["int16", "int32"]), (1 << 14, ["int32", "int64"])])
+def test_a_block_moves_up_the_ladder_between_pivots(monkeypatch, base, rungs):
+    rows = [
+        ([base + 1, base - 1, 3], 1),
+        ([3 - base, 5, base + 2], 0),
+        ([7, base + 1, 2 - base], 0),
+        ([base - 1, -3, base + 3], 0),
+    ]
+    seen = _recorded_rungs(monkeypatch)
+    x = check(3, rows)
+    assert seen == rungs
+    assert x == simplex_one_system(3, rows)
+
+
+def _classify(n, tables):
+    return classify_weighted_chunk(n, shift_minimal_families(tables, n), shift_maximal_losing_families(tables, n))
+
+
+@pytest.mark.parametrize(
+    "n, tables",
+    [
+        (6, lambda: np.concatenate(list(iter_complete_chunks(6)))),
+        (8, lambda: next(iter_complete_chunks(8))[:512]),
+    ],
+    ids=["every-n6-game", "first-512-n8-games"],
+)
+def test_object_arithmetic_agrees_with_the_ladder(monkeypatch, n, tables):
+    """With the ladder empty every pivot runs on Python integers and floor
+    division; the flags and certificates are the fixed-width rungs'."""
+    tables = tables()
+    if n == 6:
+        assert len(tables) == certified.GAME_COUNTS["cg"][6]
+    weighted, certs = _classify(n, tables)
+    monkeypatch.setattr(exactlp, "_LADDER", ())
+    seen = _recorded_rungs(monkeypatch)
+    slow_weighted, slow_certs = _classify(n, tables)
+    assert set(seen) == {"object"}
+    assert np.array_equal(slow_weighted, weighted)
+    assert np.array_equal(slow_certs, certs)
+
+
 # sha256 of each wg{n}.cert.npy's (quota, weights...) rows as little-endian
 # int64, as the scalar solver wrote them; any change to the pivot rule or to
 # the integer post-processing shows here.
@@ -227,10 +337,7 @@ def test_certificates_are_pinned(certificates, n):
 def test_first_eight_voter_chunk_classifies_to_pinned_certificates():
     """The first 4,096 games with 8 voters are all weighted; their
     certificates are the scalar solver's."""
-    tables = next(iter_complete_chunks(8))[:4096]
-    weighted, certs = classify_weighted_chunk(
-        8, shift_minimal_families(tables, 8), shift_maximal_losing_families(tables, 8)
-    )
+    weighted, certs = _classify(8, next(iter_complete_chunks(8))[:4096])
     assert weighted.all()
     assert _digest(certs) == "d7141a919377576c90b0fbd55753181c1c5253c274d6d045986bdc290066fccf"
 

@@ -135,3 +135,19 @@ def test_every_public_definition_is_referenced():
     """A public function, method or class that no module of the package or
     of its tests references outside its own definition is dead code."""
     assert _unreferenced(False, [*_modules(PACKAGE).values(), *_modules(TESTS).values()]) == []
+
+
+# numpy names that need numpy 2; pyproject declares numpy >= 1.24.
+NUMPY_2_ONLY = {"bitwise_count", "unique_values", "unique_counts", "unique_inverse", "unique_all", "cumulative_sum"}
+
+
+def test_no_numpy_2_only_names():
+    """The package runs on the numpy floor that pyproject declares."""
+    found = []
+    for name, tree in _modules(PACKAGE).items():
+        for node in ast.walk(tree):
+            refs = {getattr(node, "attr", None), getattr(node, "id", None)}
+            if isinstance(node, ast.ImportFrom):
+                refs |= {alias.name for alias in node.names}
+            found += [f"{name}:{node.lineno}: {ref}" for ref in sorted(refs & NUMPY_2_ONLY)]
+    assert found == []
