@@ -788,10 +788,7 @@ def main(argv=None) -> int:
     except CountMismatchError as exc:
         print(f"votekit: certified count mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except GameParseError as exc:
-        print(f"votekit: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (_UsageError, CatalogFormatError) as exc:
+    except (_UsageError, CatalogFormatError, GameParseError) as exc:
         print(f"votekit: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

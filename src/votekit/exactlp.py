@@ -52,7 +52,7 @@ __all__ = ["solve_nonneg_geq", "solve_block"]
 # (dtype, guard) rungs: entries below the guard in absolute value keep
 # entry * pivot - row * col below 2**(bits - 1).
 _LADDER = ((np.int16, 1 << 7), (np.int32, 1 << 15), (np.int64, 1 << 31))
-_POWERS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+_POWERS = np.int64(1) << np.arange(63, dtype=np.int64)
 
 
 def _rung(start: int, *arrays: np.ndarray) -> int:
@@ -68,14 +68,16 @@ def _exact_divisor(d: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Per positive divisor d = 2**s * o (o odd), the inverse of o modulo
     2**bits and s, both as dtype: for every multiple x of d that fits
     dtype, (x * inverse, wrapping) >> s is x // d."""
-    d = d.astype(np.uint64)
-    low = d & (~d + np.uint64(1))  # the lowest set bit, 2**s
+    low = d & -d  # the lowest set bit, 2**s
     odd = d // low
-    # Newton's iteration doubles the correct low bits: 3, 6, ..., 96.
-    inv = odd.copy()
-    for _ in range(5):
-        inv *= np.uint64(2) - odd * inv
-    return inv.astype(dtype), np.searchsorted(_POWERS, low).astype(dtype)
+    # (3 * odd) ^ 2 is the inverse modulo 2**5, and each Newton step
+    # doubles the correct low bits: 10, 20, 40, 80.
+    inv = (3 * odd) ^ 2
+    correct = 5
+    while correct < 8 * inv.itemsize:
+        inv *= 2 - odd * inv
+        correct *= 2
+    return inv, np.searchsorted(_POWERS, low).astype(dtype)
 
 
 def _leaving_rows(t: np.ndarray, r: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -799,13 +799,19 @@ def desirability(g: Game, i: int, j: int) -> DesirabilityOutcome:
     return DesirabilityOutcome.INCOMPARABLE
 
 
-def _permute_table(table: np.ndarray, n: int, perm: Sequence[int]) -> np.ndarray:
-    """Table of the relabelled game where new voter k is old voter perm[k-1]."""
+def _gather_index(n: int, perm: Sequence[int]) -> np.ndarray:
+    """Table gather indices of the relabelling where new voter k is old
+    voter perm[k-1]: the relabelled table is table[_gather_index(n, perm)]."""
     idx = np.arange(1 << n, dtype=np.int64)
     src = np.zeros(1 << n, dtype=np.int64)
     for k, old in enumerate(perm):
         src |= ((idx >> k) & 1) << (old - 1)
-    return table[src]
+    return src
+
+
+def _relabelled(e: ExplicitGame, perm: Sequence[int]) -> ExplicitGame:
+    """The game e with new voter k being old voter perm[k-1]."""
+    return ExplicitGame(e.n, e.np_table[_gather_index(e.n, perm)].tobytes(), validate=False)
 
 
 def is_complete(g: Game) -> tuple[bool, tuple[int, ...] | None]:
@@ -839,8 +845,7 @@ def sort_by_desirability(g: Game) -> tuple[ExplicitGame, tuple[int, ...]]:
     ok, perm = is_complete(g)
     if not ok:
         raise ValueError("the desirability relation is not total; the game cannot be sorted")
-    e = to_explicit(g)
-    return ExplicitGame(e.n, _permute_table(e.np_table, e.n, perm).tobytes(), validate=False), perm
+    return _relabelled(to_explicit(g), perm), perm
 
 
 def shift_minimal_winning(g: Game) -> CompleteGame:
@@ -939,14 +944,7 @@ def _perm_source_masks(n: int) -> np.ndarray:
     """For every permutation of n voters, the table gather indices."""
     from itertools import permutations
 
-    idx = np.arange(1 << n, dtype=np.int64)
-    rows = []
-    for perm in permutations(range(1, n + 1)):
-        src = np.zeros(1 << n, dtype=np.int64)
-        for k, old in enumerate(perm):
-            src |= ((idx >> k) & 1) << (old - 1)
-        rows.append(src)
-    return np.array(rows)
+    return np.array([_gather_index(n, perm) for perm in permutations(range(1, n + 1))])
 
 
 def canonical_table(g: Game) -> ExplicitGame:
@@ -957,10 +955,9 @@ def canonical_table(g: Game) -> ExplicitGame:
     relabellings, practical only for n <= 7.
     """
     ok, perm = is_complete(g)
-    if ok:
-        e = to_explicit(g)
-        return ExplicitGame(e.n, _permute_table(e.np_table, e.n, perm).tobytes(), validate=False)
     e = to_explicit(g)
+    if ok:
+        return _relabelled(e, perm)
     if e.n > MAX_ORBIT_VOTERS:
         raise ValueError(f"canonical form of an incomplete game needs n <= {MAX_ORBIT_VOTERS}")
     tables = e.np_table[_perm_source_masks(e.n)]

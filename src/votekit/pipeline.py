@@ -20,16 +20,19 @@ is built only by build_big_tables.  build_tier and build_big_tables are the only
 that take a worker count, for a process pool that pays off only at 8
 voters.
 
-Each datum of a tier has one loader, and each loader checks every tier
-file once, building the tier when needed: ensure_tier (the directory),
-load_games (the games of one class), load_listing (the games with
-their certificate rows), tier_counts (game and
+Each tier file has one reader, and the reader checks what it returns:
+_checked_catalog a catalog's header, _load_vectors every row of a
+vector file, load_certificates every certificate row.  Each datum of a
+tier has one loader, which reads, and so checks, only the files behind
+it, building the tier when needed: ensure_tier (the directory, every
+file checked), load_games (the games of one class), load_listing (the
+games with their certificate rows), tier_counts (game and
 distinct-vector counts), weighted_store (the weighted vectors,
 deduplicated for search, with their certificate rows) and omega_tier
 (gap reports streamed from the vector files, with their attaining games
-read through enumeration.fetch_catalog_games).  What a loader then reads
-of the files the check has passed, it does not check again.
-load_certificates reads and checks the certificate file alone.
+read through enumeration.fetch_catalog_games).  A damaged file that a
+loader does not read is left alone until a loader that reads it
+rebuilds the tier.
 """
 
 from __future__ import annotations
@@ -161,23 +164,12 @@ def _check_blocks(path: Path, rows: np.ndarray, ok: Callable[[np.ndarray], bool]
             raise CatalogFormatError(f"{path}: rows are not {what}")
 
 
-def _vector_rows(cache_dir, klass: str, n: int, kind: str) -> np.ndarray:
-    """A vector file's (numerators..., denominator) rows, memory-mapped,
-    with only their shape checked."""
-    return _read_rows(vector_path(cache_dir, klass, n, kind), certified.GAME_COUNTS[klass][n], n + 1)
-
-
-def _certificate_rows(cache_dir, n: int) -> np.ndarray:
-    """The certificate file's rows, memory-mapped, with only their shape
-    checked."""
-    return _read_rows(certificate_path(cache_dir, n), certified.GAME_COUNTS["wg"][n], n + 1)
-
-
 def _load_vectors(cache_dir, klass: str, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """(numerators, denominators) of a vector file, every row checked:
     numerators are nonnegative and sum to their positive denominator,
     which is n! for ssi."""
-    rows = _vector_rows(cache_dir, klass, n, kind)
+    path = vector_path(cache_dir, klass, n, kind)
+    rows = _read_rows(path, certified.GAME_COUNTS[klass][n], n + 1)
 
     def ok(block: np.ndarray) -> bool:
         dens = block[:, n]
@@ -187,7 +179,7 @@ def _load_vectors(cache_dir, klass: str, n: int, kind: str) -> tuple[np.ndarray,
         sums = np.einsum("ij->i", block[:, :n])
         return bool(block.min() >= 0 and (dens > 0).all() and np.array_equal(sums, dens))
 
-    _check_blocks(vector_path(cache_dir, klass, n, kind), rows, ok, f"{kind} vectors")
+    _check_blocks(path, rows, ok, f"{kind} vectors")
     return rows[:, :n], rows[:, n]
 
 
@@ -195,8 +187,8 @@ def load_certificates(n: int, cache_dir=None) -> np.ndarray:
     """The (quota, weights...) rows of the n-voter weighted games, every
     row checked as the classifier writes it: quota >= 1, weights >= 0 and
     non-increasing (strongest voter first), no common factor."""
-    cache_dir = _resolve(cache_dir)
-    rows = _certificate_rows(cache_dir, n)
+    path = certificate_path(_resolve(cache_dir), n)
+    rows = _read_rows(path, certified.GAME_COUNTS["wg"][n], n + 1)
 
     def ok(block: np.ndarray) -> bool:
         weights = block[:, 1:]
@@ -209,97 +201,98 @@ def load_certificates(n: int, cache_dir=None) -> np.ndarray:
             and (reduce(np.gcd, block.T[::-1]) == 1).all()
         )
 
-    _check_blocks(certificate_path(cache_dir, n), rows, ok, "reduced certificates")
+    _check_blocks(path, rows, ok, "reduced certificates")
     return rows
 
 
-def _check_tier(n: int, cache_dir: Path) -> None:
-    """Raise unless every tier file is present with its certified shape
+def _checked_catalog(cache_dir, klass: str, n: int) -> Path:
+    """The path of the cg or wg catalog, once its header is found to be
+    the certified n-voter one."""
+    path = catalog_path(cache_dir, klass, n)
+    header = read_catalog_header(path)
+    if header != (klass, n, certified.GAME_COUNTS[klass][n]):
+        raise CatalogFormatError(f"{path}: header {header} is not the certified {klass}{n} catalog")
+    return path
+
+
+def _check_tier(n: int, cache_dir: Path) -> Path:
+    """cache_dir, once every tier file is present with its certified shape
     and every vector and certificate row passes its loader's check."""
     for klass in _CLASSES:
-        path = catalog_path(cache_dir, klass, n)
-        header = read_catalog_header(path)
-        if header != (klass, n, certified.GAME_COUNTS[klass][n]):
-            raise CatalogFormatError(f"{path}: header {header} is not the certified {klass}{n} catalog")
+        _checked_catalog(cache_dir, klass, n)
         for kind in KINDS:
             _load_vectors(cache_dir, klass, n, kind)
     load_certificates(n, cache_dir)
+    return cache_dir
 
 
 def _load_tier(n: int, cache_dir, load: Callable[[Path], object]):
-    """load(cache_dir) once every file of the n-voter tier checks out.
+    """load(cache_dir), which reads and checks the tier files it needs.
 
     Below 8 voters a missing or unreadable file rebuilds the whole tier
-    first, in this process: a process pool pays for itself only at 8
-    voters.  load reads the files without checking their rows again; one
-    file at a time is mapped during the check, so that a tier's pages
-    need not all stay resident.
+    and load runs again, in this process: a process pool pays for itself
+    only at 8 voters.  Files are memory-mapped, so a tier's pages need
+    not all stay resident.
     """
     cache_dir = _resolve(cache_dir)
-
-    def checked():
-        _check_tier(n, cache_dir)
-        return load(cache_dir)
-
     if n == BIG_N:
-        return checked()
+        return load(cache_dir)
     try:
-        return checked()
+        return load(cache_dir)
     except (CatalogFormatError, CountMismatchError, OSError):
         build_tier(n, cache_dir)
-    return checked()
+    return load(cache_dir)
 
 
 def ensure_tier(n: int, cache_dir=None) -> Path:
-    """The cache directory, holding a checked n-voter tier."""
-    return _load_tier(n, cache_dir, lambda cache: cache)
+    """The cache directory, holding an n-voter tier whose every file
+    checks out."""
+    return _load_tier(n, cache_dir, lambda cache: _check_tier(n, cache))
 
 
 def tier_counts(
     klass: str, n: int, kinds: Iterable[str] = KINDS, cache_dir=None
 ) -> tuple[int, dict[str, int]]:
-    """(games, distinct vectors per index kind) of the cg or wg games of a
-    checked n-voter tier, read from its vector files; no game is loaded.
+    """(games, distinct vectors per index kind) of the cg or wg games of
+    the n-voter tier, read from its vector files; no game is loaded.
 
-    The game count is the catalog header's, which the tier check holds
-    to the certified count.
+    The game count is the catalog header's, which is checked to be the
+    certified count.
     """
 
     def load(cache: Path) -> tuple[int, dict[str, int]]:
-        distinct = {}
-        for kind in kinds:
-            rows = _vector_rows(cache, klass, n, kind)
-            distinct[kind] = count_distinct_rows(rows[:, :n], rows[:, n])
+        _checked_catalog(cache, klass, n)
+        distinct = {kind: count_distinct_rows(*_load_vectors(cache, klass, n, kind)) for kind in kinds}
         return certified.GAME_COUNTS[klass][n], distinct
 
     return _load_tier(n, cache_dir, load)
 
 
 def load_games(klass: str, n: int, cache_dir=None) -> list[CompleteGame]:
-    """The cg or wg games of a checked n-voter tier, in catalog order."""
+    """The cg or wg games of the n-voter tier, in catalog order."""
     return load_listing(klass, n, cache_dir)[0]
 
 
 def load_listing(klass: str, n: int, cache_dir=None) -> tuple[list[CompleteGame], np.ndarray | None]:
     """load_games, plus the certificate row of each game for wg (None
-    for cg), from one check of the tier."""
+    for cg)."""
     if klass not in _CLASSES:
         raise ValueError(f"unknown catalog class {klass!r}")
 
     def load(cache: Path) -> tuple[list[CompleteGame], np.ndarray | None]:
-        games = read_catalog(catalog_path(cache, klass, n))
-        return games, _certificate_rows(cache, n) if klass == "wg" else None
+        games = read_catalog(_checked_catalog(cache, klass, n))
+        return games, load_certificates(n, cache) if klass == "wg" else None
 
     return _load_tier(n, cache_dir, load)
 
 
 def weighted_store(n: int, kind: str, cache_dir=None) -> tuple[VectorStore, np.ndarray]:
-    """The deduplicated weighted-game vectors of a checked n-voter tier,
-    plus the certificate rows that the store's reps index."""
+    """The deduplicated weighted-game vectors of the n-voter tier, plus
+    the certificate rows that the store's reps index."""
 
     def load(cache: Path) -> tuple[VectorStore, np.ndarray]:
-        rows = _vector_rows(cache, "wg", n, kind)
-        return store_from_rows(kind, n, rows[:, :n], rows[:, n]), _certificate_rows(cache, n)
+        store = store_from_rows(kind, n, *_load_vectors(cache, "wg", n, kind))
+        return store, load_certificates(n, cache)
 
     return _load_tier(n, cache_dir, load)
 
@@ -505,8 +498,7 @@ def omega_tier(
     metrics: Iterable = (Metric.L1, Metric.LINF),
     progress: Callable[[str, int, int], None] | None = None,
 ) -> dict[tuple[str, str], GapReport]:
-    """Gap reports at n voters, streamed from the vector files of a
-    checked tier.
+    """Gap reports at n voters, streamed from the tier's vector files.
 
     Returns one report per (index kind, metric) pair, attaining games
     and the nearest weighted game included; nearest_index is a row of the
@@ -515,13 +507,13 @@ def omega_tier(
     metrics = [Metric.parse(m) if not isinstance(m, Metric) else m for m in metrics]
 
     def load(cache: Path) -> dict[tuple[str, str], GapReport]:
+        certificates = load_certificates(n, cache)
+        catalog = _checked_catalog(cache, "cg", n)
         reports: dict[tuple[str, str], GapReport] = {}
         for kind in kinds:
-            weighted = _vector_rows(cache, "wg", n, kind)
-            store = store_from_rows(kind, n, weighted[:, :n], weighted[:, n])
+            store = store_from_rows(kind, n, *_load_vectors(cache, "wg", n, kind))
             trackers = {metric: GapTracker(store, metric) for metric in metrics}
-            rows = _vector_rows(cache, "cg", n, kind)
-            nums, dens = rows[:, :n], rows[:, n]
+            nums, dens = _load_vectors(cache, "cg", n, kind)
             count = len(nums)
             for start in range(0, count, _SCAN):
                 stop = min(start + _SCAN, count)
@@ -532,11 +524,11 @@ def omega_tier(
                     progress(kind, stop, count)
             kind_reports = {metric: tracker.report(n) for metric, tracker in trackers.items()}
             needed = {idx for rep in kind_reports.values() for idx, _ in rep.attaining}
-            games = fetch_catalog_games(catalog_path(cache, "cg", n), needed)
+            games = fetch_catalog_games(catalog, needed)
             for metric, rep in kind_reports.items():
                 rep.attaining = [(idx, games[idx], vec) for idx, vec in rep.attaining]
                 if rep.nearest_index is not None:
-                    rep.nearest_game = certificate_game(_certificate_rows(cache, n)[rep.nearest_index])
+                    rep.nearest_game = certificate_game(certificates[rep.nearest_index])
                 reports[kind, metric.value] = rep
         return reports
 

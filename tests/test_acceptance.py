@@ -298,7 +298,7 @@ def test_criterion_6_gaps_at_eight(criterion, cache_dir):
     import os
     from pathlib import Path
 
-    from votekit.pipeline import build_big_tables, catalog_path, weighted_store
+    from votekit.pipeline import build_big_tables, catalog_path, ensure_tier, weighted_store
 
     with criterion("6 gaps at n=8") as info:
         # Prefer a cache that already holds the n = 8 tier: the isolated
@@ -311,7 +311,7 @@ def test_criterion_6_gaps_at_eight(criterion, cache_dir):
         big = None
         for c in candidates:
             try:
-                weighted_store(8, "ssi", c)
+                ensure_tier(8, c)
                 big = c
                 break
             except Exception:

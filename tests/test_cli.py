@@ -4,6 +4,7 @@ import json
 from concurrent import futures
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from votekit import certified, enumeration, pipeline
@@ -390,25 +391,51 @@ def test_unknown_arguments_exit_one(capsys):
     ],
 )
 def test_warm_queries_check_the_tier_once(capsys, monkeypatch, tmp_path, argv):
-    """A warm omega or exact inverse reads and checks each tier file once:
-    one tier check, and no second certificate check after it."""
+    """A warm omega or exact inverse reads and checks each tier file it
+    needs once, and no other: the exact inverse reads the ssi vectors and
+    the certificates of the weighted games alone."""
+    files = {
+        "omega": ["cg5.cat", "cg5.pbi.npy", "cg5.ssi.npy", "wg5.cert.npy", "wg5.pbi.npy", "wg5.ssi.npy"],
+        "inverse": ["wg5.cert.npy", "wg5.ssi.npy"],
+    }[argv[0]]
     target = tmp_path / "target.txt"
     target.write_text("n=5 index=ssi\n2/5 1/5 1/5 1/10 1/10\n")
     argv = [str(target) if a == "TARGET" else a for a in argv]
     run_json(capsys, *argv)  # builds the tier if the cache lacks it
-    calls = []
+    read = []
 
-    def counted(name):
+    def recorded(name):
         real = getattr(pipeline, name)
 
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
+        def wrapper(path, *args, **kwargs):
+            read.append(path.name)
+            return real(path, *args, **kwargs)
 
         return wrapper
 
-    for name in ("_check_tier", "load_certificates"):
-        monkeypatch.setattr(pipeline, name, counted(name))
+    for name in ("_read_rows", "read_catalog_header"):
+        monkeypatch.setattr(pipeline, name, recorded(name))
     first = run_json(capsys, *argv)
-    assert calls == ["_check_tier", "load_certificates"]
+    assert sorted(read) == files
     assert run_json(capsys, *argv)["results"] == first["results"]
+
+
+def test_unread_damage_waits_for_its_reader(capsys, tmp_path):
+    """A damaged file that a query does not read is left as it is; the
+    next query that reads it rebuilds the tier byte for byte."""
+    pipeline.build_tier(5, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    victim = pipeline.vector_path(tmp_path, "cg", 5, "pbi")
+    rows = np.load(victim)
+    rows[3] = 0  # 0 numerators sum to a 0 denominator
+    np.save(victim, rows)
+    damaged = victim.read_bytes()
+
+    tables = ["tables", "--n", "5", "--cache-dir", str(tmp_path)]
+    wg = run_json(capsys, *tables, "--class", "wg", "--index", "ssi")["results"]["rows"]
+    assert wg == [{"class": "wg", "n": 5, "games": 117, "ssi": 53}]
+    assert victim.read_bytes() == damaged
+
+    cg = run_json(capsys, *tables, "--class", "cg", "--index", "pbi")["results"]["rows"]
+    assert cg == [{"class": "cg", "n": 5, "games": 117, "pbi": 57}]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -33,6 +33,7 @@ from votekit.pipeline import (
     load_certificates,
     load_games,
     omega_tier,
+    tier_counts,
     tier_present,
     vector_path,
     weighted_store,
@@ -77,7 +78,8 @@ def test_ensure_vectors_discards_wrong_kind_cache(tmp_path):
 
 
 def test_ensure_vectors_discards_wrong_shape_cache(tmp_path):
-    """A truncated, wrong-shape or missing tier file rebuilds the tier."""
+    """A truncated, wrong-shape or missing tier file rebuilds the tier
+    when a loader that reads it runs."""
     build_tier(4, tmp_path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     vec = vector_path(tmp_path, "cg", 4, "pbi")
@@ -87,17 +89,22 @@ def test_ensure_vectors_discards_wrong_shape_cache(tmp_path):
         (certificate_path(tmp_path, 4), lambda p: p.unlink()),
         (catalog_path(tmp_path, "wg", 4), lambda p: p.write_bytes(p.read_bytes()[:-3])),
     ]
+    readers = {  # a loader that reads each damaged file
+        "cg4.pbi.npy": lambda: tier_counts("cg", 4, ("pbi",), tmp_path),
+        "wg4.cert.npy": lambda: weighted_store(4, "ssi", tmp_path)[1].tolist(),
+        "wg4.cat": lambda: [g.shift_minimal for g in load_games("wg", 4, tmp_path)],
+    }
     for victim, damage in damages:
+        load = readers[victim.name]
+        want = load()
         damage(victim)
-        klass = "cg" if victim.suffix == ".npy" else "wg"
-        games = load_games(klass, 4, tmp_path)
-        assert _load_vectors(tmp_path, klass, 4, "pbi")[0].shape == (len(games), 4)
+        assert load() == want
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def _damage_rebuilds(cache, n, victim, damage):
-    """Damage one row of a tier file: the tier check refuses it and the
-    next ensure_tier rebuilds the tier byte for byte."""
+    """Damage one row of a tier file: the whole-tier check refuses it and
+    the next ensure_tier rebuilds the tier byte for byte."""
     before = {p.name: p.read_bytes() for p in cache.iterdir()}
     rows = np.load(victim)
     damage(rows[3])

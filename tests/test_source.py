@@ -151,3 +151,23 @@ def test_no_numpy_2_only_names():
                 refs |= {alias.name for alias in node.names}
             found += [f"{name}:{node.lineno}: {ref}" for ref in sorted(refs & NUMPY_2_ONLY)]
     assert found == []
+
+
+# pipeline's unchecked readers, and the only functions that may use them:
+# each tier file has one reader, which checks what it returns.
+CHECKED_READERS = {
+    "_read_rows": {"_load_vectors", "load_certificates"},
+    "read_catalog_header": {"_checked_catalog"},
+}
+
+
+def test_tier_files_are_read_only_by_their_checked_readers():
+    """No pipeline function outside a file's checked reader reads the
+    file unchecked."""
+    found = []
+    for top in _modules(PACKAGE)["pipeline.py"].body:
+        for node in ast.walk(top):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in CHECKED_READERS and getattr(top, "name", None) not in CHECKED_READERS[name]:
+                found.append(f"pipeline.py:{node.lineno}: {name}")
+    assert found == []
