@@ -715,14 +715,18 @@ def build_parser() -> _ArgumentParser:
         help="opt in to the multi-hour 8-voter build (or set VOTEKIT_LONG_RUNNING=1)",
     )
 
+    capp = argparse.ArgumentParser(add_help=False)
+    capp.add_argument(
+        "--state-cap", type=_at_least(1), default=10**6, help="weight-space size limit for the index DPs"
+    )
+
     p = _ArgumentParser(prog="votekit", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True, parser_class=_ArgumentParser)
 
-    q = sub.add_parser("index", parents=[fmt], help="power indices of one or more games")
+    q = sub.add_parser("index", parents=[fmt, capp], help="power indices of one or more games")
     q.add_argument("game", nargs="+", help='game text, e.g. "[3;3,2,1,1]"')
     q.add_argument("--ssi", action="store_true", help="Shapley-Shubik only")
     q.add_argument("--pbi", action="store_true", help="Penrose-Banzhaf only")
-    q.add_argument("--state-cap", type=int, default=10**6, help="weight-space size limit")
     q.add_argument("--places", type=_at_least(0), default=7, help="decimal places")
     q.set_defaults(func=cmd_index)
 
@@ -749,7 +753,7 @@ def build_parser() -> _ArgumentParser:
     q.add_argument("--metric", choices=("l1", "linf", "both"), default="both")
     q.set_defaults(func=cmd_omega)
 
-    q = sub.add_parser("inverse", parents=[fmt, cachep], help="find a weighted game matching a target power distribution")
+    q = sub.add_parser("inverse", parents=[fmt, cachep, capp], help="find a weighted game matching a target power distribution")
     q.add_argument(
         "--target",
         required=True,
@@ -767,14 +771,12 @@ def build_parser() -> _ArgumentParser:
     q.add_argument("--normalize", action="store_true", help="rescale file targets to sum to 1")
     q.add_argument("--populations", default=None, help="population file for --target eu")
     q.add_argument("--quantize", type=int, default=None, help="share grid for --target eu, e.g. 1000")
-    q.add_argument("--state-cap", type=int, default=10**6)
     q.set_defaults(func=cmd_inverse)
 
-    q = sub.add_parser("eu", parents=[fmt], help="council rule for given member populations")
+    q = sub.add_parser("eu", parents=[fmt, capp], help="council rule for given member populations")
     q.add_argument("populations", help="file with name,population lines")
     q.add_argument("--quantize", type=int, default=None, help="round shares to this grid, e.g. 1000")
     q.add_argument("--index", choices=("ssi", "pbi", "both"), default="both")
-    q.add_argument("--state-cap", type=int, default=10**6)
     q.set_defaults(func=cmd_eu)
 
     return p

@@ -7,11 +7,15 @@ Two modes with very different guarantees:
   That is only possible where the catalog exists (n <= 8).
 * inverse_heuristic hill-climbs over integer weight vectors of a fixed
   total.  It scores every quota of a candidate in one exact numpy pass,
-  with one swing profile per distinct weight (_QuotaScan), and keeps the
-  smallest quota among the best.  Its answer is an upper bound on the
-  true minimum (HEURISTIC_UPPER_BOUND) and is deterministic for a given
-  seed and budget; a larger budget only extends the evaluation sequence,
-  so it can never return a worse distance.
+  with one swing profile per distinct weight, and keeps the smallest
+  quota among the best (_QuotaScan).  All the single-voter +1 and -1
+  moves of the incumbent are scored in one pass too: a stayer's new
+  counts are its old ones less the coalitions with the mover at its old
+  weight plus those at its new one, read from tables of the incumbent
+  with the mover and the stayer removed.  Its answer is an upper bound
+  on the true minimum (HEURISTIC_UPPER_BOUND) and is deterministic for a
+  given seed and budget; a larger budget only extends the evaluation
+  sequence, so it can never return a worse distance.
 """
 
 from __future__ import annotations
@@ -202,34 +206,126 @@ def _proportional_start(values: Sequence[Fraction], total: int) -> list[int]:
     return base
 
 
+# A lane block of pair tables holds about this many bytes (blocks of 2 MB,
+# past the cache, ran slower), and at least one lane: as much as the
+# tables of one candidate in _QuotaScan.run.
+_BLOCK_BYTES = 1 << 19
+
+
+def _size_sum_counts(weights: Sequence[int], n: int) -> np.ndarray:
+    """full[k, s]: the coalitions of size k and weight sum at most s."""
+    dp = np.zeros((n + 1, sum(weights) + 1), dtype=np.int64)
+    dp[0, 0] = 1
+    # With at most MAX_HEURISTIC_VOTERS = 64 voters, coalition counts stay
+    # below C(64, 32) < 2**63.  Each voter adds the coalitions so far
+    # (sizes up to joined, sums up to reach) shifted by one in size and w
+    # in sum; numpy buffers the overlapping operands, so every voter joins
+    # at most once.
+    joined = reach = 0
+    for w in weights:
+        dp[1 : joined + 2, w : reach + w + 1] += dp[: joined + 1, : reach + 1]
+        joined += 1
+        reach += w
+    return np.cumsum(dp, axis=1)
+
+
+def _shift_index(shape, pad: int, shifts, count: int) -> np.ndarray:
+    """Flat indices of table[..., pad + s - shift] for s < count in a
+    C-ordered table of this shape, with one shift per row (shifts
+    broadcast against shape[:-1]).  A shift up to pad reads pad columns."""
+    rows = shape[:-1]
+    starts = np.arange(math.prod(rows)).reshape(rows) * shape[-1] + pad - np.asarray(shifts)
+    return starts[..., None] + np.arange(count)
+
+
+def _shifted(table: np.ndarray, pad: int, shifts, count: int) -> np.ndarray:
+    """table[..., pad + s - shift] for s < count, one shift per row."""
+    return table.take(_shift_index(table.shape, pad, shifts, count))
+
+
+def _step_diff(table: np.ndarray, pad: int, distinct: Sequence[int]) -> np.ndarray:
+    """table[..., j, s] - table[..., j, s - distinct[j]], with the same
+    zero pad columns."""
+    out = np.zeros_like(table)
+    out[..., pad:] = table[..., pad:] - _shifted(table, pad, distinct, table.shape[-1] - pad)
+    return out
+
+
+def _removal_table(counts: np.ndarray, distinct: Sequence[int], pad: int) -> np.ndarray:
+    """counts with one voter of each distinct weight taken out.
+
+    counts[k, m, s] counts the coalitions of size k and sum at most s of
+    voter set m; table[k, m, j, pad + s] is the same count for set m less
+    one voter of weight distinct[j], from the removal recurrence
+
+        table[k, m, j, s] = counts[k, m, s] - table[k - 1, m, j, s - distinct[j]],
+
+    with one gather per size for every set and weight at once.  The pad
+    columns stay zero, so a shift by up to pad reads zeros.
+    """
+    sizes, sets, width = counts.shape
+    table = np.zeros((sizes, sets, len(distinct), pad + width), dtype=np.int64)
+    if sizes:
+        table[0, ..., pad:] = counts[0, :, None]
+    back = _shift_index(table.shape[1:], pad, distinct, width)
+    for k in range(1, sizes):
+        np.subtract(counts[k, :, None], table[k - 1].take(back), out=table[k, ..., pad:])
+    return table
+
+
 class _QuotaScan:
-    """Per-candidate evaluator: every quota of one weight vector in one
-    exact numpy pass.
+    """Scores weight vectors over every quota at once, exactly.
 
-    full[k, s] counts the coalitions of size k and weight sum at most s;
-    a forward DP over the voters gives it.  The same counts among the
-    other voters of a voter of weight w follow from the removal recurrence
+    A voter of weight w swings at quota t for the coalitions of the
+    others with sum in [t - w, t).  Let c_k weigh a swing in a coalition
+    of k others: k! (n-1-k)! in units of their gcd for the Shapley-Shubik
+    index, 1 for Penrose-Banzhaf.  If C(s) sums c_k times the number of
+    coalitions of the others of size k and sum at most s, the voter's
+    numerator at quota t is C(t - 1) - C(t - 1 - w).
 
-        below[k, s] = full[k, s] - below[k - 1, s - w],
+    run scores one vector.  A forward DP over the voters counts the
+    coalitions of each size and sum; the removal recurrence
+    (_removal_table) gives the same counts O_a among the others of a
+    voter of weight d_a, once per distinct weight (voters of equal weight
+    share a profile, and weight zero gets the empty one); and
+    C = A1_a = sum_k c_k O_a[k].
 
-    which depends only on w.  So it runs once per distinct weight, all of
-    them in lockstep with one gather per coalition size: voters of equal
-    weight share a swing profile, and weight zero gets the empty one.
+    neighbours scores the +1 and -1 moves of single voters of an
+    incumbent from the incumbent's own tables.  Removing a second voter,
+    of weight d_b, from O_a gives the pair tables P_ab, contracted over
+    size once:
 
-    A voter of weight w swings at quota t for the coalitions of the others
-    with sum in [t - w, t).  Those with sum below t - w are, with the
-    voter added, the coalitions of all voters that contain it and have
-    sum below t, so the swings of size k number
+        B_ab = sum_k c_(k+1) P_ab[k].
 
-        below[k, t - 1] + below[k + 1, t - 1] - full[k + 1, t - 1],
+    When voter i (weight d_a) moves to weight w', another voter j (weight
+    d_b) keeps the coalitions of its others that leave i out, those of
+    P_ab, and finds those with i one size and w' rather than d_a heavier:
 
-    for every size and every quota at once.  Numerators and distances
-    follow for all quotas together; the first (smallest) best quota wins,
-    and only it gets a Fraction and a PowerVector.
+        C_j(s) = A1_b[s] - B_ab[s - d_a] + B_ab[s - w'].
+
+    The mover's own C is A1_a, read with the new weight w'.  Both depend
+    on (d_a, w', d_b) only, so the movers of one weight and one direction
+    share one profile per lane.  P_ab needs a voter of weight d_a among
+    the others of j: a lone voter of its weight has no pair (a, a), and
+    that row, the mover's own, is replaced.  The pair tables are built a
+    block of mover lanes at a time, near _BLOCK_BYTES each.
+
+    Per quota the distance sums (L1) or maximises (Linf) one term per
+    voter.  A mover's terms are its group's, with its own replaced: the
+    group's total less the old term plus the moved one (L1), or the
+    larger of the moved term and the largest of the others, the group's
+    largest unless the mover holds it (Linf).  The first (smallest) best
+    quota wins.
 
     Everything is an exact integer: int64 where a bound on the magnitudes
     shows that nothing can overflow, Python integers in object arrays
-    otherwise.  No float enters a decision.
+    otherwise.  The Shapley-Shubik contractions stay below n! / unit,
+    under 2**58 up to n = 42 and past int64 from n = 43; the
+    Penrose-Banzhaf counts stay below n * 2**(n-1), inside int64 up to
+    n = 58.  A group's total of distance terms is at most three common
+    denominators of a distance (two for the move's own terms, one for
+    the replaced term), which bounds the distance arithmetic.  No float
+    enters a decision.
     """
 
     def __init__(self, target: Target, metric: Metric):
@@ -237,23 +333,87 @@ class _QuotaScan:
         self.metric = metric
         self.n = n = target.n
         tnums, self.tden = target.common_ints()
-        self.tnums = np.array(tnums, dtype=object)
+        self.tnums = np.array(tnums, dtype=object)[:, None]
         self.fact = _factorials(n)
+        if target.kind == "pbi":
+            self.coef = None
+            self.wide = n << (n - 1) > _INT64_MAX
+            return
         # Shapley-Shubik numerators in units of the size weights' gcd: a
-        # numerator sums nonnegative terms up to n! / unit, which fits in
-        # int64 up to n = 42.
+        # numerator sums nonnegative terms up to n! / unit.
         fprod = [self.fact[k] * self.fact[n - 1 - k] for k in range(n)]
         self.unit = math.gcd(*fprod)
         den = self.fact[n] // self.unit
-        self.fprod = np.array([f // self.unit for f in fprod], dtype=_exact_dtype(den))
+        self.coef = np.array([f // self.unit for f in fprod], dtype=_exact_dtype(den))
+        self.wide = self.coef.dtype == object
         # SSI distances over the lcm of den and the target's denominator:
-        # every term is at most that lcm, and an L1 sum at most twice it.
+        # every term is at most that lcm.
         self.ssi_den = math.lcm(den, self.tden)
         self.ssi_scale = self.ssi_den // den
         self.ssi_goal = np.array(
             [a * (self.ssi_den // self.tden) for a in tnums],
-            dtype=_exact_dtype(2 * self.ssi_den),
+            dtype=_exact_dtype(3 * self.ssi_den),
         )[:, None]
+
+    def _contract(self, table: np.ndarray, offset: int = 0) -> np.ndarray:
+        """The sum over sizes k of c_(k + offset) * table[k]."""
+        flat = table.reshape(len(table), math.prod(table.shape[1:]))
+        if self.wide:
+            flat = flat.astype(object)
+        if self.coef is None:
+            out = flat.sum(axis=0)
+        else:
+            out = self.coef[offset : offset + len(table)] @ flat
+        return out.reshape(table.shape[1:])
+
+    def _exact(self, nums, tot):
+        """nums (and the Penrose-Banzhaf totals) as Python integers when
+        the distance arithmetic could leave int64."""
+        if nums.dtype == object:
+            return nums, tot
+        if self.coef is None:
+            wide = 3 * int(tot.max()) * self.tden > _INT64_MAX
+        else:
+            wide = self.ssi_goal.dtype == object
+        if wide:
+            return nums.astype(object), None if tot is None else tot.astype(object)
+        return nums, tot
+
+    def _terms(self, nums, tot):
+        """Each voter's distance term for numerators nums[..., voter, quota],
+        over the common denominator of the quota's distance."""
+        if self.coef is None:
+            return np.abs(nums * self.tden - self.tnums.astype(nums.dtype) * tot[..., None, :])
+        return np.abs(nums * self.ssi_scale - self.ssi_goal)
+
+    def _pick(self, acc, tot):
+        """Per row of acc, the first quota column with the least distance:
+        (columns, distances)."""
+        if self.coef is not None:
+            best = acc.argmin(axis=1)
+            got = acc[np.arange(len(acc)), best].tolist()
+            return best.tolist(), [Fraction(a, self.ssi_den) for a in got]
+        # The first least acc / tot, exactly.  Every tot is at most big,
+        # so two different ratios differ by at least 1 / big**2, and
+        # floor(acc * big**2 / tot) orders them strictly while equal ratios
+        # tie.  A ratio is at most 2 * tden (see _exact), which bounds the
+        # keys.
+        big = int(tot.max())
+        scale = big * big
+        if acc.dtype != object and max(big, 2 * self.tden + 1) * scale > _INT64_MAX:
+            acc, tot = acc.astype(object), tot.astype(object)
+        whole = acc // tot
+        best = (whole * scale + (acc - whole * tot) * scale // tot).argmin(axis=1).tolist()
+        rows = np.arange(len(acc))
+        got = zip(acc[rows, best].tolist(), tot[rows, best].tolist())
+        return best, [Fraction(a, t * self.tden) for a, t in got]
+
+    def vector(self, column) -> PowerVector:
+        """The power vector of one candidate's numerators at its quota."""
+        nums = [int(x) for x in column]
+        if self.coef is None:
+            return PowerVector("pbi", nums, sum(nums))
+        return PowerVector("ssi", [x * self.unit for x in nums], self.fact[self.n])
 
     def run(self, weights: Sequence[int]):
         """Best quota for these weights: (distance, quota, vector)."""
@@ -261,85 +421,109 @@ class _QuotaScan:
         total = sum(weights)
         if total == 0:
             return None
-        width = total + 1
-        # With at most MAX_HEURISTIC_VOTERS = 64 voters, coalition counts
-        # stay below C(64, 32) < 2**63.  Each voter adds the coalitions so
-        # far (sizes up to joined, sums up to reach) shifted by one in size
-        # and w in sum; numpy buffers the overlapping operands, so every
-        # voter joins at most once.
-        dp = np.zeros((n + 1, width), dtype=np.int64)
-        dp[0, 0] = 1
-        joined = reach = 0
-        for w in weights:
-            dp[1 : joined + 2, w : reach + w + 1] += dp[: joined + 1, : reach + 1]
-            joined += 1
-            reach += w
-        full = np.cumsum(dp, axis=1)
-        # below[k, j, pad + s]: the counts among the others of a voter of
-        # weight distinct[j].  The pad columns stay zero, so a shift by a
-        # weight reads zeros off the left edge; back holds those shifted
-        # positions in one lane-major row, and row n stays zero.
         distinct = sorted(set(weights))
         lane = {w: j for j, w in enumerate(distinct)}
         pad = distinct[-1]
-        span = pad + width
-        starts = np.array([j * span + pad - w for j, w in enumerate(distinct)])
-        back = starts[:, None] + np.arange(width)
-        below = np.zeros((n + 1, len(distinct), span), dtype=np.int64)
-        below[0, :, pad:] = full[0]
-        for k in range(1, n):
-            np.subtract(full[k], below[k - 1].take(back), out=below[k, :, pad:])
-        # cnt[k, j, t - 1]: swings at size k of weight distinct[j], quota t
-        cnt = below[:-1, :, pad:-1] + below[1:, :, pad:-1] - full[1:, None, :-1]
-        row = [lane[w] for w in weights]
-        if self.target.kind == "ssi":
-            return self._best_ssi(cnt, row)
-        return self._best_pbi(cnt, row)
+        counts = _size_sum_counts(weights, n)[:n, None]
+        a1 = self._contract(_removal_table(counts, distinct, pad))[0]
+        # nums[j, t - 1]: the numerator of voter j at quota t
+        prof = _step_diff(a1, pad, distinct)[:, pad:-1]
+        nums = prof[[lane[w] for w in weights]]
+        nums, tot = self._exact(nums, nums.sum(axis=0) if self.coef is None else None)
+        terms = self._terms(nums, tot)
+        acc = terms.sum(axis=0) if self.metric is Metric.L1 else terms.max(axis=0)
+        (best,), (dist,) = self._pick(acc[None], None if tot is None else tot[None])
+        return dist, best + 1, self.vector(nums[:, best])
 
-    def _gaps(self, diff):
-        """Per quota, the L1 or Linf norm of the voters' differences."""
-        diff = np.abs(diff)
-        return diff.sum(axis=0) if self.metric is Metric.L1 else diff.max(axis=0)
-
-    def _best_ssi(self, cnt, row):
-        n, lanes, quotas = cnt.shape
-        if self.fprod.dtype == object:
-            cnt = cnt.astype(object)
-        nums = (self.fprod @ cnt.reshape(n, -1)).reshape(lanes, quotas)[row]
-        if self.ssi_goal.dtype == object:
-            nums = nums.astype(object)
-        acc = self._gaps(nums * self.ssi_scale - self.ssi_goal)
-        # One denominator for every quota: the first smallest numerator wins.
-        best = int(np.argmin(acc))
-        vector = PowerVector("ssi", [x * self.unit for x in nums[:, best].tolist()], self.fact[n])
-        return Fraction(int(acc[best]), self.ssi_den), best + 1, vector
-
-    def _best_pbi(self, cnt, row):
+    def neighbours(self, weights: Sequence[int], moves: Sequence[tuple[int, int]]) -> list:
+        """Score moves of weights, each (voter, step) with step +1 or -1
+        and a total of at least 1 after it: per move (distance, quota,
+        numerators at that quota, for vector)."""
         n = self.n
-        # A voter swings for at most 2**(n-1) <= 2**63 coalitions, so its
-        # count fits in uint64; the total over n voters may not.
-        if n << (n - 1) > _INT64_MAX:
-            swings = cnt.sum(axis=0, dtype=np.uint64).astype(object)[row]
+        total = sum(weights)
+        distinct = sorted(set(weights))
+        lanes = len(distinct)
+        lane = {w: j for j, w in enumerate(distinct)}
+        row = np.array([lane[w] for w in weights])
+        lone = np.bincount(row, minlength=lanes) == 1
+        pad = distinct[-1] + 1
+        span = pad + total + 1
+        counts = _size_sum_counts(weights, n)[:n, None]
+        # others[k, a, pad + s]: the counts among the others of a voter of
+        # lane a; a1[a] their contraction, and inc[a, t - 1] the numerator
+        # of a voter of lane a at quota t
+        others = _removal_table(counts, distinct, pad)[:, 0]
+        a1 = self._contract(others)
+        inc = _step_diff(a1, pad, distinct)[:, pad:]
+        by_lane: dict[int, list[tuple[int, int, int]]] = {}
+        for m, (i, step) in enumerate(moves):
+            by_lane.setdefault(int(row[i]), []).append((m, i, step))
+        movable = sorted(by_lane)
+        # db[r, b]: B_ab's share of a numerator of a voter of lane b when
+        # lane a = movable[r] moves, padded; built a block of lanes at a time
+        db = np.empty((len(movable), lanes, span), dtype=object if self.wide else np.int64)
+        per = max(1, _BLOCK_BYTES // (8 * n * lanes * span))
+        for lo in range(0, len(movable), per):
+            block = movable[lo : lo + per]
+            pairs = _removal_table(others[: n - 1, block, pad:], distinct, pad)
+            db[lo : lo + per] = _step_diff(self._contract(pairs, 1), pad, distinct)
+        # one group per lane and direction: its movers share a profile
+        group: dict[tuple[int, int], int] = {}
+        movers = []
+        for r, j in enumerate(movable):
+            for m, i, step in by_lane[j]:
+                movers.append((m, i, group.setdefault((r, step), len(group)), step))
+        rs = np.array([r for r, _ in group])
+        lanes_g = np.array(movable)[rs]
+        old = np.array(distinct)[lanes_g]
+        moved = old + np.array([step for _, step in group])
+        part = db[rs]
+        prof = inc + _shifted(part, pad, moved[:, None], total + 1) - _shifted(part, pad, old[:, None], total + 1)
+        # a lone voter of its weight has no pair (a, a): that row is the
+        # mover's own, and is replaced in _score
+        lone_g = np.flatnonzero(lone[lanes_g])
+        prof[lone_g, lanes_g[lone_g]] = 0
+        mine = a1[lanes_g]
+        own = mine[:, pad:] - _shifted(mine, pad, moved, total + 1)
+        return self._score(prof, own, lanes_g, row, movers, total)
+
+    def _score(self, prof, own, group_lanes, row, movers, total) -> list:
+        """Score movers[k] = (move, voter, group, step) as neighbours does:
+        prof[g, b, t - 1] is the numerator of a staying voter of lane b
+        when group g's lane moves, own[g, t - 1] the mover's own, for
+        quotas t up to total + 1."""
+        g = np.array([x[2] for x in movers])
+        vi = np.array([x[1] for x in movers])
+        nums = prof[:, row]
+        tot = None
+        if self.coef is None:
+            # every voter's count, less the mover's old one, plus its new one
+            tot = nums.sum(axis=1) - prof[np.arange(len(prof)), group_lanes] + own
+        nums, tot = self._exact(nums, tot)
+        if nums.dtype == object:
+            own = own.astype(object)
+        stay = self._terms(nums, tot)
+        mine = self._terms(own[:, None, :], tot)[g, vi]
+        if self.metric is Metric.L1:
+            acc = stay.sum(axis=1)[g] - stay[g, vi] + mine
         else:
-            swings = cnt.sum(axis=0)[row]
-        tot = swings.sum(axis=0)
-        # |swings * b - a * tot| <= tot * b per voter, the L1 sum <= 2 tot b.
-        if swings.dtype != object and 2 * int(tot.max()) * self.tden > _INT64_MAX:
-            swings = swings.astype(object)
-            tot = swings.sum(axis=0)
-        acc = self._gaps(swings * self.tden - self.tnums.astype(swings.dtype)[:, None] * tot)
-        # The first smallest acc / tot.  A quota whose floor of acc / tot
-        # is above the least floor has a larger ratio, so only the quotas
-        # at the least floor are compared, by exact cross-multiplication.
-        floors = acc // tot
-        acc, tot = acc.tolist(), tot.tolist()
-        ties = np.flatnonzero(floors == floors.min()).tolist()
-        best = ties[0]
-        for t in ties[1:]:
-            if acc[t] * tot[best] < acc[best] * tot[t]:
-                best = t
-        vector = PowerVector("pbi", swings[:, best].tolist(), tot[best])
-        return Fraction(acc[best], tot[best] * self.tden), best + 1, vector
+            # the others' maximum: the largest term unless the mover holds it
+            top = stay.argmax(axis=1)
+            first = np.take_along_axis(stay, top[:, None], axis=1)[:, 0]
+            np.put_along_axis(stay, top[:, None], -1, axis=1)
+            second = stay.max(axis=1)
+            acc = np.maximum(np.where(top[g] == vi[:, None], second[g], first[g]), mine)
+        out: list = [None] * len(movers)
+        up = np.array([x[3] == 1 for x in movers])
+        for sel, quotas in ((np.flatnonzero(up), total + 1), (np.flatnonzero(~up), total - 1)):
+            if not len(sel):
+                continue
+            best, dists = self._pick(acc[sel, :quotas], None if tot is None else tot[g[sel], :quotas])
+            columns = nums[g[sel], :, best]
+            columns[np.arange(len(sel)), vi[sel]] = own[g[sel], best]
+            for k, s in enumerate(sel.tolist()):
+                out[movers[s][0]] = (dists[k], best[k] + 1, columns[k])
+        return out
 
 
 def inverse_heuristic(
@@ -357,6 +541,11 @@ def inverse_heuristic(
     by single-unit weight changes; stalled climbs restart from seeded
     perturbations until the evaluation budget is spent.  Deterministic in
     (seed, budget), and monotone in budget.
+
+    Each neighbourhood is scored in one pass (_QuotaScan.neighbours); the
+    moves are counted, memoized and cut at the budget in the order
+    up-moves then down-moves, voter by voter, exactly as if they were
+    scanned one at a time.
     """
     n = target.n
     if n > MAX_HEURISTIC_VOTERS:
@@ -367,61 +556,50 @@ def inverse_heuristic(
         raise ValueError("budget must be positive")
     scan = _QuotaScan(target, metric)
     rng = random.Random(seed)
-    memo: dict[tuple[int, ...], object] = {}
+    memo: dict[tuple[int, ...], Fraction] = {}
     evals = 0
     best: tuple | None = None  # (distance, weights, quota, vector)
-
-    def evaluate(w: list[int]):
-        nonlocal evals, best
-        key = tuple(w)
-        if key in memo:
-            return memo[key]
-        if evals >= budget:
-            return None
-        evals += 1
-        rec = scan.run(w)
-        memo[key] = rec
-        if rec is not None:
-            cand = (rec[0], key, rec[1], rec[2])
-            if best is None or cand[0] < best[0] or (cand[0] == best[0] and cand[1] < best[1]):
-                best = cand
-        return rec
 
     start = _proportional_start(target.values, weight_total)
     stalls = 0
     while evals < budget:
         before = evals
-        rec = evaluate(start)
-        if rec is None:
-            break
-        current_w = list(start)
-        current = memo[tuple(start)]
+        key = tuple(start)
+        if key not in memo:
+            evals += 1
+            dist, quota, vec = scan.run(start)
+            memo[key] = dist
+            if best is None or (dist, key) < best[:2]:
+                best = (dist, key, quota, vec)
+        current_w, current = start, memo[key]
         while True:
-            moves = []
-            for i in range(n):
-                up = list(current_w)
-                up[i] += 1
-                moves.append(up)
-            for i in range(n):
-                if current_w[i] >= 1 and sum(current_w) > 1:
-                    down = list(current_w)
-                    down[i] -= 1
-                    moves.append(down)
-            scored = []
-            out_of_budget = False
-            for mv in moves:
-                r = evaluate(mv)
-                if r is None and tuple(mv) not in memo:
-                    out_of_budget = True
-                    break
-                if r is not None:
-                    scored.append((r[0], tuple(mv)))
-            improving = [s for s in scored if current is not None and s[0] < current[0]]
-            if not improving or out_of_budget:
+            moves = [(i, 1) for i in range(n)]
+            if sum(current_w) > 1:
+                moves += [(i, -1) for i in range(n) if current_w[i] >= 1]
+            keys = []
+            for i, step in moves:
+                mv = list(current_w)
+                mv[i] += step
+                keys.append(tuple(mv))
+            fresh = [k for k, mv in enumerate(keys) if mv not in memo]
+            scored = fresh[: budget - evals]
+            if scored:
+                evals += len(scored)
+                scores = dict(zip(scored, scan.neighbours(current_w, [moves[k] for k in scored])))
+                for k, (dist, _, _) in scores.items():
+                    memo[keys[k]] = dist
+                # Of the new candidates only the least (distance, weights)
+                # can become the best.
+                k = min(scored, key=lambda k: (scores[k][0], keys[k]))
+                dist, quota, column = scores[k]
+                if best is None or (dist, keys[k]) < best[:2]:
+                    best = (dist, keys[k], quota, scan.vector(column))
+            if len(scored) < len(fresh):
+                break  # the budget ran out inside this neighbourhood
+            least = min((memo[mv], mv) for mv in keys)
+            if not least[0] < current:
                 break
-            improving.sort()
-            current_w = list(improving[0][1])
-            current = memo[improving[0][1]]
+            current, current_w = least[0], list(least[1])
         if evals == before:
             # A fully memoized restart; a few in a row means the
             # neighborhood is exhausted.

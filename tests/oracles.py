@@ -8,6 +8,7 @@ as seeded generators and as hypothesis strategies.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from votekit.exactlp import solve_nonneg_geq
 from votekit.games import BoolCombo, ExplicitGame, WeightedGame, _integerize, evaluate, to_explicit
+from votekit.inverse import InverseMode, InverseResult, _proportional_start, _QuotaScan
 
 
 def ssi_by_permutations(g) -> tuple[Fraction, ...]:
@@ -304,3 +306,97 @@ def labelings_by_dfs(order, lowers):
         t = stack.pop()
         val[order[t]] = 1
         t += 1
+
+
+def heuristic_by_moves(target, metric, *, weight_total: int = 100, budget: int = 800, seed: int = 0):
+    """The heuristic inverse search with one quota scan per candidate:
+    every single-voter move of the incumbent is scanned on its own, in
+    order, until the budget runs out."""
+    n = target.n
+    scan = _QuotaScan(target, metric)
+    rng = random.Random(seed)
+    memo = {}
+    evals = 0
+    best = None  # (distance, weights, quota, vector)
+
+    def evaluate(w):
+        nonlocal evals, best
+        key = tuple(w)
+        if key in memo:
+            return memo[key]
+        if evals >= budget:
+            return None
+        evals += 1
+        rec = scan.run(w)
+        memo[key] = rec
+        if rec is not None:
+            cand = (rec[0], key, rec[1], rec[2])
+            if best is None or cand[0] < best[0] or (cand[0] == best[0] and cand[1] < best[1]):
+                best = cand
+        return rec
+
+    start = _proportional_start(target.values, weight_total)
+    stalls = 0
+    while evals < budget:
+        before = evals
+        rec = evaluate(start)
+        if rec is None:
+            break
+        current_w = list(start)
+        current = memo[tuple(start)]
+        while True:
+            moves = []
+            for i in range(n):
+                up = list(current_w)
+                up[i] += 1
+                moves.append(up)
+            for i in range(n):
+                if current_w[i] >= 1 and sum(current_w) > 1:
+                    down = list(current_w)
+                    down[i] -= 1
+                    moves.append(down)
+            scored = []
+            out_of_budget = False
+            for mv in moves:
+                r = evaluate(mv)
+                if r is None and tuple(mv) not in memo:
+                    out_of_budget = True
+                    break
+                if r is not None:
+                    scored.append((r[0], tuple(mv)))
+            improving = [s for s in scored if current is not None and s[0] < current[0]]
+            if not improving or out_of_budget:
+                break
+            improving.sort()
+            current_w = list(improving[0][1])
+            current = memo[improving[0][1]]
+        if evals == before:
+            stalls += 1
+            if stalls >= 20:
+                break
+        else:
+            stalls = 0
+        if best is not None and rng.random() < 0.5:
+            kick = max(2, weight_total // 8)
+            start = [max(0, w + rng.randint(-kick, kick)) for w in best[1]]
+        else:
+            total = rng.randint(weight_total, 2 * weight_total)
+            spread = max(1, total // 10)
+            start = [
+                max(0, s + rng.randint(-spread, spread))
+                for s in _proportional_start(target.values, total)
+            ]
+        if all(x == 0 for x in start):
+            start[0] = 1
+
+    dist, wkey, quota, vec = best
+    return InverseResult(
+        mode=InverseMode.HEURISTIC_UPPER_BOUND,
+        target=target,
+        metric=metric,
+        game=WeightedGame(quota, [Fraction(x) for x in wkey]),
+        vector=vec,
+        distance=dist,
+        evaluations=evals,
+        seed=seed,
+    )

@@ -354,6 +354,8 @@ def test_config_echo_includes_run_fields(capsys):
         ["index", "[3;2,1,1]", "--places", "-2"],
         ["inverse", "--target", "beta", "--n", "65", "--index", "ssi"],
         ["index", "[50;1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20]", "--state-cap", "10"],
+        ["index", "[3;2,1,1]", "--state-cap", "0"],
+        ["index", "[3;2,1,1]", "--state-cap", "-1"],
         ["index", "n=3; minwin={0,1}"],
         ["tables", "--n", "3", "--cache-dir", __file__],
         ["tables", "--n", "3", "--threads", "0"],

@@ -4,7 +4,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from votekit.council import council_game
@@ -22,7 +22,7 @@ from votekit.inverse import (
     parse_target_file,
 )
 
-from oracles import linear_nearest, store_rows
+from oracles import heuristic_by_moves, linear_nearest, store_rows
 
 
 def test_target_validation():
@@ -182,13 +182,18 @@ COUNCIL_27 = [
 PADDED_BASE = "n=7; shiftminwin={1,3,4,7},{1,2,6,7}"
 
 
-def _pinned_target(name):
-    if name.startswith("beta9"):
-        return beta_target(9, name.split("-")[1])
-    if name == "padded11-ssi":
+def _named_target(shape, kind):
+    if shape == "beta9":
+        return beta_target(9, kind)
+    if shape == "padded11":
         padded = add_null_voters(parse_game(PADDED_BASE), 4)
-        return Target.from_vector(power_vector(padded, "ssi"))
-    return Target.from_vector(ssi_dp(council_game(COUNCIL_27, 1000)))
+        return Target.from_vector(power_vector(padded, kind))
+    exact = ssi_dp if kind == "ssi" else pbi_dp
+    return Target.from_vector(exact(council_game(COUNCIL_27, 1000)))
+
+
+def _pinned_target(name):
+    return _named_target(*name.split("-"))
 
 
 # sha256 of "game|distance|evaluations", recorded from the per-voter
@@ -247,8 +252,8 @@ def _scan_by_brute_force(target, metric, weights):
 
 
 @st.composite
-def _scan_cases(draw):
-    n = draw(st.integers(1, 7))
+def _scan_cases(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
     # few distinct values, so that zeros and repeated weights are common
     palette = draw(st.lists(st.integers(0, 12), min_size=1, max_size=3))
     weights = draw(st.lists(st.sampled_from(palette + [0]), min_size=n, max_size=n))
@@ -273,6 +278,36 @@ def test_quota_scan_matches_brute_force(case):
     assert (got[2].kind, got[2].nums, got[2].den) == (want[2].kind, want[2].nums, want[2].den)
 
 
+def _assert_neighbours_match_scans(scan, weights, moves):
+    """Every scored move equals the quota scan of the moved weights."""
+    for (i, step), (dist, quota, column) in zip(moves, scan.neighbours(weights, moves)):
+        moved = list(weights)
+        moved[i] += step
+        want = scan.run(moved)
+        assert (dist, quota) == want[:2], (i, step)
+        got = scan.vector(column)
+        assert (got.kind, got.nums, got.den) == (want[2].kind, want[2].nums, want[2].den)
+
+
+def _all_moves(weights):
+    moves = [(i, 1) for i in range(len(weights))]
+    if sum(weights) > 1:
+        moves += [(i, -1) for i, w in enumerate(weights) if w >= 1]
+    return moves
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scan_cases(max_n=9), st.data())
+def test_neighbourhood_matches_quota_scans(case, data):
+    target, metric, weights = case
+    assume(sum(weights) > 0)
+    moves = _all_moves(weights)
+    # the search scores only the moves it has not seen, in order
+    keep = data.draw(st.lists(st.booleans(), min_size=len(moves), max_size=len(moves)))
+    moves = [mv for mv, k in zip(moves, keep) if k] or moves
+    _assert_neighbours_match_scans(_QuotaScan(target, metric), weights, moves)
+
+
 def _prime_target(n, kind):
     """Uneven entries over the prime denominator 2**61 - 1: the distances'
     common denominator leaves int64."""
@@ -292,6 +327,40 @@ def test_wide_heuristic_results_are_exact(n, kind, shape):
     exact = ssi_dp if kind == "ssi" else pbi_dp
     assert res.vector == exact(res.game)
     assert res.distance == distance(res.vector.fractions(), target.values, Metric.L1)
+
+
+# Zero weights, repeated weights and one lone weight.  n = 21 is the
+# first count whose n! leaves int64, n = 43 the first whose Shapley-Shubik
+# contractions leave it; the prime target's distances leave it at every n.
+# Weights (1, 1, 0, ...) at n = 64: after the second voter's move to 0
+# the first swings in all 2**63 coalitions of the others.
+@pytest.mark.parametrize(
+    "weights",
+    [[9] + [(7 * i) % 5 for i in range(1, n)] for n in (21, 27, 43, 64)] + [[1, 1] + [0] * 62],
+    ids=["n21", "n27", "n43", "n64", "n64-lone-swinger"],
+)
+@pytest.mark.parametrize("kind", ["ssi", "pbi"])
+def test_wide_neighbourhoods_are_exact(weights, kind):
+    n = len(weights)
+    moves = _all_moves(weights)
+    _assert_neighbours_match_scans(_QuotaScan(beta_target(n, kind), Metric.L1), weights, moves)
+    _assert_neighbours_match_scans(_QuotaScan(_prime_target(n, kind), Metric.LINF), weights, moves)
+
+
+@pytest.mark.parametrize("shape", ["beta9", "padded11", "council27"])
+@pytest.mark.parametrize("kind", ["ssi", "pbi"])
+@pytest.mark.parametrize("metric", [Metric.L1, Metric.LINF])
+@pytest.mark.parametrize("budget", [57, 150])
+def test_search_matches_one_scan_per_move(shape, kind, metric, budget):
+    """The same evaluations, cut at the same budget (57 and 150 end all
+    but one of these searches inside a neighbourhood), give the same
+    answer as scanning move by move."""
+    target = _named_target(shape, kind)
+    seed = budget + len(shape)
+    got = inverse_heuristic(target, metric, budget=budget, seed=seed)
+    want = heuristic_by_moves(target, metric, budget=budget, seed=seed)
+    assert got == want
+    assert (got.vector.nums, got.vector.den) == (want.vector.nums, want.vector.den)
 
 
 @pytest.mark.parametrize("kind", ["ssi", "pbi"])
