@@ -306,7 +306,7 @@ def cmd_index(args) -> int:
             rep.section(
                 "disagreement between the two indices",
                 ["metric", "distance", "decimal"],
-                [[m, d, decimal_str(d)] for m, d in gaps.items()],
+                [[m, d, decimal_str(d, args.places)] for m, d in gaps.items()],
             )
             entry["disagreement"] = {
                 m: {"distance": str(d), "decimal": decimal_str(d)}

@@ -52,7 +52,7 @@ from .games import (
     _family_masks,
     _linear_extension,
     _lower_neighbors,
-    _members,
+    _prefix_rows,
     _upper_neighbors,
     canonical_table,
     is_weighted,
@@ -166,7 +166,7 @@ def shift_maximal_losing_families(tables: np.ndarray, n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _prefix_counts(n: int) -> np.ndarray:
     """Row m: how many of the strongest 1, 2, ..., n voters coalition m holds."""
-    return np.cumsum(_members(n), axis=1)
+    return np.ascontiguousarray(_prefix_rows(range(1 << n), n).T, dtype=np.int64)
 
 
 # Prefix counts packed one per int64: field i (bits 7i..7i+5) holds the

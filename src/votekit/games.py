@@ -7,7 +7,8 @@ so the coalition {1, 3} is 0b101 = 5.  Four representations are supported:
 * ExplicitGame: the full outcome table over all 2**n coalitions.
 * WeightedGame: a quota plus per-voter weights, all exact rationals.
 * CompleteGame: the shift-minimal winning coalitions of a game whose
-  voter ordering 1, 2, ..., n runs from strongest to weakest.
+  voter ordering 1, 2, ..., n runs from strongest to weakest.  One
+  shift-order test, _dominating, answers its queries at every n.
 * BoolCombo: and/or combinations of weighted games on a shared voter set.
 
 All arithmetic is exact (integers and fractions.Fraction); floats never
@@ -42,6 +43,7 @@ __all__ = [
     "evaluate",
     "to_explicit",
     "desirability",
+    "dominates",
     "is_complete",
     "sort_by_desirability",
     "shift_minimal_winning",
@@ -99,27 +101,45 @@ def _members(n: int) -> np.ndarray:
 
 
 # Per-mask neighbour tables are built for a whole coalition lattice at once,
-# so they are reserved for sizes where 2**n stays small; beyond that the
-# prefix-count test below is used directly.
+# so they are reserved for sizes where 2**n stays small.
 MAX_SHIFT_TABLE_VOTERS = 14
+
+# Coalitions per block of _dominating: at 24 voters, 3 MB of shifted masks.
+_DOMINATION_BLOCK = 1 << 14
+
+
+def _prefix_rows(masks, n: int) -> np.ndarray:
+    """Prefix counts, one row per prefix: row j, column k is how many of
+    the strongest j + 1 voters coalition masks[k] holds.  masks is a
+    range, a list or an array of coalitions."""
+    if isinstance(masks, range):
+        masks = np.arange(masks.start, masks.stop, masks.step, dtype=np.int64)
+    masks = np.asarray(masks, dtype=np.int64 if n < 64 else object)
+    rows = ((masks >> np.arange(n)[:, None]) & 1).astype(np.min_scalar_type(n))
+    for j in range(1, n):
+        rows[j] += rows[j - 1]
+    return rows
+
+
+def _dominating(masks, floors, n: int) -> np.ndarray:
+    """For each coalition of masks (a range, a list or an array), whether it
+    dominates some floor: holds, for every j, at least as many of the
+    strongest j voters as the floor does.  A floor's count steps up only at
+    its members, so it is checked at its i-th member against i."""
+    steps = [[j for j in range(n) if floor >> j & 1] for floor in floors]
+    out = np.zeros(len(masks), dtype=bool)
+    for start in range(0, len(masks), _DOMINATION_BLOCK):
+        held = _prefix_rows(masks[start : start + _DOMINATION_BLOCK], n)
+        need = np.arange(1, n + 1, dtype=held.dtype)[:, None]
+        win = out[start : start + _DOMINATION_BLOCK]
+        for at in steps:
+            win |= (held[at] >= need[: len(at)]).all(axis=0)
+    return out
 
 
 def dominates(a: Coalition, b: Coalition, n: int) -> bool:
-    """True when coalition a is at least as strong as b in the shift order.
-
-    Equivalent prefix-count test: a must have at least as many members as b
-    among the strongest j voters, for every j.
-    """
-    ca = cb = 0
-    for j in range(n):
-        bit = 1 << j
-        if a & bit:
-            ca += 1
-        if b & bit:
-            cb += 1
-        if ca < cb:
-            return False
-    return True
+    """True when coalition a is at least as strong as b in the shift order."""
+    return bool(_dominating([a], [b], n)[0])
 
 
 @lru_cache(maxsize=None)
@@ -206,27 +226,6 @@ def _mask_lists(keep: np.ndarray) -> list[tuple[int, ...]]:
     rows, cols = np.nonzero(keep)
     bounds = np.searchsorted(rows, np.arange(keep.shape[0] + 1))
     return [tuple(int(c) for c in cols[bounds[g] : bounds[g + 1]]) for g in range(keep.shape[0])]
-
-
-@lru_cache(maxsize=None)
-def _dominator_bitsets(n: int) -> tuple[int, ...]:
-    """For each mask m, a 2**n-bit integer whose bit S is set when S
-    dominates m."""
-    uppers = _upper_neighbors(n)
-    dom = [0] * (1 << n)
-    for m in reversed(_linear_extension(n)):
-        d = 1 << m
-        for u in uppers[m]:
-            d |= dom[u]
-        dom[m] = d
-    return tuple(dom)
-
-
-def _bitset_to_table(bits: int, n: int) -> np.ndarray:
-    size = 1 << n
-    raw = bits.to_bytes(max(1, size // 8), "little")
-    table = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return table[:size].copy()
 
 
 class DesirabilityOutcome(enum.Enum):
@@ -374,10 +373,10 @@ class CompleteGame:
     Voters are listed from strongest to weakest, so every coalition that
     dominates a listed one in the shift order wins.  The listed family must
     be exactly the shift-minimal winning family of the induced game, which
-    also forces it to be an antichain.
+    also forces it to be an antichain.  Every query runs _dominating.
     """
 
-    __slots__ = ("n", "shift_minimal", "_bits")
+    __slots__ = ("n", "shift_minimal")
 
     def __init__(self, n: int, coalitions: Iterable[Coalition], validate: bool = True):
         masks = tuple(sorted(set(int(m) for m in coalitions)))
@@ -391,35 +390,20 @@ class CompleteGame:
             raise ValueError(f"coalition {masks[-1]:b} does not fit {n} voters")
         self.n = n
         self.shift_minimal = masks
-        self._bits = None
         if validate:
             self._validate()
 
     def _validate(self):
         # Each listed coalition must stay shift-minimal in the induced game:
         # none of its one-step weakenings may dominate any listed coalition.
-        for m in self.shift_minimal:
-            for f in _lower_neighbors_of(m, self.n):
-                if any(dominates(f, m2, self.n) for m2 in self.shift_minimal):
-                    raise ValueError(
-                        f"coalition {set(coalition_members(m))} is not shift-minimal"
-                    )
-
-    def winning_bitset(self) -> int:
-        if self.n > MAX_SHIFT_TABLE_VOTERS:
-            raise ValueError("winning bitsets are limited to small voter counts")
-        if self._bits is None:
-            dom = _dominator_bitsets(self.n)
-            b = 0
-            for m in self.shift_minimal:
-                b |= dom[m]
-            self._bits = b
-        return self._bits
+        pairs = [(m, f) for m in self.shift_minimal for f in _lower_neighbors_of(m, self.n)]
+        hits = _dominating([f for _, f in pairs], self.shift_minimal, self.n)
+        if hits.any():
+            m = pairs[hits.argmax()][0]
+            raise ValueError(f"coalition {set(coalition_members(m))} is not shift-minimal")
 
     def value(self, mask: Coalition) -> int:
-        if self.n <= MAX_SHIFT_TABLE_VOTERS:
-            return (self.winning_bitset() >> mask) & 1
-        return 1 if any(dominates(mask, m, self.n) for m in self.shift_minimal) else 0
+        return int(_dominating([mask], self.shift_minimal, self.n)[0])
 
     def __eq__(self, other):
         return (
@@ -721,24 +705,7 @@ def to_explicit(g: Game) -> ExplicitGame:
     if isinstance(g, WeightedGame):
         return ExplicitGame(g.n, _weighted_table(g).tobytes(), validate=False)
     if isinstance(g, CompleteGame):
-        if g.n <= MAX_SHIFT_TABLE_VOTERS:
-            table = _bitset_to_table(g.winning_bitset(), g.n)
-        else:
-            # Prefix-count domination, checked only where the requirement
-            # steps up (at members of m); counts are non-decreasing between.
-            idx = np.arange(1 << g.n, dtype=np.int64)
-            win = np.zeros(1 << g.n, dtype=bool)
-            for m in g.shift_minimal:
-                ok = np.ones(1 << g.n, dtype=bool)
-                run = np.zeros(1 << g.n, dtype=np.int32)
-                c = 0
-                for j in range(g.n):
-                    run += ((idx >> j) & 1).astype(np.int32)
-                    if (m >> j) & 1:
-                        c += 1
-                        ok &= run >= c
-                win |= ok
-            table = win.astype(np.uint8)
+        table = _dominating(range(1 << g.n), g.shift_minimal, g.n).view(np.uint8)
         return ExplicitGame(g.n, table.tobytes(), validate=False)
     if isinstance(g, BoolCombo):
         tables = []
@@ -779,6 +746,9 @@ def desirability(g: Game, i: int, j: int) -> DesirabilityOutcome:
     i is at least as desirable as j when swapping j for i never turns a win
     into a loss, over every coalition containing neither.
     """
+    for v in (i, j):
+        if not 1 <= v <= g.n:
+            raise ValueError(f"voter {v} is not one of the game's {g.n} voters")
     if i == j:
         return DesirabilityOutcome.EQUAL
     e = to_explicit(g)
@@ -856,12 +826,9 @@ def shift_minimal_winning(g: Game) -> CompleteGame:
     weakening loses.
     """
     e = to_explicit(g)
-    t = e.np_table
-    masks = _mask_lists(_family_masks(t[None, :], _lower_neighbors(e.n), True))[0]
+    masks = _mask_lists(_family_masks(e.np_table[None, :], _lower_neighbors(e.n), True))[0]
     cg = CompleteGame(e.n, masks, validate=False)
-    if cg.winning_bitset() != int.from_bytes(
-        np.packbits(t, bitorder="little").tobytes(), "little"
-    ):
+    if to_explicit(cg).table != e.table:
         raise ValueError("game is not shift-closed; sort voters by desirability first")
     return cg
 

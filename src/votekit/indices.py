@@ -37,6 +37,7 @@ from .games import (
 )
 
 __all__ = [
+    "KINDS",
     "PowerVector",
     "SwingCounts",
     "swing_counts",

@@ -247,6 +247,59 @@ def prefix_counts(n: int, mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def dominates_by_loop(a: int, b: int, n: int) -> bool:
+    """Whether coalition a is at least as strong as b in the shift order,
+    one voter at a time: a must hold at least as many of the strongest j
+    voters as b, for every j."""
+    ca = cb = 0
+    for j in range(n):
+        bit = 1 << j
+        if a & bit:
+            ca += 1
+        if b & bit:
+            cb += 1
+        if ca < cb:
+            return False
+    return True
+
+
+def shift_weakenings(n: int, mask: int) -> list[int]:
+    """The coalitions one step below mask in the shift order: mask less a
+    member, or mask with a member traded for the next weaker voter when
+    that voter is out.  Every coalition strictly below mask lies below
+    one of these."""
+    out = []
+    for i in range(n):
+        if mask >> i & 1:
+            out.append(mask & ~(1 << i))
+            if i + 1 < n and not mask >> (i + 1) & 1:
+                out.append(mask & ~(1 << i) | 1 << (i + 1))
+    return out
+
+
+def not_shift_minimal_by_loop(n: int, masks) -> list[int]:
+    """The listed coalitions, ascending, that a one-step weakening of
+    theirs dominates some listed coalition for: those that cannot be
+    shift-minimal winning in the game the list induces."""
+    return [
+        m
+        for m in sorted(set(masks))
+        if any(dominates_by_loop(f, s, n) for f in shift_weakenings(n, m) for s in masks)
+    ]
+
+
+@st.composite
+def complete_families(draw, max_n: int = 16) -> tuple[int, list[int], list[int]]:
+    """(n, raw, family): a random list of nonempty coalitions on n voters,
+    and its shift-minimal members by dominates_by_loop, which are exactly
+    the shift-minimal winning coalitions of the complete game that raw
+    induces."""
+    n = draw(st.integers(1, max_n))
+    raw = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
+    family = sorted(m for m in set(raw) if not any(s != m and dominates_by_loop(m, s, n) for s in raw))
+    return n, raw, family
+
+
 def sorted_complete_representation(
     n: int, shift_min_win, shift_max_lose
 ) -> tuple[int, tuple[int, ...]] | None:

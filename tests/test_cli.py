@@ -43,6 +43,18 @@ def test_index_reports_cross_index_disagreement(capsys):
     assert game["disagreement"]["linf"]["distance"] == "1/12"
 
 
+def test_index_places_round_every_decimal_column(capsys):
+    code, out, _ = run(capsys, "index", "[3;3,2,1,1]", "--ssi", "--pbi", "--places", "3")
+    assert code == EXIT_OK
+    assert "0.583" in out and "0.5833333" not in out  # ssi of voter 1, 7/12
+    assert "0.167" in out and "0.1666667" not in out  # L1 disagreement, 1/6
+    assert "0.083" in out and "0.0833333" not in out  # Linf disagreement, 1/12
+    data = run_json(capsys, "index", "[3;3,2,1,1]", "--ssi", "--pbi", "--places", "3")
+    game = data["results"]["games"][0]
+    assert game["disagreement"]["l1"]["decimal"] == "0.1666667"
+    assert game["disagreement"]["linf"]["decimal"] == "0.0833333"
+
+
 def test_index_parse_error_exits_one(capsys):
     code, _, err = run(capsys, "index", "[3;3,2,1,1", "--ssi")
     assert code == EXIT_USAGE

@@ -26,6 +26,7 @@ from votekit.enumeration import (
     CatalogFormatError,
     _classify_block,
     _packed_prefix_counts,
+    _prefix_counts,
     catalog_header,
     catalog_records,
     certificate_game,
@@ -102,6 +103,14 @@ def test_shift_poset_dominance():
     for m in range(1 << 4):
         assert all(dominates(m, f, 4) for f in _lower_neighbors(4)[m])
         assert all(dominates(u, m, 4) for u in _upper_neighbors(4)[m])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_prefix_counts_are_one_cached_int64_table(n):
+    counts = _prefix_counts(n)
+    assert counts is _prefix_counts(n)
+    assert counts.dtype == np.int64 and counts.flags.c_contiguous
+    assert counts.tolist() == [list(prefix_counts(n, m)) for m in range(1 << n)]
 
 
 def test_weighted_three_voter_list(certificates):

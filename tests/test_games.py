@@ -1,7 +1,9 @@
 """Game types, the text grammar, and structural queries."""
 
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from votekit.games import (
     coalition_mask,
     coalition_members,
     desirability,
+    dominates,
     evaluate,
     game_to_text,
     is_complete,
@@ -28,7 +31,14 @@ from votekit.games import (
     to_explicit,
 )
 
-from oracles import null_voters_by_table, two_leaf_combos, weighted_games
+from oracles import (
+    complete_families,
+    dominates_by_loop,
+    not_shift_minimal_by_loop,
+    null_voters_by_table,
+    two_leaf_combos,
+    weighted_games,
+)
 
 
 def test_coalition_mask_round_trip():
@@ -157,6 +167,14 @@ def test_desirability_outcomes():
     assert desirability(h, 1, 3) is DesirabilityOutcome.INCOMPARABLE
 
 
+@pytest.mark.parametrize("i, j", [(5, 1), (1, 5), (0, 1), (1, 0), (7, 7), (-1, -1)])
+def test_desirability_rejects_voters_outside_the_game(i, j):
+    g = parse_game("[3;2,1,1]")
+    bad = i if not 1 <= i <= 3 else j
+    with pytest.raises(ValueError, match=rf"voter {bad} is not one of the game's 3 voters"):
+        desirability(g, i, j)
+
+
 def test_is_complete_and_sorting():
     ok, order = is_complete(parse_game("[3;1,2,3]"))
     assert ok
@@ -172,6 +190,50 @@ def test_shift_minimal_winning():
     assert c.shift_minimal == (coalition_mask([1, 3]),)
     back = to_explicit(c)
     assert back.table == to_explicit(parse_game("[3;2,1,1]")).table
+
+
+@settings(max_examples=60, deadline=None)
+@given(complete_families(max_n=16), st.randoms(use_true_random=False))
+def test_complete_game_outcomes_match_the_loop(case, rnd):
+    """Outcomes of a complete game, from its whole table through n = 12
+    and from evaluate on sampled coalitions above that, are the bit loop's
+    domination test over its shift-minimal family."""
+    n, _, family = case
+    g = CompleteGame(n, family)
+    table = to_explicit(g).np_table
+    sample = range(1 << n) if n <= 12 else [rnd.randrange(1 << n) for _ in range(300)]
+    for m in sample:
+        want = any(dominates_by_loop(m, s, n) for s in family)
+        got = table[m] if n <= 12 else evaluate(g, m)
+        assert got == want, (n, family, m)
+    for m in list(sample)[:40]:
+        assert dominates(m, family[0], n) == dominates_by_loop(m, family[0], n)
+        assert dominates(family[0], m, n) == dominates_by_loop(family[0], m, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(complete_families(max_n=16))
+def test_complete_game_validation_matches_the_loop(case):
+    """CompleteGame refuses a list exactly when one of its coalitions has a
+    one-step weakening that dominates a listed coalition, and names the
+    first such coalition."""
+    n, raw, family = case
+    CompleteGame(n, family)
+    bad = not_shift_minimal_by_loop(n, raw)
+    if not bad:
+        assert CompleteGame(n, raw).shift_minimal == tuple(family)
+        return
+    message = f"coalition {set(coalition_members(bad[0]))} is not shift-minimal"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CompleteGame(n, raw)
+
+
+def test_padded_complete_game_tiles_the_base_table():
+    # one of the two games at the n = 7 Shapley-Shubik L1 gap
+    g = parse_game("n=7; shiftminwin={1,3,4,7},{1,2,6,7}")
+    padded = to_explicit(add_null_voters(g, 13))
+    assert padded.n == 20
+    assert padded.np_table.tobytes() == np.tile(to_explicit(g).np_table, 1 << 13).tobytes()
 
 
 def test_add_null_voters_preserves_outcomes():

@@ -1,6 +1,7 @@
 """Static checks over the package source, standing in for a linter."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -85,6 +86,29 @@ def test_every_import_is_used():
             if name not in used:
                 unused.append(f"{path.name}:{line}: {name}")
     assert unused == []
+
+
+def test_reexports_are_in_their_modules_dunder_all():
+    """Every name the package __init__ imports from one of its modules is
+    in that module's __all__."""
+    missing = [
+        f"{module}.{name}"
+        for module, names in sorted(_reexports().items())
+        for name in sorted(names - _dunder_all(_modules(PACKAGE)[f"{module}.py"]))
+    ]
+    assert missing == []
+
+
+def test_every_dunder_all_entry_exists():
+    """Every name in a module's __all__, the package's own included, is
+    bound in that module."""
+    missing = []
+    for name, tree in _modules(PACKAGE).items():
+        stem = name.removesuffix(".py")
+        if entries := _dunder_all(tree):
+            module = importlib.import_module("votekit" if stem == "__init__" else f"votekit.{stem}")
+            missing += [f"{name}: {entry}" for entry in sorted(entries) if not hasattr(module, entry)]
+    assert missing == []
 
 
 def _references(node) -> Counter:
