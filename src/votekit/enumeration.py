@@ -15,9 +15,11 @@ than _DFS_BLOCK labellings splits in halves, the later half stacked.
 
 Games are produced in chunks, and classify_weighted_chunk sorts a
 chunk into weighted and not weighted: a vectorized 2-trade test
-(two_trade_rejects) proves most unweighted games so, and the exact LP,
-the only path that accepts a game, settles the rest in lockstep blocks
-with a certificate per weighted game.
+(two_trade_rejects, through 9 voters) proves most unweighted games so,
+and the exact LP, the only path that accepts a game, settles the rest in
+lockstep blocks with a certificate per weighted game.  It is the
+package's one weightedness test: is_weighted sorts any complete game
+with up to 14 voters strongest-first and classifies it as a chunk of one.
 
 Enumerated counts are checked against certified values before anything
 downstream may consume them.  The tier builder in votekit.pipeline
@@ -48,14 +50,17 @@ from .exactlp import solve_block
 from .games import (
     CompleteGame,
     ExplicitGame,
+    Game,
     WeightedGame,
     _family_masks,
     _linear_extension,
     _lower_neighbors,
     _prefix_rows,
+    _relabelled,
     _upper_neighbors,
     canonical_table,
-    is_weighted,
+    is_complete,
+    to_explicit,
 )
 
 __all__ = [
@@ -64,6 +69,7 @@ __all__ = [
     "enumerate_simple4",
     "iter_complete_chunks",
     "classify_weighted_chunk",
+    "is_weighted",
     "two_trade_rejects",
     "check_certified_count",
     "read_catalog",
@@ -170,9 +176,11 @@ def _prefix_counts(n: int) -> np.ndarray:
 
 
 # Prefix counts packed one per int64: field i (bits 7i..7i+5) holds the
-# i-th count, and bit 7i+6 is its guard.  A count is at most 8 and a sum
-# of two at most 16, so fields never carry into each other.
+# i-th count, and bit 7i+6 is its guard.  A count is at most 9 and a sum
+# of two at most 18, so fields never carry into each other.  n fields
+# fit below the sign bit only through 9 voters.
 _FIELD_BITS = 7
+_MAX_TRADE_VOTERS = 63 // _FIELD_BITS
 # Games per 2-trade block: at 8 voters a block's pair table is at most
 # 128 x 45 x 45 int64 entries, about 2 MB.  Blocks of 256 games take no
 # less time and, in an n = 8 stream, 2 MB more peak RSS.
@@ -222,7 +230,11 @@ def two_trade_rejects(n: int, win: np.ndarray, lose: np.ndarray) -> np.ndarray:
     w(S1) + w(S2) <= w(T1) + w(T2) < 2q <= w(S1) + w(S2): no weighted
     representation exists (Taylor & Zwicker, Proc. AMS 115, 1992).  A flag
     is therefore never wrong; an unflagged game may still not be weighted.
+    The packed counts fit through _MAX_TRADE_VOTERS = 9 voters; more raise
+    ValueError.
     """
+    if n > _MAX_TRADE_VOTERS:
+        raise ValueError(f"the 2-trade filter supports at most {_MAX_TRADE_VOTERS} voters, got {n}")
     _, guard, pad = _packed_prefix_counts(n)
     # Winning padding sums too large to fit under any losing pair; losing
     # padding is the empty coalition, which loses.
@@ -261,10 +273,10 @@ def _classify_block(n: int, win: np.ndarray, lose: np.ndarray) -> tuple[np.ndarr
             rhs[g, pos] = 1
     feasible, nums, dens = solve_block(coeffs, rhs)
 
-    # games._integerize, then the quota and gcd step, in integers: scale
-    # x = nums / dens by the lcm of its reduced denominators, take suffix
-    # sums of the differences as weights, tighten the quota to the lightest
-    # shift-minimal winning coalition and divide out the common gcd.
+    # The certificate, in integers: scale x = nums / dens by the lcm of its
+    # reduced denominators, take suffix sums of the differences as
+    # weights, tighten the quota to the lightest shift-minimal winning
+    # coalition and divide out the common gcd.
     nums, dens = nums[feasible], dens[feasible, None]
     scale = np.lcm.reduce(dens // np.gcd(nums, dens), axis=1)
     diffs = (nums // (dens[:, 0] // scale)[:, None])[:, :n]
@@ -285,18 +297,21 @@ def classify_weighted_chunk(
     losing families (shift_minimal_families, shift_maximal_losing_families).
     Returns a boolean flag per game and one (quota, weights...) int64 row
     per weighted game, in chunk order: for each game, the reduced
-    (quota, weights) that solving its weight-difference system alone
-    with exactlp.solve_nonneg_geq gives.
+    (quota, weights) that solving its weight-difference system alone, as
+    a block of one, gives.
 
-    Games that two_trade_rejects proves not weighted are settled without
-    an LP; the rest go to exactlp.solve_block, LP_BLOCK systems at a time,
-    whose answers do not depend on the other systems of a block.  Only the
-    LP accepts a game, so the flags and certificates are those of solving
-    every system.
+    Through 9 voters, games that two_trade_rejects proves not weighted are
+    settled without an LP; the rest, and every game above 9 voters, go to
+    exactlp.solve_block, LP_BLOCK systems at a time, whose answers do not
+    depend on the other systems of a block.  Only the LP accepts a game,
+    so the flags and certificates are those of solving every system.
     """
     weighted = np.zeros(len(win), dtype=bool)
     certs = np.zeros((len(win), n + 1), dtype=np.int64)
-    open_games = np.flatnonzero(~two_trade_rejects(n, win, lose))
+    if n <= _MAX_TRADE_VOTERS:
+        open_games = np.flatnonzero(~two_trade_rejects(n, win, lose))
+    else:
+        open_games = np.arange(len(win))
     # Blocks of games with similar row counts carry less padding.
     sizes = (win.sum(axis=1) + lose.sum(axis=1))[open_games]
     order = open_games[np.argsort(sizes, kind="stable")]
@@ -319,14 +334,44 @@ def certificate_game(row) -> WeightedGame:
     return WeightedGame(int(row[0]), [int(w) for w in row[1:]])
 
 
+def is_weighted(g: Game) -> WeightedGame | None:
+    """Weighted representation of the game, or None when none exists.
+
+    A heavier voter is at least as desirable as a lighter one, so every
+    weighted game is complete (Taylor & Zwicker, Proc. AMS 115, 1992), and
+    a game that is_complete rejects is not weighted.  A complete game is
+    relabelled strongest-first and decided as the catalog build decides
+    it, by classify_weighted_chunk on its one table; the certificate,
+    integer weights with the quota tight at the lightest winning
+    coalition, is mapped back to the game's own voters.  A catalog game
+    thus gets its stored certificate.
+
+    Games up to games.MAX_EXPLICIT_VOTERS = 24 voters are accepted, but the
+    shift tables stop at games.MAX_SHIFT_TABLE_VOTERS = 14: a complete game
+    with more voters raises ValueError.
+    """
+    e = to_explicit(g)
+    ok, perm = is_complete(e)
+    if not ok:
+        return None
+    n = e.n
+    table = _relabelled(e, perm).np_table[None, :]
+    win, lose = shift_minimal_families(table, n), shift_maximal_losing_families(table, n)
+    weighted, certs = classify_weighted_chunk(n, win, lose)
+    if not weighted[0]:
+        return None
+    rep = certificate_game(certs[0])
+    return WeightedGame(rep.quota, [rep.weights[perm.index(v)] for v in range(1, n + 1)])
+
+
 def enumerate_simple4() -> list[tuple[ExplicitGame, WeightedGame | None]]:
     """All 28 simple games on 4 voters up to isomorphism, each with its
     weighted representation or None.
 
     Walks monotone labellings of the inclusion lattice (one-step weakening
     = drop one member) and dedups by the minimal table over voter
-    relabellings.  Weightedness is classified with the general-purpose
-    test, certificates included.
+    relabellings.  is_weighted classifies each game, certificates
+    included; the 3 incomplete games are not weighted.
     """
     n = 4
     size = 1 << n

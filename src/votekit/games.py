@@ -25,8 +25,6 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .exactlp import solve_nonneg_geq
-
 __all__ = [
     "Coalition",
     "DesirabilityOutcome",
@@ -48,7 +46,6 @@ __all__ = [
     "sort_by_desirability",
     "shift_minimal_winning",
     "shift_maximal_losing",
-    "is_weighted",
     "add_null_voters",
     "canonical_table",
 ]
@@ -729,17 +726,6 @@ def _minimal_winning(g: ExplicitGame) -> list[Coalition]:
     return [int(m) for m in np.nonzero(minimal)[0]]
 
 
-def _maximal_losing(g: ExplicitGame) -> list[Coalition]:
-    """Inclusion-maximal losing coalitions."""
-    t = g.np_table
-    idx = np.arange(1 << g.n, dtype=np.int64)
-    maximal = ~t.astype(bool)
-    for b in range(g.n):
-        without = idx[(idx >> b) & 1 == 0]
-        maximal[without] &= t[without | (1 << b)] == 1
-    return [int(m) for m in np.nonzero(maximal)[0]]
-
-
 def desirability(g: Game, i: int, j: int) -> DesirabilityOutcome:
     """Compare the influence of voters i and j.
 
@@ -855,48 +841,6 @@ def add_null_voters(g: Game, k: int) -> Game:
     if isinstance(g, ExplicitGame):
         return ExplicitGame(g.n + k, np.tile(g.np_table, 1 << k).tobytes(), validate=False)
     raise TypeError(f"not a game: {g!r}")
-
-
-# ---------------------------------------------------------------------------
-# Weightedness
-# ---------------------------------------------------------------------------
-
-
-def _integerize(values: Sequence[Fraction]) -> list[int]:
-    den = math.lcm(*(v.denominator for v in values))
-    return [int(v * den) for v in values]
-
-
-def is_weighted(g: Game) -> WeightedGame | None:
-    """Weighted representation of the game, or None when none exists.
-
-    Decided by exact rational feasibility: find nonnegative weights and a
-    quota with every inclusion-minimal winning coalition at or above the
-    quota and every inclusion-maximal losing coalition at least one unit
-    below (an integer gap keeps the strict side exact).  The returned
-    certificate uses integer weights with the quota tightened to the
-    minimum winning weight.
-    """
-    e = to_explicit(g)
-    n = e.n
-    win = _minimal_winning(e)
-    lose = _maximal_losing(e)
-    # Variables: w_1..w_n, q.
-    rows = []
-    for s in win:
-        coeffs = [1 if (s >> b) & 1 else 0 for b in range(n)] + [-1]
-        rows.append((coeffs, 0))
-    for t in lose:
-        coeffs = [-1 if (t >> b) & 1 else 0 for b in range(n)] + [1]
-        rows.append((coeffs, 1))
-    sol = solve_nonneg_geq(n + 1, rows)
-    if sol is None:
-        return None
-    ints = _integerize(sol)
-    weights = ints[:n]
-    quota = min(sum(w for b, w in enumerate(weights) if (s >> b) & 1) for s in win)
-    g_all = math.gcd(quota, *weights)
-    return WeightedGame(Fraction(quota // g_all), [Fraction(w // g_all) for w in weights])
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ from itertools import permutations
 import numpy as np
 from hypothesis import strategies as st
 
-from votekit.exactlp import solve_nonneg_geq
-from votekit.games import BoolCombo, ExplicitGame, WeightedGame, _integerize, evaluate, to_explicit
+from votekit.games import BoolCombo, ExplicitGame, WeightedGame, evaluate, to_explicit
 from votekit.inverse import InverseMode, InverseResult, _proportional_start, _QuotaScan
 
 
@@ -300,6 +299,16 @@ def complete_families(draw, max_n: int = 16) -> tuple[int, list[int], list[int]]
     return n, raw, family
 
 
+def _integerize(values) -> list[int]:
+    """Fractions scaled by the lcm of their denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [int(v * den) for v in values]
+
+
+def _weight_sum(weights, mask: int) -> int:
+    return sum(w for b, w in enumerate(weights) if (mask >> b) & 1)
+
+
 def sorted_complete_representation(
     n: int, shift_min_win, shift_max_lose
 ) -> tuple[int, tuple[int, ...]] | None:
@@ -312,14 +321,35 @@ def sorted_complete_representation(
     """
     rows = [([*prefix_counts(n, s), -1], 0) for s in shift_min_win]
     rows += [([-c for c in prefix_counts(n, t)] + [1], 1) for t in shift_max_lose]
-    sol = solve_nonneg_geq(n + 1, rows)
+    sol = simplex_one_system(n + 1, rows)
     if sol is None:
         return None
     diffs = _integerize(sol)[:n]
     weights = [sum(diffs[i:]) for i in range(n)]
-    quota = min(sum(w for b, w in enumerate(weights) if (s >> b) & 1) for s in shift_min_win)
+    quota = min(_weight_sum(weights, s) for s in shift_min_win)
     g_all = math.gcd(quota, *weights)
     return quota // g_all, tuple(w // g_all for w in weights)
+
+
+def weighted_by_inclusion_lp(g) -> WeightedGame | None:
+    """A weighted representation of any game, or None, from one exact LP
+    over voter weights and a quota: every inclusion-minimal winning
+    coalition at or above the quota, every inclusion-maximal losing one at
+    least one unit below.  Needs no completeness or voter order."""
+    table = to_explicit(g).table
+    n = g.n
+    voters = [1 << b for b in range(n)]
+    win = [m for m in range(1 << n) if table[m] and not any(m & v and table[m & ~v] for v in voters)]
+    lose = [m for m in range(1 << n) if not table[m] and all(m & v or table[m | v] for v in voters)]
+    rows = [([(s >> b) & 1 for b in range(n)] + [-1], 0) for s in win]
+    rows += [([-((t >> b) & 1) for b in range(n)] + [1], 1) for t in lose]
+    sol = simplex_one_system(n + 1, rows)
+    if sol is None:
+        return None
+    weights = _integerize(sol)[:n]
+    quota = min(_weight_sum(weights, s) for s in win)
+    g_all = math.gcd(quota, *weights)
+    return WeightedGame(quota // g_all, [w // g_all for w in weights])
 
 
 def two_trade_by_pairs(n: int, win, lose) -> bool:

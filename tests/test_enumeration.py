@@ -1,6 +1,7 @@
 """Catalogs of complete, weighted, and 4-voter simple games."""
 
 import hashlib
+import random
 import struct
 import tempfile
 from itertools import islice
@@ -31,8 +32,10 @@ from votekit.enumeration import (
     catalog_records,
     certificate_game,
     check_certified_count,
+    classify_weighted_chunk,
     enumerate_simple4,
     fetch_catalog_games,
+    is_weighted,
     iter_complete_chunks,
     read_catalog,
     read_catalog_header,
@@ -42,6 +45,7 @@ from votekit.enumeration import (
 )
 from votekit.games import (
     DesirabilityOutcome,
+    WeightedGame,
     _linear_extension,
     _lower_neighbors,
     _mask_lists,
@@ -49,8 +53,8 @@ from votekit.games import (
     canonical_table,
     desirability,
     dominates,
+    add_null_voters,
     game_to_text,
-    is_weighted,
     parse_game,
     shift_maximal_losing,
     shift_minimal_winning,
@@ -58,7 +62,15 @@ from votekit.games import (
 )
 from votekit.pipeline import build_tier
 
-from oracles import labelings_by_dfs, prefix_counts, two_trade_by_pairs
+from oracles import (
+    labelings_by_dfs,
+    monotone_games,
+    prefix_counts,
+    random_weighted,
+    two_trade_by_pairs,
+    weighted_by_inclusion_lp,
+    weighted_games,
+)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -137,6 +149,69 @@ def test_weighted_certificate_function(catalogs, certificates):
         assert (rep is not None) == (is_weighted(g) is not None)
         if rep is not None:
             assert to_explicit(rep).table == to_explicit(g).table
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_is_weighted_gives_catalog_games_their_stored_certificates(catalogs, certificates, n):
+    """is_weighted decides a game as the catalog build does, so a weighted
+    catalog game gets its stored certificate."""
+    for g, row in zip(catalogs("wg", n), certificates(n), strict=True):
+        assert is_weighted(g) == certificate_game(row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_is_weighted_certifies_relabelled_weighted_games(data):
+    """Whatever the voter order, a weighted game gets a certificate in
+    that order that reproduces its table."""
+    g = data.draw(weighted_games(max_n=9))
+    perm = data.draw(st.permutations(range(g.n)))
+    relabelled = WeightedGame(g.quota, [g.weights[i] for i in perm])
+    rep = is_weighted(relabelled)
+    assert rep is not None
+    assert to_explicit(rep).table == to_explicit(relabelled).table
+
+
+@settings(max_examples=100, deadline=None)
+@given(monotone_games(max_n=7))
+def test_is_weighted_verdicts_match_the_inclusion_lp(g):
+    """Complete or not, a game is weighted exactly when the LP over its
+    inclusion-minimal winning and inclusion-maximal losing coalitions is
+    feasible."""
+    rep = is_weighted(g)
+    assert (rep is None) == (weighted_by_inclusion_lp(g) is None)
+    if rep is not None:
+        assert to_explicit(rep).table == g.table
+
+
+def test_is_weighted_domain():
+    """Incomplete games are rejected up to 24 voters; complete games need
+    the shift tables, which stop at 14 voters."""
+    crossed = parse_game("n=4; minwin={1,2},{3,4}")
+    assert is_weighted(add_null_voters(crossed, 12)) is None
+    with pytest.raises(ValueError):
+        is_weighted(WeightedGame(8, [1] * 15))
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_weighted_games_above_nine_voters_are_all_accepted(n):
+    """Packed prefix counts need 7 bits a voter, which int64 holds only
+    through 9 voters: the 2-trade filter refuses more, and the LP alone
+    decides.  Random weighted games labelled heaviest first are all
+    weighted, with certificates that reproduce them."""
+    rng = random.Random(n)
+    games = []
+    for _ in range(8):
+        g = random_weighted(rng, n)
+        games.append(WeightedGame(g.quota, sorted(g.weights, reverse=True)))
+    tables = np.array([to_explicit(g).np_table for g in games])
+    win, lose = shift_minimal_families(tables, n), shift_maximal_losing_families(tables, n)
+    with pytest.raises(ValueError):
+        two_trade_rejects(n, win, lose)
+    weighted, certs = classify_weighted_chunk(n, win, lose)
+    assert weighted.all()
+    for g, row in zip(games, certs, strict=True):
+        assert to_explicit(certificate_game(row)).table == to_explicit(g).table
 
 
 def test_simple4_catalog():
@@ -312,7 +387,7 @@ def test_two_trade_filter_matches_the_pair_oracle(monkeypatch, n, block):
 def test_packed_prefix_comparison_is_componentwise(data):
     """The guard-bit test on packed prefix-count pair sums agrees with the
     plain componentwise <=, and padding never passes it."""
-    n = data.draw(st.integers(1, 8))
+    n = data.draw(st.integers(1, 9))
     s1, s2, t1, t2 = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=4, max_size=4))
     packed, guard, pad = _packed_prefix_counts(n)
     low = int(packed[s1] + packed[s2])

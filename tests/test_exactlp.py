@@ -7,18 +7,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import feasible_by_fourier_motzkin, simplex_one_system, sorted_complete_representation
+from oracles import (
+    feasible_by_fourier_motzkin,
+    simplex_one_system,
+    sorted_complete_representation,
+    weighted_by_inclusion_lp,
+)
 
 from votekit import certified, exactlp
 from votekit.enumeration import (
     classify_weighted_chunk,
+    is_weighted,
     iter_complete_chunks,
     shift_maximal_losing_families,
     shift_minimal_families,
 )
-from votekit.exactlp import solve_block, solve_nonneg_geq
+from votekit.exactlp import solve_block
 from votekit.games import (
-    is_weighted,
+    WeightedGame,
     parse_game,
     shift_maximal_losing,
     to_explicit,
@@ -27,7 +33,7 @@ from votekit.indices import batch_ssi_numerators, batch_swing_counts
 
 
 def check(num_vars, rows):
-    x = solve_nonneg_geq(num_vars, rows)
+    x = _answers(num_vars, [rows])[0]
     assert x is not None
     assert all(v >= 0 for v in x)
     for coeffs, b in rows:
@@ -36,7 +42,7 @@ def check(num_vars, rows):
 
 
 def test_no_rows_is_trivially_feasible():
-    assert solve_nonneg_geq(3, []) == [0, 0, 0]
+    assert _answers(3, [[]]) == [[0, 0, 0]]
 
 
 def test_simple_feasible_system():
@@ -50,20 +56,13 @@ def test_solution_is_exact_rational():
 
 
 def test_infeasible_system():
-    assert solve_nonneg_geq(1, [([-1], 1)]) is None
-    assert solve_nonneg_geq(2, [([1, 1], 1), ([-1, -1], 1)]) is None
+    assert _answers(1, [[([-1], 1)]]) == [None]
+    assert _answers(2, [[([1, 1], 1), ([-1, -1], 1)]]) == [None]
 
 
 def test_redundant_and_degenerate_rows_terminate():
     rows = [([1, 0], 1), ([1, 0], 1), ([2, 0], 2), ([0, 1], 0), ([1, 1], 1)]
     check(2, rows)
-
-
-def test_input_validation():
-    with pytest.raises(ValueError):
-        solve_nonneg_geq(2, [([1], 1)])
-    with pytest.raises(ValueError):
-        solve_nonneg_geq(1, [([1], -1)])
 
 
 @pytest.mark.parametrize(
@@ -90,8 +89,10 @@ def test_every_five_voter_complete_game_is_weighted(catalogs):
 
 
 def test_sorted_representation_agrees_with_general_solver(catalogs):
-    """The difference-space shortcut must match the generic LP verdict,
-    and the chunk classifier must return the shortcut's certificates."""
+    """The chunk classifier and is_weighted must return the
+    difference-space LP's certificates, and its verdicts must match the LP
+    over inclusion-minimal winning and inclusion-maximal losing
+    coalitions, which needs no voter order."""
     games = list(catalogs("cg", 6))[::7]
     tables = np.array([to_explicit(g).np_table for g in games])
     weighted, certs = classify_weighted_chunk(
@@ -102,11 +103,12 @@ def test_sorted_representation_agrees_with_general_solver(catalogs):
     for g, flag in zip(games, weighted, strict=True):
         sml = shift_maximal_losing(g)
         r = sorted_complete_representation(g.n, g.shift_minimal, sml)
-        general = is_weighted(g)
-        assert (r is None) == (general is None) == (not flag)
+        rep = is_weighted(g)
+        assert (r is None) == (rep is None) == (weighted_by_inclusion_lp(g) is None) == (not flag)
         if r is not None:
             q, w = r
             assert [q, *w] == next(chunk_certs)
+            assert rep == WeightedGame(q, w)
             assert all(w[i] >= w[i + 1] for i in range(len(w) - 1))
             rep = parse_game(f"[{q};{','.join(str(x) for x in w)}]")
             assert to_explicit(rep).table == to_explicit(g).table
@@ -140,7 +142,7 @@ def _answers(num_vars, systems):
 @given(st.integers(1, 4).flatmap(lambda v: st.tuples(st.just(v), _systems(v))))
 def test_solution_is_feasible_and_none_means_infeasible(case):
     num_vars, rows = case
-    x = solve_nonneg_geq(num_vars, rows)
+    x = _answers(num_vars, [rows])[0]
     assert (x is not None) == feasible_by_fourier_motzkin(num_vars, rows)
     if x is not None:
         check(num_vars, rows)
@@ -157,7 +159,7 @@ def test_solution_is_feasible_and_none_means_infeasible(case):
 def test_block_answers_match_solving_alone(case):
     """Padding and the other systems of a block never change an answer."""
     num_vars, systems = case
-    assert _answers(num_vars, systems) == [solve_nonneg_geq(num_vars, s) for s in systems]
+    assert _answers(num_vars, systems) == [_answers(num_vars, [s])[0] for s in systems]
 
 
 def _tall_systems(num_vars):
@@ -179,7 +181,7 @@ def test_ratio_test_tournament_pivots_like_a_row_scan(case):
     num_vars, systems = case
     expected = [simplex_one_system(num_vars, s) for s in systems]
     assert _answers(num_vars, systems) == expected
-    assert [solve_nonneg_geq(num_vars, s) for s in systems] == expected
+    assert [_answers(num_vars, [s])[0] for s in systems] == expected
 
 
 def test_overflow_guard_continues_in_python_integers():
@@ -198,10 +200,10 @@ def test_overflow_guard_continues_in_python_integers():
     assert feasible_by_fourier_motzkin(3, rows)
     x = check(3, rows)
     assert max(v.denominator for v in x) >= 1 << 31
-    assert _answers(3, [small, rows]) == [solve_nonneg_geq(3, small), x]
+    assert _answers(3, [small, rows]) == [_answers(3, [small])[0], x]
     assert x == simplex_one_system(3, rows)
     huge = [([c << 40 for c in coeffs], b << 40) for coeffs, b in rows]
-    assert solve_nonneg_geq(3, huge) == x
+    assert _answers(3, [huge]) == [x]
 
 
 def _divisor(guard):
@@ -256,7 +258,7 @@ def test_blocks_crossing_rungs_pivot_like_one_system(base, data):
     systems = data.draw(st.lists(_systems_near(num_vars, base), min_size=1, max_size=6))
     expected = [simplex_one_system(num_vars, s) for s in systems]
     assert _answers(num_vars, systems) == expected
-    assert [solve_nonneg_geq(num_vars, s) for s in systems] == expected
+    assert [_answers(num_vars, [s])[0] for s in systems] == expected
 
 
 def _recorded_rungs(monkeypatch) -> list[str]:

@@ -195,3 +195,24 @@ def test_tier_files_are_read_only_by_their_checked_readers():
             if name in CHECKED_READERS and getattr(top, "name", None) not in CHECKED_READERS[name]:
                 found.append(f"pipeline.py:{node.lineno}: {name}")
     assert found == []
+
+
+def test_only_the_catalog_classifier_solves_weightedness_lps():
+    """enumeration.classify_weighted_chunk is the one weightedness test:
+    no other module references exactlp.solve_block, and games does not
+    import exactlp at all."""
+    found = [
+        f"{name}: solve_block"
+        for name, tree in _modules(PACKAGE).items()
+        if name != "enumeration.py" and _references(tree)["solve_block"]
+    ]
+    for node in ast.walk(_modules(PACKAGE)["games.py"]):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        else:
+            continue
+        if any(m.split(".")[-1] == "exactlp" for m in modules):
+            found.append(f"games.py:{node.lineno}: exactlp")
+    assert found == []
