@@ -17,9 +17,10 @@ Games are produced in chunks, and classify_weighted_chunk sorts a
 chunk into weighted and not weighted: a vectorized 2-trade test
 (two_trade_rejects, through 9 voters) proves most unweighted games so,
 and the exact LP, the only path that accepts a game, settles the rest in
-lockstep blocks with a certificate per weighted game.  It is the
-package's one weightedness test: is_weighted sorts any complete game
-with up to 14 voters strongest-first and classifies it as a chunk of one.
+lockstep blocks with a certificate per weighted game.  The system and
+the certificate are games.is_weighted's (_difference_systems and
+_certificates): is_weighted solves one game's system alone, and a
+catalog game gets its stored certificate from it.
 
 Enumerated counts are checked against certified values before anything
 downstream may consume them.  The tier builder in votekit.pipeline
@@ -50,17 +51,16 @@ from .exactlp import solve_block
 from .games import (
     CompleteGame,
     ExplicitGame,
-    Game,
     WeightedGame,
+    _certificates,
+    _difference_systems,
     _family_masks,
     _linear_extension,
     _lower_neighbors,
-    _prefix_rows,
-    _relabelled,
+    _prefix_counts,
     _upper_neighbors,
     canonical_table,
-    is_complete,
-    to_explicit,
+    is_weighted,
 )
 
 __all__ = [
@@ -69,7 +69,6 @@ __all__ = [
     "enumerate_simple4",
     "iter_complete_chunks",
     "classify_weighted_chunk",
-    "is_weighted",
     "two_trade_rejects",
     "check_certified_count",
     "read_catalog",
@@ -169,12 +168,6 @@ def shift_maximal_losing_families(tables: np.ndarray, n: int) -> np.ndarray:
     return _family_masks(tables, _upper_neighbors(n), False)
 
 
-@lru_cache(maxsize=None)
-def _prefix_counts(n: int) -> np.ndarray:
-    """Row m: how many of the strongest 1, 2, ..., n voters coalition m holds."""
-    return np.ascontiguousarray(_prefix_rows(range(1 << n), n).T, dtype=np.int64)
-
-
 # Prefix counts packed one per int64: field i (bits 7i..7i+5) holds the
 # i-th count, and bit 7i+6 is its guard.  A count is at most 9 and a sum
 # of two at most 18, so fields never carry into each other.  n fields
@@ -255,39 +248,6 @@ def two_trade_rejects(n: int, win: np.ndarray, lose: np.ndarray) -> np.ndarray:
     return rejected
 
 
-def _classify_block(n: int, win: np.ndarray, lose: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The weight-difference system of every game, row for row:
-    # the shift-minimal winning rows, then the shift-maximal losing ones,
-    # each family in ascending mask order, over (weight differences, quota).
-    games = len(win)
-    n_win = win.sum(axis=1)
-    rows = int((n_win + lose.sum(axis=1)).max(initial=0))
-    coeffs = np.zeros((games, rows, n + 1), dtype=np.int64)
-    rhs = np.zeros((games, rows), dtype=np.int64)
-    for family, sign, offset in ((win, 1, np.zeros_like(n_win)), (lose, -1, n_win)):
-        g, mask = np.nonzero(family)
-        pos = np.arange(len(g)) - np.searchsorted(g, g) + offset[g]
-        coeffs[g, pos, :n] = sign * _prefix_counts(n)[mask]
-        coeffs[g, pos, n] = -sign
-        if sign < 0:
-            rhs[g, pos] = 1
-    feasible, nums, dens = solve_block(coeffs, rhs)
-
-    # The certificate, in integers: scale x = nums / dens by the lcm of its
-    # reduced denominators, take suffix sums of the differences as
-    # weights, tighten the quota to the lightest shift-minimal winning
-    # coalition and divide out the common gcd.
-    nums, dens = nums[feasible], dens[feasible, None]
-    scale = np.lcm.reduce(dens // np.gcd(nums, dens), axis=1)
-    diffs = (nums // (dens[:, 0] // scale)[:, None])[:, :n]
-    weights = np.cumsum(diffs[:, ::-1], axis=1)[:, ::-1]
-    coalition = diffs @ _prefix_counts(n).T  # every coalition's weight
-    quota = np.where(win[feasible], coalition, coalition[:, -1:]).min(axis=1)
-    certs = np.column_stack([quota, weights])
-    certs = certs // np.gcd.reduce(certs, axis=1)[:, None]
-    return feasible, certs.astype(np.int64, copy=False)
-
-
 def classify_weighted_chunk(
     n: int, win: np.ndarray, lose: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -298,7 +258,7 @@ def classify_weighted_chunk(
     Returns a boolean flag per game and one (quota, weights...) int64 row
     per weighted game, in chunk order: for each game, the reduced
     (quota, weights) that solving its weight-difference system alone, as
-    a block of one, gives.
+    a block of one, gives: games.is_weighted's certificate.
 
     Through 9 voters, games that two_trade_rejects proves not weighted are
     settled without an LP; the rest, and every game above 9 voters, go to
@@ -317,9 +277,9 @@ def classify_weighted_chunk(
     order = open_games[np.argsort(sizes, kind="stable")]
     for start in range(0, len(order), LP_BLOCK):
         games = order[start : start + LP_BLOCK]
-        flags, rows = _classify_block(n, win[games], lose[games])
+        flags, nums, dens = solve_block(*_difference_systems(n, win[games], lose[games]))
         weighted[games] = flags
-        certs[games[flags]] = rows
+        certs[games[flags]] = _certificates(n, win[games[flags]], nums[flags], dens[flags])
     return weighted, certs[weighted]
 
 
@@ -332,36 +292,6 @@ def check_certified_count(klass: str, n: int, count: int) -> None:
 def certificate_game(row) -> WeightedGame:
     """The weighted game of one stored (quota, weights...) row."""
     return WeightedGame(int(row[0]), [int(w) for w in row[1:]])
-
-
-def is_weighted(g: Game) -> WeightedGame | None:
-    """Weighted representation of the game, or None when none exists.
-
-    A heavier voter is at least as desirable as a lighter one, so every
-    weighted game is complete (Taylor & Zwicker, Proc. AMS 115, 1992), and
-    a game that is_complete rejects is not weighted.  A complete game is
-    relabelled strongest-first and decided as the catalog build decides
-    it, by classify_weighted_chunk on its one table; the certificate,
-    integer weights with the quota tight at the lightest winning
-    coalition, is mapped back to the game's own voters.  A catalog game
-    thus gets its stored certificate.
-
-    Games up to games.MAX_EXPLICIT_VOTERS = 24 voters are accepted, but the
-    shift tables stop at games.MAX_SHIFT_TABLE_VOTERS = 14: a complete game
-    with more voters raises ValueError.
-    """
-    e = to_explicit(g)
-    ok, perm = is_complete(e)
-    if not ok:
-        return None
-    n = e.n
-    table = _relabelled(e, perm).np_table[None, :]
-    win, lose = shift_minimal_families(table, n), shift_maximal_losing_families(table, n)
-    weighted, certs = classify_weighted_chunk(n, win, lose)
-    if not weighted[0]:
-        return None
-    rep = certificate_game(certs[0])
-    return WeightedGame(rep.quota, [rep.weights[perm.index(v)] for v in range(1, n + 1)])
 
 
 def enumerate_simple4() -> list[tuple[ExplicitGame, WeightedGame | None]]:

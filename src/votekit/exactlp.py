@@ -36,17 +36,20 @@ and never leave the basis.
   dividend below 2**(bits - 1), so the wrapped product is the true
   quotient times 2**s.  The object rung keeps floor division.
 
-The systems come from the one weightedness test,
-enumeration.classify_weighted_chunk: one weight-difference system per
-complete game, a row per shift-minimal winning or shift-maximal losing
-coalition over n + 1 <= 15 variables.
+The systems are weight-difference systems of complete games: dozens of
+rows over n + 1 <= 15 variables, a chunk's in blocks
+(enumeration.classify_weighted_chunk) or one game's alone
+(games.is_weighted), which solve_nonneg_geq solves as a block of one.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from typing import Sequence
+
 import numpy as np
 
-__all__ = ["solve_block"]
+__all__ = ["solve_nonneg_geq", "solve_block"]
 
 # (dtype, guard) rungs: entries below the guard in absolute value keep
 # entry * pivot - row * col below 2**(bits - 1).
@@ -208,3 +211,24 @@ def solve_block(
         tab[here[gone], :, col[gone]] = 0  # an artificial left: drop its column
     return feasible, nums, dens
 
+
+def solve_nonneg_geq(
+    num_vars: int, rows: Sequence[tuple[Sequence[int], int]]
+) -> list[Fraction] | None:
+    """Find x >= 0 with A x >= b, or None when infeasible.
+
+    rows is a list of (coefficients, b) with integer entries and b >= 0.
+    Returns one feasible point as exact fractions.
+    """
+    for coeffs, b in rows:
+        if len(coeffs) != num_vars:
+            raise ValueError("coefficient row has the wrong length")
+        if b < 0:
+            raise ValueError("right-hand sides must be nonnegative")
+    m = len(rows)
+    coeffs = np.array([[int(c) for c in r] for r, _ in rows], dtype=object).reshape(1, m, num_vars)
+    rhs = np.array([int(b) for _, b in rows], dtype=object).reshape(1, m)
+    feasible, nums, dens = solve_block(coeffs, rhs)
+    if not feasible[0]:
+        return None
+    return [Fraction(int(x), int(dens[0])) for x in nums[0]]

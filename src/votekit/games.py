@@ -25,6 +25,8 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from .exactlp import solve_nonneg_geq
+
 __all__ = [
     "Coalition",
     "DesirabilityOutcome",
@@ -46,6 +48,7 @@ __all__ = [
     "sort_by_desirability",
     "shift_minimal_winning",
     "shift_maximal_losing",
+    "is_weighted",
     "add_null_voters",
     "canonical_table",
 ]
@@ -841,6 +844,79 @@ def add_null_voters(g: Game, k: int) -> Game:
     if isinstance(g, ExplicitGame):
         return ExplicitGame(g.n + k, np.tile(g.np_table, 1 << k).tobytes(), validate=False)
     raise TypeError(f"not a game: {g!r}")
+
+
+# ---------------------------------------------------------------------------
+# Weightedness: a weighted game is complete, and sorted strongest-first its
+# unknowns are the weight differences w_j - w_(j+1) >= 0 and the quota.
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _prefix_counts(n: int) -> np.ndarray:
+    """Row m: how many of the strongest 1, 2, ..., n voters coalition m holds."""
+    return np.ascontiguousarray(_prefix_rows(range(1 << n), n).T, dtype=np.int64)
+
+
+def _difference_systems(n: int, win: np.ndarray, lose: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per game (a row of win and lose), exactlp.solve_block's (coeffs,
+    rhs): its shift-minimal winning rows, then its shift-maximal losing
+    ones a unit below the quota, each in ascending mask order."""
+    games = len(win)
+    n_win = win.sum(axis=1)
+    rows = int((n_win + lose.sum(axis=1)).max(initial=0))
+    coeffs = np.zeros((games, rows, n + 1), dtype=np.int64)
+    rhs = np.zeros((games, rows), dtype=np.int64)
+    for family, sign, offset in ((win, 1, np.zeros_like(n_win)), (lose, -1, n_win)):
+        g, mask = np.nonzero(family)
+        pos = np.arange(len(g)) - np.searchsorted(g, g) + offset[g]
+        coeffs[g, pos, :n] = sign * _prefix_counts(n)[mask]
+        coeffs[g, pos, n] = -sign
+        if sign < 0:
+            rhs[g, pos] = 1
+    return coeffs, rhs
+
+
+def _certificates(n: int, win: np.ndarray, nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """The reduced (quota, weights...) int64 row of each solution
+    x = nums / dens: x in integers, suffix sums as weights, the quota tight
+    at the lightest shift-minimal winning coalition (win), gcd 1."""
+    dens = dens[:, None]
+    scale = np.lcm.reduce(dens // np.gcd(nums, dens), axis=1)
+    diffs = (nums // (dens[:, 0] // scale)[:, None])[:, :n]
+    weights = np.cumsum(diffs[:, ::-1], axis=1)[:, ::-1]
+    coalition = diffs @ _prefix_counts(n).T  # every coalition's weight
+    quota = np.where(win, coalition, coalition[:, -1:]).min(axis=1)
+    certs = np.column_stack([quota, weights])
+    certs = certs // np.gcd.reduce(certs, axis=1)[:, None]
+    return certs.astype(np.int64, copy=False)
+
+
+def is_weighted(g: Game) -> WeightedGame | None:
+    """Weighted representation of the game, or None when none exists.
+
+    A game that is_complete rejects is not weighted (Taylor & Zwicker,
+    Proc. AMS 115, 1992).  A complete game, sorted strongest-first, gets
+    the system and certificate that enumeration.classify_weighted_chunk
+    gives it in a catalog chunk, mapped back to its own voters.  Complete
+    games above MAX_SHIFT_TABLE_VOTERS = 14 voters raise ValueError.
+    """
+    e = to_explicit(g)
+    ok, perm = is_complete(e)
+    if not ok:
+        return None
+    n = e.n
+    table = _relabelled(e, perm).np_table[None, :]
+    win = _family_masks(table, _lower_neighbors(n), True)
+    lose = _family_masks(table, _upper_neighbors(n), False)
+    coeffs, rhs = _difference_systems(n, win, lose)
+    x = solve_nonneg_geq(n + 1, list(zip(coeffs[0].tolist(), rhs[0].tolist())))
+    if x is None:
+        return None
+    den = math.lcm(*(v.denominator for v in x))
+    nums = np.array([[int(v * den) for v in x]])
+    quota, *weights = _certificates(n, win, nums, np.ones(1, dtype=np.int64))[0].tolist()
+    return WeightedGame(quota, [weights[perm.index(v)] for v in range(1, n + 1)])
 
 
 # ---------------------------------------------------------------------------

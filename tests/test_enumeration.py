@@ -25,9 +25,7 @@ from votekit.certified import (
 from votekit.enumeration import (
     LP_BLOCK,
     CatalogFormatError,
-    _classify_block,
     _packed_prefix_counts,
-    _prefix_counts,
     catalog_header,
     catalog_records,
     certificate_game,
@@ -35,7 +33,6 @@ from votekit.enumeration import (
     classify_weighted_chunk,
     enumerate_simple4,
     fetch_catalog_games,
-    is_weighted,
     iter_complete_chunks,
     read_catalog,
     read_catalog_header,
@@ -46,20 +43,24 @@ from votekit.enumeration import (
 from votekit.games import (
     DesirabilityOutcome,
     WeightedGame,
+    _difference_systems,
     _linear_extension,
     _lower_neighbors,
     _mask_lists,
+    _prefix_counts,
     _upper_neighbors,
     canonical_table,
     desirability,
     dominates,
     add_null_voters,
     game_to_text,
+    is_weighted,
     parse_game,
     shift_maximal_losing,
     shift_minimal_winning,
     to_explicit,
 )
+from votekit.exactlp import solve_block
 from votekit.pipeline import build_tier
 
 from oracles import (
@@ -359,7 +360,7 @@ def test_two_trade_filter_rejects_exactly_the_unweighted_games(n):
     assert len(rejected) == COMPLETE_COUNTS[n] - WEIGHTED_COUNTS[n]
     for start in range(0, len(rejected), LP_BLOCK):
         games = rejected[start : start + LP_BLOCK]
-        feasible, _ = _classify_block(n, win[games], lose[games])
+        feasible, _, _ = solve_block(*_difference_systems(n, win[games], lose[games]))
         assert not feasible.any()
 
 

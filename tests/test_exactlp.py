@@ -17,14 +17,14 @@ from oracles import (
 from votekit import certified, exactlp
 from votekit.enumeration import (
     classify_weighted_chunk,
-    is_weighted,
     iter_complete_chunks,
     shift_maximal_losing_families,
     shift_minimal_families,
 )
-from votekit.exactlp import solve_block
+from votekit.exactlp import solve_block, solve_nonneg_geq
 from votekit.games import (
     WeightedGame,
+    is_weighted,
     parse_game,
     shift_maximal_losing,
     to_explicit,
@@ -33,7 +33,7 @@ from votekit.indices import batch_ssi_numerators, batch_swing_counts
 
 
 def check(num_vars, rows):
-    x = _answers(num_vars, [rows])[0]
+    x = solve_nonneg_geq(num_vars, rows)
     assert x is not None
     assert all(v >= 0 for v in x)
     for coeffs, b in rows:
@@ -42,7 +42,7 @@ def check(num_vars, rows):
 
 
 def test_no_rows_is_trivially_feasible():
-    assert _answers(3, [[]]) == [[0, 0, 0]]
+    assert solve_nonneg_geq(3, []) == [0, 0, 0]
 
 
 def test_simple_feasible_system():
@@ -56,13 +56,20 @@ def test_solution_is_exact_rational():
 
 
 def test_infeasible_system():
-    assert _answers(1, [[([-1], 1)]]) == [None]
-    assert _answers(2, [[([1, 1], 1), ([-1, -1], 1)]]) == [None]
+    assert solve_nonneg_geq(1, [([-1], 1)]) is None
+    assert solve_nonneg_geq(2, [([1, 1], 1), ([-1, -1], 1)]) is None
 
 
 def test_redundant_and_degenerate_rows_terminate():
     rows = [([1, 0], 1), ([1, 0], 1), ([2, 0], 2), ([0, 1], 0), ([1, 1], 1)]
     check(2, rows)
+
+
+def test_input_validation():
+    with pytest.raises(ValueError):
+        solve_nonneg_geq(2, [([1], 1)])
+    with pytest.raises(ValueError):
+        solve_nonneg_geq(1, [([1], -1)])
 
 
 @pytest.mark.parametrize(
@@ -142,7 +149,7 @@ def _answers(num_vars, systems):
 @given(st.integers(1, 4).flatmap(lambda v: st.tuples(st.just(v), _systems(v))))
 def test_solution_is_feasible_and_none_means_infeasible(case):
     num_vars, rows = case
-    x = _answers(num_vars, [rows])[0]
+    x = solve_nonneg_geq(num_vars, rows)
     assert (x is not None) == feasible_by_fourier_motzkin(num_vars, rows)
     if x is not None:
         check(num_vars, rows)
@@ -159,7 +166,7 @@ def test_solution_is_feasible_and_none_means_infeasible(case):
 def test_block_answers_match_solving_alone(case):
     """Padding and the other systems of a block never change an answer."""
     num_vars, systems = case
-    assert _answers(num_vars, systems) == [_answers(num_vars, [s])[0] for s in systems]
+    assert _answers(num_vars, systems) == [solve_nonneg_geq(num_vars, s) for s in systems]
 
 
 def _tall_systems(num_vars):
@@ -181,7 +188,7 @@ def test_ratio_test_tournament_pivots_like_a_row_scan(case):
     num_vars, systems = case
     expected = [simplex_one_system(num_vars, s) for s in systems]
     assert _answers(num_vars, systems) == expected
-    assert [_answers(num_vars, [s])[0] for s in systems] == expected
+    assert [solve_nonneg_geq(num_vars, s) for s in systems] == expected
 
 
 def test_overflow_guard_continues_in_python_integers():
@@ -200,10 +207,10 @@ def test_overflow_guard_continues_in_python_integers():
     assert feasible_by_fourier_motzkin(3, rows)
     x = check(3, rows)
     assert max(v.denominator for v in x) >= 1 << 31
-    assert _answers(3, [small, rows]) == [_answers(3, [small])[0], x]
+    assert _answers(3, [small, rows]) == [solve_nonneg_geq(3, small), x]
     assert x == simplex_one_system(3, rows)
     huge = [([c << 40 for c in coeffs], b << 40) for coeffs, b in rows]
-    assert _answers(3, [huge]) == [x]
+    assert solve_nonneg_geq(3, huge) == x
 
 
 def _divisor(guard):
@@ -258,7 +265,7 @@ def test_blocks_crossing_rungs_pivot_like_one_system(base, data):
     systems = data.draw(st.lists(_systems_near(num_vars, base), min_size=1, max_size=6))
     expected = [simplex_one_system(num_vars, s) for s in systems]
     assert _answers(num_vars, systems) == expected
-    assert [_answers(num_vars, [s])[0] for s in systems] == expected
+    assert [solve_nonneg_geq(num_vars, s) for s in systems] == expected
 
 
 def _recorded_rungs(monkeypatch) -> list[str]:

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votekit.enumeration import is_weighted
 from votekit.games import (
     BoolCombo,
     CompleteGame,
@@ -25,6 +24,7 @@ from votekit.games import (
     evaluate,
     game_to_text,
     is_complete,
+    is_weighted,
     parse_game,
     shift_minimal_winning,
     sort_by_desirability,

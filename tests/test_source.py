@@ -197,22 +197,15 @@ def test_tier_files_are_read_only_by_their_checked_readers():
     assert found == []
 
 
-def test_only_the_catalog_classifier_solves_weightedness_lps():
-    """enumeration.classify_weighted_chunk is the one weightedness test:
-    no other module references exactlp.solve_block, and games does not
-    import exactlp at all."""
+def test_each_weightedness_lp_entry_has_one_caller():
+    """One weightedness test, solved two ways: enumeration's chunk
+    classifier is the only module outside exactlp on solve_block, and
+    games.is_weighted the only one on solve_nonneg_geq."""
+    callers = {"solve_block": "enumeration.py", "solve_nonneg_geq": "games.py"}
     found = [
-        f"{name}: solve_block"
+        f"{name}: {entry}"
         for name, tree in _modules(PACKAGE).items()
-        if name != "enumeration.py" and _references(tree)["solve_block"]
+        for entry, caller in callers.items()
+        if name not in ("exactlp.py", caller) and _references(tree)[entry]
     ]
-    for node in ast.walk(_modules(PACKAGE)["games.py"]):
-        if isinstance(node, ast.ImportFrom):
-            modules = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
-        elif isinstance(node, ast.Import):
-            modules = [a.name for a in node.names]
-        else:
-            continue
-        if any(m.split(".")[-1] == "exactlp" for m in modules):
-            found.append(f"games.py:{node.lineno}: exactlp")
     assert found == []
