@@ -13,14 +13,19 @@ time: each unforced labelling becomes its 0-child followed by its
 1-child, so games come out in lexicographic order, and a block of more
 than _DFS_BLOCK labellings splits in halves, the later half stacked.
 
-Games are produced in chunks, and classify_weighted_chunk sorts a
-chunk into weighted and not weighted: a vectorized 2-trade test
-(two_trade_rejects, through 9 voters) proves most unweighted games so,
-and the exact LP, the only path that accepts a game, settles the rest in
-lockstep blocks with a certificate per weighted game.  The system and
-the certificate are games.is_weighted's (_difference_systems and
-_certificates): is_weighted solves one game's system alone, and a
-catalog game gets its stored certificate from it.
+Games are produced in chunks.  shift_minimal_families and
+shift_maximal_losing_families take a chunk's shift families with the
+extractor in games, which packs the chunk into the DFS's word layout
+and tests only the covers of the shift order.  The DFS forces from all
+one-step weakenings, but on a shift-closed table each of them lies
+below a cover, so the two tests agree.
+classify_weighted_chunk sorts a chunk into weighted and not weighted:
+a vectorized 2-trade test (two_trade_rejects, through 9 voters) proves
+most unweighted games so, and the exact LP, the only path that accepts
+a game, settles the rest in lockstep blocks with a certificate per
+weighted game.  The system and the certificate are games.is_weighted's
+(_difference_systems and _certificates): is_weighted solves one game's
+system alone, and a catalog game gets its stored certificate from it.
 
 Enumerated counts are checked against certified values before anything
 downstream may consume them.  The tier builder in votekit.pipeline
@@ -54,11 +59,10 @@ from .games import (
     WeightedGame,
     _certificates,
     _difference_systems,
-    _family_masks,
     _linear_extension,
     _lower_neighbors,
     _prefix_counts,
-    _upper_neighbors,
+    _shift_family,
     canonical_table,
     is_weighted,
 )
@@ -159,13 +163,13 @@ def iter_complete_chunks(n: int) -> Iterator[np.ndarray]:
 def shift_minimal_families(tables: np.ndarray, n: int) -> np.ndarray:
     """Each game's shift-minimal winning coalitions, as a (games, 2**n)
     boolean matrix."""
-    return _family_masks(tables, _lower_neighbors(n), True)
+    return _shift_family(tables, n, True)
 
 
 def shift_maximal_losing_families(tables: np.ndarray, n: int) -> np.ndarray:
     """Each game's shift-maximal losing coalitions, as a (games, 2**n)
     boolean matrix."""
-    return _family_masks(tables, _upper_neighbors(n), False)
+    return _shift_family(tables, n, False)
 
 
 # Prefix counts packed one per int64: field i (bits 7i..7i+5) holds the
@@ -277,9 +281,10 @@ def classify_weighted_chunk(
     order = open_games[np.argsort(sizes, kind="stable")]
     for start in range(0, len(order), LP_BLOCK):
         games = order[start : start + LP_BLOCK]
-        flags, nums, dens = solve_block(*_difference_systems(n, win[games], lose[games]))
+        coeffs, rhs = _difference_systems(n, win[games], lose[games])
+        flags, nums, dens = solve_block(coeffs, rhs)
         weighted[games] = flags
-        certs[games[flags]] = _certificates(n, win[games[flags]], nums[flags], dens[flags])
+        certs[games[flags]] = _certificates(n, coeffs[flags], nums[flags], dens[flags])
     return weighted, certs[weighted]
 
 

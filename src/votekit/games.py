@@ -11,6 +11,18 @@ so the coalition {1, 3} is 0b101 = 5.  Four representations are supported:
   shift-order test, _dominating, answers its queries at every n.
 * BoolCombo: and/or combinations of weighted games on a shared voter set.
 
+A sorted complete game's shift families, its shift-minimal winning and
+shift-maximal losing coalitions, come from one extractor, _shift_family,
+for a catalog chunk and a single game alike.  It tests only the covers
+of the shift order.  With voters strongest-first and bit b voter b + 1,
+the lower covers of coalition m are m + 2**b for each b < n - 1 with bit
+b set and bit b + 1 clear, and m - 2**(n-1) when m holds the weakest
+voter; the upper covers are the inverse maps.  The covers generate the
+order, so on a shift-closed table a winning coalition is shift-minimal
+exactly when no lower cover wins, and a losing one shift-maximal exactly
+when no upper cover loses.  Each kind of cover is one shift of a game's
+table packed into uint64 words.
+
 All arithmetic is exact (integers and fractions.Fraction); floats never
 enter a decision.  numpy is used for table plumbing only.
 """
@@ -94,14 +106,12 @@ def _members(n: int) -> np.ndarray:
 # S <= T when T is reachable from S by adding members or by swapping a
 # member for a stronger (smaller-index) voter.  Winning sets of a game
 # sorted by decreasing desirability are exactly the up-sets of this order.
-# One-step neighbours suffice to generate it: every relation decomposes
-# into single removals/additions and single swaps with the nearest free
-# voter on the relevant side.
+# Its covers, which generate it, are set out in the module docstring.
 # ---------------------------------------------------------------------------
 
 
-# Per-mask neighbour tables are built for a whole coalition lattice at once,
-# so they are reserved for sizes where 2**n stays small.
+# The family extractor packs a whole coalition lattice per game, so it is
+# reserved for sizes where 2**n stays small.
 MAX_SHIFT_TABLE_VOTERS = 14
 
 # Coalitions per block of _dominating: at 24 voters, 3 MB of shifted masks.
@@ -177,48 +187,82 @@ def _lower_neighbors_of(m: Coalition, n: int) -> list[Coalition]:
 
 @lru_cache(maxsize=None)
 def _lower_neighbors(n: int) -> tuple[tuple[int, ...], ...]:
-    if n > MAX_SHIFT_TABLE_VOTERS:
-        raise ValueError(f"shift tables support at most {MAX_SHIFT_TABLE_VOTERS} voters")
+    """The one-step weakenings of every coalition, by mask: the
+    enumeration DFS forces a coalition to win when one of them wins."""
     return tuple(tuple(_lower_neighbors_of(m, n)) for m in range(1 << n))
 
 
+def _packed_words(tables: np.ndarray) -> np.ndarray:
+    """The rows of a (games, 2**n) 0/1 table as little-endian uint64 words:
+    bit m of a row is coalition m, and bits past 2**n are clear."""
+    packed = np.packbits(tables, axis=1, bitorder="little")
+    if packed.shape[1] % 8:  # fewer than 64 coalitions: one padded word
+        packed = np.pad(packed, ((0, 0), (0, 8 - packed.shape[1])))
+    return packed.view("<u8")
+
+
 @lru_cache(maxsize=None)
-def _upper_neighbors(n: int) -> tuple[tuple[int, ...], ...]:
-    """One-step strengthenings: the coalitions whose one-step weakenings
-    include m, for every mask m."""
-    uppers: list[list[int]] = [[] for _ in range(1 << n)]
-    for m, lowers in enumerate(_lower_neighbors(n)):
-        for f in lowers:
-            uppers[f].append(m)
-    return tuple(map(tuple, uppers))
+def _cover_steps(n: int, winning: bool) -> tuple[tuple[int, np.ndarray], ...]:
+    """(s, mask) per kind of cover, mask a packed row: each coalition m of
+    mask has the cover m + s, a lower cover when winning and an upper one
+    otherwise.  Every cover of every coalition is in exactly one step."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    held = [(masks >> b) & 1 == 1 for b in range(n)]
+    weakest = 1 << (n - 1)
+    if winning:  # a member moves one place weaker, or the weakest voter leaves
+        steps = [(1 << b, held[b] & ~held[b + 1]) for b in range(n - 1)] + [(-weakest, held[-1])]
+    else:  # a member moves one place stronger, or the weakest voter joins
+        steps = [(-(1 << b), ~held[b] & held[b + 1]) for b in range(n - 1)] + [(weakest, ~held[-1])]
+    out = []
+    for s, mask in steps:
+        words = _packed_words(mask[None, :])[0]
+        words.flags.writeable = False
+        out.append((s, words))
+    return tuple(out)
 
 
-def _family_masks(
-    tables: np.ndarray, neighbors: Sequence[Sequence[int]], minimal_winning: bool
-) -> np.ndarray:
-    """Per game (row of tables), a boolean row over coalitions marking the
-    winning coalitions whose one-step weakenings all lose
-    (minimal_winning=True, neighbors the lower neighbours), or the losing
-    ones whose one-step strengthenings all win (neighbors the upper
-    neighbours)."""
-    # Coalition-major, so that each coalition's outcomes are contiguous.
-    t = np.ascontiguousarray(tables.T, dtype=bool)
-    if minimal_winning:
-        keep = t.copy()
-        for m, nb in enumerate(neighbors):
-            row = keep[m]
-            for f in nb:
-                row &= ~t[f]
+def _moved(words: np.ndarray, s: int) -> np.ndarray:
+    """Packed rows moved by s bits: bit m of a moved row is bit m + s of
+    the row, or 0 past either end.  s is a power of two or its negative,
+    so a move of 64 bits or more is a move of whole words."""
+    out = np.zeros_like(words)
+    k = abs(s) // 64
+    if s >= 64:
+        out[:, :-k] = words[:, k:]
+    elif s <= -64:
+        out[:, k:] = words[:, :-k]
+    elif s > 0:
+        np.right_shift(words, s, out=out)
+        out[:, :-1] |= words[:, 1:] << (64 - s)
     else:
-        keep = ~t
-        for m, nb in enumerate(neighbors):
-            row = keep[m]
-            for u in nb:
-                row &= t[u]
-    # Game-major again, so that each game's row is contiguous; t goes
-    # first, so that two matrices at most are alive at once.
-    del t
-    return np.ascontiguousarray(keep.T)
+        np.left_shift(words, -s, out=out)
+        out[:, 1:] |= words[:, :-1] >> (64 + s)
+    return out
+
+
+def _shift_family(tables: np.ndarray, n: int, winning: bool) -> np.ndarray:
+    """Per game (a row of a (games, 2**n) 0/1 table), a boolean row marking
+    its shift-minimal winning coalitions (winning=True) or its
+    shift-maximal losing ones: the coalitions of the kind that no lower
+    cover shares (winning) or no upper cover shares (losing).
+
+    The rows must be shift-closed, voters strongest-first.  There a
+    coalition strictly below m lies at or below a lower cover of m (and
+    dually above), so when no cover on that side shares m's outcome, no
+    coalition on that side does.  Each game is packed into 64-coalition
+    words, and each kind of cover is one move of the whole block.  More
+    than MAX_SHIFT_TABLE_VOTERS voters raise ValueError.
+    """
+    if n > MAX_SHIFT_TABLE_VOTERS:
+        raise ValueError(f"shift families support at most {MAX_SHIFT_TABLE_VOTERS} voters, got {n}")
+    kind = _packed_words(tables)
+    if not winning:
+        kind = ~kind
+    shared = np.zeros_like(kind)
+    for s, mask in _cover_steps(n, winning):
+        shared |= _moved(kind, s) & mask
+    kind &= ~shared
+    return np.unpackbits(kind.view(np.uint8), axis=1, count=1 << n, bitorder="little").view(bool)
 
 
 def _mask_lists(keep: np.ndarray) -> list[tuple[int, ...]]:
@@ -815,7 +859,7 @@ def shift_minimal_winning(g: Game) -> CompleteGame:
     weakening loses.
     """
     e = to_explicit(g)
-    masks = _mask_lists(_family_masks(e.np_table[None, :], _lower_neighbors(e.n), True))[0]
+    masks = _mask_lists(_shift_family(e.np_table[None, :], e.n, True))[0]
     cg = CompleteGame(e.n, masks, validate=False)
     if to_explicit(cg).table != e.table:
         raise ValueError("game is not shift-closed; sort voters by desirability first")
@@ -824,9 +868,11 @@ def shift_minimal_winning(g: Game) -> CompleteGame:
 
 def shift_maximal_losing(g: Game) -> tuple[Coalition, ...]:
     """Losing coalitions of a sorted complete game whose every one-step
-    strengthening wins."""
+    strengthening wins.  Like shift_minimal_winning, it refuses a game
+    that is not shift-closed."""
     e = to_explicit(g)
-    return _mask_lists(_family_masks(e.np_table[None, :], _upper_neighbors(e.n), False))[0]
+    shift_minimal_winning(e)
+    return _mask_lists(_shift_family(e.np_table[None, :], e.n, False))[0]
 
 
 def add_null_voters(g: Game, k: int) -> Game:
@@ -877,16 +923,20 @@ def _difference_systems(n: int, win: np.ndarray, lose: np.ndarray) -> tuple[np.n
     return coeffs, rhs
 
 
-def _certificates(n: int, win: np.ndarray, nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
+def _certificates(n: int, coeffs: np.ndarray, nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
     """The reduced (quota, weights...) int64 row of each solution
-    x = nums / dens: x in integers, suffix sums as weights, the quota tight
-    at the lightest shift-minimal winning coalition (win), gcd 1."""
+    x = nums / dens of its _difference_systems coeffs: x in integers,
+    suffix sums as weights, the quota tight at the lightest shift-minimal
+    winning coalition, gcd 1."""
     dens = dens[:, None]
     scale = np.lcm.reduce(dens // np.gcd(nums, dens), axis=1)
     diffs = (nums // (dens[:, 0] // scale)[:, None])[:, :n]
     weights = np.cumsum(diffs[:, ::-1], axis=1)[:, ::-1]
-    coalition = diffs @ _prefix_counts(n).T  # every coalition's weight
-    quota = np.where(win, coalition, coalition[:, -1:]).min(axis=1)
+    # A winning row is its coalition's prefix counts, then -1; its weight
+    # is the counts times the differences.  Other rows give way to the
+    # grand coalition's weight, which no coalition exceeds.
+    rows = (coeffs[:, :, :n] @ diffs[:, :, None])[:, :, 0]
+    quota = np.where(coeffs[:, :, n] < 0, rows, weights.sum(axis=1)[:, None]).min(axis=1)
     certs = np.column_stack([quota, weights])
     certs = certs // np.gcd.reduce(certs, axis=1)[:, None]
     return certs.astype(np.int64, copy=False)
@@ -907,15 +957,13 @@ def is_weighted(g: Game) -> WeightedGame | None:
         return None
     n = e.n
     table = _relabelled(e, perm).np_table[None, :]
-    win = _family_masks(table, _lower_neighbors(n), True)
-    lose = _family_masks(table, _upper_neighbors(n), False)
-    coeffs, rhs = _difference_systems(n, win, lose)
+    coeffs, rhs = _difference_systems(n, _shift_family(table, n, True), _shift_family(table, n, False))
     x = solve_nonneg_geq(n + 1, list(zip(coeffs[0].tolist(), rhs[0].tolist())))
     if x is None:
         return None
     den = math.lcm(*(v.denominator for v in x))
     nums = np.array([[int(v * den) for v in x]])
-    quota, *weights = _certificates(n, win, nums, np.ones(1, dtype=np.int64))[0].tolist()
+    quota, *weights = _certificates(n, coeffs, nums, np.ones(1, dtype=np.int64))[0].tolist()
     return WeightedGame(quota, [weights[perm.index(v)] for v in range(1, n + 1)])
 
 

@@ -10,12 +10,13 @@ as seeded generators and as hypothesis strategies.
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 from hypothesis import strategies as st
 
-from votekit.games import BoolCombo, ExplicitGame, WeightedGame, evaluate, to_explicit
+from votekit.games import BoolCombo, ExplicitGame, WeightedGame, _lower_neighbors, evaluate, to_explicit
 from votekit.inverse import InverseMode, InverseResult, _proportional_start, _QuotaScan
 
 
@@ -285,6 +286,30 @@ def not_shift_minimal_by_loop(n: int, masks) -> list[int]:
         for m in sorted(set(masks))
         if any(dominates_by_loop(f, s, n) for f in shift_weakenings(n, m) for s in masks)
     ]
+
+
+@lru_cache(maxsize=None)
+def upper_neighbors(n: int) -> tuple[tuple[int, ...], ...]:
+    """The one-step strengthenings of every mask: the coalitions whose
+    one-step weakenings (games._lower_neighbors) include it."""
+    uppers: list[list[int]] = [[] for _ in range(1 << n)]
+    for m, lowers in enumerate(_lower_neighbors(n)):
+        for f in lowers:
+            uppers[f].append(m)
+    return tuple(map(tuple, uppers))
+
+
+def families_by_neighbors(tables, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(win, lose) boolean matrices of the rows of a (games, 2**n) 0/1
+    table, coalition by coalition: the winning coalitions whose one-step
+    weakenings all lose, and the losing ones whose one-step
+    strengthenings all win."""
+    t = np.asarray(tables, dtype=bool).T  # coalition-major
+    win, lose = t.copy(), ~t
+    for m, (lowers, uppers) in enumerate(zip(_lower_neighbors(n), upper_neighbors(n))):
+        win[m] &= ~t[list(lowers)].any(axis=0)
+        lose[m] &= t[list(uppers)].all(axis=0)
+    return win.T, lose.T
 
 
 @st.composite

@@ -41,6 +41,7 @@ from votekit.enumeration import (
     two_trade_rejects,
 )
 from votekit.games import (
+    CompleteGame,
     DesirabilityOutcome,
     WeightedGame,
     _difference_systems,
@@ -48,7 +49,6 @@ from votekit.games import (
     _lower_neighbors,
     _mask_lists,
     _prefix_counts,
-    _upper_neighbors,
     canonical_table,
     desirability,
     dominates,
@@ -64,11 +64,13 @@ from votekit.exactlp import solve_block
 from votekit.pipeline import build_tier
 
 from oracles import (
+    families_by_neighbors,
     labelings_by_dfs,
     monotone_games,
     prefix_counts,
     random_weighted,
     two_trade_by_pairs,
+    upper_neighbors,
     weighted_by_inclusion_lp,
     weighted_games,
 )
@@ -97,7 +99,7 @@ def test_shift_poset_linear_extension():
         order = _linear_extension(n)
         assert sorted(order) == list(range(1 << n))
         pos = {m: k for k, m in enumerate(order)}
-        lowers, uppers = _lower_neighbors(n), _upper_neighbors(n)
+        lowers, uppers = _lower_neighbors(n), upper_neighbors(n)
         for m in order:
             # The two neighbour tables mirror each other, in both directions.
             for f in lowers[m]:
@@ -115,7 +117,7 @@ def test_shift_poset_dominance():
     # one-step neighbours are comparable in the right direction
     for m in range(1 << 4):
         assert all(dominates(m, f, 4) for f in _lower_neighbors(4)[m])
-        assert all(dominates(u, m, 4) for u in _upper_neighbors(4)[m])
+        assert all(dominates(u, m, 4) for u in upper_neighbors(4)[m])
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -187,10 +189,10 @@ def test_is_weighted_verdicts_match_the_inclusion_lp(g):
 
 def test_is_weighted_domain():
     """Incomplete games are rejected up to 24 voters; complete games need
-    the shift tables, which stop at 14 voters."""
+    the shift family extractor, which stops at 14 voters."""
     crossed = parse_game("n=4; minwin={1,2},{3,4}")
     assert is_weighted(add_null_voters(crossed, 12)) is None
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at most 14 voters"):
         is_weighted(WeightedGame(8, [1] * 15))
 
 
@@ -455,29 +457,25 @@ def test_catalog_decode_across_read_blocks(tmp_path, monkeypatch, catalogs, read
 
 
 @st.composite
-def _random_families(draw):
-    """(n, family matrix) of random complete games with 1..8 voters: the
-    shift-order up-sets of random nonempty sets of nonempty coalitions."""
-    n = draw(st.integers(1, 8))
+def _random_up_sets(draw, max_n: int = 8):
+    """(n, tables): the outcome tables of random complete games with
+    1..max_n voters, the shift-order up-sets of random nonempty sets of
+    nonempty coalitions."""
+    n = draw(st.integers(1, max_n))
     gens = draw(
         st.lists(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6), min_size=1, max_size=40)
     )
-    tables = np.zeros((len(gens), 1 << n), dtype=np.uint8)
-    for row, masks in zip(tables, gens):
-        row[masks] = 1
-    lowers = _lower_neighbors(n)
-    for m in _linear_extension(n):  # weaker coalitions first
-        tables[:, m] |= tables[:, list(lowers[m])].any(axis=1)
-    return n, shift_minimal_families(tables, n)
+    return n, np.array([to_explicit(CompleteGame(n, masks, validate=False)).np_table for masks in gens])
 
 
 @settings(max_examples=80, deadline=None)
-@given(_random_families(), st.sampled_from([1, 3, 64, 4099]), st.data())
-def test_catalog_round_trip_on_random_families(families, read_bytes, data):
+@given(_random_up_sets(), st.sampled_from([1, 3, 64, 4099]), st.data())
+def test_catalog_round_trip_on_random_families(up_sets, read_bytes, data):
     """Random shift-minimal families written by catalog_records come back
     whole from fetch_catalog_games at random positions, whatever the read
     block, and a truncated file still fails at the record it cuts."""
-    n, matrix = families
+    n, tables = up_sets
+    matrix = shift_minimal_families(tables, n)
     want = _mask_lists(matrix)
     picks = data.draw(st.sets(st.integers(0, len(want) - 1)))
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
@@ -490,3 +488,28 @@ def test_catalog_round_trip_on_random_families(families, read_bytes, data):
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(CatalogFormatError, match="truncated game record"):
             fetch_catalog_games(path, [len(want) - 1])
+
+
+def _assert_families_match_the_neighbour_loop(tables, n):
+    got = shift_minimal_families(tables, n), shift_maximal_losing_families(tables, n)
+    for family, want in zip(got, families_by_neighbors(tables, n), strict=True):
+        assert family.dtype == bool and np.array_equal(family, want)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_shift_families_match_the_neighbour_loop(n):
+    """On every complete game with n voters, the cover test on packed
+    words marks the families that the one-step neighbour loop marks."""
+    _assert_families_match_the_neighbour_loop(np.concatenate(list(iter_complete_chunks(n))), n)
+
+
+def test_shift_families_match_the_neighbour_loop_on_the_first_eight_voter_chunk():
+    _assert_families_match_the_neighbour_loop(next(iter_complete_chunks(8))[:16384], 8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_up_sets(max_n=14))
+def test_shift_families_match_the_neighbour_loop_on_random_up_sets(up_sets):
+    """Through MAX_SHIFT_TABLE_VOTERS = 14 voters, on random shift-closed
+    tables, where the packed rows span one word or many."""
+    _assert_families_match_the_neighbour_loop(up_sets[1], up_sets[0])

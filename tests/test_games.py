@@ -26,6 +26,7 @@ from votekit.games import (
     is_complete,
     is_weighted,
     parse_game,
+    shift_maximal_losing,
     shift_minimal_winning,
     sort_by_desirability,
     to_explicit,
@@ -190,6 +191,24 @@ def test_shift_minimal_winning():
     assert c.shift_minimal == (coalition_mask([1, 3]),)
     back = to_explicit(c)
     assert back.table == to_explicit(parse_game("[3;2,1,1]")).table
+
+
+@pytest.mark.parametrize("extract", [shift_minimal_winning, shift_maximal_losing])
+def test_shift_families_refuse_a_table_that_is_not_shift_closed(extract):
+    """Voter 2 outweighs voter 1, so {2} wins while {1} loses: the cover
+    test would read families off a table that is not an up-set."""
+    with pytest.raises(ValueError, match="not shift-closed"):
+        extract(parse_game("[2;1,2,1]"))
+    assert extract(sort_by_desirability(parse_game("[2;1,2,1]"))[0])
+
+
+@pytest.mark.parametrize("extract", [shift_minimal_winning, shift_maximal_losing])
+def test_shift_families_refuse_more_than_fourteen_voters(extract):
+    """The family extractor packs all 2**n coalitions of a game, so it
+    stops at MAX_SHIFT_TABLE_VOTERS = 14 voters."""
+    assert extract(WeightedGame(8, [1] * 14))
+    with pytest.raises(ValueError, match="at most 14 voters"):
+        extract(WeightedGame(8, [1] * 15))
 
 
 @settings(max_examples=60, deadline=None)

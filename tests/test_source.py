@@ -209,3 +209,29 @@ def test_each_weightedness_lp_entry_has_one_caller():
         if name not in ("exactlp.py", caller) and _references(tree)[entry]
     ]
     assert found == []
+
+
+# Shift-order helpers, and per module the functions that may reference
+# them (None: any): one family extractor serves chunks and single games,
+# and the neighbour table serves the enumeration DFS alone.
+SHIFT_HELPERS = {
+    "_shift_family": {"games.py": None, "enumeration.py": {"shift_minimal_families", "shift_maximal_losing_families"}},
+    "_cover_steps": {"games.py": None},
+    "_lower_neighbors": {"enumeration.py": {"iter_complete_chunks"}},
+}
+
+
+def test_shift_families_have_one_extractor():
+    """games is the only module that extracts shift families: outside it,
+    only enumeration's two chunk wrappers reference the extractor, and
+    only enumeration's DFS references the neighbour table."""
+    found = []
+    for name, tree in _modules(PACKAGE).items():
+        for top in tree.body:
+            if isinstance(top, ast.ImportFrom):
+                continue
+            for helper, modules in SHIFT_HELPERS.items():
+                callers = modules.get(name, set())
+                if _references(top)[helper] and callers is not None and getattr(top, "name", None) not in callers:
+                    found.append(f"{name}:{top.lineno}: {helper}")
+    assert found == []
