@@ -38,9 +38,8 @@ from .games import (
     _set_str,
 )
 from .geometry import Metric, distance
-from .indices import KINDS, decimal_str, pbi_dp, power_vector, ssi_dp
+from .indices import KINDS, MAX_DP_VOTERS, decimal_str, pbi_dp, power_vector, ssi_dp
 from .inverse import (
-    MAX_HEURISTIC_VOTERS,
     InverseResult,
     Target,
     beta_target,
@@ -636,8 +635,8 @@ def cmd_inverse(args) -> int:
         store, certificates = pipeline.weighted_store(target.n, target.kind, _tier_dir(args, target.n))
         res = inverse_exact(target, metric, store, certificates)
     else:
-        if target.n > MAX_HEURISTIC_VOTERS:
-            raise _UsageError(f"heuristic search supports up to {MAX_HEURISTIC_VOTERS} voters")
+        if target.n > MAX_DP_VOTERS:
+            raise _UsageError(f"heuristic search supports up to {MAX_DP_VOTERS} voters")
         res = inverse_heuristic(
             target,
             metric,

@@ -290,6 +290,11 @@ class GameParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _check_explicit_voters(n: int) -> None:
+    if n < 1 or n > MAX_EXPLICIT_VOTERS:
+        raise ValueError(f"explicit tables support 1..{MAX_EXPLICIT_VOTERS} voters, got {n}")
+
+
 class ExplicitGame:
     """A simple game stored as its full outcome table.
 
@@ -301,8 +306,7 @@ class ExplicitGame:
     __slots__ = ("n", "table", "_hash")
 
     def __init__(self, n: int, table, validate: bool = True):
-        if n < 1 or n > MAX_EXPLICIT_VOTERS:
-            raise ValueError(f"explicit tables support 1..{MAX_EXPLICIT_VOTERS} voters, got {n}")
+        _check_explicit_voters(n)
         data = bytes(table)
         if len(data) != 1 << n:
             raise ValueError(f"table for {n} voters must have {1 << n} entries, got {len(data)}")
@@ -653,6 +657,7 @@ class _Parser:
 
 
 def _explicit_from_minimal_winning(n: int, masks: Sequence[Coalition]) -> ExplicitGame:
+    _check_explicit_voters(n)
     if 0 in masks:
         raise ValueError("the empty coalition cannot be winning")
     idx = np.arange(1 << n, dtype=np.int64)

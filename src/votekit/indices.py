@@ -9,13 +9,28 @@ to winning by one voter joining):
   their total.
 
 Everything is exact: vectors are integer numerators over one denominator.
-Small games go through the full outcome table; weighted games and and/or
-combinations of them have dynamic-programming paths that scale to dozens
-of voters by tracking coalition size plus one weight-sum axis per
-distinct non-uniform leaf.  Catalog pipelines take a whole stack of
-monotone tables (n <= 8) at once: in a monotone game each index is linear
-in the outcome table, so each kind is one exact int64 product with a
-cached (2**n, n) coefficient matrix.
+Small games go through the full outcome table.  Weighted games and
+and/or combinations of them have a dynamic-programming path that scales
+to dozens of voters.  It counts coalitions by size and weight sum, with
+one weight-sum axis per distinct weight vector of the non-uniform leaves
+(a uniform leaf only bounds the size).  The axes are folded into one flat
+sum by mixed radix: axis a, of sums 0 .. cap_a, has place value
+R_a = prod_(b < a) (cap_b + 1), and voter i has flat weight
+W_i = sum_a w_ia R_a.  One forward pass (_size_sum_counts) counts the
+coalitions of every size and flat sum, and the removal recurrence
+(_removal_table), the generating-function division of Bilbao et al.
+(2000), takes out one voter of each distinct flat weight.  Adding weights
+never carries from one axis to the next, since an axis sum is at most its
+cap.  Taking W_i away borrows only where some axis sum s_a is below w_ia.
+The flat index then falls below zero, into the removal table's zero pad,
+or on a sum above cap_a - w_ia on the lowest such axis, which the other
+voters cannot reach; either way the count read there is the true zero.
+The heuristic inverse search's quota scan runs on the same two helpers.
+
+Catalog pipelines take a whole stack of monotone tables (n <= 8) at once:
+in a monotone game each index is linear in the outcome table, so each
+kind is one exact int64 product with a cached (2**n, n) coefficient
+matrix.
 """
 
 from __future__ import annotations
@@ -222,26 +237,70 @@ def power_vector(g: Game, kind: str) -> PowerVector:
 # ---------------------------------------------------------------------------
 
 
-class _ComboPlan:
-    """Scaled integer view of a game built from weighted leaves.
+def _size_sum_counts(weights: Sequence[int], n: int) -> np.ndarray:
+    """dp[k, s]: the coalitions of size k and weight sum s."""
+    dp = np.zeros((n + 1, sum(weights) + 1), dtype=np.int64)
+    dp[0, 0] = 1
+    # With at most MAX_DP_VOTERS = 64 voters, coalition counts stay below
+    # C(64, 32) < 2**63.  Each voter adds the coalitions so far (sizes up
+    # to joined, sums up to reach) shifted by one in size and w in sum;
+    # numpy buffers the overlapping operands, so every voter joins at most
+    # once.
+    joined = reach = 0
+    for w in weights:
+        dp[1 : joined + 2, w : reach + w + 1] += dp[: joined + 1, : reach + 1]
+        joined += 1
+        reach += w
+    return dp
 
-    Leaves with all weights equal only constrain the coalition size, so
-    they need no state axis.  The remaining distinct leaves each get a
-    weight-sum axis; per-voter weight tuples index into those axes.
+
+def _shift_index(shape, pad: int, shifts, count: int) -> np.ndarray:
+    """Flat indices of table[..., pad + s - shift] for s < count in a
+    C-ordered table of this shape, with one shift per row (shifts
+    broadcast against shape[:-1]).  A shift up to pad reads pad columns."""
+    rows = shape[:-1]
+    starts = np.arange(math.prod(rows)).reshape(rows) * shape[-1] + pad - np.asarray(shifts)
+    return starts[..., None] + np.arange(count)
+
+
+def _removal_table(counts: np.ndarray, distinct: Sequence[int], pad: int) -> np.ndarray:
+    """counts with one voter of each distinct weight taken out.
+
+    counts[k, m, s] counts the coalitions of size k and sum s (or sum at
+    most s) of voter set m; table[k, m, j, pad + s] is the same count for
+    set m less one voter of weight distinct[j], from the removal
+    recurrence
+
+        table[k, m, j, s] = counts[k, m, s] - table[k - 1, m, j, s - distinct[j]],
+
+    with one gather per size for every set and weight at once.  The pad
+    columns stay zero, so a shift by up to pad reads zeros.
     """
+    sizes, sets, width = counts.shape
+    table = np.zeros((sizes, sets, len(distinct), pad + width), dtype=np.int64)
+    if sizes:
+        table[0, ..., pad:] = counts[0, :, None]
+    back = _shift_index(table.shape[1:], pad, distinct, width)
+    for k in range(1, sizes):
+        np.subtract(counts[k, :, None], table[k - 1].take(back), out=table[k, ..., pad:])
+    return table
+
+
+class _ComboPlan:
+    """Scaled integer view of a game built from weighted leaves: the leaf
+    tree, each voter's flat weight and the width of the flat sums (see
+    the module docstring).  Leaves with the same weights share an axis
+    whatever their quotas."""
 
     def __init__(self, g: Union[WeightedGame, BoolCombo], state_cap: int):
         if g.n > MAX_DP_VOTERS:
             raise ValueError(f"dynamic programming supports up to {MAX_DP_VOTERS} voters")
         self.n = g.n
-        self.axes: list[tuple[int, ...]] = []  # per-voter weights, one entry per axis
-        self.axis_caps: list[int] = []
-        self.axis_quota: list[int] = []
-        self._axis_of: dict[tuple, int] = {}
+        self.flat = [0] * self.n
+        self.width = 1
+        self._radix: dict[tuple[int, ...], int] = {}  # an axis's weights -> R_a
         self.tree = self._plan(g)
-        cells = self.n + 1
-        for cap in self.axis_caps:
-            cells *= cap + 1
+        cells = (self.n + 1) * self.width
         if cells > state_cap:
             raise ValueError(
                 f"state space has {cells} cells, above the cap of {state_cap}; "
@@ -254,86 +313,51 @@ class _ComboPlan:
             if len(set(w)) == 1:
                 # Uniform leaf: wins iff coalition size reaches ceil(t / w).
                 return ("size", -(-t // w[0]))
-            key = (t, w)
-            if key not in self._axis_of:
-                self._axis_of[key] = len(self.axes)
-                self.axes.append(w)
-                self.axis_caps.append(sum(w))
-                self.axis_quota.append(t)
-            return ("axis", self._axis_of[key])
+            if w not in self._radix:
+                self._radix[w] = self.width
+                self.flat = [f + x * self.width for f, x in zip(self.flat, w)]
+                self.width *= sum(w) + 1
+            return ("axis", self._radix[w], sum(w) + 1, t)
         return (node.op, tuple(self._plan(p) for p in node.parts))
 
     def win_grid(self) -> np.ndarray:
-        """Boolean array over (size, axis sums...) marking winning states."""
-        shape = (self.n + 1,) + tuple(c + 1 for c in self.axis_caps)
+        """Boolean array over (size, flat sum) marking winning states."""
+        sums = np.arange(self.width)
 
         def build(node) -> np.ndarray:
             tag = node[0]
             if tag == "size":
-                kmin = node[1]
-                grid = np.arange(self.n + 1) >= kmin
-                return grid.reshape((-1,) + (1,) * len(self.axis_caps))
+                return (np.arange(self.n + 1) >= node[1])[:, None]
             if tag == "axis":
-                a = node[1]
-                grid = np.arange(self.axis_caps[a] + 1) >= self.axis_quota[a]
-                shp = [1] * (len(self.axis_caps) + 1)
-                shp[a + 1] = -1
-                return grid.reshape(shp)
+                _, radix, base, t = node
+                return (sums // radix % base >= t)[None, :]
             parts = [build(p) for p in node[1]]
-            acc = np.broadcast_to(parts[0], shape).copy()
+            acc = parts[0]
             for p in parts[1:]:
-                if tag == "and":
-                    acc &= p
-                else:
-                    acc |= p
+                acc = acc & p if tag == "and" else acc | p
             return acc
 
-        return np.broadcast_to(build(self.tree), shape).copy()
-
-    def voter_weights(self, i: int) -> tuple[int, ...]:
-        return tuple(w[i] for w in self.axes)
-
-    def subset_counts(self, skip: int) -> np.ndarray:
-        """dp[k, sums...] = number of coalitions of the other voters with
-        that size and those axis sums."""
-        shape = (self.n + 1,) + tuple(c + 1 for c in self.axis_caps)
-        dp = np.zeros(shape, dtype=np.int64)
-        dp[(0,) + (0,) * len(self.axis_caps)] = 1
-        kmax = 0
-        for v in range(self.n):
-            if v == skip:
-                continue
-            w = self.voter_weights(v)
-            kmax += 1
-            # Descending size index so a voter is counted at most once.
-            for k in range(kmax, 0, -1):
-                dst = (k,) + tuple(slice(wa, None) for wa in w)
-                src = (k - 1,) + tuple(
-                    slice(0, cap + 1 - wa) for cap, wa in zip(self.axis_caps, w)
-                )
-                dp[dst] += dp[src]
-        return dp
+        return np.broadcast_to(build(self.tree), (self.n + 1, self.width))
 
 
 def _swing_profile_dp(g, state_cap: int) -> list[list[int]]:
+    """Each voter's swings by the size of the coalition joined: one
+    forward DP, then one removal per distinct flat weight W, a lane at a
+    time.  A coalition of the others of size k and flat sum s is a swing
+    when win[k + 1, s + W] and not win[k, s]."""
     plan = _ComboPlan(g, state_cap)
-    n = plan.n
+    n, width = plan.n, plan.width
     win = plan.win_grid()
-    profile = []
-    for i in range(n):
-        dp = plan.subset_counts(i)
-        w = plan.voter_weights(i)
-        gained = (slice(1, None),) + tuple(slice(wa, None) for wa in w)
-        base = (slice(0, n),) + tuple(
-            slice(0, cap + 1 - wa) for cap, wa in zip(plan.axis_caps, w)
-        )
-        swing = win[gained] & ~win[base]
-        counts = dp[base]
-        row = []
-        for k in range(n):
-            row.append(int(counts[k][swing[k]].sum()))
-        profile.append(row)
-    return profile
+    counts = _size_sum_counts(plan.flat, n)[:n, None]
+    pad = max(plan.flat)
+
+    def lane(w: int) -> list[int]:
+        swings = _removal_table(counts, [w], pad)[:, 0, 0, pad : pad + width - w]
+        swings *= win[1:, w:] & ~win[:-1, : width - w]
+        return [int(x) for x in swings.sum(axis=1)]
+
+    rows = {w: lane(w) for w in set(plan.flat)}
+    return [rows[w] for w in plan.flat]
 
 
 def swing_counts_dp(g: Union[WeightedGame, BoolCombo], state_cap: int = 10**6) -> SwingCounts:

@@ -31,7 +31,16 @@ import numpy as np
 
 from .games import Game, WeightedGame, add_null_voters
 from .geometry import Metric, VectorStore, distance, _exact_dtype, _INT64_MAX
-from .indices import PowerVector, decimal_str, power_vector, _factorials
+from .indices import (
+    MAX_DP_VOTERS,
+    PowerVector,
+    decimal_str,
+    power_vector,
+    _factorials,
+    _removal_table,
+    _shift_index,
+    _size_sum_counts,
+)
 
 __all__ = [
     "Target",
@@ -44,8 +53,6 @@ __all__ = [
     "padded_target_search",
     "PaddedSearchReport",
 ]
-
-MAX_HEURISTIC_VOTERS = 64
 
 
 @dataclass(frozen=True)
@@ -212,32 +219,6 @@ def _proportional_start(values: Sequence[Fraction], total: int) -> list[int]:
 _BLOCK_BYTES = 1 << 19
 
 
-def _size_sum_counts(weights: Sequence[int], n: int) -> np.ndarray:
-    """full[k, s]: the coalitions of size k and weight sum at most s."""
-    dp = np.zeros((n + 1, sum(weights) + 1), dtype=np.int64)
-    dp[0, 0] = 1
-    # With at most MAX_HEURISTIC_VOTERS = 64 voters, coalition counts stay
-    # below C(64, 32) < 2**63.  Each voter adds the coalitions so far
-    # (sizes up to joined, sums up to reach) shifted by one in size and w
-    # in sum; numpy buffers the overlapping operands, so every voter joins
-    # at most once.
-    joined = reach = 0
-    for w in weights:
-        dp[1 : joined + 2, w : reach + w + 1] += dp[: joined + 1, : reach + 1]
-        joined += 1
-        reach += w
-    return np.cumsum(dp, axis=1)
-
-
-def _shift_index(shape, pad: int, shifts, count: int) -> np.ndarray:
-    """Flat indices of table[..., pad + s - shift] for s < count in a
-    C-ordered table of this shape, with one shift per row (shifts
-    broadcast against shape[:-1]).  A shift up to pad reads pad columns."""
-    rows = shape[:-1]
-    starts = np.arange(math.prod(rows)).reshape(rows) * shape[-1] + pad - np.asarray(shifts)
-    return starts[..., None] + np.arange(count)
-
-
 def _shifted(table: np.ndarray, pad: int, shifts, count: int) -> np.ndarray:
     """table[..., pad + s - shift] for s < count, one shift per row."""
     return table.take(_shift_index(table.shape, pad, shifts, count))
@@ -251,28 +232,6 @@ def _step_diff(table: np.ndarray, pad: int, distinct: Sequence[int]) -> np.ndarr
     return out
 
 
-def _removal_table(counts: np.ndarray, distinct: Sequence[int], pad: int) -> np.ndarray:
-    """counts with one voter of each distinct weight taken out.
-
-    counts[k, m, s] counts the coalitions of size k and sum at most s of
-    voter set m; table[k, m, j, pad + s] is the same count for set m less
-    one voter of weight distinct[j], from the removal recurrence
-
-        table[k, m, j, s] = counts[k, m, s] - table[k - 1, m, j, s - distinct[j]],
-
-    with one gather per size for every set and weight at once.  The pad
-    columns stay zero, so a shift by up to pad reads zeros.
-    """
-    sizes, sets, width = counts.shape
-    table = np.zeros((sizes, sets, len(distinct), pad + width), dtype=np.int64)
-    if sizes:
-        table[0, ..., pad:] = counts[0, :, None]
-    back = _shift_index(table.shape[1:], pad, distinct, width)
-    for k in range(1, sizes):
-        np.subtract(counts[k, :, None], table[k - 1].take(back), out=table[k, ..., pad:])
-    return table
-
-
 class _QuotaScan:
     """Scores weight vectors over every quota at once, exactly.
 
@@ -283,11 +242,12 @@ class _QuotaScan:
     coalitions of the others of size k and sum at most s, the voter's
     numerator at quota t is C(t - 1) - C(t - 1 - w).
 
-    run scores one vector.  A forward DP over the voters counts the
-    coalitions of each size and sum; the removal recurrence
-    (_removal_table) gives the same counts O_a among the others of a
-    voter of weight d_a, once per distinct weight (voters of equal weight
-    share a profile, and weight zero gets the empty one); and
+    run scores one vector.  The index DPs' forward pass
+    (indices._size_sum_counts), summed along the sum axis, counts the
+    coalitions of each size and sum at most s; their removal recurrence
+    (indices._removal_table) gives the same counts O_a among the others
+    of a voter of weight d_a, once per distinct weight (voters of equal
+    weight share a profile, and weight zero gets the empty one); and
     C = A1_a = sum_k c_k O_a[k].
 
     neighbours scores the +1 and -1 moves of single voters of an
@@ -424,7 +384,7 @@ class _QuotaScan:
         distinct = sorted(set(weights))
         lane = {w: j for j, w in enumerate(distinct)}
         pad = distinct[-1]
-        counts = _size_sum_counts(weights, n)[:n, None]
+        counts = np.cumsum(_size_sum_counts(weights, n), axis=1)[:n, None]
         a1 = self._contract(_removal_table(counts, distinct, pad))[0]
         # nums[j, t - 1]: the numerator of voter j at quota t
         prof = _step_diff(a1, pad, distinct)[:, pad:-1]
@@ -448,7 +408,7 @@ class _QuotaScan:
         lone = np.bincount(row, minlength=lanes) == 1
         pad = distinct[-1] + 1
         span = pad + total + 1
-        counts = _size_sum_counts(weights, n)[:n, None]
+        counts = np.cumsum(_size_sum_counts(weights, n), axis=1)[:n, None]
         # others[k, a, pad + s]: the counts among the others of a voter of
         # lane a; a1[a] their contraction, and inc[a, t - 1] the numerator
         # of a voter of lane a at quota t
@@ -548,8 +508,8 @@ def inverse_heuristic(
     scanned one at a time.
     """
     n = target.n
-    if n > MAX_HEURISTIC_VOTERS:
-        raise ValueError(f"heuristic search supports up to {MAX_HEURISTIC_VOTERS} voters")
+    if n > MAX_DP_VOTERS:
+        raise ValueError(f"heuristic search supports up to {MAX_DP_VOTERS} voters")
     if weight_total < 1:
         raise ValueError("weight_total must be positive")
     if budget < 1:

@@ -14,6 +14,7 @@ from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from votekit.games import BoolCombo, ExplicitGame, WeightedGame, _lower_neighbors, evaluate, to_explicit
@@ -46,6 +47,54 @@ def pbi_swings_by_subsets(g) -> tuple[tuple[int, ...], int]:
             if s & b and table[s] > table[s ^ b]:
                 counts[i] += 1
     return tuple(counts), sum(counts)
+
+
+def swing_profile_by_voter_dp(g) -> list[list[int]]:
+    """Each voter's swings by the size of the coalition joined, from one
+    forward DP per voter over the coalitions of the others, by size and
+    one weight-sum axis per non-uniform leaf."""
+    n = g.n
+    leaves = []
+
+    def plan(node):
+        if isinstance(node, WeightedGame):
+            t, w = node.scaled_ints()
+            if len(set(w)) == 1:
+                return ("size", -(-t // w[0]))
+            leaves.append((t, w))
+            return ("axis", len(leaves) - 1)
+        return (node.op, tuple(plan(p) for p in node.parts))
+
+    def wins(node):
+        if node[0] == "size":
+            return grid[0] >= node[1]
+        if node[0] == "axis":
+            return grid[node[1] + 1] >= leaves[node[1]][0]
+        parts = [wins(p) for p in node[1]]
+        return np.logical_and.reduce(parts) if node[0] == "and" else np.logical_or.reduce(parts)
+
+    tree = plan(g)
+    caps = [sum(w) for _, w in leaves]
+    shape = (n + 1,) + tuple(c + 1 for c in caps)
+    grid = np.indices(shape)
+    win = wins(tree)
+    profile = []
+    for i in range(n):
+        dp = np.zeros(shape, dtype=np.int64)
+        dp[(0,) * len(shape)] = 1
+        for v in range(n):
+            if v != i:
+                w = [lw[v] for _, lw in leaves]
+                for k in range(n - 1, 0, -1):
+                    dst = (k,) + tuple(slice(x, None) for x in w)
+                    src = (k - 1,) + tuple(slice(0, c + 1 - x) for c, x in zip(caps, w))
+                    dp[dst] += dp[src]
+        w = [lw[i] for _, lw in leaves]
+        gained = (slice(1, None),) + tuple(slice(x, None) for x in w)
+        base = (slice(0, n),) + tuple(slice(0, c + 1 - x) for c, x in zip(caps, w))
+        swing = win[gained] & ~win[base]
+        profile.append([int(dp[base][k][swing[k]].sum()) for k in range(n)])
+    return profile
 
 
 def null_voters_by_table(g) -> tuple[int, ...]:
@@ -142,6 +191,28 @@ def two_leaf_combos(draw, max_n: int = 10, rational: bool = False) -> BoolCombo:
     n = draw(st.integers(1, max_n))
     op = draw(st.sampled_from(("and", "or")))
     return BoolCombo(op, [draw(weighted_games(n=n, rational=rational)) for _ in range(2)])
+
+
+@st.composite
+def multi_axis_combos(draw, max_n: int = 10) -> BoolCombo:
+    """An and/or tree over two weighted leaves with distinct non-uniform
+    weights, the first with a zero weight, and at times a third leaf:
+    one with the first's weights and its own quota, or a uniform one."""
+    n = draw(st.integers(2, max_n))
+    weights = st.lists(st.integers(0, 9), min_size=n, max_size=n)
+    first = draw(weights)
+    first[draw(st.integers(0, n - 1))] = 0
+    assume(len(set(first)) > 1)
+    second = draw(weights.filter(lambda w: len(set(w)) > 1 and w != first))
+    rows = [first, second]
+    third = draw(st.sampled_from(("none", "shared", "uniform")))
+    if third != "none":
+        rows.append(first if third == "shared" else [1] * n)
+    leaves = [WeightedGame(draw(st.integers(1, sum(w))), w) for w in rows]
+    op, other = draw(st.sampled_from((("and", "or"), ("or", "and"))))
+    if len(leaves) == 3 and draw(st.booleans()):
+        return BoolCombo(op, [leaves[0], BoolCombo(other, leaves[1:])])
+    return BoolCombo(op, leaves)
 
 
 @st.composite

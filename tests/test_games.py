@@ -103,6 +103,14 @@ def test_parse_rejects(text):
         parse_game(text)
 
 
+@pytest.mark.parametrize("n", [25, 64])
+def test_minwin_literal_refuses_large_tables_before_building_them(n):
+    """A minwin literal past the explicit-table bound fails on its voter
+    count, before a 2**n table is allocated."""
+    with pytest.raises(GameParseError, match=f"explicit tables support 1..24 voters, got {n}"):
+        parse_game(f"n={n}; minwin={{1}},{{{n}}}")
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from votekit.council import council_game
 from votekit.games import BoolCombo, WeightedGame, parse_game, to_explicit
 from votekit.indices import (
     _BATCH_BLOCK,
     PowerVector,
+    _swing_profile_dp,
     batch_ssi_numerators,
     batch_swing_counts,
     decimal_str,
@@ -26,10 +28,12 @@ from votekit.indices import (
 
 from oracles import (
     monotone_games,
+    multi_axis_combos,
     pbi_swings_by_subsets,
     random_boolcombo,
     random_weighted,
     ssi_by_permutations,
+    swing_profile_by_voter_dp,
     two_leaf_combos,
     weighted_games,
 )
@@ -106,6 +110,40 @@ def test_state_cap_limits_dp():
     with pytest.raises(ValueError):
         ssi_dp(g, state_cap=10)
     assert ssi_dp(g, state_cap=10**7) == ssi(g)
+
+
+def test_dp_leaves_with_equal_weights_share_an_axis():
+    """Leaves with the same weights and different quotas share one
+    weight-sum axis: 6 sizes by 51 sums."""
+    g = parse_game("[30;20,10,10,5,5] & [25;20,10,10,5,5]")
+    for dp, table in ((ssi_dp, ssi), (pbi_dp, pbi)):
+        got, want = dp(g, state_cap=306), table(g)
+        assert (got.nums, got.den) == (want.nums, want.den)
+    with pytest.raises(ValueError, match="306 cells"):
+        ssi_dp(g, state_cap=305)
+
+
+@pytest.mark.parametrize("quantize", [1000, 10000])
+@pytest.mark.parametrize("seed", range(3))
+def test_dp_matches_the_per_voter_dp_on_councils(seed, quantize):
+    """One forward DP and one removal per distinct flat weight give each
+    voter's swing profile of a 27-member council, as one forward DP per
+    voter does."""
+    rng = random.Random(f"council:{seed}")
+    g = council_game([int(10 ** rng.uniform(5.3, 7.9)) for _ in range(27)], quantize)
+    assert _swing_profile_dp(g, 10**6) == swing_profile_by_voter_dp(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(multi_axis_combos())
+def test_dp_matches_table_on_multi_axis_combos(g):
+    """Two flat-folded axes, voters of zero weight on one of them and
+    leaves that share an axis: the DP matches the per-voter DP and the
+    full-table path."""
+    assert _swing_profile_dp(g, 10**6) == swing_profile_by_voter_dp(g)
+    for dp, table in ((ssi_dp, ssi), (pbi_dp, pbi)):
+        got, want = dp(g), table(g)
+        assert (got.nums, got.den) == (want.nums, want.den)
 
 
 def test_power_vector_dispatch():

@@ -235,3 +235,21 @@ def test_shift_families_have_one_extractor():
                 if _references(top)[helper] and callers is not None and getattr(top, "name", None) not in callers:
                     found.append(f"{name}:{top.lineno}: {helper}")
     assert found == []
+
+
+# The subset-count DP's forward pass and removal recurrence.
+SUBSET_COUNT_DP = ("_size_sum_counts", "_removal_table")
+
+
+def test_one_subset_count_dp():
+    """indices holds the only forward subset-count DP and removal
+    recurrence: no other module defines them, and only inverse's quota
+    scan references them outside indices."""
+    found = []
+    for name, tree in _modules(PACKAGE).items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in SUBSET_COUNT_DP and name != "indices.py":
+                found.append(f"{name}:{node.lineno}: defines {node.name}")
+        if name not in ("indices.py", "inverse.py"):
+            found += [f"{name}: references {helper}" for helper in SUBSET_COUNT_DP if _references(tree)[helper]]
+    assert found == []
