@@ -37,7 +37,6 @@ __all__ = [
     "NearestResult",
     "store_from_rows",
     "unique_rows",
-    "count_distinct_rows",
     "GapQueries",
     "GapTracker",
     "GapReport",
@@ -210,8 +209,9 @@ class VectorStore:
     """Deduplicated power vectors of one kind, searchable exactly.
 
     rows are reduced (numerators..., denominator) per vector, distinct
-    and in lexicographic order, as store_from_rows makes them; reps maps
-    each stored vector back to the first catalog index attaining it.
+    and in lexicographic order, as store_from_rows makes them and a tier's
+    store files hold them; reps maps each stored vector back to the first
+    catalog index attaining it.
     """
 
     def __init__(self, kind: str, n: int, rows: np.ndarray, reps: np.ndarray):
@@ -313,12 +313,6 @@ def store_from_rows(kind: str, n: int, nums: np.ndarray, dens) -> VectorStore:
     rows, _ = _reduced_rows(nums, dens)
     uniq, first, _ = unique_rows(rows)
     return VectorStore(kind, n, uniq, first)
-
-
-def count_distinct_rows(nums: np.ndarray, dens) -> int:
-    """Number of distinct vectors among the rows nums / dens."""
-    rows, _ = _reduced_rows(nums, dens)
-    return len(unique_rows(rows)[0])
 
 
 @dataclass

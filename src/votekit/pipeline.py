@@ -1,38 +1,47 @@
 """Disk cache of catalog tiers.
 
 A tier holds what is known about the complete games with n voters,
-1 <= n <= 8, as seven files written by one streamed pass:
+1 <= n <= 8, as eleven files written by one streamed pass:
 
 * cg{n}.cat and wg{n}.cat: the complete and the weighted games (VKCAT1);
 * {cg,wg}{n}.{ssi,pbi}.npy: one (numerators..., denominator) int64 row
   per game, aligned with its catalog;
+* {cg,wg}{n}.{ssi,pbi}.store.npy: the distinct vectors of each of those
+  files, one (reduced numerators..., denominator, rep) int64 row each,
+  distinct and in lexicographic order, rep the first catalog index
+  attaining the vector: the rows and reps of geometry.store_from_rows;
 * wg{n}.cert.npy: one (quota, weights...) int64 row per weighted game,
   checked against the game's winning table before it is written.
 
-All seven files are written the same way: each is opened with its
-header for the certified game count, and every chunk appends its rows
-to each (enumeration.catalog_records for the catalogs, raw int64 rows
-for the .npy files).  Every count is certified before any file is
-moved into place, so a tier is only ever installed whole.  Tiers below
-8 voters are built on first use and rebuilt when a file is missing or
-unreadable, in the calling process; the 8-voter tier takes hours and
-is built only by build_big_tables.  build_tier and build_big_tables are the only calls
+The catalogs, vector and certificate files are written the same way:
+each is opened with its header for the certified game count, and every
+chunk appends its rows to each (enumeration.catalog_records for the
+catalogs, raw int64 rows for the .npy files).  The store files are the
+build's distinct-row accumulators, written once their counts are
+certified.  Every count is certified before any file is moved into
+place, so a tier is only ever installed whole.  Tiers below 8 voters
+are built on first use and rebuilt when a file is missing or
+unreadable, in the calling process; the 8-voter tier takes hours and is
+built only by build_big_tables.  build_tier and build_big_tables are the only calls
 that take a worker count, for a process pool that pays off only at 8
 voters.
 
 Each tier file has one reader, and the reader checks what it returns:
 _checked_catalog a catalog's header, _load_vectors every row of a
-vector file, load_certificates every certificate row.  Each datum of a
-tier has one loader, which reads, and so checks, only the files behind
-it, building the tier when needed: ensure_tier (the directory, every
-file checked), load_games (the games of one class), load_listing (the
-games with their certificate rows), tier_counts (game and
-distinct-vector counts), weighted_store (the weighted vectors,
-deduplicated for search, with their certificate rows) and omega_tier
-(gap reports streamed from the vector files, with their attaining games
-read through enumeration.fetch_catalog_games).  A damaged file that a
-loader does not read is left alone until a loader that reads it
-rebuilds the tier.
+vector file, _load_store every row of a store file (its row count the
+certified distinct count, where one exists, its rows reduced, in
+strictly increasing order, with reps inside the catalog) and
+load_certificates every certificate row.  Each datum of a tier has one
+loader, which reads, and so checks, only the files behind it, building
+the tier when needed: ensure_tier (the directory, every file checked),
+load_games (the games of one class), load_listing (the games with their
+certificate rows), tier_counts (game and distinct-vector counts, the
+latter the lengths of the store files), weighted_store (the stored
+weighted vectors, with their certificate rows) and omega_tier (gap
+reports of the streamed cg vector files against the wg store, with
+their attaining games read through enumeration.fetch_catalog_games).  A
+damaged file that a loader does not read is left alone until a loader
+that reads it rebuilds the tier.
 """
 
 from __future__ import annotations
@@ -72,8 +81,6 @@ from .geometry import (
     Metric,
     VectorStore,
     _reduced_rows,
-    count_distinct_rows,
-    store_from_rows,
     unique_rows,
 )
 from .indices import KINDS, batch_ssi_numerators, batch_swing_counts
@@ -83,6 +90,7 @@ __all__ = [
     "default_cache_dir",
     "catalog_path",
     "vector_path",
+    "store_path",
     "certificate_path",
     "tier_present",
     "build_tier",
@@ -122,6 +130,10 @@ def vector_path(cache_dir, klass: str, n: int, kind: str) -> Path:
     return Path(cache_dir) / f"{klass}{n}.{kind}.npy"
 
 
+def store_path(cache_dir, klass: str, n: int, kind: str) -> Path:
+    return Path(cache_dir) / f"{klass}{n}.{kind}.store.npy"
+
+
 def certificate_path(cache_dir, n: int) -> Path:
     return Path(cache_dir) / f"wg{n}.cert.npy"
 
@@ -131,6 +143,7 @@ def _tier_paths(cache_dir, n: int) -> dict[str, Path]:
     for klass in _CLASSES:
         for kind in KINDS:
             out[f"{klass}.{kind}"] = vector_path(cache_dir, klass, n, kind)
+            out[f"{klass}.{kind}.store"] = store_path(cache_dir, klass, n, kind)
     out["wg.cert"] = certificate_path(cache_dir, n)
     return out
 
@@ -144,13 +157,14 @@ def tier_present(n: int, cache_dir=None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path: Path, rows: int, cols: int) -> np.ndarray:
-    """A tier .npy file, memory-mapped, as an int64 matrix of the expected shape."""
+def _read_rows(path: Path, rows: int | None, cols: int) -> np.ndarray:
+    """A tier .npy file, memory-mapped, as an int64 matrix of the expected
+    shape; rows None takes any number of rows."""
     try:
         arr = np.load(path, mmap_mode="r")
     except (ValueError, EOFError) as exc:
         raise CatalogFormatError(f"{path}: {exc}") from None
-    if arr.dtype != np.int64 or arr.shape != (rows, cols):
+    if arr.dtype != np.int64 or arr.ndim != 2 or arr.shape[1] != cols or rows not in (None, len(arr)):
         raise CatalogFormatError(
             f"{path}: expected int64 rows of shape {(rows, cols)}, found {arr.dtype} {arr.shape}"
         )
@@ -158,9 +172,11 @@ def _read_rows(path: Path, rows: int, cols: int) -> np.ndarray:
 
 
 def _check_blocks(path: Path, rows: np.ndarray, ok: Callable[[np.ndarray], bool], what: str) -> None:
-    """Raise unless ok(block) holds for every block of _SCAN rows."""
+    """Raise unless ok(block) holds for every block of _SCAN rows.  Each
+    block after the first opens with the last row of the one before, so
+    that a check of adjacent rows spans the blocks' boundaries."""
     for start in range(0, len(rows), _SCAN):
-        if not ok(rows[start : start + _SCAN]):
+        if not ok(rows[max(start - 1, 0) : start + _SCAN]):
             raise CatalogFormatError(f"{path}: rows are not {what}")
 
 
@@ -181,6 +197,37 @@ def _load_vectors(cache_dir, klass: str, n: int, kind: str) -> tuple[np.ndarray,
 
     _check_blocks(path, rows, ok, f"{kind} vectors")
     return rows[:, :n], rows[:, n]
+
+
+def _load_store(cache_dir, klass: str, n: int, kind: str) -> VectorStore:
+    """The distinct vectors of a vector file, as the tier build stored
+    them, every row checked: as many rows as the certified distinct
+    count, where one exists; entries nonnegative, numerators summing to
+    their positive denominator, which divides n! for ssi, no common
+    factor; rows strictly increasing; each rep a catalog index."""
+    path = store_path(cache_dir, klass, n, kind)
+    rows = _read_rows(path, certified.DISTINCT_VECTOR_COUNTS[klass, kind].get(n), n + 2)
+    games = certified.GAME_COUNTS[klass][n]
+
+    def ok(block: np.ndarray) -> bool:
+        vecs, dens = block[:, : n + 1], block[:, n]
+        if not (block.min() >= 0 and (dens > 0).all() and (block[:, -1] < games).all()):
+            return False
+        if kind == "ssi" and not (math.factorial(n) % dens == 0).all():
+            return False
+        # Strictly increasing: the first nonzero entry of each difference
+        # of adjacent rows is positive.
+        steps = np.diff(vecs, axis=0)
+        nonzero = steps != 0
+        first = steps[np.arange(len(steps)), nonzero.argmax(axis=1)]
+        return bool(
+            np.array_equal(np.einsum("ij->i", block[:, :n]), dens)
+            and (reduce(np.gcd, vecs.T) == 1).all()
+            and (first > 0).all()
+        )
+
+    _check_blocks(path, rows, ok, f"distinct reduced {kind} vectors in order")
+    return VectorStore(kind, n, rows[:, : n + 1], rows[:, n + 1])
 
 
 def load_certificates(n: int, cache_dir=None) -> np.ndarray:
@@ -222,6 +269,7 @@ def _check_tier(n: int, cache_dir: Path) -> Path:
         _checked_catalog(cache_dir, klass, n)
         for kind in KINDS:
             _load_vectors(cache_dir, klass, n, kind)
+            _load_store(cache_dir, klass, n, kind)
     load_certificates(n, cache_dir)
     return cache_dir
 
@@ -254,15 +302,16 @@ def tier_counts(
     klass: str, n: int, kinds: Iterable[str] = KINDS, cache_dir=None
 ) -> tuple[int, dict[str, int]]:
     """(games, distinct vectors per index kind) of the cg or wg games of
-    the n-voter tier, read from its vector files; no game is loaded.
+    the n-voter tier, read from its store files; no game is loaded.
 
     The game count is the catalog header's, which is checked to be the
-    certified count.
+    certified count; each distinct count is a store file's row count,
+    which its reader checks against the certified one.
     """
 
     def load(cache: Path) -> tuple[int, dict[str, int]]:
         _checked_catalog(cache, klass, n)
-        distinct = {kind: count_distinct_rows(*_load_vectors(cache, klass, n, kind)) for kind in kinds}
+        distinct = {kind: len(_load_store(cache, klass, n, kind)) for kind in kinds}
         return certified.GAME_COUNTS[klass][n], distinct
 
     return _load_tier(n, cache_dir, load)
@@ -287,12 +336,12 @@ def load_listing(klass: str, n: int, cache_dir=None) -> tuple[list[CompleteGame]
 
 
 def weighted_store(n: int, kind: str, cache_dir=None) -> tuple[VectorStore, np.ndarray]:
-    """The deduplicated weighted-game vectors of the n-voter tier, plus
-    the certificate rows that the store's reps index."""
+    """The distinct weighted-game vectors of the n-voter tier, as its
+    store file holds them, plus the certificate rows that the store's reps
+    index."""
 
     def load(cache: Path) -> tuple[VectorStore, np.ndarray]:
-        store = store_from_rows(kind, n, *_load_vectors(cache, "wg", n, kind))
-        return store, load_certificates(n, cache)
+        return _load_store(cache, "wg", n, kind), load_certificates(n, cache)
 
     return _load_tier(n, cache_dir, load)
 
@@ -307,20 +356,26 @@ _UNIQUE_LIMIT = 1 << 21
 
 
 class _UniqueAccumulator:
-    """Distinct rows of a huge matrix, accumulated in bounded memory.
+    """Distinct rows of a huge matrix of cols columns, accumulated in
+    bounded memory, each with its rep: the index of the first matrix row
+    equal to it.
 
     Chunks are deduplicated on arrival and merged into the sorted base
-    whenever the pending pile grows past _UNIQUE_LIMIT rows.
+    whenever the pending pile grows past _UNIQUE_LIMIT rows.  Chunks
+    arrive in row order and a merge lists the base first, so the stable
+    sort in unique_rows keeps each row's smallest index.
     """
 
-    def __init__(self):
-        self.base: np.ndarray | None = None
-        self.pending: list[np.ndarray] = []
+    def __init__(self, cols: int):
+        self.base = np.empty((0, cols), dtype=np.int64)
+        self.reps = np.empty(0, dtype=np.int64)
+        self.pending: list[tuple[np.ndarray, np.ndarray]] = []
         self.pending_rows = 0
 
-    def add(self, rows: np.ndarray) -> None:
-        u = unique_rows(rows)[0]
-        self.pending.append(u)
+    def add(self, rows: np.ndarray, offset: int) -> None:
+        """Take rows offset, offset + 1, ... of the matrix."""
+        u, first, _ = unique_rows(rows)
+        self.pending.append((u, first + offset))
         self.pending_rows += len(u)
         if self.pending_rows >= _UNIQUE_LIMIT:
             self.compact()
@@ -328,14 +383,15 @@ class _UniqueAccumulator:
     def compact(self) -> None:
         if not self.pending:
             return
-        parts = self.pending if self.base is None else [self.base, *self.pending]
-        self.base = unique_rows(np.concatenate(parts, axis=0))[0]
+        rows, reps = (np.concatenate(part) for part in zip((self.base, self.reps), *self.pending))
+        self.base, first, _ = unique_rows(rows)
+        self.reps = reps[first]
         self.pending = []
         self.pending_rows = 0
 
     def count(self) -> int:
         self.compact()
-        return 0 if self.base is None else len(self.base)
+        return len(self.base)
 
 
 def _check_certificates(n: int, certs: np.ndarray, tables: np.ndarray, widx: list[int]) -> None:
@@ -368,10 +424,12 @@ def _classify(n, win, lose, pool, workers):
     return np.concatenate([f for f, _ in parts]), np.concatenate([c for _, c in parts])
 
 
-def _write_chunk(n, tables, pool, workers, files, accs) -> int:
-    """Classify one chunk of complete games and append it to every file;
-    returns how many of them are weighted.  Kept apart so that the
-    chunk's arrays are freed before the next one."""
+def _write_chunk(n, tables, pool, workers, files, accs, counts) -> int:
+    """Classify one chunk of complete games and append it to every
+    streamed file, its first game and first weighted game at catalog
+    indices counts["cg"] and counts["wg"]; returns how many of them are
+    weighted.  Kept apart so that the chunk's arrays are freed before the
+    next one."""
     ssi_nums, ssi_den = batch_ssi_numerators(tables)
     pbi_nums = batch_swing_counts(tables)
     vectors = {
@@ -391,18 +449,32 @@ def _write_chunk(n, tables, pool, workers, files, accs) -> int:
     for kind, rows in vectors.items():
         for klass, part in (("cg", rows), ("wg", rows[widx])):
             part.astype("<i8", copy=False).tofile(files[f"{klass}.{kind}"])
-            accs[f"{klass}.{kind}"].add(_reduced_rows(part[:, :n], part[:, n])[0])
+            accs[f"{klass}.{kind}"].add(_reduced_rows(part[:, :n], part[:, n])[0], counts[klass])
     certs.astype("<i8", copy=False).tofile(files["wg.cert"])
     return len(widx)
 
 
+def _write_npy_header(fh, rows: int, cols: int) -> None:
+    np.lib.format.write_array_header_1_0(fh, {"descr": "<i8", "fortran_order": False, "shape": (rows, cols)})
+
+
+def _write_store(path: Path, acc: _UniqueAccumulator) -> None:
+    """The accumulator's rows, each followed by its rep, as one .npy file."""
+    with open(path, "wb") as fh:
+        _write_npy_header(fh, len(acc.base), acc.base.shape[1] + 1)
+        for start in range(0, len(acc.base), _SCAN):
+            stop = start + _SCAN
+            np.column_stack([acc.base[start:stop], acc.reps[start:stop]]).astype("<i8", copy=False).tofile(fh)
+
+
 def _write_tier(n, tmps, workers, progress) -> dict[str, int]:
     """Stream every complete game with n voters into the temp files, each
-    opened with its header for the certified game count.  With
-    workers > 1, one process pool classifies every chunk."""
+    opened with its header for the certified game count, then each store
+    file once its distinct count is certified.  With workers > 1, one
+    process pool classifies every chunk."""
     expected = {klass: certified.GAME_COUNTS[klass][n] for klass in _CLASSES}
     vector_keys = [f"{klass}.{kind}" for klass in _CLASSES for kind in KINDS]
-    accs = {key: _UniqueAccumulator() for key in vector_keys}
+    accs = {key: _UniqueAccumulator(n + 1) for key in vector_keys}
     with ExitStack() as stack:
         pool = None
         if workers > 1:
@@ -414,15 +486,16 @@ def _write_tier(n, tmps, workers, progress) -> dict[str, int]:
         files = {}
         for key, tmp in tmps.items():
             klass, _, kind = key.partition(".")
+            if kind.endswith(".store"):
+                continue
             files[key] = fh = stack.enter_context(open(tmp, "wb"))
             if kind == "cat":
                 fh.write(catalog_header(klass, n, expected[klass]))
             else:
-                header = {"descr": "<i8", "fortran_order": False, "shape": (expected[klass], n + 1)}
-                np.lib.format.write_array_header_1_0(fh, header)
+                _write_npy_header(fh, expected[klass], n + 1)
         counts = dict.fromkeys(_CLASSES, 0)
         for tables in iter_complete_chunks(n):
-            counts["wg"] += _write_chunk(n, tables, pool, workers, files, accs)
+            counts["wg"] += _write_chunk(n, tables, pool, workers, files, accs, counts)
             counts["cg"] += len(tables)
             if progress is not None:
                 progress(counts["cg"], expected["cg"])
@@ -436,6 +509,7 @@ def _write_tier(n, tmps, workers, progress) -> dict[str, int]:
         want = certified.DISTINCT_VECTOR_COUNTS[klass, kind].get(n)
         if want is not None and got != want:
             raise CountMismatchError(f"distinct {kind} vectors over {klass} ({n} voters)", want, got)
+        _write_store(tmps[f"{key}.store"], acc)
     return counts
 
 
@@ -511,7 +585,7 @@ def omega_tier(
         catalog = _checked_catalog(cache, "cg", n)
         reports: dict[tuple[str, str], GapReport] = {}
         for kind in kinds:
-            store = store_from_rows(kind, n, *_load_vectors(cache, "wg", n, kind))
+            store = _load_store(cache, "wg", n, kind)
             trackers = {metric: GapTracker(store, metric) for metric in metrics}
             nums, dens = _load_vectors(cache, "cg", n, kind)
             count = len(nums)

@@ -143,6 +143,17 @@ def linear_nearest(rows, qnums, qden: int, l1: bool):
     return Fraction(best_num, best_den), hits
 
 
+def count_distinct_rows(nums, dens) -> int:
+    """Number of distinct vectors among the rows nums / dens, each row
+    reduced to lowest terms on its own and kept in a set."""
+    dens = np.broadcast_to(np.asarray(dens, dtype=np.int64), (len(nums),))
+    seen = set()
+    for row, den in zip(nums.tolist(), dens.tolist()):
+        g = math.gcd(den, *row)
+        seen.add((den // g, *(x // g for x in row)))
+    return len(seen)
+
+
 def store_rows(store) -> list[tuple[tuple[int, ...], int]]:
     """VectorStore rows as plain (numerators, denominator) pairs."""
     n = store.n

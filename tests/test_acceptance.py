@@ -47,12 +47,13 @@ from votekit.games import (
     parse_game,
     to_explicit,
 )
-from votekit.geometry import Metric, count_distinct_rows, distance
+from votekit.geometry import Metric, distance
 from votekit.indices import PowerVector, decimal_str, pbi, pbi_dp, ssi, ssi_dp, swing_counts_dp
 from votekit.inverse import InverseMode, Target, inverse_exact, padded_target_search
 from votekit.pipeline import ensure_tier, omega_tier
 
 from oracles import (
+    count_distinct_rows,
     linear_nearest,
     null_voters_by_table,
     random_boolcombo,
@@ -143,7 +144,9 @@ def test_criterion_2_small_catalogs(criterion, catalogs, certificates):
 
 
 def test_criterion_3_table_one(criterion, vectors):
-    """Distinct weighted-game power vectors for n = 3..7, both indices."""
+    """Distinct weighted-game power vectors for n = 3..7, both indices,
+    recounted from the per-game vector files apart from the tier's store
+    files."""
     with criterion("3 table of weighted vectors") as info:
         t0 = time.perf_counter()
         got = {}
@@ -158,9 +161,10 @@ def test_criterion_3_table_one(criterion, vectors):
 
 
 def test_criterion_4_table_two(criterion, catalogs, vectors, stores):
-    """Distinct complete-game vectors for n = 3..7, the n = 6 class
-    counts, and the coincidence of both tables through n = 6 down to the
-    level of individual non-weighted vectors."""
+    """Distinct complete-game vectors for n = 3..7 (recounted from the
+    per-game vector files), the n = 6 class counts, and the coincidence
+    of both tables through n = 6 down to the level of individual
+    non-weighted vectors."""
     with criterion("4 table of complete vectors") as info:
         t0 = time.perf_counter()
         for kind in ("ssi", "pbi"):

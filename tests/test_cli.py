@@ -108,6 +108,38 @@ def test_tables_mismatch_exits_two(capsys, monkeypatch):
     assert "mismatch" in err
 
 
+def test_short_store_file_rebuilds_the_tier(capsys, tmp_path):
+    """A store file one row short is a damaged file: tables rebuilds the
+    tier and prints the certified counts."""
+    want = run_json(capsys, "tables", "--n", "4..5", "--cache-dir", str(tmp_path))["results"]
+    path = pipeline.store_path(tmp_path, "wg", 5, "ssi")
+    good = path.read_bytes()
+    np.save(path, np.load(path)[:-1])
+    got = run_json(capsys, "tables", "--n", "4..5", "--cache-dir", str(tmp_path))["results"]
+    assert got == want
+    assert [row["ssi"] for row in got["rows"]] == [11, 53] * 2
+    assert path.read_bytes() == good
+
+
+def test_big_tier_without_store_files_needs_long_running(capsys, monkeypatch, tmp_path):
+    """An 8-voter tier written before its store files existed is not
+    present, so commands that need it ask for --long-running.  A 3-voter
+    tier stands in for it."""
+    real = pipeline.tier_present
+    monkeypatch.setattr(pipeline, "tier_present", lambda n, cache: real(3 if n == pipeline.BIG_N else n, cache))
+    monkeypatch.setattr(pipeline, "build_big_tables", lambda *args, **kwargs: pytest.fail("built the 8-voter tier"))
+    monkeypatch.delenv("VOTEKIT_LONG_RUNNING", raising=False)
+    pipeline.build_tier(3, tmp_path)
+    code, _, _ = run(capsys, "tables", "--n", "8", "--cache-dir", str(tmp_path))
+    assert code == EXIT_OK
+    for klass in ("cg", "wg"):
+        for kind in ("ssi", "pbi"):
+            pipeline.store_path(tmp_path, klass, 3, kind).unlink()
+    code, _, err = run(capsys, "tables", "--n", "8", "--cache-dir", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert "--long-running" in err
+
+
 def test_enumerate_weighted_list(capsys):
     code, out, _ = run(capsys, "enumerate", "--class", "wg", "--n", "3", "--list")
     assert code == EXIT_OK
@@ -406,11 +438,12 @@ def test_unknown_arguments_exit_one(capsys):
 )
 def test_warm_queries_check_the_tier_once(capsys, monkeypatch, tmp_path, argv):
     """A warm omega or exact inverse reads and checks each tier file it
-    needs once, and no other: the exact inverse reads the ssi vectors and
-    the certificates of the weighted games alone."""
+    needs once, and no other: omega streams the complete games' vector
+    files against the weighted store files, and the exact inverse reads
+    the ssi store and the certificates of the weighted games alone."""
     files = {
-        "omega": ["cg5.cat", "cg5.pbi.npy", "cg5.ssi.npy", "wg5.cert.npy", "wg5.pbi.npy", "wg5.ssi.npy"],
-        "inverse": ["wg5.cert.npy", "wg5.ssi.npy"],
+        "omega": ["cg5.cat", "cg5.pbi.npy", "cg5.ssi.npy", "wg5.cert.npy", "wg5.pbi.store.npy", "wg5.ssi.store.npy"],
+        "inverse": ["wg5.cert.npy", "wg5.ssi.store.npy"],
     }[argv[0]]
     target = tmp_path / "target.txt"
     target.write_text("n=5 index=ssi\n2/5 1/5 1/5 1/10 1/10\n")
@@ -439,7 +472,7 @@ def test_unread_damage_waits_for_its_reader(capsys, tmp_path):
     next query that reads it rebuilds the tier byte for byte."""
     pipeline.build_tier(5, tmp_path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    victim = pipeline.vector_path(tmp_path, "cg", 5, "pbi")
+    victim = pipeline.store_path(tmp_path, "cg", 5, "pbi")
     rows = np.load(victim)
     rows[3] = 0  # 0 numerators sum to a 0 denominator
     np.save(victim, rows)

@@ -16,7 +16,6 @@ from votekit.geometry import (
     Metric,
     _keys,
     _reduced_rows,
-    count_distinct_rows,
     distance,
     store_from_rows,
     unique_rows,
@@ -24,7 +23,7 @@ from votekit.geometry import (
 from votekit.indices import PowerVector, pbi, ssi
 from votekit.pipeline import build_tier, ensure_tier, omega_tier, vector_path
 
-from oracles import linear_nearest, store_rows
+from oracles import count_distinct_rows, linear_nearest, store_rows
 
 
 def test_metric_parse():
@@ -106,6 +105,7 @@ def test_count_distinct_matches_set_of_fractions(vectors):
     seen = {
         tuple(Fraction(int(a), int(dens[i])) for a in nums[i]) for i in range(len(nums))
     }
+    assert len(unique_rows(_reduced_rows(nums, dens)[0])[0]) == len(seen)
     assert count_distinct_rows(nums, dens) == len(seen)
 
 

@@ -6,6 +6,7 @@ vector files, count certification, atomic installs, streamed gap
 queries) runs in seconds against fully known counts.
 """
 
+import functools
 import os
 import random
 import subprocess
@@ -23,7 +24,10 @@ from votekit import certified, enumeration, pipeline
 from votekit.certified import CountMismatchError
 from votekit.enumeration import CatalogFormatError, certificate_game, fetch_catalog_games, read_catalog
 from votekit.games import WeightedGame, shift_minimal_winning, sort_by_desirability, to_explicit
+from votekit.geometry import store_from_rows
+from votekit.indices import KINDS
 from votekit.pipeline import (
+    _load_store,
     _load_vectors,
     _UniqueAccumulator,
     build_tier,
@@ -33,6 +37,7 @@ from votekit.pipeline import (
     load_certificates,
     load_games,
     omega_tier,
+    store_path,
     tier_counts,
     tier_present,
     vector_path,
@@ -48,16 +53,33 @@ def tier_files(cache, n):
 
 def test_unique_accumulator_counts_distinct_rows(monkeypatch):
     monkeypatch.setattr(pipeline, "_UNIQUE_LIMIT", 4)
-    acc = _UniqueAccumulator()
-    acc.add(np.array([[1, 2], [1, 2], [3, 4]], dtype=np.int64))
-    acc.add(np.array([[3, 4], [5, 6]], dtype=np.int64))  # forces a compaction
-    acc.add(np.array([[1, 2], [7, 8]], dtype=np.int64))
+    acc = _UniqueAccumulator(2)
+    acc.add(np.array([[3, 4], [1, 2], [1, 2]], dtype=np.int64), 0)
+    acc.add(np.array([[3, 4], [5, 6]], dtype=np.int64), 3)  # forces a compaction
+    acc.add(np.array([[1, 2], [7, 8]], dtype=np.int64), 5)
     assert acc.count() == 4
     assert acc.pending == [] and acc.pending_rows == 0
+    # reps stay the first indices across compactions
+    assert acc.base.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
+    assert acc.reps.tolist() == [1, 0, 4, 6]
     # count() is idempotent and later adds still merge correctly
     assert acc.count() == 4
-    acc.add(np.array([[9, 9]], dtype=np.int64))
+    acc.add(np.array([[9, 9], [5, 6]], dtype=np.int64), 7)
     assert acc.count() == 5
+    assert acc.reps.tolist() == [1, 0, 4, 6, 7]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_stored_vectors_equal_the_rebuilt_store(cache_dir, n):
+    """Each store file holds the rows and reps that store_from_rows makes
+    of its per-game vector file."""
+    cache = ensure_tier(n, cache_dir)
+    for klass in ("cg", "wg"):
+        for kind in KINDS:
+            stored = _load_store(cache, klass, n, kind)
+            rebuilt = store_from_rows(kind, n, *_load_vectors(cache, klass, n, kind))
+            assert np.array_equal(stored.rows, rebuilt.rows), (klass, kind)
+            assert np.array_equal(stored.reps, rebuilt.reps), (klass, kind)
 
 
 def test_load_games_rejects_unknown_class(tmp_path):
@@ -83,14 +105,18 @@ def test_ensure_vectors_discards_wrong_shape_cache(tmp_path):
     build_tier(4, tmp_path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     vec = vector_path(tmp_path, "cg", 4, "pbi")
+    store = store_path(tmp_path, "cg", 4, "pbi")
     damages = [
         (vec, lambda p: p.write_bytes(p.read_bytes()[:-5])),
         (vec, lambda p: np.save(p, np.load(p)[:-1])),
+        (store, lambda p: p.write_bytes(p.read_bytes()[:-5])),
+        (store, lambda p: np.save(p, np.load(p)[:-1])),
         (certificate_path(tmp_path, 4), lambda p: p.unlink()),
         (catalog_path(tmp_path, "wg", 4), lambda p: p.write_bytes(p.read_bytes()[:-3])),
     ]
     readers = {  # a loader that reads each damaged file
-        "cg4.pbi.npy": lambda: tier_counts("cg", 4, ("pbi",), tmp_path),
+        "cg4.pbi.npy": lambda: omega_tier(4, tmp_path, kinds=("pbi",)),
+        "cg4.pbi.store.npy": lambda: tier_counts("cg", 4, ("pbi",), tmp_path),
         "wg4.cert.npy": lambda: weighted_store(4, "ssi", tmp_path)[1].tolist(),
         "wg4.cat": lambda: [g.shift_minimal for g in load_games("wg", 4, tmp_path)],
     }
@@ -102,17 +128,27 @@ def test_ensure_vectors_discards_wrong_shape_cache(tmp_path):
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
-def _damage_rebuilds(cache, n, victim, damage):
-    """Damage one row of a tier file: the whole-tier check refuses it and
-    the next ensure_tier rebuilds the tier byte for byte."""
+def _damage_rebuilds(cache, n, victim, damage, match="rows are not"):
+    """Damage the rows of a tier file, damage(rows) returning them
+    damaged: the whole-tier check refuses the file and the next
+    ensure_tier rebuilds the tier byte for byte."""
     before = {p.name: p.read_bytes() for p in cache.iterdir()}
-    rows = np.load(victim)
-    damage(rows[3])
-    np.save(victim, rows)
-    with pytest.raises(CatalogFormatError, match="rows are not"):
+    np.save(victim, damage(np.load(victim)))
+    with pytest.raises(CatalogFormatError, match=match):
         pipeline._check_tier(n, cache)
     ensure_tier(n, cache)
     assert {p.name: p.read_bytes() for p in cache.iterdir()} == before
+
+
+def _third_row(damage):
+    """damage(row), applied to row 3 of a file's rows."""
+
+    @functools.wraps(damage)
+    def apply(rows):
+        damage(rows[3])
+        return rows
+
+    return apply
 
 
 def _zero(row):
@@ -126,7 +162,7 @@ def _negative(row):
 @pytest.mark.parametrize("damage", [_zero, _negative])
 def test_bad_vector_row_rebuilds_the_tier(tmp_path, damage):
     build_tier(5, tmp_path)
-    _damage_rebuilds(tmp_path, 5, vector_path(tmp_path, "cg", 5, "pbi"), damage)
+    _damage_rebuilds(tmp_path, 5, vector_path(tmp_path, "cg", 5, "pbi"), _third_row(damage))
 
 
 def _zero_quota(row):
@@ -148,7 +184,55 @@ def _common_factor(row):
 @pytest.mark.parametrize("damage", [_zero_quota, _negative_weight, _increasing, _common_factor])
 def test_bad_certificate_row_rebuilds_the_tier(tmp_path, damage):
     build_tier(5, tmp_path)
-    _damage_rebuilds(tmp_path, 5, certificate_path(tmp_path, 5), damage)
+    _damage_rebuilds(tmp_path, 5, certificate_path(tmp_path, 5), _third_row(damage))
+
+
+def _swapped(rows):
+    rows[[3, 4]] = rows[[4, 3]]
+    return rows
+
+
+def _duplicated(rows):
+    rows[4] = rows[3]
+    return rows
+
+
+def _rep_past_catalog(rows):
+    rows[3, -1] = certified.GAME_COUNTS["cg"][5]
+    return rows
+
+
+def _no_rep_column(rows):
+    return rows[:, :-1]
+
+
+@pytest.mark.parametrize(
+    "damage, match",
+    [
+        (_swapped, "rows are not"),
+        (_duplicated, "rows are not"),
+        (_third_row(_common_factor), "rows are not"),
+        (_third_row(_negative), "rows are not"),
+        (_rep_past_catalog, "rows are not"),
+        (_no_rep_column, "expected int64 rows"),
+    ],
+)
+def test_bad_store_file_rebuilds_the_tier(tmp_path, damage, match):
+    build_tier(5, tmp_path)
+    _damage_rebuilds(tmp_path, 5, store_path(tmp_path, "cg", 5, "pbi"), damage, match)
+
+
+def test_tier_without_store_files_is_rebuilt(tmp_path):
+    """A tier written before its store files existed is not present, and
+    the first loader that reads a store file rebuilds it below 8 voters."""
+    build_tier(4, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    for klass in ("cg", "wg"):
+        for kind in KINDS:
+            store_path(tmp_path, klass, 4, kind).unlink()
+    assert not tier_present(4, tmp_path)
+    assert tier_counts("wg", 4, cache_dir=tmp_path) == (25, {"ssi": 11, "pbi": 12})
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_build_tier_six_voters(tmp_path, monkeypatch):

@@ -180,7 +180,7 @@ def test_no_numpy_2_only_names():
 # pipeline's unchecked readers, and the only functions that may use them:
 # each tier file has one reader, which checks what it returns.
 CHECKED_READERS = {
-    "_read_rows": {"_load_vectors", "load_certificates"},
+    "_read_rows": {"_load_vectors", "_load_store", "load_certificates"},
     "read_catalog_header": {"_checked_catalog"},
 }
 
@@ -195,6 +195,14 @@ def test_tier_files_are_read_only_by_their_checked_readers():
             if name in CHECKED_READERS and getattr(top, "name", None) not in CHECKED_READERS[name]:
                 found.append(f"pipeline.py:{node.lineno}: {name}")
     assert found == []
+
+
+def test_pipeline_does_not_dedup_per_game_rows():
+    """The tier build deduplicates the per-game vector rows once, and its
+    readers take the distinct rows from the store files: pipeline
+    references neither store_from_rows nor count_distinct_rows."""
+    refs = _references(_modules(PACKAGE)["pipeline.py"])
+    assert [name for name in ("store_from_rows", "count_distinct_rows") if refs[name]] == []
 
 
 def test_each_weightedness_lp_entry_has_one_caller():
