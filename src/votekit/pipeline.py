@@ -218,8 +218,7 @@ def _load_store(cache_dir, klass: str, n: int, kind: str) -> VectorStore:
         # Strictly increasing: the first nonzero entry of each difference
         # of adjacent rows is positive.
         steps = np.diff(vecs, axis=0)
-        nonzero = steps != 0
-        first = steps[np.arange(len(steps)), nonzero.argmax(axis=1)]
+        first = steps[np.arange(len(steps)), (steps != 0).argmax(axis=1)]
         return bool(
             np.array_equal(np.einsum("ij->i", block[:, :n]), dens)
             and (reduce(np.gcd, vecs.T) == 1).all()

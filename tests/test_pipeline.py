@@ -217,7 +217,10 @@ def _no_rep_column(rows):
         (_no_rep_column, "expected int64 rows"),
     ],
 )
-def test_bad_store_file_rebuilds_the_tier(tmp_path, damage, match):
+def test_bad_store_file_rebuilds_the_tier(tmp_path, monkeypatch, damage, match):
+    """Blocks of four rows: the store files are written in several blocks,
+    and rows 3 and 4 fall in different blocks of the check."""
+    monkeypatch.setattr(pipeline, "_SCAN", 4)
     build_tier(5, tmp_path)
     _damage_rebuilds(tmp_path, 5, store_path(tmp_path, "cg", 5, "pbi"), damage, match)
 
