@@ -8,13 +8,17 @@ where a bound on the magnitudes rules out overflow and in Python integers
 otherwise; ties go to the lexicographically smallest vector.
 
 VectorStore.nearest scans every stored row in one vectorized pass.
-GapTracker answers exact hits in bulk by binary search; the misses descend
-together through a flat k-d tree over keys floor(x * scale), exact on the n!
-grid for Shapley-Shubik, 2**20-scaled floors with one key unit of slack per
-inexact side for Banzhaf.  Each miss takes an exact upper bound from its
-leaf; those bounded strictly below the running maximum are dropped, and the
-rest, highest bound first, are searched exactly over the leaves whose key
-box may hold a closer point.
+GapQueries takes distinct reduced query rows, such as a block of a tier's
+stored vectors, answers the exact hits in bulk by binary search and sends
+the misses together down a flat k-d tree over keys floor(x * scale), exact
+on the n! grid for Shapley-Shubik, 2**20-scaled floors with one key unit of
+slack per inexact side for Banzhaf.  Each miss descends to its leaf once,
+and one |difference| block against the leaf's points gives its exact upper
+bound under every metric.  GapTracker drops the misses bounded strictly
+below the running maximum and searches the rest, highest bound first,
+exactly over the leaves whose key box may hold a closer point.  Which games
+attain the gap is matched afterwards, by _matching_rows over the per-game
+rows.
 """
 
 from __future__ import annotations
@@ -46,6 +50,10 @@ PBI_KEY_SCALE = 1 << 20
 _LEAF_SIZE = 32
 _BLOCK = 256  # misses per vectorized leaf-bound pass
 _INT64_MAX = 2**63 - 1
+# _matching_rows hashes a vector with the powers of _HASH_BASE modulo
+# _HASH_MODULUS: varied multipliers, all below 2**20.
+_HASH_BASE = 1_000_003
+_HASH_MODULUS = (1 << 20) - 3
 
 
 class Metric(enum.Enum):
@@ -143,11 +151,44 @@ def _keys(rows: np.ndarray, n: int, scale: int) -> tuple[np.ndarray, np.ndarray]
     return (nums // rows[:, n:]).astype(np.int64), (nums % rows[:, n:] != 0).any(axis=1)
 
 
-def _dists(rows: np.ndarray, q: np.ndarray, n: int, l1: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Exact distances from rows to query rows q, broadcast: the distance
-    is num / (pden * qden), returned as (num, pden)."""
+def _dists(rows: np.ndarray, q: np.ndarray, n: int, l1s: Sequence[bool]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Exact distances from rows to query rows q, broadcast, under L1 or
+    Linf as each of l1s says: each distance is num / (pden * qden),
+    returned as ([num per metric], pden).  One |difference| array serves
+    every metric."""
     diff = np.abs(rows[..., :n] * q[..., n:] - q[..., :n] * rows[..., n:])
-    return (diff.sum(axis=-1) if l1 else diff.max(axis=-1)), rows[..., n]
+    return [diff.sum(axis=-1) if l1 else diff.max(axis=-1) for l1 in l1s], rows[..., n]
+
+
+def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position of each key in the sorted distinct keys, or -1 where they
+    lack it: one binary search per key."""
+    if not len(sorted_keys):
+        return np.full(len(keys), -1, dtype=np.int64)
+    pos = np.searchsorted(sorted_keys, keys)
+    pos[pos == len(sorted_keys)] = 0
+    return np.where(sorted_keys[pos] == keys, pos, -1)
+
+
+def _matching_rows(nums: np.ndarray, dens: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, which): the positions of the vectors nums[i] / dens[i] that
+    equal a target, in increasing order, and the position of the target
+    each equals; targets are reduced rows, distinct and in lexicographic
+    order.  A linear hash h of the numerators scales with the vector, so
+    floor(h * 2**shift / den) is one key for every representation of a
+    vector: only the rows whose key a target shares are reduced and
+    compared exactly, and the temporaries are a few columns of nums."""
+    n = nums.shape[1]
+    weights = np.array([pow(_HASH_BASE, i, _HASH_MODULUS) for i in range(n)], dtype=np.int64)
+    peak = max(int(nums.max(initial=0)), int(targets[:, :n].max(initial=0))) * int(weights.sum())
+    dtype, shift = _exact_dtype(peak), max(62 - peak.bit_length(), 0)
+
+    def key(x: np.ndarray, d: np.ndarray) -> np.ndarray:
+        return ((x.astype(dtype) @ weights) << shift) // d
+
+    picked = np.flatnonzero(np.isin(key(nums, dens), key(targets[:, :n], targets[:, n])))
+    which = _lookup(_row_keys(targets), _row_keys(_reduced_rows(nums[picked], dens[picked])[0]))
+    return picked[which >= 0], which[which >= 0]
 
 
 class _Tree:
@@ -236,14 +277,9 @@ class VectorStore:
         """Store index of each reduced (numerators..., denominator) row,
         or -1 where the store does not hold it; one binary search per row
         over the store's sorted rows."""
-        if not len(self.rows):
-            return np.full(len(rows), -1, dtype=np.int64)
         if self._sorted_keys is None:
             self._sorted_keys = _row_keys(self.rows)
-        keys = _row_keys(rows)
-        pos = np.searchsorted(self._sorted_keys, keys)
-        pos[pos == len(self.rows)] = 0
-        return np.where(self._sorted_keys[pos] == keys, pos, -1)
+        return _lookup(self._sorted_keys, _row_keys(rows))
 
     def index_of(self, nums: Sequence[int], den: int) -> int | None:
         """Store index of this exact vector, or None."""
@@ -266,7 +302,7 @@ class VectorStore:
     def _closest(self, idx: np.ndarray, q: np.ndarray, l1: bool) -> tuple[list[int], int, int]:
         """All the stored rows idx nearest to the query row q, and their
         distance as (numerator, denominator)."""
-        num, pden = _dists(self.rows[idx].astype(q.dtype), q, self.n, l1)
+        (num,), pden = _dists(self.rows[idx].astype(q.dtype), q, self.n, (l1,))
         # Floors on a grid are monotone in the distances, so the nearest
         # rows are among those of the smallest floor.
         floor = num * self.scale // pden
@@ -319,11 +355,16 @@ def store_from_rows(kind: str, n: int, nums: np.ndarray, dens) -> VectorStore:
 class GapReport:
     """Worst-case gap between a class of games and the weighted store.
 
-    attaining holds one (catalog index, power vector) pair per game whose
-    nearest weighted vector sits exactly at the gap, as GapTracker.report
-    returns it; pipeline.omega_tier attaches each game, making the pairs
-    (catalog index, game, power vector) triples, and sets nearest_game to
-    the weighted game at nearest_index.
+    attaining holds one (index, power vector) pair per query whose nearest
+    weighted vector sits exactly at the gap, as GapTracker.report returns
+    it.  pipeline.omega_tier queries a tier's distinct vectors, then
+    matches each attaining vector to every complete game that has it and
+    attaches the game, making the pairs (catalog index, game, power
+    vector) triples; it sets nearest_game to the weighted game at
+    nearest_index.  worst_vector is the smallest attaining row of the
+    first chunk to reach the gap; omega_tier feeds the store's rows in
+    lexicographic order, so it is the lexicographically smallest attaining
+    vector, whatever the chunk size.
     """
 
     n: int
@@ -339,23 +380,54 @@ class GapReport:
 
 
 class GapQueries:
-    """A chunk of query rows, deduplicated and hit-tested once for every
-    tracker over the store: rows are the distinct reduced rows the store
-    lacks, in lexicographic order, and chunk row i equals rows[u] when
-    inverse[i] == miss[u]."""
+    """Distinct reduced query rows, hit-tested and bounded once for every
+    tracker over the store.  rows are the queries the store lacks, at
+    positions miss of the input rows.  Each miss descends the store's k-d
+    tree to its leaf once; bounds[metric] holds its exact upper bound
+    (num, den) under each metric, the distance of the leaf point whose
+    distance has the smallest floor on the key grid."""
 
-    def __init__(self, store: VectorStore, nums: np.ndarray, dens):
-        uniq, _, self.inverse = unique_rows(_reduced_rows(nums, dens)[0])
-        self.miss = np.flatnonzero(store.find_rows(uniq) < 0)
-        self.rows = uniq[self.miss]
-        if len(self.rows) and not len(store):
+    def __init__(self, store: VectorStore, rows: np.ndarray, metrics: Sequence[Metric]):
+        self.miss = np.flatnonzero(store.find_rows(rows) < 0)
+        self.rows = rows[self.miss]
+        self.bounds: dict[Metric, tuple[np.ndarray, np.ndarray]] = {}
+        if not len(self.rows):
+            return
+        if not len(store):
             raise ValueError("empty store")
+        self.keys, self.inexact = _keys(self.rows, store.n, store.scale)
+        self.q = self.rows.astype(store._dtype(int(np.abs(self.rows).max())))
+        blocks = [self._leaf_bounds(store, a, metrics) for a in range(0, len(self.q), _BLOCK)]
+        for metric in metrics:
+            self.bounds[metric] = tuple(np.concatenate(part) for part in zip(*(block[metric] for block in blocks)))
+
+    def _leaf_bounds(self, store: VectorStore, a: int, metrics: Sequence[Metric]) -> dict:
+        """The bounds of the block of misses that opens at a: per metric,
+        (num, den) of the distance of the leaf point whose distance has
+        the smallest floor."""
+        tree, n = store._leaves, store.n
+        q, keys = self.q[a : a + _BLOCK], self.keys[a : a + _BLOCK]
+        # Descend to the leaves, one vector step per tree level.
+        node = np.full(len(keys), tree.root, dtype=np.int64)
+        live = np.flatnonzero(node >= 0)
+        while len(live):
+            s = node[live]
+            node[live] = tree.kids[s, (keys[live, tree.axis[s]] >= tree.cut[s]).astype(np.intp)]
+            live = live[node[live] >= 0]
+        first, last = tree.start[~node, None], tree.stop[~node, None] - 1
+        rows = store.rows[tree.perm[np.minimum(first + np.arange(int((last - first).max()) + 1), last)]]
+        nums, pden = _dists(rows.astype(q.dtype), q[:, None, :], n, [m is Metric.L1 for m in metrics])
+        out = {}
+        for metric, num in zip(metrics, nums):
+            pick = np.argmin(num * store.scale // pden, axis=1)[:, None]
+            out[metric] = np.take_along_axis(num, pick, 1)[:, 0], np.take_along_axis(pden, pick, 1)[:, 0] * q[:, n]
+        return out
 
 
 class GapTracker:
     """Running maximum of min-distances to a weighted store.
 
-    Feed catalog data in chunks.  Query vectors the store holds are at
+    Feed query rows in chunks.  Query vectors the store holds are at
     distance 0 and are set aside in bulk.  Each miss gets an exact upper
     bound from its leaf; one strictly below the running maximum cannot
     affect the final value or the attaining set and is dropped (ties
@@ -371,21 +443,15 @@ class GapTracker:
         self.nearest_index: int | None = None
         self.nearest_vector: PowerVector | None = None
 
-    def update(self, nums: np.ndarray, dens, offset: int = 0) -> None:
-        """Row i is reported as index offset + i."""
-        self.feed(GapQueries(self.store, nums, dens), offset)
-
     def feed(self, chunk: GapQueries, offset: int = 0) -> None:
-        """update() for a chunk that GapQueries has prepared."""
+        """Feed a chunk that GapQueries has bounded under this tracker's
+        metric; its input row i is reported as index offset + i."""
         store, n, rows = self.store, self.store.n, chunk.rows
         if not len(rows):
             return
         l1 = self.metric is Metric.L1
-        keys, inexact = _keys(rows, n, store.scale)
-        q = rows.astype(store._dtype(int(np.abs(rows).max())))
         top_num, top_den = self.best.numerator, self.best.denominator
-        bounds = [self._leaf_bounds(q[a : a + _BLOCK], keys[a : a + _BLOCK]) for a in range(0, len(q), _BLOCK)]
-        bound_num, bound_den = (np.concatenate(part) for part in zip(*bounds))
+        bound_num, bound_den = chunk.bounds[self.metric]
         exact = _exact_dtype(max(int(bound_num.max()), int(bound_den.max())) * max(top_num, top_den))
         live = np.flatnonzero(bound_num.astype(exact) * top_den >= bound_den.astype(exact) * top_num)
         # Highest bound first, by the bounds' floors on the key grid: each
@@ -396,7 +462,7 @@ class GapTracker:
             bound = int(bound_num[u]), int(bound_den[u])
             if bound[0] * top_den < top_num * bound[1]:
                 continue
-            tied, num, den = store._search(q[u], keys[u], bool(inexact[u]), bound, l1)
+            tied, num, den = store._search(chunk.q[u], chunk.keys[u], bool(chunk.inexact[u]), bound, l1)
             if num * top_den > top_num * den:
                 top, top_num, top_den = [], num, den
             if num * top_den == top_num * den:
@@ -405,7 +471,7 @@ class GapTracker:
             return
         top.sort()
         vecs = {u: PowerVector(store.kind, rows[u, :n].tolist(), int(rows[u, n])) for u, _ in top}
-        members = [(offset + int(g), vecs[u]) for u, _ in top for g in np.flatnonzero(chunk.inverse == chunk.miss[u])]
+        members = [(offset + int(chunk.miss[u]), vecs[u]) for u, _ in top]
         gap = Fraction(top_num, top_den)
         if gap > self.best:
             near = store._lex_first(top[0][1])
@@ -413,25 +479,6 @@ class GapTracker:
             self.nearest_index, self.nearest_vector = int(store.reps[near]), store.vector(near)
         else:
             self.attaining.extend(members)
-
-    def _leaf_bounds(self, q: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact upper bounds (num, den) on the distances from query rows q
-        to the store: the exact distance of a point of the leaf each query
-        descends to, the one whose distance has the smallest floor."""
-        store = self.store
-        tree = store._leaves
-        # Descend to the leaves, one vector step per tree level.
-        node = np.full(len(keys), tree.root, dtype=np.int64)
-        live = np.flatnonzero(node >= 0)
-        while len(live):
-            s = node[live]
-            node[live] = tree.kids[s, (keys[live, tree.axis[s]] >= tree.cut[s]).astype(np.intp)]
-            live = live[node[live] >= 0]
-        first, last = tree.start[~node, None], tree.stop[~node, None] - 1
-        rows = store.rows[tree.perm[np.minimum(first + np.arange(int((last - first).max()) + 1), last)]]
-        num, pden = _dists(rows.astype(q.dtype), q[:, None, :], store.n, self.metric is Metric.L1)
-        pick = np.argmin(num * store.scale // pden, axis=1)[:, None]
-        return np.take_along_axis(num, pick, 1)[:, 0], np.take_along_axis(pden, pick, 1)[:, 0] * q[:, store.n]
 
     def report(self, n: int | None = None) -> GapReport:
         self.attaining.sort(key=lambda pair: pair[0])

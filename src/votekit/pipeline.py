@@ -38,8 +38,9 @@ load_games (the games of one class), load_listing (the games with their
 certificate rows), tier_counts (game and distinct-vector counts, the
 latter the lengths of the store files), weighted_store (the stored
 weighted vectors, with their certificate rows) and omega_tier (gap
-reports of the streamed cg vector files against the wg store, with
-their attaining games read through enumeration.fetch_catalog_games).  A
+reports of the cg store files, streamed, against the wg ones, with the
+attaining games matched in the cg vector files and read through
+enumeration.fetch_catalog_games).  A
 damaged file that a loader does not read is left alone until a loader
 that reads it rebuilds the tier.
 """
@@ -80,6 +81,7 @@ from .geometry import (
     GapTracker,
     Metric,
     VectorStore,
+    _matching_rows,
     _reduced_rows,
     unique_rows,
 )
@@ -571,7 +573,14 @@ def omega_tier(
     metrics: Iterable = (Metric.L1, Metric.LINF),
     progress: Callable[[str, int, int], None] | None = None,
 ) -> dict[tuple[str, str], GapReport]:
-    """Gap reports at n voters, streamed from the tier's vector files.
+    """Gap reports at n voters, streamed from the tier's store files.
+
+    The queries are the distinct complete-game vectors of each kind, read
+    from its store file in blocks of _SCAN rows, searched against the
+    weighted store; progress(kind, done, total) counts them.  Once the
+    search is done, one pass over the per-game vector file finds every
+    complete game with an attaining vector, and one catalog scan fetches
+    those games for all kinds.
 
     Returns one report per (index kind, metric) pair, attaining games
     and the nearest weighted game included; nearest_index is a row of the
@@ -585,24 +594,45 @@ def omega_tier(
         reports: dict[tuple[str, str], GapReport] = {}
         for kind in kinds:
             store = _load_store(cache, "wg", n, kind)
+            queries = _load_store(cache, "cg", n, kind).rows
             trackers = {metric: GapTracker(store, metric) for metric in metrics}
-            nums, dens = _load_vectors(cache, "cg", n, kind)
-            count = len(nums)
+            count = len(queries)
             for start in range(0, count, _SCAN):
                 stop = min(start + _SCAN, count)
-                queries = GapQueries(store, nums[start:stop], dens[start:stop])
+                chunk = GapQueries(store, queries[start:stop], metrics)
                 for tracker in trackers.values():
-                    tracker.feed(queries, offset=start)
+                    tracker.feed(chunk, offset=start)
                 if progress is not None:
                     progress(kind, stop, count)
-            kind_reports = {metric: tracker.report(n) for metric, tracker in trackers.items()}
-            needed = {idx for rep in kind_reports.values() for idx, _ in rep.attaining}
-            games = fetch_catalog_games(catalog, needed)
-            for metric, rep in kind_reports.items():
-                rep.attaining = [(idx, games[idx], vec) for idx, vec in rep.attaining]
-                if rep.nearest_index is not None:
-                    rep.nearest_game = certificate_game(certificates[rep.nearest_index])
-                reports[kind, metric.value] = rep
+            kind_reports = [tracker.report(n) for tracker in trackers.values()]
+            _attaining_indices(cache, n, kind, kind_reports)
+            reports.update(((kind, rep.metric.value), rep) for rep in kind_reports)
+        games = fetch_catalog_games(catalog, {idx for rep in reports.values() for idx, _ in rep.attaining})
+        for rep in reports.values():
+            rep.attaining = [(idx, games[idx], vec) for idx, vec in rep.attaining]
+            if rep.nearest_index is not None:
+                rep.nearest_game = certificate_game(certificates[rep.nearest_index])
         return reports
 
     return _load_tier(n, cache_dir, load)
+
+
+def _attaining_indices(cache: Path, n: int, kind: str, reports: list[GapReport]) -> None:
+    """Replace the (store row, vector) pairs of the reports' attaining
+    lists by one (catalog index, vector) pair per complete game with the
+    vector, in catalog order.  One pass over the per-game vector file,
+    in blocks of _SCAN rows, matches its rows to the attaining vectors
+    alone."""
+    wanted = sorted({vec.key() for rep in reports for _, vec in rep.attaining})
+    if not wanted:
+        return
+    position = {key: t for t, key in enumerate(wanted)}
+    targets = np.array(wanted, dtype=np.int64)
+    nums, dens = _load_vectors(cache, "cg", n, kind)
+    found = []
+    for start in range(0, len(nums), _SCAN):
+        rows, which = _matching_rows(nums[start : start + _SCAN], dens[start : start + _SCAN], targets)
+        found += zip((start + rows).tolist(), which.tolist())
+    for rep in reports:
+        vecs = {position[vec.key()]: vec for _, vec in rep.attaining}
+        rep.attaining = [(idx, vecs[t]) for idx, t in found if t in vecs]

@@ -18,6 +18,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from votekit.games import BoolCombo, ExplicitGame, WeightedGame, _lower_neighbors, evaluate, to_explicit
+from votekit.geometry import GapQueries, GapTracker, _reduced_rows, unique_rows
 from votekit.inverse import InverseMode, InverseResult, _proportional_start, _QuotaScan
 
 
@@ -141,6 +142,29 @@ def linear_nearest(rows, qnums, qden: int, l1: bool):
         elif v * best_den == best_num * d:
             hits.append(idx)
     return Fraction(best_num, best_den), hits
+
+
+def gap_reports_by_distinct_rows(store, nums, dens, cuts, metrics) -> dict:
+    """Gap reports of the query rows nums / dens, one per metric, the way
+    pipeline.omega_tier finds them: the distinct reduced rows, in
+    lexicographic order and cut into chunks at the positions cuts (a cut
+    past the last row closes at it), are bounded once for every metric and fed to one tracker per metric.  Each
+    attaining distinct row is then reported once for every query row
+    equal to it, by query index."""
+    uniq, _, inverse = unique_rows(_reduced_rows(nums, dens)[0])
+    trackers = {metric: GapTracker(store, metric) for metric in metrics}
+    edges = [0, *(min(cut, len(uniq)) for cut in cuts), len(uniq)]
+    for a, b in zip(edges, edges[1:]):
+        chunk = GapQueries(store, uniq[a:b], metrics)
+        for tracker in trackers.values():
+            tracker.feed(chunk, offset=a)
+    reports = {}
+    for metric, tracker in trackers.items():
+        rep = tracker.report(store.n)
+        pairs = [(int(j), vec) for i, vec in rep.attaining for j in np.flatnonzero(inverse == i)]
+        rep.attaining = sorted(pairs, key=lambda pair: pair[0])
+        reports[metric] = rep
+    return reports
 
 
 def count_distinct_rows(nums, dens) -> int:

@@ -15,6 +15,7 @@ environment pointed at one before the suite isolated itself.
 """
 
 import time
+import tracemalloc
 import warnings
 from contextlib import contextmanager
 from fractions import Fraction
@@ -22,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from votekit import pipeline
 from votekit.certified import (
     COMPLETE_COUNTS,
     DISTINCT_VECTOR_COUNTS,
@@ -293,6 +295,34 @@ def test_gap_reports_at_seven_are_pinned(omega7):
         index, vector, game = want["nearest"]
         assert (rep.nearest_index, rep.nearest_vector.key()) == (index, vector), key
         assert rep.nearest_game == parse_game(game), key
+
+
+def test_gap_reports_do_not_depend_on_the_scan_block(cache_dir, monkeypatch):
+    """The pinned n = 7 reports, field by field, from 4,096-row blocks, in
+    which the stores and the per-game vector files span several blocks
+    each.  Store rows arrive in lexicographic order, so the first block to
+    reach the gap holds the smallest attaining vector, as one block does."""
+    cache = ensure_tier(7, cache_dir)
+    monkeypatch.setattr(pipeline, "_SCAN", 4096)
+    reports = omega_tier(7, cache)
+    test_gap_reports_at_seven_are_pinned(lambda: reports)
+
+
+def test_warm_gap_reports_at_seven_stay_small(cache_dir):
+    """A warm omega_tier(7) allocates at most 12 MiB at its peak, as
+    tracemalloc counts it: the search streams blocks of the stores, and
+    the attaining games are matched a block of per-game rows at a time.
+    Resident memory moves by a few MB with heap layout alone, so it could
+    not show a regression of this size."""
+    cache = ensure_tier(7, cache_dir)
+    omega_tier(7, cache)
+    tracemalloc.start()
+    try:
+        omega_tier(7, cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20, f"peak {peak / 2**20:.1f} MiB exceeds 12 MiB"
 
 
 @pytest.mark.long_running

@@ -438,11 +438,20 @@ def test_unknown_arguments_exit_one(capsys):
 )
 def test_warm_queries_check_the_tier_once(capsys, monkeypatch, tmp_path, argv):
     """A warm omega or exact inverse reads and checks each tier file it
-    needs once, and no other: omega streams the complete games' vector
-    files against the weighted store files, and the exact inverse reads
-    the ssi store and the certificates of the weighted games alone."""
+    needs once, and no other: omega streams the complete games' store
+    files against the weighted ones (with no gap at 5 voters, no game
+    attains it, so the per-game vector files stay unread), and the exact
+    inverse reads the ssi store and the certificates of the weighted games
+    alone."""
     files = {
-        "omega": ["cg5.cat", "cg5.pbi.npy", "cg5.ssi.npy", "wg5.cert.npy", "wg5.pbi.store.npy", "wg5.ssi.store.npy"],
+        "omega": [
+            "cg5.cat",
+            "cg5.pbi.store.npy",
+            "cg5.ssi.store.npy",
+            "wg5.cert.npy",
+            "wg5.pbi.store.npy",
+            "wg5.ssi.store.npy",
+        ],
         "inverse": ["wg5.cert.npy", "wg5.ssi.store.npy"],
     }[argv[0]]
     target = tmp_path / "target.txt"

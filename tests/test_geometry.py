@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from votekit import enumeration
 from votekit.enumeration import CatalogFormatError
 from votekit.geometry import (
-    GapTracker,
     Metric,
     _keys,
+    _matching_rows,
     _reduced_rows,
     distance,
     store_from_rows,
@@ -23,7 +23,7 @@ from votekit.geometry import (
 from votekit.indices import PowerVector, pbi, ssi
 from votekit.pipeline import build_tier, ensure_tier, omega_tier, vector_path
 
-from oracles import count_distinct_rows, linear_nearest, store_rows
+from oracles import count_distinct_rows, gap_reports_by_distinct_rows, linear_nearest, store_rows
 
 
 def test_metric_parse():
@@ -124,17 +124,17 @@ def test_gap_tracker_chunks_match_one_shot():
     )
     qdens = np.array([3, 6, 6, 6], dtype=np.int64)
 
-    whole = GapTracker(store, Metric.L1)
-    whole.update(qnums, qdens)
-    chunked = GapTracker(store, Metric.L1)
-    chunked.update(qnums[:2], qdens[:2])
-    chunked.update(qnums[2:], qdens[2:], offset=2)
-
-    a, b = whole.report(3), chunked.report(3)
-    assert a.omega == b.omega == Fraction(1, 3)
-    assert [x[0] for x in a.attaining] == [x[0] for x in b.attaining] == [1, 2, 3]
+    both = [Metric.L1, Metric.LINF]
+    whole = gap_reports_by_distinct_rows(store, qnums, qdens, [], both)
+    chunked = gap_reports_by_distinct_rows(store, qnums, qdens, [2], both)
+    for metric in both:
+        a, b = whole[metric], chunked[metric]
+        assert a.omega == b.omega and a.attaining == b.attaining and a.worst_vector == b.worst_vector
+    b = chunked[Metric.L1]
+    assert b.omega == Fraction(1, 3)
+    assert [x[0] for x in b.attaining] == [1, 2, 3]
     assert [x[1].key() for x in b.attaining] == [(4, 1, 1, 6), (5, 1, 0, 6), (1, 1, 0, 2)]
-    assert b.worst_vector is not None and b.nearest_vector is not None
+    assert b.worst_vector.key() == (1, 1, 0, 2) and b.nearest_vector is not None
 
 
 @st.composite
@@ -172,46 +172,28 @@ def _reduced(nums, den):
 @settings(max_examples=150, deadline=None)
 @given(_gap_case())
 def test_gap_tracker_matches_brute_force_max_min(case):
-    """Bulk hits plus tree searches give a brute-force max-min, whether
-    the queries arrive at once or in chunks with offsets."""
-    kind, stored, queries, cuts, metric = case
-    l1 = metric is Metric.L1
+    """Bulk hits plus tree searches over the distinct query rows, bounded
+    once for both metrics, give a brute-force max-min under each, whether
+    the rows arrive at once or in chunks with offsets."""
+    kind, stored, queries, cuts, _ = case
     store = store_from_rows(
         kind, 3, np.array([v[0] for v in stored]), np.array([v[1] for v in stored])
     )
     rows = store_rows(store)
-    dists = [linear_nearest(rows, q, d, l1)[0] for q, d in queries]
-    best = max(dists)
     qnums = np.array([q for q, _ in queries], dtype=np.int64)
     qdens = np.array([d for _, d in queries], dtype=np.int64)
-
-    bounds = [0, *cuts, len(queries)]
-    for chunks in ([(0, len(queries))], list(zip(bounds, bounds[1:]))):
-        tracker = GapTracker(store, metric)
-        for a, b in chunks:
-            tracker.update(qnums[a:b], qdens[a:b], offset=a)
-        rep = tracker.report(3)
-        assert rep.omega == best
-        if best == 0:
-            assert rep.attaining == [] and rep.nearest_vector is None
-            continue
-        want = [i for i, d in enumerate(dists) if d == best]
-        assert [idx for idx, _ in rep.attaining] == want
-        assert [vec.key() for _, vec in rep.attaining] == [_reduced(*queries[i]) for i in want]
-        # The worst vector is the lexicographically first attaining one of
-        # the first chunk that holds any; its nearest weighted vector is
-        # the lexicographically smallest at distance omega.
-        worst = next(
-            min(_reduced(*queries[i]) for i in range(a, b) if dists[i] == best)
-            for a, b in chunks
-            if any(dists[i] == best for i in range(a, b))
-        )
-        assert rep.worst_vector.key() == worst
-        _, hits = linear_nearest(rows, worst[:-1], worst[-1], l1)
-        near = min(hits, key=lambda i: tuple(Fraction(x, rows[i][1]) for x in rows[i][0]))
-        assert rep.nearest_vector.key() == rows[near][0] + (rows[near][1],)
-        first = next(j for j, v in enumerate(stored) if _reduced(*v) == rep.nearest_vector.key())
-        assert rep.nearest_index == first
+    both = [Metric.L1, Metric.LINF]
+    for chunk_cuts in ([], cuts):
+        reports = gap_reports_by_distinct_rows(store, qnums, qdens, chunk_cuts, both)
+        for metric, rep in reports.items():
+            dists = [linear_nearest(rows, q, d, metric is Metric.L1)[0] for q, d in queries]
+            best = max(dists)
+            assert rep.omega == best
+            if best == 0:
+                assert rep.attaining == [] and rep.nearest_vector is None
+                continue
+            want = [i for i, d in enumerate(dists) if d == best]
+            assert [idx for idx, _ in rep.attaining] == want
 
 
 def _random_vector(rng, n: int, den: int, lead: int = 0) -> tuple[tuple[int, ...], int]:
@@ -292,37 +274,54 @@ def test_nearest_matches_linear_scan_on_random_stores(case, huge):
 @settings(max_examples=120, deadline=None)
 @given(_search_case(), st.integers(0, 2**16))
 def test_gap_tracker_matches_linear_scan_on_random_stores(case, cut):
-    """Leaf bounds, drops and the leaf-bounded exact searches give a
-    linear scan's max-min, in one chunk or in two."""
-    n, kind, metric, vectors, queries = case
+    """Leaf bounds under both metrics from one |difference| block, drops
+    and the leaf-bounded exact searches give a linear scan's max-min under
+    each, in one chunk of distinct rows or in two.  The rows arrive in
+    lexicographic order, so the worst vector is the smallest attaining
+    one, wherever the chunks are cut."""
+    n, kind, _, vectors, queries = case
     store = _store_of(kind, n, vectors)
     rows = store_rows(store)
-    l1 = metric is Metric.L1
-    dists = [linear_nearest(rows, q, d, l1)[0] for q, d in queries]
-    best = max(dists)
-    want = [i for i, d in enumerate(dists) if d == best]
     qnums = np.array([q for q, _ in queries], dtype=np.int64)
     qdens = np.array([d for _, d in queries], dtype=np.int64)
     cut %= len(queries) + 1
-    for chunks in ([(0, len(queries))], [(0, cut), (cut, len(queries))]):
-        tracker = GapTracker(store, metric)
-        for a, b in chunks:
-            tracker.update(qnums[a:b], qdens[a:b], offset=a)
-        rep = tracker.report(n)
-        assert rep.omega == best
-        if best == 0:
-            assert rep.attaining == [] and rep.worst_vector is None
-            continue
-        assert [idx for idx, _ in rep.attaining] == want
-        worst = next(
-            min(_reduced(*queries[i]) for i in range(a, b) if dists[i] == best)
-            for a, b in chunks
-            if any(dists[i] == best for i in range(a, b))
-        )
-        assert rep.worst_vector.key() == worst
-        worst = [int(x) for x in worst]
-        near = _lex_smallest(rows, linear_nearest(rows, worst[:-1], worst[-1], l1)[1])
-        assert rep.nearest_vector.key() == rows[near][0] + (rows[near][1],)
+    both = [Metric.L1, Metric.LINF]
+    for cuts in ([], [cut]):
+        for metric, rep in gap_reports_by_distinct_rows(store, qnums, qdens, cuts, both).items():
+            l1 = metric is Metric.L1
+            dists = [linear_nearest(rows, q, d, l1)[0] for q, d in queries]
+            best = max(dists)
+            assert rep.omega == best
+            if best == 0:
+                assert rep.attaining == [] and rep.worst_vector is None
+                continue
+            want = [i for i, d in enumerate(dists) if d == best]
+            assert [idx for idx, _ in rep.attaining] == want
+            worst = min(_reduced(*queries[i]) for i in want)
+            assert rep.worst_vector.key() == worst
+            worst = [int(x) for x in worst]
+            near = _lex_smallest(rows, linear_nearest(rows, worst[:-1], worst[-1], l1)[1])
+            assert rep.nearest_vector.key() == rows[near][0] + (rows[near][1],)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_search_case())
+def test_matching_rows_finds_every_scaling_of_a_target(case):
+    """_matching_rows pairs each vector with the target it equals, however
+    it is scaled, and no other vector, on int64 and on Python-integer
+    magnitudes: the random store's rows are the targets, and some of
+    them, scaled to denominators near 2**62, are queries too."""
+    n, kind, _, vectors, queries = case
+    targets = _store_of(kind, n, vectors).rows
+    for row in targets[:3].tolist():
+        k = 2**62 // row[n] - 1
+        queries.append((tuple(k * x for x in row[:n]), k * row[n]))
+    position = {tuple(row): t for t, row in enumerate(targets.tolist())}
+    want = [(i, position[_reduced(q, d)]) for i, (q, d) in enumerate(queries) if _reduced(q, d) in position]
+    nums = np.array([q for q, _ in queries], dtype=np.int64)
+    dens = np.array([d for _, d in queries], dtype=np.int64)
+    rows, which = _matching_rows(nums, dens, targets)
+    assert list(zip(rows.tolist(), which.tolist())) == want
 
 
 @settings(max_examples=120, deadline=None)

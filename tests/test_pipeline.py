@@ -115,7 +115,7 @@ def test_ensure_vectors_discards_wrong_shape_cache(tmp_path):
         (catalog_path(tmp_path, "wg", 4), lambda p: p.write_bytes(p.read_bytes()[:-3])),
     ]
     readers = {  # a loader that reads each damaged file
-        "cg4.pbi.npy": lambda: omega_tier(4, tmp_path, kinds=("pbi",)),
+        "cg4.pbi.npy": lambda: _load_vectors(ensure_tier(4, tmp_path), "cg", 4, "pbi")[0].tolist(),
         "cg4.pbi.store.npy": lambda: tier_counts("cg", 4, ("pbi",), tmp_path),
         "wg4.cert.npy": lambda: weighted_store(4, "ssi", tmp_path)[1].tolist(),
         "wg4.cat": lambda: [g.shift_minimal for g in load_games("wg", 4, tmp_path)],

@@ -205,6 +205,18 @@ def test_pipeline_does_not_dedup_per_game_rows():
     assert [name for name in ("store_from_rows", "count_distinct_rows") if refs[name]] == []
 
 
+def test_only_the_attaining_match_reads_per_game_rows():
+    """Within pipeline, only the whole-tier check and omega's match of
+    the attaining games read a per-game vector file: every other reader,
+    the gap search included, takes the distinct rows of the store files."""
+    readers = {
+        top.name
+        for top in _modules(PACKAGE)["pipeline.py"].body
+        if isinstance(top, ast.FunctionDef) and top.name != "_load_vectors" and _references(top)["_load_vectors"]
+    }
+    assert readers == {"_check_tier", "_attaining_indices"}
+
+
 def test_each_weightedness_lp_entry_has_one_caller():
     """One weightedness test, solved two ways: enumeration's chunk
     classifier is the only module outside exactlp on solve_block, and
