@@ -17,8 +17,8 @@ and one |difference| block against the leaf's points gives its exact upper
 bound under every metric.  GapTracker drops the misses bounded strictly
 below the running maximum and searches the rest, highest bound first,
 exactly over the leaves whose key box may hold a closer point.  Which games
-attain the gap is matched afterwards, by _matching_rows over the per-game
-rows.
+attain the gap is read afterwards from the store row of each game, which
+the tier build records.
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ PBI_KEY_SCALE = 1 << 20
 _LEAF_SIZE = 32
 _BLOCK = 256  # misses per vectorized leaf-bound pass
 _INT64_MAX = 2**63 - 1
-# _matching_rows hashes a vector with the powers of _HASH_BASE modulo
-# _HASH_MODULUS: varied multipliers, all below 2**20.
-_HASH_BASE = 1_000_003
-_HASH_MODULUS = (1 << 20) - 3
 
 
 class Metric(enum.Enum):
@@ -168,27 +164,6 @@ def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     pos = np.searchsorted(sorted_keys, keys)
     pos[pos == len(sorted_keys)] = 0
     return np.where(sorted_keys[pos] == keys, pos, -1)
-
-
-def _matching_rows(nums: np.ndarray, dens: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, which): the positions of the vectors nums[i] / dens[i] that
-    equal a target, in increasing order, and the position of the target
-    each equals; targets are reduced rows, distinct and in lexicographic
-    order.  A linear hash h of the numerators scales with the vector, so
-    floor(h * 2**shift / den) is one key for every representation of a
-    vector: only the rows whose key a target shares are reduced and
-    compared exactly, and the temporaries are a few columns of nums."""
-    n = nums.shape[1]
-    weights = np.array([pow(_HASH_BASE, i, _HASH_MODULUS) for i in range(n)], dtype=np.int64)
-    peak = max(int(nums.max(initial=0)), int(targets[:, :n].max(initial=0))) * int(weights.sum())
-    dtype, shift = _exact_dtype(peak), max(62 - peak.bit_length(), 0)
-
-    def key(x: np.ndarray, d: np.ndarray) -> np.ndarray:
-        return ((x.astype(dtype) @ weights) << shift) // d
-
-    picked = np.flatnonzero(np.isin(key(nums, dens), key(targets[:, :n], targets[:, n])))
-    which = _lookup(_row_keys(targets), _row_keys(_reduced_rows(nums[picked], dens[picked])[0]))
-    return picked[which >= 0], which[which >= 0]
 
 
 class _Tree:
@@ -358,8 +333,8 @@ class GapReport:
     attaining holds one (index, power vector) pair per query whose nearest
     weighted vector sits exactly at the gap, as GapTracker.report returns
     it.  pipeline.omega_tier queries a tier's distinct vectors, then
-    matches each attaining vector to every complete game that has it and
-    attaches the game, making the pairs (catalog index, game, power
+    finds every complete game whose vector sits at an attaining store row
+    and attaches the game, making the pairs (catalog index, game, power
     vector) triples; it sets nearest_game to the weighted game at
     nearest_index.  worst_vector is the smallest attaining row of the
     first chunk to reach the gap; omega_tier feeds the store's rows in

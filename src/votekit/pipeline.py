@@ -1,23 +1,23 @@
 """Disk cache of catalog tiers.
 
 A tier holds what is known about the complete games with n voters,
-1 <= n <= 8, as eleven files written by one streamed pass:
+1 <= n <= 8, as nine files written by one streamed pass:
 
 * cg{n}.cat and wg{n}.cat: the complete and the weighted games (VKCAT1);
-* {cg,wg}{n}.{ssi,pbi}.npy: one (numerators..., denominator) int64 row
-  per game, aligned with its catalog;
-* {cg,wg}{n}.{ssi,pbi}.store.npy: the distinct vectors of each of those
-  files, one (reduced numerators..., denominator, rep) int64 row each,
+* {cg,wg}{n}.{ssi,pbi}.store.npy: the distinct power vectors of each
+  class, one (reduced numerators..., denominator, rep) int64 row each,
   distinct and in lexicographic order, rep the first catalog index
   attaining the vector: the rows and reps of geometry.store_from_rows;
+* cg{n}.{ssi,pbi}.pos.npy: one int64 row per complete game, aligned with
+  its catalog, the row of the game's vector in the cg store file;
 * wg{n}.cert.npy: one (quota, weights...) int64 row per weighted game,
   checked against the game's winning table before it is written.
 
-The catalogs, vector and certificate files are written the same way:
-each is opened with its header for the certified game count, and every
-chunk appends its rows to each (enumeration.catalog_records for the
-catalogs, raw int64 rows for the .npy files).  The store files are the
-build's distinct-row accumulators, written once their counts are
+The catalogs and the certificate file are written the same way: each is
+opened with its header for the certified game count, and every chunk
+appends its rows to each (enumeration.catalog_records for the catalogs,
+raw int64 rows for the certificates).  The store and position files are
+the build's distinct-row accumulators, written once their counts are
 certified.  Every count is certified before any file is moved into
 place, so a tier is only ever installed whole.  Tiers below 8 voters
 are built on first use and rebuilt when a file is missing or
@@ -27,22 +27,24 @@ that take a worker count, for a process pool that pays off only at 8
 voters.
 
 Each tier file has one reader, and the reader checks what it returns:
-_checked_catalog a catalog's header, _load_vectors every row of a
-vector file, _load_store every row of a store file (its row count the
-certified distinct count, where one exists, its rows reduced, in
-strictly increasing order, with reps inside the catalog) and
-load_certificates every certificate row.  Each datum of a tier has one
-loader, which reads, and so checks, only the files behind it, building
-the tier when needed: ensure_tier (the directory, every file checked),
-load_games (the games of one class), load_listing (the games with their
-certificate rows), tier_counts (game and distinct-vector counts, the
-latter the lengths of the store files), weighted_store (the stored
-weighted vectors, with their certificate rows) and omega_tier (gap
-reports of the cg store files, streamed, against the wg ones, with the
-attaining games matched in the cg vector files and read through
-enumeration.fetch_catalog_games).  A
-damaged file that a loader does not read is left alone until a loader
-that reads it rebuilds the tier.
+_checked_catalog a catalog's header, _load_store every row of a store
+file (its row count the certified distinct count, where one exists, its
+rows reduced, in strictly increasing order, with reps inside the
+catalog), _load_positions every row of a position file (one per game,
+each a row of the store, each store row's rep the first game at the
+row) and load_certificates every certificate row.  Each datum of a tier
+has one loader, which reads, and so checks, only the files behind it,
+building the tier when needed: ensure_tier (the directory, every file
+checked), load_games (the games of one class), load_listing (the games
+with their certificate rows), tier_counts (game and distinct-vector
+counts, the latter the lengths of the store files), weighted_store (the
+stored weighted vectors, with their certificate rows) and omega_tier
+(gap reports of the cg store files, streamed, against the wg ones, with
+the attaining games found in the cg position files and read through
+enumeration.fetch_catalog_games).  The loaders check their class and
+index kind names before they touch the cache.  A damaged file that a
+loader does not read is left alone until a loader that reads it
+rebuilds the tier.
 """
 
 from __future__ import annotations
@@ -81,7 +83,6 @@ from .geometry import (
     GapTracker,
     Metric,
     VectorStore,
-    _matching_rows,
     _reduced_rows,
     unique_rows,
 )
@@ -91,8 +92,8 @@ __all__ = [
     "BIG_N",
     "default_cache_dir",
     "catalog_path",
-    "vector_path",
     "store_path",
+    "position_path",
     "certificate_path",
     "tier_present",
     "build_tier",
@@ -107,7 +108,7 @@ __all__ = [
 ]
 
 _CLASSES = ("cg", "wg")
-# Rows per streamed block of a vector file; bounds memory at 8 voters.
+# Rows per streamed block of a tier file; bounds memory at 8 voters.
 _SCAN = 1 << 16
 # Certificates per block of the check; its int64 product stays near 2 MB.
 _CERT_BLOCK = 1024
@@ -128,12 +129,12 @@ def catalog_path(cache_dir, klass: str, n: int) -> Path:
     return Path(cache_dir) / f"{klass}{n}.cat"
 
 
-def vector_path(cache_dir, klass: str, n: int, kind: str) -> Path:
-    return Path(cache_dir) / f"{klass}{n}.{kind}.npy"
-
-
 def store_path(cache_dir, klass: str, n: int, kind: str) -> Path:
     return Path(cache_dir) / f"{klass}{n}.{kind}.store.npy"
+
+
+def position_path(cache_dir, n: int, kind: str) -> Path:
+    return Path(cache_dir) / f"cg{n}.{kind}.pos.npy"
 
 
 def certificate_path(cache_dir, n: int) -> Path:
@@ -142,10 +143,10 @@ def certificate_path(cache_dir, n: int) -> Path:
 
 def _tier_paths(cache_dir, n: int) -> dict[str, Path]:
     out = {f"{klass}.cat": catalog_path(cache_dir, klass, n) for klass in _CLASSES}
-    for klass in _CLASSES:
-        for kind in KINDS:
-            out[f"{klass}.{kind}"] = vector_path(cache_dir, klass, n, kind)
+    for kind in KINDS:
+        for klass in _CLASSES:
             out[f"{klass}.{kind}.store"] = store_path(cache_dir, klass, n, kind)
+        out[f"cg.{kind}.pos"] = position_path(cache_dir, n, kind)
     out["wg.cert"] = certificate_path(cache_dir, n)
     return out
 
@@ -182,31 +183,12 @@ def _check_blocks(path: Path, rows: np.ndarray, ok: Callable[[np.ndarray], bool]
             raise CatalogFormatError(f"{path}: rows are not {what}")
 
 
-def _load_vectors(cache_dir, klass: str, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """(numerators, denominators) of a vector file, every row checked:
-    numerators are nonnegative and sum to their positive denominator,
-    which is n! for ssi."""
-    path = vector_path(cache_dir, klass, n, kind)
-    rows = _read_rows(path, certified.GAME_COUNTS[klass][n], n + 1)
-
-    def ok(block: np.ndarray) -> bool:
-        dens = block[:, n]
-        if kind == "ssi" and not (dens == math.factorial(n)).all():
-            return False
-        # einsum sums the short rows several times faster than sum(axis=1).
-        sums = np.einsum("ij->i", block[:, :n])
-        return bool(block.min() >= 0 and (dens > 0).all() and np.array_equal(sums, dens))
-
-    _check_blocks(path, rows, ok, f"{kind} vectors")
-    return rows[:, :n], rows[:, n]
-
-
 def _load_store(cache_dir, klass: str, n: int, kind: str) -> VectorStore:
-    """The distinct vectors of a vector file, as the tier build stored
-    them, every row checked: as many rows as the certified distinct
-    count, where one exists; entries nonnegative, numerators summing to
-    their positive denominator, which divides n! for ssi, no common
-    factor; rows strictly increasing; each rep a catalog index."""
+    """The distinct vectors of one class and index kind, as the tier
+    build stored them, every row checked: as many rows as the certified
+    distinct count, where one exists; entries nonnegative, numerators
+    summing to their positive denominator, which divides n! for ssi, no
+    common factor; rows strictly increasing; each rep a catalog index."""
     path = store_path(cache_dir, klass, n, kind)
     rows = _read_rows(path, certified.DISTINCT_VECTOR_COUNTS[klass, kind].get(n), n + 2)
     games = certified.GAME_COUNTS[klass][n]
@@ -229,6 +211,26 @@ def _load_store(cache_dir, klass: str, n: int, kind: str) -> VectorStore:
 
     _check_blocks(path, rows, ok, f"distinct reduced {kind} vectors in order")
     return VectorStore(kind, n, rows[:, : n + 1], rows[:, n + 1])
+
+
+def _load_positions(cache_dir, store: VectorStore) -> np.ndarray:
+    """The row of each complete game's vector in store, a cg store file's
+    rows, every entry checked: one per catalog game, each a row of
+    the store, and each store row's rep the first game at the row, which
+    holds when every game's row has its rep at or before the game and
+    every rep is at its own row."""
+    path = position_path(cache_dir, store.n, store.kind)
+    pos = _read_rows(path, certified.GAME_COUNTS["cg"][store.n], 1)[:, 0]
+    for start in range(0, max(len(pos), len(store)), _SCAN):
+        block, reps = pos[start : start + _SCAN], store.reps[start : start + _SCAN]
+        if not (
+            block.min(initial=0) >= 0
+            and block.max(initial=0) < len(store)
+            and (store.reps[block] <= np.arange(start, start + len(block))).all()
+            and np.array_equal(pos[reps], np.arange(start, start + len(reps)))
+        ):
+            raise CatalogFormatError(f"{path}: rows are not the store rows of their games")
+    return pos
 
 
 def load_certificates(n: int, cache_dir=None) -> np.ndarray:
@@ -265,14 +267,29 @@ def _checked_catalog(cache_dir, klass: str, n: int) -> Path:
 
 def _check_tier(n: int, cache_dir: Path) -> Path:
     """cache_dir, once every tier file is present with its certified shape
-    and every vector and certificate row passes its loader's check."""
+    and every store, position and certificate row passes its loader's
+    check."""
     for klass in _CLASSES:
         _checked_catalog(cache_dir, klass, n)
-        for kind in KINDS:
-            _load_vectors(cache_dir, klass, n, kind)
-            _load_store(cache_dir, klass, n, kind)
+    for kind in KINDS:
+        _load_positions(cache_dir, _load_store(cache_dir, "cg", n, kind))
+        _load_store(cache_dir, "wg", n, kind)
     load_certificates(n, cache_dir)
     return cache_dir
+
+
+def _check_class(klass: str) -> None:
+    if klass not in _CLASSES:
+        raise ValueError(f"unknown catalog class {klass!r}")
+
+
+def _checked_kinds(kinds: Iterable[str]) -> list[str]:
+    """kinds as a list, once each is an index kind."""
+    kinds = list(kinds)
+    for kind in kinds:
+        if kind not in KINDS:
+            raise ValueError(f"unknown index kind {kind!r}; expected one of {', '.join(KINDS)}")
+    return kinds
 
 
 def _load_tier(n: int, cache_dir, load: Callable[[Path], object]):
@@ -309,6 +326,8 @@ def tier_counts(
     certified count; each distinct count is a store file's row count,
     which its reader checks against the certified one.
     """
+    _check_class(klass)
+    kinds = _checked_kinds(kinds)
 
     def load(cache: Path) -> tuple[int, dict[str, int]]:
         _checked_catalog(cache, klass, n)
@@ -326,8 +345,7 @@ def load_games(klass: str, n: int, cache_dir=None) -> list[CompleteGame]:
 def load_listing(klass: str, n: int, cache_dir=None) -> tuple[list[CompleteGame], np.ndarray | None]:
     """load_games, plus the certificate row of each game for wg (None
     for cg)."""
-    if klass not in _CLASSES:
-        raise ValueError(f"unknown catalog class {klass!r}")
+    _check_class(klass)
 
     def load(cache: Path) -> tuple[list[CompleteGame], np.ndarray | None]:
         games = read_catalog(_checked_catalog(cache, klass, n))
@@ -340,6 +358,7 @@ def weighted_store(n: int, kind: str, cache_dir=None) -> tuple[VectorStore, np.n
     """The distinct weighted-game vectors of the n-voter tier, as its
     store file holds them, plus the certificate rows that the store's reps
     index."""
+    _checked_kinds([kind])
 
     def load(cache: Path) -> tuple[VectorStore, np.ndarray]:
         return _load_store(cache, "wg", n, kind), load_certificates(n, cache)
@@ -359,12 +378,16 @@ _UNIQUE_LIMIT = 1 << 21
 class _UniqueAccumulator:
     """Distinct rows of a huge matrix of cols columns, accumulated in
     bounded memory, each with its rep: the index of the first matrix row
-    equal to it.
+    equal to it; and positions, one array per added chunk, in row order,
+    holding the position of each matrix row's distinct row.
 
     Chunks are deduplicated on arrival and merged into the sorted base
     whenever the pending pile grows past _UNIQUE_LIMIT rows.  Chunks
     arrive in row order and a merge lists the base first, so the stable
-    sort in unique_rows keeps each row's smallest index.
+    sort in unique_rows keeps each row's smallest index.  Until the next
+    merge, a chunk's positions point into the merge's input, the base
+    followed by the pending rows; each merge maps every array through its
+    inverse, in place, so that no more than one chunk's copy is held.
     """
 
     def __init__(self, cols: int):
@@ -372,10 +395,12 @@ class _UniqueAccumulator:
         self.reps = np.empty(0, dtype=np.int64)
         self.pending: list[tuple[np.ndarray, np.ndarray]] = []
         self.pending_rows = 0
+        self.positions: list[np.ndarray] = []
 
     def add(self, rows: np.ndarray, offset: int) -> None:
         """Take rows offset, offset + 1, ... of the matrix."""
-        u, first, _ = unique_rows(rows)
+        u, first, inverse = unique_rows(rows)
+        self.positions.append(inverse + (len(self.base) + self.pending_rows))
         self.pending.append((u, first + offset))
         self.pending_rows += len(u)
         if self.pending_rows >= _UNIQUE_LIMIT:
@@ -385,8 +410,10 @@ class _UniqueAccumulator:
         if not self.pending:
             return
         rows, reps = (np.concatenate(part) for part in zip((self.base, self.reps), *self.pending))
-        self.base, first, _ = unique_rows(rows)
+        self.base, first, inverse = unique_rows(rows)
         self.reps = reps[first]
+        for p in self.positions:
+            p[:] = inverse[p]
         self.pending = []
         self.pending_rows = 0
 
@@ -426,16 +453,16 @@ def _classify(n, win, lose, pool, workers):
 
 
 def _write_chunk(n, tables, pool, workers, files, accs, counts) -> int:
-    """Classify one chunk of complete games and append it to every
-    streamed file, its first game and first weighted game at catalog
-    indices counts["cg"] and counts["wg"]; returns how many of them are
-    weighted.  Kept apart so that the chunk's arrays are freed before the
-    next one."""
+    """Classify one chunk of complete games, append it to the streamed
+    catalogs and certificates and its vectors to the accumulators, its
+    first game and first weighted game at catalog indices counts["cg"] and
+    counts["wg"]; returns how many of them are weighted.  Kept apart so
+    that the chunk's arrays are freed before the next one."""
     ssi_nums, ssi_den = batch_ssi_numerators(tables)
     pbi_nums = batch_swing_counts(tables)
     vectors = {
-        "ssi": np.column_stack([ssi_nums, np.full(len(tables), ssi_den, dtype=np.int64)]),
-        "pbi": np.column_stack([pbi_nums, pbi_nums.sum(axis=1)]),
+        "ssi": _reduced_rows(ssi_nums, ssi_den)[0],
+        "pbi": _reduced_rows(pbi_nums, pbi_nums.sum(axis=1))[0],
     }
     # The index kernels hold one block's int64 copy of the tables at a
     # time (about 2 MB); the losing family matrix is dropped once
@@ -448,9 +475,8 @@ def _write_chunk(n, tables, pool, workers, files, accs, counts) -> int:
     catalog_records(n, win).tofile(files["cg.cat"])
     catalog_records(n, win[widx]).tofile(files["wg.cat"])
     for kind, rows in vectors.items():
-        for klass, part in (("cg", rows), ("wg", rows[widx])):
-            part.astype("<i8", copy=False).tofile(files[f"{klass}.{kind}"])
-            accs[f"{klass}.{kind}"].add(_reduced_rows(part[:, :n], part[:, n])[0], counts[klass])
+        accs[f"cg.{kind}"].add(rows, counts["cg"])
+        accs[f"wg.{kind}"].add(rows[widx], counts["wg"])
     certs.astype("<i8", copy=False).tofile(files["wg.cert"])
     return len(widx)
 
@@ -459,23 +485,23 @@ def _write_npy_header(fh, rows: int, cols: int) -> None:
     np.lib.format.write_array_header_1_0(fh, {"descr": "<i8", "fortran_order": False, "shape": (rows, cols)})
 
 
-def _write_store(path: Path, acc: _UniqueAccumulator) -> None:
-    """The accumulator's rows, each followed by its rep, as one .npy file."""
+def _write_rows(path: Path, shape: tuple[int, int], blocks: Iterable[np.ndarray]) -> None:
+    """One .npy file of int64 rows of the given shape, written block by
+    block."""
     with open(path, "wb") as fh:
-        _write_npy_header(fh, len(acc.base), acc.base.shape[1] + 1)
-        for start in range(0, len(acc.base), _SCAN):
-            stop = start + _SCAN
-            np.column_stack([acc.base[start:stop], acc.reps[start:stop]]).astype("<i8", copy=False).tofile(fh)
+        _write_npy_header(fh, *shape)
+        for block in blocks:
+            block.astype("<i8", copy=False).tofile(fh)
 
 
 def _write_tier(n, tmps, workers, progress) -> dict[str, int]:
-    """Stream every complete game with n voters into the temp files, each
-    opened with its header for the certified game count, then each store
-    file once its distinct count is certified.  With workers > 1, one
-    process pool classifies every chunk."""
+    """Stream every complete game with n voters into the temp catalog and
+    certificate files, each opened with its header for the certified game
+    count, then write each store file once its distinct count is
+    certified, and the cg position files.  With workers > 1, one process
+    pool classifies every chunk."""
     expected = {klass: certified.GAME_COUNTS[klass][n] for klass in _CLASSES}
-    vector_keys = [f"{klass}.{kind}" for klass in _CLASSES for kind in KINDS]
-    accs = {key: _UniqueAccumulator(n + 1) for key in vector_keys}
+    accs = {f"{klass}.{kind}": _UniqueAccumulator(n + 1) for klass in _CLASSES for kind in KINDS}
     with ExitStack() as stack:
         pool = None
         if workers > 1:
@@ -484,16 +510,10 @@ def _write_tier(n, tmps, workers, progress) -> dict[str, int]:
 
             spawn = multiprocessing.get_context("spawn")
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers, mp_context=spawn))
-        files = {}
-        for key, tmp in tmps.items():
-            klass, _, kind = key.partition(".")
-            if kind.endswith(".store"):
-                continue
-            files[key] = fh = stack.enter_context(open(tmp, "wb"))
-            if kind == "cat":
-                fh.write(catalog_header(klass, n, expected[klass]))
-            else:
-                _write_npy_header(fh, expected[klass], n + 1)
+        files = {key: stack.enter_context(open(tmps[key], "wb")) for key in ("cg.cat", "wg.cat", "wg.cert")}
+        for klass in _CLASSES:
+            files[f"{klass}.cat"].write(catalog_header(klass, n, expected[klass]))
+        _write_npy_header(files["wg.cert"], expected["wg"], n + 1)
         counts = dict.fromkeys(_CLASSES, 0)
         for tables in iter_complete_chunks(n):
             counts["wg"] += _write_chunk(n, tables, pool, workers, files, accs, counts)
@@ -510,7 +530,10 @@ def _write_tier(n, tmps, workers, progress) -> dict[str, int]:
         want = certified.DISTINCT_VECTOR_COUNTS[klass, kind].get(n)
         if want is not None and got != want:
             raise CountMismatchError(f"distinct {kind} vectors over {klass} ({n} voters)", want, got)
-        _write_store(tmps[f"{key}.store"], acc)
+        blocks = (np.column_stack([acc.base[a : a + _SCAN], acc.reps[a : a + _SCAN]]) for a in range(0, got, _SCAN))
+        _write_rows(tmps[f"{key}.store"], (got, n + 2), blocks)
+        if klass == "cg":
+            _write_rows(tmps[f"{key}.pos"], (counts["cg"], 1), acc.positions)
     return counts
 
 
@@ -578,14 +601,15 @@ def omega_tier(
     The queries are the distinct complete-game vectors of each kind, read
     from its store file in blocks of _SCAN rows, searched against the
     weighted store; progress(kind, done, total) counts them.  Once the
-    search is done, one pass over the per-game vector file finds every
-    complete game with an attaining vector, and one catalog scan fetches
-    those games for all kinds.
+    search is done, one pass over the position file finds every complete
+    game whose vector sits at an attaining store row, and one catalog
+    scan fetches those games for all kinds.
 
     Returns one report per (index kind, metric) pair, attaining games
     and the nearest weighted game included; nearest_index is a row of the
     weighted catalog.
     """
+    kinds = _checked_kinds(kinds)
     metrics = [Metric.parse(m) if not isinstance(m, Metric) else m for m in metrics]
 
     def load(cache: Path) -> dict[tuple[str, str], GapReport]:
@@ -594,18 +618,18 @@ def omega_tier(
         reports: dict[tuple[str, str], GapReport] = {}
         for kind in kinds:
             store = _load_store(cache, "wg", n, kind)
-            queries = _load_store(cache, "cg", n, kind).rows
+            queries = _load_store(cache, "cg", n, kind)
             trackers = {metric: GapTracker(store, metric) for metric in metrics}
             count = len(queries)
             for start in range(0, count, _SCAN):
                 stop = min(start + _SCAN, count)
-                chunk = GapQueries(store, queries[start:stop], metrics)
+                chunk = GapQueries(store, queries.rows[start:stop], metrics)
                 for tracker in trackers.values():
                     tracker.feed(chunk, offset=start)
                 if progress is not None:
                     progress(kind, stop, count)
             kind_reports = [tracker.report(n) for tracker in trackers.values()]
-            _attaining_indices(cache, n, kind, kind_reports)
+            _attaining_indices(cache, queries, kind_reports)
             reports.update(((kind, rep.metric.value), rep) for rep in kind_reports)
         games = fetch_catalog_games(catalog, {idx for rep in reports.values() for idx, _ in rep.attaining})
         for rep in reports.values():
@@ -617,22 +641,20 @@ def omega_tier(
     return _load_tier(n, cache_dir, load)
 
 
-def _attaining_indices(cache: Path, n: int, kind: str, reports: list[GapReport]) -> None:
+def _attaining_indices(cache: Path, store: VectorStore, reports: list[GapReport]) -> None:
     """Replace the (store row, vector) pairs of the reports' attaining
-    lists by one (catalog index, vector) pair per complete game with the
-    vector, in catalog order.  One pass over the per-game vector file,
-    in blocks of _SCAN rows, matches its rows to the attaining vectors
-    alone."""
-    wanted = sorted({vec.key() for rep in reports for _, vec in rep.attaining})
-    if not wanted:
+    lists, rows of the cg store, by one (catalog index, vector) pair per
+    complete game at the row, in catalog order: one pass over the
+    position file, in blocks of _SCAN rows."""
+    wanted = np.array(sorted({row for rep in reports for row, _ in rep.attaining}), dtype=np.int64)
+    if not len(wanted):
         return
-    position = {key: t for t, key in enumerate(wanted)}
-    targets = np.array(wanted, dtype=np.int64)
-    nums, dens = _load_vectors(cache, "cg", n, kind)
+    positions = _load_positions(cache, store)
     found = []
-    for start in range(0, len(nums), _SCAN):
-        rows, which = _matching_rows(nums[start : start + _SCAN], dens[start : start + _SCAN], targets)
-        found += zip((start + rows).tolist(), which.tolist())
+    for start in range(0, len(positions), _SCAN):
+        block = positions[start : start + _SCAN]
+        hits = np.flatnonzero(np.isin(block, wanted))
+        found += zip((start + hits).tolist(), block[hits].tolist())
     for rep in reports:
-        vecs = {position[vec.key()]: vec for _, vec in rep.attaining}
-        rep.attaining = [(idx, vecs[t]) for idx, t in found if t in vecs]
+        vecs = dict(rep.attaining)
+        rep.attaining = [(idx, vecs[row]) for idx, row in found if row in vecs]

@@ -11,13 +11,9 @@ import os
 
 import pytest
 
-from votekit.pipeline import (
-    _load_vectors,
-    ensure_tier,
-    load_certificates,
-    load_games,
-    weighted_store,
-)
+from votekit.pipeline import ensure_tier, load_certificates, load_games, weighted_store
+
+from oracles import vectors_by_kernels
 
 def pytest_configure(config):
     config.acceptance_lines = []
@@ -81,9 +77,10 @@ def catalogs(cache_dir):
 
 
 @pytest.fixture(scope="session")
-def vectors(cache_dir):
-    """Factory: (klass, n, kind) -> (nums, dens) arrays, one row per game."""
-    return _memoized(lambda klass, n, kind: _load_vectors(ensure_tier(n, cache_dir), klass, n, kind))
+def vectors(certificates):
+    """Factory: (klass, n, kind) -> (nums, dens) arrays, one row per game
+    in catalog order, recomputed apart from the tier's store files."""
+    return _memoized(lambda klass, n, kind: vectors_by_kernels(n, kind, certificates(n) if klass == "wg" else None))
 
 
 @pytest.fixture(scope="session")

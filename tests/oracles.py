@@ -17,8 +17,10 @@ import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from votekit.games import BoolCombo, ExplicitGame, WeightedGame, _lower_neighbors, evaluate, to_explicit
+from votekit.enumeration import iter_complete_chunks
+from votekit.games import BoolCombo, ExplicitGame, WeightedGame, _lower_neighbors, _members, evaluate, to_explicit
 from votekit.geometry import GapQueries, GapTracker, _reduced_rows, unique_rows
+from votekit.indices import batch_ssi_numerators, batch_swing_counts
 from votekit.inverse import InverseMode, InverseResult, _proportional_start, _QuotaScan
 
 
@@ -165,6 +167,22 @@ def gap_reports_by_distinct_rows(store, nums, dens, cuts, metrics) -> dict:
         rep.attaining = sorted(pairs, key=lambda pair: pair[0])
         reports[metric] = rep
     return reports
+
+
+def vectors_by_kernels(n: int, kind: str, certificates=None) -> tuple[np.ndarray, np.ndarray]:
+    """(numerators, denominators) of every game in catalog order, one row
+    each, recomputed by the batch kernels apart from any tier file: of the
+    complete games, from the enumeration's chunks, or, given the weighted
+    games' (quota, weights...) certificate rows, of the games they win on."""
+    if certificates is None:
+        chunks = list(iter_complete_chunks(n))
+    else:
+        chunks = [(certificates[:, 1:] @ _members(n).T >= certificates[:, :1]).astype(np.uint8)]
+    if kind == "ssi":
+        nums = np.concatenate([batch_ssi_numerators(tables)[0] for tables in chunks])
+        return nums, np.full(len(nums), math.factorial(n), dtype=np.int64)
+    nums = np.concatenate([batch_swing_counts(tables) for tables in chunks])
+    return nums, nums.sum(axis=1)
 
 
 def count_distinct_rows(nums, dens) -> int:

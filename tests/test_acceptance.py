@@ -147,8 +147,8 @@ def test_criterion_2_small_catalogs(criterion, catalogs, certificates):
 
 def test_criterion_3_table_one(criterion, vectors):
     """Distinct weighted-game power vectors for n = 3..7, both indices,
-    recounted from the per-game vector files apart from the tier's store
-    files."""
+    recounted by the batch kernels from the certificates' winning tables,
+    apart from the tier's store files."""
     with criterion("3 table of weighted vectors") as info:
         t0 = time.perf_counter()
         got = {}
@@ -163,8 +163,9 @@ def test_criterion_3_table_one(criterion, vectors):
 
 
 def test_criterion_4_table_two(criterion, catalogs, vectors, stores):
-    """Distinct complete-game vectors for n = 3..7 (recounted from the
-    per-game vector files), the n = 6 class counts, and the coincidence
+    """Distinct complete-game vectors for n = 3..7 (recounted by the
+    batch kernels from the enumeration, apart from the tier's store
+    files), the n = 6 class counts, and the coincidence
     of both tables through n = 6 down to the level of individual
     non-weighted vectors."""
     with criterion("4 table of complete vectors") as info:
@@ -299,8 +300,7 @@ def test_gap_reports_at_seven_are_pinned(omega7):
 
 def test_gap_reports_do_not_depend_on_the_scan_block(cache_dir, monkeypatch):
     """The pinned n = 7 reports, field by field, from 4,096-row blocks, in
-    which the stores and the per-game vector files span several blocks
-    each.  Store rows arrive in lexicographic order, so the first block to
+    which the stores and the position files span several blocks each.  Store rows arrive in lexicographic order, so the first block to
     reach the gap holds the smallest attaining vector, as one block does."""
     cache = ensure_tier(7, cache_dir)
     monkeypatch.setattr(pipeline, "_SCAN", 4096)
@@ -311,7 +311,7 @@ def test_gap_reports_do_not_depend_on_the_scan_block(cache_dir, monkeypatch):
 def test_warm_gap_reports_at_seven_stay_small(cache_dir):
     """A warm omega_tier(7) allocates at most 12 MiB at its peak, as
     tracemalloc counts it: the search streams blocks of the stores, and
-    the attaining games are matched a block of per-game rows at a time.
+    the attaining games are found a block of positions at a time.
     Resident memory moves by a few MB with heap layout alone, so it could
     not show a regression of this size."""
     cache = ensure_tier(7, cache_dir)

@@ -440,7 +440,7 @@ def test_warm_queries_check_the_tier_once(capsys, monkeypatch, tmp_path, argv):
     """A warm omega or exact inverse reads and checks each tier file it
     needs once, and no other: omega streams the complete games' store
     files against the weighted ones (with no gap at 5 voters, no game
-    attains it, so the per-game vector files stay unread), and the exact
+    attains it, so the position files stay unread), and the exact
     inverse reads the ssi store and the certificates of the weighted games
     alone."""
     files = {

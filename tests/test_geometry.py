@@ -14,14 +14,14 @@ from votekit.enumeration import CatalogFormatError
 from votekit.geometry import (
     Metric,
     _keys,
-    _matching_rows,
     _reduced_rows,
     distance,
     store_from_rows,
     unique_rows,
 )
 from votekit.indices import PowerVector, pbi, ssi
-from votekit.pipeline import build_tier, ensure_tier, omega_tier, vector_path
+from votekit import pipeline
+from votekit.pipeline import _load_store, build_tier, ensure_tier, omega_tier, position_path, store_path
 
 from oracles import count_distinct_rows, gap_reports_by_distinct_rows, linear_nearest, store_rows
 
@@ -306,26 +306,6 @@ def test_gap_tracker_matches_linear_scan_on_random_stores(case, cut):
 
 @settings(max_examples=120, deadline=None)
 @given(_search_case())
-def test_matching_rows_finds_every_scaling_of_a_target(case):
-    """_matching_rows pairs each vector with the target it equals, however
-    it is scaled, and no other vector, on int64 and on Python-integer
-    magnitudes: the random store's rows are the targets, and some of
-    them, scaled to denominators near 2**62, are queries too."""
-    n, kind, _, vectors, queries = case
-    targets = _store_of(kind, n, vectors).rows
-    for row in targets[:3].tolist():
-        k = 2**62 // row[n] - 1
-        queries.append((tuple(k * x for x in row[:n]), k * row[n]))
-    position = {tuple(row): t for t, row in enumerate(targets.tolist())}
-    want = [(i, position[_reduced(q, d)]) for i, (q, d) in enumerate(queries) if _reduced(q, d) in position]
-    nums = np.array([q for q, _ in queries], dtype=np.int64)
-    dens = np.array([d for _, d in queries], dtype=np.int64)
-    rows, which = _matching_rows(nums, dens, targets)
-    assert list(zip(rows.tolist(), which.tolist())) == want
-
-
-@settings(max_examples=120, deadline=None)
-@given(_search_case())
 def test_leaf_search_bounded_by_the_nearest_distance_finds_it(case):
     """Given the exact nearest distance as its bound, the leaf search
     prunes no leaf that holds a nearest vector, however the keys round."""
@@ -355,52 +335,56 @@ def test_unique_rows_matches_numpy_unique(vectors, n, kind):
     assert np.array_equal(inverse, want_inverse.ravel())
 
 
-def test_vector_io_round_trip(tmp_path, catalogs, vectors):
-    """Vector files are plain .npy matrices: numerators, then the
-    denominator, one row per catalog game."""
+def test_vector_io_round_trip(tmp_path, catalogs):
+    """Store and position files are plain .npy matrices: each distinct
+    vector's reduced numerators, denominator and first catalog index, and
+    each complete game's row of the store, in catalog order."""
     build_tier(4, tmp_path)
-    for klass in ("cg", "wg"):
-        games = catalogs(klass, 4)
-        for kind in ("ssi", "pbi"):
-            rows = np.load(vector_path(tmp_path, klass, 4, kind))
-            nums, dens = vectors(klass, 4, kind)
-            assert rows.dtype == np.int64 and rows.shape == (len(games), 5)
-            assert np.array_equal(rows[:, :4], nums) and np.array_equal(rows[:, 4], dens)
-            for i, g in enumerate(games):
-                assert PowerVector(kind, rows[i, :4], rows[i, 4]) == (ssi(g) if kind == "ssi" else pbi(g))
+    for kind in ("ssi", "pbi"):
+        index = ssi if kind == "ssi" else pbi
+        stores = {klass: np.load(store_path(tmp_path, klass, 4, kind)) for klass in ("cg", "wg")}
+        pos = np.load(position_path(tmp_path, 4, kind))
+        games = catalogs("cg", 4)
+        assert stores["cg"].dtype == pos.dtype == np.int64 and pos.shape == (len(games), 1)
+        for g, (row,) in zip(games, pos):
+            assert PowerVector(kind, stores["cg"][row, :4], stores["cg"][row, 4]) == index(g)
+        games = catalogs("wg", 4)
+        for row in stores["wg"]:
+            assert row.dtype == np.int64 and len(row) == 6
+            assert PowerVector(kind, row[:4], row[4]) == index(games[row[5]])
 
 
 def test_vector_writer_streams_like_one_shot(tmp_path, monkeypatch):
-    """Rows appended chunk by chunk under a header written up front give
+    """Rows written block by block under a header written up front give
     the same bytes as saving the whole matrix at once."""
     with monkeypatch.context() as mp:
         mp.setattr(enumeration, "DEFAULT_CHUNK", 16)
+        mp.setattr(pipeline, "_SCAN", 8)
         build_tier(5, tmp_path / "streamed")
     build_tier(5, tmp_path / "whole")
-    for kind in ("ssi", "pbi"):
-        streamed = vector_path(tmp_path / "streamed", "cg", 5, kind)
-        np.save(tmp_path / "one.npy", np.load(streamed))
-        assert streamed.read_bytes() == (tmp_path / "one.npy").read_bytes()
-        assert streamed.read_bytes() == vector_path(tmp_path / "whole", "cg", 5, kind).read_bytes()
+    streamed = sorted((tmp_path / "streamed").glob("*.npy"))
+    assert len(streamed) == 7  # four stores, two position files, the certificates
+    for path in streamed:
+        np.save(tmp_path / "one.npy", np.load(path))
+        assert path.read_bytes() == (tmp_path / "one.npy").read_bytes()
+        assert path.read_bytes() == (tmp_path / "whole" / path.name).read_bytes()
 
 
 def test_vector_io_detects_corruption(tmp_path):
-    from votekit.pipeline import _load_vectors
-
     build_tier(3, tmp_path)
-    path = vector_path(tmp_path, "cg", 3, "ssi")
+    path = store_path(tmp_path, "cg", 3, "ssi")
     good = path.read_bytes()
     for bad in (b"garbage", good[:-3], b""):
         path.write_bytes(bad)
         with pytest.raises(CatalogFormatError):
-            _load_vectors(tmp_path, "cg", 3, "ssi")
-    rows = np.load(vector_path(tmp_path, "cg", 3, "pbi"))
-    np.save(path, rows)  # right shape, but pbi rows: denominators other than 3! = 6
-    with pytest.raises(CatalogFormatError, match="not ssi vectors"):
-        _load_vectors(tmp_path, "cg", 3, "ssi")
+            _load_store(tmp_path, "cg", 3, "ssi")
+    rows = np.load(store_path(tmp_path, "cg", 3, "pbi"))
+    np.save(path, rows)  # right shape, but pbi rows: a denominator 5, no divisor of 3! = 6
+    with pytest.raises(CatalogFormatError, match="not distinct reduced ssi vectors"):
+        _load_store(tmp_path, "cg", 3, "ssi")
     path.write_bytes(good)
-    nums, dens = _load_vectors(tmp_path, "cg", 3, "ssi")
-    assert nums.shape == (8, 3) and set(dens.tolist()) == {6}
+    store = _load_store(tmp_path, "cg", 3, "ssi")
+    assert store.rows.shape == (4, 4) and all(6 % d == 0 for d in store.rows[:, 3].tolist())
 
 
 def test_weighted_store_from_catalog(catalogs, vectors, stores):

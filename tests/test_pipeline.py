@@ -2,8 +2,8 @@
 
 build_tier is the only builder of cg/wg catalogs for every n <= 8.  At 6
 voters the whole pass (enumeration, classification, certificate checks,
-vector files, count certification, atomic installs, streamed gap
-queries) runs in seconds against fully known counts.
+store and position files, count certification, atomic installs, streamed
+gap queries) runs in seconds against fully known counts.
 """
 
 import functools
@@ -24,11 +24,11 @@ from votekit import certified, enumeration, pipeline
 from votekit.certified import CountMismatchError
 from votekit.enumeration import CatalogFormatError, certificate_game, fetch_catalog_games, read_catalog
 from votekit.games import WeightedGame, shift_minimal_winning, sort_by_desirability, to_explicit
-from votekit.geometry import store_from_rows
+from votekit.geometry import _reduced_rows, store_from_rows, unique_rows
 from votekit.indices import KINDS
 from votekit.pipeline import (
+    _load_positions,
     _load_store,
-    _load_vectors,
     _UniqueAccumulator,
     build_tier,
     catalog_path,
@@ -37,10 +37,10 @@ from votekit.pipeline import (
     load_certificates,
     load_games,
     omega_tier,
+    position_path,
     store_path,
     tier_counts,
     tier_present,
-    vector_path,
     weighted_store,
 )
 
@@ -67,19 +67,66 @@ def test_unique_accumulator_counts_distinct_rows(monkeypatch):
     acc.add(np.array([[9, 9], [5, 6]], dtype=np.int64), 7)
     assert acc.count() == 5
     assert acc.reps.tolist() == [1, 0, 4, 6, 7]
+    assert np.concatenate(acc.positions).tolist() == [1, 0, 0, 1, 2, 0, 3, 4, 2]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda cols: st.lists(st.lists(st.integers(0, 3), min_size=cols, max_size=cols), min_size=1, max_size=60)
+    ),
+    st.lists(st.integers(1, 9), min_size=1, max_size=60),
+    st.integers(1, 8),
+)
+def test_unique_accumulator_tracks_positions_across_compactions(matrix, sizes, limit):
+    """Fed a random matrix in random chunks, with a merge whenever a few
+    distinct rows pend, the accumulator ends with the matrix's distinct
+    rows, each rep the first row equal to it, and each row's position
+    that of its distinct row."""
+    rows = np.array(matrix, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_UNIQUE_LIMIT", limit)
+        acc = _UniqueAccumulator(rows.shape[1])
+        start = 0
+        for size in sizes * len(rows):
+            if start >= len(rows):
+                break
+            acc.add(rows[start : start + size], start)
+            start += size
+        acc.count()
+    uniq, first, inverse = unique_rows(rows)
+    assert np.array_equal(acc.base, uniq)
+    assert np.array_equal(acc.reps, first)
+    assert np.array_equal(np.concatenate(acc.positions), inverse)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_stored_vectors_equal_the_rebuilt_store(cache_dir, n):
+def test_stored_vectors_equal_the_rebuilt_store(cache_dir, vectors, n):
     """Each store file holds the rows and reps that store_from_rows makes
-    of its per-game vector file."""
+    of the vectors recounted apart from the tier, and each complete
+    game's position is the row of its reduced vector."""
     cache = ensure_tier(n, cache_dir)
     for klass in ("cg", "wg"):
         for kind in KINDS:
             stored = _load_store(cache, klass, n, kind)
-            rebuilt = store_from_rows(kind, n, *_load_vectors(cache, klass, n, kind))
+            rebuilt = store_from_rows(kind, n, *vectors(klass, n, kind))
             assert np.array_equal(stored.rows, rebuilt.rows), (klass, kind)
             assert np.array_equal(stored.reps, rebuilt.reps), (klass, kind)
+            if klass == "cg":
+                pos = _load_positions(cache, stored)
+                assert np.array_equal(stored.rows[pos], _reduced_rows(*vectors(klass, n, kind))[0]), kind
+
+
+def test_small_chunks_and_merges_build_the_same_tier(tmp_path, cache_dir, monkeypatch):
+    """The 7-voter tier built from 1,024-game chunks, merging whenever
+    700 distinct rows pend, is byte for byte the default build: positions
+    survive dozens of merges."""
+    monkeypatch.setattr(enumeration, "DEFAULT_CHUNK", 1024)
+    monkeypatch.setattr(pipeline, "_UNIQUE_LIMIT", 700)
+    build_tier(7, tmp_path)
+    default = pipeline._tier_paths(ensure_tier(7, cache_dir), 7)
+    for key, path in pipeline._tier_paths(tmp_path, 7).items():
+        assert path.read_bytes() == default[key].read_bytes(), key
 
 
 def test_load_games_rejects_unknown_class(tmp_path):
@@ -89,14 +136,34 @@ def test_load_games_rejects_unknown_class(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_ensure_vectors_discards_wrong_kind_cache(tmp_path):
-    build_tier(3, tmp_path)
-    path = vector_path(tmp_path, "wg", 3, "ssi")
-    path.write_bytes(vector_path(tmp_path, "wg", 3, "pbi").read_bytes())
+def test_loaders_check_names_before_the_cache(tmp_path):
+    """An unknown class or index kind raises ValueError before a loader
+    reads, builds or rewrites any tier file."""
+    build_tier(4, tmp_path)
+    before = {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()}
+    calls = [
+        lambda: tier_counts("xx", 4, cache_dir=tmp_path),
+        lambda: tier_counts("cg", 4, ("ssi", "xx"), tmp_path),
+        lambda: weighted_store(4, "xx", tmp_path),
+        lambda: omega_tier(4, tmp_path, kinds=("xx",)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown"):
+            call()
+    assert {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()} == before
 
-    nums, dens = _load_vectors(ensure_tier(3, tmp_path), "wg", 3, "ssi")
-    assert np.array_equal(np.load(path)[:, :3], nums)
-    assert set(dens.tolist()) == {6}
+
+def test_ensure_vectors_discards_wrong_kind_cache(tmp_path):
+    """A pbi store file in place of the ssi one, its denominators not all
+    divisors of 3! = 6, rebuilds the tier."""
+    build_tier(3, tmp_path)
+    path = store_path(tmp_path, "wg", 3, "ssi")
+    good = path.read_bytes()
+    path.write_bytes(store_path(tmp_path, "wg", 3, "pbi").read_bytes())
+
+    store, _ = weighted_store(3, "ssi", tmp_path)
+    assert path.read_bytes() == good
+    assert all(6 % d == 0 for d in store.rows[:, 3].tolist())
 
 
 def test_ensure_vectors_discards_wrong_shape_cache(tmp_path):
@@ -104,18 +171,20 @@ def test_ensure_vectors_discards_wrong_shape_cache(tmp_path):
     when a loader that reads it runs."""
     build_tier(4, tmp_path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    vec = vector_path(tmp_path, "cg", 4, "pbi")
+    pos = position_path(tmp_path, 4, "pbi")
     store = store_path(tmp_path, "cg", 4, "pbi")
     damages = [
-        (vec, lambda p: p.write_bytes(p.read_bytes()[:-5])),
-        (vec, lambda p: np.save(p, np.load(p)[:-1])),
+        (pos, lambda p: p.write_bytes(p.read_bytes()[:-5])),
+        (pos, lambda p: np.save(p, np.load(p)[:-1])),
         (store, lambda p: p.write_bytes(p.read_bytes()[:-5])),
         (store, lambda p: np.save(p, np.load(p)[:-1])),
         (certificate_path(tmp_path, 4), lambda p: p.unlink()),
         (catalog_path(tmp_path, "wg", 4), lambda p: p.write_bytes(p.read_bytes()[:-3])),
     ]
     readers = {  # a loader that reads each damaged file
-        "cg4.pbi.npy": lambda: _load_vectors(ensure_tier(4, tmp_path), "cg", 4, "pbi")[0].tolist(),
+        "cg4.pbi.pos.npy": lambda: _load_positions(
+            ensure_tier(4, tmp_path), _load_store(tmp_path, "cg", 4, "pbi")
+        ).tolist(),
         "cg4.pbi.store.npy": lambda: tier_counts("cg", 4, ("pbi",), tmp_path),
         "wg4.cert.npy": lambda: weighted_store(4, "ssi", tmp_path)[1].tolist(),
         "wg4.cat": lambda: [g.shift_minimal for g in load_games("wg", 4, tmp_path)],
@@ -161,8 +230,61 @@ def _negative(row):
 
 @pytest.mark.parametrize("damage", [_zero, _negative])
 def test_bad_vector_row_rebuilds_the_tier(tmp_path, damage):
+    """A zero or negative entry in a stored weighted vector."""
     build_tier(5, tmp_path)
-    _damage_rebuilds(tmp_path, 5, vector_path(tmp_path, "cg", 5, "pbi"), _third_row(damage))
+    _damage_rebuilds(tmp_path, 5, store_path(tmp_path, "wg", 5, "ssi"), _third_row(damage))
+
+
+def _first_games(pos):
+    """The first game at each store row, by row."""
+    return np.unique(pos[:, 0], return_index=True)[1]
+
+
+def _row_past_store(pos):
+    pos[3] = certified.DISTINCT_VECTOR_COUNTS["cg", "pbi"][5]
+    return pos
+
+
+def _negative_row(pos):
+    pos[3] = -1
+    return pos
+
+
+def _rep_not_pointing_back(pos):
+    """The last rep moves to game 0's row, whose rep comes first."""
+    pos[_first_games(pos).max()] = pos[0]
+    return pos
+
+
+def _non_first_rep(pos):
+    """The first game that is no rep moves to the last rep's row, whose
+    rep comes after it."""
+    firsts = _first_games(pos)
+    game = np.setdiff1d(np.arange(len(pos)), firsts).min()
+    pos[game] = pos[firsts.max()]
+    return pos
+
+
+def _two_columns(pos):
+    return np.hstack([pos, pos])
+
+
+@pytest.mark.parametrize(
+    "damage, match",
+    [
+        (_row_past_store, "rows are not"),
+        (_negative_row, "rows are not"),
+        (_rep_not_pointing_back, "rows are not"),
+        (_non_first_rep, "rows are not"),
+        (_two_columns, "expected int64 rows"),
+    ],
+)
+def test_bad_position_file_rebuilds_the_tier(tmp_path, monkeypatch, damage, match):
+    """Blocks of four rows, so that the check of positions and reps spans
+    several blocks of each."""
+    monkeypatch.setattr(pipeline, "_SCAN", 4)
+    build_tier(5, tmp_path)
+    _damage_rebuilds(tmp_path, 5, position_path(tmp_path, 5, "pbi"), damage, match)
 
 
 def _zero_quota(row):
@@ -256,24 +378,31 @@ def test_build_tier_six_voters(tmp_path, monkeypatch):
     assert seen[-1] == (1171, 1171)
     assert [d for d, _ in seen] == list(range(256, 1171, 256)) + [1171]
 
-    # catalogs and vector files hold the certified counts, one row per game
+    # catalogs hold the certified counts, one row per game
     cg, wg = load_games("cg", 6, tmp_path), load_games("wg", 6, tmp_path)
     assert (len(cg), len(wg)) == (1171, 1111)
     assert {g.shift_minimal for g in wg} <= {g.shift_minimal for g in cg}
     for games in (cg, wg):
         assert len({g.shift_minimal for g in games}) == len(games)
 
-    # sampled rows agree with brute-force power indices, and sampled
-    # certificates reproduce their games
+    # sampled games' stored vectors, found through the positions for cg
+    # and the reps for wg, agree with brute-force power indices, and
+    # sampled certificates reproduce their games
+    def brute_force(kind, g):
+        if kind == "ssi":
+            return ssi_by_permutations(g)
+        swings, total = pbi_swings_by_subsets(g)
+        return tuple(Fraction(s, total) for s in swings)
+
     rng = random.Random(6)
-    for klass, games in (("cg", cg), ("wg", wg)):
-        ssi_nums, ssi_dens = _load_vectors(tmp_path, klass, 6, "ssi")
-        pbi_nums, pbi_dens = _load_vectors(tmp_path, klass, 6, "pbi")
-        for i in rng.sample(range(len(games)), 12):
-            g = games[i]
-            got = tuple(Fraction(int(x), int(ssi_dens[i])) for x in ssi_nums[i])
-            assert got == ssi_by_permutations(g)
-            assert (tuple(pbi_nums[i].tolist()), int(pbi_dens[i])) == pbi_swings_by_subsets(g)
+    for kind in KINDS:
+        store = _load_store(tmp_path, "cg", 6, kind)
+        pos = _load_positions(tmp_path, store)
+        for i in rng.sample(range(len(cg)), 12):
+            assert store.vector(int(pos[i])).fractions() == brute_force(kind, cg[i])
+        store = _load_store(tmp_path, "wg", 6, kind)
+        for row in rng.sample(range(len(store)), 12):
+            assert store.vector(row).fractions() == brute_force(kind, wg[int(store.reps[row])])
     certs = load_certificates(6, tmp_path)
     for i in rng.sample(range(len(wg)), 50):
         assert to_explicit(certificate_game(certs[i])).table == to_explicit(wg[i]).table

@@ -180,7 +180,7 @@ def test_no_numpy_2_only_names():
 # pipeline's unchecked readers, and the only functions that may use them:
 # each tier file has one reader, which checks what it returns.
 CHECKED_READERS = {
-    "_read_rows": {"_load_vectors", "_load_store", "load_certificates"},
+    "_read_rows": {"_load_store", "_load_positions", "load_certificates"},
     "read_catalog_header": {"_checked_catalog"},
 }
 
@@ -206,13 +206,14 @@ def test_pipeline_does_not_dedup_per_game_rows():
 
 
 def test_only_the_attaining_match_reads_per_game_rows():
-    """Within pipeline, only the whole-tier check and omega's match of
-    the attaining games read a per-game vector file: every other reader,
-    the gap search included, takes the distinct rows of the store files."""
+    """Within pipeline, only the whole-tier check and omega's search for
+    the attaining games read a position file, the one per-game file
+    beside the catalogs and certificates: every other reader, the gap
+    search included, takes the distinct rows of the store files."""
     readers = {
         top.name
         for top in _modules(PACKAGE)["pipeline.py"].body
-        if isinstance(top, ast.FunctionDef) and top.name != "_load_vectors" and _references(top)["_load_vectors"]
+        if isinstance(top, ast.FunctionDef) and top.name != "_load_positions" and _references(top)["_load_positions"]
     }
     assert readers == {"_check_tier", "_attaining_indices"}
 
