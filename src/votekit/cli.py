@@ -24,7 +24,7 @@ from pathlib import Path
 from . import certified, pipeline
 from .certified import CountMismatchError
 from .council import council_game, parse_populations
-from .enumeration import CatalogFormatError, certificate_game, enumerate_simple4
+from .enumeration import CatalogFormatError, enumerate_simple4
 from .games import (
     MAX_EXPLICIT_VOTERS,
     BoolCombo,
@@ -101,13 +101,14 @@ def _at_least(low: int):
 
 def _aligned(headers, rows, out):
     widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    print("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip(), file=out)
-    print("  ".join("-" * w for w in widths), file=out)
-    for row in rows:
-        print("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip(), file=out)
+    for i, column in enumerate(itertools.zip_longest(*rows, fillvalue="")):
+        widths[i] = max(widths[i], *map(len, column))
+
+    def line(cells) -> str:
+        return "  ".join([c.ljust(w) for c, w in zip(cells, widths)]).rstrip() + "\n"
+
+    out.write(line(headers) + "  ".join("-" * w for w in widths) + "\n")
+    out.write("".join([line(row) for row in rows]))
 
 
 class _Report:
@@ -420,24 +421,16 @@ def cmd_enumerate(args) -> int:
         rep.emit(args.format)
         return EXIT_OK
     cache = _cache_dir(args)
-    games, certificates = pipeline.load_listing(klass, n, cache)
+    games, forms = pipeline.load_listing(klass, n, cache)
     rep.results.update({"class": klass, "n": n, "count": len(games)})
     rep.section("catalog", ["class", "n", "games"], [[klass, n, len(games)]])
     if args.list:
-        rows = []
-        out = []
-        for i, g in enumerate(games):
-            text = game_to_text(g)
-            if certificates is not None:
-                form = game_to_text(certificate_game(certificates[i]))
-                rows.append([i, form, text])
-                out.append({"game": text, "representation": form})
-            else:
-                rows.append([i, text])
-                out.append({"game": text})
-        headers = ["#", "representation", "game"] if klass == "wg" else ["#", "game"]
-        rep.section("games", headers, rows)
-        rep.results["games"] = out
+        if forms is None:
+            rep.section("games", ["#", "game"], enumerate(games))
+            rep.results["games"] = [{"game": text} for text in games]
+        else:
+            rep.section("games", ["#", "representation", "game"], zip(itertools.count(), forms, games))
+            rep.results["games"] = [{"game": text, "representation": form} for text, form in zip(games, forms)]
     rep.emit(args.format)
     return EXIT_OK
 

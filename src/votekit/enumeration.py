@@ -33,13 +33,16 @@ streams the chunks to disk for every n <= 8 (16.2 million games at
 n = 8).  Two pure functions own the VKCAT1 format on the write side:
 catalog_header encodes a file's header for a known game count, and
 catalog_records a chunk's records, with one numpy encode.  One block
-walker reads them back, a block of the file at a time, for both
-catalog readers: read_catalog (every game of a file, count certified)
-and fetch_catalog_games (the games at given positions).
-read_catalog_header reads the header alone, and certificate_game turns
-a stored certificate row into its weighted game.  enumerate_simple4
-runs the same search over the 4-voter inclusion lattice for the 28
-simple games on 4 voters, which are not cached.
+walker reads them back, a block of the file at a time, and checks every
+record it walks (at least one coalition, each mask inside the voter
+count, masks strictly increasing) for the catalog readers: read_catalog
+(every game of a file, count certified), read_catalog_texts (the same
+games as text, with no game object built) and fetch_catalog_games (the
+games at given positions).  read_catalog_header reads the header alone,
+and certificate_game turns a stored certificate row into its weighted
+game.  enumerate_simple4 runs the same search over the 4-voter
+inclusion lattice for the 28 simple games on 4 voters, which are not
+cached.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from .games import (
     ExplicitGame,
     WeightedGame,
     _certificates,
+    _complete_texts,
     _difference_systems,
     _linear_extension,
     _lower_neighbors,
@@ -76,6 +80,7 @@ __all__ = [
     "two_trade_rejects",
     "check_certified_count",
     "read_catalog",
+    "read_catalog_texts",
     "read_catalog_header",
     "catalog_header",
     "catalog_records",
@@ -208,10 +213,19 @@ def _packed_rows(n: int, family: np.ndarray, fill: int) -> tuple[np.ndarray, np.
     return rows, sizes
 
 
+@lru_cache(maxsize=None)
+def _pair_indices(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(width), read-only: every unordered pair of columns,
+    each column paired with itself included."""
+    i, j = np.triu_indices(width)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def _pair_sums(rows: np.ndarray) -> np.ndarray:
     """Per row, the sums of every unordered pair of its entries, each entry
     paired with itself included."""
-    i, j = np.triu_indices(rows.shape[1])
+    i, j = _pair_indices(rows.shape[1])
     return rows[:, i] + rows[:, j]
 
 
@@ -393,13 +407,13 @@ def read_catalog_header(path) -> tuple[str, int, int]:
         return _read_header(fh, path)
 
 
-def _record_blocks(fh, path, count: int):
-    """The next count game records of a catalog file, a block of the file
-    at a time.
+def _record_blocks(fh, path, n: int, count: int):
+    """The next count game records of an n-voter catalog file, a block of
+    the file at a time, each checked by _check_records.
 
-    Yields (block, words, starts): the block's u16 words as an int64
-    array and as a list, and the word offset of each whole record in it.
-    Raises CatalogFormatError when the file ends first.
+    Yields (words, starts): the block's u16 words as a list, and the word
+    offset of each whole record in it.  Raises CatalogFormatError when the
+    file ends first.
     """
     tail = b""
     left = count
@@ -421,13 +435,34 @@ def _record_blocks(fh, path, count: int):
             left -= 1
         tail = data[2 * at :]
         if starts:
-            yield block, words, starts
+            _check_records(path, n, block, starts)
+            yield words, starts
 
 
-def _decode(block: np.ndarray, words: list, starts: list) -> list[tuple[int, ...]]:
-    """The masks of the records that open at the given word offsets."""
-    joined = (block[:-1] | (block[1:] << 16)).tolist()  # the u32 at every word
-    return [tuple(joined[at + 1 : at + 1 + 2 * words[at] : 2]) for at in starts]
+def _check_records(path, n: int, block: np.ndarray, starts: list) -> None:
+    """Raise CatalogFormatError unless each record opening at one of the
+    word offsets lists at least one coalition, every mask in 1..2**n - 1
+    (so its high half is 0), strictly increasing."""
+    at = np.array(starts)
+    counts = block[at]
+    if counts.min() < 1:
+        raise CatalogFormatError(f"{path}: a game record lists no coalition")
+    ends = np.cumsum(counts)
+    # Mask i of the record at word a is the u32 at word a + 1 + 2i.
+    pos = np.repeat(at + 1 - 2 * (ends - counts), counts) + 2 * np.arange(ends[-1])
+    low, high = block[pos], block[pos + 1]
+    if high.any() or low.min() < 1 or low.max() >= 1 << n:
+        raise CatalogFormatError(f"{path}: a game record holds a mask outside 1..{(1 << n) - 1}")
+    steps = np.diff(low)
+    steps[ends[:-1] - 1] = 1  # each record's first mask is free
+    if steps.min(initial=1) < 1:
+        raise CatalogFormatError(f"{path}: a game record's masks are not strictly increasing")
+
+
+def _decode(words: list, starts: list) -> list[list[int]]:
+    """The masks of the checked records that open at the given word
+    offsets: the low halves, the high ones being 0."""
+    return [words[at + 1 : at + 1 + 2 * words[at] : 2] for at in starts]
 
 
 def fetch_catalog_games(path, indices: Iterable[int]) -> dict[int, CompleteGame]:
@@ -444,22 +479,32 @@ def fetch_catalog_games(path, indices: Iterable[int]) -> dict[int, CompleteGame]
         if missing:
             raise CatalogFormatError(f"{path}: no game at index {missing[0]}")
         pos = 0
-        for block, words, starts in _record_blocks(fh, path, want[-1] + 1):
+        for words, starts in _record_blocks(fh, path, n, want[-1] + 1):
             picked = want[bisect_left(want, pos) : bisect_left(want, pos + len(starts))]
-            families = _decode(block, words, [starts[i - pos] for i in picked])
+            families = _decode(words, [starts[i - pos] for i in picked])
             out.update((i, CompleteGame(n, masks, validate=False)) for i, masks in zip(picked, families))
             pos += len(starts)
     return out
 
 
-def read_catalog(path) -> list[CompleteGame]:
-    """Load a catalog file's games, re-checking the certified count."""
+def _read_families(path, render) -> list:
+    """render(n, families) over every block of a catalog file's records,
+    concatenated, re-checking the certified count."""
+    out: list = []
     with open(path, "rb") as fh:
         klass, n, count = _read_header(fh, path)
-        games = [
-            CompleteGame(n, masks, validate=False)
-            for block in _record_blocks(fh, path, count)
-            for masks in _decode(*block)
-        ]
-    check_certified_count(klass, n, len(games))
-    return games
+        for words, starts in _record_blocks(fh, path, n, count):
+            out += render(n, _decode(words, starts))
+    check_certified_count(klass, n, len(out))
+    return out
+
+
+def read_catalog(path) -> list[CompleteGame]:
+    """Load a catalog file's games, re-checking the certified count."""
+    return _read_families(path, lambda n, families: [CompleteGame(n, masks, validate=False) for masks in families])
+
+
+def read_catalog_texts(path) -> list[str]:
+    """game_to_text of every game of a catalog file, in file order, with
+    no game built; the certified count is re-checked."""
+    return _read_families(path, _complete_texts)

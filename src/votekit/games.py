@@ -687,22 +687,43 @@ def parse_game(text: str) -> Game:
     return g
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _set_str(mask: Coalition) -> str:
     return "{" + ",".join(str(i) for i in coalition_members(mask)) + "}"
+
+
+# Voter counts whose coalition strings are tabulated: 256 strings at 8.
+_SET_TABLE_VOTERS = 8
+
+
+@lru_cache(maxsize=None)
+def _set_strs(n: int) -> tuple[str, ...]:
+    """_set_str of every coalition of n voters, indexed by mask."""
+    return tuple(_set_str(m) for m in range(1 << n))
+
+
+def _complete_texts(n: int, families: Iterable[Sequence[Coalition]]) -> list[str]:
+    """The text of each complete game with n voters and the given
+    shift-minimal family, masks ascending."""
+    head = f"n={n}; shiftminwin="
+    if n > _SET_TABLE_VOTERS:
+        return [head + ",".join(map(_set_str, masks)) for masks in families]
+    sets = _set_strs(n)
+    return [head + ",".join([sets[m] for m in masks]) for masks in families]
+
+
+def _weighted_texts(n: int, rows: Iterable[Sequence]) -> list[str]:
+    """The text [q;w1,...,wn] of each (quota, n weights) row of integers
+    or Fractions; str writes a Fraction of denominator 1 as an integer."""
+    form = "[%s;" + ",".join(["%s"] * n) + "]"
+    return [form % tuple(row) for row in rows]
 
 
 def game_to_text(g: Game) -> str:
     """Render a game in the text grammar; parse_game inverts this exactly."""
     if isinstance(g, WeightedGame):
-        ws = ",".join(_fraction_str(w) for w in g.weights)
-        return f"[{_fraction_str(g.quota)};{ws}]"
+        return _weighted_texts(g.n, [(g.quota, *g.weights)])[0]
     if isinstance(g, CompleteGame):
-        sets = ",".join(_set_str(m) for m in g.shift_minimal)
-        return f"n={g.n}; shiftminwin={sets}"
+        return _complete_texts(g.n, [g.shift_minimal])[0]
     if isinstance(g, ExplicitGame):
         sets = ",".join(_set_str(m) for m in _minimal_winning(g))
         return f"n={g.n}; minwin={sets}"

@@ -27,7 +27,8 @@ that take a worker count, for a process pool that pays off only at 8
 voters.
 
 Each tier file has one reader, and the reader checks what it returns:
-_checked_catalog a catalog's header, _load_store every row of a store
+_checked_catalog a catalog's header (enumeration's block walker checks
+every record it reads), _load_store every row of a store
 file (its row count the certified distinct count, where one exists, its
 rows reduced, in strictly increasing order, with reps inside the
 catalog), _load_positions every row of a position file (one per game,
@@ -35,10 +36,11 @@ each a row of the store, each store row's rep the first game at the
 row) and load_certificates every certificate row.  Each datum of a tier
 has one loader, which reads, and so checks, only the files behind it,
 building the tier when needed: ensure_tier (the directory, every file
-checked), load_games (the games of one class), load_listing (the games
-with their certificate rows), tier_counts (game and distinct-vector
-counts, the latter the lengths of the store files), weighted_store (the
-stored weighted vectors, with their certificate rows) and omega_tier
+checked), load_games (the games of one class), load_listing (the same
+games as text, and for wg their certificates' text, with no game object
+built), tier_counts (game and distinct-vector counts, the latter the
+lengths of the store files), weighted_store (the stored weighted
+vectors, with their certificate rows) and omega_tier
 (gap reports of the cg store files, streamed, against the wg ones, with
 the attaining games found in the cg position files and read through
 enumeration.fetch_catalog_games).  The loaders check their class and
@@ -73,10 +75,11 @@ from .enumeration import (
     iter_complete_chunks,
     read_catalog,
     read_catalog_header,
+    read_catalog_texts,
     shift_maximal_losing_families,
     shift_minimal_families,
 )
-from .games import CompleteGame, _members
+from .games import CompleteGame, _members, _weighted_texts
 from .geometry import (
     GapQueries,
     GapReport,
@@ -149,6 +152,13 @@ def _tier_paths(cache_dir, n: int) -> dict[str, Path]:
         out[f"cg.{kind}.pos"] = position_path(cache_dir, n, kind)
     out["wg.cert"] = certificate_path(cache_dir, n)
     return out
+
+
+def _legacy_paths(cache_dir, n: int) -> list[Path]:
+    """The per-game vector files, one row per game, that tiers held
+    before the position files replaced them; nothing reads them, and
+    build_tier deletes them (2.7 GB at 8 voters)."""
+    return [Path(cache_dir) / f"{klass}{n}.{kind}.npy" for klass in _CLASSES for kind in KINDS]
 
 
 def tier_present(n: int, cache_dir=None) -> bool:
@@ -236,7 +246,8 @@ def _load_positions(cache_dir, store: VectorStore) -> np.ndarray:
 def load_certificates(n: int, cache_dir=None) -> np.ndarray:
     """The (quota, weights...) rows of the n-voter weighted games, every
     row checked as the classifier writes it: quota >= 1, weights >= 0 and
-    non-increasing (strongest voter first), no common factor."""
+    non-increasing (strongest voter first), summing to at least the quota
+    (the grand coalition wins), no common factor."""
     path = certificate_path(_resolve(cache_dir), n)
     rows = _read_rows(path, certified.GAME_COUNTS["wg"][n], n + 1)
 
@@ -248,6 +259,7 @@ def load_certificates(n: int, cache_dir=None) -> np.ndarray:
             (block[:, 0] >= 1).all()
             and (weights[:, :-1] >= weights[:, 1:]).all()
             and (weights[:, -1] >= 0).all()
+            and (np.einsum("ij->i", weights) >= block[:, 0]).all()
             and (reduce(np.gcd, block.T[::-1]) == 1).all()
         )
 
@@ -339,17 +351,22 @@ def tier_counts(
 
 def load_games(klass: str, n: int, cache_dir=None) -> list[CompleteGame]:
     """The cg or wg games of the n-voter tier, in catalog order."""
-    return load_listing(klass, n, cache_dir)[0]
+    _check_class(klass)
+    return _load_tier(n, cache_dir, lambda cache: read_catalog(_checked_catalog(cache, klass, n)))
 
 
-def load_listing(klass: str, n: int, cache_dir=None) -> tuple[list[CompleteGame], np.ndarray | None]:
-    """load_games, plus the certificate row of each game for wg (None
-    for cg)."""
+def load_listing(klass: str, n: int, cache_dir=None) -> tuple[list[str], list[str] | None]:
+    """The text of each cg or wg game of the n-voter tier, in catalog
+    order, plus for wg the text [q;w1,...,wn] of each game's certificate
+    (None for cg): game_to_text of load_games and of certificate_game,
+    built in bulk from the checked rows with no game object."""
     _check_class(klass)
 
-    def load(cache: Path) -> tuple[list[CompleteGame], np.ndarray | None]:
-        games = read_catalog(_checked_catalog(cache, klass, n))
-        return games, load_certificates(n, cache) if klass == "wg" else None
+    def load(cache: Path) -> tuple[list[str], list[str] | None]:
+        games = read_catalog_texts(_checked_catalog(cache, klass, n))
+        if klass == "cg":
+            return games, None
+        return games, _weighted_texts(n, load_certificates(n, cache).tolist())
 
     return _load_tier(n, cache_dir, load)
 
@@ -378,8 +395,9 @@ _UNIQUE_LIMIT = 1 << 21
 class _UniqueAccumulator:
     """Distinct rows of a huge matrix of cols columns, accumulated in
     bounded memory, each with its rep: the index of the first matrix row
-    equal to it; and positions, one array per added chunk, in row order,
-    holding the position of each matrix row's distinct row.
+    equal to it; and, when track is set, positions, one array per added
+    chunk, in row order, holding the position of each matrix row's
+    distinct row.
 
     Chunks are deduplicated on arrival and merged into the sorted base
     whenever the pending pile grows past _UNIQUE_LIMIT rows.  Chunks
@@ -390,17 +408,19 @@ class _UniqueAccumulator:
     inverse, in place, so that no more than one chunk's copy is held.
     """
 
-    def __init__(self, cols: int):
+    def __init__(self, cols: int, track: bool = True):
         self.base = np.empty((0, cols), dtype=np.int64)
         self.reps = np.empty(0, dtype=np.int64)
         self.pending: list[tuple[np.ndarray, np.ndarray]] = []
         self.pending_rows = 0
+        self.track = track
         self.positions: list[np.ndarray] = []
 
     def add(self, rows: np.ndarray, offset: int) -> None:
         """Take rows offset, offset + 1, ... of the matrix."""
         u, first, inverse = unique_rows(rows)
-        self.positions.append(inverse + (len(self.base) + self.pending_rows))
+        if self.track:
+            self.positions.append(inverse + (len(self.base) + self.pending_rows))
         self.pending.append((u, first + offset))
         self.pending_rows += len(u)
         if self.pending_rows >= _UNIQUE_LIMIT:
@@ -501,7 +521,8 @@ def _write_tier(n, tmps, workers, progress) -> dict[str, int]:
     certified, and the cg position files.  With workers > 1, one process
     pool classifies every chunk."""
     expected = {klass: certified.GAME_COUNTS[klass][n] for klass in _CLASSES}
-    accs = {f"{klass}.{kind}": _UniqueAccumulator(n + 1) for klass in _CLASSES for kind in KINDS}
+    # Only the cg positions are written, one file per index kind.
+    accs = {f"{klass}.{kind}": _UniqueAccumulator(n + 1, track=klass == "cg") for klass in _CLASSES for kind in KINDS}
     with ExitStack() as stack:
         pool = None
         if workers > 1:
@@ -552,6 +573,9 @@ def build_tier(
     temporary names in cache_dir, so concurrent builds do not collide;
     any exception, one raised from progress included, removes them all.
 
+    Once the tier is installed, the per-game vector files of earlier
+    versions, which nothing reads, are deleted.
+
     Returns the certified counts by label.
     """
     if not 1 <= n <= BIG_N:
@@ -572,6 +596,8 @@ def build_tier(
         for tmp in tmps.values():
             tmp.unlink(missing_ok=True)
         raise
+    for path in _legacy_paths(cache_dir, n):
+        path.unlink(missing_ok=True)
     return counts
 
 

@@ -1,14 +1,17 @@
 """Command-line front end: output shapes, exit codes, cache behaviour."""
 
+import io
 import json
+import shutil
 from concurrent import futures
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from votekit import certified, enumeration, pipeline
+from votekit import certified, cli, enumeration, pipeline
 from votekit.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from votekit.enumeration import certificate_game
 from votekit.games import evaluate, game_to_text, parse_game, to_explicit
 from votekit.indices import pbi_dp, ssi_dp
 
@@ -183,6 +186,48 @@ def test_enumerate_weighted_six_list(capsys, catalogs):
     for e in games:
         assert e["game"].startswith("n=6; shiftminwin=")
         assert to_explicit(parse_game(e["representation"])).table == to_explicit(parse_game(e["game"])).table
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("klass", ["cg", "wg"])
+def test_listing_equals_the_per_game_rendering(capsys, catalogs, certificates, klass, n, fmt):
+    """The listing, rendered in bulk from the stored rows, prints what
+    game_to_text over each loaded game, and over each certificate's
+    weighted game, prints through the same report."""
+    games = [game_to_text(g) for g in catalogs(klass, n)]
+    want = cli._Report({})
+    want.section("catalog", ["class", "n", "games"], [[klass, n, len(games)]])
+    if klass == "wg":
+        forms = [game_to_text(certificate_game(row)) for row in certificates(n)]
+        want.section("games", ["#", "representation", "game"], [[i, f, g] for i, (f, g) in enumerate(zip(forms, games))])
+        listed = [{"game": g, "representation": f} for f, g in zip(forms, games)]
+    else:
+        want.section("games", ["#", "game"], list(enumerate(games)))
+        listed = [{"game": g} for g in games]
+    code, out, err = run(capsys, "enumerate", "--class", klass, "--n", str(n), "--list", "--format", fmt)
+    assert code == EXIT_OK, err
+    if fmt == "json":
+        assert json.loads(out)["results"] == {"class": klass, "n": n, "count": len(games), "games": listed}
+    else:
+        buf = io.StringIO()
+        want.emit(fmt, buf)
+        assert out == buf.getvalue()
+
+
+def test_damaged_catalog_record_rebuilds_the_listed_tier(capsys, cache_dir, tmp_path):
+    """A wg5 record whose first mask reads 0xFFFF, past 5 voters, is
+    refused and the tier rebuilt, not turned into a traceback."""
+    for path in pipeline._tier_paths(pipeline.ensure_tier(5, cache_dir), 5).values():
+        shutil.copy(path, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    want = run_json(capsys, "enumerate", "--class", "wg", "--n", "5", "--list", "--cache-dir", str(tmp_path))
+    raw = bytearray(before["wg5.cat"])
+    raw[16 + 2 * 1 : 16 + 2 * 2] = b"\xff\xff"  # the first record's first mask, low half
+    pipeline.catalog_path(tmp_path, "wg", 5).write_bytes(bytes(raw))
+    got = run_json(capsys, "enumerate", "--class", "wg", "--n", "5", "--list", "--cache-dir", str(tmp_path))
+    assert got["results"] == want["results"]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_enumerate_eight_needs_opt_in(capsys):

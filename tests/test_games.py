@@ -139,6 +139,22 @@ def test_text_round_trip_on_random_games(g):
     assert game_to_text(h) == text
 
 
+@pytest.mark.parametrize(
+    "game, text",
+    [
+        (WeightedGame(Fraction(5, 2), [Fraction(3, 2), 1, Fraction(1, 2)]), "[5/2;3/2,1,1/2]"),
+        (WeightedGame(Fraction(6, 3), [Fraction(4, 2), 0]), "[2;2,0]"),
+        (CompleteGame(8, [0b1, 0b10000010], validate=False), "n=8; shiftminwin={1},{2,8}"),
+        (CompleteGame(12, [0b11, 0b101000000000], validate=False), "n=12; shiftminwin={1,2},{10,12}"),
+    ],
+)
+def test_text_forms(game, text):
+    """Fractions print in lowest terms, whole ones as integers; complete
+    games print alike with tabulated coalition strings (through 8
+    voters) and without."""
+    assert game_to_text(game) == text
+
+
 def test_evaluate_accepts_masks_and_members():
     g = parse_game("[3;3,2,1,1]")
     assert evaluate(g, 0b0011) == evaluate(g, {1, 2}) == 1

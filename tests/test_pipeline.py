@@ -22,7 +22,13 @@ from hypothesis import strategies as st
 
 from votekit import certified, enumeration, pipeline
 from votekit.certified import CountMismatchError
-from votekit.enumeration import CatalogFormatError, certificate_game, fetch_catalog_games, read_catalog
+from votekit.enumeration import (
+    CatalogFormatError,
+    certificate_game,
+    fetch_catalog_games,
+    read_catalog,
+    read_catalog_texts,
+)
 from votekit.games import WeightedGame, shift_minimal_winning, sort_by_desirability, to_explicit
 from votekit.geometry import _reduced_rows, store_from_rows, unique_rows
 from votekit.indices import KINDS
@@ -36,6 +42,7 @@ from votekit.pipeline import (
     ensure_tier,
     load_certificates,
     load_games,
+    load_listing,
     omega_tier,
     position_path,
     store_path,
@@ -68,6 +75,19 @@ def test_unique_accumulator_counts_distinct_rows(monkeypatch):
     assert acc.count() == 5
     assert acc.reps.tolist() == [1, 0, 4, 6, 7]
     assert np.concatenate(acc.positions).tolist() == [1, 0, 0, 1, 2, 0, 3, 4, 2]
+
+
+def test_untracked_accumulator_keeps_no_positions():
+    """Without tracking, the accumulator holds no positions and ends with
+    the same distinct rows and reps."""
+    chunks = [np.array([[3, 4], [1, 2], [1, 2]]), np.array([[3, 4], [5, 6]])]
+    accs = [_UniqueAccumulator(2), _UniqueAccumulator(2, track=False)]
+    for acc in accs:
+        for offset, chunk in zip((0, 3), chunks):
+            acc.add(chunk.astype(np.int64), offset)
+        acc.count()
+    assert [len(acc.positions) for acc in accs] == [2, 0]
+    assert np.array_equal(accs[0].base, accs[1].base) and np.array_equal(accs[0].reps, accs[1].reps)
 
 
 @settings(max_examples=80, deadline=None)
@@ -303,10 +323,95 @@ def _common_factor(row):
     row *= 2
 
 
-@pytest.mark.parametrize("damage", [_zero_quota, _negative_weight, _increasing, _common_factor])
+def _light_weights(row):
+    row[0] = row[1:].sum() + 1  # the grand coalition loses; the gcd stays 1
+
+
+@pytest.mark.parametrize("damage", [_zero_quota, _negative_weight, _increasing, _common_factor, _light_weights])
 def test_bad_certificate_row_rebuilds_the_tier(tmp_path, damage):
     build_tier(5, tmp_path)
     _damage_rebuilds(tmp_path, 5, certificate_path(tmp_path, 5), _third_row(damage))
+
+
+def _record_start(words, index):
+    """The word offset of record index among a catalog's u16 words."""
+    at = 0
+    for _ in range(index):
+        at += 1 + 2 * int(words[at])
+    return at
+
+
+def _empty_family(words, at):
+    words[at] = 0  # the record's masks now read as further records
+
+
+def _mask_zero(words, at):
+    words[at + 1] = 0
+
+
+def _mask_past_voters(words, at):
+    words[at + 1] = 0xFFFF
+
+
+def _high_half(words, at):
+    words[at + 2] = 1
+
+
+def _masks_swapped(words, at):
+    words[[at + 1, at + 3]] = words[[at + 3, at + 1]]
+
+
+def _mask_repeated(words, at):
+    words[at + 3] = words[at + 1]
+
+
+@pytest.mark.parametrize(
+    "damage, match",
+    [
+        (_empty_family, "lists no coalition"),
+        (_mask_zero, "outside 1..31"),
+        (_mask_past_voters, "outside 1..31"),
+        (_high_half, "outside 1..31"),
+        (_masks_swapped, "not strictly increasing"),
+        (_mask_repeated, "not strictly increasing"),
+    ],
+)
+def test_bad_catalog_record_rebuilds_the_tier(tmp_path, damage, match):
+    """A wg5 record with no coalition, a mask outside 1..2**5 - 1 or masks
+    out of order is refused by every catalog reader, and the listing and
+    game loaders rebuild the tier byte for byte."""
+    build_tier(5, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    path = catalog_path(tmp_path, "wg", 5)
+    for load in (functools.partial(load_listing, "wg", 5, tmp_path), functools.partial(load_games, "wg", 5, tmp_path)):
+        want = load()
+        raw = np.frombuffer(before[path.name], dtype="<u2").copy()
+        words = raw[8:]  # past the 16-byte header
+        # The first record of two or more masks.
+        index = next(i for i in range(117) if words[_record_start(words, i)] >= 2)
+        damage(words, _record_start(words, index))
+        path.write_bytes(raw.tobytes())
+        for read in (read_catalog, read_catalog_texts, lambda p: fetch_catalog_games(p, [index])):
+            with pytest.raises(CatalogFormatError, match=match):
+                read(path)
+        assert load() == want
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_rebuild_deletes_the_per_game_vector_files(tmp_path):
+    """Building a tier over a cache that holds the per-game vector files
+    of earlier versions deletes them; nothing reads them."""
+    build_tier(4, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    legacy = [tmp_path / f"{klass}4.{kind}.npy" for klass in ("cg", "wg") for kind in KINDS]
+    for path in legacy:
+        np.save(path, np.zeros((3, 5), dtype=np.int64))
+    other = tmp_path / "cg5.ssi.npy"  # another tier's file stays until that tier is built
+    np.save(other, np.zeros((3, 6), dtype=np.int64))
+    build_tier(4, tmp_path)
+    assert not any(path.exists() for path in legacy)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != other} == before
+    assert other.exists()
 
 
 def _swapped(rows):
