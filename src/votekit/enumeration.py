@@ -5,20 +5,19 @@ to one with up-sets of the shift order on coalitions, so isomorphism
 classes come out of a depth-first search over monotone 0/1 labellings of
 the coalition lattice with no deduplication step.  The lattice is walked
 in a fixed linear extension; a coalition's label is forced to 1 as soon
-as one of its one-step weakenings is labelled 1, and is a branch point
-otherwise.  The empty coalition is pinned to 0 and the grand coalition
-to 1, which keeps the labelling a simple game.  The search advances a
-block of labellings, bit-packed into uint64 words, one position at a
-time: each unforced labelling becomes its 0-child followed by its
-1-child, so games come out in lexicographic order, and a block of more
-than _DFS_BLOCK labellings splits in halves, the later half stacked.
+as one of its lower covers in the shift order (games._lower_covers) is
+labelled 1, and is a branch point otherwise.  The empty coalition is
+pinned to 0 and the grand coalition to 1, which keeps the labelling a
+simple game.  The search advances a block of labellings, bit-packed into
+uint64 words, one position at a time: each unforced labelling becomes
+its 0-child followed by its 1-child, so games come out in lexicographic
+order, and a block of more than _DFS_BLOCK labellings splits in halves,
+the later half stacked.
 
 Games are produced in chunks.  shift_minimal_families and
 shift_maximal_losing_families take a chunk's shift families with the
 extractor in games, which packs the chunk into the DFS's word layout
-and tests only the covers of the shift order.  The DFS forces from all
-one-step weakenings, but on a shift-closed table each of them lies
-below a cover, so the two tests agree.
+and tests the same covers.
 classify_weighted_chunk sorts a chunk into weighted and not weighted:
 a vectorized 2-trade test (two_trade_rejects, through 9 voters) proves
 most unweighted games so, and the exact LP, the only path that accepts
@@ -36,17 +35,20 @@ catalog_records a chunk's records, with one numpy encode.  One block
 walker reads them back, a block of the file at a time, and checks every
 record it walks (at least one coalition, each mask inside the voter
 count, masks strictly increasing) for the catalog readers: read_catalog
-(every game of a file, count certified), read_catalog_texts (the same
-games as text, with no game object built) and fetch_catalog_games (the
-games at given positions).  read_catalog_header reads the header alone,
-and certificate_game turns a stored certificate row into its weighted
-game.  enumerate_simple4 runs the same search over the 4-voter
-inclusion lattice for the 28 simple games on 4 voters, which are not
+(every game of a file, count certified, and no byte after the last
+record), read_catalog_texts (the same games as text, with no game object
+built, checked alike) and fetch_catalog_games (the games at given
+positions, read no further than the last of them).  read_catalog_header
+reads the header alone, and certificate_game turns a stored certificate
+row into its weighted game.  enumerate_simple4 runs the same search
+over the 4-voter inclusion lattice, forcing from its lower covers (one
+member dropped), for the 28 simple games on 4 voters, which are not
 cached.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from bisect import bisect_left
 from functools import lru_cache
@@ -64,7 +66,7 @@ from .games import (
     _complete_texts,
     _difference_systems,
     _linear_extension,
-    _lower_neighbors,
+    _lower_covers,
     _prefix_counts,
     _shift_family,
     canonical_table,
@@ -110,7 +112,7 @@ def _labeling_blocks(order: Sequence[int], lowers: Sequence[Sequence[int]]) -> I
     """
     size = len(order)
     words = (size + 63) >> 6
-    steps = []  # per position: its word and bit, and its lower neighbours' words and bits
+    steps = []  # per position: its word and bit, and its lower covers' words and bits
     for m in order:
         below = np.zeros(words, dtype="<u8")
         for f in lowers[m]:
@@ -151,7 +153,7 @@ def iter_complete_chunks(n: int) -> Iterator[np.ndarray]:
     chunk = DEFAULT_CHUNK
     buf = np.empty((chunk, size), dtype=np.uint8)
     i = 0
-    for rows in _labeling_blocks(_linear_extension(n), _lower_neighbors(n)):
+    for rows in _labeling_blocks(_linear_extension(n), _lower_covers(n)):
         while len(rows):
             take = min(len(rows), _UNPACK_ROWS, chunk - i)
             packed = rows[:take].view(np.uint8)
@@ -317,8 +319,8 @@ def enumerate_simple4() -> list[tuple[ExplicitGame, WeightedGame | None]]:
     """All 28 simple games on 4 voters up to isomorphism, each with its
     weighted representation or None.
 
-    Walks monotone labellings of the inclusion lattice (one-step weakening
-    = drop one member) and dedups by the minimal table over voter
+    Walks monotone labellings of the inclusion lattice, whose lower covers
+    drop one member, and dedups by the minimal table over voter
     relabellings.  is_weighted classifies each game, certificates
     included; the 3 incomplete games are not weighted.
     """
@@ -489,12 +491,17 @@ def fetch_catalog_games(path, indices: Iterable[int]) -> dict[int, CompleteGame]
 
 def _read_families(path, render) -> list:
     """render(n, families) over every block of a catalog file's records,
-    concatenated, re-checking the certified count."""
+    concatenated, re-checking the certified count.  A byte after the
+    last counted record raises CatalogFormatError."""
     out: list = []
     with open(path, "rb") as fh:
         klass, n, count = _read_header(fh, path)
+        end = _HEADER.size
         for words, starts in _record_blocks(fh, path, n, count):
             out += render(n, _decode(words, starts))
+            end += 2 * (starts[-1] + 1 + 2 * words[starts[-1]])
+        if os.fstat(fh.fileno()).st_size != end:
+            raise CatalogFormatError(f"{path}: bytes after the last game record")
     check_certified_count(klass, n, len(out))
     return out
 

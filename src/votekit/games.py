@@ -21,7 +21,10 @@ voter; the upper covers are the inverse maps.  The covers generate the
 order, so on a shift-closed table a winning coalition is shift-minimal
 exactly when no lower cover wins, and a losing one shift-maximal exactly
 when no upper cover loses.  Each kind of cover is one shift of a game's
-table packed into uint64 words.
+table packed into uint64 words.  The covers are the one generating
+relation used: _lower_covers_of gives one coalition's lower covers, for
+CompleteGame's validation and, as the per-mask table _lower_covers,
+for the enumeration DFS.
 
 All arithmetic is exact (integers and fractions.Fraction); floats never
 enter a decision.  numpy is used for table plumbing only.
@@ -154,42 +157,29 @@ def dominates(a: Coalition, b: Coalition, n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _linear_extension(n: int) -> tuple[int, ...]:
-    # Weak coalitions first: sort by (size, descending index sum).  Any
-    # strict shift-order relation strictly increases this key.
-    def key(m: int) -> tuple[int, int]:
-        s = 0
-        mm = m
-        i = 1
-        while mm:
-            if mm & 1:
-                s += i
-            mm >>= 1
-            i += 1
-        return (m.bit_count(), -s)
-
-    return tuple(sorted(range(1 << n), key=key))
+    """Every coalition, weak ones first: by size, then descending index
+    sum, then mask.  A coalition strictly below another in the shift
+    order is smaller, or as large with a larger index sum, so it comes
+    first."""
+    members = _members(n)
+    keys = (np.arange(1 << n), -(members @ np.arange(1, n + 1)), members.sum(axis=1))
+    return tuple(np.lexsort(keys).tolist())
 
 
-def _lower_neighbors_of(m: Coalition, n: int) -> list[Coalition]:
-    """One-step weakenings of a coalition: drop a member, or push a member
-    to the nearest weaker free slot."""
-    nb = []
-    for b in range(n):
-        if not (m >> b) & 1:
-            continue
-        nb.append(m & ~(1 << b))
-        for c in range(b + 1, n):
-            if not (m >> c) & 1:
-                nb.append((m & ~(1 << b)) | (1 << c))
-                break
-    return nb
+def _lower_covers_of(m: Coalition, n: int) -> list[Coalition]:
+    """The lower covers of a coalition, as _cover_steps(n, True) marks
+    them: a member moves one place weaker, or the weakest voter leaves."""
+    covers = [m + (1 << b) for b in range(n - 1) if m >> b & 3 == 1]
+    if m >> (n - 1) & 1:
+        covers.append(m - (1 << (n - 1)))
+    return covers
 
 
 @lru_cache(maxsize=None)
-def _lower_neighbors(n: int) -> tuple[tuple[int, ...], ...]:
-    """The one-step weakenings of every coalition, by mask: the
-    enumeration DFS forces a coalition to win when one of them wins."""
-    return tuple(tuple(_lower_neighbors_of(m, n)) for m in range(1 << n))
+def _lower_covers(n: int) -> tuple[tuple[int, ...], ...]:
+    """The lower covers of every coalition, by mask: the enumeration DFS
+    forces a coalition to win when one of them wins."""
+    return tuple(tuple(_lower_covers_of(m, n)) for m in range(1 << n))
 
 
 def _packed_words(tables: np.ndarray) -> np.ndarray:
@@ -443,8 +433,8 @@ class CompleteGame:
 
     def _validate(self):
         # Each listed coalition must stay shift-minimal in the induced game:
-        # none of its one-step weakenings may dominate any listed coalition.
-        pairs = [(m, f) for m in self.shift_minimal for f in _lower_neighbors_of(m, self.n)]
+        # none of its lower covers may dominate any listed coalition.
+        pairs = [(m, f) for m in self.shift_minimal for f in _lower_covers_of(m, self.n)]
         hits = _dominating([f for _, f in pairs], self.shift_minimal, self.n)
         if hits.any():
             m = pairs[hits.argmax()][0]
@@ -754,16 +744,13 @@ def evaluate(g: Game, coalition) -> int:
 
 
 def _weighted_table(g: WeightedGame) -> np.ndarray:
+    # Coalition weights doubled one voter at a time; Python ints (object)
+    # once a sum could pass int64.
     t, wints = g.scaled_ints()
-    if sum(wints) < (1 << 62):
-        sums = np.zeros(1, dtype=np.int64)
-        for w in wints:
-            sums = np.concatenate([sums, sums + w])
-        return (sums >= t).astype(np.uint8)
-    sums = [0]
+    sums = np.zeros(1, dtype=np.int64 if sum(wints) < 1 << 62 else object)
     for w in wints:
-        sums += [s + w for s in sums]
-    return np.array([1 if s >= t else 0 for s in sums], dtype=np.uint8)
+        sums = np.concatenate([sums, sums + w])
+    return (sums >= t).astype(np.uint8)
 
 
 def to_explicit(g: Game) -> ExplicitGame:
@@ -881,8 +868,8 @@ def shift_minimal_winning(g: Game) -> CompleteGame:
     """Shift-minimal winning coalitions of a sorted complete game.
 
     The input must already be labelled strongest-first (as produced by
-    sort_by_desirability); a winning coalition is kept when every one-step
-    weakening loses.
+    sort_by_desirability); a winning coalition is kept when every lower
+    cover loses.
     """
     e = to_explicit(g)
     masks = _mask_lists(_shift_family(e.np_table[None, :], e.n, True))[0]

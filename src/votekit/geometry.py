@@ -455,10 +455,10 @@ class GapTracker:
         else:
             self.attaining.extend(members)
 
-    def report(self, n: int | None = None) -> GapReport:
+    def report(self) -> GapReport:
         self.attaining.sort(key=lambda pair: pair[0])
         return GapReport(
-            n=n if n is not None else self.store.n,
+            n=self.store.n,
             kind=self.store.kind,
             metric=self.metric,
             omega=self.best,

@@ -627,16 +627,13 @@ def padded_target_search(
     *,
     budget: int = 800,
     seed: int = 0,
-    store: VectorStore | None = None,
-    certificates=None,
 ) -> PaddedSearchReport:
     """Pad each base game with null voters up to n, then approximate its
-    power vector by a weighted game.
+    power vector by a weighted game with inverse_heuristic.
 
     Every resulting distance is achievable, so the largest of them lower
-    bounds the worst-case gap at n; with the weighted store and
-    certificates of n voters (see inverse_exact) the per-target answers
-    are exact minima, otherwise heuristic upper bounds of those minima.
+    bounds the worst-case gap at n; each per-target answer is a heuristic
+    upper bound of that target's minimum.
     """
     if not bases:
         raise ValueError("need at least one base game")
@@ -645,12 +642,9 @@ def padded_target_search(
         pad = n - base.n
         if pad < 0:
             raise ValueError(f"base game has {base.n} voters, more than the target {n}")
-        padded = add_null_voters(base, pad)
-        target = Target.from_vector(power_vector(padded, kind))
-        if store is not None:
-            results.append(inverse_exact(target, metric, store, certificates))
-        else:
-            results.append(inverse_heuristic(target, metric, budget=budget, seed=seed))
+        target = Target.from_vector(power_vector(add_null_voters(base, pad), kind))
+        results.append(inverse_heuristic(target, metric, budget=budget, seed=seed))
     bound = max(r.distance for r in results)
-    mode = InverseMode.EXACT_MIN if store is not None else InverseMode.HEURISTIC_UPPER_BOUND
-    return PaddedSearchReport(kind=kind, metric=metric, n=n, mode=mode, results=results, bound=bound)
+    return PaddedSearchReport(
+        kind=kind, metric=metric, n=n, mode=InverseMode.HEURISTIC_UPPER_BOUND, results=results, bound=bound
+    )

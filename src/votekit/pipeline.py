@@ -35,7 +35,8 @@ catalog), _load_positions every row of a position file (one per game,
 each a row of the store, each store row's rep the first game at the
 row) and load_certificates every certificate row.  Each datum of a tier
 has one loader, which reads, and so checks, only the files behind it,
-building the tier when needed: ensure_tier (the directory, every file
+building the tier when needed: ensure_tier (the directory, with the
+catalog headers and every store, position and certificate row
 checked), load_games (the games of one class), load_listing (the same
 games as text, and for wg their certificates' text, with no game object
 built), tier_counts (game and distinct-vector counts, the latter the
@@ -278,9 +279,9 @@ def _checked_catalog(cache_dir, klass: str, n: int) -> Path:
 
 
 def _check_tier(n: int, cache_dir: Path) -> Path:
-    """cache_dir, once every tier file is present with its certified shape
-    and every store, position and certificate row passes its loader's
-    check."""
+    """cache_dir, once every tier file is present, each catalog with its
+    certified header, and every store, position and certificate row
+    passes its loader's check."""
     for klass in _CLASSES:
         _checked_catalog(cache_dir, klass, n)
     for kind in KINDS:
@@ -323,8 +324,9 @@ def _load_tier(n: int, cache_dir, load: Callable[[Path], object]):
 
 
 def ensure_tier(n: int, cache_dir=None) -> Path:
-    """The cache directory, holding an n-voter tier whose every file
-    checks out."""
+    """The cache directory, holding an n-voter tier whose catalog headers
+    and store, position and certificate rows check out; the catalog
+    records are checked by the readers of the games."""
     return _load_tier(n, cache_dir, lambda cache: _check_tier(n, cache))
 
 
@@ -619,7 +621,7 @@ def omega_tier(
     n: int,
     cache_dir=None,
     kinds: Iterable[str] = KINDS,
-    metrics: Iterable = (Metric.L1, Metric.LINF),
+    metrics: Iterable[Metric] = (Metric.L1, Metric.LINF),
     progress: Callable[[str, int, int], None] | None = None,
 ) -> dict[tuple[str, str], GapReport]:
     """Gap reports at n voters, streamed from the tier's store files.
@@ -636,7 +638,7 @@ def omega_tier(
     weighted catalog.
     """
     kinds = _checked_kinds(kinds)
-    metrics = [Metric.parse(m) if not isinstance(m, Metric) else m for m in metrics]
+    metrics = list(metrics)
 
     def load(cache: Path) -> dict[tuple[str, str], GapReport]:
         certificates = load_certificates(n, cache)
@@ -654,7 +656,7 @@ def omega_tier(
                     tracker.feed(chunk, offset=start)
                 if progress is not None:
                     progress(kind, stop, count)
-            kind_reports = [tracker.report(n) for tracker in trackers.values()]
+            kind_reports = [tracker.report() for tracker in trackers.values()]
             _attaining_indices(cache, queries, kind_reports)
             reports.update(((kind, rep.metric.value), rep) for rep in kind_reports)
         games = fetch_catalog_games(catalog, {idx for rep in reports.values() for idx, _ in rep.attaining})

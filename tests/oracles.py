@@ -18,7 +18,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from votekit.enumeration import iter_complete_chunks
-from votekit.games import BoolCombo, ExplicitGame, WeightedGame, _lower_neighbors, _members, evaluate, to_explicit
+from votekit.games import BoolCombo, ExplicitGame, WeightedGame, _members, evaluate, to_explicit
 from votekit.geometry import GapQueries, GapTracker, _reduced_rows, unique_rows
 from votekit.indices import batch_ssi_numerators, batch_swing_counts
 from votekit.inverse import InverseMode, InverseResult, _proportional_start, _QuotaScan
@@ -162,7 +162,7 @@ def gap_reports_by_distinct_rows(store, nums, dens, cuts, metrics) -> dict:
             tracker.feed(chunk, offset=a)
     reports = {}
     for metric, tracker in trackers.items():
-        rep = tracker.report(store.n)
+        rep = tracker.report()
         pairs = [(int(j), vec) for i, vec in rep.attaining for j in np.flatnonzero(inverse == i)]
         rep.attaining = sorted(pairs, key=lambda pair: pair[0])
         reports[metric] = rep
@@ -413,14 +413,26 @@ def not_shift_minimal_by_loop(n: int, masks) -> list[int]:
 
 
 @lru_cache(maxsize=None)
+def lower_neighbors(n: int) -> tuple[tuple[int, ...], ...]:
+    """shift_weakenings of every mask, by mask."""
+    return tuple(tuple(shift_weakenings(n, m)) for m in range(1 << n))
+
+
+@lru_cache(maxsize=None)
 def upper_neighbors(n: int) -> tuple[tuple[int, ...], ...]:
     """The one-step strengthenings of every mask: the coalitions whose
-    one-step weakenings (games._lower_neighbors) include it."""
+    shift_weakenings include it."""
     uppers: list[list[int]] = [[] for _ in range(1 << n)]
-    for m, lowers in enumerate(_lower_neighbors(n)):
+    for m, lowers in enumerate(lower_neighbors(n)):
         for f in lowers:
             uppers[f].append(m)
     return tuple(map(tuple, uppers))
+
+
+def linear_extension_by_keys(n: int) -> list[int]:
+    """Every mask sorted by (size, descending index sum), ties by mask,
+    one coalition at a time."""
+    return sorted(range(1 << n), key=lambda m: (m.bit_count(), -sum(i + 1 for i in range(n) if m >> i & 1)))
 
 
 def families_by_neighbors(tables, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -430,7 +442,7 @@ def families_by_neighbors(tables, n: int) -> tuple[np.ndarray, np.ndarray]:
     strengthenings all win."""
     t = np.asarray(tables, dtype=bool).T  # coalition-major
     win, lose = t.copy(), ~t
-    for m, (lowers, uppers) in enumerate(zip(_lower_neighbors(n), upper_neighbors(n))):
+    for m, (lowers, uppers) in enumerate(zip(lower_neighbors(n), upper_neighbors(n))):
         win[m] &= ~t[list(lowers)].any(axis=0)
         lose[m] &= t[list(uppers)].all(axis=0)
     return win.T, lose.T

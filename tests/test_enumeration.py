@@ -44,9 +44,10 @@ from votekit.games import (
     CompleteGame,
     DesirabilityOutcome,
     WeightedGame,
+    _cover_steps,
     _difference_systems,
     _linear_extension,
-    _lower_neighbors,
+    _lower_covers,
     _mask_lists,
     _prefix_counts,
     canonical_table,
@@ -66,6 +67,8 @@ from votekit.pipeline import build_tier
 from oracles import (
     families_by_neighbors,
     labelings_by_dfs,
+    linear_extension_by_keys,
+    lower_neighbors,
     monotone_games,
     prefix_counts,
     random_weighted,
@@ -97,9 +100,9 @@ def test_catalog_games_are_distinct_and_valid(catalogs):
 def test_shift_poset_linear_extension():
     for n in range(1, 9):
         order = _linear_extension(n)
-        assert sorted(order) == list(range(1 << n))
+        assert list(order) == linear_extension_by_keys(n)
         pos = {m: k for k, m in enumerate(order)}
-        lowers, uppers = _lower_neighbors(n), upper_neighbors(n)
+        lowers, uppers = lower_neighbors(n), upper_neighbors(n)
         for m in order:
             # The two neighbour tables mirror each other, in both directions.
             for f in lowers[m]:
@@ -107,6 +110,25 @@ def test_shift_poset_linear_extension():
                 assert m in uppers[f]
             for u in uppers[m]:
                 assert m in lowers[u]
+            # The lower covers are weakenings, so they come first too.
+            assert set(_lower_covers(n)[m]) <= set(lowers[m])
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_cover_table_marks_the_cover_steps(n):
+    """The per-mask lower covers are the (coalition, cover) pairs that
+    _cover_steps(n, True) marks, and the upper steps mark them reversed."""
+
+    def pairs(winning):
+        out = set()
+        for s, words in _cover_steps(n, winning):
+            marked = np.unpackbits(words.view(np.uint8), count=1 << n, bitorder="little")
+            out.update((m, m + s) for m in np.flatnonzero(marked).tolist())
+        return out
+
+    lower = {(m, c) for m, covers in enumerate(_lower_covers(n)) for c in covers}
+    assert pairs(True) == lower
+    assert pairs(False) == {(c, m) for m, c in lower}
 
 
 def test_shift_poset_dominance():
@@ -116,7 +138,7 @@ def test_shift_poset_dominance():
     assert dominates(0b0011, 0b0011, 4)
     # one-step neighbours are comparable in the right direction
     for m in range(1 << 4):
-        assert all(dominates(m, f, 4) for f in _lower_neighbors(4)[m])
+        assert all(dominates(m, f, 4) for f in lower_neighbors(4)[m])
         assert all(dominates(u, m, 4) for u in upper_neighbors(4)[m])
 
 
@@ -234,7 +256,7 @@ def test_simple4_catalog():
 
 def _dfs_tables(n, games=None):
     """Outcome tables from the scalar DFS: the first `games` of them, or all."""
-    tables = labelings_by_dfs(_linear_extension(n), _lower_neighbors(n))
+    tables = labelings_by_dfs(_linear_extension(n), lower_neighbors(n))
     return np.frombuffer(b"".join(islice(tables, games)), dtype=np.uint8).reshape(-1, 1 << n)
 
 

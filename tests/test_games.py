@@ -163,6 +163,14 @@ def test_evaluate_accepts_masks_and_members():
         evaluate(g, 1 << 4)
 
 
+@pytest.mark.parametrize("quota", [2**63 + 3, 2**63 + 2**62 + 1, Fraction(2**64 + 1, 2)])
+def test_weighted_table_past_int64(quota):
+    """Weight sums past 2**62 tabulate exactly: to_explicit agrees with
+    evaluate, including where the quota and a sum differ by 1."""
+    g = WeightedGame(quota, [2**63, 2**62, 3, 2**63])
+    assert list(to_explicit(g).table) == [evaluate(g, m) for m in range(1 << 4)]
+
+
 def test_weighted_game_validation():
     with pytest.raises(ValueError):
         WeightedGame(0, [1, 1])

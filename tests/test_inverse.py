@@ -153,12 +153,12 @@ def test_inverse_result_distance_is_honest():
 def test_padded_search_exact_against_catalog(stores):
     base = parse_game("[3;2,1,1]")
     store, certs = stores(5, "ssi")
-    rep = padded_target_search([base], 5, Metric.L1, "ssi", store=store, certificates=certs)
-    assert rep.mode is InverseMode.EXACT_MIN
-    # A weighted base stays weighted after padding, so the gap is zero.
-    assert rep.bound == 0
     padded = add_null_voters(base, 2)
-    assert ssi_dp(rep.results[0].game) == ssi(padded)
+    res = inverse_exact(Target.from_vector(power_vector(padded, "ssi")), Metric.L1, store, certs)
+    assert res.mode is InverseMode.EXACT_MIN
+    # A weighted base stays weighted after padding, so the gap is zero.
+    assert res.distance == 0
+    assert ssi_dp(res.game) == ssi(padded)
 
 
 def test_padded_search_heuristic_mode():

@@ -398,6 +398,27 @@ def test_bad_catalog_record_rebuilds_the_tier(tmp_path, damage, match):
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("extra", [np.array([1, 31, 0], dtype="<u2").tobytes(), b"\0"], ids=["record", "byte"])
+def test_catalog_bytes_after_the_last_record_rebuild_the_tier(tmp_path, extra):
+    """A well-formed record or a lone byte past wg5.cat's counted records
+    is refused by both whole-catalog reads, fetch_catalog_games stops
+    before it, and the listing and game loaders rebuild the tier byte for
+    byte."""
+    build_tier(5, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    path = catalog_path(tmp_path, "wg", 5)
+    last = read_catalog(path)[-1]
+    for load in (functools.partial(load_listing, "wg", 5, tmp_path), functools.partial(load_games, "wg", 5, tmp_path)):
+        want = load()
+        path.write_bytes(before[path.name] + extra)
+        for read in (read_catalog, read_catalog_texts):
+            with pytest.raises(CatalogFormatError, match="bytes after the last game record"):
+                read(path)
+        assert fetch_catalog_games(path, [116]) == {116: last}
+        assert load() == want
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_rebuild_deletes_the_per_game_vector_files(tmp_path):
     """Building a tier over a cache that holds the per-game vector files
     of earlier versions deletes them; nothing reads them."""

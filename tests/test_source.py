@@ -234,18 +234,18 @@ def test_each_weightedness_lp_entry_has_one_caller():
 
 # Shift-order helpers, and per module the functions that may reference
 # them (None: any): one family extractor serves chunks and single games,
-# and the neighbour table serves the enumeration DFS alone.
+# and the per-mask cover table serves the enumeration DFS alone.
 SHIFT_HELPERS = {
     "_shift_family": {"games.py": None, "enumeration.py": {"shift_minimal_families", "shift_maximal_losing_families"}},
     "_cover_steps": {"games.py": None},
-    "_lower_neighbors": {"enumeration.py": {"iter_complete_chunks"}},
+    "_lower_covers": {"enumeration.py": {"iter_complete_chunks"}},
 }
 
 
 def test_shift_families_have_one_extractor():
     """games is the only module that extracts shift families: outside it,
     only enumeration's two chunk wrappers reference the extractor, and
-    only enumeration's DFS references the neighbour table."""
+    only enumeration's DFS references the cover table."""
     found = []
     for name, tree in _modules(PACKAGE).items():
         for top in tree.body:
