@@ -2,7 +2,11 @@
 
 A simple game on voters 1..n is a monotone surjective map from coalitions
 to {0, 1}.  Coalitions are bitmasks throughout: voter i occupies bit i-1,
-so the coalition {1, 3} is 0b101 = 5.  Four representations are supported:
+so the coalition {1, 3} is 0b101 = 5.  An outcome table lists the 2**n
+coalitions by mask, so voter b + 1 splits it into alternating blocks of
+2**b coalitions without and with it: every per-voter scan reads the two
+through _voter_halves, and a relabelling is one transpose of the table
+seen as a (2,)*n array.  Four representations are supported:
 
 * ExplicitGame: the full outcome table over all 2**n coalitions.
 * WeightedGame: a quota plus per-voter weights, all exact rationals.
@@ -26,6 +30,16 @@ relation used: _lower_covers_of gives one coalition's lower covers, for
 CompleteGame's validation and, as the per-mask table _lower_covers,
 for the enumeration DFS.
 
+is_complete tests n - 1 voter pairs, not all n(n-1)/2.  Desirability is
+a preorder, and a strictly more desirable voter has strictly more swings
+(Taylor & Zwicker, Simple Games, 1999).  Sort the voters by swings, most
+first, ties by number.  In a complete game each voter is at least as
+desirable as the next, else the next would be strictly more desirable
+with no more swings; conversely, when each is at least as desirable as
+the next, transitivity makes the relation total.  Swings are signed
+(wins with the voter less wins without it, over the coalitions without
+it), so both facts hold on any 0/1 table.
+
 All arithmetic is exact (integers and fractions.Fraction); floats never
 enter a decision.  numpy is used for table plumbing only.
 """
@@ -36,6 +50,7 @@ import enum
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -84,14 +99,8 @@ def coalition_mask(members: Iterable[int]) -> Coalition:
 
 
 def coalition_members(mask: Coalition) -> tuple[int, ...]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    """The 1-based voter numbers of a coalition, ascending."""
+    return tuple(b + 1 for b in range(mask.bit_length()) if mask >> b & 1)
 
 
 @lru_cache(maxsize=None)
@@ -101,6 +110,25 @@ def _members(n: int) -> np.ndarray:
     members = (np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
     members.flags.writeable = False
     return members
+
+
+def _voter_halves(table: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of a (..., 2**n) table split on voter b + 1: the coalitions
+    without the voter and the same coalitions with it, each shaped
+    (..., 2**(n-1-b), 2**b) and ascending by mask.  On a contiguous table
+    a write to either view writes the table."""
+    n = table.shape[-1].bit_length() - 1
+    split = table.reshape(*table.shape[:-1], 1 << (n - 1 - b), 2, 1 << b)
+    return split[..., 0, :], split[..., 1, :]
+
+
+def _pair_halves(table: np.ndarray, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The outcomes of the coalitions holding neither voter i nor voter j,
+    joined by i and joined by j: two nested _voter_halves."""
+    lo, hi = sorted((i - 1, j - 1))
+    without_hi, with_hi = _voter_halves(table, hi)
+    lo_only, hi_only = _voter_halves(without_hi, lo)[1], _voter_halves(with_hi, lo)[0]
+    return (lo_only, hi_only) if i < j else (hi_only, lo_only)
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +186,11 @@ def dominates(a: Coalition, b: Coalition, n: int) -> bool:
 @lru_cache(maxsize=None)
 def _linear_extension(n: int) -> tuple[int, ...]:
     """Every coalition, weak ones first: by size, then descending index
-    sum, then mask.  A coalition strictly below another in the shift
-    order is smaller, or as large with a larger index sum, so it comes
-    first."""
+    sum, then mask (np.lexsort is stable).  A coalition strictly below
+    another in the shift order is smaller, or as large with a larger index
+    sum, so it comes first."""
     members = _members(n)
-    keys = (np.arange(1 << n), -(members @ np.arange(1, n + 1)), members.sum(axis=1))
+    keys = (-(members @ np.arange(1, n + 1)), members.sum(axis=1))
     return tuple(np.lexsort(keys).tolist())
 
 
@@ -314,10 +342,9 @@ class ExplicitGame:
             raise ValueError("not a simple game: the empty coalition wins")
         if t[-1] != 1:
             raise ValueError("not a simple game: the full coalition loses")
-        idx = np.arange(1 << self.n, dtype=np.int64)
         for b in range(self.n):
-            without = idx[(idx >> b) & 1 == 0]
-            if np.any(t[without] > t[without | (1 << b)]):
+            without, with_voter = _voter_halves(t, b)
+            if np.any(without > with_voter):
                 raise ValueError("table is not monotone")
 
     @property
@@ -382,14 +409,7 @@ class WeightedGame:
 
     def value(self, mask: Coalition) -> int:
         t, w = self.scaled_ints()
-        s = 0
-        b = 0
-        while mask:
-            if mask & 1:
-                s += w[b]
-            mask >>= 1
-            b += 1
-        return 1 if s >= t else 0
+        return int(sum(w[i - 1] for i in coalition_members(mask)) >= t)
 
     def __eq__(self, other):
         return (
@@ -650,10 +670,11 @@ def _explicit_from_minimal_winning(n: int, masks: Sequence[Coalition]) -> Explic
     _check_explicit_voters(n)
     if 0 in masks:
         raise ValueError("the empty coalition cannot be winning")
-    idx = np.arange(1 << n, dtype=np.int64)
     table = np.zeros(1 << n, dtype=np.uint8)
-    for m in masks:
-        table |= (idx & m) == m
+    table[list(masks)] = 1
+    for b in range(n):  # close upwards, one voter at a time
+        without, with_voter = _voter_halves(table, b)
+        with_voter |= without
     return ExplicitGame(n, table.tobytes(), validate=False)
 
 
@@ -778,12 +799,11 @@ def to_explicit(g: Game) -> ExplicitGame:
 def _minimal_winning(g: ExplicitGame) -> list[Coalition]:
     """Inclusion-minimal winning coalitions."""
     t = g.np_table
-    idx = np.arange(1 << g.n, dtype=np.int64)
-    minimal = t.astype(bool).copy()
+    minimal = t.astype(bool)
     for b in range(g.n):
-        has = idx[(idx >> b) & 1 == 1]
-        minimal[has] &= t[has & ~(1 << b)] == 0
-    return [int(m) for m in np.nonzero(minimal)[0]]
+        has = _voter_halves(minimal, b)[1]
+        has &= _voter_halves(t, b)[0] == 0
+    return np.flatnonzero(minimal).tolist()
 
 
 def desirability(g: Game, i: int, j: int) -> DesirabilityOutcome:
@@ -797,13 +817,7 @@ def desirability(g: Game, i: int, j: int) -> DesirabilityOutcome:
             raise ValueError(f"voter {v} is not one of the game's {g.n} voters")
     if i == j:
         return DesirabilityOutcome.EQUAL
-    e = to_explicit(g)
-    t = e.np_table
-    bi, bj = 1 << (i - 1), 1 << (j - 1)
-    idx = np.arange(1 << e.n, dtype=np.int64)
-    base = idx[(idx & (bi | bj)) == 0]
-    with_i = t[base | bi]
-    with_j = t[base | bj]
+    with_i, with_j = _pair_halves(to_explicit(g).np_table, i, j)
     geq = bool(np.all(with_i >= with_j))
     leq = bool(np.all(with_j >= with_i))
     if geq and leq:
@@ -815,19 +829,11 @@ def desirability(g: Game, i: int, j: int) -> DesirabilityOutcome:
     return DesirabilityOutcome.INCOMPARABLE
 
 
-def _gather_index(n: int, perm: Sequence[int]) -> np.ndarray:
-    """Table gather indices of the relabelling where new voter k is old
-    voter perm[k-1]: the relabelled table is table[_gather_index(n, perm)]."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    src = np.zeros(1 << n, dtype=np.int64)
-    for k, old in enumerate(perm):
-        src |= ((idx >> k) & 1) << (old - 1)
-    return src
-
-
 def _relabelled(e: ExplicitGame, perm: Sequence[int]) -> ExplicitGame:
-    """The game e with new voter k being old voter perm[k-1]."""
-    return ExplicitGame(e.n, e.np_table[_gather_index(e.n, perm)].tobytes(), validate=False)
+    """The game e with new voter k being old voter perm[k-1]: seen as a
+    (2,)*n array, axis a of the table holds voter n - a, so one transpose."""
+    axes = [e.n - p for p in reversed(perm)]
+    return ExplicitGame(e.n, e.np_table.reshape((2,) * e.n).transpose(axes).tobytes(), validate=False)
 
 
 def is_complete(g: Game) -> tuple[bool, tuple[int, ...] | None]:
@@ -835,33 +841,30 @@ def is_complete(g: Game) -> tuple[bool, tuple[int, ...] | None]:
 
     On success also returns the reordering as a tuple p where new position
     k (1-based) is taken by old voter p[k-1]; voters are sorted strongest
-    first with ties broken by original index.
+    first with ties broken by original index.  It makes n - 1 pair tests;
+    the module docstring gives the argument.
     """
     e = to_explicit(g)
-    n = e.n
-    outcomes: dict[tuple[int, int], DesirabilityOutcome] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            o = desirability(e, i, j)
-            if o is DesirabilityOutcome.INCOMPARABLE:
-                return False, None
-            outcomes[(i, j)] = o
-
-    def stronger(i: int, j: int) -> bool:
-        if i < j:
-            return outcomes[(i, j)] is DesirabilityOutcome.GEQ
-        return outcomes[(j, i)] is DesirabilityOutcome.LEQ
-
-    order = sorted(range(1, n + 1), key=lambda v: (sum(1 for u in range(1, n + 1) if u != v and stronger(u, v)), v))
+    t = e.np_table
+    swings = []
+    for b in range(e.n):
+        without, with_voter = _voter_halves(t, b)
+        swings.append(int(with_voter.sum()) - int(without.sum()))
+    order = sorted(range(1, e.n + 1), key=lambda v: (-swings[v - 1], v))
+    for u, v in zip(order, order[1:]):
+        with_u, with_v = _pair_halves(t, u, v)
+        if np.any(with_u < with_v):
+            return False, None
     return True, tuple(order)
 
 
 def sort_by_desirability(g: Game) -> tuple[ExplicitGame, tuple[int, ...]]:
     """Relabel voters strongest-first; fails on games that are not complete."""
-    ok, perm = is_complete(g)
+    e = to_explicit(g)
+    ok, perm = is_complete(e)
     if not ok:
         raise ValueError("the desirability relation is not total; the game cannot be sorted")
-    return _relabelled(to_explicit(g), perm), perm
+    return _relabelled(e, perm), perm
 
 
 def shift_minimal_winning(g: Game) -> CompleteGame:
@@ -987,14 +990,6 @@ def is_weighted(g: Game) -> WeightedGame | None:
 MAX_ORBIT_VOTERS = 7
 
 
-@lru_cache(maxsize=None)
-def _perm_source_masks(n: int) -> np.ndarray:
-    """For every permutation of n voters, the table gather indices."""
-    from itertools import permutations
-
-    return np.array([_gather_index(n, perm) for perm in permutations(range(1, n + 1))])
-
-
 def canonical_table(g: Game) -> ExplicitGame:
     """A labelling-independent explicit form.
 
@@ -1002,12 +997,12 @@ def canonical_table(g: Game) -> ExplicitGame:
     Other games take the lexicographically smallest table over all voter
     relabellings, practical only for n <= 7.
     """
-    ok, perm = is_complete(g)
     e = to_explicit(g)
+    ok, perm = is_complete(e)
     if ok:
         return _relabelled(e, perm)
     if e.n > MAX_ORBIT_VOTERS:
         raise ValueError(f"canonical form of an incomplete game needs n <= {MAX_ORBIT_VOTERS}")
-    tables = e.np_table[_perm_source_masks(e.n)]
-    best = min(t.tobytes() for t in tables)
+    cube = e.np_table.reshape((2,) * e.n)  # a relabelling permutes its axes
+    best = min(cube.transpose(axes).tobytes() for axes in permutations(range(e.n)))
     return ExplicitGame(e.n, best, validate=False)

@@ -48,6 +48,7 @@ from .games import (
     Game,
     WeightedGame,
     _members,
+    _voter_halves,
     to_explicit,
 )
 
@@ -187,14 +188,11 @@ def _popcounts(n: int) -> np.ndarray:
 def _swing_size_profile(table: np.ndarray, n: int) -> list[list[int]]:
     """For each voter, the number of swings at each coalition size k of the
     coalition being joined (k = 0 .. n-1)."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    pc = _popcounts(n)
     out = []
     for b in range(n):
-        absent = idx[(idx >> b) & 1 == 0]
-        swing = (table[absent | (1 << b)] == 1) & (table[absent] == 0)
-        sizes = pc[absent[swing]].astype(np.int64)
-        out.append([int(c) for c in np.bincount(sizes, minlength=n)[:n]])
+        without, with_voter = _voter_halves(table, b)
+        sizes = _voter_halves(_popcounts(n), b)[0][with_voter > without]
+        out.append(np.bincount(sizes, minlength=n)[:n].tolist())
     return out
 
 

@@ -18,7 +18,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from votekit.enumeration import iter_complete_chunks
-from votekit.games import BoolCombo, ExplicitGame, WeightedGame, _members, evaluate, to_explicit
+from votekit.games import BoolCombo, DesirabilityOutcome, ExplicitGame, WeightedGame, _members, evaluate, to_explicit
 from votekit.geometry import GapQueries, GapTracker, _reduced_rows, unique_rows
 from votekit.indices import batch_ssi_numerators, batch_swing_counts
 from votekit.inverse import InverseMode, InverseResult, _proportional_start, _QuotaScan
@@ -121,6 +121,79 @@ def swap_symmetric(g, i: int, j: int) -> bool:
         if has_i != has_j and table[s] != table[s ^ bi ^ bj]:
             return False
     return True
+
+
+def desirability_by_loop(g, i: int, j: int) -> DesirabilityOutcome:
+    """How voter i (1-based) compares with voter j, one coalition holding
+    neither at a time: i is at least as desirable when joining it wins
+    wherever joining j does."""
+    table = to_explicit(g).table
+    bi, bj = 1 << (i - 1), 1 << (j - 1)
+    geq = leq = True
+    for s in range(len(table)):
+        if not s & (bi | bj):
+            geq &= table[s | bi] >= table[s | bj]
+            leq &= table[s | bj] >= table[s | bi]
+    if geq and leq:
+        return DesirabilityOutcome.EQUAL
+    if geq or leq:
+        return DesirabilityOutcome.GEQ if geq else DesirabilityOutcome.LEQ
+    return DesirabilityOutcome.INCOMPARABLE
+
+
+def is_complete_by_pairs(g) -> tuple[bool, tuple[int, ...] | None]:
+    """is_complete from every pair of voters: the relation is total when no
+    pair is incomparable, and voters sort by how many are strictly more
+    desirable, ties by voter number."""
+    n = g.n
+    voters = range(1, n + 1)
+    outcomes = {(i, j): desirability_by_loop(g, i, j) for i in voters for j in voters if i != j}
+    if DesirabilityOutcome.INCOMPARABLE in outcomes.values():
+        return False, None
+    stronger = {v: sum(outcomes[u, v] is DesirabilityOutcome.GEQ for u in voters if u != v) for v in voters}
+    return True, tuple(sorted(voters, key=lambda v: (stronger[v], v)))
+
+
+def relabelled_by_loop(g, perm) -> bytes:
+    """The outcome table with new voter k being old voter perm[k-1], one
+    coalition at a time."""
+    table = to_explicit(g).table
+    out = bytearray(len(table))
+    for m in range(len(table)):
+        old = sum(1 << (p - 1) for k, p in enumerate(perm) if m >> k & 1)
+        out[m] = table[old]
+    return bytes(out)
+
+
+def minwin_text_by_loop(g) -> str:
+    """The minwin literal of a game: its winning coalitions that lose
+    without any one member, ascending."""
+    table = to_explicit(g).table
+    minimal = [
+        m
+        for m in range(len(table))
+        if table[m] and not any(table[m & ~(1 << b)] for b in range(g.n) if m >> b & 1)
+    ]
+    sets = ",".join("{" + ",".join(str(b + 1) for b in range(g.n) if m >> b & 1) + "}" for m in minimal)
+    return f"n={g.n}; minwin={sets}"
+
+
+def table_fault_by_loop(table: bytes) -> str | None:
+    """The first fault of a would-be outcome table, as ExplicitGame words
+    it, or None: an entry past 1, the empty coalition winning, the full
+    coalition losing, then a coalition that wins while a superset of one
+    more voter loses."""
+    if max(table) > 1:
+        return "table entries must be 0 or 1"
+    if table[0]:
+        return "not a simple game: the empty coalition wins"
+    if not table[-1]:
+        return "not a simple game: the full coalition loses"
+    for m in range(len(table)):
+        for b in range(len(table).bit_length() - 1):
+            if table[m] > table[m | 1 << b]:
+                return "table is not monotone"
+    return None
 
 
 def linear_nearest(rows, qnums, qden: int, l1: bool):

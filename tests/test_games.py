@@ -1,7 +1,9 @@
 """Game types, the text grammar, and structural queries."""
 
+import random
 import re
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from votekit.games import (
     ExplicitGame,
     GameParseError,
     WeightedGame,
+    _relabelled,
     add_null_voters,
     canonical_table,
     coalition_mask,
@@ -34,9 +37,15 @@ from votekit.games import (
 
 from oracles import (
     complete_families,
+    desirability_by_loop,
     dominates_by_loop,
+    is_complete_by_pairs,
+    minwin_text_by_loop,
+    monotone_games,
     not_shift_minimal_by_loop,
     null_voters_by_table,
+    relabelled_by_loop,
+    table_fault_by_loop,
     two_leaf_combos,
     weighted_games,
 )
@@ -215,6 +224,108 @@ def test_is_complete_and_sorting():
     assert evaluate(sorted_g, {1}) == 1  # strongest voter first
     not_complete, _ = is_complete(parse_game("n=4; minwin={1,2},{3,4}"))
     assert not not_complete
+
+
+def test_is_complete_orders_a_shuffled_twenty_voter_game():
+    """A 20-voter weighted game is complete, in the order of its weights
+    with ties by voter number: the six voters of weight 1 make every
+    weight difference decide some coalition.  Sorted, its weights do not
+    increase."""
+    weights = [1] * 6 + [2] * 5 + [3] * 4 + [5] * 3 + [8] * 2
+    random.Random(20).shuffle(weights)
+    g = WeightedGame(sum(weights) // 2 + 1, weights)
+    order = tuple(sorted(range(1, 21), key=lambda v: (-weights[v - 1], v)))
+    assert is_complete(g) == (True, order)
+    sorted_g, perm = sort_by_desirability(g)
+    assert perm == order
+    sorted_weights = [weights[v - 1] for v in perm]
+    assert sorted_weights == sorted(weights, reverse=True)
+    assert sorted_g.table == to_explicit(WeightedGame(g.quota, sorted_weights)).table
+
+
+@settings(max_examples=150, deadline=None)
+@given(monotone_games(max_n=8))
+def test_is_complete_matches_the_pairwise_oracle(e):
+    """is_complete, from n - 1 neighbour tests, returns what testing every
+    pair does, and sort_by_desirability relabels by its order or refuses."""
+    ok, perm = is_complete_by_pairs(e)
+    assert is_complete(e) == (ok, perm)
+    if ok:
+        assert sort_by_desirability(e) == (ExplicitGame(e.n, relabelled_by_loop(e, perm)), perm)
+    else:
+        with pytest.raises(ValueError, match="not total"):
+            sort_by_desirability(e)
+
+
+@settings(max_examples=30, deadline=None)
+@given(weighted_games(max_n=12), st.randoms(use_true_random=False))
+def test_is_complete_on_relabelled_weighted_games(g, rnd):
+    """A weighted game is complete under any labelling, in the order that
+    testing every pair gives."""
+    perm = rnd.sample(range(1, g.n + 1), g.n)
+    e = ExplicitGame(g.n, relabelled_by_loop(g, perm))
+    ok, order = is_complete(e)
+    assert ok and (ok, order) == is_complete_by_pairs(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(monotone_games(max_n=8))
+def test_desirability_matches_the_loop(e):
+    """desirability reads every ordered pair of voters as the loop over
+    coalitions does."""
+    for i in range(1, e.n + 1):
+        for j in range(1, e.n + 1):
+            assert desirability(e, i, j) is desirability_by_loop(e, i, j), (i, j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(monotone_games(max_n=8), st.randoms(use_true_random=False))
+def test_relabelling_and_canonical_table_match_the_loop(e, rnd):
+    """One transpose relabels a table as the coalition loop does, and
+    canonical_table is the sorted table of a complete game, the least
+    relabelled table of an incomplete one through 6 voters, the same
+    for every labelling at 7, and refused at 8."""
+    perm = tuple(rnd.sample(range(1, e.n + 1), e.n))
+    shuffled = relabelled_by_loop(e, perm)
+    assert _relabelled(e, perm).table == shuffled
+    ok, order = is_complete_by_pairs(e)
+    if ok:
+        assert canonical_table(e).table == relabelled_by_loop(e, order)
+    elif e.n <= 6:
+        orbit = permutations(range(1, e.n + 1))
+        assert canonical_table(e).table == min(relabelled_by_loop(e, p) for p in orbit)
+    elif e.n == 7:
+        assert canonical_table(ExplicitGame(7, shuffled)) == canonical_table(e)
+    else:
+        with pytest.raises(ValueError, match="n <= 7"):
+            canonical_table(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(monotone_games(max_n=8))
+def test_explicit_game_text_matches_the_loop(e):
+    """An explicit game prints its inclusion-minimal winning coalitions,
+    and the literal closes upwards to the same table."""
+    text = game_to_text(e)
+    assert text == minwin_text_by_loop(e)
+    assert parse_game(text) == e
+
+
+@settings(max_examples=150, deadline=None)
+@given(monotone_games(max_n=8), st.data())
+def test_explicit_game_rejects_exactly_the_loop_faults(e, data):
+    """With one entry of a game's table flipped, or set to 2, ExplicitGame
+    refuses the table exactly when the loop finds a fault, with its
+    message."""
+    table = bytearray(e.table)
+    at = data.draw(st.integers(0, len(table) - 1))
+    table[at] = data.draw(st.sampled_from((table[at] ^ 1, 2)))
+    fault = table_fault_by_loop(bytes(table))
+    if fault is None:
+        assert ExplicitGame(e.n, bytes(table)).table == bytes(table)
+    else:
+        with pytest.raises(ValueError, match=f"^{fault}$"):
+            ExplicitGame(e.n, bytes(table))
 
 
 def test_shift_minimal_winning():

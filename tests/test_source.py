@@ -274,3 +274,40 @@ def test_one_subset_count_dp():
         if name not in ("indices.py", "inverse.py"):
             found += [f"{name}: references {helper}" for helper in SUBSET_COUNT_DP if _references(tree)[helper]]
     assert found == []
+
+
+# The functions that may build the full coalition index np.arange(1 << n):
+# the membership matrix, the packed cover masks and the popcount table
+# each tabulate a per-coalition quantity once per voter count.  Every
+# per-voter scan of an outcome table reads it through games._voter_halves
+# instead, and a relabelling transposes the table.
+FULL_INDEX_BUILDERS = {("games.py", "_members"), ("games.py", "_cover_steps"), ("indices.py", "_popcounts")}
+
+
+def _full_index_calls(node, where: str | None = None):
+    """(innermost enclosing function, line) of each np.arange(1 << ...)
+    under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        if (
+            isinstance(child, ast.Call)
+            and getattr(child.func, "attr", None) == "arange"
+            and child.args
+            and isinstance(child.args[0], ast.BinOp)
+            and isinstance(child.args[0].op, ast.LShift)
+            and getattr(child.args[0].left, "value", None) == 1
+        ):
+            yield where, child.lineno
+        yield from _full_index_calls(child, inner)
+
+
+def test_only_the_allowlisted_tables_build_a_full_coalition_index():
+    """Outside FULL_INDEX_BUILDERS, no function of the package builds
+    np.arange(1 << n): the table layout is read through one helper."""
+    found = [
+        f"{name}:{line}: {where}"
+        for name, tree in _modules(PACKAGE).items()
+        for where, line in _full_index_calls(tree)
+        if (name, where) not in FULL_INDEX_BUILDERS
+    ]
+    assert found == []
