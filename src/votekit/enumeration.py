@@ -90,7 +90,8 @@ __all__ = [
     "CatalogFormatError",
 ]
 
-# The most voters enumerated; that tier takes hours and is built on request.
+# The most voters enumerated; that tier takes minutes and gigabytes, and is
+# built on request.
 BIG_N = 8
 # Games per enumerated chunk, read as each stream starts.
 DEFAULT_CHUNK = 16384

@@ -7,18 +7,28 @@ decision compares integer distances by exact cross-multiplication, in int64
 where a bound on the magnitudes rules out overflow and in Python integers
 otherwise; ties go to the lexicographically smallest vector.
 
-VectorStore.nearest scans every stored row in one vectorized pass.
-GapQueries takes distinct reduced query rows, such as a block of a tier's
-stored vectors, answers the exact hits in bulk by binary search and sends
-the misses together down a flat k-d tree over keys floor(x * scale), exact
-on the n! grid for Shapley-Shubik, 2**20-scaled floors with one key unit of
-slack per inexact side for Banzhaf.  Each miss descends to its leaf once,
-and one |difference| block against the leaf's points gives its exact upper
-bound under every metric.  GapTracker drops the misses bounded strictly
-below the running maximum and searches the rest, highest bound first,
-exactly over the leaves whose key box may hold a closer point.  Which games
-attain the gap is read afterwards from the store row of each game, which
-the tier build records.
+VectorStore.nearest scans every stored row in one vectorized pass and
+builds nothing else.  GapQueries takes distinct reduced query rows, such
+as a block of a tier's stored vectors, answers the exact hits in bulk by
+binary search and sends the misses together down a flat k-d tree over keys
+floor(x * scale), exact on the n! grid for Shapley-Shubik, 2**20-scaled
+floors with one key unit of slack per inexact side for Banzhaf.  The tree
+and the store's rows in its order, read into memory once, are built on
+the first gap query; a leaf's rows are then one slice.  Each miss descends
+to its leaf once, and one |difference| pass against the leaf's rows gives
+its exact upper bound under every metric.
+
+GapTracker computes a directed Hausdorff distance with the early break of
+Taha and Hanbury (IEEE TPAMI 2015): a miss with some stored row strictly
+closer than the running maximum cannot change the answer.  It takes the
+misses highest bound first, in blocks; one pass scores each miss of a
+block against the rows of its few nearest leaves by box gap and drops
+those a row there refutes.  Each survivor is searched exactly over the
+slices of the leaves whose key box may hold a row within its bound, the
+smaller of its leaf bound and its closest row found while refuting.  The
+walk stops once a bound's floor on the key grid is below the maximum's.
+Which games attain the gap is read afterwards from the store row of each
+game, which the tier build records.
 """
 
 from __future__ import annotations
@@ -48,7 +58,9 @@ __all__ = [
 
 PBI_KEY_SCALE = 1 << 20
 _LEAF_SIZE = 32
-_BLOCK = 256  # misses per vectorized leaf-bound pass
+_BLOCK = 512  # misses per vectorized leaf-bound pass
+_REFUTE_BLOCK = 32  # misses per vectorized refutation pass
+_PROBE_LEAVES = 4  # nearest leaves a refutation pass reads per miss
 _INT64_MAX = 2**63 - 1
 
 
@@ -150,10 +162,34 @@ def _keys(rows: np.ndarray, n: int, scale: int) -> tuple[np.ndarray, np.ndarray]
 def _dists(rows: np.ndarray, q: np.ndarray, n: int, l1s: Sequence[bool]) -> tuple[list[np.ndarray], np.ndarray]:
     """Exact distances from rows to query rows q, broadcast, under L1 or
     Linf as each of l1s says: each distance is num / (pden * qden),
-    returned as ([num per metric], pden).  One |difference| array serves
-    every metric."""
-    diff = np.abs(rows[..., :n] * q[..., n:] - q[..., :n] * rows[..., n:])
-    return [diff.sum(axis=-1) if l1 else diff.max(axis=-1) for l1 in l1s], rows[..., n]
+    returned as ([num per metric], pden), in q's dtype.  One coordinate at
+    a time, each |difference| serving every metric: a reduction over a
+    short last axis is slow."""
+    rows = rows.astype(q.dtype, copy=False)
+    nums = dict.fromkeys(l1s)
+    for i in range(n):
+        diff = np.abs(rows[..., i] * q[..., n] - q[..., i] * rows[..., n])
+        for l1, num in nums.items():
+            nums[l1] = diff if num is None else num + diff if l1 else np.maximum(num, diff)
+    return [nums[l1] for l1 in l1s], rows[..., n]
+
+
+def _runs(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The positions [start, stop) of each run, one run after another."""
+    lens = stops - starts
+    return np.arange(int(lens.sum())) + np.repeat(starts - np.cumsum(lens) + lens, lens)
+
+
+def _less(a_num, a_den, b_num, b_den) -> np.ndarray:
+    """a_num / a_den < b_num / b_den for nonnegative numerators and
+    positive denominators, arrays or integers, by exact
+    cross-multiplication."""
+    peak_num = max(int(np.max(a_num, initial=1)), int(np.max(b_num, initial=1)))
+    peak_den = max(int(np.max(a_den, initial=1)), int(np.max(b_den, initial=1)))
+    # No operand or product exceeds peak_num * peak_den.
+    dtype = _exact_dtype(peak_num * peak_den)
+    a_num, a_den, b_num, b_den = (np.asarray(x).astype(dtype) for x in (a_num, a_den, b_num, b_den))
+    return a_num * b_den < b_num * a_den
 
 
 def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -171,10 +207,10 @@ class _Tree:
     at a time.  A node reference r >= 0 is split r, r < 0 is leaf ~r; a
     split sends keys below cut on its axis to kids[r, 0], the rest to
     kids[r, 1].  Leaf l holds the rows perm[start[l]:stop[l]], their keys
-    in the box [lo[l], hi[l]]; position i is in leaf leaf_of[i].  A node's
-    points are one block of a permuted copy of the keys: one reduceat per
-    level bounds every block, and a split is one argpartition of its
-    block.  slack is 1 when some key is inexact."""
+    in the box [lo[:, l], hi[:, l]]; leaves are numbered in the order of
+    their rows.  A node's points are one block of a permuted copy of the
+    keys: one reduceat per level bounds every block, and a split is one
+    argpartition of its block.  slack is 1 when some key is inexact."""
 
     def __init__(self, keys: np.ndarray, slack: int):
         self.slack = slack
@@ -210,9 +246,37 @@ class _Tree:
             stops = np.stack([mids, stops[split]], axis=1).ravel()
         self.kids = np.concatenate([np.empty((0, 2), dtype=np.int64), *kids])
         self.axis, self.cut = (np.concatenate(part) for part in zip(*splits))
-        self.start, self.stop, self.lo, self.hi = (np.concatenate(part) for part in zip(*leaves))
-        by_start = np.argsort(self.start)
-        self.leaf_of = np.repeat(by_start, (self.stop - self.start)[by_start])
+        # Number the leaves in the order of their rows, so that a run of
+        # leaves is one run of rows.
+        by_start = np.argsort(np.concatenate([part[0] for part in leaves]))
+        self.start, self.stop, lo, hi = (np.concatenate(part)[by_start] for part in zip(*leaves))
+        self.lo, self.hi = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
+        rank = np.argsort(by_start)
+        self.kids[self.kids < 0] = ~rank[~self.kids[self.kids < 0]]
+        self.root = int(~rank[~self.root]) if self.root < 0 else self.root
+
+    def gaps(self, keys: np.ndarray, l1: bool) -> np.ndarray:
+        """Key distance from each key row to each leaf's box, under L1 or
+        Linf: one row per key, one column per leaf.  One axis at a time,
+        so that no (keys, leaves, axes) block is held."""
+        gap = np.zeros((len(keys), len(self.start)), dtype=np.int64)
+        for lo, hi, key in zip(self.lo, self.hi, keys.T[:, :, None]):
+            off = lo - key
+            np.maximum(off, key - hi, out=off)
+            np.maximum(off, 0, out=off)
+            if l1:
+                gap += off
+            else:
+                np.maximum(gap, off, out=gap)
+        return gap
+
+    def points(self, leaves: np.ndarray) -> np.ndarray:
+        """Row positions of the leaves in each row of leaves, as one row of
+        equal width each: a leaf shorter than the longest repeats its last
+        row."""
+        first, last = self.start[leaves][..., None], self.stop[leaves][..., None] - 1
+        width = int((last - first).max()) + 1
+        return np.minimum(first + np.arange(width), last).reshape(len(leaves), -1)
 
 
 class NearestResult(NamedTuple):
@@ -269,15 +333,21 @@ class VectorStore:
         keys, inexact = _keys(self.rows, self.n, self.scale)
         return _Tree(keys, int(inexact.any()))
 
+    @cached_property
+    def _held(self) -> np.ndarray:
+        """The rows in the tree's order, read into memory on first use:
+        leaf l holds _held[start[l]:stop[l]]."""
+        return np.ascontiguousarray(self.rows[self._leaves.perm])
+
     def _dtype(self, qpeak: int):
         """Exact dtype for searches with simplex queries of entries up to
         qpeak: no product they form exceeds n * q * p * max(p, scale)."""
         return _exact_dtype(self.n * self.peak * qpeak * max(self.peak, self.scale))
 
-    def _closest(self, idx: np.ndarray, q: np.ndarray, l1: bool) -> tuple[list[int], int, int]:
-        """All the stored rows idx nearest to the query row q, and their
-        distance as (numerator, denominator)."""
-        (num,), pden = _dists(self.rows[idx].astype(q.dtype), q, self.n, (l1,))
+    def _closest(self, rows: np.ndarray, idx: np.ndarray, q: np.ndarray, l1: bool) -> tuple[list[int], int, int]:
+        """All the stored rows idx, whose values are rows, nearest to the
+        query row q, and their distance as (numerator, denominator)."""
+        (num,), pden = _dists(rows, q, self.n, (l1,))
         # Floors on a grid are monotone in the distances, so the nearest
         # rows are among those of the smallest floor.
         floor = num * self.scale // pden
@@ -294,10 +364,20 @@ class VectorStore:
         overstate a true one by up to a key unit per coordinate."""
         tree = self._leaves
         slack = (tree.slack + inexact) * (self.n if l1 else 1)
-        gap = np.maximum(tree.lo - key, 0) + np.maximum(key - tree.hi, 0)
-        gap = (gap.sum(axis=1) if l1 else gap.max(axis=1)).astype(q.dtype) - slack
-        hold = gap * bound[1] <= bound[0] * self.scale
-        return self._closest(tree.perm[hold[tree.leaf_of]], q, l1)
+        gap = tree.gaps(key[None], l1)[0].astype(q.dtype) - slack
+        held = np.flatnonzero(gap * bound[1] <= bound[0] * self.scale)
+        pos = _runs(tree.start[held], tree.stop[held])
+        return self._closest(self._held[pos], tree.perm[pos], q, l1)
+
+    def _probe(self, q: np.ndarray, keys: np.ndarray, l1: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Exact distances from each query row of q, whose key row is in
+        keys, to the rows of its _PROBE_LEAVES nearest leaves by key-box
+        gap: (numerators, denominators), one row per query."""
+        gap = self._leaves.gaps(keys, l1)
+        near = min(_PROBE_LEAVES, gap.shape[1])
+        rows = self._held[self._leaves.points(np.argpartition(gap, near - 1, axis=1)[:, :near])]
+        (num,), pden = _dists(rows, q[:, None, :], self.n, (l1,))
+        return num, pden * q[:, self.n, None]
 
     def nearest(
         self, nums: Sequence[int], den: int, metric: Metric, stop_below: Fraction | None = None
@@ -313,7 +393,7 @@ class VectorStore:
         g = math.gcd(int(den), *(int(x) for x in nums))
         q = [int(x) // g for x in nums] + [int(den) // g]
         q = np.array(q, dtype=self._dtype(max(map(abs, q))))
-        tied, num, dist_den = self._closest(np.arange(len(self.rows)), q, metric is Metric.L1)
+        tied, num, dist_den = self._closest(self.rows, np.arange(len(self.rows)), q, metric is Metric.L1)
         dist = Fraction(num, dist_den)
         return NearestResult(self._lex_first(tied), dist, stop_below is not None and dist < stop_below)
 
@@ -389,9 +469,8 @@ class GapQueries:
             s = node[live]
             node[live] = tree.kids[s, (keys[live, tree.axis[s]] >= tree.cut[s]).astype(np.intp)]
             live = live[node[live] >= 0]
-        first, last = tree.start[~node, None], tree.stop[~node, None] - 1
-        rows = store.rows[tree.perm[np.minimum(first + np.arange(int((last - first).max()) + 1), last)]]
-        nums, pden = _dists(rows.astype(q.dtype), q[:, None, :], n, [m is Metric.L1 for m in metrics])
+        rows = store._held[tree.points(~node)]
+        nums, pden = _dists(rows, q[:, None, :], n, [m is Metric.L1 for m in metrics])
         out = {}
         for metric, num in zip(metrics, nums):
             pick = np.argmin(num * store.scale // pden, axis=1)[:, None]
@@ -403,10 +482,16 @@ class GapTracker:
     """Running maximum of min-distances to a weighted store.
 
     Feed query rows in chunks.  Query vectors the store holds are at
-    distance 0 and are set aside in bulk.  Each miss gets an exact upper
-    bound from its leaf; one strictly below the running maximum cannot
-    affect the final value or the attaining set and is dropped (ties
-    never drop), and the rest are searched exactly, highest bound first.
+    distance 0 and are set aside in bulk.  A miss with some stored vector
+    strictly closer than the running maximum cannot affect the final
+    value or the attaining set (ties never drop).  So the misses are taken
+    highest leaf bound first, in blocks of _REFUTE_BLOCK: those of a block
+    whose bound reaches the maximum are scored in one pass against the
+    rows of their _PROBE_LEAVES nearest leaves, and each one a row there
+    refutes is dropped.  The rest are searched exactly, each within the
+    smaller of its leaf bound and its closest row there.  The walk stops
+    at the first block whose bound's floor on the key grid is below the
+    maximum's: floors are monotone, so no later bound reaches it.
     """
 
     def __init__(self, wg_store: VectorStore, metric: Metric):
@@ -427,21 +512,27 @@ class GapTracker:
         l1 = self.metric is Metric.L1
         top_num, top_den = self.best.numerator, self.best.denominator
         bound_num, bound_den = chunk.bounds[self.metric]
-        exact = _exact_dtype(max(int(bound_num.max()), int(bound_den.max())) * max(top_num, top_den))
-        live = np.flatnonzero(bound_num.astype(exact) * top_den >= bound_den.astype(exact) * top_num)
         # Highest bound first, by the bounds' floors on the key grid: each
         # search raises the threshold that the next bounds must reach.
-        order = live[np.argsort(-(bound_num[live] * store.scale // bound_den[live]), kind="stable")]
+        floor = bound_num * store.scale // bound_den
+        order = np.argsort(-floor, kind="stable")
         top = []
-        for u in order.tolist():
-            bound = int(bound_num[u]), int(bound_den[u])
-            if bound[0] * top_den < top_num * bound[1]:
+        for a in range(0, len(order), _REFUTE_BLOCK):
+            block = order[a : a + _REFUTE_BLOCK]
+            if floor[block[0]] < top_num * store.scale // top_den:
+                break
+            block = block[~_less(bound_num[block], bound_den[block], top_num, top_den)]
+            if not len(block):
                 continue
-            tied, num, den = store._search(chunk.q[u], chunk.keys[u], bool(chunk.inexact[u]), bound, l1)
-            if num * top_den > top_num * den:
-                top, top_num, top_den = [], num, den
-            if num * top_den == top_num * den:
-                top.append((u, tied))
+            block, nums, dens = self._refute(chunk, block, top_num, top_den)
+            for u, num, den in zip(block.tolist(), nums.tolist(), dens.tolist()):
+                if num * top_den < top_num * den:
+                    continue
+                tied, num, den = store._search(chunk.q[u], chunk.keys[u], bool(chunk.inexact[u]), (num, den), l1)
+                if num * top_den > top_num * den:
+                    top, top_num, top_den = [], num, den
+                if num * top_den == top_num * den:
+                    top.append((u, tied))
         if not top:
             return
         top.sort()
@@ -454,6 +545,21 @@ class GapTracker:
             self.nearest_index, self.nearest_vector = int(store.reps[near]), store.vector(near)
         else:
             self.attaining.extend(members)
+
+    def _refute(self, chunk: GapQueries, block: np.ndarray, top_num: int, top_den: int):
+        """The misses of block that no row of their nearest leaves is
+        strictly closer to than top_num / top_den, and the bound of each as
+        (numerators, denominators): the smaller of its leaf bound and the
+        distance of its row there whose distance has the smallest floor."""
+        store = self.store
+        num, den = store._probe(chunk.q[block], chunk.keys[block], self.metric is Metric.L1)
+        keep = ~_less(num, den, top_num, top_den).any(axis=1)
+        block, num, den = block[keep], num[keep], den[keep]
+        pick = np.argmin(num * store.scale // den, axis=1)[:, None]
+        num, den = np.take_along_axis(num, pick, 1)[:, 0], np.take_along_axis(den, pick, 1)[:, 0]
+        bound_num, bound_den = (part[block] for part in chunk.bounds[self.metric])
+        closer = _less(num, den, bound_num, bound_den)
+        return block, np.where(closer, num, bound_num), np.where(closer, den, bound_den)
 
     def report(self) -> GapReport:
         self.attaining.sort(key=lambda pair: pair[0])

@@ -631,9 +631,12 @@ def padded_target_search(
     """Pad each base game with null voters up to n, then approximate its
     power vector by a weighted game with inverse_heuristic.
 
-    Every resulting distance is achievable, so the largest of them lower
-    bounds the worst-case gap at n; each per-target answer is a heuristic
-    upper bound of that target's minimum.
+    Each per-target distance is achieved by the weighted game found, so it
+    is a heuristic upper bound on that target's minimum distance, not the
+    minimum itself.  bound is the largest of them, and it bounds the
+    worst-case gap at n in neither direction: a game that is not a padded
+    base can have a larger minimum, which puts the gap above bound, and a
+    found distance above its target's minimum can put bound above the gap.
     """
     if not bases:
         raise ValueError("need at least one base game")

@@ -21,10 +21,10 @@ the build's distinct-row accumulators, written once their counts are
 certified.  Every count is certified before any file is moved into
 place, so a tier is only ever installed whole.  Tiers below 8 voters
 are built on first use and rebuilt when a file is missing or
-unreadable, in the calling process; the 8-voter tier takes hours and is
-built only by build_big_tables.  build_tier and build_big_tables are the only calls
-that take a worker count, for a process pool that pays off only at 8
-voters.
+unreadable, in the calling process; the 8-voter tier takes minutes and
+close to 4 GB, and is built only by build_big_tables.  build_tier and
+build_big_tables are the only calls that take a worker count, for a
+process pool that pays off only at 8 voters.
 
 Each tier file has one reader, and the reader checks what it returns:
 _checked_catalog a catalog's header (enumeration's block walker checks
@@ -608,7 +608,8 @@ def build_big_tables(
     workers: int = 1,
     progress: Callable[[int, int], None] | None = None,
 ) -> dict[str, int]:
-    """The 8-voter tier; hours of CPU time.  See build_tier."""
+    """The 8-voter tier: 493 s with workers=2 on 2 vCPUs, at a peak of
+    3.77 GB.  See build_tier."""
     return build_tier(BIG_N, cache_dir, workers, progress)
 
 

@@ -22,7 +22,7 @@ def pytest_configure(config):
 def pytest_collection_modifyitems(config, items):
     if os.environ.get("VOTEKIT_LONG_RUNNING") == "1":
         return
-    skip = pytest.mark.skip(reason="set VOTEKIT_LONG_RUNNING=1 to enable the multi-hour n=8 tier")
+    skip = pytest.mark.skip(reason="set VOTEKIT_LONG_RUNNING=1 to enable the n=8 tier (minutes, about 4 GB)")
     for item in items:
         if "long_running" in item.keywords:
             item.add_marker(skip)

@@ -3,6 +3,7 @@
 import io
 import json
 import shutil
+import time
 from concurrent import futures
 from fractions import Fraction
 
@@ -141,6 +142,14 @@ def test_big_tier_without_store_files_needs_long_running(capsys, monkeypatch, tm
     code, _, err = run(capsys, "tables", "--n", "8", "--cache-dir", str(tmp_path))
     assert code == EXIT_USAGE
     assert "--long-running" in err
+
+
+def test_tables_timing_covers_the_big_build(capsys, monkeypatch, tmp_path):
+    """The JSON timing of tables --n 8 counts the 8-voter build it starts."""
+    monkeypatch.setattr(pipeline, "tier_present", lambda n, cache: False)
+    monkeypatch.setattr(pipeline, "build_big_tables", lambda *args, **kwargs: time.sleep(0.2))
+    data = run_json(capsys, "tables", "--n", "8", "--long-running", "--cache-dir", str(tmp_path))
+    assert data["timing"]["seconds"] >= 0.2
 
 
 def test_enumerate_weighted_list(capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votekit import enumeration
+from votekit import enumeration, geometry
 from votekit.enumeration import CatalogFormatError
 from votekit.geometry import (
     Metric,
@@ -271,37 +271,90 @@ def test_nearest_matches_linear_scan_on_random_stores(case, huge):
         assert res.index == _lex_smallest(rows, hits)
 
 
-@settings(max_examples=120, deadline=None)
-@given(_search_case(), st.integers(0, 2**16))
-def test_gap_tracker_matches_linear_scan_on_random_stores(case, cut):
-    """Leaf bounds under both metrics from one |difference| block, drops
-    and the leaf-bounded exact searches give a linear scan's max-min under
-    each, in one chunk of distinct rows or in two.  The rows arrive in
-    lexicographic order, so the worst vector is the smallest attaining
-    one, wherever the chunks are cut."""
-    n, kind, _, vectors, queries = case
-    store = _store_of(kind, n, vectors)
+def _check_gaps_against_linear_scan(store, queries, cuts):
+    """Gap reports over the distinct query rows, in one chunk and in the
+    chunks that cuts make, against a linear scan's max-min under each
+    metric: omega, the attaining queries, the worst vector (the rows
+    arrive in lexicographic order, so it is the smallest attaining one,
+    wherever the chunks are cut) and its nearest stored vector.  Returns
+    the number of queries attaining each nonzero gap."""
     rows = store_rows(store)
     qnums = np.array([q for q, _ in queries], dtype=np.int64)
     qdens = np.array([d for _, d in queries], dtype=np.int64)
-    cut %= len(queries) + 1
     both = [Metric.L1, Metric.LINF]
-    for cuts in ([], [cut]):
-        for metric, rep in gap_reports_by_distinct_rows(store, qnums, qdens, cuts, both).items():
+    attained = []
+    for chunk_cuts in ([], cuts):
+        for metric, rep in gap_reports_by_distinct_rows(store, qnums, qdens, chunk_cuts, both).items():
             l1 = metric is Metric.L1
             dists = [linear_nearest(rows, q, d, l1)[0] for q, d in queries]
             best = max(dists)
             assert rep.omega == best
             if best == 0:
-                assert rep.attaining == [] and rep.worst_vector is None
+                assert rep.attaining == [] and rep.worst_vector is None and rep.nearest_vector is None
                 continue
             want = [i for i, d in enumerate(dists) if d == best]
             assert [idx for idx, _ in rep.attaining] == want
+            attained.append(len(want))
             worst = min(_reduced(*queries[i]) for i in want)
             assert rep.worst_vector.key() == worst
             worst = [int(x) for x in worst]
             near = _lex_smallest(rows, linear_nearest(rows, worst[:-1], worst[-1], l1)[1])
             assert rep.nearest_vector.key() == rows[near][0] + (rows[near][1],)
+    return attained
+
+
+@settings(max_examples=120, deadline=None)
+@given(_search_case(), st.integers(0, 2**16))
+def test_gap_tracker_matches_linear_scan_on_random_stores(case, cut):
+    """Leaf bounds under both metrics from one |difference| pass, drops,
+    refutations and the leaf-bounded exact searches give a linear scan's
+    max-min under each, in one chunk of distinct rows or in two."""
+    n, kind, _, vectors, queries = case
+    _check_gaps_against_linear_scan(_store_of(kind, n, vectors), queries, [cut % (len(queries) + 1)])
+
+
+# n -> a grid denominator with a few hundred n-voter vectors on it, a
+# divisor of n!, so that Shapley-Shubik keys stay exact.
+_COARSE = {4: 12, 5: 10, 6: 8}
+
+
+@st.composite
+def _tied_case(draw):
+    """A store of a few hundred vectors on a coarse grid, spread over many
+    leaves, and queries on a grid a few times finer, so that many share
+    the largest nearest distance; some queries have denominators of 2**40
+    to 2**62, which push the products past int64."""
+    n = draw(st.sampled_from(sorted(_COARSE)))
+    kind = draw(st.sampled_from(["ssi", "pbi"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    coarse = _COARSE[n]
+    store = [_random_vector(rng, n, coarse) for _ in range(draw(st.integers(150, 400)))]
+    fine = coarse * draw(st.integers(2, 4))
+    queries = [_random_vector(rng, n, fine) for _ in range(draw(st.integers(10, 60)))]
+    queries += [_random_vector(rng, n, rng.randint(2**40, 2**62)) for _ in range(draw(st.sampled_from([0, 0, 1, 3])))]
+    return n, kind, store, queries
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tied_case(), st.integers(1, 3), st.integers(0, 2**16))
+def test_refutation_in_small_blocks_keeps_every_tie(case, block, cut):
+    """Refuting the misses a few at a time, so that the queries tied at
+    the running maximum fall in different blocks and chunks, gives a
+    linear scan's gap, attaining set, worst vector and nearest vector."""
+    n, kind, vectors, queries = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_REFUTE_BLOCK", block)
+        attained = _check_gaps_against_linear_scan(_store_of(kind, n, vectors), queries, [cut % (len(queries) + 1)])
+    assert attained
+
+
+def test_nearest_builds_no_tree(cache_dir):
+    """The exact inverse's nearest scans the rows as read: neither the
+    k-d tree nor the rows in its order are built."""
+    store = _load_store(ensure_tier(5, cache_dir), "wg", 5, "ssi")
+    for nums, den in [((1, 1, 1, 1, 1), 5), ((60, 30, 20, 10, 0), 120)]:
+        assert store.nearest(nums, den, Metric.L1).dist is not None
+    assert "_leaves" not in vars(store) and "_held" not in vars(store)
 
 
 @settings(max_examples=120, deadline=None)
