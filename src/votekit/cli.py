@@ -5,8 +5,8 @@ certified enumeration tables with on-disk caching, measures the gap
 between complete simple games and their best weighted approximations,
 and runs inverse searches.  Output formats: aligned text, CSV, JSON.
 
-Exit codes: 0 success, 1 usage or input errors, 2 a certified count
-failed to verify.
+Exit codes: 0 success, 1 usage or input errors, the 8-voter tier not
+cached included, 2 a certified count or a cached tier failed to verify.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 from . import certified, pipeline
 from .certified import CountMismatchError
 from .council import council_game, parse_populations
-from .enumeration import CatalogFormatError, enumerate_simple4
+from .enumeration import enumerate_simple4
 from .games import (
     MAX_EXPLICIT_VOTERS,
     BoolCombo,
@@ -183,21 +183,20 @@ def _long_ok(args) -> bool:
     return os.environ.get("VOTEKIT_LONG_RUNNING") == "1"
 
 
-def _require_big(args) -> Path:
-    """The 8-voter tier: reuse cache files, else build behind the flag."""
+def _load(args, loader, *params, **options):
+    """loader(*params, cache_dir=..., **options), a pipeline tier loader.
+    Below 8 voters the loader rebuilds a missing or damaged tier itself;
+    at 8 it raises TierError, and the tier is built here, once, behind
+    the long-running opt-in (main refuses without it)."""
     cache = _cache_dir(args)
-    if pipeline.tier_present(pipeline.BIG_N, cache):
-        return cache
-    if not _long_ok(args):
-        raise _UsageError(
-            "the 8-voter tier is not cached yet, and building it takes about "
-            "8 minutes with --threads 2 and 4 GB of memory; "
-            "pass --long-running (or set VOTEKIT_LONG_RUNNING=1) to build it"
-        )
-
+    try:
+        return loader(*params, cache_dir=cache, **options)
+    except pipeline.TierError:
+        if not _long_ok(args):
+            raise
     progress = _stderr_progress("enumerated", "complete games")  # called once per chunk
     pipeline.build_big_tables(cache, workers=args.threads, progress=progress)
-    return cache
+    return loader(*params, cache_dir=cache, **options)
 
 
 def _stderr_progress(verb: str, noun: str):
@@ -212,15 +211,6 @@ def _stderr_progress(verb: str, noun: str):
                 print(file=sys.stderr)
 
     return progress
-
-
-def _tier_dir(args, n: int) -> Path:
-    """Cache directory for the n-voter tier.  The tier loaders check it
-    and build a missing tier below 8 voters; the 8-voter tier is built
-    here, behind the long-running opt-in."""
-    if n == pipeline.BIG_N:
-        return _require_big(args)
-    return _cache_dir(args)
 
 
 def _pick_kinds(args) -> tuple[str, ...]:
@@ -341,24 +331,16 @@ def cmd_tables(args) -> int:
     ns = _parse_n_range(args.n)
     klasses = ("cg", "wg") if args.klass == "both" else (args.klass,)
     kinds = _pick_kinds(args)
-    cache = _cache_dir(args)
     if ns.stop - 1 > pipeline.BIG_N:
         raise _UsageError(
             f"enumeration stops at {pipeline.BIG_N} voters; larger tiers are documented only"
         )
-    if pipeline.BIG_N in ns:
-        _require_big(args)
     rows = []
     out = []
     for klass in klasses:
         for n in ns:
-            if n < pipeline.BIG_N:
-                # store row counts, checked against the certified counts
-                games, got = pipeline.tier_counts(klass, n, kinds, cache)
-            else:
-                # certified during the streamed build that produced the cache
-                games = certified.GAME_COUNTS[klass][n]
-                got = {k: certified.DISTINCT_VECTOR_COUNTS[klass, k][n] for k in kinds}
+            # store row counts, checked against the certified counts
+            games, got = _load(args, pipeline.tier_counts, klass, n, kinds)
             row = [klass, n, games] + [got[k] for k in kinds]
             rows.append(row)
             out.append({"class": klass, "n": n, "games": games, **got})
@@ -389,16 +371,9 @@ def cmd_enumerate(args) -> int:
         raise _UsageError(
             f"enumeration stops at {pipeline.BIG_N} voters; documented counts beyond that: {doc}"
         )
+    if n == pipeline.BIG_N and args.list:
+        raise _UsageError("listing millions of games is not supported; use the cache files")
     rep = _Report(_config(args, klass=klass))
-    if n == pipeline.BIG_N:
-        if args.list:
-            raise _UsageError("listing millions of games is not supported; use the cache files")
-        _require_big(args)
-        count = certified.GAME_COUNTS[klass][n]
-        rep.section("catalog", ["class", "n", "games"], [[klass, n, count]])
-        rep.results.update({"class": klass, "n": n, "count": count})
-        rep.emit(args.format)
-        return EXIT_OK
     if klass == "sg4":
         pairs = enumerate_simple4()
         weighted = sum(w is not None for _, w in pairs)
@@ -421,11 +396,11 @@ def cmd_enumerate(args) -> int:
             rep.results["games"] = out
         rep.emit(args.format)
         return EXIT_OK
-    cache = _cache_dir(args)
-    games, forms = pipeline.load_listing(klass, n, cache)
-    rep.results.update({"class": klass, "n": n, "count": len(games)})
-    rep.section("catalog", ["class", "n", "games"], [[klass, n, len(games)]])
+    count, _ = _load(args, pipeline.tier_counts, klass, n)
+    rep.results.update({"class": klass, "n": n, "count": count})
+    rep.section("catalog", ["class", "n", "games"], [[klass, n, count]])
     if args.list:
+        games, forms = _load(args, pipeline.load_listing, klass, n)
         if forms is None:
             rep.section("games", ["#", "game"], enumerate(games))
             rep.results["games"] = [{"game": text} for text in games]
@@ -448,11 +423,12 @@ def _gap_reports(args, n=None, kinds=None, metrics=None):
     def progress(kind, done, total):
         reporters[kind](done, total)
 
-    return pipeline.omega_tier(
+    return _load(
+        args,
+        pipeline.omega_tier,
         n,
-        _tier_dir(args, n),
-        kinds,
-        metrics,
+        kinds=kinds,
+        metrics=metrics,
         progress=progress if n == pipeline.BIG_N else None,
     )
 
@@ -619,7 +595,7 @@ def cmd_inverse(args) -> int:
             raise _UsageError(
                 f"exact minimization needs the full catalog; {pipeline.BIG_N} voters is the cap"
             )
-        store, certificates = pipeline.weighted_store(target.n, target.kind, _tier_dir(args, target.n))
+        store, certificates = _load(args, pipeline.weighted_store, target.n, target.kind)
         res = inverse_exact(target, metric, store, certificates)
     else:
         if target.n > MAX_DP_VOTERS:
@@ -776,7 +752,14 @@ def main(argv=None) -> int:
     except CountMismatchError as exc:
         print(f"votekit: certified count mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (_UsageError, CatalogFormatError, GameParseError) as exc:
+    except pipeline.TierError as exc:
+        print(
+            f"votekit: {exc}; pass --long-running (or set VOTEKIT_LONG_RUNNING=1) to build "
+            "the tier, about 8 minutes with --threads 2 and 4 GB of memory",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE if isinstance(exc.__cause__, FileNotFoundError) else EXIT_MISMATCH
+    except (_UsageError, GameParseError) as exc:
         print(f"votekit: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -22,7 +22,8 @@ certified.  Every count is certified before any file is moved into
 place, so a tier is only ever installed whole.  Tiers below 8 voters
 are built on first use and rebuilt when a file is missing or
 unreadable, in the calling process; the 8-voter tier takes minutes and
-close to 4 GB, and is built only by build_big_tables.  build_tier and
+close to 4 GB, and is built only by build_big_tables: a loader that
+finds one of its files missing or damaged raises TierError.  build_tier and
 build_big_tables are the only calls that take a worker count, for a
 process pool that pays off only at 8 voters.
 
@@ -47,7 +48,7 @@ the attaining games found in the cg position files and read through
 enumeration.fetch_catalog_games).  The loaders check their class and
 index kind names before they touch the cache.  A damaged file that a
 loader does not read is left alone until a loader that reads it
-rebuilds the tier.
+rebuilds the tier, or at 8 voters raises TierError.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ __all__ = [
     "store_path",
     "position_path",
     "certificate_path",
-    "tier_present",
+    "TierError",
     "build_tier",
     "build_big_tables",
     "ensure_tier",
@@ -160,10 +161,6 @@ def _legacy_paths(cache_dir, n: int) -> list[Path]:
     before the position files replaced them; nothing reads them, and
     build_tier deletes them (2.7 GB at 8 voters)."""
     return [Path(cache_dir) / f"{klass}{n}.{kind}.npy" for klass in _CLASSES for kind in KINDS]
-
-
-def tier_present(n: int, cache_dir=None) -> bool:
-    return all(p.exists() for p in _tier_paths(_resolve(cache_dir), n).values())
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +302,27 @@ def _checked_kinds(kinds: Iterable[str]) -> list[str]:
     return kinds
 
 
+class TierError(Exception):
+    """The 8-voter tier is missing or damaged; the reader's error, which
+    names the file, is the cause."""
+
+
 def _load_tier(n: int, cache_dir, load: Callable[[Path], object]):
     """load(cache_dir), which reads and checks the tier files it needs.
 
     Below 8 voters a missing or unreadable file rebuilds the whole tier
     and load runs again, in this process: a process pool pays for itself
-    only at 8 voters.  Files are memory-mapped, so a tier's pages need
-    not all stay resident.
+    only at 8 voters.  At 8 voters it raises TierError instead: only
+    build_big_tables builds that tier.  Files are memory-mapped, so a
+    tier's pages need not all stay resident.
     """
     cache_dir = _resolve(cache_dir)
-    if n == BIG_N:
-        return load(cache_dir)
     try:
         return load(cache_dir)
-    except (CatalogFormatError, CountMismatchError, OSError):
-        build_tier(n, cache_dir)
+    except (CatalogFormatError, CountMismatchError, OSError) as exc:
+        if n == BIG_N:
+            raise TierError(f"the {n}-voter tier cannot be read: {exc}") from exc
+    build_tier(n, cache_dir)
     return load(cache_dir)
 
 

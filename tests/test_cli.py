@@ -93,7 +93,7 @@ def test_cold_tables_open_no_process_pool(capsys, monkeypatch, tmp_path):
     data = run_json(capsys, "tables", "--n", "3..5", "--threads", "2", "--cache-dir", str(tmp_path))
     assert opened == []
     assert data["config"]["threads"] == 2
-    assert all(pipeline.tier_present(n, tmp_path) for n in range(3, 6))
+    assert all(p.exists() for n in range(3, 6) for p in pipeline._tier_paths(tmp_path, n).values())
     assert [row["games"] for row in data["results"]["rows"]] == [8, 25, 117] * 2
 
 
@@ -125,31 +125,109 @@ def test_short_store_file_rebuilds_the_tier(capsys, tmp_path):
     assert path.read_bytes() == good
 
 
-def test_big_tier_without_store_files_needs_long_running(capsys, monkeypatch, tmp_path):
-    """An 8-voter tier written before its store files existed is not
-    present, so commands that need it ask for --long-running.  A 3-voter
-    tier stands in for it."""
-    real = pipeline.tier_present
-    monkeypatch.setattr(pipeline, "tier_present", lambda n, cache: real(3 if n == pipeline.BIG_N else n, cache))
+def _no_big_build(monkeypatch):
     monkeypatch.setattr(pipeline, "build_big_tables", lambda *args, **kwargs: pytest.fail("built the 8-voter tier"))
     monkeypatch.delenv("VOTEKIT_LONG_RUNNING", raising=False)
+
+
+def test_big_tier_without_store_files_needs_long_running(capsys, monkeypatch, tmp_path):
+    """An 8-voter tier written before its store files existed cannot be
+    read, so commands that need it ask for --long-running, and exit 1 as
+    for a tier never built.  A 3-voter tier stands in for it."""
+    monkeypatch.setattr(pipeline, "BIG_N", 3)
+    _no_big_build(monkeypatch)
     pipeline.build_tier(3, tmp_path)
-    code, _, _ = run(capsys, "tables", "--n", "8", "--cache-dir", str(tmp_path))
+    code, _, _ = run(capsys, "tables", "--n", "3", "--cache-dir", str(tmp_path))
     assert code == EXIT_OK
     for klass in ("cg", "wg"):
         for kind in ("ssi", "pbi"):
             pipeline.store_path(tmp_path, klass, 3, kind).unlink()
-    code, _, err = run(capsys, "tables", "--n", "8", "--cache-dir", str(tmp_path))
-    assert code == EXIT_USAGE
-    assert "--long-running" in err
+    code, out, err = run(capsys, "tables", "--n", "3", "--cache-dir", str(tmp_path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "cg3.ssi.store.npy" in err and "--long-running" in err
 
 
 def test_tables_timing_covers_the_big_build(capsys, monkeypatch, tmp_path):
-    """The JSON timing of tables --n 8 counts the 8-voter build it starts."""
-    monkeypatch.setattr(pipeline, "tier_present", lambda n, cache: False)
-    monkeypatch.setattr(pipeline, "build_big_tables", lambda *args, **kwargs: time.sleep(0.2))
-    data = run_json(capsys, "tables", "--n", "8", "--long-running", "--cache-dir", str(tmp_path))
+    """The JSON timing of tables --n 8 counts the 8-voter build it starts.
+    A 3-voter tier stands in for it, built by the stub."""
+    monkeypatch.setattr(pipeline, "BIG_N", 3)
+
+    def build(cache_dir=None, workers=1, progress=None):
+        time.sleep(0.2)
+        return pipeline.build_tier(3, cache_dir)
+
+    monkeypatch.setattr(pipeline, "build_big_tables", build)
+    data = run_json(capsys, "tables", "--n", "3", "--long-running", "--cache-dir", str(tmp_path))
     assert data["timing"]["seconds"] >= 0.2
+    assert data["results"]["rows"][0]["games"] == 8
+
+
+# Each command that reads the 8-voter tier, and the file it reads first.
+BIG_TIER_COMMANDS = [
+    (["tables", "--n", "8"], "cg8.cat", "cg8.ssi.store.npy"),
+    (["enumerate", "--class", "wg", "--n", "8"], "wg8.cat", "wg8.ssi.store.npy"),
+    (["omega", "--n", "8"], "wg8.cert.npy", "wg8.cert.npy"),
+    (["inverse", "--target", "beta", "--n", "8", "--index", "ssi", "--mode", "exact"], "wg8.ssi.store.npy", "wg8.ssi.store.npy"),
+]
+
+
+def _empty_big_tier(cache):
+    for path in pipeline._tier_paths(cache, pipeline.BIG_N).values():
+        path.touch()
+
+
+def _short_big_tier(cache):
+    """The 8-voter tier files with valid headers: each catalog's header
+    alone, each .npy file one row short of the rows its header declares
+    (a sparse file)."""
+    n = pipeline.BIG_N
+    for klass in ("cg", "wg"):
+        pipeline.catalog_path(cache, klass, n).write_bytes(
+            enumeration.catalog_header(klass, n, certified.GAME_COUNTS[klass][n])
+        )
+    shapes = {pipeline.certificate_path(cache, n): (certified.GAME_COUNTS["wg"][n], n + 1)}
+    for kind in ("ssi", "pbi"):
+        shapes[pipeline.position_path(cache, n, kind)] = (certified.GAME_COUNTS["cg"][n], 1)
+        for klass in ("cg", "wg"):
+            shapes[pipeline.store_path(cache, klass, n, kind)] = (certified.DISTINCT_VECTOR_COUNTS[klass, kind][n], n + 2)
+    for path, (rows, cols) in shapes.items():
+        with open(path, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, {"descr": "<i8", "fortran_order": False, "shape": (rows, cols)})
+            fh.truncate(fh.tell() + 8 * cols * (rows - 1))
+
+
+@pytest.mark.parametrize("damage", [_empty_big_tier, _short_big_tier])
+def test_damaged_big_tier_exits_two_and_names_the_file(capsys, monkeypatch, tmp_path, damage):
+    """Every command that reads the 8-voter tier refuses a damaged one
+    with exit 2, naming the file it failed to read and --long-running,
+    and prints no count; none of them builds the tier."""
+    _no_big_build(monkeypatch)
+    damage(tmp_path)
+    for argv, empty, short in BIG_TIER_COMMANDS:
+        name = empty if damage is _empty_big_tier else short
+        code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert (code, out) == (EXIT_MISMATCH, ""), argv
+        assert str(tmp_path / name) in err and "--long-running" in err
+    code, _, err = run(capsys, "enumerate", "--class", "cg", "--n", "8", "--list", "--cache-dir", str(tmp_path))
+    assert code == EXIT_USAGE and "listing millions" in err
+
+
+@pytest.mark.parametrize("opt_in", ["flag", "env"])
+def test_long_running_rebuilds_a_damaged_big_tier_once(capsys, monkeypatch, tmp_path, opt_in):
+    """With the opt-in, a damaged 8-voter tier is built once, with
+    --threads workers, and read again; the stub builds nothing, so the
+    second read fails as the first did."""
+    _empty_big_tier(tmp_path)
+    monkeypatch.delenv("VOTEKIT_LONG_RUNNING", raising=False)
+    flag = ["--long-running"] if opt_in == "flag" else []
+    if opt_in == "env":
+        monkeypatch.setenv("VOTEKIT_LONG_RUNNING", "1")
+    for argv, _, _ in BIG_TIER_COMMANDS:
+        calls = []
+        monkeypatch.setattr(pipeline, "build_big_tables", lambda cache_dir, workers, progress: calls.append((cache_dir, workers)))
+        code, out, _ = run(capsys, *argv, *flag, "--threads", "2", "--cache-dir", str(tmp_path))
+        assert (code, out) == (EXIT_MISMATCH, ""), argv
+        assert calls == [(tmp_path, 2)], argv
 
 
 def test_enumerate_weighted_list(capsys):
@@ -284,7 +362,6 @@ def test_omega_at_eight_reports_every_64th_block_per_kind(capsys, monkeypatch, t
                 progress(kind, done, total)
         raise Stop
 
-    monkeypatch.setattr(pipeline, "tier_present", lambda n, cache: n == pipeline.BIG_N)
     monkeypatch.setattr(pipeline, "omega_tier", omega_tier)
     with pytest.raises(Stop):
         main(["omega", "--n", "8", "--cache-dir", str(tmp_path)])

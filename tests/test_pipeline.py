@@ -47,7 +47,6 @@ from votekit.pipeline import (
     position_path,
     store_path,
     tier_counts,
-    tier_present,
     weighted_store,
 )
 
@@ -481,7 +480,7 @@ def test_tier_without_store_files_is_rebuilt(tmp_path):
     for klass in ("cg", "wg"):
         for kind in KINDS:
             store_path(tmp_path, klass, 4, kind).unlink()
-    assert not tier_present(4, tmp_path)
+    assert not all(p.exists() for p in pipeline._tier_paths(tmp_path, 4).values())
     assert tier_counts("wg", 4, cache_dir=tmp_path) == (25, {"ssi": 11, "pbi": 12})
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
@@ -499,7 +498,6 @@ def test_build_tier_six_voters(tmp_path, monkeypatch):
         "wg.ssi": 536,
         "wg.pbi": 555,
     }
-    assert tier_present(6, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == tier_files(tmp_path, 6)
     assert seen[-1] == (1171, 1171)
     assert [d for d, _ in seen] == list(range(256, 1171, 256)) + [1171]
@@ -579,7 +577,6 @@ def test_big_build_mismatch_removes_partial_files(tmp_path, monkeypatch, inject)
     with pytest.raises(CountMismatchError) as err:
         build_tier(6, cache_dir=tmp_path)
     assert err.value.got in (1111, 555)
-    assert not tier_present(6, tmp_path)
     assert list(tmp_path.glob("*")) == []
 
 
@@ -654,15 +651,18 @@ def test_fetch_catalog_games_missing_index(tmp_path):
         fetch_catalog_games(path, [3, 25])
 
 
-def test_tier_present_requires_every_file(tmp_path):
-    build_tier(6, cache_dir=tmp_path)
-    assert tier_present(6, tmp_path)
-    for path in pipeline._tier_paths(tmp_path, 6).values():
-        saved = path.read_bytes()
-        path.unlink()
-        assert not tier_present(6, tmp_path)
-        path.write_bytes(saved)
-    assert tier_present(6, tmp_path)
+def test_unreadable_big_tier_raises_tier_error(tmp_path, monkeypatch):
+    """At 8 voters a loader builds nothing: a missing or damaged file
+    raises TierError, naming the file, with the reader's error as its
+    cause."""
+    monkeypatch.setattr(pipeline, "build_tier", lambda *args, **kwargs: pytest.fail("built a tier"))
+    with pytest.raises(pipeline.TierError, match="cg8.cat") as err:
+        tier_counts("cg", 8, cache_dir=tmp_path)
+    assert isinstance(err.value.__cause__, FileNotFoundError)
+    certificate_path(tmp_path, 8).touch()
+    with pytest.raises(pipeline.TierError, match="wg8.cert.npy: No data left") as err:
+        omega_tier(8, tmp_path)
+    assert isinstance(err.value.__cause__, CatalogFormatError)
 
 
 @settings(max_examples=60, deadline=None)

@@ -205,6 +205,15 @@ def test_pipeline_does_not_dedup_per_game_rows():
     assert [name for name in ("store_from_rows", "count_distinct_rows") if refs[name]] == []
 
 
+def test_cli_prints_only_counts_read_from_checked_tier_files():
+    """Every count the CLI prints comes from a loader that checks the tier
+    file behind it: cli references neither the frozen certified counts
+    nor a test of the tier files' mere presence.  The documented counts
+    beyond the last tier, quoted when it refuses them, are allowed."""
+    refs = _references(_modules(PACKAGE)["cli.py"])
+    assert [name for name in ("GAME_COUNTS", "DISTINCT_VECTOR_COUNTS", "tier_present") if refs[name]] == []
+
+
 def test_only_the_attaining_match_reads_per_game_rows():
     """Within pipeline, only the whole-tier check and omega's search for
     the attaining games read a position file, the one per-game file
