@@ -541,6 +541,7 @@ def cmd_inverse(args) -> int:
         search = padded_target_search(
             bases, args.n, metric, kind, budget=args.budget, seed=args.seed
         )
+        (mode,) = {res.mode.value for res in search.results}
         rows = []
         out = []
         for base, res in zip(bases, search.results):
@@ -549,7 +550,7 @@ def cmd_inverse(args) -> int:
             )
             out.append({"base": game_to_text(base), **_inverse_json(res)})
         rep.section(
-            f"padded bases from 7 to {args.n} voters ({search.mode.value})",
+            f"padded bases from 7 to {args.n} voters ({mode})",
             ["base game", "distance", "decimal", "found game"],
             rows,
         )
@@ -560,7 +561,7 @@ def cmd_inverse(args) -> int:
         )
         rep.results.update(
             {
-                "mode": search.mode.value,
+                "mode": mode,
                 "bound": str(search.bound),
                 "decimal": search.decimal,
                 "searches": out,

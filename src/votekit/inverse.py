@@ -610,7 +610,6 @@ class PaddedSearchReport:
     kind: str
     metric: Metric
     n: int
-    mode: InverseMode
     results: list[InverseResult]
     bound: Fraction
 
@@ -648,6 +647,4 @@ def padded_target_search(
         target = Target.from_vector(power_vector(add_null_voters(base, pad), kind))
         results.append(inverse_heuristic(target, metric, budget=budget, seed=seed))
     bound = max(r.distance for r in results)
-    return PaddedSearchReport(
-        kind=kind, metric=metric, n=n, mode=InverseMode.HEURISTIC_UPPER_BOUND, results=results, bound=bound
-    )
+    return PaddedSearchReport(kind=kind, metric=metric, n=n, results=results, bound=bound)

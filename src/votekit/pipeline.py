@@ -16,9 +16,12 @@ A tier holds what is known about the complete games with n voters,
 The catalogs and the certificate file are written the same way: each is
 opened with its header for the certified game count, and every chunk
 appends its rows to each (enumeration.catalog_records for the catalogs,
-raw int64 rows for the certificates).  The store and position files are
-the build's distinct-row accumulators, written once their counts are
-certified.  Every count is certified before any file is moved into
+raw int64 rows for the certificates).  Each index kind has one
+distinct-row accumulator over the complete games' vectors, and its cg
+store and position files are that accumulator's rows and positions; the
+wg store is the same store restricted to the weighted games, each rep the
+first weighted game at its row.  A store is written once its distinct
+count is certified.  Every count is certified before any file is moved into
 place, so a tier is only ever installed whole.  Tiers below 8 voters
 are built on first use and rebuilt when a file is missing or
 unreadable, in the calling process; the 8-voter tier takes minutes and
@@ -399,34 +402,27 @@ _UNIQUE_LIMIT = 1 << 21
 
 class _UniqueAccumulator:
     """Distinct rows of a huge matrix of cols columns, accumulated in
-    bounded memory, each with its rep: the index of the first matrix row
-    equal to it; and, when track is set, positions, one array per added
-    chunk, in row order, holding the position of each matrix row's
-    distinct row.
+    bounded memory, and positions, one array per added chunk, in row
+    order, holding the position of each matrix row's distinct row.
 
     Chunks are deduplicated on arrival and merged into the sorted base
-    whenever the pending pile grows past _UNIQUE_LIMIT rows.  Chunks
-    arrive in row order and a merge lists the base first, so the stable
-    sort in unique_rows keeps each row's smallest index.  Until the next
-    merge, a chunk's positions point into the merge's input, the base
+    whenever the pending pile grows past _UNIQUE_LIMIT rows.  Until the
+    next merge, a chunk's positions point into the merge's input, the base
     followed by the pending rows; each merge maps every array through its
     inverse, in place, so that no more than one chunk's copy is held.
     """
 
-    def __init__(self, cols: int, track: bool = True):
+    def __init__(self, cols: int):
         self.base = np.empty((0, cols), dtype=np.int64)
-        self.reps = np.empty(0, dtype=np.int64)
-        self.pending: list[tuple[np.ndarray, np.ndarray]] = []
+        self.pending: list[np.ndarray] = []
         self.pending_rows = 0
-        self.track = track
         self.positions: list[np.ndarray] = []
 
-    def add(self, rows: np.ndarray, offset: int) -> None:
-        """Take rows offset, offset + 1, ... of the matrix."""
-        u, first, inverse = unique_rows(rows)
-        if self.track:
-            self.positions.append(inverse + (len(self.base) + self.pending_rows))
-        self.pending.append((u, first + offset))
+    def add(self, rows: np.ndarray) -> None:
+        """Take the matrix's next rows."""
+        u, _, inverse = unique_rows(rows)
+        self.positions.append(inverse + (len(self.base) + self.pending_rows))
+        self.pending.append(u)
         self.pending_rows += len(u)
         if self.pending_rows >= _UNIQUE_LIMIT:
             self.compact()
@@ -434,17 +430,19 @@ class _UniqueAccumulator:
     def compact(self) -> None:
         if not self.pending:
             return
-        rows, reps = (np.concatenate(part) for part in zip((self.base, self.reps), *self.pending))
-        self.base, first, inverse = unique_rows(rows)
-        self.reps = reps[first]
+        self.base, _, inverse = unique_rows(np.concatenate([self.base, *self.pending]))
         for p in self.positions:
             p[:] = inverse[p]
         self.pending = []
         self.pending_rows = 0
 
-    def count(self) -> int:
+    def store(self, picked) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, reps) of the distinct rows among the picked matrix rows,
+        an increasing index array or a slice: rows their increasing
+        indices in base, so in lexicographic order, and reps for each the
+        index among the picked rows of the first equal to it."""
         self.compact()
-        return len(self.base)
+        return np.unique(np.concatenate(self.positions)[picked], return_index=True)
 
 
 def _check_certificates(n: int, certs: np.ndarray, tables: np.ndarray, widx: list[int]) -> None:
@@ -477,12 +475,11 @@ def _classify(n, win, lose, pool, workers):
     return np.concatenate([f for f, _ in parts]), np.concatenate([c for _, c in parts])
 
 
-def _write_chunk(n, tables, pool, workers, files, accs, counts) -> int:
+def _write_chunk(n, tables, pool, workers, files, accs) -> np.ndarray:
     """Classify one chunk of complete games, append it to the streamed
-    catalogs and certificates and its vectors to the accumulators, its
-    first game and first weighted game at catalog indices counts["cg"] and
-    counts["wg"]; returns how many of them are weighted.  Kept apart so
-    that the chunk's arrays are freed before the next one."""
+    catalogs and certificates and its vectors to the accumulators, one per
+    index kind; returns the indices in the chunk of its weighted games.
+    Kept apart so that the chunk's arrays are freed before the next one."""
     ssi_nums, ssi_den = batch_ssi_numerators(tables)
     pbi_nums = batch_swing_counts(tables)
     vectors = {
@@ -500,10 +497,9 @@ def _write_chunk(n, tables, pool, workers, files, accs, counts) -> int:
     catalog_records(n, win).tofile(files["cg.cat"])
     catalog_records(n, win[widx]).tofile(files["wg.cat"])
     for kind, rows in vectors.items():
-        accs[f"cg.{kind}"].add(rows, counts["cg"])
-        accs[f"wg.{kind}"].add(rows[widx], counts["wg"])
+        accs[kind].add(rows)
     certs.astype("<i8", copy=False).tofile(files["wg.cert"])
-    return len(widx)
+    return widx
 
 
 def _write_npy_header(fh, rows: int, cols: int) -> None:
@@ -522,12 +518,14 @@ def _write_rows(path: Path, shape: tuple[int, int], blocks: Iterable[np.ndarray]
 def _write_tier(n, tmps, workers, progress) -> dict[str, int]:
     """Stream every complete game with n voters into the temp catalog and
     certificate files, each opened with its header for the certified game
-    count, then write each store file once its distinct count is
-    certified, and the cg position files.  With workers > 1, one process
-    pool classifies every chunk."""
+    count, and its vectors into one accumulator per index kind.  Then
+    write each store file once its distinct count is certified: the cg
+    store is the accumulator's, the wg store the same store restricted to
+    the weighted games; and the cg position files.  With workers > 1, one
+    process pool classifies every chunk."""
     expected = {klass: certified.GAME_COUNTS[klass][n] for klass in _CLASSES}
-    # Only the cg positions are written, one file per index kind.
-    accs = {f"{klass}.{kind}": _UniqueAccumulator(n + 1, track=klass == "cg") for klass in _CLASSES for kind in KINDS}
+    accs = {kind: _UniqueAccumulator(n + 1) for kind in KINDS}
+    weighted = []
     with ExitStack() as stack:
         pool = None
         if workers > 1:
@@ -542,24 +540,29 @@ def _write_tier(n, tmps, workers, progress) -> dict[str, int]:
         _write_npy_header(files["wg.cert"], expected["wg"], n + 1)
         counts = dict.fromkeys(_CLASSES, 0)
         for tables in iter_complete_chunks(n):
-            counts["wg"] += _write_chunk(n, tables, pool, workers, files, accs, counts)
+            widx = _write_chunk(n, tables, pool, workers, files, accs)
+            weighted.append(widx + counts["cg"])
+            counts["wg"] += len(widx)
             counts["cg"] += len(tables)
             if progress is not None:
                 progress(counts["cg"], expected["cg"])
 
     for klass in _CLASSES:
         check_certified_count(klass, n, counts[klass])
-    for key, acc in accs.items():
-        klass, kind = key.split(".")
-        got = acc.count()
-        counts[key] = got
-        want = certified.DISTINCT_VECTOR_COUNTS[klass, kind].get(n)
-        if want is not None and got != want:
-            raise CountMismatchError(f"distinct {kind} vectors over {klass} ({n} voters)", want, got)
-        blocks = (np.column_stack([acc.base[a : a + _SCAN], acc.reps[a : a + _SCAN]]) for a in range(0, got, _SCAN))
-        _write_rows(tmps[f"{key}.store"], (got, n + 2), blocks)
-        if klass == "cg":
-            _write_rows(tmps[f"{key}.pos"], (counts["cg"], 1), acc.positions)
+    # The weighted games' catalog indices among the complete games.
+    picks = {"cg": slice(None), "wg": np.concatenate(weighted)}
+    for klass in _CLASSES:
+        for kind, acc in accs.items():
+            key = f"{klass}.{kind}"
+            rows, reps = acc.store(picks[klass])
+            got = counts[key] = len(rows)
+            want = certified.DISTINCT_VECTOR_COUNTS[klass, kind].get(n)
+            if want is not None and got != want:
+                raise CountMismatchError(f"distinct {kind} vectors over {klass} ({n} voters)", want, got)
+            blocks = (np.column_stack([acc.base[rows[a : a + _SCAN]], reps[a : a + _SCAN]]) for a in range(0, got, _SCAN))
+            _write_rows(tmps[f"{key}.store"], (got, n + 2), blocks)
+            if klass == "cg":
+                _write_rows(tmps[f"{key}.pos"], (counts["cg"], 1), acc.positions)
     return counts
 
 
@@ -611,8 +614,8 @@ def build_big_tables(
     workers: int = 1,
     progress: Callable[[int, int], None] | None = None,
 ) -> dict[str, int]:
-    """The 8-voter tier: 493 s with workers=2 on 2 vCPUs, at a peak of
-    3.77 GB.  See build_tier."""
+    """The 8-voter tier: 280 s with workers=2 on 2 vCPUs, at a peak of
+    3.2 GB (BENCH_build8.json).  See build_tier."""
     return build_tier(BIG_N, cache_dir, workers, progress)
 
 

@@ -164,7 +164,7 @@ def test_padded_search_exact_against_catalog(stores):
 def test_padded_search_heuristic_mode():
     base = parse_game("[3;2,1,1]")
     rep = padded_target_search([base], 5, Metric.L1, "ssi", budget=120, seed=0)
-    assert rep.mode is InverseMode.HEURISTIC_UPPER_BOUND
+    assert all(r.mode is InverseMode.HEURISTIC_UPPER_BOUND for r in rep.results)
     assert rep.bound == max(r.distance for r in rep.results)
     with pytest.raises(ValueError):
         padded_target_search([], 5, Metric.L1, "ssi")

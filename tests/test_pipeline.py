@@ -60,33 +60,25 @@ def tier_files(cache, n):
 def test_unique_accumulator_counts_distinct_rows(monkeypatch):
     monkeypatch.setattr(pipeline, "_UNIQUE_LIMIT", 4)
     acc = _UniqueAccumulator(2)
-    acc.add(np.array([[3, 4], [1, 2], [1, 2]], dtype=np.int64), 0)
-    acc.add(np.array([[3, 4], [5, 6]], dtype=np.int64), 3)  # forces a compaction
-    acc.add(np.array([[1, 2], [7, 8]], dtype=np.int64), 5)
-    assert acc.count() == 4
+    acc.add(np.array([[3, 4], [1, 2], [1, 2]], dtype=np.int64))
+    acc.add(np.array([[3, 4], [5, 6]], dtype=np.int64))  # forces a compaction
+    acc.add(np.array([[1, 2], [7, 8]], dtype=np.int64))
+    rows, reps = acc.store(slice(None))
     assert acc.pending == [] and acc.pending_rows == 0
     # reps stay the first indices across compactions
-    assert acc.base.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
-    assert acc.reps.tolist() == [1, 0, 4, 6]
-    # count() is idempotent and later adds still merge correctly
-    assert acc.count() == 4
-    acc.add(np.array([[9, 9], [5, 6]], dtype=np.int64), 7)
-    assert acc.count() == 5
-    assert acc.reps.tolist() == [1, 0, 4, 6, 7]
+    assert acc.base[rows].tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
+    assert reps.tolist() == [1, 0, 4, 6]
+    # store() is idempotent and later adds still merge correctly
+    assert [a.tolist() for a in acc.store(slice(None))] == [rows.tolist(), reps.tolist()]
+    acc.add(np.array([[9, 9], [5, 6]], dtype=np.int64))
+    rows, reps = acc.store(slice(None))
+    assert len(rows) == 5
+    assert reps.tolist() == [1, 0, 4, 6, 7]
     assert np.concatenate(acc.positions).tolist() == [1, 0, 0, 1, 2, 0, 3, 4, 2]
-
-
-def test_untracked_accumulator_keeps_no_positions():
-    """Without tracking, the accumulator holds no positions and ends with
-    the same distinct rows and reps."""
-    chunks = [np.array([[3, 4], [1, 2], [1, 2]]), np.array([[3, 4], [5, 6]])]
-    accs = [_UniqueAccumulator(2), _UniqueAccumulator(2, track=False)]
-    for acc in accs:
-        for offset, chunk in zip((0, 3), chunks):
-            acc.add(chunk.astype(np.int64), offset)
-        acc.count()
-    assert [len(acc.positions) for acc in accs] == [2, 0]
-    assert np.array_equal(accs[0].base, accs[1].base) and np.array_equal(accs[0].reps, accs[1].reps)
+    # picked rows keep only their own distinct rows, with reps among them
+    rows, reps = acc.store(np.array([0, 3, 4, 8]))
+    assert acc.base[rows].tolist() == [[3, 4], [5, 6]]
+    assert reps.tolist() == [0, 2]
 
 
 @settings(max_examples=80, deadline=None)
@@ -96,13 +88,16 @@ def test_untracked_accumulator_keeps_no_positions():
     ),
     st.lists(st.integers(1, 9), min_size=1, max_size=60),
     st.integers(1, 8),
+    st.randoms(use_true_random=False),
 )
-def test_unique_accumulator_tracks_positions_across_compactions(matrix, sizes, limit):
+def test_unique_accumulator_tracks_positions_across_compactions(matrix, sizes, limit, rng):
     """Fed a random matrix in random chunks, with a merge whenever a few
     distinct rows pend, the accumulator ends with the matrix's distinct
     rows, each rep the first row equal to it, and each row's position
-    that of its distinct row."""
+    that of its distinct row; restricted to a random subset of each
+    chunk, its store is that subset's distinct rows and first indices."""
     rows = np.array(matrix, dtype=np.int64)
+    picked = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "_UNIQUE_LIMIT", limit)
         acc = _UniqueAccumulator(rows.shape[1])
@@ -110,13 +105,35 @@ def test_unique_accumulator_tracks_positions_across_compactions(matrix, sizes, l
         for size in sizes * len(rows):
             if start >= len(rows):
                 break
-            acc.add(rows[start : start + size], start)
+            chunk = rows[start : start + size]
+            acc.add(chunk)
+            picked += [i for i in range(start, start + len(chunk)) if rng.random() < 0.5]
             start += size
-        acc.count()
+        full, reps = acc.store(slice(None))
+        picked = np.array(picked, dtype=np.int64)
+        some, some_reps = acc.store(picked)
     uniq, first, inverse = unique_rows(rows)
-    assert np.array_equal(acc.base, uniq)
-    assert np.array_equal(acc.reps, first)
+    assert np.array_equal(acc.base[full], uniq)
+    assert np.array_equal(reps, first)
     assert np.array_equal(np.concatenate(acc.positions), inverse)
+    uniq, first, _ = unique_rows(rows[picked])
+    assert np.array_equal(acc.base[some], uniq)
+    assert np.array_equal(some_reps, first)
+
+
+def test_tier_build_keeps_one_accumulator_per_index_kind(tmp_path, monkeypatch):
+    """The weighted stores are cut from the complete stores, so a build
+    deduplicates each index kind once."""
+    made = []
+
+    class Counted(_UniqueAccumulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(pipeline, "_UniqueAccumulator", Counted)
+    build_tier(5, tmp_path)
+    assert len(made) == len(KINDS)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
