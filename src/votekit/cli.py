@@ -675,7 +675,7 @@ def build_parser() -> _ArgumentParser:
     cachep.add_argument(
         "--long-running",
         action="store_true",
-        help="opt in to the 8-voter build, about 8 minutes and 4 GB (or set VOTEKIT_LONG_RUNNING=1)",
+        help="opt in to the 8-voter build, about 280 s and 3.2 GB with --threads 2 (or set VOTEKIT_LONG_RUNNING=1)",
     )
 
     capp = argparse.ArgumentParser(add_help=False)
@@ -756,7 +756,7 @@ def main(argv=None) -> int:
     except pipeline.TierError as exc:
         print(
             f"votekit: {exc}; pass --long-running (or set VOTEKIT_LONG_RUNNING=1) to build "
-            "the tier, about 8 minutes with --threads 2 and 4 GB of memory",
+            "the tier, about 280 s with --threads 2 and 3.2 GB of memory",
             file=sys.stderr,
         )
         return EXIT_USAGE if isinstance(exc.__cause__, FileNotFoundError) else EXIT_MISMATCH

@@ -923,16 +923,18 @@ def _prefix_counts(n: int) -> np.ndarray:
 def _difference_systems(n: int, win: np.ndarray, lose: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per game (a row of win and lose), exactlp.solve_block's (coeffs,
     rhs): its shift-minimal winning rows, then its shift-maximal losing
-    ones a unit below the quota, each in ascending mask order."""
+    ones a unit below the quota, each in ascending mask order.  Every
+    entry is a prefix count, at most n, or -1, 0 or 1, so both are int8."""
     games = len(win)
     n_win = win.sum(axis=1)
     rows = int((n_win + lose.sum(axis=1)).max(initial=0))
-    coeffs = np.zeros((games, rows, n + 1), dtype=np.int64)
-    rhs = np.zeros((games, rows), dtype=np.int64)
+    coeffs = np.zeros((games, rows, n + 1), dtype=np.int8)
+    rhs = np.zeros((games, rows), dtype=np.int8)
+    counts = _prefix_counts(n).astype(np.int8)
     for family, sign, offset in ((win, 1, np.zeros_like(n_win)), (lose, -1, n_win)):
         g, mask = np.nonzero(family)
         pos = np.arange(len(g)) - np.searchsorted(g, g) + offset[g]
-        coeffs[g, pos, :n] = sign * _prefix_counts(n)[mask]
+        coeffs[g, pos, :n] = sign * counts[mask]
         coeffs[g, pos, n] = -sign
         if sign < 0:
             rhs[g, pos] = 1

@@ -24,11 +24,11 @@ first weighted game at its row.  A store is written once its distinct
 count is certified.  Every count is certified before any file is moved into
 place, so a tier is only ever installed whole.  Tiers below 8 voters
 are built on first use and rebuilt when a file is missing or
-unreadable, in the calling process; the 8-voter tier takes minutes and
-close to 4 GB, and is built only by build_big_tables: a loader that
-finds one of its files missing or damaged raises TierError.  build_tier and
-build_big_tables are the only calls that take a worker count, for a
-process pool that pays off only at 8 voters.
+unreadable, in the calling process; the 8-voter tier takes about 280 s
+and 3.2 GB with two workers, and is built only by build_big_tables: a
+loader that finds one of its files missing or damaged raises TierError.
+build_tier and build_big_tables are the only calls that take a worker
+count, for a process pool that pays off only at 8 voters.
 
 Each tier file has one reader, and the reader checks what it returns:
 _checked_catalog a catalog's header (enumeration's block walker checks

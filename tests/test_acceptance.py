@@ -9,7 +9,7 @@ n >= 9 heuristic to the stated reference tolerances with a hard floor
 and a soft warning, since that search is an upper bound, not a
 certificate.
 
-Criterion 6 is the n = 8 tier, minutes and about 4 GB, and only runs when
+Criterion 6 is the n = 8 tier, minutes and about 3.2 GB, and only runs when
 VOTEKIT_LONG_RUNNING=1; it reuses an existing n = 8 cache when the
 environment pointed at one before the suite isolated itself.
 """
@@ -337,7 +337,7 @@ def test_criterion_6_gaps_at_eight(criterion, cache_dir):
     with criterion("6 gaps at n=8") as info:
         # Prefer a cache that already holds the n = 8 tier: the isolated
         # session cache, else whatever VOTEKIT_CACHE pointed at before
-        # isolation (building fresh takes about 8 minutes on two cores).
+        # isolation (building fresh takes about 280 s on two cores).
         candidates = [Path(cache_dir)]
         outside = os.environ.get("VOTEKIT_CACHE_PREISOLATION")
         if outside:

@@ -170,8 +170,8 @@ def test_block_answers_match_solving_alone(case):
 
 
 def _tall_systems(num_vars):
-    """Up to 17 rows with small entries: odd widths, several tournament
-    rounds and ties in the ratio test."""
+    """Up to 17 rows with small entries: odd heights and ties in the ratio
+    test."""
     row = st.tuples(st.lists(st.integers(-2, 2), min_size=num_vars, max_size=num_vars), st.integers(0, 2))
     return st.lists(row, max_size=17)
 
@@ -183,12 +183,66 @@ def _tall_systems(num_vars):
     )
 )
 def test_ratio_test_tournament_pivots_like_a_row_scan(case):
-    """The tournament picks the leaving row that the one-system solver's
-    row-by-row scan picks, so every answer is its vertex, in any block."""
+    """The ratio test (the int16 rung's rank lookup, at these entries)
+    picks the leaving row that the one-system solver's row-by-row scan
+    picks, so every answer is its vertex, in any block."""
     num_vars, systems = case
     expected = [simplex_one_system(num_vars, s) for s in systems]
     assert _answers(num_vars, systems) == expected
     assert [solve_nonneg_geq(num_vars, s) for s in systems] == expected
+
+
+def test_ratio_ranks_order_every_int16_ratio_exactly():
+    """The rank table orders all 128 * 127 ratios r / t with 0 <= r < 2**7
+    and 0 < t < 2**7 as Fraction does, equal ratios sharing a rank, and
+    puts t = 0 above them all."""
+    keys = exactlp._ratio_keys()
+    assert not keys.flags.writeable
+    assert not (keys & 0xFFFFFFFF).any()
+    ratios = sorted((Fraction(r, t), r << 7 | t) for r in range(128) for t in range(1, 128))
+    for (a, i), (b, j) in zip(ratios, ratios[1:]):
+        assert keys[i] < keys[j] if a < b else keys[i] == keys[j]
+    assert len(set(keys[[i for _, i in ratios]].tolist())) == len({a for a, _ in ratios})
+    assert (keys[np.arange(128) << 7] > keys[ratios[-1][1]]).all()
+
+
+def _scan_rows(t, r, basis):
+    """The leaving row and pivot of each system (a column) by a row scan
+    over exact fractions, as one system alone would pick them."""
+    rows, pivots = [], []
+    for ts, rs, bs in zip(t.T.tolist(), r.T.tolist(), basis.T.tolist()):
+        eligible = [(Fraction(ri, ti), bi, i) for i, (ti, ri, bi) in enumerate(zip(ts, rs, bs)) if ti > 0]
+        row = min(eligible)[2] if eligible else bs.index(min(bs))
+        rows.append(row)
+        pivots.append(max(ts[row], 0))
+    return rows, pivots
+
+
+# Entries that make ties and ineligible rows likely, and extremes of the rung.
+_INT16_T = st.one_of(st.sampled_from([-127, -1, 0, 1, 2, 3, 4, 127]), st.integers(-127, 127))
+_INT16_R = st.one_of(st.sampled_from([0, 1, 2, 4, 6, 127]), st.integers(0, 127))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_ranked_ratio_test_picks_the_tournaments_rows(data):
+    """On int16-range tableaux the rank lookup returns the tournament's
+    (row, pivot) for every system, and both are a row scan's; the last
+    system has no row with t > 0 and reads pivot 0."""
+    m, systems = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 6))
+
+    def entries(values):
+        return np.array(data.draw(st.lists(values, min_size=m * systems, max_size=m * systems))).reshape(m, systems)
+
+    t, r = entries(_INT16_T), entries(_INT16_R)
+    t = np.column_stack([t, -np.abs(t[:, 0])]).astype(np.int16)
+    r = np.column_stack([r, r[:, 0]]).astype(np.int16)
+    basis = np.array([data.draw(st.permutations(range(2 * m)))[:m] for _ in range(systems + 1)]).T
+    ranked = exactlp._ranked_rows(t, r, basis)
+    tournament = exactlp._tournament_rows(t, r, basis)
+    assert ranked[1].dtype == tournament[1].dtype == np.int16
+    assert [a.tolist() for a in ranked] == [a.tolist() for a in tournament] == list(_scan_rows(t, r, basis))
+    assert ranked[1][-1] == 0
 
 
 def test_overflow_guard_continues_in_python_integers():
@@ -266,6 +320,17 @@ def test_blocks_crossing_rungs_pivot_like_one_system(base, data):
     expected = [simplex_one_system(num_vars, s) for s in systems]
     assert _answers(num_vars, systems) == expected
     assert [solve_nonneg_geq(num_vars, s) for s in systems] == expected
+
+
+@pytest.mark.parametrize("big", [100, 127, 1 << 14])
+def test_one_system_over_one_variable_keeps_its_negated_rows(big):
+    """x >= 1, 0 >= 0, -x >= 0 and big * x >= 1 is infeasible only through
+    -x >= 0, a row with b = 0 that the tableau stores negated; a block of
+    one system over one variable must negate it too."""
+    rows = [([1], 1), ([0], 0), ([-1], 0), ([big], 1)]
+    assert simplex_one_system(1, rows) is None
+    assert solve_nonneg_geq(1, rows) is None
+    assert _answers(1, [rows]) == [None]
 
 
 def _recorded_rungs(monkeypatch) -> list[str]:

@@ -241,6 +241,20 @@ def test_each_weightedness_lp_entry_has_one_caller():
     assert found == []
 
 
+def test_exactlp_uses_no_floats():
+    """No float enters a decision of the exact solver: exactlp.py has no
+    true division, and no name or attribute that names a float type or
+    numpy's true division."""
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / "exactlp.py").read_text())):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"line {node.lineno}: /")
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else ""
+        if "float" in name.lower() or name in ("divide", "true_divide"):
+            found.append(f"line {node.lineno}: {name}")
+    assert found == []
+
+
 # Shift-order helpers, and per module the functions that may reference
 # them (None: any): one family extractor serves chunks and single games,
 # and the per-mask cover table serves the enumeration DFS alone.
