@@ -52,21 +52,17 @@ from .geometry import (
 from .indices import (
     KINDS,
     PowerVector,
-    SwingCounts,
     decimal_str,
     pbi,
     pbi_dp,
     power_vector,
     ssi,
     ssi_dp,
-    swing_counts,
-    swing_counts_dp,
 )
 from .inverse import (
     InverseMode,
     InverseResult,
     PaddedSearchReport,
-    Target,
     beta_target,
     inverse_exact,
     inverse_heuristic,
@@ -102,8 +98,6 @@ __all__ = [
     "Metric",
     "PaddedSearchReport",
     "PowerVector",
-    "SwingCounts",
-    "Target",
     "VectorStore",
     "WeightedGame",
     "add_null_voters",
@@ -145,8 +139,6 @@ __all__ = [
     "ssi",
     "ssi_dp",
     "store_from_rows",
-    "swing_counts",
-    "swing_counts_dp",
     "to_explicit",
     "weighted_store",
 ]

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import certified, pipeline
 from .certified import CountMismatchError
-from .council import council_game, parse_populations
+from .council import council_game, parse_populations, population_shares
 from .enumeration import enumerate_simple4
 from .games import (
     MAX_EXPLICIT_VOTERS,
@@ -41,7 +41,6 @@ from .geometry import Metric, distance
 from .indices import KINDS, MAX_DP_VOTERS, decimal_str, pbi_dp, power_vector, ssi_dp
 from .inverse import (
     InverseResult,
-    Target,
     beta_target,
     inverse_exact,
     inverse_heuristic,
@@ -505,7 +504,7 @@ def _render_inverse(rep: _Report, res: InverseResult, label: str) -> dict:
     )
     pairs = [
         [i + 1, t, decimal_str(t), a, decimal_str(a)]
-        for i, (t, a) in enumerate(zip(res.target.values, res.vector.fractions()))
+        for i, (t, a) in enumerate(zip(res.target.fractions(), res.vector.fractions()))
     ]
     rep.section(
         "target vs achieved",
@@ -519,7 +518,7 @@ def _render_inverse(rep: _Report, res: InverseResult, label: str) -> dict:
         "decimal": res.decimal,
         "game": game_text,
         "vector": _vec_json(res.vector),
-        "target": [str(v) for v in res.target.values],
+        "target": [str(v) for v in res.target.fractions()],
         "evaluations": res.evaluations,
         "seed": res.seed,
     }
@@ -578,8 +577,7 @@ def cmd_inverse(args) -> int:
         if not args.populations:
             raise _UsageError("--target eu needs --populations FILE")
         _, game = _council(args)
-        vec = _auto_vector(game, _single_kind(args), args.state_cap)
-        target = Target.from_vector(vec)
+        target = _auto_vector(game, _single_kind(args), args.state_cap)
     else:
         with _input_errors():
             target = parse_target_file(Path(args.target).read_text(), normalize=args.normalize)
@@ -634,7 +632,7 @@ def _council(args):
 
 def cmd_eu(args) -> int:
     pops, game = _council(args)
-    shares = game.parts[0].parts[1].weights
+    shares = population_shares([p for _, p in pops], args.quantize)
     kinds = _pick_kinds(args)
     vecs = {k: _auto_vector(game, k, args.state_cap) for k in kinds}
     rep = _Report(_config(args, quantize=args.quantize, members=len(pops)))

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .games import BoolCombo, WeightedGame
 
-__all__ = ["parse_populations", "council_game"]
+__all__ = ["parse_populations", "population_shares", "council_game"]
 
 
 def parse_populations(text: str) -> list[tuple[str, int]]:
@@ -51,6 +51,22 @@ def parse_populations(text: str) -> list[tuple[str, int]]:
     return out
 
 
+def population_shares(populations: Sequence[int], quantize: int | None = None) -> list[Fraction]:
+    """Each member's share of the total population, exact, or rounded
+    half up to multiples of 1/quantize when quantize is set."""
+    if any(p <= 0 for p in populations):
+        raise ValueError("populations must be positive")
+    total = sum(populations)
+    if quantize is None:
+        return [Fraction(p, total) for p in populations]
+    if quantize < 1:
+        raise ValueError("quantize must be a positive grid size")
+    shares = [Fraction((p * quantize * 2 + total) // (2 * total), quantize) for p in populations]
+    if all(s == 0 for s in shares):
+        raise ValueError("quantization grid too coarse: every share rounded to zero")
+    return shares
+
+
 def council_game(populations: Sequence[int], quantize: int | None = None) -> BoolCombo:
     """The council rule for the given member populations.
 
@@ -61,17 +77,7 @@ def council_game(populations: Sequence[int], quantize: int | None = None) -> Boo
     n = len(populations)
     if n < 4:
         raise ValueError("the council rule needs at least four members")
-    if any(p <= 0 for p in populations):
-        raise ValueError("populations must be positive")
-    total = sum(populations)
-    if quantize is None:
-        shares = [Fraction(p, total) for p in populations]
-    else:
-        if quantize < 1:
-            raise ValueError("quantize must be a positive grid size")
-        shares = [Fraction((p * quantize * 2 + total) // (2 * total), quantize) for p in populations]
-        if all(s == 0 for s in shares):
-            raise ValueError("quantization grid too coarse: every share rounded to zero")
+    shares = population_shares(populations, quantize)
     ones = [Fraction(1)] * n
     members = WeightedGame(Fraction(55, 100) * n, ones)
     population = WeightedGame(Fraction(65, 100) * sum(shares), shares)

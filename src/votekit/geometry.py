@@ -7,8 +7,10 @@ decision compares integer distances by exact cross-multiplication, in int64
 where a bound on the magnitudes rules out overflow and in Python integers
 otherwise; ties go to the lexicographically smallest vector.
 
-VectorStore.nearest scans every stored row in one vectorized pass and
-builds nothing else.  GapQueries takes distinct reduced query rows, such
+VectorStore.nearest and VectorStore.index_of take an indices.PowerVector
+of the store's kind and voter count, whose key() is its reduced row, and
+refuse any other.  nearest scans every stored row in one vectorized pass
+and builds nothing else.  GapQueries takes distinct reduced query rows, such
 as a block of a tier's stored vectors, answers the exact hits in bulk by
 binary search and sends the misses together down a flat k-d tree over keys
 floor(x * scale), exact on the n! grid for Shapley-Shubik, 2**20-scaled
@@ -320,11 +322,18 @@ class VectorStore:
             self._sorted_keys = _row_keys(self.rows)
         return _lookup(self._sorted_keys, _row_keys(rows))
 
-    def index_of(self, nums: Sequence[int], den: int) -> int | None:
+    def _query(self, vector: PowerVector) -> tuple[int, ...]:
+        """The vector's reduced row, if it is of the store's kind and
+        voter count."""
+        if (vector.kind, vector.n) != (self.kind, self.n):
+            raise ValueError(
+                f"cannot query a store of {self.n}-voter {self.kind} vectors with a {vector.n}-voter {vector.kind} vector"
+            )
+        return vector.key()
+
+    def index_of(self, vector: PowerVector) -> int | None:
         """Store index of this exact vector, or None."""
-        g = math.gcd(int(den), *(int(x) for x in nums))
-        row = np.array([[int(x) // g for x in nums] + [int(den) // g]], dtype=np.int64)
-        i = int(self.find_rows(row)[0])
+        i = int(self.find_rows(np.array([self._query(vector)], dtype=np.int64))[0])
         return i if i >= 0 else None
 
     @cached_property
@@ -379,20 +388,17 @@ class VectorStore:
         (num,), pden = _dists(rows, q[:, None, :], self.n, (l1,))
         return num, pden * q[:, self.n, None]
 
-    def nearest(
-        self, nums: Sequence[int], den: int, metric: Metric, stop_below: Fraction | None = None
-    ) -> NearestResult:
-        """Closest stored vector to nums/den: one exact scan of every row.
+    def nearest(self, vector: PowerVector, metric: Metric, stop_below: Fraction | None = None) -> NearestResult:
+        """Closest stored vector to this one: one exact scan of every row.
 
         Ties resolve to the lexicographically smallest vector.  The result
         is flagged as aborted when stop_below is given and the distance is
         strictly below it, where a search may give up on a query.
         """
+        key = self._query(vector)
         if not len(self.rows):
             raise ValueError("empty store")
-        g = math.gcd(int(den), *(int(x) for x in nums))
-        q = [int(x) // g for x in nums] + [int(den) // g]
-        q = np.array(q, dtype=self._dtype(max(map(abs, q))))
+        q = np.array(key, dtype=self._dtype(max(key)))
         tied, num, dist_den = self._closest(self.rows, np.arange(len(self.rows)), q, metric is Metric.L1)
         dist = Fraction(num, dist_den)
         return NearestResult(self._lex_first(tied), dist, stop_below is not None and dist < stop_below)

@@ -8,7 +8,14 @@ to winning by one voter joining):
 * the (normalized) Penrose-Banzhaf index, raw swing counts divided by
   their total.
 
-Everything is exact: vectors are integer numerators over one denominator.
+Everything is exact.  PowerVector is the one type for a point on the
+probability simplex: computed indices, inverse targets and store
+queries alike.  It keeps its integer numerators over one denominator as
+given, so pbi(g).nums are the raw swing counts and pbi(g).den their
+total; key() is the reduced form.  One builder (_from_profile) turns each
+voter's swings by coalition size into either index, for the table and
+the DP paths alike.
+
 Small games go through the full outcome table.  Weighted games and
 and/or combinations of them have a dynamic-programming path that scales
 to dozens of voters.  It counts coalitions by size and weight sum, with
@@ -36,6 +43,7 @@ matrix.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
@@ -55,12 +63,9 @@ from .games import (
 __all__ = [
     "KINDS",
     "PowerVector",
-    "SwingCounts",
-    "swing_counts",
     "ssi",
     "pbi",
     "power_vector",
-    "swing_counts_dp",
     "ssi_dp",
     "pbi_dp",
     "batch_swing_counts",
@@ -77,9 +82,9 @@ class PowerVector:
     """An exact power distribution: integer numerators over one denominator.
 
     Entries are nonnegative and sum to the denominator, so the vector lies
-    on the probability simplex.  Equality and hashing go through the
-    reduced form, so the same distribution compares equal regardless of
-    scaling.
+    on the probability simplex.  The numerators are kept as given;
+    equality and hashing go through the reduced form, so the same
+    distribution compares equal regardless of scaling.
     """
 
     __slots__ = ("kind", "nums", "den", "_key")
@@ -105,7 +110,9 @@ class PowerVector:
         return len(self.nums)
 
     def key(self) -> tuple[int, ...]:
-        """Numerators and denominator in lowest common terms."""
+        """Numerators and denominator in lowest common terms: x / g over
+        d / g for numerators x over d, with g = gcd(d, x1, ..., xn).  d / g
+        is the lcm of the reduced entries' denominators."""
         if self._key is None:
             g = math.gcd(self.den, *self.nums)
             self._key = tuple(x // g for x in self.nums) + (self.den // g,)
@@ -133,39 +140,6 @@ class PowerVector:
     def __repr__(self):
         vals = ", ".join(decimal_str(f) for f in self.fractions())
         return f"PowerVector({self.kind}, [{vals}])"
-
-
-class SwingCounts:
-    """Raw swing counts per voter, before normalization."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: Sequence[int]):
-        self.counts = tuple(int(c) for c in counts)
-        if any(c < 0 for c in self.counts):
-            raise ValueError("swing counts are nonnegative")
-        if sum(self.counts) == 0:
-            raise ValueError("a simple game has at least one swing")
-
-    @property
-    def n(self) -> int:
-        return len(self.counts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def normalized(self) -> PowerVector:
-        return PowerVector("pbi", self.counts, self.total)
-
-    def __eq__(self, other):
-        return isinstance(other, SwingCounts) and self.counts == other.counts
-
-    def __hash__(self):
-        return hash(self.counts)
-
-    def __repr__(self):
-        return f"SwingCounts({self.counts})"
 
 
 @lru_cache(maxsize=None)
@@ -196,38 +170,42 @@ def _swing_size_profile(table: np.ndarray, n: int) -> list[list[int]]:
     return out
 
 
-def swing_counts(g: Game) -> SwingCounts:
-    e = to_explicit(g)
-    profile = _swing_size_profile(e.np_table, e.n)
-    return SwingCounts([sum(row) for row in profile])
-
-
-def _ssi_from_profile(profile: list[list[int]], n: int) -> PowerVector:
+def _swing_weights(n: int, kind: str) -> tuple[int, ...]:
+    """c_k, the weight of a swing at a coalition of k others (k = 0 ..
+    n-1): k! (n-1-k)! for Shapley-Shubik numerators over n!, 1 for raw
+    swing counts."""
+    if kind == "pbi":
+        return (1,) * n
     fact = _factorials(n)
-    nums = [
-        sum(cnt * fact[k] * fact[n - 1 - k] for k, cnt in enumerate(row))
-        for row in profile
-    ]
-    return PowerVector("ssi", nums, fact[n])
+    return tuple(fact[k] * fact[n - 1 - k] for k in range(n))
 
 
-def ssi(g: Game) -> PowerVector:
-    """Shapley-Shubik index via the full table (n limited by to_explicit)."""
-    e = to_explicit(g)
-    return _ssi_from_profile(_swing_size_profile(e.np_table, e.n), e.n)
-
-
-def pbi(g: Game) -> PowerVector:
-    """Normalized Penrose-Banzhaf index via the full table."""
-    return swing_counts(g).normalized()
+def _from_profile(profile: list[list[int]], kind: str) -> PowerVector:
+    """The index of this kind from each voter's swings by coalition size:
+    Shapley-Shubik numerators over n!, or the raw swing counts over their
+    total."""
+    n = len(profile)
+    c = _swing_weights(n, kind)
+    nums = [sum(map(operator.mul, c, row)) for row in profile]
+    return PowerVector(kind, nums, _factorials(n)[n] if kind == "ssi" else sum(nums))
 
 
 def power_vector(g: Game, kind: str) -> PowerVector:
-    if kind == "ssi":
-        return ssi(g)
-    if kind == "pbi":
-        return pbi(g)
-    raise ValueError(f"unknown index kind {kind!r}")
+    """The index of this kind via the full table (n limited by
+    to_explicit)."""
+    e = to_explicit(g)
+    return _from_profile(_swing_size_profile(e.np_table, e.n), kind)
+
+
+def ssi(g: Game) -> PowerVector:
+    """Shapley-Shubik index via the full table."""
+    return power_vector(g, "ssi")
+
+
+def pbi(g: Game) -> PowerVector:
+    """Normalized Penrose-Banzhaf index via the full table: the raw swing
+    counts over their total."""
+    return power_vector(g, "pbi")
 
 
 # ---------------------------------------------------------------------------
@@ -358,21 +336,15 @@ def _swing_profile_dp(g, state_cap: int) -> list[list[int]]:
     return [rows[w] for w in plan.flat]
 
 
-def swing_counts_dp(g: Union[WeightedGame, BoolCombo], state_cap: int = 10**6) -> SwingCounts:
-    """Swing counts without touching the 2**n table."""
-    profile = _swing_profile_dp(g, state_cap)
-    return SwingCounts([sum(row) for row in profile])
-
-
 def ssi_dp(g: Union[WeightedGame, BoolCombo], state_cap: int = 10**6) -> PowerVector:
     """Shapley-Shubik index by dynamic programming over weight sums."""
-    profile = _swing_profile_dp(g, state_cap)
-    return _ssi_from_profile(profile, g.n)
+    return _from_profile(_swing_profile_dp(g, state_cap), "ssi")
 
 
 def pbi_dp(g: Union[WeightedGame, BoolCombo], state_cap: int = 10**6) -> PowerVector:
-    """Normalized Penrose-Banzhaf index by dynamic programming."""
-    return swing_counts_dp(g, state_cap).normalized()
+    """Normalized Penrose-Banzhaf index by dynamic programming: the raw
+    swing counts over their total."""
+    return _from_profile(_swing_profile_dp(g, state_cap), "pbi")
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +369,9 @@ def _batch_coefficients(n: int, kind: str) -> np.ndarray:
     c(|T| - 1) if b is in T and -c(|T|) if not.  c is 1 for swing counts
     and k! (n-1-k)! for Shapley-Shubik numerators over n!.
     """
-    fact = _factorials(n)
-    if kind == "ssi":
-        c = [fact[k] * fact[n - 1 - k] for k in range(n)]
-    else:
-        c = [1] * n
     # c[n] = 0 is read only where np.where discards it: at the empty
     # coalition's c[-1] and the full coalition's c[n].
-    c = np.array(c + [0], dtype=np.int64)
+    c = np.array(_swing_weights(n, kind) + (0,), dtype=np.int64)
     sizes = _popcounts(n).astype(np.int64)[:, None]
     coef = np.where(_members(n) == 1, c[sizes - 1], -c[sizes])
     coef.flags.writeable = False

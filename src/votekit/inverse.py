@@ -1,5 +1,9 @@
 """Inverse problems: from a target power distribution to a nearby game.
 
+A target is an indices.PowerVector: parse_target_file and beta_target
+build one, and any computed index is one already.  Its key() gives the
+exact integers that the searches compare against.
+
 Two modes with very different guarantees:
 
 * inverse_exact scans a complete catalog of weighted games through the
@@ -30,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .games import Game, WeightedGame, add_null_voters
-from .geometry import Metric, VectorStore, distance, _exact_dtype, _INT64_MAX
+from .geometry import Metric, VectorStore, _exact_dtype, _INT64_MAX
 from .indices import (
     MAX_DP_VOTERS,
     PowerVector,
@@ -40,10 +44,10 @@ from .indices import (
     _removal_table,
     _shift_index,
     _size_sum_counts,
+    _swing_weights,
 )
 
 __all__ = [
-    "Target",
     "parse_target_file",
     "beta_target",
     "InverseMode",
@@ -55,41 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Target:
-    """A target power distribution: index kind plus exact simplex point."""
-
-    kind: str
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.kind not in ("ssi", "pbi"):
-            raise ValueError(f"unknown index kind {self.kind!r}")
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
-        if not self.values:
-            raise ValueError("a target needs at least one entry")
-        if any(v < 0 for v in self.values):
-            raise ValueError("target entries must be nonnegative")
-        if sum(self.values) != 1:
-            raise ValueError(
-                "target entries must sum to exactly 1; renormalize first if the "
-                "values are rounded"
-            )
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @classmethod
-    def from_vector(cls, v: PowerVector) -> "Target":
-        return cls(v.kind, v.fractions())
-
-    def common_ints(self) -> tuple[list[int], int]:
-        den = math.lcm(*(v.denominator for v in self.values))
-        return [int(v * den) for v in self.values], den
-
-
-def parse_target_file(text: str, normalize: bool = False) -> Target:
+def parse_target_file(text: str, normalize: bool = False) -> PowerVector:
     """Target file: a header line "n=<count> index=<ssi|pbi>", then the
     values, whitespace-separated, as exact fractions or decimals.
 
@@ -126,15 +96,19 @@ def parse_target_file(text: str, normalize: bool = False) -> Target:
         if total <= 0:
             raise ValueError("cannot normalize: values sum to zero")
         values = [v / total for v in values]
-    return Target(fields["index"], tuple(values))
+    if sum(values) != 1:
+        raise ValueError(
+            "target entries must sum to exactly 1; renormalize first if the values are rounded"
+        )
+    den = math.lcm(*(v.denominator for v in values))
+    return PowerVector(fields["index"], [v * den for v in values], den)
 
 
-def beta_target(n: int, kind: str) -> Target:
+def beta_target(n: int, kind: str) -> PowerVector:
     """The near-symmetric target (2, ..., 2, 1) / (2n - 1)."""
     if n < 1:
         raise ValueError("need at least one voter")
-    den = 2 * n - 1
-    return Target(kind, tuple([Fraction(2, den)] * (n - 1) + [Fraction(1, den)]))
+    return PowerVector(kind, [2] * (n - 1) + [1], 2 * n - 1)
 
 
 class InverseMode(enum.Enum):
@@ -145,7 +119,7 @@ class InverseMode(enum.Enum):
 @dataclass
 class InverseResult:
     mode: InverseMode
-    target: Target
+    target: PowerVector
     metric: Metric
     game: WeightedGame
     vector: PowerVector
@@ -158,7 +132,7 @@ class InverseResult:
         return decimal_str(self.distance)
 
 
-def inverse_exact(target: Target, metric: Metric, store: VectorStore, certificates) -> InverseResult:
+def inverse_exact(target: PowerVector, metric: Metric, store: VectorStore, certificates) -> InverseResult:
     """True closest weighted game from a full catalog.
 
     store holds the deduplicated vectors of every weighted game with the
@@ -171,12 +145,8 @@ def inverse_exact(target: Target, metric: Metric, store: VectorStore, certificat
     voter order, which leaves the distance unchanged.
     """
     n = target.n
-    if store.n != n:
-        raise ValueError(f"store has {store.n} voters, target has {n}")
-    order = sorted(range(n), key=lambda i: -target.values[i])
-    ranked = Target(target.kind, tuple(target.values[i] for i in order))
-    qnums, qden = ranked.common_ints()
-    res = store.nearest(qnums, qden, metric)
+    order = sorted(range(n), key=lambda i: -target.nums[i])
+    res = store.nearest(PowerVector(target.kind, [target.nums[i] for i in order], target.den), metric)
     row = certificates[int(store.reps[res.index])]
     found = store.vector(res.index)
     weights = [0] * n
@@ -200,14 +170,13 @@ def inverse_exact(target: Target, metric: Metric, store: VectorStore, certificat
 # ---------------------------------------------------------------------------
 
 
-def _proportional_start(values: Sequence[Fraction], total: int) -> list[int]:
-    """Largest-remainder rounding of total * values to integers."""
-    ideal = [v * total for v in values]
-    base = [int(x) for x in ideal]  # floor: entries are nonnegative
-    leftover = total - sum(base)
-    order = sorted(range(len(values)), key=lambda i: (base[i] - ideal[i], i))
-    for i in range(leftover):
-        base[order[i]] += 1
+def _proportional_start(target: PowerVector, total: int) -> list[int]:
+    """Largest-remainder rounding of total * target to integers."""
+    base, rest = zip(*(divmod(x * total, target.den) for x in target.nums))
+    base = list(base)
+    order = sorted(range(len(base)), key=lambda i: (-rest[i], i))
+    for i in order[: total - sum(base)]:
+        base[i] += 1
     if all(b == 0 for b in base):
         base[0] = 1
     return base
@@ -288,11 +257,10 @@ class _QuotaScan:
     enters a decision.
     """
 
-    def __init__(self, target: Target, metric: Metric):
-        self.target = target
+    def __init__(self, target: PowerVector, metric: Metric):
         self.metric = metric
         self.n = n = target.n
-        tnums, self.tden = target.common_ints()
+        *tnums, self.tden = target.key()
         self.tnums = np.array(tnums, dtype=object)[:, None]
         self.fact = _factorials(n)
         if target.kind == "pbi":
@@ -301,7 +269,7 @@ class _QuotaScan:
             return
         # Shapley-Shubik numerators in units of the size weights' gcd: a
         # numerator sums nonnegative terms up to n! / unit.
-        fprod = [self.fact[k] * self.fact[n - 1 - k] for k in range(n)]
+        fprod = _swing_weights(n, "ssi")
         self.unit = math.gcd(*fprod)
         den = self.fact[n] // self.unit
         self.coef = np.array([f // self.unit for f in fprod], dtype=_exact_dtype(den))
@@ -487,7 +455,7 @@ class _QuotaScan:
 
 
 def inverse_heuristic(
-    target: Target,
+    target: PowerVector,
     metric: Metric,
     *,
     weight_total: int = 100,
@@ -520,7 +488,7 @@ def inverse_heuristic(
     evals = 0
     best: tuple | None = None  # (distance, weights, quota, vector)
 
-    start = _proportional_start(target.values, weight_total)
+    start = _proportional_start(target, weight_total)
     stalls = 0
     while evals < budget:
         before = evals
@@ -579,7 +547,7 @@ def inverse_heuristic(
             spread = max(1, total // 10)
             start = [
                 max(0, s + rng.randint(-spread, spread))
-                for s in _proportional_start(target.values, total)
+                for s in _proportional_start(target, total)
             ]
         if all(x == 0 for x in start):
             start[0] = 1
@@ -607,9 +575,6 @@ def inverse_heuristic(
 
 @dataclass
 class PaddedSearchReport:
-    kind: str
-    metric: Metric
-    n: int
     results: list[InverseResult]
     bound: Fraction
 
@@ -644,7 +609,6 @@ def padded_target_search(
         pad = n - base.n
         if pad < 0:
             raise ValueError(f"base game has {base.n} voters, more than the target {n}")
-        target = Target.from_vector(power_vector(add_null_voters(base, pad), kind))
+        target = power_vector(add_null_voters(base, pad), kind)
         results.append(inverse_heuristic(target, metric, budget=budget, seed=seed))
-    bound = max(r.distance for r in results)
-    return PaddedSearchReport(kind=kind, metric=metric, n=n, results=results, bound=bound)
+    return PaddedSearchReport(results=results, bound=max(r.distance for r in results))

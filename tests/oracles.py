@@ -652,7 +652,7 @@ def heuristic_by_moves(target, metric, *, weight_total: int = 100, budget: int =
                 best = cand
         return rec
 
-    start = _proportional_start(target.values, weight_total)
+    start = _proportional_start(target, weight_total)
     stalls = 0
     while evals < budget:
         before = evals
@@ -701,7 +701,7 @@ def heuristic_by_moves(target, metric, *, weight_total: int = 100, budget: int =
             spread = max(1, total // 10)
             start = [
                 max(0, s + rng.randint(-spread, spread))
-                for s in _proportional_start(target.values, total)
+                for s in _proportional_start(target, total)
             ]
         if all(x == 0 for x in start):
             start[0] = 1

@@ -50,8 +50,8 @@ from votekit.games import (
     to_explicit,
 )
 from votekit.geometry import Metric, distance
-from votekit.indices import PowerVector, decimal_str, pbi, pbi_dp, ssi, ssi_dp, swing_counts_dp
-from votekit.inverse import InverseMode, Target, inverse_exact, padded_target_search
+from votekit.indices import PowerVector, decimal_str, pbi, pbi_dp, ssi, ssi_dp
+from votekit.inverse import InverseMode, inverse_exact, padded_target_search
 from votekit.pipeline import ensure_tier, omega_tier
 
 from oracles import (
@@ -194,8 +194,7 @@ def test_criterion_4_table_two(criterion, catalogs, vectors, stores):
             store, _ = stores(6, kind)
             for i in nonweighted:
                 v = PowerVector(kind, [int(x) for x in nums[i]], int(dens[i]))
-                key = v.key()
-                assert store.index_of(key[:-1], key[-1]) is not None
+                assert store.index_of(v) is not None
         elapsed = time.perf_counter() - t0
         assert elapsed < 300.0, f"{elapsed:.1f}s exceeds the 5 min budget"
         info["detail"] = "n=3..7 exact; 60/60 non-weighted vectors covered"
@@ -455,7 +454,7 @@ def test_criterion_8_property_suites(criterion, catalogs, vectors, stores, certi
                 for qi in range(len(qnums)):
                     q = [int(x) for x in qnums[qi]]
                     qd = int(qdens[qi])
-                    res = store.nearest(q, qd, metric)
+                    res = store.nearest(PowerVector(kind, q, qd), metric)
                     dist, hits = linear_nearest(rows, q, qd, metric is Metric.L1)
                     assert res.dist == dist and res.index in hits
 

@@ -55,31 +55,43 @@ def _toy_store():
 def test_store_dedups_and_keeps_first_representative():
     store = _toy_store()
     assert len(store) == 2
-    i = store.index_of((2, 1, 0), 3)
+    i = store.index_of(PowerVector("ssi", (2, 1, 0), 3))
     assert store.reps[i] == 0  # row 2 was the duplicate
     assert store.vector(i).fractions() == (Fraction(2, 3), Fraction(1, 3), 0)
-    assert store.index_of((1, 2, 0), 3) is None
+    assert store.index_of(PowerVector("ssi", (4, 2, 0), 6)) == i
+    assert store.index_of(PowerVector("ssi", (1, 2, 0), 3)) is None
+
+
+@pytest.mark.parametrize("kind, nums", [("pbi", (2, 1, 0)), ("ssi", (2, 1, 0, 0)), ("ssi", (2, 1))])
+def test_store_refuses_vectors_of_another_kind_or_voter_count(kind, nums):
+    store = _toy_store()
+    vector = PowerVector(kind, nums, 3)
+    with pytest.raises(ValueError, match="store of 3-voter ssi vectors"):
+        store.index_of(vector)
+    with pytest.raises(ValueError, match="store of 3-voter ssi vectors"):
+        store.nearest(vector, Metric.L1)
 
 
 def test_nearest_exact_hit_and_tie_break():
     store = _toy_store()
-    res = store.nearest([2, 1, 0], 3, Metric.L1)
+    res = store.nearest(PowerVector("ssi", (2, 1, 0), 3), Metric.L1)
     assert res.dist == 0 and not res.aborted
-    assert res.index == store.index_of((2, 1, 0), 3)
+    assert res.index == store.index_of(PowerVector("ssi", (2, 1, 0), 3))
     # (1/2, 1/3, 1/6) sits 1/3 from both stored vectors (L1); ties go to
     # the lexicographically smallest vector, here (1/3, 1/3, 1/3).
-    res = store.nearest([3, 2, 1], 6, Metric.L1)
+    res = store.nearest(PowerVector("ssi", (3, 2, 1), 6), Metric.L1)
     assert res.dist == Fraction(1, 3)
     assert store.vector(res.index).fractions()[0] == Fraction(1, 3)
 
 
 def test_nearest_stop_below_abort_is_flagged():
     store = _toy_store()
-    res = store.nearest([4, 1, 1], 6, Metric.L1, stop_below=Fraction(1, 2))
+    query = PowerVector("ssi", (4, 1, 1), 6)
+    res = store.nearest(query, Metric.L1, stop_below=Fraction(1, 2))
     assert res.aborted
     assert Fraction(1, 3) <= res.dist < Fraction(1, 2)
     # A bound at the exact distance never aborts: ties must stay exact.
-    res = store.nearest([4, 1, 1], 6, Metric.L1, stop_below=Fraction(1, 3))
+    res = store.nearest(query, Metric.L1, stop_below=Fraction(1, 3))
     assert not res.aborted and res.dist == Fraction(1, 3)
 
 
@@ -93,7 +105,7 @@ def test_nearest_matches_linear_scan(stores, vectors, kind, metric):
     for qi in range(len(qnums)):
         q = [int(x) for x in qnums[qi]]
         qd = int(qdens[qi])
-        res = store.nearest(q, qd, metric)
+        res = store.nearest(PowerVector(kind, q, qd), metric)
         dist, hits = linear_nearest(rows, q, qd, metric is Metric.L1)
         assert res.dist == dist
         assert res.index in hits
@@ -265,7 +277,7 @@ def test_nearest_matches_linear_scan_on_random_stores(case, huge):
     rows = store_rows(store)
     queries = [*queries, _random_vector(random.Random(huge), n, huge)]
     for q, d in queries:
-        res = store.nearest(q, d, metric)
+        res = store.nearest(PowerVector(kind, q, d), metric)
         dist, hits = linear_nearest(rows, q, d, metric is Metric.L1)
         assert res.dist == dist and not res.aborted
         assert res.index == _lex_smallest(rows, hits)
@@ -353,7 +365,7 @@ def test_nearest_builds_no_tree(cache_dir):
     k-d tree nor the rows in its order are built."""
     store = _load_store(ensure_tier(5, cache_dir), "wg", 5, "ssi")
     for nums, den in [((1, 1, 1, 1, 1), 5), ((60, 30, 20, 10, 0), 120)]:
-        assert store.nearest(nums, den, Metric.L1).dist is not None
+        assert store.nearest(PowerVector("ssi", nums, den), Metric.L1).dist is not None
     assert "_leaves" not in vars(store) and "_held" not in vars(store)
 
 
@@ -445,6 +457,6 @@ def test_weighted_store_from_catalog(catalogs, vectors, stores):
     assert len(store) == count_distinct_rows(*vectors("wg", 4, "ssi"))
     for g in catalogs("wg", 4)[::5]:
         v = ssi(g)
-        i = store.index_of(v.key()[:-1], v.key()[-1])
+        i = store.index_of(v)
         assert i is not None
         assert store.vector(i) == v

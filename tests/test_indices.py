@@ -22,8 +22,6 @@ from votekit.indices import (
     power_vector,
     ssi,
     ssi_dp,
-    swing_counts,
-    swing_counts_dp,
 )
 
 from oracles import (
@@ -68,9 +66,13 @@ def test_power_vector_invariants():
 
 
 def test_swing_counts_normalization():
-    s = swing_counts(parse_game("[3;3,2,1,1]"))
-    assert s.counts == (5, 3, 1, 1) and s.total == 10
-    assert s.normalized().fractions()[0] == Fraction(1, 2)
+    """pbi and pbi_dp keep the raw swing counts over their total."""
+    g = parse_game("[3;3,2,1,1]")
+    assert pbi_swings_by_subsets(g) == ((5, 3, 1, 1), 10)
+    for index in (pbi, pbi_dp):
+        v = index(g)
+        assert (v.nums, v.den) == ((5, 3, 1, 1), 10)
+        assert v.fractions()[0] == Fraction(1, 2)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -78,8 +80,9 @@ def test_dp_matches_permutation_oracle_on_random_weighted(seed):
     rng = random.Random(seed)
     g = random_weighted(rng, rng.randint(2, 6))
     assert ssi_dp(g).fractions() == ssi_by_permutations(g)
-    counts, total = pbi_swings_by_subsets(g)
-    assert swing_counts_dp(g).counts == counts
+    for index in (pbi, pbi_dp):
+        v = index(g)
+        assert (v.nums, v.den) == pbi_swings_by_subsets(g)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -87,9 +90,9 @@ def test_dp_matches_oracles_on_random_combos(seed):
     rng = random.Random(1000 + seed)
     g = random_boolcombo(rng, rng.randint(3, 6))
     assert ssi_dp(g).fractions() == ssi_by_permutations(g)
-    counts, total = pbi_swings_by_subsets(g)
-    dp = swing_counts_dp(g)
-    assert dp.counts == counts and dp.total == total
+    for index in (pbi, pbi_dp):
+        v = index(g)
+        assert (v.nums, v.den) == pbi_swings_by_subsets(g)
 
 
 def test_dp_handles_rational_weights():
@@ -162,7 +165,7 @@ def test_batch_paths_match_scalar(catalogs):
         swings = batch_swing_counts(tables)
         nums, den = batch_ssi_numerators(tables)
         for i, g in enumerate(cat):
-            assert tuple(int(x) for x in swings[i]) == swing_counts(g).counts
+            assert tuple(int(x) for x in swings[i]) == pbi(g).nums
             expect = ssi(g).fractions()
             got = tuple(Fraction(int(x), den) for x in nums[i])
             assert got == expect
@@ -180,7 +183,7 @@ def test_batch_kernels_match_scalar_on_monotone_tables(data):
     tables = np.array([g.np_table for g in games])[picks]
     swings = batch_swing_counts(tables)
     nums, den = batch_ssi_numerators(tables)
-    want_swings = [swing_counts(g).counts for g in games]
+    want_swings = [pbi(g).nums for g in games]
     want_ssi = [ssi(g) for g in games]
     assert den == want_ssi[0].den
     for row, i in enumerate(picks.tolist()):

@@ -1,6 +1,7 @@
 """Inverse problem: exact minimization and the heuristic upper bound."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,9 @@ from hypothesis import strategies as st
 from votekit.council import council_game
 from votekit.games import WeightedGame, add_null_voters, game_to_text, parse_game
 from votekit.geometry import Metric, distance
-from votekit.indices import pbi_dp, power_vector, ssi, ssi_dp
+from votekit.indices import PowerVector, pbi_dp, power_vector, ssi, ssi_dp
 from votekit.inverse import (
     InverseMode,
-    Target,
     _QuotaScan,
     beta_target,
     inverse_exact,
@@ -25,26 +25,50 @@ from votekit.inverse import (
 from oracles import heuristic_by_moves, linear_nearest, store_rows
 
 
+def _target(kind, values):
+    """A target from exact fractions that sum to 1."""
+    den = math.lcm(*(Fraction(v).denominator for v in values))
+    return PowerVector(kind, [Fraction(v) * den for v in values], den)
+
+
 def test_target_validation():
-    t = Target("ssi", (Fraction(1, 2), Fraction(1, 2)))
-    assert t.n == 2
+    t = parse_target_file("n=2 index=ssi\n1/2 1/2\n")
+    assert isinstance(t, PowerVector) and t.n == 2
+    with pytest.raises(ValueError, match="sum to exactly 1; renormalize"):
+        parse_target_file("n=2 index=ssi\n1/2 1/3\n")  # sums below 1
     with pytest.raises(ValueError):
-        Target("ssi", (Fraction(1, 2), Fraction(1, 3)))  # sums below 1
+        parse_target_file("n=2 index=ssi\n3/2 -1/2\n")
     with pytest.raises(ValueError):
-        Target("ssi", (Fraction(3, 2), Fraction(-1, 2)))
-    with pytest.raises(ValueError):
-        Target("banzhaf", (Fraction(1),))
+        parse_target_file("n=1 index=banzhaf\n1\n")
 
 
 def test_target_common_ints():
-    nums, den = Target("ssi", (Fraction(7, 12), Fraction(1, 4), Fraction(1, 6))).common_ints()
-    assert nums == [7, 3, 2] and den == 12
+    assert parse_target_file("n=3 index=ssi\n7/12 1/4 1/6\n").key() == (7, 3, 2, 12)
+    # the same integers from numerators over any common multiple
+    assert _target("ssi", (Fraction(7, 12), Fraction(1, 4), Fraction(1, 6))).key() == (7, 3, 2, 12)
+    assert PowerVector("ssi", (14, 6, 4), 24).key() == (7, 3, 2, 12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=0, max_value=10, max_denominator=10**6), min_size=1, max_size=12),
+    st.sampled_from(["ssi", "pbi"]),
+)
+def test_parsed_target_keys_are_the_common_integers(parts, kind):
+    """Random rationals summing to 1 parse to a PowerVector whose key()
+    is the numerators over the lcm of their denominators, then that lcm."""
+    assume(sum(parts) > 0)
+    values = [v / sum(parts) for v in parts]
+    t = parse_target_file(f"n={len(values)} index={kind}\n" + " ".join(map(str, values)))
+    den = math.lcm(*(v.denominator for v in values))
+    assert t.kind == kind and t.fractions() == tuple(values)
+    assert t.key() == tuple(int(v * den) for v in values) + (den,)
 
 
 def test_parse_target_file():
     t = parse_target_file("# padded\nn=4 index=ssi\n7/12 1/4\n1/12 1/12\n")
     assert t.kind == "ssi" and t.n == 4
-    assert t.values[0] == Fraction(7, 12)
+    assert t[0] == Fraction(7, 12)
 
 
 def test_parse_target_file_normalize():
@@ -52,7 +76,7 @@ def test_parse_target_file_normalize():
     with pytest.raises(ValueError):
         parse_target_file(text)
     t = parse_target_file(text, normalize=True)
-    assert sum(t.values) == 1 and t.values[0] == Fraction(1, 3)
+    assert sum(t.fractions()) == 1 and t[0] == Fraction(1, 3)
 
 
 @pytest.mark.parametrize(
@@ -72,32 +96,32 @@ def test_parse_target_file_errors(text, message):
 
 def test_beta_target_shape():
     t = beta_target(5, "ssi")
-    assert t.values == (Fraction(2, 9),) * 4 + (Fraction(1, 9),)
+    assert t.fractions() == (Fraction(2, 9),) * 4 + (Fraction(1, 9),)
     with pytest.raises(ValueError):
         beta_target(0, "ssi")
 
 
 def test_inverse_exact_hits_stored_vector(stores):
     store, certs = stores(4, "ssi")
-    target = Target.from_vector(ssi(parse_game("[3;3,2,1,1]")))
+    target = ssi(parse_game("[3;3,2,1,1]"))
     res = inverse_exact(target, Metric.L1, store, certs)
     assert res.mode is InverseMode.EXACT_MIN
     assert res.distance == 0
-    assert ssi_dp(res.game).fractions() == target.values
+    assert ssi_dp(res.game).fractions() == target.fractions()
 
 
 @pytest.mark.parametrize("metric", [Metric.L1, Metric.LINF])
 def test_inverse_exact_matches_linear_scan(stores, metric):
     store, certs = stores(4, "ssi")
     rows = store_rows(store)
-    target = Target("ssi", (Fraction(1, 2), Fraction(1, 5), Fraction(1, 5), Fraction(1, 10)))
+    target = _target("ssi", (Fraction(1, 2), Fraction(1, 5), Fraction(1, 5), Fraction(1, 10)))
     res = inverse_exact(target, metric, store, certs)
-    qnums, qden = target.common_ints()
+    *qnums, qden = target.key()
     dist, hits = linear_nearest(rows, qnums, qden, metric is Metric.L1)
     assert res.distance == dist
-    assert distance(res.vector.fractions(), target.values, metric) == dist
+    assert distance(res.vector, target, metric) == dist
     # relabelling the voters relabels the answer, at the same distance
-    shuffled = Target("ssi", tuple(target.values[i] for i in (3, 1, 0, 2)))
+    shuffled = _target("ssi", tuple(target[i] for i in (3, 1, 0, 2)))
     moved = inverse_exact(shuffled, metric, store, certs)
     assert moved.distance == dist
     assert moved.vector.fractions() == tuple(res.vector.fractions()[i] for i in (3, 1, 0, 2))
@@ -109,7 +133,7 @@ def test_inverse_exact_relabels_voters(stores):
     first: searched sorted, answered in the target's own voter order."""
     store, certs = stores(7, "ssi")
     values = (Fraction(1, 10), Fraction(3, 10), Fraction(1, 5)) + (Fraction(1, 10),) * 4
-    target = Target("ssi", values)
+    target = _target("ssi", values)
     res = inverse_exact(target, Metric.L1, store, certs)
     assert res.distance == Fraction(1, 15)
     assert game_to_text(res.game) == "[10;2,5,3,2,2,2,2]"
@@ -118,11 +142,11 @@ def test_inverse_exact_relabels_voters(stores):
 
 
 def test_inverse_heuristic_reaches_achievable_target():
-    target = Target.from_vector(ssi(parse_game("[3;3,2,1,1]")))
+    target = ssi(parse_game("[3;3,2,1,1]"))
     res = inverse_heuristic(target, Metric.L1, budget=200, seed=0)
     assert res.mode is InverseMode.HEURISTIC_UPPER_BOUND
     assert res.distance == 0
-    assert ssi_dp(res.game).fractions() == target.values
+    assert ssi_dp(res.game).fractions() == target.fractions()
 
 
 def test_inverse_heuristic_is_deterministic_and_monotone():
@@ -138,7 +162,7 @@ def test_inverse_heuristic_is_deterministic_and_monotone():
 def test_inverse_heuristic_rejects_oversized_targets():
     n = 65
     with pytest.raises(ValueError):
-        inverse_heuristic(Target("ssi", (Fraction(1, n),) * n), Metric.L1)
+        inverse_heuristic(_target("ssi", (Fraction(1, n),) * n), Metric.L1)
     with pytest.raises(ValueError):
         inverse_heuristic(beta_target(4, "ssi"), Metric.L1, weight_total=0)
 
@@ -146,7 +170,7 @@ def test_inverse_heuristic_rejects_oversized_targets():
 def test_inverse_result_distance_is_honest():
     target = beta_target(5, "pbi")
     res = inverse_heuristic(target, Metric.LINF, budget=100, seed=1)
-    got = distance(res.vector.fractions(), target.values, Metric.LINF)
+    got = distance(res.vector, target, Metric.LINF)
     assert got == res.distance
 
 
@@ -154,7 +178,7 @@ def test_padded_search_exact_against_catalog(stores):
     base = parse_game("[3;2,1,1]")
     store, certs = stores(5, "ssi")
     padded = add_null_voters(base, 2)
-    res = inverse_exact(Target.from_vector(power_vector(padded, "ssi")), Metric.L1, store, certs)
+    res = inverse_exact(power_vector(padded, "ssi"), Metric.L1, store, certs)
     assert res.mode is InverseMode.EXACT_MIN
     # A weighted base stays weighted after padding, so the gap is zero.
     assert res.distance == 0
@@ -187,9 +211,9 @@ def _named_target(shape, kind):
         return beta_target(9, kind)
     if shape == "padded11":
         padded = add_null_voters(parse_game(PADDED_BASE), 4)
-        return Target.from_vector(power_vector(padded, kind))
+        return power_vector(padded, kind)
     exact = ssi_dp if kind == "ssi" else pbi_dp
-    return Target.from_vector(exact(council_game(COUNCIL_27, 1000)))
+    return exact(council_game(COUNCIL_27, 1000))
 
 
 def _pinned_target(name):
@@ -245,7 +269,7 @@ def _scan_by_brute_force(target, metric, weights):
     best = None
     for quota in range(1, sum(weights) + 1):
         vec = power_vector(WeightedGame(quota, weights), target.kind)
-        d = distance(vec.fractions(), target.values, metric)
+        d = distance(vec, target, metric)
         if best is None or d < best[0]:
             best = (d, quota, vec)
     return best
@@ -262,7 +286,7 @@ def _scan_cases(draw, max_n=7):
     values = [Fraction(b - a, den) for a, b in zip([0] + cuts, cuts + [den])]
     kind = draw(st.sampled_from(["ssi", "pbi"]))
     metric = draw(st.sampled_from([Metric.L1, Metric.LINF]))
-    return Target(kind, tuple(values)), metric, weights
+    return _target(kind, values), metric, weights
 
 
 @settings(max_examples=150, deadline=None)
@@ -313,7 +337,7 @@ def _prime_target(n, kind):
     common denominator leaves int64."""
     den = 2**61 - 1
     values = [Fraction(den // (n + i), den) for i in range(n - 1)]
-    return Target(kind, tuple(values + [1 - sum(values)]))
+    return _target(kind, values + [1 - sum(values)])
 
 
 # n = 21 is the first count whose n! leaves int64, n = 43 the first whose
@@ -326,7 +350,7 @@ def test_wide_heuristic_results_are_exact(n, kind, shape):
     res = inverse_heuristic(target, Metric.L1, budget=12, seed=n)
     exact = ssi_dp if kind == "ssi" else pbi_dp
     assert res.vector == exact(res.game)
-    assert res.distance == distance(res.vector.fractions(), target.values, Metric.L1)
+    assert res.distance == distance(res.vector, target, Metric.L1)
 
 
 # Zero weights, repeated weights and one lone weight.  n = 21 is the
@@ -367,7 +391,7 @@ def test_search_matches_one_scan_per_move(shape, kind, metric, budget):
 def test_sixty_four_voters_do_not_wrap(kind):
     """One voter of weight 1 and 63 null voters: the lone voter swings in
     2**63 coalitions, one more than int64 holds."""
-    target = Target(kind, (Fraction(1),) + (Fraction(0),) * 63)
+    target = _target(kind, (Fraction(1),) + (Fraction(0),) * 63)
     res = inverse_heuristic(target, Metric.L1, budget=20, seed=0)
     exact = ssi_dp if kind == "ssi" else pbi_dp
     assert res.vector == exact(res.game)

@@ -44,9 +44,11 @@ def _annotation_names(node) -> set[str]:
 
 
 def _used(tree: ast.Module) -> set[str]:
+    """Names the module reads: binding a name, as a dataclass field or an
+    assignment does, is no use of an import of that name."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.arg) and node.annotation is not None:
             used |= _annotation_names(node.annotation)
