@@ -594,8 +594,7 @@ def cmd_inverse(args) -> int:
             raise _UsageError(
                 f"exact minimization needs the full catalog; {pipeline.BIG_N} voters is the cap"
             )
-        store, certificates = _load(args, pipeline.weighted_store, target.n, target.kind)
-        res = inverse_exact(target, metric, store, certificates)
+        res = _load(args, inverse_exact, target, metric)
     else:
         if target.n > MAX_DP_VOTERS:
             raise _UsageError(f"heuristic search supports up to {MAX_DP_VOTERS} voters")

@@ -98,16 +98,11 @@ def distance(x, y, metric: Metric) -> Fraction:
     return sum(diffs, Fraction(0)) if metric is Metric.L1 else max(diffs)
 
 
-def _reduced_rows(nums: np.ndarray, dens) -> tuple[np.ndarray, np.ndarray]:
+def _reduced_rows(nums: np.ndarray, dens) -> np.ndarray:
     """Rows (numerators, denominator) in lowest terms, as one int matrix."""
-    count, n = nums.shape
-    if np.isscalar(dens) or getattr(dens, "ndim", 1) == 0:
-        dcol = np.full(count, int(dens), dtype=np.int64)
-    else:
-        dcol = dens.astype(np.int64)
-    rows = np.concatenate([nums.astype(np.int64), dcol[:, None]], axis=1)
-    g = np.gcd.reduce(rows, axis=1)
-    return rows // g[:, None], dcol
+    dens = np.broadcast_to(np.asarray(dens, dtype=np.int64), len(nums))
+    rows = np.column_stack([nums.astype(np.int64), dens])
+    return rows // np.gcd.reduce(rows, axis=1)[:, None]
 
 
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -407,8 +402,7 @@ class VectorStore:
 def store_from_rows(kind: str, n: int, nums: np.ndarray, dens) -> VectorStore:
     """Dedup per-game vector rows into a searchable store; reps point back
     at the first row attaining each vector."""
-    rows, _ = _reduced_rows(nums, dens)
-    uniq, first, _ = unique_rows(rows)
+    uniq, first, _ = unique_rows(_reduced_rows(nums, dens))
     return VectorStore(kind, n, uniq, first)
 
 
@@ -422,10 +416,10 @@ class GapReport:
     finds every complete game whose vector sits at an attaining store row
     and attaches the game, making the pairs (catalog index, game, power
     vector) triples; it sets nearest_game to the weighted game at
-    nearest_index.  worst_vector is the smallest attaining row of the
-    first chunk to reach the gap; omega_tier feeds the store's rows in
-    lexicographic order, so it is the lexicographically smallest attaining
-    vector, whatever the chunk size.
+    nearest_index.  nearest_vector is the stored vector nearest the
+    smallest attaining row of the first chunk to reach the gap; omega_tier
+    feeds the store's rows in lexicographic order, so that row is the
+    lexicographically smallest attaining vector, whatever the chunk size.
     """
 
     n: int
@@ -434,7 +428,6 @@ class GapReport:
     omega: Fraction
     decimal: str
     attaining: list = field(default_factory=list)
-    worst_vector: PowerVector | None = None
     nearest_vector: PowerVector | None = None
     nearest_index: int | None = None
     nearest_game: object = None
@@ -505,7 +498,6 @@ class GapTracker:
         self.metric = metric
         self.best = Fraction(0)
         self.attaining: list = []  # (global index, vector)
-        self.worst_vector: PowerVector | None = None
         self.nearest_index: int | None = None
         self.nearest_vector: PowerVector | None = None
 
@@ -542,12 +534,13 @@ class GapTracker:
         if not top:
             return
         top.sort()
-        vecs = {u: PowerVector(store.kind, rows[u, :n].tolist(), int(rows[u, n])) for u, _ in top}
-        members = [(offset + int(chunk.miss[u]), vecs[u]) for u, _ in top]
+        members = [
+            (offset + int(chunk.miss[u]), PowerVector(store.kind, rows[u, :n].tolist(), int(rows[u, n]))) for u, _ in top
+        ]
         gap = Fraction(top_num, top_den)
         if gap > self.best:
             near = store._lex_first(top[0][1])
-            self.best, self.attaining, self.worst_vector = gap, members, vecs[top[0][0]]
+            self.best, self.attaining = gap, members
             self.nearest_index, self.nearest_vector = int(store.reps[near]), store.vector(near)
         else:
             self.attaining.extend(members)
@@ -576,7 +569,6 @@ class GapTracker:
             omega=self.best,
             decimal=decimal_str(self.best),
             attaining=self.attaining if self.best > 0 else [],
-            worst_vector=self.worst_vector,
             nearest_vector=self.nearest_vector,
             nearest_index=self.nearest_index,
         )

@@ -6,9 +6,10 @@ exact integers that the searches compare against.
 
 Two modes with very different guarantees:
 
-* inverse_exact scans a complete catalog of weighted games through the
-  nearest-neighbor store, so its answer is the true minimum (EXACT_MIN).
-  That is only possible where the catalog exists (n <= 8).
+* inverse_exact scans a tier's store of every weighted game's vector
+  (pipeline.weighted_store) and reads the certificate row of the one game
+  it answers with, so its answer is the true minimum (EXACT_MIN).  That
+  is only possible where the catalog exists (n <= 8).
 * inverse_heuristic hill-climbs over integer weight vectors of a fixed
   total.  It scores every quota of a candidate in one exact numpy pass,
   with one swing profile per distinct weight, and keeps the smallest
@@ -34,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .games import Game, WeightedGame, add_null_voters
-from .geometry import Metric, VectorStore, _exact_dtype, _INT64_MAX
+from .geometry import Metric, _exact_dtype, _INT64_MAX
 from .indices import (
     MAX_DP_VOTERS,
     PowerVector,
@@ -46,6 +47,7 @@ from .indices import (
     _size_sum_counts,
     _swing_weights,
 )
+from .pipeline import weighted_games, weighted_store
 
 __all__ = [
     "parse_target_file",
@@ -132,12 +134,13 @@ class InverseResult:
         return decimal_str(self.distance)
 
 
-def inverse_exact(target: PowerVector, metric: Metric, store: VectorStore, certificates) -> InverseResult:
-    """True closest weighted game from a full catalog.
+def inverse_exact(target: PowerVector, metric: Metric, cache_dir=None) -> InverseResult:
+    """True closest weighted game, from the full catalog of the target's
+    voter count.
 
-    store holds the deduplicated vectors of every weighted game with the
-    target's voter count, and certificates[i] is the (quota, weights...)
-    row of the game that store.reps points at.  Catalog games list their
+    A tier query, like pipeline.omega_tier: it scans the tier's store of
+    the distinct weighted vectors of the target's kind, then reads the one
+    certificate row of the answer's game.  Catalog games list their
     voters strongest-first, so the target is searched sorted the same
     way: by the rearrangement inequality, pairing both vectors in sorted
     order minimises L1 and Linf distance over all relabellings.  The
@@ -145,21 +148,18 @@ def inverse_exact(target: PowerVector, metric: Metric, store: VectorStore, certi
     voter order, which leaves the distance unchanged.
     """
     n = target.n
+    store = weighted_store(n, target.kind, cache_dir)
     order = sorted(range(n), key=lambda i: -target.nums[i])
+    rank = sorted(range(n), key=order.__getitem__)  # rank[voter]: its place in order
     res = store.nearest(PowerVector(target.kind, [target.nums[i] for i in order], target.den), metric)
-    row = certificates[int(store.reps[res.index])]
+    (game,) = weighted_games(n, [store.reps[res.index]], cache_dir).values()
     found = store.vector(res.index)
-    weights = [0] * n
-    nums = [0] * n
-    for rank, voter in enumerate(order):
-        weights[voter] = int(row[1 + rank])
-        nums[voter] = found.nums[rank]
     return InverseResult(
         mode=InverseMode.EXACT_MIN,
         target=target,
         metric=metric,
-        game=WeightedGame(int(row[0]), weights),
-        vector=PowerVector(found.kind, nums, found.den),
+        game=WeightedGame(game.quota, [game.weights[r] for r in rank]),
+        vector=PowerVector(found.kind, [found.nums[r] for r in rank], found.den),
         distance=res.dist,
         evaluations=len(store),
     )

@@ -37,21 +37,26 @@ file (its row count the certified distinct count, where one exists, its
 rows reduced, in strictly increasing order, with reps inside the
 catalog), _load_positions every row of a position file (one per game,
 each a row of the store, each store row's rep the first game at the
-row) and load_certificates every certificate row.  Each datum of a tier
-has one loader, which reads, and so checks, only the files behind it,
-building the tier when needed: ensure_tier (the directory, with the
+row) and load_certificates every certificate row it returns: all of
+them, or only the rows at given weighted-catalog indices.  Each datum of
+a tier has one loader, which reads, and so checks, only the files behind
+it, building the tier when needed: ensure_tier (the directory, with the
 catalog headers and every store, position and certificate row
 checked), load_games (the games of one class), load_listing (the same
 games as text, and for wg their certificates' text, with no game object
 built), tier_counts (game and distinct-vector counts, the latter the
 lengths of the store files), weighted_store (the stored weighted
-vectors, with their certificate rows) and omega_tier
-(gap reports of the cg store files, streamed, against the wg ones, with
-the attaining games found in the cg position files and read through
-enumeration.fetch_catalog_games).  The loaders check their class and
-index kind names before they touch the cache.  A damaged file that a
-loader does not read is left alone until a loader that reads it
-rebuilds the tier, or at 8 voters raises TierError.
+vectors), weighted_games (the weighted games at given catalog indices,
+from their certificate rows alone) and omega_tier (gap reports of the cg
+store files, streamed, against the wg ones, with the attaining games
+found in the cg position files and read through
+enumeration.fetch_catalog_games, and the nearest weighted games read
+through weighted_games).  Only ensure_tier and load_listing read every
+certificate row; a query reads the rows of the games it reports.  The
+loaders check their class and index kind names before they touch the
+cache.  A damaged file, or certificate row, that a loader does not read
+is left alone until a loader that reads it rebuilds the tier, or at 8
+voters raises TierError.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ from .enumeration import (
     shift_maximal_losing_families,
     shift_minimal_families,
 )
-from .games import CompleteGame, _members, _weighted_texts
+from .games import CompleteGame, WeightedGame, _members, _weighted_texts
 from .geometry import (
     GapQueries,
     GapReport,
@@ -111,6 +116,7 @@ __all__ = [
     "load_games",
     "load_listing",
     "weighted_store",
+    "weighted_games",
     "load_certificates",
     "omega_tier",
 ]
@@ -244,13 +250,17 @@ def _load_positions(cache_dir, store: VectorStore) -> np.ndarray:
     return pos
 
 
-def load_certificates(n: int, cache_dir=None) -> np.ndarray:
-    """The (quota, weights...) rows of the n-voter weighted games, every
-    row checked as the classifier writes it: quota >= 1, weights >= 0 and
-    non-increasing (strongest voter first), summing to at least the quota
-    (the grand coalition wins), no common factor."""
+def load_certificates(n: int, cache_dir=None, rows=None) -> np.ndarray:
+    """The (quota, weights...) rows of the n-voter weighted games, or
+    with rows, a sequence of weighted-catalog indices, just those rows in
+    that order; every row returned is checked as the classifier writes
+    it: quota >= 1, weights >= 0 and non-increasing (strongest voter
+    first), summing to at least the quota (the grand coalition wins), no
+    common factor."""
     path = certificate_path(_resolve(cache_dir), n)
-    rows = _read_rows(path, certified.GAME_COUNTS["wg"][n], n + 1)
+    certs = _read_rows(path, certified.GAME_COUNTS["wg"][n], n + 1)
+    if rows is not None:
+        certs = certs[np.asarray(rows, dtype=np.intp)]
 
     def ok(block: np.ndarray) -> bool:
         weights = block[:, 1:]
@@ -264,8 +274,8 @@ def load_certificates(n: int, cache_dir=None) -> np.ndarray:
             and (reduce(np.gcd, block.T[::-1]) == 1).all()
         )
 
-    _check_blocks(path, rows, ok, "reduced certificates")
-    return rows
+    _check_blocks(path, certs, ok, "reduced certificates")
+    return certs
 
 
 def _checked_catalog(cache_dir, klass: str, n: int) -> Path:
@@ -379,14 +389,24 @@ def load_listing(klass: str, n: int, cache_dir=None) -> tuple[list[str], list[st
     return _load_tier(n, cache_dir, load)
 
 
-def weighted_store(n: int, kind: str, cache_dir=None) -> tuple[VectorStore, np.ndarray]:
+def weighted_store(n: int, kind: str, cache_dir=None) -> VectorStore:
     """The distinct weighted-game vectors of the n-voter tier, as its
-    store file holds them, plus the certificate rows that the store's reps
-    index."""
+    store file holds them; each rep is a weighted-catalog index, which
+    weighted_games turns into its game."""
     _checked_kinds([kind])
+    return _load_tier(n, cache_dir, lambda cache: _load_store(cache, "wg", n, kind))
 
-    def load(cache: Path) -> tuple[VectorStore, np.ndarray]:
-        return _load_store(cache, "wg", n, kind), load_certificates(n, cache)
+
+def weighted_games(n: int, indices: Iterable[int], cache_dir=None) -> dict[int, WeightedGame]:
+    """The weighted games at the given positions of the n-voter weighted
+    catalog, built from their certificate rows, which are read and
+    checked alone; no file is read when there are none."""
+    want = sorted({int(i) for i in indices})
+    if not want:
+        return {}
+
+    def load(cache: Path) -> dict[int, WeightedGame]:
+        return dict(zip(want, map(certificate_game, load_certificates(n, cache, want))))
 
     return _load_tier(n, cache_dir, load)
 
@@ -483,8 +503,8 @@ def _write_chunk(n, tables, pool, workers, files, accs) -> np.ndarray:
     ssi_nums, ssi_den = batch_ssi_numerators(tables)
     pbi_nums = batch_swing_counts(tables)
     vectors = {
-        "ssi": _reduced_rows(ssi_nums, ssi_den)[0],
-        "pbi": _reduced_rows(pbi_nums, pbi_nums.sum(axis=1))[0],
+        "ssi": _reduced_rows(ssi_nums, ssi_den),
+        "pbi": _reduced_rows(pbi_nums, pbi_nums.sum(axis=1)),
     }
     # The index kernels hold one block's int64 copy of the tables at a
     # time (about 2 MB); the losing family matrix is dropped once
@@ -642,13 +662,13 @@ def omega_tier(
 
     Returns one report per (index kind, metric) pair, attaining games
     and the nearest weighted game included; nearest_index is a row of the
-    weighted catalog.
+    weighted catalog, and the nearest games are read after the search
+    from their certificate rows alone (weighted_games).
     """
     kinds = _checked_kinds(kinds)
     metrics = list(metrics)
 
     def load(cache: Path) -> dict[tuple[str, str], GapReport]:
-        certificates = load_certificates(n, cache)
         catalog = _checked_catalog(cache, "cg", n)
         reports: dict[tuple[str, str], GapReport] = {}
         for kind in kinds:
@@ -669,11 +689,14 @@ def omega_tier(
         games = fetch_catalog_games(catalog, {idx for rep in reports.values() for idx, _ in rep.attaining})
         for rep in reports.values():
             rep.attaining = [(idx, games[idx], vec) for idx, vec in rep.attaining]
-            if rep.nearest_index is not None:
-                rep.nearest_game = certificate_game(certificates[rep.nearest_index])
         return reports
 
-    return _load_tier(n, cache_dir, load)
+    reports = _load_tier(n, cache_dir, load)
+    named = [rep.nearest_index for rep in reports.values() if rep.nearest_index is not None]
+    nearest = weighted_games(n, named, cache_dir)
+    for rep in reports.values():
+        rep.nearest_game = nearest.get(rep.nearest_index)
+    return reports
 
 
 def _attaining_indices(cache: Path, store: VectorStore, reports: list[GapReport]) -> None:

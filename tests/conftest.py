@@ -91,5 +91,5 @@ def certificates(cache_dir):
 
 @pytest.fixture(scope="session")
 def stores(cache_dir):
-    """Factory: (n, kind) -> (weighted VectorStore, certificate rows), memoized."""
+    """Factory: (n, kind) -> the weighted VectorStore, memoized."""
     return _memoized(lambda n, kind: weighted_store(n, kind, ensure_tier(n, cache_dir)))

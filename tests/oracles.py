@@ -226,7 +226,7 @@ def gap_reports_by_distinct_rows(store, nums, dens, cuts, metrics) -> dict:
     past the last row closes at it), are bounded once for every metric and fed to one tracker per metric.  Each
     attaining distinct row is then reported once for every query row
     equal to it, by query index."""
-    uniq, _, inverse = unique_rows(_reduced_rows(nums, dens)[0])
+    uniq, _, inverse = unique_rows(_reduced_rows(nums, dens))
     trackers = {metric: GapTracker(store, metric) for metric in metrics}
     edges = [0, *(min(cut, len(uniq)) for cut in cuts), len(uniq)]
     for a, b in zip(edges, edges[1:]):

@@ -191,7 +191,7 @@ def test_criterion_4_table_two(criterion, catalogs, vectors, stores):
         for kind in ("ssi", "pbi"):
             nums, dens = vectors("cg", 6, kind)
             dens = np.broadcast_to(np.asarray(dens, dtype=np.int64), (len(nums),))
-            store, _ = stores(6, kind)
+            store = stores(6, kind)
             for i in nonweighted:
                 v = PowerVector(kind, [int(x) for x in nums[i]], int(dens[i]))
                 assert store.index_of(v) is not None
@@ -222,8 +222,9 @@ def test_criterion_5_gaps_at_seven(criterion, omega7):
 
 # Every field of the four n = 7 gap reports, as the per-query k-d tree
 # search computed them: omega, (catalog index, vector) of every attaining
-# game, the worst vector, and the nearest weighted vector with its
-# catalog index and game.  Vectors are (numerators..., denominator).
+# game, the smallest attaining vector ("worst"), and the weighted vector
+# nearest it with its catalog index and game.  Vectors are
+# (numerators..., denominator).
 PINNED_GAPS_AT_SEVEN = {
     ("ssi", "l1"): {
         "omega": Fraction("1/15"),
@@ -291,7 +292,7 @@ def test_gap_reports_at_seven_are_pinned(omega7):
         assert rep.omega == want["omega"], key
         attaining = sorted((idx, vec) for vec, indices in want["attaining"].items() for idx in indices)
         assert [(idx, vec.key()) for idx, _, vec in rep.attaining] == attaining, key
-        assert rep.worst_vector.key() == want["worst"], key
+        assert min(vec.key() for _, _, vec in rep.attaining) == want["worst"], key
         index, vector, game = want["nearest"]
         assert (rep.nearest_index, rep.nearest_vector.key()) == (index, vector), key
         assert rep.nearest_game == parse_game(game), key
@@ -367,7 +368,7 @@ def test_criterion_6_gaps_at_eight(criterion, cache_dir):
             assert read_catalog_header(catalog_path(big, klass, 8)) == (klass, 8, expect)
 
         for kind in ("ssi", "pbi"):
-            store, _ = weighted_store(8, kind, big)
+            store = weighted_store(8, kind, big)
             assert len(store) == DISTINCT_VECTOR_COUNTS[("wg", kind)][8]
 
         reports = omega_tier(8, big, kinds=("ssi", "pbi"), metrics=(Metric.L1, Metric.LINF))
@@ -446,7 +447,7 @@ def test_criterion_8_property_suites(criterion, catalogs, vectors, stores, certi
 
         # VectorStore.nearest equals the reference linear scan on every n = 6 query.
         for kind in ("ssi", "pbi"):
-            store, _ = stores(6, kind)
+            store = stores(6, kind)
             rows = store_rows(store)
             qnums, qdens = vectors("cg", 6, kind)
             qdens = np.broadcast_to(np.asarray(qdens, dtype=np.int64), (len(qnums),))

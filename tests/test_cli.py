@@ -14,7 +14,9 @@ from votekit import certified, cli, enumeration, pipeline
 from votekit.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from votekit.enumeration import certificate_game
 from votekit.games import evaluate, game_to_text, parse_game, to_explicit
+from votekit.geometry import Metric
 from votekit.indices import pbi_dp, ssi_dp
+from votekit.inverse import beta_target, inverse_exact
 
 
 def run(capsys, *argv):
@@ -166,7 +168,7 @@ def test_tables_timing_covers_the_big_build(capsys, monkeypatch, tmp_path):
 BIG_TIER_COMMANDS = [
     (["tables", "--n", "8"], "cg8.cat", "cg8.ssi.store.npy"),
     (["enumerate", "--class", "wg", "--n", "8"], "wg8.cat", "wg8.ssi.store.npy"),
-    (["omega", "--n", "8"], "wg8.cert.npy", "wg8.cert.npy"),
+    (["omega", "--n", "8"], "cg8.cat", "wg8.ssi.store.npy"),
     (["inverse", "--target", "beta", "--n", "8", "--index", "ssi", "--mode", "exact"], "wg8.ssi.store.npy", "wg8.ssi.store.npy"),
 ]
 
@@ -571,19 +573,12 @@ def test_warm_queries_check_the_tier_once(capsys, monkeypatch, tmp_path, argv):
     """A warm omega or exact inverse reads and checks each tier file it
     needs once, and no other: omega streams the complete games' store
     files against the weighted ones (with no gap at 5 voters, no game
-    attains it, so the position files stay unread), and the exact
-    inverse reads the ssi store and the certificates of the weighted games
-    alone."""
-    files = {
-        "omega": [
-            "cg5.cat",
-            "cg5.pbi.store.npy",
-            "cg5.ssi.store.npy",
-            "wg5.cert.npy",
-            "wg5.pbi.store.npy",
-            "wg5.ssi.store.npy",
-        ],
-        "inverse": ["wg5.cert.npy", "wg5.ssi.store.npy"],
+    attains it and none is nearest to one, so the position files and the
+    certificates stay unread), and the exact inverse reads the ssi store
+    of the weighted games and the one certificate row of its answer."""
+    files, certificate_rows = {
+        "omega": (["cg5.cat", "cg5.pbi.store.npy", "cg5.ssi.store.npy", "wg5.pbi.store.npy", "wg5.ssi.store.npy"], []),
+        "inverse": (["wg5.cert.npy", "wg5.ssi.store.npy"], [1]),
     }[argv[0]]
     target = tmp_path / "target.txt"
     target.write_text("n=5 index=ssi\n2/5 1/5 1/5 1/10 1/10\n")
@@ -602,8 +597,16 @@ def test_warm_queries_check_the_tier_once(capsys, monkeypatch, tmp_path, argv):
 
     for name in ("_read_rows", "read_catalog_header"):
         monkeypatch.setattr(pipeline, name, recorded(name))
+    load_certificates, rows_read = pipeline.load_certificates, []
+
+    def counted(n, cache_dir=None, rows=None):
+        rows_read.append(None if rows is None else len(rows))
+        return load_certificates(n, cache_dir, rows)
+
+    monkeypatch.setattr(pipeline, "load_certificates", counted)
     first = run_json(capsys, *argv)
     assert sorted(read) == files
+    assert rows_read == certificate_rows
     assert run_json(capsys, *argv)["results"] == first["results"]
 
 
@@ -626,3 +629,40 @@ def test_unread_damage_waits_for_its_reader(capsys, tmp_path):
     cg = run_json(capsys, *tables, "--class", "cg", "--index", "pbi")["results"]["rows"]
     assert cg == [{"class": "cg", "n": 5, "games": 117, "pbi": 57}]
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_exact_inverse_reads_only_the_certificate_row_it_reports(capsys, monkeypatch, tmp_path):
+    """A damaged certificate row that the exact inverse does not report
+    is left as it is, and the answer does not change; damage to the row
+    it reports rebuilds the 5-voter tier byte for byte, and raises
+    TierError, building nothing, where 5 voters stand in for the 8-voter
+    tier."""
+    pipeline.build_tier(5, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = ["inverse", "--target", "beta", "--n", "5", "--index", "ssi", "--mode", "exact", "--cache-dir", str(tmp_path)]
+    answer = run_json(capsys, *argv)["results"]
+    # The beta target lists its voters strongest-first, so the answer is
+    # its certificate as stored.
+    reported = pipeline.load_listing("wg", 5, tmp_path)[1].index(answer["game"])
+    victim = pipeline.certificate_path(tmp_path, 5)
+
+    def damage(row):
+        rows = np.load(victim)
+        rows[row] = 0  # a quota of 0
+        np.save(victim, rows)
+        return victim.read_bytes()
+
+    damaged = damage(0 if reported else 1)
+    assert run_json(capsys, *argv)["results"] == answer
+    assert victim.read_bytes() == damaged
+
+    damage(reported)
+    assert run_json(capsys, *argv)["results"] == answer
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    monkeypatch.setattr(pipeline, "BIG_N", 5)
+    monkeypatch.setattr(pipeline, "build_tier", lambda *args, **kwargs: pytest.fail("built a tier"))
+    damaged = damage(reported)
+    with pytest.raises(pipeline.TierError, match="wg5.cert.npy: rows are not reduced certificates"):
+        inverse_exact(beta_target(5, "ssi"), Metric.L1, tmp_path)
+    assert victim.read_bytes() == damaged

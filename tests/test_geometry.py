@@ -98,7 +98,7 @@ def test_nearest_stop_below_abort_is_flagged():
 @pytest.mark.parametrize("kind", ["ssi", "pbi"])
 @pytest.mark.parametrize("metric", [Metric.L1, Metric.LINF])
 def test_nearest_matches_linear_scan(stores, vectors, kind, metric):
-    store, _ = stores(5, kind)
+    store = stores(5, kind)
     rows = store_rows(store)
     qnums, qdens = vectors("cg", 5, kind)
     qdens = np.broadcast_to(np.asarray(qdens, dtype=np.int64), (len(qnums),))
@@ -117,7 +117,7 @@ def test_count_distinct_matches_set_of_fractions(vectors):
     seen = {
         tuple(Fraction(int(a), int(dens[i])) for a in nums[i]) for i in range(len(nums))
     }
-    assert len(unique_rows(_reduced_rows(nums, dens)[0])[0]) == len(seen)
+    assert len(unique_rows(_reduced_rows(nums, dens))[0]) == len(seen)
     assert count_distinct_rows(nums, dens) == len(seen)
 
 
@@ -141,12 +141,12 @@ def test_gap_tracker_chunks_match_one_shot():
     chunked = gap_reports_by_distinct_rows(store, qnums, qdens, [2], both)
     for metric in both:
         a, b = whole[metric], chunked[metric]
-        assert a.omega == b.omega and a.attaining == b.attaining and a.worst_vector == b.worst_vector
+        assert a.omega == b.omega and a.attaining == b.attaining
     b = chunked[Metric.L1]
     assert b.omega == Fraction(1, 3)
     assert [x[0] for x in b.attaining] == [1, 2, 3]
     assert [x[1].key() for x in b.attaining] == [(4, 1, 1, 6), (5, 1, 0, 6), (1, 1, 0, 2)]
-    assert b.worst_vector.key() == (1, 1, 0, 2) and b.nearest_vector is not None
+    assert b.nearest_vector is not None
 
 
 @st.composite
@@ -286,9 +286,10 @@ def test_nearest_matches_linear_scan_on_random_stores(case, huge):
 def _check_gaps_against_linear_scan(store, queries, cuts):
     """Gap reports over the distinct query rows, in one chunk and in the
     chunks that cuts make, against a linear scan's max-min under each
-    metric: omega, the attaining queries, the worst vector (the rows
-    arrive in lexicographic order, so it is the smallest attaining one,
-    wherever the chunks are cut) and its nearest stored vector.  Returns
+    metric: omega, the attaining queries and the stored vector nearest
+    the smallest attaining one (the rows arrive in lexicographic order,
+    so that is the first to reach the gap, wherever the chunks are
+    cut).  Returns
     the number of queries attaining each nonzero gap."""
     rows = store_rows(store)
     qnums = np.array([q for q, _ in queries], dtype=np.int64)
@@ -302,14 +303,12 @@ def _check_gaps_against_linear_scan(store, queries, cuts):
             best = max(dists)
             assert rep.omega == best
             if best == 0:
-                assert rep.attaining == [] and rep.worst_vector is None and rep.nearest_vector is None
+                assert rep.attaining == [] and rep.nearest_vector is None
                 continue
             want = [i for i, d in enumerate(dists) if d == best]
             assert [idx for idx, _ in rep.attaining] == want
             attained.append(len(want))
-            worst = min(_reduced(*queries[i]) for i in want)
-            assert rep.worst_vector.key() == worst
-            worst = [int(x) for x in worst]
+            worst = [int(x) for x in min(_reduced(*queries[i]) for i in want)]
             near = _lex_smallest(rows, linear_nearest(rows, worst[:-1], worst[-1], l1)[1])
             assert rep.nearest_vector.key() == rows[near][0] + (rows[near][1],)
     return attained
@@ -352,7 +351,7 @@ def _tied_case(draw):
 def test_refutation_in_small_blocks_keeps_every_tie(case, block, cut):
     """Refuting the misses a few at a time, so that the queries tied at
     the running maximum fall in different blocks and chunks, gives a
-    linear scan's gap, attaining set, worst vector and nearest vector."""
+    linear scan's gap, attaining set and nearest vector."""
     n, kind, vectors, queries = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_REFUTE_BLOCK", block)
@@ -390,7 +389,7 @@ def test_leaf_search_bounded_by_the_nearest_distance_finds_it(case):
 @pytest.mark.parametrize("kind", ["ssi", "pbi"])
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_unique_rows_matches_numpy_unique(vectors, n, kind):
-    rows, _ = _reduced_rows(*vectors("wg", n, kind))
+    rows = _reduced_rows(*vectors("wg", n, kind))
     uniq, first, inverse = unique_rows(rows)
     want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
     reps = np.full(len(want), len(rows), dtype=np.int64)
@@ -453,7 +452,7 @@ def test_vector_io_detects_corruption(tmp_path):
 
 
 def test_weighted_store_from_catalog(catalogs, vectors, stores):
-    store, _ = stores(4, "ssi")
+    store = stores(4, "ssi")
     assert len(store) == count_distinct_rows(*vectors("wg", 4, "ssi"))
     for g in catalogs("wg", 4)[::5]:
         v = ssi(g)

@@ -101,40 +101,37 @@ def test_beta_target_shape():
         beta_target(0, "ssi")
 
 
-def test_inverse_exact_hits_stored_vector(stores):
-    store, certs = stores(4, "ssi")
+def test_inverse_exact_hits_stored_vector(cache_dir):
     target = ssi(parse_game("[3;3,2,1,1]"))
-    res = inverse_exact(target, Metric.L1, store, certs)
+    res = inverse_exact(target, Metric.L1, cache_dir)
     assert res.mode is InverseMode.EXACT_MIN
     assert res.distance == 0
     assert ssi_dp(res.game).fractions() == target.fractions()
 
 
 @pytest.mark.parametrize("metric", [Metric.L1, Metric.LINF])
-def test_inverse_exact_matches_linear_scan(stores, metric):
-    store, certs = stores(4, "ssi")
-    rows = store_rows(store)
+def test_inverse_exact_matches_linear_scan(cache_dir, stores, metric):
+    rows = store_rows(stores(4, "ssi"))
     target = _target("ssi", (Fraction(1, 2), Fraction(1, 5), Fraction(1, 5), Fraction(1, 10)))
-    res = inverse_exact(target, metric, store, certs)
+    res = inverse_exact(target, metric, cache_dir)
     *qnums, qden = target.key()
     dist, hits = linear_nearest(rows, qnums, qden, metric is Metric.L1)
     assert res.distance == dist
     assert distance(res.vector, target, metric) == dist
     # relabelling the voters relabels the answer, at the same distance
     shuffled = _target("ssi", tuple(target[i] for i in (3, 1, 0, 2)))
-    moved = inverse_exact(shuffled, metric, store, certs)
+    moved = inverse_exact(shuffled, metric, cache_dir)
     assert moved.distance == dist
     assert moved.vector.fractions() == tuple(res.vector.fractions()[i] for i in (3, 1, 0, 2))
     assert ssi_dp(moved.game) == moved.vector
 
 
-def test_inverse_exact_relabels_voters(stores):
+def test_inverse_exact_relabels_voters(cache_dir):
     """The best game for a target whose strongest voter is not listed
     first: searched sorted, answered in the target's own voter order."""
-    store, certs = stores(7, "ssi")
     values = (Fraction(1, 10), Fraction(3, 10), Fraction(1, 5)) + (Fraction(1, 10),) * 4
     target = _target("ssi", values)
-    res = inverse_exact(target, Metric.L1, store, certs)
+    res = inverse_exact(target, Metric.L1, cache_dir)
     assert res.distance == Fraction(1, 15)
     assert game_to_text(res.game) == "[10;2,5,3,2,2,2,2]"
     assert ssi_dp(res.game) == res.vector
@@ -174,11 +171,10 @@ def test_inverse_result_distance_is_honest():
     assert got == res.distance
 
 
-def test_padded_search_exact_against_catalog(stores):
+def test_padded_search_exact_against_catalog(cache_dir):
     base = parse_game("[3;2,1,1]")
-    store, certs = stores(5, "ssi")
     padded = add_null_voters(base, 2)
-    res = inverse_exact(power_vector(padded, "ssi"), Metric.L1, store, certs)
+    res = inverse_exact(power_vector(padded, "ssi"), Metric.L1, cache_dir)
     assert res.mode is InverseMode.EXACT_MIN
     # A weighted base stays weighted after padding, so the gap is zero.
     assert res.distance == 0

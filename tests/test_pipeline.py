@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from votekit import certified, enumeration, pipeline
@@ -47,6 +47,7 @@ from votekit.pipeline import (
     position_path,
     store_path,
     tier_counts,
+    weighted_games,
     weighted_store,
 )
 
@@ -150,7 +151,7 @@ def test_stored_vectors_equal_the_rebuilt_store(cache_dir, vectors, n):
             assert np.array_equal(stored.reps, rebuilt.reps), (klass, kind)
             if klass == "cg":
                 pos = _load_positions(cache, stored)
-                assert np.array_equal(stored.rows[pos], _reduced_rows(*vectors(klass, n, kind))[0]), kind
+                assert np.array_equal(stored.rows[pos], _reduced_rows(*vectors(klass, n, kind))), kind
 
 
 def test_small_chunks_and_merges_build_the_same_tier(tmp_path, cache_dir, monkeypatch):
@@ -197,7 +198,7 @@ def test_ensure_vectors_discards_wrong_kind_cache(tmp_path):
     good = path.read_bytes()
     path.write_bytes(store_path(tmp_path, "wg", 3, "pbi").read_bytes())
 
-    store, _ = weighted_store(3, "ssi", tmp_path)
+    store = weighted_store(3, "ssi", tmp_path)
     assert path.read_bytes() == good
     assert all(6 % d == 0 for d in store.rows[:, 3].tolist())
 
@@ -222,7 +223,7 @@ def test_ensure_vectors_discards_wrong_shape_cache(tmp_path):
             ensure_tier(4, tmp_path), _load_store(tmp_path, "cg", 4, "pbi")
         ).tolist(),
         "cg4.pbi.store.npy": lambda: tier_counts("cg", 4, ("pbi",), tmp_path),
-        "wg4.cert.npy": lambda: weighted_store(4, "ssi", tmp_path)[1].tolist(),
+        "wg4.cert.npy": lambda: load_listing("wg", 4, tmp_path),
         "wg4.cat": lambda: [g.shift_minimal for g in load_games("wg", 4, tmp_path)],
     }
     for victim, damage in damages:
@@ -545,12 +546,12 @@ def test_build_tier_six_voters(tmp_path, monkeypatch):
         for row in rng.sample(range(len(store)), 12):
             assert store.vector(row).fractions() == brute_force(kind, wg[int(store.reps[row])])
     certs = load_certificates(6, tmp_path)
+    assert certs.shape == (1111, 7)
     for i in rng.sample(range(len(wg)), 50):
         assert to_explicit(certificate_game(certs[i])).table == to_explicit(wg[i]).table
 
     for kind, distinct in (("ssi", 536), ("pbi", 555)):
-        store, certs = weighted_store(6, kind, tmp_path)
-        assert len(store) == distinct and certs.shape == (1111, 7)
+        assert len(weighted_store(6, kind, tmp_path)) == distinct
 
     # at 6 voters every complete game's vector is realized weighted
     reports = omega_tier(6, tmp_path)
@@ -678,8 +679,23 @@ def test_unreadable_big_tier_raises_tier_error(tmp_path, monkeypatch):
     assert isinstance(err.value.__cause__, FileNotFoundError)
     certificate_path(tmp_path, 8).touch()
     with pytest.raises(pipeline.TierError, match="wg8.cert.npy: No data left") as err:
-        omega_tier(8, tmp_path)
+        weighted_games(8, [0], tmp_path)
     assert isinstance(err.value.__cause__, CatalogFormatError)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 2**20), max_size=12))
+@example([])
+@example([3, 3, 0, 3])
+def test_certificate_rows_are_the_whole_files_rows(cache_dir, certificates, n, picks):
+    """load_certificates with row indices returns those rows of the
+    whole file, in the given order, repeats and the empty list included."""
+    whole = certificates(n)
+    rows = [i % len(whole) for i in picks]
+    got = load_certificates(n, cache_dir, rows)
+    assert got.dtype == np.int64 and got.shape == (len(rows), n + 1)
+    assert np.array_equal(got, whole[rows])
 
 
 @settings(max_examples=60, deadline=None)

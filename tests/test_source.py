@@ -229,6 +229,23 @@ def test_only_the_attaining_match_reads_per_game_rows():
     assert readers == {"_check_tier", "_attaining_indices"}
 
 
+def test_only_the_whole_tier_readers_read_every_certificate():
+    """Within the package, only load_listing and the whole-tier check call
+    load_certificates without row indices: a query reads the certificate
+    rows of the games it reports, and no others."""
+    callers = {
+        f"{name}: {getattr(top, 'name', top.lineno)}"
+        for name, tree in _modules(PACKAGE).items()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "load_certificates"
+        and len(node.args) < 3
+        and "rows" not in {kw.arg for kw in node.keywords}
+    }
+    assert callers == {"pipeline.py: load_listing", "pipeline.py: _check_tier"}
+
+
 def test_each_weightedness_lp_entry_has_one_caller():
     """One weightedness test, solved two ways: enumeration's chunk
     classifier is the only module outside exactlp on solve_block, and
