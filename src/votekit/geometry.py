@@ -12,13 +12,17 @@ of the store's kind and voter count, whose key() is its reduced row, and
 refuse any other.  nearest scans every stored row in one vectorized pass
 and builds nothing else.  GapQueries takes distinct reduced query rows, such
 as a block of a tier's stored vectors, answers the exact hits in bulk by
-binary search and sends the misses together down a flat k-d tree over keys
+binary search and sends the misses together down a k-d tree over keys
 floor(x * scale), exact on the n! grid for Shapley-Shubik, 2**20-scaled
 floors with one key unit of slack per inexact side for Banzhaf.  The tree
-and the store's rows in its order, read into memory once, are built on
-the first gap query; a leaf's rows are then one slice.  Each miss descends
-to its leaf once, and one |difference| pass against the leaf's rows gives
-its exact upper bound under every metric.
+is in heap order, node i's children being nodes 2i + 1 and 2i + 2, with
+every leaf at one depth, so that its shape follows from the row count:
+it is a permutation of the rows, each split's axis and cut, and the
+leaves' key boxes.  Built on the first gap query, it holds the store's
+rows in its order, read into memory once; a leaf's rows are then one
+slice.  Each miss descends to its leaf once, one vector step per level,
+and one |difference| pass against the leaf's rows gives its exact upper
+bound under every metric.
 
 GapTracker computes a directed Hausdorff distance with the early break of
 Taha and Hanbury (IEEE TPAMI 2015): a miss with some stored row strictly
@@ -199,58 +203,62 @@ def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return np.where(sorted_keys[pos] == keys, pos, -1)
 
 
-class _Tree:
-    """Median splits along the widest axis, as flat arrays built one level
-    at a time.  A node reference r >= 0 is split r, r < 0 is leaf ~r; a
-    split sends keys below cut on its axis to kids[r, 0], the rest to
-    kids[r, 1].  Leaf l holds the rows perm[start[l]:stop[l]], their keys
-    in the box [lo[:, l], hi[:, l]]; leaves are numbered in the order of
-    their rows.  A node's points are one block of a permuted copy of the
-    keys: one reduceat per level bounds every block, and a split is one
-    argpartition of its block.  slack is 1 when some key is inexact."""
+def _least_floor(num: np.ndarray, den: np.ndarray, scale: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the distances num / den, the (num, den) whose floor on
+    the key grid, num * scale // den, is least: the first where several
+    are."""
+    pick = np.argmin(num * scale // den, axis=1)[:, None]
+    return np.take_along_axis(num, pick, 1)[:, 0], np.take_along_axis(den, pick, 1)[:, 0]
 
-    def __init__(self, keys: np.ndarray, slack: int):
-        self.slack = slack
-        count = len(keys)
-        pts = keys.copy()
+
+class _Tree:
+    """A k-d tree in heap order over the keys of rows (Friedman, Bentley
+    and Finkel, ACM TOMS 1977): node i splits into nodes 2i + 1 and
+    2i + 2 at the median of its rows along its widest key axis.  Every
+    leaf lies at one depth: the least at which no leaf holds more than
+    _LEAF_SIZE rows or, where a leaf would then be empty (at a _LEAF_SIZE
+    of 1), the greatest at which none is.  Node j of level d holds
+    perm[(j * count) >> d : ((j + 1) * count) >> d], so the leaves are in
+    row order: leaf l holds perm[start[l]:stop[l]], the rows
+    rows[start[l]:stop[l]], their keys in the box [lo[:, l], hi[:, l]].
+    On axis[i], split node i's left rows have keys <= cut[i] and its
+    right rows keys >= cut[i].  A level costs one reduceat, bounding
+    every node, and one argpartition per node of the keys, which are
+    permuted in place as perm is.  slack is 1 when some key is inexact."""
+
+    def __init__(self, rows: np.ndarray, n: int, scale: int):
+        keys, inexact = _keys(rows, n, scale)
+        self.slack = int(inexact.any())
+        count = len(rows)
+        self.depth = min(((count - 1) // _LEAF_SIZE).bit_length(), count.bit_length() - 1)
         self.perm = np.arange(count, dtype=np.int64)
-        starts = np.zeros(1, dtype=np.int64)
-        stops = np.full(1, count, dtype=np.int64)
-        splits, leaves, kids = [], [], []
-        nsplit = nleaf = 0
-        while len(starts):
-            # reduceat over [start, stop) pairs; the odd results are discarded.
-            cuts = np.stack([starts, stops], axis=1).ravel()
-            cuts = cuts[cuts < count]
-            lo = np.minimum.reduceat(pts, cuts)[::2]
-            hi = np.maximum.reduceat(pts, cuts)[::2]
-            split = (stops - starts > _LEAF_SIZE) & (lo != hi).any(axis=1)
-            mids = (starts + (stops - starts) // 2)[split]
-            axes = np.argmax(hi - lo, axis=1)[split]
-            for a, b, m, axis in zip(starts[split].tolist(), stops[split].tolist(), mids.tolist(), axes.tolist()):
-                order = np.argpartition(pts[a:b, axis], m - a)
-                pts[a:b] = pts[a:b][order]
+        self.axis = np.zeros(2**self.depth - 1, dtype=np.intp)
+        self.cut = np.zeros(2**self.depth - 1, dtype=np.int64)
+        for d in range(self.depth + 1):
+            bounds = (np.arange(2**d + 1) * count) >> d
+            lo, hi = np.minimum.reduceat(keys, bounds[:-1]), np.maximum.reduceat(keys, bounds[:-1])
+            if d == self.depth:
+                break
+            axes = np.argmax(hi - lo, axis=1)
+            mids = (np.arange(1, 2 ** (d + 1), 2) * count) >> (d + 1)
+            for a, b, m, axis in zip(bounds[:-1].tolist(), bounds[1:].tolist(), mids.tolist(), axes.tolist()):
+                order = np.argpartition(keys[a:b, axis], m - a)
+                keys[a:b] = keys[a:b][order]
                 self.perm[a:b] = self.perm[a:b][order]
-            refs = np.where(split, nsplit + np.cumsum(split) - 1, ~(nleaf + np.cumsum(~split) - 1))
-            if nsplit:  # this level's nodes are the last level's splits' children, in order
-                kids.append(refs.reshape(-1, 2))
-            else:
-                self.root = int(refs[0])
-            nsplit, nleaf = nsplit + int(split.sum()), nleaf + int((~split).sum())
-            splits.append((axes, pts[mids, axes]))
-            leaves.append((starts[~split], stops[~split], lo[~split], hi[~split]))
-            starts = np.stack([starts[split], mids], axis=1).ravel()
-            stops = np.stack([mids, stops[split]], axis=1).ravel()
-        self.kids = np.concatenate([np.empty((0, 2), dtype=np.int64), *kids])
-        self.axis, self.cut = (np.concatenate(part) for part in zip(*splits))
-        # Number the leaves in the order of their rows, so that a run of
-        # leaves is one run of rows.
-        by_start = np.argsort(np.concatenate([part[0] for part in leaves]))
-        self.start, self.stop, lo, hi = (np.concatenate(part)[by_start] for part in zip(*leaves))
+            level = slice(2**d - 1, 2 ** (d + 1) - 1)
+            self.axis[level], self.cut[level] = axes, keys[mids, axes]
+        self.start, self.stop = bounds[:-1], bounds[1:]
         self.lo, self.hi = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
-        rank = np.argsort(by_start)
-        self.kids[self.kids < 0] = ~rank[~self.kids[self.kids < 0]]
-        self.root = int(~rank[~self.root]) if self.root < 0 else self.root
+        self.rows = np.ascontiguousarray(rows[self.perm])
+
+    def leaves(self, keys: np.ndarray) -> np.ndarray:
+        """The leaf each key row descends to, one vector step per level: a
+        key below a node's cut on its axis goes left, any other right."""
+        node = np.zeros(len(keys), dtype=np.int64)
+        at = np.arange(len(keys))
+        for _ in range(self.depth):
+            node = 2 * node + 1 + (keys[at, self.axis[node]] >= self.cut[node])
+        return node - (2**self.depth - 1)
 
     def gaps(self, keys: np.ndarray, l1: bool) -> np.ndarray:
         """Key distance from each key row to each leaf's box, under L1 or
@@ -333,15 +341,9 @@ class VectorStore:
 
     @cached_property
     def _leaves(self) -> _Tree:
-        """The k-d tree over the rows' keys, built on first use."""
-        keys, inexact = _keys(self.rows, self.n, self.scale)
-        return _Tree(keys, int(inexact.any()))
-
-    @cached_property
-    def _held(self) -> np.ndarray:
-        """The rows in the tree's order, read into memory on first use:
-        leaf l holds _held[start[l]:stop[l]]."""
-        return np.ascontiguousarray(self.rows[self._leaves.perm])
+        """The k-d tree over the rows' keys, holding the rows in its order,
+        built and read into memory on first use."""
+        return _Tree(self.rows, self.n, self.scale)
 
     def _dtype(self, qpeak: int):
         """Exact dtype for searches with simplex queries of entries up to
@@ -371,15 +373,16 @@ class VectorStore:
         gap = tree.gaps(key[None], l1)[0].astype(q.dtype) - slack
         held = np.flatnonzero(gap * bound[1] <= bound[0] * self.scale)
         pos = _runs(tree.start[held], tree.stop[held])
-        return self._closest(self._held[pos], tree.perm[pos], q, l1)
+        return self._closest(tree.rows[pos], tree.perm[pos], q, l1)
 
     def _probe(self, q: np.ndarray, keys: np.ndarray, l1: bool) -> tuple[np.ndarray, np.ndarray]:
         """Exact distances from each query row of q, whose key row is in
         keys, to the rows of its _PROBE_LEAVES nearest leaves by key-box
         gap: (numerators, denominators), one row per query."""
-        gap = self._leaves.gaps(keys, l1)
+        tree = self._leaves
+        gap = tree.gaps(keys, l1)
         near = min(_PROBE_LEAVES, gap.shape[1])
-        rows = self._held[self._leaves.points(np.argpartition(gap, near - 1, axis=1)[:, :near])]
+        rows = tree.rows[tree.points(np.argpartition(gap, near - 1, axis=1)[:, :near])]
         (num,), pden = _dists(rows, q[:, None, :], self.n, (l1,))
         return num, pden * q[:, self.n, None]
 
@@ -461,19 +464,12 @@ class GapQueries:
         the smallest floor."""
         tree, n = store._leaves, store.n
         q, keys = self.q[a : a + _BLOCK], self.keys[a : a + _BLOCK]
-        # Descend to the leaves, one vector step per tree level.
-        node = np.full(len(keys), tree.root, dtype=np.int64)
-        live = np.flatnonzero(node >= 0)
-        while len(live):
-            s = node[live]
-            node[live] = tree.kids[s, (keys[live, tree.axis[s]] >= tree.cut[s]).astype(np.intp)]
-            live = live[node[live] >= 0]
-        rows = store._held[tree.points(~node)]
+        rows = tree.rows[tree.points(tree.leaves(keys))]
         nums, pden = _dists(rows, q[:, None, :], n, [m is Metric.L1 for m in metrics])
         out = {}
         for metric, num in zip(metrics, nums):
-            pick = np.argmin(num * store.scale // pden, axis=1)[:, None]
-            out[metric] = np.take_along_axis(num, pick, 1)[:, 0], np.take_along_axis(pden, pick, 1)[:, 0] * q[:, n]
+            num, den = _least_floor(num, pden, store.scale)
+            out[metric] = num, den * q[:, n]
         return out
 
 
@@ -554,8 +550,7 @@ class GapTracker:
         num, den = store._probe(chunk.q[block], chunk.keys[block], self.metric is Metric.L1)
         keep = ~_less(num, den, top_num, top_den).any(axis=1)
         block, num, den = block[keep], num[keep], den[keep]
-        pick = np.argmin(num * store.scale // den, axis=1)[:, None]
-        num, den = np.take_along_axis(num, pick, 1)[:, 0], np.take_along_axis(den, pick, 1)[:, 0]
+        num, den = _least_floor(num, den, store.scale)
         bound_num, bound_den = (part[block] for part in chunk.bounds[self.metric])
         closer = _less(num, den, bound_num, bound_den)
         return block, np.where(closer, num, bound_num), np.where(closer, den, bound_den)

@@ -400,10 +400,14 @@ def weighted_store(n: int, kind: str, cache_dir=None) -> VectorStore:
 def weighted_games(n: int, indices: Iterable[int], cache_dir=None) -> dict[int, WeightedGame]:
     """The weighted games at the given positions of the n-voter weighted
     catalog, built from their certificate rows, which are read and
-    checked alone; no file is read when there are none."""
+    checked alone; no file is read when there are none, nor when a
+    position lies outside the catalog, which raises ValueError."""
     want = sorted({int(i) for i in indices})
     if not want:
         return {}
+    outside = [i for i in want if not 0 <= i < certified.GAME_COUNTS["wg"][n]]
+    if outside:
+        raise ValueError(f"the {n}-voter weighted catalog has no game at index {outside[0]}")
 
     def load(cache: Path) -> dict[int, WeightedGame]:
         return dict(zip(want, map(certificate_game, load_certificates(n, cache, want))))

@@ -347,16 +347,67 @@ def _tied_case(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_tied_case(), st.integers(1, 3), st.integers(0, 2**16))
-def test_refutation_in_small_blocks_keeps_every_tie(case, block, cut):
+@given(_tied_case(), st.integers(1, 3), st.integers(0, 2**16), st.sampled_from([1, 2, 5, 32]))
+def test_refutation_in_small_blocks_keeps_every_tie(case, block, cut, leaf):
     """Refuting the misses a few at a time, so that the queries tied at
     the running maximum fall in different blocks and chunks, gives a
-    linear scan's gap, attaining set and nearest vector."""
+    linear scan's gap, attaining set and nearest vector, over trees as
+    deep as leaves of one or two rows make them."""
     n, kind, vectors, queries = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_REFUTE_BLOCK", block)
+        mp.setattr(geometry, "_LEAF_SIZE", leaf)
         attained = _check_gaps_against_linear_scan(_store_of(kind, n, vectors), queries, [cut % (len(queries) + 1)])
     assert attained
+
+
+@st.composite
+def _tree_case(draw):
+    """A leaf size and int key rows for a tree over them: row counts of
+    1, the leaf size, one more and one more than twice it (1, 32, 33 and
+    65 at a leaf size of 32) or any up to 300, keys of few distinct
+    values, and at times a block of identical rows."""
+    leaf = draw(st.sampled_from([2, 5, 32]))
+    count = draw(st.sampled_from([1, leaf, leaf + 1, 2 * leaf + 1]) | st.integers(1, 300))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.sampled_from([0, 1, 3, 1000]))
+    dims = draw(st.integers(1, 4))
+    keys = np.array([[rng.randint(0, top) for _ in range(dims)] for _ in range(count)], dtype=np.int64)
+    a = draw(st.integers(0, count - 1))
+    keys[a : draw(st.integers(a, count))] = keys[a]
+    return leaf, keys
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tree_case())
+def test_tree_layout(case):
+    """The heap-ordered tree over key rows: perm is a permutation, leaf l
+    holds perm[(l * count) >> depth : ((l + 1) * count) >> depth], from 1
+    to _LEAF_SIZE rows, at the least such depth, each leaf's box holds its
+    rows' keys, and on each split node's axis its left rows' keys are
+    <= its cut and its right rows' keys >= it.  A stored key equal to a
+    cut may sit on the left while the descent sends it right, so where a
+    stored key descends is not asserted."""
+    leaf, keys = case
+    count, dims = keys.shape
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_LEAF_SIZE", leaf)
+        # Denominators of 1 on a grid of scale 1: the keys are the rows.
+        tree = geometry._Tree(np.column_stack([keys, np.ones(count, dtype=np.int64)]), dims, 1)
+    assert tree.slack == 0 and tree.depth == ((count - 1) // leaf).bit_length()
+    assert np.array_equal(np.sort(tree.perm), np.arange(count))
+    assert np.array_equal(tree.rows[:, :dims], keys[tree.perm])
+    bounds = (np.arange(2**tree.depth + 1) * count) >> tree.depth
+    assert np.array_equal(tree.start, bounds[:-1]) and np.array_equal(tree.stop, bounds[1:])
+    assert 1 <= (tree.stop - tree.start).min() and (tree.stop - tree.start).max() <= leaf
+    for l, (a, b) in enumerate(zip(tree.start, tree.stop)):
+        held = keys[tree.perm[a:b]]
+        assert np.array_equal(tree.lo[:, l], held.min(axis=0)) and np.array_equal(tree.hi[:, l], held.max(axis=0))
+    assert len(tree.axis) == len(tree.cut) == 2**tree.depth - 1
+    for i, (axis, cut) in enumerate(zip(tree.axis.tolist(), tree.cut.tolist())):
+        d = (i + 1).bit_length() - 1
+        a, m, b = (np.arange(3) + 2 * (i - 2**d + 1)) * count >> (d + 1)
+        assert (keys[tree.perm[a:m], axis] <= cut).all() and (keys[tree.perm[m:b], axis] >= cut).all()
 
 
 def test_nearest_builds_no_tree(cache_dir):

@@ -683,6 +683,20 @@ def test_unreadable_big_tier_raises_tier_error(tmp_path, monkeypatch):
     assert isinstance(err.value.__cause__, CatalogFormatError)
 
 
+@pytest.mark.parametrize("index", [-1, -117, 117, 2**40])
+def test_weighted_games_refuses_positions_outside_the_catalog(cache_dir, tmp_path, monkeypatch, index):
+    """A position outside the 117-game weighted 5-voter catalog raises
+    ValueError naming it before any file is read, so no tier is built;
+    numpy's wraparound does not answer -1 with the last game.  It is no
+    CatalogFormatError, which would take the tier for damaged."""
+    assert list(weighted_games(5, [116, 0], cache_dir)) == [0, 116]
+    monkeypatch.setattr(pipeline, "build_tier", lambda *args, **kwargs: pytest.fail("built a tier"))
+    with pytest.raises(ValueError, match=f"5-voter weighted catalog has no game at index {index}$") as err:
+        weighted_games(5, [3, index], tmp_path)
+    assert not isinstance(err.value, CatalogFormatError)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("n", [5, 6, 7])
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 2**20), max_size=12))

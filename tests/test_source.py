@@ -300,6 +300,21 @@ def test_shift_families_have_one_extractor():
     assert found == []
 
 
+def test_only_the_tree_reads_its_splits():
+    """In geometry, only _Tree's methods read a tree's split axes and cuts:
+    the tree's own descent is the only one."""
+    found = []
+    for top in _modules(PACKAGE)["geometry.py"].body:
+        if isinstance(top, ast.ClassDef) and top.name == "_Tree":
+            continue
+        found += [
+            f"geometry.py:{node.lineno}: .{node.attr}"
+            for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and node.attr in ("axis", "cut")
+        ]
+    assert found == []
+
+
 # The subset-count DP's forward pass and removal recurrence.
 SUBSET_COUNT_DP = ("_size_sum_counts", "_removal_table")
 
