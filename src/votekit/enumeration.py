@@ -16,22 +16,28 @@ the later half stacked.
 
 Games are produced in chunks.  shift_minimal_families and
 shift_maximal_losing_families take a chunk's shift families with the
-extractor in games, which packs the chunk into the DFS's word layout
-and tests the same covers.
+extractor in games, which packs the chunk into the DFS's word layout,
+tests the same covers and lists each family once: a games.Listing of
+every game's masks, ascending, one game after another, with each game's
+offset.  No consumer scans a family matrix again.
 classify_weighted_chunk sorts a chunk into weighted and not weighted:
-a vectorized 2-trade test (two_trade_rejects, through 9 voters) proves
-most unweighted games so, and the exact LP, the only path that accepts
-a game, settles the rest in lockstep blocks with a certificate per
-weighted game.  The system and the certificate are games.is_weighted's
-(_difference_systems and _certificates): is_weighted solves one game's
-system alone, and a catalog game gets its stored certificate from it.
+a vectorized 2-trade test (two_trade_rejects, through 9 voters, its
+rows one gather of packed prefix counts by listed mask) proves most
+unweighted games so, and the exact LP, the only path that accepts a
+game, settles the rest in lockstep blocks with a certificate per
+weighted game, the blocks sorted by the listings' sizes.  The system
+and the certificate are games.is_weighted's (_difference_systems, built
+from a block's runs of the two listings, and _certificates):
+is_weighted solves one game's system alone, and a catalog game gets its
+stored certificate from it.
 
 Enumerated counts are checked against certified values before anything
 downstream may consume them.  The tier builder in votekit.pipeline
 streams the chunks to disk for every n <= 8 (16.2 million games at
 n = 8).  Two pure functions own the VKCAT1 format on the write side:
 catalog_header encodes a file's header for a known game count, and
-catalog_records a chunk's records, with one numpy encode.  One block
+catalog_records the records of a listing's games, with one numpy
+encode: a chunk's, or the weighted games' runs of it.  One block
 walker reads them back, a block of the file at a time, and checks every
 record it walks (at least one coalition, each mask inside the voter
 count, masks strictly increasing) for the catalog readers: read_catalog
@@ -61,6 +67,7 @@ from .exactlp import solve_block
 from .games import (
     CompleteGame,
     ExplicitGame,
+    Listing,
     WeightedGame,
     _certificates,
     _complete_texts,
@@ -170,15 +177,13 @@ def iter_complete_chunks(n: int) -> Iterator[np.ndarray]:
         yield buf[:i]
 
 
-def shift_minimal_families(tables: np.ndarray, n: int) -> np.ndarray:
-    """Each game's shift-minimal winning coalitions, as a (games, 2**n)
-    boolean matrix."""
+def shift_minimal_families(tables: np.ndarray, n: int) -> Listing:
+    """Each game's shift-minimal winning coalitions, listed."""
     return _shift_family(tables, n, True)
 
 
-def shift_maximal_losing_families(tables: np.ndarray, n: int) -> np.ndarray:
-    """Each game's shift-maximal losing coalitions, as a (games, 2**n)
-    boolean matrix."""
+def shift_maximal_losing_families(tables: np.ndarray, n: int) -> Listing:
+    """Each game's shift-maximal losing coalitions, listed."""
     return _shift_family(tables, n, False)
 
 
@@ -206,18 +211,6 @@ def _packed_prefix_counts(n: int) -> tuple[np.ndarray, int, int]:
     return packed, guard, pad
 
 
-def _packed_rows(n: int, family: np.ndarray, fill: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, sizes): row g holds the packed prefix counts of game g's
-    coalitions in ascending mask order, padded with fill, and sizes[g] how
-    many there are."""
-    flat = np.flatnonzero(family)  # row-major: by game, masks ascending
-    g, mask = flat >> n, flat & ((1 << n) - 1)
-    sizes = np.bincount(g, minlength=len(family))
-    rows = np.full((len(family), max(int(sizes.max(initial=0)), 1)), fill, dtype=np.int64)
-    rows[g, np.arange(len(g)) - np.searchsorted(g, g)] = _packed_prefix_counts(n)[0][mask]
-    return rows, sizes
-
-
 @lru_cache(maxsize=None)
 def _pair_indices(width: int) -> tuple[np.ndarray, np.ndarray]:
     """np.triu_indices(width), read-only: every unordered pair of columns,
@@ -234,13 +227,14 @@ def _pair_sums(rows: np.ndarray) -> np.ndarray:
     return rows[:, i] + rows[:, j]
 
 
-def two_trade_rejects(n: int, win: np.ndarray, lose: np.ndarray) -> np.ndarray:
+def two_trade_rejects(n: int, win: Listing, lose: Listing) -> np.ndarray:
     """Games that a 2-trade proves not weighted, as a boolean flag per game.
 
-    win and lose are the shift-minimal winning and shift-maximal losing
-    families.  A game is flagged when two of its shift-minimal winning
-    coalitions S1, S2 and two of its shift-maximal losing ones T1, T2
-    (repeats allowed) have P(S1) + P(S2) <= P(T1) + P(T2) componentwise,
+    win and lose list the shift-minimal winning and shift-maximal losing
+    families of the same games.  A game is flagged when two of its
+    shift-minimal winning coalitions S1, S2 and two of its shift-maximal
+    losing ones T1, T2 (repeats allowed) have
+    P(S1) + P(S2) <= P(T1) + P(T2) componentwise,
     P being the prefix counts.  Weights w1 >= ... >= wn >= 0 give every
     coalition the weight d . P with d >= 0 the weight differences, so then
     w(S1) + w(S2) <= w(T1) + w(T2) < 2q <= w(S1) + w(S2): no weighted
@@ -251,32 +245,31 @@ def two_trade_rejects(n: int, win: np.ndarray, lose: np.ndarray) -> np.ndarray:
     """
     if n > _MAX_TRADE_VOTERS:
         raise ValueError(f"the 2-trade filter supports at most {_MAX_TRADE_VOTERS} voters, got {n}")
-    _, guard, pad = _packed_prefix_counts(n)
+    packed, guard, pad = _packed_prefix_counts(n)
+    # Blocks of games with equal family sizes carry little padding.
+    order = np.lexsort((lose.sizes(), win.sizes()))
+    win, lose = win.take(order), lose.take(order)
     # Winning padding sums too large to fit under any losing pair; losing
     # padding is the empty coalition, which loses.
-    low_rows, low_sizes = _packed_rows(n, win, pad)
-    high_rows, high_sizes = _packed_rows(n, lose, 0)
+    low_rows, low_sizes = win.padded(packed, pad), win.sizes()
+    high_rows, high_sizes = lose.padded(packed, 0), lose.sizes()
     rejected = np.zeros(len(win), dtype=bool)
-    # Blocks of games with equal family sizes carry little padding.
-    order = np.lexsort((high_sizes, low_sizes))
     for start in range(0, len(win), TRADE_BLOCK):
-        games = order[start : start + TRADE_BLOCK]
-        low = _pair_sums(low_rows[games, : low_sizes[games].max()])
-        high = _pair_sums(high_rows[games, : high_sizes[games].max()]) | guard
+        block = slice(start, start + TRADE_BLOCK)
+        low = _pair_sums(low_rows[block, : low_sizes[block].max()])
+        high = _pair_sums(high_rows[block, : high_sizes[block].max()]) | guard
         # Fieldwise high >= low exactly when every guard bit survives the
         # subtraction; no field borrows from the next.
         diff = high[:, None, :] - low[:, :, None]
         diff &= guard
-        rejected[games] = (diff == guard).any(axis=(1, 2))
+        rejected[order[block]] = (diff == guard).any(axis=(1, 2))
     return rejected
 
 
-def classify_weighted_chunk(
-    n: int, win: np.ndarray, lose: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def classify_weighted_chunk(n: int, win: Listing, lose: Listing) -> tuple[np.ndarray, np.ndarray]:
     """Which games of a chunk are weighted, and their certificates.
 
-    win and lose are the chunk's shift-minimal winning and shift-maximal
+    win and lose list the chunk's shift-minimal winning and shift-maximal
     losing families (shift_minimal_families, shift_maximal_losing_families).
     Returns a boolean flag per game and one (quota, weights...) int64 row
     per weighted game, in chunk order: for each game, the reduced
@@ -286,8 +279,10 @@ def classify_weighted_chunk(
     Through 9 voters, games that two_trade_rejects proves not weighted are
     settled without an LP; the rest, and every game above 9 voters, go to
     exactlp.solve_block, LP_BLOCK systems at a time, whose answers do not
-    depend on the other systems of a block.  Only the LP accepts a game,
-    so the flags and certificates are those of solving every system.
+    depend on the other systems of a block.  Each block's systems are
+    games._difference_systems of its games' runs of the two listings, as
+    for is_weighted.  Only the LP accepts a game, so the flags and
+    certificates are those of solving every system.
     """
     weighted = np.zeros(len(win), dtype=bool)
     certs = np.zeros((len(win), n + 1), dtype=np.int64)
@@ -296,11 +291,11 @@ def classify_weighted_chunk(
     else:
         open_games = np.arange(len(win))
     # Blocks of games with similar row counts carry less padding.
-    sizes = (win.sum(axis=1) + lose.sum(axis=1))[open_games]
+    sizes = (win.sizes() + lose.sizes())[open_games]
     order = open_games[np.argsort(sizes, kind="stable")]
     for start in range(0, len(order), LP_BLOCK):
         games = order[start : start + LP_BLOCK]
-        coeffs, rhs = _difference_systems(n, win[games], lose[games])
+        coeffs, rhs = _difference_systems(n, win.take(games), lose.take(games))
         flags, nums, dens = solve_block(coeffs, rhs)
         weighted[games] = flags
         certs[games[flags]] = _certificates(n, coeffs[flags], nums[flags], dens[flags])
@@ -374,21 +369,19 @@ def catalog_header(klass: str, n: int, count: int) -> bytes:
     return _HEADER.pack(_MAGIC, _CLASS_TAGS[klass], n, count)
 
 
-def catalog_records(n: int, families: np.ndarray) -> np.ndarray:
-    """The records of the rows of a (games, 2**n) boolean matrix marking
-    each game's shift-minimal winning coalitions, as little-endian u16
-    words that follow one another in a catalog file."""
-    games, size = families.shape
-    if size != 1 << n:
-        raise ValueError(f"expected {1 << n} coalitions per game, got {size}")
-    flat = np.flatnonzero(families)  # row-major: by game, masks ascending
-    game = flat >> n
-    counts = np.bincount(game, minlength=games)
+def catalog_records(n: int, families: Listing) -> np.ndarray:
+    """The records of listed shift-minimal winning families of n-voter
+    games, as little-endian u16 words that follow one another in a
+    catalog file."""
+    if families.width != 1 << n:
+        raise ValueError(f"expected {1 << n} coalitions per game, got {families.width}")
+    counts = families.sizes()
+    game, _ = families.cells()
     # Game g's record opens after g count words and two words per
     # earlier mask.  Masks are below 2**8, so every high half is 0.
-    words = np.zeros(games + 2 * len(flat), dtype="<u2")
-    words[np.arange(games) + 2 * (np.cumsum(counts) - counts)] = counts
-    words[game + 1 + 2 * np.arange(len(flat))] = flat & (size - 1)
+    words = np.zeros(len(families) + 2 * len(game), dtype="<u2")
+    words[np.arange(len(families)) + 2 * families.offsets[:-1]] = counts
+    words[game + 1 + 2 * np.arange(len(game))] = families.masks
     return words
 
 

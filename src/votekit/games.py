@@ -17,11 +17,12 @@ seen as a (2,)*n array.  Four representations are supported:
 
 A sorted complete game's shift families, its shift-minimal winning and
 shift-maximal losing coalitions, come from one extractor, _shift_family,
-for a catalog chunk and a single game alike.  It tests only the covers
-of the shift order.  With voters strongest-first and bit b voter b + 1,
-the lower covers of coalition m are m + 2**b for each b < n - 1 with bit
-b set and bit b + 1 clear, and m - 2**(n-1) when m holds the weakest
-voter; the upper covers are the inverse maps.  The covers generate the
+for a catalog chunk and a single game alike, listed (Listing: each
+game's masks, one game after another, and its offset).  It tests only
+the covers of the shift order.  With voters strongest-first and bit b
+voter b + 1, the lower covers of coalition m are m + 2**b for each
+b < n - 1 with bit b set and bit b + 1 clear, and m - 2**(n-1) when m
+holds the weakest voter; the upper covers are the inverse maps.  The covers generate the
 order, so on a shift-closed table a winning coalition is shift-minimal
 exactly when no lower cover wins, and a losing one shift-maximal exactly
 when no upper cover loses.  Each kind of cover is one shift of a game's
@@ -258,11 +259,11 @@ def _moved(words: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
-def _shift_family(tables: np.ndarray, n: int, winning: bool) -> np.ndarray:
-    """Per game (a row of a (games, 2**n) 0/1 table), a boolean row marking
-    its shift-minimal winning coalitions (winning=True) or its
-    shift-maximal losing ones: the coalitions of the kind that no lower
-    cover shares (winning) or no upper cover shares (losing).
+def _shift_family(tables: np.ndarray, n: int, winning: bool) -> Listing:
+    """Per game (a row of a (games, 2**n) 0/1 table), its shift-minimal
+    winning coalitions (winning=True) or its shift-maximal losing ones,
+    listed: the coalitions of the kind that no lower cover shares
+    (winning) or no upper cover shares (losing).
 
     The rows must be shift-closed, voters strongest-first.  There a
     coalition strictly below m lies at or below a lower cover of m (and
@@ -280,14 +281,75 @@ def _shift_family(tables: np.ndarray, n: int, winning: bool) -> np.ndarray:
     for s, mask in _cover_steps(n, winning):
         shared |= _moved(kind, s) & mask
     kind &= ~shared
-    return np.unpackbits(kind.view(np.uint8), axis=1, count=1 << n, bitorder="little").view(bool)
+    return _listing(np.unpackbits(kind.view(np.uint8), axis=1, count=1 << n, bitorder="little").view(bool))
 
 
-def _mask_lists(keep: np.ndarray) -> list[tuple[int, ...]]:
-    """The marked coalitions of each row of a boolean matrix, ascending."""
-    rows, cols = np.nonzero(keep)
-    bounds = np.searchsorted(rows, np.arange(keep.shape[0] + 1))
-    return [tuple(int(c) for c in cols[bounds[g] : bounds[g + 1]]) for g in range(keep.shape[0])]
+class Listing:
+    """The coalitions that a (games, 2**n) boolean matrix marks, row by
+    row: game g's masks, ascending, are masks[offsets[g] : offsets[g + 1]].
+    masks has the narrowest unsigned type that holds a mask, and width is
+    the matrix's 2**n columns.  The shift families of a catalog chunk
+    are listed once, and every consumer reads the listing."""
+
+    __slots__ = ("masks", "offsets", "width")
+
+    def __init__(self, masks: np.ndarray, offsets: np.ndarray, width: int):
+        self.masks = masks
+        self.offsets = offsets
+        self.width = width
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def sizes(self) -> np.ndarray:
+        """How many coalitions each game lists."""
+        return np.diff(self.offsets)
+
+    def take(self, games) -> Listing:
+        """The listing of the given games, in that order: their runs of
+        masks, one after another."""
+        games = np.asarray(games, dtype=np.intp)
+        starts, stops = self.offsets[games], self.offsets[games + 1]
+        offsets = np.zeros(len(games) + 1, dtype=np.int64)
+        np.cumsum(stops - starts, out=offsets[1:])
+        return Listing(self.masks[_runs(starts, stops)], offsets, self.width)
+
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(game, slot) of each listed mask: the game that lists it and
+        its place among that game's masks."""
+        sizes = self.sizes()
+        game = np.repeat(np.arange(len(sizes)), sizes)
+        return game, np.arange(len(game)) - np.repeat(self.offsets[:-1], sizes)
+
+    def padded(self, values: np.ndarray, fill: int) -> np.ndarray:
+        """One row per game: values at its listed masks, in order, then
+        fill, as wide as the longest run (at least one column)."""
+        rows = np.full((len(self), max(int(self.sizes().max(initial=0)), 1)), fill, dtype=values.dtype)
+        rows[self.cells()] = values[self.masks]
+        return rows
+
+
+def _runs(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The positions [start, stop) of each run, one run after another."""
+    lens = stops - starts
+    return np.arange(int(lens.sum())) + np.repeat(starts - np.cumsum(lens) + lens, lens)
+
+
+def _listing(marks: np.ndarray) -> Listing:
+    """The listing of a (games, 2**n) boolean matrix, the one scan of a
+    family matrix: its marks in row-major order, by game, masks
+    ascending."""
+    games, width = marks.shape
+    flat = np.flatnonzero(marks)
+    offsets = np.searchsorted(flat, np.arange(games + 1) * width)
+    masks = (flat & (width - 1)).astype(np.min_scalar_type(max(width - 1, 0)))
+    return Listing(masks, offsets, width)
+
+
+def _mask_lists(listing: Listing) -> list[tuple[int, ...]]:
+    """The listed coalitions of each game, ascending."""
+    masks, offsets = listing.masks.tolist(), listing.offsets.tolist()
+    return [tuple(masks[a:b]) for a, b in zip(offsets, offsets[1:])]
 
 
 class DesirabilityOutcome(enum.Enum):
@@ -764,14 +826,22 @@ def evaluate(g: Game, coalition) -> int:
     return g.value(mask)
 
 
+def _subset_sums(weights: np.ndarray) -> np.ndarray:
+    """Per row of a (rows, n) weight array, the weight of every coalition,
+    by mask: the coalitions that hold voter b + 1 weigh those below them
+    plus w_b, so n adds give all 2**n sums, exact in the weights' dtype."""
+    rows, n = weights.shape
+    sums = np.zeros((rows, 1 << n), dtype=weights.dtype)
+    for b in range(n):
+        np.add(sums[:, : 1 << b], weights[:, b, None], out=sums[:, 1 << b : 2 << b])
+    return sums
+
+
 def _weighted_table(g: WeightedGame) -> np.ndarray:
-    # Coalition weights doubled one voter at a time; Python ints (object)
-    # once a sum could pass int64.
+    # Python ints (object) once a sum could pass int64.
     t, wints = g.scaled_ints()
-    sums = np.zeros(1, dtype=np.int64 if sum(wints) < 1 << 62 else object)
-    for w in wints:
-        sums = np.concatenate([sums, sums + w])
-    return (sums >= t).astype(np.uint8)
+    weights = np.array([wints], dtype=np.int64 if sum(wints) < 1 << 62 else object)
+    return (_subset_sums(weights)[0] >= t).astype(np.uint8)
 
 
 def to_explicit(g: Game) -> ExplicitGame:
@@ -920,24 +990,24 @@ def _prefix_counts(n: int) -> np.ndarray:
     return np.ascontiguousarray(_prefix_rows(range(1 << n), n).T, dtype=np.int64)
 
 
-def _difference_systems(n: int, win: np.ndarray, lose: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per game (a row of win and lose), exactlp.solve_block's (coeffs,
-    rhs): its shift-minimal winning rows, then its shift-maximal losing
-    ones a unit below the quota, each in ascending mask order.  Every
-    entry is a prefix count, at most n, or -1, 0 or 1, so both are int8."""
-    games = len(win)
-    n_win = win.sum(axis=1)
-    rows = int((n_win + lose.sum(axis=1)).max(initial=0))
-    coeffs = np.zeros((games, rows, n + 1), dtype=np.int8)
-    rhs = np.zeros((games, rows), dtype=np.int8)
+def _difference_systems(n: int, win: Listing, lose: Listing) -> tuple[np.ndarray, np.ndarray]:
+    """Per game of two listings of the same games, its shift-minimal
+    winning and shift-maximal losing coalitions, exactlp.solve_block's
+    (coeffs, rhs): its winning rows, then its losing ones a unit below
+    the quota, each in ascending mask order.  Every entry is a prefix
+    count, at most n, or -1, 0 or 1, so both are int8."""
+    n_win = win.sizes()
+    rows = int((n_win + lose.sizes()).max(initial=0))
+    coeffs = np.zeros((len(win), rows, n + 1), dtype=np.int8)
+    rhs = np.zeros((len(win), rows), dtype=np.int8)
     counts = _prefix_counts(n).astype(np.int8)
-    for family, sign, offset in ((win, 1, np.zeros_like(n_win)), (lose, -1, n_win)):
-        g, mask = np.nonzero(family)
-        pos = np.arange(len(g)) - np.searchsorted(g, g) + offset[g]
-        coeffs[g, pos, :n] = sign * counts[mask]
-        coeffs[g, pos, n] = -sign
+    for family, sign in ((win, 1), (lose, -1)):
+        g, pos = family.cells()
         if sign < 0:
+            pos += n_win[g]
             rhs[g, pos] = 1
+        coeffs[g, pos, :n] = sign * counts[family.masks]
+        coeffs[g, pos, n] = -sign
     return coeffs, rhs
 
 

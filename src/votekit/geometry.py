@@ -48,6 +48,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .games import _runs
 from .indices import PowerVector, decimal_str
 
 __all__ = [
@@ -173,12 +174,6 @@ def _dists(rows: np.ndarray, q: np.ndarray, n: int, l1s: Sequence[bool]) -> tupl
         for l1, num in nums.items():
             nums[l1] = diff if num is None else num + diff if l1 else np.maximum(num, diff)
     return [nums[l1] for l1 in l1s], rows[..., n]
-
-
-def _runs(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """The positions [start, stop) of each run, one run after another."""
-    lens = stops - starts
-    return np.arange(int(lens.sum())) + np.repeat(starts - np.cumsum(lens) + lens, lens)
 
 
 def _less(a_num, a_den, b_num, b_den) -> np.ndarray:

@@ -16,7 +16,11 @@ A tier holds what is known about the complete games with n voters,
 The catalogs and the certificate file are written the same way: each is
 opened with its header for the certified game count, and every chunk
 appends its rows to each (enumeration.catalog_records for the catalogs,
-raw int64 rows for the certificates).  Each index kind has one
+raw int64 rows for the certificates).  A chunk's shift families are
+listed once (games.Listing); the classifier, the cg records and the wg
+records, the weighted games' runs of the winning listing, all read
+those listings, and each certificate is checked against its game's
+table by doubled subset sums.  Each index kind has one
 distinct-row accumulator over the complete games' vectors, and its cg
 store and position files are that accumulator's rows and positions; the
 wg store is the same store restricted to the weighted games, each rep the
@@ -89,7 +93,7 @@ from .enumeration import (
     shift_maximal_losing_families,
     shift_minimal_families,
 )
-from .games import CompleteGame, WeightedGame, _members, _weighted_texts
+from .games import CompleteGame, WeightedGame, _subset_sums, _weighted_texts
 from .geometry import (
     GapQueries,
     GapReport,
@@ -133,6 +137,11 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env)
     return Path.home() / ".cache" / "votekit"
+
+
+def _check_voters(n: int) -> None:
+    if not 1 <= n <= BIG_N:
+        raise ValueError(f"tiers exist for 1..{BIG_N} voters, got {n}")
 
 
 def _resolve(cache_dir) -> Path:
@@ -256,7 +265,8 @@ def load_certificates(n: int, cache_dir=None, rows=None) -> np.ndarray:
     that order; every row returned is checked as the classifier writes
     it: quota >= 1, weights >= 0 and non-increasing (strongest voter
     first), summing to at least the quota (the grand coalition wins), no
-    common factor."""
+    common factor.  A voter count without a tier raises ValueError."""
+    _check_voters(n)
     path = certificate_path(_resolve(cache_dir), n)
     certs = _read_rows(path, certified.GAME_COUNTS["wg"][n], n + 1)
     if rows is not None:
@@ -327,8 +337,10 @@ def _load_tier(n: int, cache_dir, load: Callable[[Path], object]):
     and load runs again, in this process: a process pool pays for itself
     only at 8 voters.  At 8 voters it raises TierError instead: only
     build_big_tables builds that tier.  Files are memory-mapped, so a
-    tier's pages need not all stay resident.
+    tier's pages need not all stay resident.  A voter count without a
+    tier raises ValueError before any file is read.
     """
+    _check_voters(n)
     cache_dir = _resolve(cache_dir)
     try:
         return load(cache_dir)
@@ -401,7 +413,9 @@ def weighted_games(n: int, indices: Iterable[int], cache_dir=None) -> dict[int, 
     """The weighted games at the given positions of the n-voter weighted
     catalog, built from their certificate rows, which are read and
     checked alone; no file is read when there are none, nor when a
-    position lies outside the catalog, which raises ValueError."""
+    position lies outside the catalog or n outside the tiers, which
+    raise ValueError."""
+    _check_voters(n)
     want = sorted({int(i) for i in indices})
     if not want:
         return {}
@@ -471,12 +485,11 @@ class _UniqueAccumulator:
 
 def _check_certificates(n: int, certs: np.ndarray, tables: np.ndarray, widx: list[int]) -> None:
     """Raise unless each [q; w] row wins on exactly the coalitions its
-    game's table marks winning.  Coalition weights come from one product
-    with the coalition-membership matrix per block."""
-    members = _members(n).T
+    game's table marks winning.  Coalition weights are games._subset_sums,
+    doubled one voter at a time: n exact int64 adds per block."""
     for start in range(0, len(certs), _CERT_BLOCK):
         block = certs[start : start + _CERT_BLOCK]
-        wins = block[:, 1:] @ members >= block[:, :1]
+        wins = _subset_sums(block[:, 1:]) >= block[:, :1]
         want = tables[widx[start : start + _CERT_BLOCK]].astype(bool)
         bad = int(np.count_nonzero((wins != want).any(axis=1)))
         if bad:
@@ -491,10 +504,8 @@ def _classify(n, win, lose, pool, workers):
     if pool is None:
         return classify_weighted_chunk(n, win, lose)
     step = max(1, -(-len(win) // workers))
-    futures = [
-        pool.submit(classify_weighted_chunk, n, win[a : a + step], lose[a : a + step])
-        for a in range(0, len(win), step)
-    ]
+    splits = [np.arange(a, min(a + step, len(win))) for a in range(0, len(win), step)]
+    futures = [pool.submit(classify_weighted_chunk, n, win.take(s), lose.take(s)) for s in splits]
     parts = [f.result() for f in futures]
     return np.concatenate([f for f, _ in parts]), np.concatenate([c for _, c in parts])
 
@@ -503,7 +514,10 @@ def _write_chunk(n, tables, pool, workers, files, accs) -> np.ndarray:
     """Classify one chunk of complete games, append it to the streamed
     catalogs and certificates and its vectors to the accumulators, one per
     index kind; returns the indices in the chunk of its weighted games.
-    Kept apart so that the chunk's arrays are freed before the next one."""
+    Each shift family is listed once (games.Listing), and the classifier
+    and the catalog records read the listings; the weighted games'
+    records are their runs of the winning listing.  Kept apart so that
+    the chunk's arrays are freed before the next one."""
     ssi_nums, ssi_den = batch_ssi_numerators(tables)
     pbi_nums = batch_swing_counts(tables)
     vectors = {
@@ -511,15 +525,14 @@ def _write_chunk(n, tables, pool, workers, files, accs) -> np.ndarray:
         "pbi": _reduced_rows(pbi_nums, pbi_nums.sum(axis=1)),
     }
     # The index kernels hold one block's int64 copy of the tables at a
-    # time (about 2 MB); the losing family matrix is dropped once
-    # classified, to bound memory.
+    # time (about 2 MB).
     win = shift_minimal_families(tables, n)
     weighted, certs = _classify(n, win, shift_maximal_losing_families(tables, n), pool, workers)
     widx = np.flatnonzero(weighted)
     _check_certificates(n, certs, tables, widx)
 
     catalog_records(n, win).tofile(files["cg.cat"])
-    catalog_records(n, win[widx]).tofile(files["wg.cat"])
+    catalog_records(n, win.take(widx)).tofile(files["wg.cat"])
     for kind, rows in vectors.items():
         accs[kind].add(rows)
     certs.astype("<i8", copy=False).tofile(files["wg.cert"])
@@ -610,8 +623,7 @@ def build_tier(
 
     Returns the certified counts by label.
     """
-    if not 1 <= n <= BIG_N:
-        raise ValueError(f"tiers exist for 1..{BIG_N} voters, got {n}")
+    _check_voters(n)
     cache_dir = _resolve(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     finals = _tier_paths(cache_dir, n)

@@ -9,6 +9,7 @@ as seeded generators and as hypothesis strategies.
 
 import math
 import random
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -596,6 +597,34 @@ def two_trade_by_pairs(n: int, win, lose) -> bool:
 
     highs = sums(lose)
     return any(all(x <= y for x, y in zip(low, high)) for low in sums(win) for high in highs)
+
+
+def difference_systems_by_matrix(n: int, win, lose) -> tuple[np.ndarray, np.ndarray]:
+    """exactlp.solve_block's (coeffs, rhs) for the games of (games, 2**n)
+    family matrices, one row at a time: per game its shift-minimal winning
+    coalitions as (prefix counts, -1) >= 0, then its shift-maximal losing
+    ones as (-prefix counts, 1) >= 1, masks ascending, zero rows after."""
+    rows = int((win.sum(axis=1) + lose.sum(axis=1)).max(initial=0))
+    coeffs = np.zeros((len(win), rows, n + 1), dtype=np.int8)
+    rhs = np.zeros((len(win), rows), dtype=np.int8)
+    for g in range(len(win)):
+        listed = [(m, 1) for m in np.flatnonzero(win[g])] + [(m, -1) for m in np.flatnonzero(lose[g])]
+        for r, (m, sign) in enumerate(listed):
+            coeffs[g, r] = [sign * c for c in prefix_counts(n, int(m))] + [-sign]
+            rhs[g, r] = sign < 0
+    return coeffs, rhs
+
+
+def catalog_records_by_matrix(n: int, families) -> bytes:
+    """The VKCAT1 records of the rows of a (games, 2**n) boolean matrix of
+    shift-minimal winning families, one struct record per game: a u16
+    count, then each mask as a u32."""
+    assert families.shape[1] == 1 << n
+    out = b""
+    for row in families:
+        masks = [int(m) for m in np.flatnonzero(row)]
+        out += struct.pack(f"<H{len(masks)}I", len(masks), *masks)
+    return out
 
 
 def labelings_by_dfs(order, lowers):

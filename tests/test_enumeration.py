@@ -4,6 +4,7 @@ import hashlib
 import random
 import struct
 import tempfile
+from functools import lru_cache
 from itertools import islice
 from pathlib import Path
 
@@ -47,6 +48,7 @@ from votekit.games import (
     _cover_steps,
     _difference_systems,
     _linear_extension,
+    _listing,
     _lower_covers,
     _mask_lists,
     _prefix_counts,
@@ -65,6 +67,8 @@ from votekit.exactlp import solve_block
 from votekit.pipeline import build_tier
 
 from oracles import (
+    catalog_records_by_matrix,
+    difference_systems_by_matrix,
     families_by_neighbors,
     labelings_by_dfs,
     linear_extension_by_keys,
@@ -313,7 +317,7 @@ def family_matrix(n, families):
 
 
 def save_catalog(path, klass, n, games):
-    records = catalog_records(n, family_matrix(n, [g.shift_minimal for g in games]))
+    records = catalog_records(n, _listing(family_matrix(n, [g.shift_minimal for g in games])))
     path.write_bytes(catalog_header(klass, n, len(games)) + records.tobytes())
 
 
@@ -365,7 +369,7 @@ def test_scalar_family_extractors_match_the_batch(catalogs, n):
 
 
 def _families(n, games=None):
-    """(win, lose) family matrices of every complete game with n voters,
+    """(win, lose) family listings of every complete game with n voters,
     or of the first games of them, which must fit the first chunk."""
     if games is None:
         tables = np.concatenate(list(iter_complete_chunks(n)))
@@ -384,7 +388,7 @@ def test_two_trade_filter_rejects_exactly_the_unweighted_games(n):
     assert len(rejected) == COMPLETE_COUNTS[n] - WEIGHTED_COUNTS[n]
     for start in range(0, len(rejected), LP_BLOCK):
         games = rejected[start : start + LP_BLOCK]
-        feasible, _, _ = solve_block(*_difference_systems(n, win[games], lose[games]))
+        feasible, _, _ = solve_block(*_difference_systems(n, win.take(games), lose.take(games)))
         assert not feasible.any()
 
 
@@ -401,10 +405,72 @@ def test_two_trade_filter_matches_the_pair_oracle(monkeypatch, n, block):
     monkeypatch.setattr(enumeration, "TRADE_BLOCK", block)
     win, lose = _families(n)
     got = two_trade_rejects(n, win, lose)
+    want = [two_trade_by_pairs(n, w, l) for w, l in zip(_mask_lists(win), _mask_lists(lose))]
+    assert got.tolist() == want
+
+
+@lru_cache(maxsize=None)
+def _first_chunk(n):
+    """(tables, win, lose): the first enumerated chunk of n-voter games,
+    read-only, and its two family listings."""
+    tables = next(iter_complete_chunks(n))
+    tables.flags.writeable = False
+    return tables, shift_minimal_families(tables, n), shift_maximal_losing_families(tables, n)
+
+
+@st.composite
+def _chunk_blocks(draw):
+    """(n, games): 1..8 voters and a block of up to 64 distinct games of
+    the first chunk, ascending or in random order."""
+    n = draw(st.integers(1, 8))
+    games = draw(st.lists(st.integers(0, len(_first_chunk(n)[0]) - 1), min_size=1, max_size=64, unique=True))
+    if draw(st.booleans()):
+        games.sort()
+    return n, np.array(games)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_chunk_blocks())
+def test_listed_systems_match_the_matrix_oracle(block):
+    """The weight-difference systems of a block's runs of the chunk
+    listings are, entry for entry, those built row by row from the
+    neighbour loop's family matrices of the same games."""
+    n, games = block
+    tables, win, lose = _first_chunk(n)
+    coeffs, rhs = _difference_systems(n, win.take(games), lose.take(games))
+    want = difference_systems_by_matrix(n, *families_by_neighbors(tables[games], n))
+    assert coeffs.dtype == rhs.dtype == np.int8
+    assert np.array_equal(coeffs, want[0]) and np.array_equal(rhs, want[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_chunk_blocks(), st.sampled_from([1, 5, 128]))
+def test_listed_two_trade_flags_match_the_pair_oracle(block, trade_block):
+    """The 2-trade flags of a block's runs of the chunk listings are the
+    pair-of-pairs search over the neighbour loop's families, whatever the
+    filter's own blocks."""
+    n, games = block
+    tables, win, lose = _first_chunk(n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "TRADE_BLOCK", trade_block)
+        got = two_trade_rejects(n, win.take(games), lose.take(games))
     want = [
-        two_trade_by_pairs(n, np.flatnonzero(w), np.flatnonzero(l)) for w, l in zip(win, lose)
+        two_trade_by_pairs(n, np.flatnonzero(w), np.flatnonzero(l))
+        for w, l in zip(*families_by_neighbors(tables[games], n))
     ]
     assert got.tolist() == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(_chunk_blocks())
+def test_listed_catalog_records_match_the_matrix_oracle(block):
+    """The catalog records of a block's run of the winning listing are,
+    byte for byte, the struct records of the neighbour loop's family
+    matrix of the same games."""
+    n, games = block
+    tables, win, _ = _first_chunk(n)
+    want = catalog_records_by_matrix(n, families_by_neighbors(tables[games], n)[0])
+    assert catalog_records(n, win.take(games)).tobytes() == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -439,15 +505,15 @@ def test_catalog_records_write_the_struct_records(tmp_path, catalogs, n):
     the block decoder reads the families back."""
     if n == 6:
         families = [g.shift_minimal for g in catalogs("cg", 6)]
-        matrix = family_matrix(6, families)
+        listing = _listing(family_matrix(6, families))
     else:
-        matrix = _families(8, 4096)[0]
-        families = _mask_lists(matrix)
+        listing = _families(8, 4096)[0]
+        families = _mask_lists(listing)
     path = tmp_path / "cat"
     with open(path, "wb") as fh:
-        fh.write(catalog_header("cg", n, len(matrix)))
-        catalog_records(n, matrix[:1000]).tofile(fh)
-        catalog_records(n, matrix[1000:]).tofile(fh)
+        fh.write(catalog_header("cg", n, len(listing)))
+        catalog_records(n, listing.take(np.arange(1000))).tofile(fh)
+        catalog_records(n, listing.take(np.arange(1000, len(listing)))).tofile(fh)
     assert read_catalog_header(path) == ("cg", n, len(families))
     assert path.read_bytes() == _struct_catalog("cg", n, families)
     back = fetch_catalog_games(path, range(len(families)))
@@ -457,7 +523,7 @@ def test_catalog_records_write_the_struct_records(tmp_path, catalogs, n):
 @pytest.mark.parametrize("width", [0, 1 << 5, 1 << 7])
 def test_catalog_records_reject_a_matrix_of_the_wrong_width(width):
     with pytest.raises(ValueError, match="expected 64 coalitions per game"):
-        catalog_records(6, np.zeros((3, width), dtype=bool))
+        catalog_records(6, _listing(np.zeros((3, width), dtype=bool)))
 
 
 @pytest.mark.parametrize("read_bytes", [1, 7, 64, 4099])
@@ -497,13 +563,13 @@ def test_catalog_round_trip_on_random_families(up_sets, read_bytes, data):
     whole from fetch_catalog_games at random positions, whatever the read
     block, and a truncated file still fails at the record it cuts."""
     n, tables = up_sets
-    matrix = shift_minimal_families(tables, n)
-    want = _mask_lists(matrix)
+    listing = shift_minimal_families(tables, n)
+    want = _mask_lists(listing)
     picks = data.draw(st.sets(st.integers(0, len(want) - 1)))
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumeration, "_READ_BYTES", read_bytes)
         path = Path(tmp) / "cat"
-        path.write_bytes(catalog_header("cg", n, len(matrix)) + catalog_records(n, matrix).tobytes())
+        path.write_bytes(catalog_header("cg", n, len(listing)) + catalog_records(n, listing).tobytes())
         assert read_catalog_header(path) == ("cg", n, len(want))
         got = fetch_catalog_games(path, picks)
         assert {i: (g.n, g.shift_minimal) for i, g in got.items()} == {i: (n, want[i]) for i in picks}
@@ -515,7 +581,8 @@ def test_catalog_round_trip_on_random_families(up_sets, read_bytes, data):
 def _assert_families_match_the_neighbour_loop(tables, n):
     got = shift_minimal_families(tables, n), shift_maximal_losing_families(tables, n)
     for family, want in zip(got, families_by_neighbors(tables, n), strict=True):
-        assert family.dtype == bool and np.array_equal(family, want)
+        assert family.width == 1 << n and family.masks.dtype == (np.uint8 if n <= 8 else np.uint16)
+        assert _mask_lists(family) == [tuple(np.flatnonzero(row).tolist()) for row in want]
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -17,7 +17,9 @@ from votekit.games import (
     ExplicitGame,
     GameParseError,
     WeightedGame,
+    _members,
     _relabelled,
+    _subset_sums,
     add_null_voters,
     canonical_table,
     coalition_mask,
@@ -371,6 +373,34 @@ def test_complete_game_outcomes_match_the_loop(case, rnd):
     for m in list(sample)[:40]:
         assert dominates(m, family[0], n) == dominates_by_loop(m, family[0], n)
         assert dominates(family[0], m, n) == dominates_by_loop(family[0], m, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(complete_families(max_n=10))
+def test_complete_game_value_is_the_explicit_outcome(case):
+    """CompleteGame.value on every coalition is the explicit game's outcome
+    and the bit loop's domination test over the shift-minimal family."""
+    n, _, family = case
+    g = CompleteGame(n, family)
+    e = to_explicit(CompleteGame(n, family))
+    for m in range(1 << n):
+        want = int(any(dominates_by_loop(m, s, n) for s in family))
+        assert g.value(m) == e.value(m) == want, (n, family, m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, 2**40), min_size=n, max_size=n), min_size=1, max_size=20)
+    )
+)
+def test_subset_sums_are_the_membership_product(rows):
+    """The doubled subset sums of random weight rows are the product of
+    the rows with the coalition-membership matrix, in int64."""
+    weights = np.array(rows, dtype=np.int64)
+    sums = _subset_sums(weights)
+    assert sums.dtype == np.int64
+    assert np.array_equal(sums, weights @ _members(len(rows[0])).T)
 
 
 @settings(max_examples=100, deadline=None)

@@ -697,6 +697,25 @@ def test_weighted_games_refuses_positions_outside_the_catalog(cache_dir, tmp_pat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("n", [0, 9, 12])
+def test_loaders_refuse_a_voter_count_outside_the_tiers(tmp_path, n):
+    """A voter count with no tier raises the ValueError that build_tier
+    gives, from weighted_games, load_certificates and weighted_store
+    alike, with no certified-count lookup escaping as a KeyError and no
+    file written."""
+    calls = [
+        lambda: weighted_games(n, [0], tmp_path),
+        lambda: load_certificates(n, tmp_path),
+        lambda: load_certificates(n, tmp_path, [0]),
+        lambda: weighted_store(n, "ssi", tmp_path),
+        lambda: build_tier(n, tmp_path),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^tiers exist for 1..8 voters, got {n}$"):
+            call()
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("n", [5, 6, 7])
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 2**20), max_size=12))

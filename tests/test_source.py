@@ -300,6 +300,37 @@ def test_shift_families_have_one_extractor():
     assert found == []
 
 
+# The readers of a chunk's family listings, by module, and the scans of a
+# family matrix that each would need without them.  The classifier's own
+# flatnonzero picks the games the 2-trade filter leaves open.
+_MATRIX_SCANS = ("nonzero", "flatnonzero", "sum")
+LISTING_READERS = {
+    "games.py": {"_difference_systems": _MATRIX_SCANS},
+    "enumeration.py": {
+        "two_trade_rejects": _MATRIX_SCANS,
+        "catalog_records": _MATRIX_SCANS,
+        "classify_weighted_chunk": ("nonzero", "sum"),
+    },
+}
+
+
+def test_families_are_listed_in_one_place():
+    """games._listing is the only scan of a family matrix: the extractor
+    alone calls it, and no reader of the listings scans a family matrix
+    again; enumeration's 2-trade rows have no helper of their own."""
+    found = []
+    for name, tree in _modules(PACKAGE).items():
+        readers = LISTING_READERS.get(name, {})
+        for top in tree.body:
+            where = getattr(top, "name", None)
+            refs = _references(top)
+            if refs["_listing"] and where not in ("_listing", "_shift_family"):
+                found.append(f"{name}:{top.lineno}: _listing")
+            found += [f"{name}:{where}: {scan}" for scan in readers.get(where, ()) if refs[scan]]
+    assert "_packed_rows" not in _references(_modules(PACKAGE)["enumeration.py"])
+    assert found == []
+
+
 def test_only_the_tree_reads_its_splits():
     """In geometry, only _Tree's methods read a tree's split axes and cuts:
     the tree's own descent is the only one."""
