@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from functools import lru_cache
 from pathlib import Path
 
 from . import certified, pipeline
@@ -661,7 +662,10 @@ def cmd_eu(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> _ArgumentParser:
+    """The command tree, built once per process: parsing does not change
+    it."""
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument(
         "--format", choices=("table", "csv", "json"), default="table", help="output format"
@@ -672,7 +676,7 @@ def build_parser() -> _ArgumentParser:
     cachep.add_argument(
         "--long-running",
         action="store_true",
-        help="opt in to the 8-voter build, about 280 s and 3.2 GB with --threads 2 (or set VOTEKIT_LONG_RUNNING=1)",
+        help="opt in to the 8-voter build, 2 to 5 minutes with --threads 2 and 3.2 GB (or set VOTEKIT_LONG_RUNNING=1)",
     )
 
     capp = argparse.ArgumentParser(add_help=False)
@@ -753,7 +757,7 @@ def main(argv=None) -> int:
     except pipeline.TierError as exc:
         print(
             f"votekit: {exc}; pass --long-running (or set VOTEKIT_LONG_RUNNING=1) to build "
-            "the tier, about 280 s with --threads 2 and 3.2 GB of memory",
+            "the tier, 2 to 5 minutes with --threads 2 and 3.2 GB of memory",
             file=sys.stderr,
         )
         return EXIT_USAGE if isinstance(exc.__cause__, FileNotFoundError) else EXIT_MISMATCH

@@ -28,8 +28,9 @@ first weighted game at its row.  A store is written once its distinct
 count is certified.  Every count is certified before any file is moved into
 place, so a tier is only ever installed whole.  Tiers below 8 voters
 are built on first use and rebuilt when a file is missing or
-unreadable, in the calling process; the 8-voter tier takes about 280 s
-and 3.2 GB with two workers, and is built only by build_big_tables: a
+unreadable, in the calling process; the 8-voter tier takes minutes
+(cold builds with two workers on 2 vCPUs ran 133-281 s, BENCH_build8.json)
+and 3.2 GB, and is built only by build_big_tables: a
 loader that finds one of its files missing or damaged raises TierError.
 build_tier and build_big_tables are the only calls that take a worker
 count, for a process pool that pays off only at 8 voters.
@@ -103,7 +104,7 @@ from .geometry import (
     _reduced_rows,
     unique_rows,
 )
-from .indices import KINDS, batch_ssi_numerators, batch_swing_counts
+from .indices import KINDS, batch_numerators
 
 __all__ = [
     "BIG_N",
@@ -518,14 +519,11 @@ def _write_chunk(n, tables, pool, workers, files, accs) -> np.ndarray:
     and the catalog records read the listings; the weighted games'
     records are their runs of the winning listing.  Kept apart so that
     the chunk's arrays are freed before the next one."""
-    ssi_nums, ssi_den = batch_ssi_numerators(tables)
-    pbi_nums = batch_swing_counts(tables)
+    ssi_nums, ssi_den, pbi_nums = batch_numerators(tables)
     vectors = {
         "ssi": _reduced_rows(ssi_nums, ssi_den),
         "pbi": _reduced_rows(pbi_nums, pbi_nums.sum(axis=1)),
     }
-    # The index kernels hold one block's int64 copy of the tables at a
-    # time (about 2 MB).
     win = shift_minimal_families(tables, n)
     weighted, certs = _classify(n, win, shift_maximal_losing_families(tables, n), pool, workers)
     widx = np.flatnonzero(weighted)
@@ -650,8 +648,9 @@ def build_big_tables(
     workers: int = 1,
     progress: Callable[[int, int], None] | None = None,
 ) -> dict[str, int]:
-    """The 8-voter tier: 280 s with workers=2 on 2 vCPUs, at a peak of
-    3.2 GB (BENCH_build8.json).  See build_tier."""
+    """The 8-voter tier: minutes of work, at a peak of 3.2 GB; cold builds
+    with workers=2 on 2 vCPUs ran 133-281 s (BENCH_build8.json).  See
+    build_tier."""
     return build_tier(BIG_N, cache_dir, workers, progress)
 
 

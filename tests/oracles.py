@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from votekit.enumeration import iter_complete_chunks
 from votekit.games import BoolCombo, DesirabilityOutcome, ExplicitGame, WeightedGame, _members, evaluate, to_explicit
 from votekit.geometry import GapQueries, GapTracker, _reduced_rows, unique_rows
-from votekit.indices import batch_ssi_numerators, batch_swing_counts
+from votekit.indices import batch_numerators
 from votekit.inverse import InverseMode, InverseResult, _proportional_start, _QuotaScan
 
 
@@ -252,10 +252,9 @@ def vectors_by_kernels(n: int, kind: str, certificates=None) -> tuple[np.ndarray
         chunks = list(iter_complete_chunks(n))
     else:
         chunks = [(certificates[:, 1:] @ _members(n).T >= certificates[:, :1]).astype(np.uint8)]
+    nums = np.concatenate([batch_numerators(tables)[0 if kind == "ssi" else 2] for tables in chunks])
     if kind == "ssi":
-        nums = np.concatenate([batch_ssi_numerators(tables)[0] for tables in chunks])
         return nums, np.full(len(nums), math.factorial(n), dtype=np.int64)
-    nums = np.concatenate([batch_swing_counts(tables) for tables in chunks])
     return nums, nums.sum(axis=1)
 
 

@@ -29,7 +29,7 @@ from votekit.games import (
     shift_maximal_losing,
     to_explicit,
 )
-from votekit.indices import batch_ssi_numerators, batch_swing_counts
+from votekit.indices import batch_numerators
 
 
 def check(num_vars, rows):
@@ -420,8 +420,7 @@ def test_first_eight_voter_chunk_has_pinned_vector_rows():
     """The (numerators..., denominator) ssi and pbi rows of the first 4,096
     games with 8 voters, as the per-voter swing kernels wrote them."""
     tables = next(iter_complete_chunks(8))[:4096]
-    nums, den = batch_ssi_numerators(tables)
-    swings = batch_swing_counts(tables)
+    nums, den, swings = batch_numerators(tables)
     ssi_rows = np.column_stack([nums, np.full(len(tables), den)])
     pbi_rows = np.column_stack([swings, swings.sum(axis=1)])
     assert _digest(ssi_rows) == "5634217a434c0e0bcc7b92630de56cf80a48aa802e8ebbc18b5225ed1449358f"

@@ -1,5 +1,6 @@
 """Power index computation: direct enumeration, DP, and batch paths."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 from votekit.council import council_game
 from votekit.games import BoolCombo, WeightedGame, parse_game, to_explicit
 from votekit.indices import (
-    _BATCH_BLOCK,
+    KINDS,
     PowerVector,
+    _batch_coefficients,
+    _byte_sums,
     _swing_profile_dp,
-    batch_ssi_numerators,
-    batch_swing_counts,
+    batch_numerators,
     decimal_str,
     pbi,
     pbi_dp,
@@ -158,12 +160,10 @@ def test_power_vector_dispatch():
 
 
 def test_batch_paths_match_scalar(catalogs):
-    # cg6 holds 1,171 games, so its stack spans two row blocks.
     for n in (5, 6):
         cat = catalogs("cg", n)
         tables = np.array([to_explicit(g).np_table for g in cat])
-        swings = batch_swing_counts(tables)
-        nums, den = batch_ssi_numerators(tables)
+        nums, den, swings = batch_numerators(tables)
         for i, g in enumerate(cat):
             assert tuple(int(x) for x in swings[i]) == pbi(g).nums
             expect = ssi(g).fractions()
@@ -175,14 +175,13 @@ def test_batch_paths_match_scalar(catalogs):
 @given(st.data())
 def test_batch_kernels_match_scalar_on_monotone_tables(data):
     """Random monotone games, complete or not, stacked in a random order
-    into up to three row blocks: every batch row is the scalar answer."""
+    into up to 768 rows: every batch row is the scalar answer."""
     n = data.draw(st.integers(1, 8))
     games = data.draw(st.lists(monotone_games(n=n), min_size=1, max_size=4))
-    length = data.draw(st.integers(1, 3 * _BATCH_BLOCK))
+    length = data.draw(st.integers(1, 768))
     picks = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(len(games), size=length)
     tables = np.array([g.np_table for g in games])[picks]
-    swings = batch_swing_counts(tables)
-    nums, den = batch_ssi_numerators(tables)
+    nums, den, swings = batch_numerators(tables)
     want_swings = [pbi(g).nums for g in games]
     want_ssi = [ssi(g) for g in games]
     assert den == want_ssi[0].den
@@ -191,12 +190,54 @@ def test_batch_kernels_match_scalar_on_monotone_tables(data):
         assert tuple(nums[row].tolist()) == want_ssi[i].nums
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_batch_kernel_is_the_coefficient_product_on_any_table(data):
+    """On arbitrary 0/1 tables, monotone or not, both kinds are the int64
+    product with their coefficient matrix; below 3 voters a byte holds
+    fewer than 8 coalitions, and without voters there is no column."""
+    n = data.draw(st.integers(0, 8))
+    length = data.draw(st.integers(0, 64))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    density = data.draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    tables = (np.random.default_rng(seed).random((length, 1 << n)) < density).astype(np.uint8)
+    nums, den, swings = batch_numerators(tables)
+    assert den == math.factorial(n)
+    for kind, got in zip(KINDS, (nums, swings)):
+        assert got.dtype == np.int64 and got.shape == (length, n)
+        assert np.array_equal(got, tables.astype(np.int64) @ _batch_coefficients(n, kind))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_byte_sums_fit_int32_under_the_checked_bound(n):
+    """The byte table is the int64 sums cast without loss, and the bound
+    that _byte_sums checks, the per-byte largest magnitudes summed over
+    bytes, is below 2**31 and at most each column's absolute sum over all
+    coalitions: 2 n! for Shapley-Shubik and 2**n for swings."""
+    sums = _byte_sums(n)
+    assert sums.dtype == np.int32 and sums.shape == (-(-(1 << n) // 8), 256, 2 * n)
+    assert not sums.flags.writeable
+    coef = np.hstack([_batch_coefficients(n, kind) for kind in KINDS])
+    for j, byte in enumerate(sums.astype(np.int64)):
+        for v in (0, 1, 0x5A, 0xFF):
+            rows = [8 * j + i for i in range(8) if v >> i & 1 and 8 * j + i < 1 << n]
+            assert np.array_equal(byte[v], coef[rows].sum(axis=0))
+    bound = np.abs(sums.astype(np.int64)).max(axis=1).sum(axis=0)
+    assert bound.max(initial=0) < 2**31
+    assert (bound <= np.abs(coef).sum(axis=0)).all()
+    assert (np.abs(coef).sum(axis=0) == [2 * math.factorial(n)] * n + [1 << n] * n).all()
+
+
 def test_batch_kernels_refuse_more_than_eight_voters():
     tables = np.zeros((1, 1 << 9), dtype=np.uint8)
     tables[0, -1] = 1
-    for kernel in (batch_swing_counts, batch_ssi_numerators):
-        with pytest.raises(ValueError, match="n <= 8"):
-            kernel(tables)
+    with pytest.raises(ValueError, match="n <= 8"):
+        batch_numerators(tables)
+
+
+def test_batch_kernels_refuse_a_width_that_is_no_power_of_two():
+    with pytest.raises(ValueError, match="got width 12"):
+        batch_numerators(np.zeros((2, 12), dtype=np.uint8))
 
 
 @settings(max_examples=80, deadline=None)

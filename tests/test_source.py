@@ -260,18 +260,34 @@ def test_each_weightedness_lp_entry_has_one_caller():
     assert found == []
 
 
-def test_exactlp_uses_no_floats():
-    """No float enters a decision of the exact solver: exactlp.py has no
-    true division, and no name or attribute that names a float type or
-    numpy's true division."""
+def _float_uses(tree) -> list[str]:
+    """True divisions, and names or attributes that name a float type or
+    numpy's true division, under an AST node."""
     found = []
-    for node in ast.walk(ast.parse((PACKAGE / "exactlp.py").read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
             found.append(f"line {node.lineno}: /")
         name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else ""
         if "float" in name.lower() or name in ("divide", "true_divide"):
             found.append(f"line {node.lineno}: {name}")
-    assert found == []
+    return found
+
+
+def test_exactlp_uses_no_floats():
+    """No float enters a decision of the exact solver: exactlp.py has no
+    true division, and no name or attribute that names a float type or
+    numpy's true division."""
+    assert _float_uses(ast.parse((PACKAGE / "exactlp.py").read_text())) == []
+
+
+def test_batch_index_kernel_uses_no_floats():
+    """The batch index kernel and the tables it reads use no float in the
+    same sense."""
+    kernel = {"_batch_coefficients", "_byte_sums", "batch_numerators"}
+    tree = ast.parse((PACKAGE / "indices.py").read_text())
+    defs = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in kernel]
+    assert {node.name for node in defs} == kernel
+    assert [use for d in defs for use in _float_uses(d)] == []
 
 
 # Shift-order helpers, and per module the functions that may reference
